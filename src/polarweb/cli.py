@@ -59,33 +59,22 @@ from .polarops import (
     radial_form,
 )
 from .reports import CheckReport
-from .sampling import GenericSampler
+from .sampling import GenericSampler, sample_centers
 from .webmodel import (
-    AffinePoint,
     PlaneCurve,
     SymWeb,
     discriminant_curve,
-    is_smooth_point,
     singular_set,
     tangent_directions,
     web_degree,
 )
 
-THEOREMS = (
-    "polar-degree",
-    "polar-equality",
-    "k2",
-    "family-dim",
-    "base-points",
-    "sing-locus",
-    "branches",
-    "irreducible",
-    "inflexion-lemma",
-    "sing-in-E",
-    "qr-dichotomy",
-    "qr-bound",
-    "equising",
-    "genus-constant",
+# --tol-* flag -> the module setting it overrides for one call.
+_TOLERANCE_FLAGS = (
+    ("tol_residual", solve_mod, "NUMERIC_TOL"),
+    ("tol_cluster", localsing_mod, "CLUSTER_TOL"),
+    ("tol_root_residual", numerics_mod, "RESIDUAL_TOL"),
+    ("tol_step_guard", numerics_mod, "STEP_GUARD"),
 )
 
 
@@ -136,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("localsing", help="fingerprint of a curve germ"), point=True)
     chk = sub.add_parser("check", help="run a theorem check")
     common(chk)
-    chk.add_argument("--theorem", required=True, choices=THEOREMS)
+    chk.add_argument("--theorem", required=True, choices=CHECKS)
     chk.add_argument("--samples", type=int, default=20)
     return parser
 
@@ -169,6 +158,28 @@ def _as_curve(obj) -> PlaneCurve:
     raise ParseError("this subcommand needs a curve input (type: curve, f: ...)")
 
 
+# theorem -> (input coercion, runner(input, seed, samples)).  Each runner
+# applies its theorem's sample cap and calls the check through this module's
+# globals, so a wrapper bound over a check name is the one that runs.
+CHECKS = {
+    "polar-degree": (_as_web, lambda w, s, n: polar_degree_check(w, s, n)),
+    "polar-equality": (_as_web, lambda w, s, n: _equality_check(w, s, max(n // 4, 2))),
+    "k2": (_as_web, lambda w, s, n: family_degree_check(w, s, min(n, 5))),
+    "family-dim": (_as_web, lambda w, s, n: family_dimension_check(w, s)),
+    "base-points": (_as_web, lambda w, s, n: base_points_check(w, s)),
+    "sing-locus": (_as_web, lambda w, s, n: generic_polar_singularities_check(w, s, n)),
+    "branches": (_as_web, lambda w, s, n: branches_check(w, s, n)),
+    "irreducible": (_as_web, lambda w, s, n: generic_polar_irreducible(w, s, min(n, 5))),
+    "inflexion-lemma": (_as_foliation,
+                        lambda f, s, n: inflexion_lemma_check(f, s, on_curve=5, off_curve=max(n - 5, 5))),
+    "sing-in-E": (_as_foliation, lambda f, s, n: polar_sing_in_inflexion_check(f, s, n)),
+    "qr-dichotomy": (_as_foliation, lambda f, s, n: _dichotomy_all_singularities(f, s, n)),
+    "qr-bound": (_as_foliation, lambda f, s, n: quasi_radial_bound_check(f, s, min(n, 5))),
+    "equising": (_as_foliation, lambda f, s, n: equisingularity_check(f, s, min(n, 10))),
+    "genus-constant": (_as_foliation, lambda f, s, n: genus_constancy_check(f, s, min(n, 5))),
+}
+
+
 def _emit(args, lines: list[str], report: CheckReport | None, command: str) -> str:
     stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     if getattr(args, "json", False):
@@ -192,16 +203,12 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return (0 if e.code in (0, None) else 2), ""
-    if args.tol_residual is not None:
-        solve_mod.NUMERIC_TOL = args.tol_residual
-    if args.tol_cluster is not None:
-        localsing_mod.CLUSTER_TOL = args.tol_cluster
-    if args.tol_root_residual is not None:
-        numerics_mod.RESIDUAL_TOL = args.tol_root_residual
-    if args.tol_step_guard is not None:
-        numerics_mod.STEP_GUARD = args.tol_step_guard
     command = "polarweb " + " ".join(argv)
+    saved = [(module, name, getattr(module, name)) for _, module, name in _TOLERANCE_FLAGS]
     try:
+        for flag, module, name in _TOLERANCE_FLAGS:
+            if getattr(args, flag) is not None:
+                setattr(module, name, getattr(args, flag))
         obj, warnings = _load(args.path)
         lines = [f"warning: {w}" for w in warnings]
         report: CheckReport | None = None
@@ -292,40 +299,14 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         return 3, f"numeric abort: {e}"
     except PolarwebError as e:
         return 3, f"error: {e}"
+    finally:
+        for module, name, value in saved:
+            setattr(module, name, value)
 
 
 def _run_check(obj, args) -> CheckReport:
-    name = args.theorem
-    seed, samples = args.seed, args.samples
-    if name == "polar-degree":
-        return polar_degree_check(_as_web(obj), seed, samples)
-    if name == "polar-equality":
-        return _equality_check(_as_web(obj), seed, max(samples // 4, 2))
-    if name == "k2":
-        return family_degree_check(_as_web(obj), seed, min(samples, 5))
-    if name == "family-dim":
-        return family_dimension_check(_as_web(obj), seed)
-    if name == "base-points":
-        return base_points_check(_as_web(obj), seed)
-    if name == "sing-locus":
-        return generic_polar_singularities_check(_as_web(obj), seed, samples)
-    if name == "branches":
-        return branches_check(_as_web(obj), seed, samples)
-    if name == "irreducible":
-        return generic_polar_irreducible(_as_web(obj), seed, min(samples, 5))
-    if name == "inflexion-lemma":
-        return inflexion_lemma_check(_as_foliation(obj), seed, on_curve=5, off_curve=max(samples - 5, 5))
-    if name == "sing-in-E":
-        return polar_sing_in_inflexion_check(_as_foliation(obj), seed, samples)
-    if name == "qr-dichotomy":
-        return _dichotomy_all_singularities(_as_foliation(obj), seed, samples)
-    if name == "qr-bound":
-        return quasi_radial_bound_check(_as_foliation(obj), seed, min(samples, 5))
-    if name == "equising":
-        return equisingularity_check(_as_foliation(obj), seed, min(samples, 10))
-    if name == "genus-constant":
-        return genus_constancy_check(_as_foliation(obj), seed, min(samples, 5))
-    raise ParseError(f"unknown theorem {name!r}")
+    coerce, run = CHECKS[args.theorem]
+    return run(coerce(obj), args.seed, args.samples)
 
 
 def _equality_check(web: SymWeb, seed: int, rounds: int) -> CheckReport:
@@ -334,11 +315,9 @@ def _equality_check(web: SymWeb, seed: int, rounds: int) -> CheckReport:
     report = CheckReport("polar-equality", seed=seed, samples_requested=rounds)
     sampler = GenericSampler(seed)
     DXv, DYv = MPoly.variable("dx"), MPoly.variable("dy")
-    done = 0
-    attempts = 0
-    while done < rounds and attempts < 50 * rounds:
-        attempts += 1
-        p = AffinePoint(*sampler.point())
+
+    def admissible(p):
+        # the multiplier beta is drawn right after its center
         beta = DXv if sampler.rng.random() < 0.5 else DYv
         if web.k >= 2:
             beta = beta * MPoly.constant(sampler.nonzero_int())
@@ -348,11 +327,12 @@ def _equality_check(web: SymWeb, seed: int, rounds: int) -> CheckReport:
         try:
             w2 = SymWeb(constructed)
         except WebValidationError:
-            sampler.discards.add(str(p), "constructed form not primitive")
-            continue
+            return None, "constructed form not primitive"
         if w2.k != web.k:
-            sampler.discards.add(str(p), "constructed form changed k")
-            continue
+            return None, "constructed form changed k"
+        return w2, None
+
+    for _, p, w2 in sample_centers(report, sampler, rounds, admissible):
         verdict = polar_equality_criterion(web, w2, p)
         report.add(
             f"constructed pair at p={p}",
@@ -363,7 +343,6 @@ def _equality_check(web: SymWeb, seed: int, rounds: int) -> CheckReport:
         try:
             w3 = SymWeb(perturbed)
         except WebValidationError:
-            done += 1
             continue
         verdict2 = polar_equality_criterion(web, w3, p)
         report.add(
@@ -371,9 +350,6 @@ def _equality_check(web: SymWeb, seed: int, rounds: int) -> CheckReport:
             (not verdict2.polars_equal) and (not verdict2.divisible) and verdict2.routes_agree,
             f"divisible={verdict2.divisible}, polars_equal={verdict2.polars_equal}",
         )
-        done += 1
-    report.samples_used = done
-    report.discards = list(sampler.discards.entries)
     return report
 
 

@@ -28,6 +28,7 @@ from .mpoly import (
     jet_decompose,
     poly_gcd,
     resultant,
+    translate,
     try_exact_div,
 )
 from .localsing import (
@@ -41,8 +42,8 @@ from .localsing import (
 from .numerics import univariate_roots
 from .polarops import RadialProduct, polar_curve
 from .reports import CheckReport
-from .sampling import GenericSampler
-from .solve import univariate_root_split
+from .sampling import GenericSampler, sample_centers
+from .solve import certify_membership_tolerance, common_zeros, univariate_root_split
 from .webmodel import (
     AffinePoint,
     PlaneCurve,
@@ -123,8 +124,6 @@ def polar_sing_in_inflexion_check(fol: FoliationData, seed: int = 0, samples: in
     The statement holds for every center, so the samples deliberately include
     non-generic points (the origin, singular points of the foliation, points
     on the inflexion divisor itself)."""
-    from .solve import common_zeros
-
     report = CheckReport("sing-in-inflexion", seed=seed, samples_requested=samples)
     e = inflexion_divisor(fol)
     if e is None:
@@ -165,10 +164,7 @@ def polar_sing_in_inflexion_check(fol: FoliationData, seed: int = 0, samples: in
         used += 1
     report.samples_used = used
     report.discards = list(sampler.discards.entries)
-    if any(not a.exact for a in report.assertions):
-        from .solve import NUMERIC_TOL
-
-        report.certify("numeric_membership_tolerance", NUMERIC_TOL)
+    certify_membership_tolerance(report)
     return report
 
 
@@ -254,40 +250,32 @@ def tangent_cone_dichotomy(
     report = CheckReport("qr-dichotomy", seed=seed, samples_requested=samples)
     cls = classify_singularity(fol, q)
     report.note(f"singular point {q}: {cls}")
-    sampler = GenericSampler(seed)
     ja = jet_decompose(fol.A, ("x", "y"), (q.a, q.b))
     jb = jet_decompose(fol.B, ("x", "y"), (q.a, q.b))
     ak = ja.get(cls.first_jet_order, MPoly.zero())
     bk = jb.get(cls.first_jet_order, MPoly.zero())
-    for i in range(samples):
 
-        def admissible(pt):
-            p = AffinePoint(*pt)
-            if p == q:
-                return False, "center equals the singular point"
-            if isinstance(fol.polar(p), RadialProduct):
-                return False, "polar degenerates"
-            a1, b1 = p.a - q.a, p.b - q.b
-            if not cls.quasi_radial:
-                val = (
-                    Fraction(b1) * ak.evaluate({v: (a1 if v == "x" else b1) for v in ak.variables})
-                    - Fraction(a1) * bk.evaluate({v: (a1 if v == "x" else b1) for v in bk.variables})
-                )
-                if val == 0:
-                    return False, "center on the measure-zero containment locus"
-            else:
-                line = MPoly.constant(b1) * X - MPoly.constant(a1) * Y
-                if try_exact_div(cls.radial_cofactor, line) is not None:
-                    return False, "line through p and q divides the radial cofactor"
-            return True, ""
-
-        try:
-            pt = sampler.sample_until(admissible, "center")
-        except DegenerateSampleError as e:
-            report.add(f"sample {i}", False, str(e))
-            continue
-        p = AffinePoint(*pt)
+    def admissible(p):
+        if p == q:
+            return None, "center equals the singular point"
         curve = fol.polar(p)
+        if isinstance(curve, RadialProduct):
+            return None, "polar degenerates"
+        a1, b1 = p.a - q.a, p.b - q.b
+        if not cls.quasi_radial:
+            val = (
+                Fraction(b1) * ak.evaluate({v: (a1 if v == "x" else b1) for v in ak.variables})
+                - Fraction(a1) * bk.evaluate({v: (a1 if v == "x" else b1) for v in bk.variables})
+            )
+            if val == 0:
+                return None, "center on the measure-zero containment locus"
+        else:
+            line = MPoly.constant(b1) * X - MPoly.constant(a1) * Y
+            if try_exact_div(cls.radial_cofactor, line) is not None:
+                return None, "line through p and q divides the radial cofactor"
+        return curve, None
+
+    for _, p, curve in sample_centers(report, GenericSampler(seed), samples, admissible):
         jets = jet_decompose(curve.raw, ("x", "y"), (q.a, q.b))
         order = min(jets)
         cone = jets[order]
@@ -300,8 +288,6 @@ def tangent_cone_dichotomy(
             mult == expected,
             f"multiplicity {mult}, expected {expected}",
         )
-    report.samples_used = samples
-    report.discards = list(sampler.discards.entries)
     return report
 
 
@@ -553,8 +539,6 @@ def class_of_curve(curve: PlaneCurve, seed: int = 0) -> int:
     Computed as n(n-1) minus the local intersection numbers of the curve with
     its first polar at the singular points; verified against two independent
     auxiliary points."""
-    from .solve import common_zeros
-
     if curve.raw != curve.defining:
         raise PolynomialError("class_of_curve needs a reduced curve")
     F0 = curve.defining
@@ -633,8 +617,8 @@ def _class_once(F: MPoly, n: int, sing, rng: random.Random) -> int:
         if sing is not None:
             rational_x = []
             for q in sing.rational:
-                germ_f = _translate(F, q)
-                germ_g = _translate(G, q)
+                germ_f = translate(F, q)
+                germ_g = translate(G, q)
                 local_sum += intersection_multiplicity(germ_f, germ_g)
                 rational_x.append(complex(q[0] - lam * q[1]))
             if sing.numeric:
@@ -665,15 +649,6 @@ def _common_shear(F: MPoly, G: MPoly, rng: random.Random) -> int | None:
         if top_value(F, lam) != 0 and top_value(G, lam) != 0:
             return lam
     return None
-
-
-def _translate(f: MPoly, q: tuple[Fraction, Fraction]) -> MPoly:
-    subs = {
-        v: MPoly.variable(v) + MPoly.constant(c)
-        for v, c in zip(("x", "y"), q)
-        if v in f.variables and c != 0
-    }
-    return f.substitute(subs) if subs else f
 
 
 # ---------------------------------------------------------------------------
@@ -711,33 +686,24 @@ def quasi_radial_bound_check(fol: FoliationData, seed: int = 0, samples: int = 5
     qr, descriptions, exact = count_quasi_radial(fol, seed)
     for d in descriptions:
         report.note(d)
-    sampler = GenericSampler(seed)
-    done = 0
-    attempts = 0
-    while done < samples and attempts < 50 * samples:
-        attempts += 1
-        p = AffinePoint(*sampler.point())
+
+    def admissible(p):
         curve = fol.polar(p)
         if isinstance(curve, RadialProduct):
-            sampler.discards.add(str(p), "polar degenerates")
-            continue
+            return None, "polar degenerates"
         if curve.raw != curve.defining:
-            sampler.discards.add(str(p), "polar not reduced")
-            continue
+            return None, "polar not reduced"
         try:
-            cls = class_of_curve(curve, seed + done)
+            # seeded by the index this center gets if it is admitted
+            return class_of_curve(curve, seed + report.samples_used), None
         except (DegenerateSampleError, NumericAbortError) as exc:
-            sampler.discards.add(str(p), f"class computation failed: {exc}")
-            continue
+            return None, f"class computation failed: {exc}"
+
+    for _, p, cls in sample_centers(report, GenericSampler(seed), samples, admissible):
         report.add(
             f"#Sing_QR <= class(P_p) - 1 at p={p}",
             qr <= cls - 1,
             f"#QR = {qr}, class = {cls}",
             exact=exact,
         )
-        done += 1
-    if done < samples:
-        report.add("sampling", False, f"only {done} of {samples} classes computed")
-    report.samples_used = done
-    report.discards = list(sampler.discards.entries)
     return report

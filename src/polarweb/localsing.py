@@ -22,16 +22,17 @@ from fractions import Fraction
 
 from .errors import (
     DegenerateSampleError,
+    InfiniteZeroSetError,
     InternalInvariantError,
     NumericAbortError,
     PolynomialError,
 )
-from .mpoly import MPoly, exact_div, lowest_jet, poly_gcd, resultant, squarefree_part
+from .mpoly import MPoly, exact_div, lowest_jet, poly_gcd, resultant, squarefree_part, translate
 from .numerics import cluster_points, univariate_roots
 from .reports import CheckReport
-from .sampling import GenericSampler
+from .sampling import GenericSampler, sample_centers
 from .solve import common_zeros, univariate_root_split
-from .webmodel import AffinePoint, Direction, PlaneCurve, binary_form_factors
+from .webmodel import Direction, PlaneCurve, binary_form_factors
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
@@ -136,12 +137,7 @@ class CurveGerm:
 
     @staticmethod
     def at_point(curve: MPoly, point: tuple[Fraction, Fraction]) -> "CurveGerm":
-        subs = {
-            v: MPoly.variable(v) + MPoly.constant(c)
-            for v, c in zip(("x", "y"), point)
-            if v in curve.variables and c != 0
-        }
-        g = curve.substitute(subs) if subs else curve
+        g = translate(curve, point)
         if g.evaluate({v: 0 for v in g.variables}) != 0:
             raise PolynomialError(f"curve does not pass through {point}")
         reduced = squarefree_part(g)
@@ -251,7 +247,6 @@ def _nonzero_at_origin(f: MPoly) -> bool:
 class BlowUpPoint:
     direction: Direction
     germ: CurveGerm
-    on_old_exceptional: bool
 
 
 def blow_up_germ(germ: CurveGerm) -> list[BlowUpPoint]:
@@ -260,7 +255,7 @@ def blow_up_germ(germ: CurveGerm) -> list[BlowUpPoint]:
     m = germ.multiplicity()
     out = []
     for direction, _mult, child in _children(germ, m):
-        out.append(BlowUpPoint(direction, child, False))
+        out.append(BlowUpPoint(direction, child))
     return out
 
 
@@ -619,49 +614,33 @@ def equisingularity_check(fol, seed: int = 0, samples: int = 10) -> CheckReport:
     sing = singular_set(web, seed)
     if sing.is_empty():
         report.note("foliation has no affine singular points; polars are checked for smoothness")
-    sampler = GenericSampler(seed)
     rng = random.Random(seed + 17)
     reference: list[tuple] | None = None
     ref_degree: int | None = None
-    collected = 0
-    attempts = 0
-    while collected < samples and attempts < 50 * samples:
-        attempts += 1
-        p = AffinePoint(*sampler.point())
+
+    def admissible(p):
         curve = polar_curve(web, p)
         if isinstance(curve, RadialProduct):
-            sampler.discards.add(str(p), "center of a radial factor")
-            continue
+            return None, "center of a radial factor"
         if sing.contains(p):
-            sampler.discards.add(str(p), "center is singular on the foliation")
-            continue
+            return None, "center is singular on the foliation"
         F = curve.defining
         if curve.raw != curve.defining:
-            sampler.discards.add(str(p), "polar not reduced")
-            continue
+            return None, "polar not reduced"
         fx, fy = F.derivative("x"), F.derivative("y")
         try:
             zs = common_zeros([F, fx, fy], rng=rng)
-        except Exception as e:
-            sampler.discards.add(str(p), f"singular locus solve failed: {e}")
-            continue
-        entries = []
-        ok = True
-        for q in zs.rational:
-            fp = fingerprint(CurveGerm.at_point(F, q))
-            entries.append((("rat", str(q[0]), str(q[1])), fp.key()))
+        except (InfiniteZeroSetError, NumericAbortError) as e:
+            return None, f"singular locus solve failed: {e}"
+        table = [fingerprint(CurveGerm.at_point(F, q)).key() for q in zs.rational]
         for q in zs.numeric:
             try:
-                fp = fingerprint(CurveGerm.at_numeric_point(F, q))
+                table.append(fingerprint(CurveGerm.at_numeric_point(F, q)).key())
             except (NumericAbortError, PolynomialError) as e:
-                sampler.discards.add(str(p), f"numeric germ failed: {e}")
-                ok = False
-                break
-            entries.append((("num", round(q[0].real, 5), round(q[0].imag, 5),
-                             round(q[1].real, 5), round(q[1].imag, 5)), fp.key()))
-        if not ok:
-            continue
-        table = sorted(fp_key for _, fp_key in entries)
+                return None, f"numeric germ failed: {e}"
+        return (curve, zs, sorted(table)), None
+
+    for _, p, (curve, zs, table) in sample_centers(report, GenericSampler(seed), samples, admissible):
         if reference is None:
             reference = table
             ref_degree = curve.degree
@@ -676,11 +655,6 @@ def equisingularity_check(fol, seed: int = 0, samples: int = 10) -> CheckReport:
             f"{len(table)} singular point(s), degree {curve.degree}",
             exact=exact_entry,
         )
-        collected += 1
-    if collected < samples:
-        report.add("sampling", False, f"only {collected} of {samples} admissible centers")
-    report.samples_used = collected
-    report.discards = list(sampler.discards.entries)
     if any(not a.exact for a in report.assertions):
         report.certify("germ_clean_tolerance", CLEAN_TOL)
         report.certify("cluster_tolerance", CLUSTER_TOL)
@@ -698,36 +672,26 @@ def genus_constancy_check(fol, seed: int = 0, samples: int = 5) -> CheckReport:
 
     web = fol.as_web if hasattr(fol, "as_web") else fol
     report = CheckReport("genus-constancy", seed=seed, samples_requested=samples)
-    sampler = GenericSampler(seed)
-    genera = []
-    collected = 0
-    attempts = 0
-    while collected < samples and attempts < 50 * samples:
-        attempts += 1
-        p = AffinePoint(*sampler.point())
+
+    def admissible(p):
         curve = polar_curve(web, p)
         if isinstance(curve, RadialProduct):
-            sampler.discards.add(str(p), "center of a radial factor")
-            continue
+            return None, "center of a radial factor"
         if curve.raw != curve.defining:
-            sampler.discards.add(str(p), "polar not reduced")
-            continue
+            return None, "polar not reduced"
         try:
-            g = genus_of_curve(curve, seed)
+            return genus_of_curve(curve, seed), None
         except PolynomialError as e:
-            sampler.discards.add(str(p), f"genus unavailable: {e}")
-            continue
-        genera.append((str(p), g))
-        collected += 1
+            return None, f"genus unavailable: {e}"
+
+    genera = [(str(p), g) for _, p, g in sample_centers(report, GenericSampler(seed), samples, admissible)]
     values = {g for _, g in genera}
     report.add(
         "genus constant across centers",
-        len(values) == 1 and collected == samples,
+        len(values) == 1 and report.samples_used == samples,
         f"genera: {genera}",
         exact=False,
     )
-    report.samples_used = collected
-    report.discards = list(sampler.discards.entries)
     report.certify("germ_clean_tolerance", CLEAN_TOL)
     report.certify("cluster_tolerance", CLUSTER_TOL)
     return report

@@ -686,20 +686,20 @@ def discriminant_binary(f: MPoly, u: str = "dx", v: str = "dy") -> MPoly:
     return disc.canonical() if not disc.is_zero() else MPoly.zero()
 
 
-def discriminant_univariate(f: MPoly, var: str) -> MPoly:
-    """Res(f, f') / lc for a positive-degree polynomial in var."""
-    d = f.degree_in(var)
-    if d == 0:
-        raise PolynomialError("discriminant of constant")
-    if d == 1:
-        return MPoly.constant(1)
-    lead = f.coeffs_in(var)[d]
-    return exact_div(resultant(f, f.derivative(var), var), lead)
-
-
 # ---------------------------------------------------------------------------
 # jets
 # ---------------------------------------------------------------------------
+
+
+def translate(f: MPoly, point, variables: Sequence[str] = ("x", "y")) -> MPoly:
+    """Each variable v replaced by v + c, c its coordinate of the point: the
+    point moves to the origin."""
+    subs = {
+        v: MPoly.variable(v) + MPoly.constant(c)
+        for v, c in zip(variables, point)
+        if v in f.variables and c != 0
+    }
+    return f.substitute(subs) if subs else f
 
 
 def jet_decompose(f: MPoly, variables: Sequence[str] = ("x", "y"), about=(0, 0)) -> dict[int, MPoly]:
@@ -711,12 +711,7 @@ def jet_decompose(f: MPoly, variables: Sequence[str] = ("x", "y"), about=(0, 0))
     a = [_as_fraction(c) for c in about]
     if len(a) != len(variables):
         raise PolynomialError("point arity does not match variables")
-    subs = {
-        v: MPoly.variable(v) + MPoly.constant(c)
-        for v, c in zip(variables, a)
-        if v in f.variables and c != 0
-    }
-    g = f.substitute(subs) if subs else f
+    g = translate(f, a, variables)
     idx = [g.variables.index(v) if v in g.variables else None for v in variables]
     parts: dict[int, dict] = {}
     for e, c in g.terms.items():

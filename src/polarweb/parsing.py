@@ -225,7 +225,7 @@ def parse_input_text(text: str) -> tuple[SymWeb | FoliationData | PlaneCurve, li
         try:
             web = SymWeb(poly, saturate=True)
             warnings.append(f"form coefficients were not coprime; saturated ({e})")
-        except Exception:
+        except WebValidationError:
             raise ParseError(str(e), line=lineno)
     if declared == "foliation":
         if web.k != 1:

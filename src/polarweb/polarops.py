@@ -14,12 +14,18 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DegenerateSampleError, PolynomialError, WebValidationError
+from .errors import DegenerateSampleError, NumericAbortError, PolynomialError, WebValidationError
 from .mpoly import MPoly, exact_div, jet_decompose, resultant, try_exact_div
 from .numerics import MonodromyResult, cluster_points, monodromy_partition, univariate_roots
 from .reports import CheckReport
-from .sampling import GenericSampler
-from .solve import common_zeros, term_scale, univariate_root_split, vanishes_numerically
+from .sampling import GenericSampler, sample_centers
+from .solve import (
+    certify_membership_tolerance,
+    common_zeros,
+    term_scale,
+    univariate_root_split,
+    vanishes_numerically,
+)
 from .webmodel import (
     DX,
     DY,
@@ -59,14 +65,19 @@ class RadialProduct:
         return SymWeb(self.cofactor_form, saturate=True)
 
 
+def _substitute_center(form: MPoly, a, b) -> MPoly:
+    """dx -> x - a, dy -> y - b; the center is rational or the symbols (a, b)."""
+    subs = {}
+    if "dx" in form.variables:
+        subs["dx"] = X - a
+    if "dy" in form.variables:
+        subs["dy"] = Y - b
+    return form.substitute(subs) if subs else form
+
+
 def polar_curve(web: SymWeb, p: AffinePoint) -> PlaneCurve | RadialProduct:
     """The polar of the web with center p, as a plane curve of degree d + k."""
-    subs = {}
-    if "dx" in web.form.variables:
-        subs["dx"] = X - MPoly.constant(p.a)
-    if "dy" in web.form.variables:
-        subs["dy"] = Y - MPoly.constant(p.b)
-    raw = web.form.substitute(subs) if subs else web.form
+    raw = _substitute_center(web.form, p.a, p.b)
     if raw.is_zero():
         return RadialProduct(p, exact_div(web.form, radial_form(p)))
     return PlaneCurve(raw)
@@ -108,12 +119,7 @@ class PolarFamily:
 
 
 def polar_family(web: SymWeb, seed: int = 0) -> PolarFamily:
-    subs = {}
-    if "dx" in web.form.variables:
-        subs["dx"] = X - A_VAR
-    if "dy" in web.form.variables:
-        subs["dy"] = Y - B_VAR
-    parametric = (web.form.substitute(subs) if subs else web.form).canonical()
+    parametric = _substitute_center(web.form, A_VAR, B_VAR).canonical()
     return PolarFamily(parametric, web.k, web_degree(web, seed))
 
 
@@ -127,31 +133,21 @@ def polar_degree_check(web: SymWeb, seed: int = 0, samples: int = 20) -> CheckRe
     report = CheckReport("polar-degree", seed=seed, samples_requested=samples)
     d = web_degree(web, seed)
     k = web.k
-    sampler = GenericSampler(seed)
     report.note(f"web degree d={d}, k={k}, expected polar degree {d + k}")
-    for i in range(samples):
 
-        def admissible(pt):
-            p = AffinePoint(*pt)
-            if isinstance(polar_curve(web, p), RadialProduct):
-                return False, "polar degenerates: center of a radial factor"
-            return True, ""
-
-        try:
-            pt = sampler.sample_until(admissible, "center")
-        except DegenerateSampleError as e:
-            report.add(f"sample {i}", False, str(e))
-            continue
-        p = AffinePoint(*pt)
+    def admissible(p):
         curve = polar_curve(web, p)
+        if isinstance(curve, RadialProduct):
+            return None, "polar degenerates: center of a radial factor"
+        return curve, None
+
+    for _, p, curve in sample_centers(report, GenericSampler(seed), samples, admissible):
         got = curve.raw_degree
         report.add(
             f"deg P_p at p={p}",
             got == d + k,
             f"degree {got}",
         )
-    report.samples_used = samples
-    report.discards = list(sampler.discards.entries)
     return report
 
 
@@ -177,8 +173,8 @@ def polar_equality_criterion(w1: SymWeb, w2: SymWeb, p: AffinePoint) -> Equality
         raise WebValidationError("polar equality criterion needs webs of the same k")
     if w1.form == w2.form:
         return EqualityVerdict(True, True, True, True, None, Fraction(1))
-    sub1 = _raw_polar(w1, p)
-    sub2 = _raw_polar(w2, p)
+    sub1 = _substitute_center(w1.form, p.a, p.b)
+    sub2 = _substitute_center(w2.form, p.a, p.b)
     scale = _proportionality(sub1, sub2)
     polars_equal = scale is not None
     lam = scale if scale is not None else Fraction(1)
@@ -193,15 +189,6 @@ def polar_equality_criterion(w1: SymWeb, w2: SymWeb, p: AffinePoint) -> Equality
         quotient_form=quotient,
         scale=scale,
     )
-
-
-def _raw_polar(web: SymWeb, p: AffinePoint) -> MPoly:
-    subs = {}
-    if "dx" in web.form.variables:
-        subs["dx"] = X - MPoly.constant(p.a)
-    if "dy" in web.form.variables:
-        subs["dy"] = Y - MPoly.constant(p.b)
-    return web.form.substitute(subs) if subs else web.form
 
 
 def _proportionality(f: MPoly, g: MPoly) -> Fraction | None:
@@ -247,10 +234,7 @@ def base_points_check(web: SymWeb, seed: int = 0) -> CheckReport:
         )
     if len(zs) == 0:
         report.add("base locus", True, "empty")
-    if any(not a.exact for a in report.assertions):
-        from .solve import NUMERIC_TOL
-
-        report.certify("numeric_membership_tolerance", NUMERIC_TOL)
+    certify_membership_tolerance(report)
     return report
 
 
@@ -377,33 +361,28 @@ def family_degree_check(web: SymWeb, seed: int = 0, pairs: int = 5) -> CheckRepo
     report = CheckReport("family-degree-k2", seed=seed, samples_requested=pairs)
     k2 = web.k * web.k
     sampler = GenericSampler(seed)
-    done = 0
-    tries = 0
-    while done < pairs and tries < 50 * pairs:
-        tries += 1
-        p1 = AffinePoint(*sampler.point())
-        p2 = AffinePoint(*sampler.point())
+
+    def admissible(pair):
+        p1, p2 = pair
         if p1 == p2:
-            continue
+            return None, "the two points coincide"
         try:
             if not is_smooth_point(web, p1)[0] or not is_smooth_point(web, p2)[0]:
-                sampler.discards.add(f"{p1},{p2}", "point not smooth on the web")
-                continue
-            count, pts = family_degree(web, p1, p2, seed)
+                return None, "point not smooth on the web"
+            return family_degree(web, p1, p2, seed), None
         except DegenerateSampleError as e:
-            sampler.discards.add(f"{p1},{p2}", str(e))
-            continue
+            return None, str(e)
+
+    def draw():
+        return sampler.center(), sampler.center()
+
+    for _, (p1, p2), (count, pts) in sample_centers(report, sampler, pairs, admissible, draw):
         at_inf = sum(1 for q in pts if q.z == 0)
         report.add(
             f"|T_p1 W ∩ T_p2 W| at {p1}, {p2}",
             count == k2,
             f"{count} points ({at_inf} at infinity), expected {k2}",
         )
-        done += 1
-    if done < pairs:
-        report.add("sampling", False, f"only {done} of {pairs} admissible pairs found")
-    report.samples_used = done
-    report.discards = list(sampler.discards.entries)
     return report
 
 
@@ -509,29 +488,21 @@ def generic_polar_singularities_check(web: SymWeb, seed: int = 0, samples: int =
     membership branch.
     """
     report = CheckReport("polar-singular-locus", seed=seed, samples_requested=samples)
-    sampler = GenericSampler(seed)
     sing = singular_set(web, seed)
     disc = web.discriminant_form
     rng = random.Random(seed + 1)
-    for i in range(samples):
 
-        def admissible(pt):
-            p = AffinePoint(*pt)
-            if isinstance(polar_curve(web, p), RadialProduct):
-                return False, "center of a radial factor"
-            if not disc.is_constant() and disc.evaluate(p.as_dict()) == 0:
-                return False, "center on the discriminant"
-            if sing.contains(p):
-                return False, "center is singular on the web"
-            return True, ""
-
-        try:
-            pt = sampler.sample_until(admissible, "center")
-        except DegenerateSampleError as e:
-            report.add(f"sample {i}", False, str(e))
-            continue
-        p = AffinePoint(*pt)
+    def admissible(p):
         curve = polar_curve(web, p)
+        if isinstance(curve, RadialProduct):
+            return None, "center of a radial factor"
+        if not disc.is_constant() and disc.evaluate(p.as_dict()) == 0:
+            return None, "center on the discriminant"
+        if sing.contains(p):
+            return None, "center is singular on the web"
+        return curve, None
+
+    for _, p, curve in sample_centers(report, GenericSampler(seed), samples, admissible):
         F = curve.defining
         fx, fy = F.derivative("x"), F.derivative("y")
         if fx.is_zero() and fy.is_zero():
@@ -557,12 +528,7 @@ def generic_polar_singularities_check(web: SymWeb, seed: int = 0, samples: int =
             f"{len(zs)} singular points" + (f"; violations: {bad}" if bad else ""),
             exact=exact,
         )
-    report.samples_used = samples
-    report.discards = list(sampler.discards.entries)
-    if any(not a.exact for a in report.assertions):
-        from .solve import NUMERIC_TOL
-
-        report.certify("numeric_membership_tolerance", NUMERIC_TOL)
+    certify_membership_tolerance(report)
     return report
 
 
@@ -588,6 +554,10 @@ def branches_at_center(web: SymWeb, p: AffinePoint) -> TangentConeReport:
     curve = polar_curve(web, p)
     if isinstance(curve, RadialProduct):
         raise DegenerateSampleError("polar degenerates at this center")
+    return _tangent_cone(web, p, curve)
+
+
+def _tangent_cone(web: SymWeb, p: AffinePoint, curve: PlaneCurve) -> TangentConeReport:
     jets = jet_decompose(curve.raw, ("x", "y"), (p.a, p.b))
     order = min(jets)
     cone = jets[order]
@@ -613,25 +583,18 @@ def branches_at_center(web: SymWeb, p: AffinePoint) -> TangentConeReport:
 
 def branches_check(web: SymWeb, seed: int = 0, samples: int = 20) -> CheckReport:
     report = CheckReport("branches-at-center", seed=seed, samples_requested=samples)
-    sampler = GenericSampler(seed)
-    for i in range(samples):
 
-        def admissible(pt):
-            p = AffinePoint(*pt)
-            ok, reason = is_smooth_point(web, p)
-            if not ok:
-                return False, reason
-            if isinstance(polar_curve(web, p), RadialProduct):
-                return False, "center of a radial factor"
-            return True, ""
+    def admissible(p):
+        ok, reason = is_smooth_point(web, p)
+        if not ok:
+            return None, reason
+        curve = polar_curve(web, p)
+        if isinstance(curve, RadialProduct):
+            return None, "center of a radial factor"
+        return curve, None
 
-        try:
-            pt = sampler.sample_until(admissible, "center")
-        except DegenerateSampleError as e:
-            report.add(f"sample {i}", False, str(e))
-            continue
-        p = AffinePoint(*pt)
-        tc = branches_at_center(web, p)
+    for _, p, curve in sample_centers(report, GenericSampler(seed), samples, admissible):
+        tc = _tangent_cone(web, p, curve)
         exact = all(d.is_exact for d, _ in tc.factors)
         report.add(
             f"{web.k} transversal branches at p={p}",
@@ -639,8 +602,6 @@ def branches_check(web: SymWeb, seed: int = 0, samples: int = 20) -> CheckReport
             f"cone factors: {[(str(d), m) for d, m in tc.factors]}",
             exact=exact,
         )
-    report.samples_used = samples
-    report.discards = list(sampler.discards.entries)
     return report
 
 
@@ -706,7 +667,7 @@ def _pick_base(branch: list[complex], cover, rng: random.Random, degree: int) ->
             continue
         try:
             roots = univariate_roots(cover(z))
-        except Exception:
+        except NumericAbortError:
             continue
         if len(roots) != degree:
             continue
@@ -781,7 +742,7 @@ def web_decomposable(web: SymWeb, seed: int = 0) -> tuple[bool, MonodromyResult 
         try:
             base = _pick_base(special, cover, rng, web.k)
             result = monodromy_partition(cover, base, special)
-        except Exception:
+        except (DegenerateSampleError, NumericAbortError):
             continue
         return result.orbit_count > 1, result
     raise DegenerateSampleError("web_decomposable: no admissible line found")
@@ -808,27 +769,19 @@ def generic_polar_irreducible(web: SymWeb, seed: int = 0, samples: int = 5) -> C
         f"web: k={k}, d={d}, decomposable={decomposable}; expected generic polar "
         + ("reducible" if expect_reducible else "irreducible")
     )
-    sampler = GenericSampler(seed)
     sing = singular_set(web, seed)
-    for i in range(samples):
 
-        def admissible(pt):
-            p = AffinePoint(*pt)
-            if isinstance(polar_curve(web, p), RadialProduct):
-                return False, "center of a radial factor"
-            if sing.contains(p):
-                return False, "center is singular on the web"
-            if on_discriminant(web, p):
-                return False, "center on the discriminant"
-            return True, ""
-
-        try:
-            pt = sampler.sample_until(admissible, "center")
-        except DegenerateSampleError as e:
-            report.add(f"sample {i}", False, str(e))
-            continue
-        p = AffinePoint(*pt)
+    def admissible(p):
         curve = polar_curve(web, p)
+        if isinstance(curve, RadialProduct):
+            return None, "center of a radial factor"
+        if sing.contains(p):
+            return None, "center is singular on the web"
+        if on_discriminant(web, p):
+            return None, "center on the discriminant"
+        return curve, None
+
+    for i, p, curve in sample_centers(report, GenericSampler(seed), samples, admissible):
         reduced = curve.raw == curve.defining
         if not reduced:
             report.add(
@@ -851,6 +804,4 @@ def generic_polar_irreducible(web: SymWeb, seed: int = 0, samples: int = 5) -> C
         report.add(f"components at p={p}", ok, detail, exact=False)
         if cert is not None:
             report.certify(f"min_separation[{i}]", cert.min_separation)
-    report.samples_used = samples
-    report.discards = list(sampler.discards.entries)
     return report

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DegenerateSampleError
+from .webmodel import AffinePoint
 
 MAX_RESAMPLES = 50
 
@@ -39,19 +39,41 @@ class GenericSampler:
     def point(self) -> tuple[Fraction, Fraction]:
         return self.fraction(), self.fraction()
 
+    def center(self) -> AffinePoint:
+        return AffinePoint(*self.point())
+
     def nonzero_int(self, lo: int = -9, hi: int = 9) -> int:
         while True:
             v = self.rng.randint(lo, hi)
             if v != 0:
                 return v
 
-    def sample_until(self, admissible, describe="sample", max_tries: int = MAX_RESAMPLES):
-        """Draw points until `admissible(point)` returns (True, _) or the retry
-        budget runs out; inadmissible draws are logged with their reason."""
-        for _ in range(max_tries):
-            p = self.point()
-            ok, reason = admissible(p)
-            if ok:
-                return p
-            self.discards.add(f"({p[0]},{p[1]})", reason)
-        raise DegenerateSampleError(f"no admissible {describe} after {max_tries} tries")
+
+def sample_centers(report, sampler: GenericSampler, n: int, admissible, draw=None):
+    """Yield (index, point, value) for the first n admissible draws.
+
+    `draw()` gives a candidate (a center by default, a tuple of centers for
+    checks that need several); `admissible(point)` returns (value, None) to
+    admit it, handing the value it computed on to the caller, or
+    (None, reason) to reject it, which logs a discard.  At most
+    MAX_RESAMPLES * n draws are made; if they run out first, one failed
+    `sampling` assertion is added.  `report.samples_used` counts the admitted
+    points as they come, and the discard log is copied into the report at the
+    end.
+    """
+    draw = draw or sampler.center
+    budget = MAX_RESAMPLES * n
+    report.samples_used = 0
+    for _ in range(budget):
+        if report.samples_used == n:
+            break
+        pt = draw()
+        value, reason = admissible(pt)
+        if reason is not None:
+            sampler.discards.add(",".join(map(str, pt)) if isinstance(pt, tuple) else str(pt), reason)
+            continue
+        report.samples_used += 1
+        yield report.samples_used - 1, pt, value
+    if report.samples_used < n:
+        report.add("sampling", False, f"only {report.samples_used} of {n} admissible samples in {budget} draws")
+    report.discards = list(sampler.discards.entries)

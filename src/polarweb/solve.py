@@ -39,6 +39,12 @@ def vanishes_numerically(f: MPoly, point: dict[str, complex], tol: float | None 
     return abs(f.evaluate_complex(point)) <= tol * term_scale(f, point)
 
 
+def certify_membership_tolerance(report) -> None:
+    """Record the membership tolerance on a report with a numeric assertion."""
+    if any(not a.exact for a in report.assertions):
+        report.certify("numeric_membership_tolerance", NUMERIC_TOL)
+
+
 def squarefree_decomposition_univariate(f: MPoly, var: str) -> list[tuple[MPoly, int]]:
     """Yun decomposition: f = unit * prod g_i^i with g_i square-free, coprime."""
     if f.degree_in(var) == 0:

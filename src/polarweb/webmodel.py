@@ -10,7 +10,7 @@ primitive integer representative with positive graded-lex leading coefficient.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateSampleError, PolynomialError, WebValidationError
@@ -123,7 +123,7 @@ class PlaneCurve:
     def contains(self, p: AffinePoint) -> bool:
         return self.defining.evaluate(p.as_dict()) == 0
 
-    def contains_numeric(self, pt: tuple[complex, complex], tol: float = 1e-9) -> bool:
+    def contains_numeric(self, pt: tuple[complex, complex], tol: float | None = None) -> bool:
         return vanishes_numerically(self.defining, {"x": pt[0], "y": pt[1]}, tol)
 
     def __eq__(self, other):
@@ -149,7 +149,7 @@ class SingularSet:
     def contains(self, p: AffinePoint) -> bool:
         return all(g.evaluate(p.as_dict()) == 0 for g in self.generators)
 
-    def contains_numeric(self, pt: tuple[complex, complex], tol: float = 1e-9) -> bool:
+    def contains_numeric(self, pt: tuple[complex, complex], tol: float | None = None) -> bool:
         return all(vanishes_numerically(g, {"x": pt[0], "y": pt[1]}, tol) for g in self.generators)
 
 

@@ -271,3 +271,61 @@ class TestGoldenReports:
         golden.pop("timestamp")
         golden["command"] = " ".join(argv[:1])
         assert doc == golden
+
+
+class TestCheckRegistry:
+    # samples.requested (= samples.used) of each theorem at --samples 6, in
+    # registry order: each theorem's sample cap applied once
+    EXPECTED_SAMPLES = dict(zip(
+        ("polar-degree", "polar-equality", "k2", "family-dim", "base-points", "sing-locus",
+         "branches", "irreducible", "inflexion-lemma", "sing-in-E", "qr-dichotomy", "qr-bound",
+         "equising", "genus-constant"),
+        (6, 2, 5, 0, 0, 6, 6, 5, 10, 6, 6, 5, 6, 5),
+    ))
+
+    def test_registry_order(self):
+        from polarweb.cli import CHECKS
+
+        assert list(CHECKS) == list(self.EXPECTED_SAMPLES)
+
+    @pytest.mark.parametrize("theorem", list(EXPECTED_SAMPLES))
+    def test_every_check_runs_with_its_cap(self, inputs, theorem):
+        code, text = run_command(
+            ["check", "--in", inputs["fol"], "--theorem", theorem, "--seed", "3", "--samples", "6", "--json"]
+        )
+        assert code == 0, text
+        samples = json.loads(text)["report"]["samples"]
+        assert samples["requested"] == samples["used"] == self.EXPECTED_SAMPLES[theorem]
+
+
+class TestToleranceOverrides:
+    def _settings(self):
+        from polarweb import localsing, numerics, solve
+
+        return (solve.NUMERIC_TOL, localsing.CLUSTER_TOL, numerics.RESIDUAL_TOL, numerics.STEP_GUARD)
+
+    def test_overrides_hold_for_one_call_only(self, inputs, monkeypatch):
+        from polarweb import cli as cli_mod
+        from polarweb.reports import CheckReport
+
+        defaults = self._settings()
+        seen = []
+
+        def record(obj, args):
+            seen.append(self._settings())
+            return CheckReport("recorded")
+
+        monkeypatch.setattr(cli_mod, "_run_check", record)
+        code, _ = run_command(
+            ["check", "--in", inputs["fol"], "--theorem", "polar-degree", "--tol-residual", "0.5",
+             "--tol-cluster", "0.25", "--tol-root-residual", "0.125", "--tol-step-guard", "1.01"]
+        )
+        assert code == 0
+        assert seen == [(0.5, 0.25, 0.125, 1.01)]
+        assert self._settings() == defaults
+
+    def test_overrides_restored_after_an_error(self):
+        defaults = self._settings()
+        code, _ = run_command(["degree", "--in", "/nonexistent/input.txt", "--tol-residual", "0.75"])
+        assert code == 2
+        assert self._settings() == defaults

@@ -258,3 +258,26 @@ class TestIrreducibility:
     def test_battery(self, entry):
         report = generic_polar_irreducible(entry.web, seed=3, samples=2)
         assert report.passed, report.render_text()
+
+
+class TestSamplingExhaustion:
+    def test_no_admissible_center(self):
+        # a web that is not generically square-free has no smooth point
+        report = branches_check(SymWeb(DX**2), seed=1, samples=3)
+        assert report.samples_used == 0
+        assert len(report.discards) == 150
+        assert [a.name for a in report.assertions] == ["sampling"]
+        assert not report.passed
+
+
+class TestComponentCountErrors:
+    def test_invariant_failure_is_not_a_discard(self, monkeypatch):
+        from polarweb import polarops
+        from polarweb.errors import InternalInvariantError
+
+        def broken(coeffs):
+            raise InternalInvariantError("broken root finder")
+
+        monkeypatch.setattr(polarops, "univariate_roots", broken)
+        with pytest.raises(InternalInvariantError):
+            curve_component_count(PlaneCurve(X**2 + Y**2 - 1), seed=0)

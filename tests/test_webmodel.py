@@ -182,3 +182,20 @@ class TestSmoothPoint:
     def test_singular(self):
         ok, reason = is_smooth_point(w_circles, AffinePoint.of(0, 0))
         assert not ok and "singular" in reason
+
+
+class TestNumericMembershipTolerance:
+    # relative residual about 1e-6 at (1 + 1e-6, 0)
+    POINT = (1 + 1e-6 + 0j, 0j)
+
+    def test_default_follows_numeric_tol(self, monkeypatch):
+        from polarweb import solve
+        from polarweb.webmodel import PlaneCurve, SingularSet
+
+        curve = PlaneCurve(X**2 + Y**2 - 1)
+        sing = SingularSet([], [], [X - 1, Y], None, None)
+        assert not curve.contains_numeric(self.POINT)
+        assert not sing.contains_numeric(self.POINT)
+        monkeypatch.setattr(solve, "NUMERIC_TOL", 1e-3)
+        assert curve.contains_numeric(self.POINT)
+        assert sing.contains_numeric(self.POINT)
