@@ -355,12 +355,12 @@ def _equality_check(web: SymWeb, seed: int, rounds: int) -> CheckReport:
 
 def _dichotomy_all_singularities(fol: FoliationData, seed: int, samples: int) -> CheckReport:
     sing = singular_set(fol.as_web, seed)
-    merged = CheckReport("qr-dichotomy", seed=seed, samples_requested=samples)
+    total_points = len(sing.points) + len(sing.numeric_points)
+    per_point = max(samples // max(total_points, 1), 1)
+    merged = CheckReport("qr-dichotomy", seed=seed, samples_requested=per_point * total_points)
     if sing.is_empty():
         merged.add("singular set", True, "foliation has no affine singular points; nothing to check")
         return merged
-    total_points = len(sing.points) + len(sing.numeric_points)
-    per_point = max(samples // max(total_points, 1), 1)
     for q in sing.points:
         sub = tangent_cone_dichotomy(fol, q, seed, per_point)
         merged.assertions.extend(sub.assertions)

@@ -27,7 +27,9 @@ from .mpoly import (
     exact_div,
     jet_decompose,
     poly_gcd,
+    proper_shears,
     resultant,
+    shear,
     translate,
     try_exact_div,
 )
@@ -604,12 +606,12 @@ def _class_once(F: MPoly, n: int, sing, rng: random.Random) -> int:
         G = G.substitute({"z": MPoly.constant(1)}) if "z" in G.variables else G
         if G.is_zero() or poly_gcd(F, G).total_degree() > 0:
             continue
-        lam = _common_shear(F, G, rng)
+        # all drawn, whichever shear is taken: they move the rng for the next point
+        draws = [rng.randint(-30, 30) for _ in range(20)]
+        lam = next(proper_shears([F, G], [0, 1, -1, 2, -2, 3, -3] + draws), None)
         if lam is None:
             continue
-        Fs = F.substitute({"x": X + MPoly.constant(lam) * Y}) if "x" in F.variables else F
-        Gs = G.substitute({"x": X + MPoly.constant(lam) * Y}) if "x" in G.variables else G
-        R = resultant(Fs, Gs, "y")
+        R = resultant(shear(F, lam), shear(G, lam), "y")
         if R.is_zero() or R.degree_in("x") != n * (n - 1):
             continue
         local_sum = 0
@@ -636,19 +638,6 @@ def _class_once(F: MPoly, n: int, sing, rng: random.Random) -> int:
             continue
         return n * (n - 1) - local_sum
     raise DegenerateSampleError("class_of_curve: no admissible auxiliary point/shear")
-
-
-def _common_shear(F: MPoly, G: MPoly, rng: random.Random) -> int | None:
-    def top_value(h: MPoly, lam: int) -> Fraction:
-        d = h.total_degree()
-        tops = {e: c for e, c in h.terms.items() if sum(e) == d}
-        top = MPoly(h.variables, tops)
-        return top.evaluate({v: (lam if v == "x" else 1) for v in top.variables})
-
-    for lam in [0, 1, -1, 2, -2, 3, -3] + [rng.randint(-30, 30) for _ in range(20)]:
-        if top_value(F, lam) != 0 and top_value(G, lam) != 0:
-            return lam
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,17 @@ from .errors import (
     NumericAbortError,
     PolynomialError,
 )
-from .mpoly import MPoly, exact_div, lowest_jet, poly_gcd, resultant, squarefree_part, translate
+from .mpoly import (
+    MPoly,
+    exact_div,
+    lowest_jet,
+    poly_gcd,
+    proper_shears,
+    resultant,
+    shear,
+    squarefree_part,
+    translate,
+)
 from .numerics import cluster_points, univariate_roots
 from .reports import CheckReport
 from .sampling import GenericSampler, sample_centers
@@ -166,6 +176,8 @@ def local_multiplicity(germ: CurveGerm) -> int:
 # intersection multiplicity and Milnor number (exact route)
 # ---------------------------------------------------------------------------
 
+# Finite on purpose: germs that share a component away from the origin (a
+# conic, say) meet again on every line through the origin, so no shear passes.
 _SHEAR_CANDIDATES = [0, 1, -1, 2, -2, 3, -3, 5, -5, 7, -7, 11, -11, 13]
 
 
@@ -185,20 +197,9 @@ def intersection_multiplicity(f: MPoly, g: MPoly) -> int:
     if not common.is_constant() and common.evaluate({v: 0 for v in common.variables}) == 0:
         raise PolynomialError("infinite intersection: germs share a component through the origin")
 
-    def top_ok(h: MPoly, lam: int) -> bool:
-        d = h.total_degree()
-        jets = {}
-        for e, c in h.terms.items():
-            jets.setdefault(sum(e), []).append((e, c))
-        top = MPoly(h.variables, dict(jets[d]))
-        return top.evaluate({v: (lam if v == "x" else 1) for v in top.variables}) != 0
-
-    for lam in _SHEAR_CANDIDATES:
+    for lam in proper_shears([f, g], _SHEAR_CANDIDATES):
         # (x, y) -> (x + lam*y, y) keeps the origin and makes both y-proper
-        fs = f.substitute({"x": X + MPoly.constant(lam) * Y}) if "x" in f.variables else f
-        gs = g.substitute({"x": X + MPoly.constant(lam) * Y}) if "x" in g.variables else g
-        if not (top_ok(f, lam) and top_ok(g, lam)):
-            continue
+        fs, gs = shear(f, lam), shear(g, lam)
         f0 = fs.substitute({"x": MPoly.zero()}) if "x" in fs.variables else fs
         g0 = gs.substitute({"x": MPoly.zero()}) if "x" in gs.variables else gs
         if f0.is_zero() or g0.is_zero():

@@ -659,31 +659,48 @@ def discriminant_binary(f: MPoly, u: str = "dx", v: str = "dy") -> MPoly:
         raise PolynomialError("discriminant of a constant form")
     if k == 1:
         return MPoly.constant(1)
-    shear = None
-    for lam in (0, 1, -1, 2, -2, 3, -3, 4, -4, 5):
-        subs = {}
-        if u in f.variables:
-            subs[u] = lam
-        if v in f.variables:
-            subs[v] = 1
-        lc = f.substitute(subs) if subs else f
-        if not lc.is_zero():
-            shear = lam
-            break
-    if shear is None:
-        raise PolynomialError("could not normalize binary form (is it zero?)")
-    g = f
-    if shear != 0 and u in f.variables:
-        g = f.substitute({u: MPoly.variable(u) + MPoly.constant(shear) * MPoly.variable(v)})
-    subs = {}
-    if u in g.variables:
-        subs[u] = 1
-    gt = g.substitute(subs) if subs else g
-    # gt is univariate of exact degree k in v with leading coefficient lc
+    g = shear(f, next(proper_shears([f], u=u, v=v)), u, v)
+    gt = g.substitute({u: 1}) if u in g.variables else g
+    # the shear keeps gt univariate of exact degree k in v
     lead = gt.coeffs_in(v)[k]
     res = resultant(gt, gt.derivative(v), v)
     disc = exact_div(res, lead)
     return disc.canonical() if not disc.is_zero() else MPoly.zero()
+
+
+# ---------------------------------------------------------------------------
+# shears
+# ---------------------------------------------------------------------------
+
+
+def shear(f: MPoly, lam, u: str = "x", v: str = "y") -> MPoly:
+    """f with u replaced by u + lam*v; f itself when lam = 0 or u does not occur."""
+    if lam == 0 or u not in f.variables:
+        return f
+    return f.substitute({u: MPoly.variable(u) + MPoly.constant(lam) * MPoly.variable(v)})
+
+
+def proper_shears(polys: Sequence[MPoly], candidates: Iterable[int] | None = None,
+                  u: str = "x", v: str = "y"):
+    """Yield each candidate lam at which the top form in (u, v) of every
+    polynomial is nonzero at (lam, 1): then shear(h, lam, u, v) has v-degree
+    equal to h's degree in (u, v), for every h.
+
+    The default candidates are 0, 1, -1, 2, -2, ..., as many as the sum of the
+    degrees plus one.  A nonzero top form of degree d vanishes at no more than
+    d of them, so nonzero polynomials always get one.
+    """
+    if any(h.is_zero() for h in polys):
+        return
+    tops = [max(jet_decompose(h, (u, v)).items()) for h in polys]
+    if candidates is None:
+        count = sum(d for d, _ in tops) + 1
+        candidates = ((n + 1) // 2 * (1 if n % 2 else -1) for n in range(count))
+    for lam in candidates:
+        direction = {u: lam, v: 1}
+        if all(top.substitute({w: direction[w] for w in top.variables if w in direction})
+               for _, top in tops):
+            yield lam
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DegenerateSampleError, NumericAbortError, PolynomialError, WebValidationError
-from .mpoly import MPoly, exact_div, jet_decompose, resultant, try_exact_div
+from .mpoly import MPoly, exact_div, jet_decompose, proper_shears, resultant, shear, try_exact_div
 from .numerics import MonodromyResult, cluster_points, monodromy_partition, univariate_roots
 from .reports import CheckReport
 from .sampling import GenericSampler, sample_centers
@@ -610,16 +610,6 @@ def branches_check(web: SymWeb, seed: int = 0, samples: int = 20) -> CheckReport
 # ---------------------------------------------------------------------------
 
 
-def _find_shear(F: MPoly, rng: random.Random) -> int:
-    n = F.total_degree()
-    top = jet_decompose(F, ("x", "y"), (0, 0)).get(n)
-    for lam in [0, 1, -1, 2, -2, 3, -3] + [rng.randint(-20, 20) for _ in range(20)]:
-        val = top.evaluate({"x": lam, "y": 1})
-        if val != 0:
-            return lam
-    raise DegenerateSampleError("no shear makes the curve y-proper")
-
-
 def curve_component_count(curve: PlaneCurve, seed: int = 0) -> tuple[int, MonodromyResult | None]:
     """Number of irreducible components over C of a reduced curve, by
     monodromy of a sheared line-section cover."""
@@ -630,8 +620,12 @@ def curve_component_count(curve: PlaneCurve, seed: int = 0) -> tuple[int, Monodr
     if n == 1:
         return 1, None
     rng = random.Random(seed)
-    lam = _find_shear(F, rng)
-    Fs = F.substitute({"x": X + MPoly.constant(lam) * Y}) if "x" in F.variables else F
+    # all drawn, whichever shear is taken: they move the rng for the base point
+    draws = [rng.randint(-20, 20) for _ in range(20)]
+    lam = next(proper_shears([F], [0, 1, -1, 2, -2, 3, -3] + draws), None)
+    if lam is None:
+        raise DegenerateSampleError("no shear makes the curve y-proper")
+    Fs = shear(F, lam)
     if Fs.degree_in("y") != n:
         raise DegenerateSampleError("shear failed to make the curve y-proper")
     disc = resultant(Fs, Fs.derivative("y"), "y")
@@ -688,15 +682,8 @@ def web_decomposable(web: SymWeb, seed: int = 0) -> tuple[bool, MonodromyResult 
         return False, None
     rng = random.Random(seed)
     t = MPoly.variable("t")
+    form = shear(web.form, next(proper_shears([web.form], u="dx", v="dy")), "dx", "dy")
     for _ in range(30):
-        mu = next(
-            m
-            for m in [0, 1, -1, 2, -2, 3, -3]
-            if not _form_at_direction(web.form, m).is_zero()
-        )
-        form = web.form
-        if mu != 0 and "dx" in form.variables:
-            form = form.substitute({"dx": DX + MPoly.constant(mu) * DY})
         a1, a2 = rng.randint(-15, 15), rng.randint(-15, 15)
         b1, b2 = rng.randint(-15, 15), rng.randint(-15, 15)
         if a1 == 0 and a2 == 0:
@@ -746,15 +733,6 @@ def web_decomposable(web: SymWeb, seed: int = 0) -> tuple[bool, MonodromyResult 
             continue
         return result.orbit_count > 1, result
     raise DegenerateSampleError("web_decomposable: no admissible line found")
-
-
-def _form_at_direction(form: MPoly, mu: int) -> MPoly:
-    subs = {}
-    if "dx" in form.variables:
-        subs["dx"] = MPoly.constant(mu)
-    if "dy" in form.variables:
-        subs["dy"] = MPoly.constant(1)
-    return form.substitute(subs) if subs else form
 
 
 def generic_polar_irreducible(web: SymWeb, seed: int = 0, samples: int = 5) -> CheckReport:

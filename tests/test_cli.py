@@ -183,6 +183,35 @@ class TestSubcommands:
         assert code == 0 and "verdict: PASS" in text
 
 
+# the lines dx = m*dy for the first ten slopes 0, 1, -1, ..., 4, -4, 5 that the
+# shear search tries
+SLOPE_LINES = "dx*" + "*".join(f"(dx - {m}*dy)*(dx + {m}*dy)" for m in (1, 2, 3, 4)) + "*(dx - 5*dy)"
+
+
+class TestShearSearch:
+    def test_web_vanishing_at_seven_slopes(self, tmp_path):
+        web = tmp_path / "web7.txt"
+        web.write_text("type: web\nform: dx*(dx - dy)*(dx + dy)*(dx - 2*dy)*(dx + 2*dy)*(dx - 3*dy)*(dx + 3*dy)\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "polarweb.cli", "check", "--in", str(web),
+             "--theorem", "irreducible", "--samples", "1"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
+        assert "verdict: PASS" in proc.stdout
+
+    @pytest.mark.parametrize("last,expected", [
+        ("(dx - 6*dy)", "discriminant: empty"),
+        ("(dx - x*dy)", "discriminant: x^10 - 5*x^9"),
+    ])
+    def test_discriminant_of_an_eleven_web(self, tmp_path, last, expected):
+        web = tmp_path / "web11.txt"
+        web.write_text(f"type: web\nform: {SLOPE_LINES}*{last}\n")
+        code, text = run_command(["discriminant", "--in", str(web)])
+        assert code == 0 and expected in text
+
+
 class TestExitCodes:
     def test_parse_error_is_2(self, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -296,6 +325,17 @@ class TestCheckRegistry:
         assert code == 0, text
         samples = json.loads(text)["report"]["samples"]
         assert samples["requested"] == samples["used"] == self.EXPECTED_SAMPLES[theorem]
+
+    def test_dichotomy_requests_what_it_samples(self, tmp_path):
+        # four singular points (+-1, +-1) and two samples: one sample at each point
+        fol = tmp_path / "fol4.txt"
+        fol.write_text("type: foliation\nA: x^2 - 1\nB: y^2 - 1\n")
+        code, text = run_command(
+            ["check", "--in", str(fol), "--theorem", "qr-dichotomy", "--seed", "1", "--samples", "2", "--json"]
+        )
+        assert code == 0, text
+        samples = json.loads(text)["report"]["samples"]
+        assert samples["requested"] == samples["used"] == 4
 
 
 class TestToleranceOverrides:

@@ -1,6 +1,7 @@
 """Exact polynomial core: arithmetic, gcd, resultants, discriminants, jets."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from polarweb.mpoly import (
     exact_div,
     format_mpoly,
     lowest_jet,
+    proper_shears,
+    shear,
     sylvester_resultant,
     try_exact_div,
 )
@@ -19,6 +22,14 @@ x = MPoly.variable("x")
 y = MPoly.variable("y")
 dx = MPoly.variable("dx")
 dy = MPoly.variable("dy")
+
+# the order in which shears x -> x + lam*y are tried: 0, 1, -1, 2, -2, ...
+SLOPES = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, 6, -6]
+
+
+def pencil(slopes) -> MPoly:
+    """The web of the lines dx = m*dy, one for each slope m."""
+    return prod((dx - m * dy for m in slopes), start=MPoly.constant(1))
 
 
 def small_polys(variables=("x", "y"), max_terms=4, max_exp=3):
@@ -173,6 +184,14 @@ class TestDiscriminantBinary:
         with pytest.raises(PolynomialError):
             discriminant_binary(MPoly.zero())
 
+    def test_form_vanishing_at_the_first_ten_slopes(self):
+        # an 11-web of constant slopes has no repeated direction anywhere
+        disc = discriminant_binary(pencil(SLOPES[:10] + [6]))
+        assert disc.is_constant() and not disc.is_zero()
+        # with a moving slope x, directions collide exactly where x is a slope
+        disc = discriminant_binary(pencil(SLOPES[:10]) * (dx - x * dy))
+        assert disc == prod(((x - m) ** 2 for m in SLOPES[:10]), start=MPoly.constant(1)).canonical()
+
     @given(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4))
     @settings(max_examples=40, deadline=None)
     def test_vanishes_iff_repeated_root(self, a0, a1, a2, x0):
@@ -221,6 +240,67 @@ class TestDiscriminantBinary:
         )
         repeated = any(m >= 2 for _, m in binary_form_factors(spec, "dx", "dy"))
         assert (val == 0) == repeated
+
+
+def binary_forms():
+    """a*dx^2 + b*dx*dy + c*dy^2 with coefficients in x."""
+    coeff = small_polys(("x",), max_terms=2, max_exp=2)
+    return st.tuples(coeff, coeff, coeff).map(lambda t: t[0] * dx**2 + t[1] * dx * dy + t[2] * dy**2)
+
+
+class TestShear:
+    def test_identity_cases(self):
+        f = x**2 + y
+        assert shear(f, 0) is f
+        g = y**3 + 1
+        assert shear(g, 5) is g
+
+    def test_substitution(self):
+        assert shear(x * y, 2) == (x + 2 * y) * y
+        assert shear(x * dx**2, -1, "dx", "dy") == x * (dx - dy) ** 2
+
+    def test_zero_polynomial_has_no_shear(self):
+        assert list(proper_shears([MPoly.zero(), x])) == []
+
+    def test_default_candidates_stop_after_degree_plus_one(self):
+        # a cubic vanishing at 0, 1, -1 leaves 2, the last of its four candidates
+        assert list(proper_shears([pencil(SLOPES[:3])], u="dx", v="dy")) == [2]
+        assert list(proper_shears([x * (x - y) * (x + y)])) == [2]
+
+    @given(small_polys(), st.lists(st.integers(-5, 5), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_yields_exactly_the_proper_candidates(self, f, candidates):
+        if f.is_zero():
+            return
+        n = f.total_degree()
+        got = list(proper_shears([f], candidates))
+        assert got == [lam for lam in candidates if shear(f, lam).degree_in("y") == n]
+
+    @given(small_polys(), small_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_default_candidates_make_every_polynomial_y_proper(self, f, g):
+        if f.is_zero() or g.is_zero():
+            return
+        lams = list(proper_shears([f, g]))
+        assert lams
+        for lam in lams:
+            assert shear(f, lam).degree_in("y") == f.total_degree()
+            assert shear(g, lam).degree_in("y") == g.total_degree()
+
+    @given(st.integers(0, 9), binary_forms())
+    @settings(max_examples=40, deadline=None)
+    def test_form_vanishing_at_the_first_slopes_gets_the_next(self, j, h):
+        direction = {"dx": SLOPES[j], "dy": 1}
+        if h.is_zero() or h.substitute({v: direction[v] for v in h.variables if v in direction}).is_zero():
+            return
+        form = pencil(SLOPES[:j]) * h
+        assert next(proper_shears([form], u="dx", v="dy")) == SLOPES[j]
+
+    @given(small_polys(("x", "y", "dx", "dy")), st.integers(-4, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_shear_gives_back_f(self, f, lam):
+        assert shear(shear(f, lam), -lam) == f
+        assert shear(shear(f, lam, "dx", "dy"), -lam, "dx", "dy") == f
 
 
 class TestJets:

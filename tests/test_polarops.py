@@ -254,6 +254,14 @@ class TestIrreducibility:
         assert not web_decomposable(w_sqrt, 0)[0]
         assert web_decomposable(superpose(w_circles, w_sqrt).web, 0)[0]
 
+    def test_web_vanishing_at_the_first_seven_slopes(self):
+        # the direction search has to go past 0, 1, -1, 2, -2, 3, -3 to 4
+        form = MPoly.constant(1)
+        for m in (0, 1, -1, 2, -2, 3, -3):
+            form = form * (DX - m * DY)
+        decomposable, cert = web_decomposable(SymWeb(form), 0)
+        assert decomposable and cert.partition == tuple((i,) for i in range(7))
+
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
     def test_battery(self, entry):
         report = generic_polar_irreducible(entry.web, seed=3, samples=2)
