@@ -474,8 +474,91 @@ def _univariate_gcd(f: MPoly, g: MPoly, var: str) -> MPoly:
     return poly.canonical()
 
 
+# Coprimality certificate.  Reduce mod a prime p and set every variable but v
+# to an integer, at a point where neither leading coefficient in v vanishes.
+# The image of gcd(f, g) then divides the gcd of the images and keeps its
+# degree in v (W. S. Brown, J. ACM 18, 1971), so coprime images prove that
+# gcd(f, g) is free of v.  The prime and the points are fixed: no draws.
+_CERT_PRIME = 2**61 - 1
+_CERT_TRIES = 3
+
+
+def _residues(f: MPoly) -> list[tuple[tuple, int]] | None:
+    """f's terms with coefficients mod the prime; None if a denominator is 0 mod p."""
+    p = _CERT_PRIME
+    out = []
+    for e, c in f.terms.items():
+        den = c.denominator % p
+        if not den:
+            return None
+        out.append((e, c.numerator * pow(den, -1, p) % p))
+    return out
+
+
+def _image_in(res: list[tuple[tuple, int]], variables: tuple, v: str, point: dict) -> list[int]:
+    """Ascending coefficients in F_p[v] of the residues with every other
+    variable set to its value at point."""
+    p = _CERT_PRIME
+    i = variables.index(v)
+    vals = [point[w] for w in variables]
+    out = [0] * (max(e[i] for e, _ in res) + 1)
+    for e, c in res:
+        for j, k in enumerate(e):
+            if k and j != i:
+                c = c * pow(vals[j], k, p) % p
+        out[e[i]] = (out[e[i]] + c) % p
+    return out
+
+
+def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
+    """Whether two polynomials over F_p, ascending with nonzero tops, have a
+    constant gcd (Euclid; a and b are consumed)."""
+    p = _CERT_PRIME
+    while len(b) > 1:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            q = a[-1] * inv % p
+            off = len(a) - len(b)
+            for i, c in enumerate(b):
+                a[off + i] = (a[off + i] - q * c) % p
+            while a and not a[-1]:
+                a.pop()
+        if not a:
+            return False
+        a, b = b, a
+    return True
+
+
+def _certified_coprime(f: MPoly, g: MPoly, active: list[str]) -> bool:
+    """True only if gcd(f, g) is a constant: every active variable has coprime
+    images at one of the first _CERT_TRIES points 2 + 3k + 7j (j the index of
+    the variable among those of f and g)."""
+    fr, gr = _residues(f), _residues(g)
+    if fr is None or gr is None:
+        return False
+    names = sorted(set(f.variables) | set(g.variables))
+    points = [{w: 2 + 3 * k + 7 * j for j, w in enumerate(names)} for k in range(_CERT_TRIES)]
+    for v in active:
+        for point in points:
+            a = _image_in(fr, f.variables, v, point)
+            b = _image_in(gr, g.variables, v, point)
+            if a[-1] and b[-1]:
+                break
+        else:
+            return False
+        if not _coprime_mod_p(a, b):
+            return False
+    return True
+
+
 def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
-    """Primitive gcd with canonical sign; gcd(0,0) is an error."""
+    """Primitive gcd with canonical sign; gcd(0,0) is an error.
+
+    A constant gcd is first sought by the modular coprimality certificate
+    (`_certified_coprime`), which is exact: it returns 1 only when the gcd is
+    a constant.  Every other case runs the primitive PRS, recursing on the
+    contents.
+    """
     if f.is_zero() and g.is_zero():
         raise PolynomialError("gcd(0, 0) is undefined")
     if f.is_zero():
@@ -485,7 +568,7 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
     if f.is_constant() or g.is_constant():
         return MPoly.constant(1)
     active = [v for v in f.variables if v in g.variables and f.degree_in(v) > 0 and g.degree_in(v) > 0]
-    if not active:
+    if not active or _certified_coprime(f, g, active):
         return MPoly.constant(1)
     var = min(active, key=lambda v: min(f.degree_in(v), g.degree_in(v)))
     if len(f.variables) == 1 and len(g.variables) == 1:
@@ -587,50 +670,6 @@ def resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
     bb = b.coeffs_in(var)[0]
     res = exact_div(bb**da, h ** (da - 1)) if da > 1 else bb
     return res if sign == 1 else -res
-
-
-def sylvester_matrix(f: MPoly, g: MPoly, var: str) -> list[list[MPoly]]:
-    m, n = f.degree_in(var), g.degree_in(var)
-    if m == 0 or n == 0:
-        raise PolynomialError("sylvester_matrix needs positive degrees")
-    fc = f.coeffs_in(var)
-    gc = g.coeffs_in(var)
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [MPoly.zero()] * size
-        for k, c in enumerate(reversed(fc)):
-            row[i + k] = c
-        rows.append(row)
-    for i in range(m):
-        row = [MPoly.zero()] * size
-        for k, c in enumerate(reversed(gc)):
-            row[i + k] = c
-        rows.append(row)
-    return rows
-
-
-def sylvester_resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
-    """Resultant via fraction-free (Bareiss) elimination; cross-check route."""
-    mat = [row[:] for row in sylvester_matrix(f, g, var)]
-    n = len(mat)
-    denom = MPoly.constant(1)
-    sign = 1
-    for k in range(n - 1):
-        if mat[k][k].is_zero():
-            pivot = next((i for i in range(k + 1, n) if not mat[i][k].is_zero()), None)
-            if pivot is None:
-                return MPoly.zero()
-            mat[k], mat[pivot] = mat[pivot], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]
-                mat[i][j] = exact_div(num, denom)
-            mat[i][k] = MPoly.zero()
-        denom = mat[k][k]
-    det = mat[n - 1][n - 1]
-    return det if sign == 1 else -det
 
 
 def binary_form_degree(f: MPoly, u: str = "dx", v: str = "dy") -> int:

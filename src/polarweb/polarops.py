@@ -291,13 +291,15 @@ def _tangent_line(p: AffinePoint, d: Direction):
     return (A, B, C), False
 
 
-def family_degree(web: SymWeb, p1: AffinePoint, p2: AffinePoint, seed: int = 0) -> tuple[int, list[ProjPoint]]:
+def family_degree(web: SymWeb, p1: AffinePoint, p2: AffinePoint, seed: int = 0,
+                  family: PolarFamily | None = None) -> tuple[int, list[ProjPoint]]:
     """Number of webs' polar curves through two generic points: the k^2
     pairwise intersections of the tangent lines at p1 and p2, counted in the
-    projective plane."""
+    projective plane.  `family` is polar_family(web, seed), built here when
+    not given."""
     dirs1 = tangent_directions(web, p1)
     dirs2 = tangent_directions(web, p2)
-    family = polar_family(web, seed)
+    family = family or polar_family(web, seed)
     points: list[ProjPoint] = []
     for da in dirs1:
         la, exa = _tangent_line(p1, da)
@@ -361,15 +363,18 @@ def family_degree_check(web: SymWeb, seed: int = 0, pairs: int = 5) -> CheckRepo
     report = CheckReport("family-degree-k2", seed=seed, samples_requested=pairs)
     k2 = web.k * web.k
     sampler = GenericSampler(seed)
+    family = None
 
     def admissible(pair):
+        nonlocal family
         p1, p2 = pair
         if p1 == p2:
             return None, "the two points coincide"
         try:
             if not is_smooth_point(web, p1)[0] or not is_smooth_point(web, p2)[0]:
                 return None, "point not smooth on the web"
-            return family_degree(web, p1, p2, seed), None
+            family = family or polar_family(web, seed)
+            return family_degree(web, p1, p2, seed, family), None
         except DegenerateSampleError as e:
             return None, str(e)
 

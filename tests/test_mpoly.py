@@ -7,14 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polarweb import MPoly, discriminant_binary, gcd_squarefree, jet_decompose, poly_gcd, resultant, squarefree_part
+from polarweb import mpoly
 from polarweb.errors import PolynomialError
 from polarweb.mpoly import (
+    _CERT_PRIME,
+    _certified_coprime,
     exact_div,
     format_mpoly,
     lowest_jet,
     proper_shears,
     shear,
-    sylvester_resultant,
     try_exact_div,
 )
 
@@ -46,6 +48,41 @@ def small_polys(variables=("x", "y"), max_terms=4, max_exp=3):
             MPoly.zero(),
         )
     )
+
+
+def sylvester_matrix(f: MPoly, g: MPoly, var: str) -> list[list[MPoly]]:
+    m, n = f.degree_in(var), g.degree_in(var)
+    fc, gc = f.coeffs_in(var)[::-1], g.coeffs_in(var)[::-1]
+    rows = []
+    for coeffs, count in ((fc, n), (gc, m)):
+        for i in range(count):
+            row = [MPoly.zero()] * (m + n)
+            row[i:i + len(coeffs)] = coeffs
+            rows.append(row)
+    return rows
+
+
+def sylvester_resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
+    """Determinant of the Sylvester matrix by fraction-free (Bareiss)
+    elimination: the reference route for `resultant`."""
+    mat = sylvester_matrix(f, g, var)
+    n = len(mat)
+    denom = MPoly.constant(1)
+    sign = 1
+    for k in range(n - 1):
+        if mat[k][k].is_zero():
+            pivot = next((i for i in range(k + 1, n) if not mat[i][k].is_zero()), None)
+            if pivot is None:
+                return MPoly.zero()
+            mat[k], mat[pivot] = mat[pivot], mat[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                mat[i][j] = exact_div(mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j], denom)
+            mat[i][k] = MPoly.zero()
+        denom = mat[k][k]
+    det = mat[n - 1][n - 1]
+    return det if sign == 1 else -det
 
 
 class TestArithmetic:
@@ -133,6 +170,60 @@ class TestGcdSquarefree:
         assert try_exact_div(g, d) is not None
 
 
+@pytest.fixture
+def prem_calls(monkeypatch):
+    """Counts the pseudo-remainders the PRS takes."""
+    calls = []
+    real = mpoly._prem
+
+    def counted(a, b, var):
+        calls.append(var)
+        return real(a, b, var)
+
+    monkeypatch.setattr(mpoly, "_prem", counted)
+    return calls
+
+
+class TestCoprimalityCertificate:
+    # the points are 2 + 3k + 7j: x (j = 0) is 2, 5, 8 and y (j = 1) is 9, 12, 15
+
+    def test_coprime_pair_needs_no_prem(self, prem_calls):
+        assert poly_gcd(x**2 + y**2 - 1, x * y - 2) == 1
+        assert poly_gcd(y**3 - x**2 * y + 5, 3 * x * y**2 - x + 1) == 1
+        assert prem_calls == []
+
+    def test_shared_factor_of_the_images_falls_back(self, prem_calls):
+        # at x = 2 both images are y
+        assert poly_gcd(y, y + x - 2) == 1
+        assert prem_calls
+
+    def test_vanishing_leading_coefficient_moves_to_the_next_point(self, prem_calls):
+        f = (x - 2) * y + 1  # leading coefficient in y vanishes at x = 2
+        assert poly_gcd(f, y + x) == 1
+        assert prem_calls == []
+
+    def test_leading_coefficient_vanishing_at_every_point_falls_back(self, prem_calls):
+        f = (x - 2) * (x - 5) * (x - 8) * y + 1
+        assert not _certified_coprime(f, y + x, ["x", "y"])
+        assert poly_gcd(f, y + x) == 1
+        assert prem_calls
+
+    def test_denominator_divisible_by_the_prime_falls_back(self, prem_calls):
+        f = y + x * Fraction(1, _CERT_PRIME)
+        assert not _certified_coprime(f, y, ["y"])
+        assert poly_gcd(f, y) == 1
+        assert prem_calls
+
+    @given(small_polys(), small_polys(), small_polys(max_terms=3, max_exp=2))
+    @settings(max_examples=60, deadline=None)
+    def test_never_certifies_a_planted_factor(self, f, g, h):
+        if f.is_zero() or g.is_zero() or h.is_constant():
+            return
+        a, b = f * h, g * h
+        active = [v for v in a.variables if v in b.variables]
+        assert not _certified_coprime(a, b, active)
+
+
 class TestResultant:
     def test_sylvester_2x2_by_hand(self):
         assert resultant(y**2 - x, y, "y") == -x
@@ -167,6 +258,89 @@ class TestResultant:
         # and in general: zero resultant iff the gcd has positive y-degree
         if f.degree_in("y") > 0 and g.degree_in("y") > 0 and not (f.is_zero() or g.is_zero()):
             assert (resultant(f, g, "y") == 0) == (poly_gcd(f, g).degree_in("y") > 0)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def to_sympy(sympy, f: MPoly):
+    gens = [sympy.Symbol(v) for v in f.variables]
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**k for s, k in zip(gens, e)))
+        for e, c in f.terms.items()
+    ))
+
+
+def from_sympy(sympy, expr) -> MPoly:
+    gens = sorted(expr.free_symbols, key=str)
+    if not gens:
+        return MPoly.constant(Fraction(str(expr)))
+    return MPoly([str(s) for s in gens], {e: Fraction(str(c)) for e, c in sympy.Poly(expr, *gens).terms()})
+
+
+def rational_polys(variables=("x", "y", "z")):
+    """Sparse polynomials in three variables with rational coefficients."""
+    return st.tuples(small_polys(variables), st.integers(1, 5)).map(lambda t: t[0] * Fraction(1, t[1]))
+
+
+class TestSympyOracle:
+    """The gcd, square-free part, resultant and discriminant against sympy's."""
+
+    @given(rational_polys(), rational_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_gcd_of_random_pairs(self, sympy, f, g):
+        if f.is_zero() and g.is_zero():
+            return
+        expected = from_sympy(sympy, sympy.gcd(to_sympy(sympy, f), to_sympy(sympy, g)))
+        assert poly_gcd(f, g) == expected.canonical()
+
+    @given(rational_polys(), rational_polys(), small_polys(("x", "y", "z"), max_terms=3, max_exp=2))
+    @settings(max_examples=40, deadline=None)
+    def test_gcd_with_planted_factor(self, sympy, f, g, h):
+        if f.is_zero() or g.is_zero() or h.is_zero():
+            return
+        a, b = f * h, g * h
+        expected = from_sympy(sympy, sympy.gcd(to_sympy(sympy, a), to_sympy(sympy, b)))
+        got = poly_gcd(a, b)
+        assert got == expected.canonical()
+        assert try_exact_div(got, h.canonical()) is not None
+
+    @given(small_polys(max_terms=3, max_exp=2), small_polys(max_terms=3, max_exp=2))
+    @settings(max_examples=40, deadline=None)
+    def test_squarefree_part(self, sympy, f, g):
+        p = f * g * g
+        if p.is_constant():
+            return
+        expected = from_sympy(sympy, sympy.sqf_part(to_sympy(sympy, p)))
+        assert squarefree_part(p) == expected.canonical()
+
+    @given(small_polys(max_terms=3, max_exp=3), small_polys(max_terms=3, max_exp=3))
+    @settings(max_examples=40, deadline=None)
+    def test_resultant(self, sympy, f, g):
+        # the oracle is sympy's Sylvester matrix: sympy.resultant has the wrong
+        # sign when deg f < deg g and both degrees are odd (it gives
+        # Res(y + 1, y^3) = 1, not -1)
+        from sympy.polys.subresultants_qq_zz import sylvester
+
+        if f.degree_in("y") == 0 or g.degree_in("y") == 0:
+            return
+        matrix = sylvester(to_sympy(sympy, f), to_sympy(sympy, g), sympy.Symbol("y"))
+        assert resultant(f, g, "y") == from_sympy(sympy, sympy.expand(matrix.det()))
+
+    @given(st.lists(small_polys(("x",), max_terms=2, max_exp=2), min_size=3, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_discriminant_binary(self, sympy, coeffs):
+        # the discriminant is invariant under the unimodular shear, so up to
+        # sign and content it is sympy's discriminant in dx with dy = 1
+        k = len(coeffs) - 1
+        if coeffs[k].is_zero():
+            return
+        form = sum((c * dx**i * dy ** (k - i) for i, c in enumerate(coeffs)), MPoly.zero())
+        dehomogenized = form.substitute({"dy": 1}) if "dy" in form.variables else form
+        expected = sympy.discriminant(to_sympy(sympy, dehomogenized), sympy.Symbol("dx"))
+        assert discriminant_binary(form) == from_sympy(sympy, sympy.expand(expected)).canonical()
 
 
 class TestDiscriminantBinary:
