@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 
@@ -78,7 +79,9 @@ _TOLERANCE_FLAGS = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="polarweb",
         description="Polar curves and polar families of plane webs and foliations.",

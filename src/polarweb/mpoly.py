@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count, islice
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalInvariantError, PolynomialError
@@ -632,7 +633,19 @@ def gcd_squarefree(f: MPoly, g: MPoly | None = None) -> tuple[MPoly, MPoly]:
 
 
 def resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
-    """Sylvester resultant eliminating var, by subresultant PRS.
+    """Sylvester resultant eliminating var, by evaluation and interpolation.
+
+    Collins' route ("The calculation of multivariate polynomial resultants",
+    J. ACM 18, 1971), exact on Python ints.  With f = c_f*F and g = c_g*G for
+    primitive integer F and G, Res(f, g) = c_f^n * c_g^m * Res(F, G), where
+    m = deg_var f and n = deg_var g.  Res(F, G) is the integer subresultant PRS
+    when var is the only variable; otherwise another variable z is set to 0,
+    1, -1, 2, -2, ..., skipping the points where a leading coefficient in var
+    vanishes, and the resultants of the images are Newton-interpolated in z.
+    The number of points is one more than a proven bound on deg_z Res(F, G),
+    the smaller of n*deg_z F + m*deg_z G (each term of the Sylvester
+    determinant takes n entries from F's rows and m from G's) and
+    tdeg F * tdeg G (Bezout).
 
     Both inputs must have positive degree in var; degree-0 inputs are a
     reported degenerate case rather than silently extended.
@@ -643,33 +656,145 @@ def resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
             f"resultant: degree-0 case (deg_{var} f = {m}, deg_{var} g = {n}); "
             "the classical convention Res(f, c) = c^deg(f) is not applied implicitly"
         )
+    cf, cg = f.rational_content(), g.rational_content()
+    others = sorted((set(f.variables) | set(g.variables)) - {var})
+    order = [var] + others
+    F, G = _integer_terms(f, cf, order), _integer_terms(g, cg, order)
+    scale = cf**n * cg**m
+    return MPoly(others, {e: scale * c for e, c in _int_resultant(F, G, m, n).items()})
+
+
+# Integer polynomials for `resultant`: {exponent tuple: nonzero int}, the
+# eliminated variable first.
+
+
+def _integer_terms(f: MPoly, content: Fraction, order: list[str]) -> dict[tuple, int]:
+    """The terms of the integer polynomial f / content, exponents laid out
+    in the given variable order."""
+    pos = [order.index(v) for v in f.variables]
+    out = {}
+    for e, c in f.terms.items():
+        full = [0] * len(order)
+        for i, k in zip(pos, e):
+            full[i] = k
+        out[tuple(full)] = (c / content).numerator
+    return out
+
+
+def _int_resultant(F: dict, G: dict, m: int, n: int) -> dict[tuple, int]:
+    """Res(F, G) in the first variable, of degrees m and n in it, as terms in
+    the remaining variables; the last of them is evaluated and interpolated."""
+    if len(next(iter(F))) == 1:
+        r = _int_prs_resultant(_dense(F, m), _dense(G, n))
+        return {(): r} if r else {}
+    bound = min(n * max(e[-1] for e in F) + m * max(e[-1] for e in G),
+                max(map(sum, F)) * max(map(sum, G)))
+    nodes, images = [], []
+    for t in _small_integers():
+        Ft, Gt = _evaluate_last(F, t), _evaluate_last(G, t)
+        if not any(e[0] == m for e in Ft) or not any(e[0] == n for e in Gt):
+            continue
+        nodes.append(t)
+        images.append(_int_resultant(Ft, Gt, m, n))
+        if len(nodes) > bound:
+            break
+    out = {}
+    for key in set().union(*images):
+        coeffs = _newton_interpolate(nodes, [r.get(key, 0) for r in images])
+        out.update((key + (j,), c) for j, c in enumerate(coeffs) if c)
+    return out
+
+
+def _small_integers():
+    """0, 1, -1, 2, -2, ... without end."""
+    for k in count():
+        yield (k + 1) // 2 * (1 if k % 2 else -1)
+
+
+def _evaluate_last(F: dict, t: int) -> dict[tuple, int]:
+    """F with its last variable set to t."""
+    out: dict = {}
+    for e, c in F.items():
+        key = e[:-1]
+        out[key] = out.get(key, 0) + c * t ** e[-1]
+    return {e: c for e, c in out.items() if c}
+
+
+def _dense(F: dict, degree: int) -> list[int]:
+    """Ascending coefficients of a univariate F."""
+    out = [0] * (degree + 1)
+    for (k,), c in F.items():
+        out[k] = c
+    return out
+
+
+def _int_prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b of ascending lists
+    with nonzero tops; [] for zero."""
+    lcb = b[-1]
+    r = list(a)
+    e = len(a) - len(b) + 1
+    while len(r) >= len(b):
+        lcr = r[-1]
+        off = len(r) - len(b)
+        r = [c * lcb for c in r]
+        for i, c in enumerate(b):
+            r[off + i] -= lcr * c
+        while r and not r[-1]:
+            r.pop()
+        e -= 1
+    return [c * lcb**e for c in r] if e > 0 else r
+
+
+def _int_prs_resultant(a: list[int], b: list[int]) -> int:
+    """Res(a, b) of ascending int lists with nonzero tops and positive
+    degrees, by the subresultant PRS; every division in it is exact."""
+    m, n = len(a) - 1, len(b) - 1
     sign = 1
-    a, b = f, g
     if m < n:
         a, b = b, a
         if m % 2 == 1 and n % 2 == 1:
             sign = -sign
-    gg = MPoly.constant(1)
-    h = MPoly.constant(1)
-    while b.degree_in(var) > 0:
-        da, db = a.degree_in(var), b.degree_in(var)
+    gg = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
         delta = da - db
         if da % 2 == 1 and db % 2 == 1:
             sign = -sign
-        r = _prem(a, b, var)
-        if r.is_zero():
-            return MPoly.zero()
-        a = b
-        b = exact_div(r, gg * h**delta)
-        gg = a.coeffs_in(var)[a.degree_in(var)]
+        r = _int_prem(a, b)
+        if not r:
+            return 0
+        div = gg * h**delta
+        a, b = b, [c // div for c in r]
+        gg = a[-1]
         if delta > 0:
-            h = exact_div(gg**delta, h ** (delta - 1)) if delta > 1 else gg
-    if b.is_zero():
-        return MPoly.zero()
-    da = a.degree_in(var)
-    bb = b.coeffs_in(var)[0]
-    res = exact_div(bb**da, h ** (da - 1)) if da > 1 else bb
-    return res if sign == 1 else -res
+            h = gg**delta // h ** (delta - 1) if delta > 1 else gg
+    da = len(a) - 1
+    res = b[0] ** da // h ** (da - 1) if da > 1 else b[0]
+    return sign * res
+
+
+def _newton_interpolate(nodes: list[int], values: list[int]) -> list[int]:
+    """Ascending coefficients of the integer polynomial of degree below
+    len(nodes) taking the values at the nodes.  Every divided difference of
+    an integer polynomial at integer nodes is an integer, so a remainder is
+    a broken degree bound or image, never rounding."""
+    c = list(values)
+    for j in range(1, len(nodes)):
+        for i in range(len(nodes) - 1, j - 1, -1):
+            q, rem = divmod(c[i] - c[i - 1], nodes[i] - nodes[i - j])
+            if rem:
+                raise InternalInvariantError("resultant: inexact divided difference")
+            c[i] = q
+    poly = [c[-1]]
+    for i in range(len(nodes) - 2, -1, -1):
+        # poly * (z - nodes[i]) + c[i]
+        shifted = [0] + poly
+        for k, p in enumerate(poly):
+            shifted[k] -= nodes[i] * p
+        shifted[0] += c[i]
+        poly = shifted
+    return poly
 
 
 def binary_form_degree(f: MPoly, u: str = "dx", v: str = "dy") -> int:
@@ -733,8 +858,7 @@ def proper_shears(polys: Sequence[MPoly], candidates: Iterable[int] | None = Non
         return
     tops = [max(jet_decompose(h, (u, v)).items()) for h in polys]
     if candidates is None:
-        count = sum(d for d, _ in tops) + 1
-        candidates = ((n + 1) // 2 * (1 if n % 2 else -1) for n in range(count))
+        candidates = islice(_small_integers(), sum(d for d, _ in tops) + 1)
     for lam in candidates:
         direction = {u: lam, v: 1}
         if all(top.substitute({w: direction[w] for w in top.variables if w in direction})

@@ -115,7 +115,13 @@ def inputs(tmp_path):
     fol.write_text("type: foliation\nA: x^2\nB: y^2\n")
     curve = tmp_path / "curve.txt"
     curve.write_text("type: curve\nf: y^2 - x^3\n")
-    return {"web": str(web), "fol": str(fol), "curve": str(curve)}
+    # a 3-web whose discriminant eliminates dy from polynomials in (dy, x, y)
+    web3 = tmp_path / "web3.txt"
+    web3.write_text("type: web\nform: dy^3 + x*dx^2*dy + y*dx^3 + (x - y)*dx*dy^2\n")
+    # three factors, five branches: milnor_number takes a 9 x 8 resultant in y
+    germ = tmp_path / "germ.txt"
+    germ.write_text("type: curve\nf: ((y - x)^2 - x^4)*((y + 2*x)^2 - 3*x^4)*(y - 3*x - x^2)\n")
+    return {"web": str(web), "fol": str(fol), "curve": str(curve), "web3": str(web3), "germ": str(germ)}
 
 
 def _body(text: str) -> str:
@@ -253,6 +259,26 @@ class TestExitCodes:
         assert code == 3 and "numeric abort" in text
 
 
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        from polarweb.cli import _build_parser
+
+        assert _build_parser() is _build_parser()
+
+    def test_errors_and_help_leave_the_parser_intact(self, inputs):
+        from polarweb.cli import _build_parser
+
+        _build_parser.cache_clear()
+        argv = ["localsing", "--in", inputs["curve"], "--point", "0,0"]
+        code, first = run_command(argv)
+        assert code == 0
+        assert run_command(["localsing", "--in", inputs["curve"]]) == (2, "")  # --point missing
+        assert run_command(["--help"]) == (0, "")
+        code, again = run_command(argv)
+        assert code == 0
+        assert _body(again) == _body(first)
+
+
 class TestDeterminism:
     def test_same_seed_same_report(self, inputs):
         argv = ["check", "--in", inputs["web"], "--theorem", "sing-locus", "--seed", "3", "--samples", "4"]
@@ -287,6 +313,8 @@ class TestGoldenReports:
              ["check", "--in", "{web}", "--theorem", "polar-degree", "--seed", "7", "--samples", "3", "--json"]),
             ("check-family-dim",
              ["check", "--in", "{web}", "--theorem", "family-dim", "--seed", "7", "--json"]),
+            ("discriminant-3-web", ["discriminant", "--in", "{web3}", "--json"]),
+            ("localsing-3-factors", ["localsing", "--in", "{germ}", "--point", "0,0", "--json"]),
         ],
     )
     def test_matches_golden(self, inputs, name, argv):

@@ -50,6 +50,11 @@ def small_polys(variables=("x", "y"), max_terms=4, max_exp=3):
     )
 
 
+def rational_polys(variables=("x", "y", "z")):
+    """Sparse polynomials in three variables with rational coefficients."""
+    return st.tuples(small_polys(variables), st.integers(1, 5)).map(lambda t: t[0] * Fraction(1, t[1]))
+
+
 def sylvester_matrix(f: MPoly, g: MPoly, var: str) -> list[list[MPoly]]:
     m, n = f.degree_in(var), g.degree_in(var)
     fc, gc = f.coeffs_in(var)[::-1], g.coeffs_in(var)[::-1]
@@ -83,6 +88,39 @@ def sylvester_resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
         denom = mat[k][k]
     det = mat[n - 1][n - 1]
     return det if sign == 1 else -det
+
+
+def subresultant_resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
+    """Res(f, g) in var by the subresultant PRS over the rationals: the route
+    `resultant` took before evaluation and interpolation, kept as a reference."""
+    m, n = f.degree_in(var), g.degree_in(var)
+    sign = 1
+    a, b = f, g
+    if m < n:
+        a, b = b, a
+        if m % 2 == 1 and n % 2 == 1:
+            sign = -sign
+    gg = MPoly.constant(1)
+    h = MPoly.constant(1)
+    while b.degree_in(var) > 0:
+        da, db = a.degree_in(var), b.degree_in(var)
+        delta = da - db
+        if da % 2 == 1 and db % 2 == 1:
+            sign = -sign
+        r = mpoly._prem(a, b, var)
+        if r.is_zero():
+            return MPoly.zero()
+        a = b
+        b = exact_div(r, gg * h**delta)
+        gg = a.coeffs_in(var)[a.degree_in(var)]
+        if delta > 0:
+            h = exact_div(gg**delta, h ** (delta - 1)) if delta > 1 else gg
+    if b.is_zero():
+        return MPoly.zero()
+    da = a.degree_in(var)
+    bb = b.coeffs_in(var)[0]
+    res = exact_div(bb**da, h ** (da - 1)) if da > 1 else bb
+    return res if sign == 1 else -res
 
 
 class TestArithmetic:
@@ -259,6 +297,48 @@ class TestResultant:
         if f.degree_in("y") > 0 and g.degree_in("y") > 0 and not (f.is_zero() or g.is_zero()):
             assert (resultant(f, g, "y") == 0) == (poly_gcd(f, g).degree_in("y") > 0)
 
+    @given(rational_polys(), rational_polys(), st.sampled_from(["y", "x"]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_subresultant_prs(self, f, g, var):
+        if f.degree_in(var) == 0 or g.degree_in(var) == 0:
+            return
+        assert resultant(f, g, var) == subresultant_resultant(f, g, var)
+
+    def test_bezout_bound_attained(self):
+        # dense f, g of total degrees 3 and 4 with nonzero y^3 and y^4 terms:
+        # Res_y has total degree 3 * 4 = 12
+        def dense(d, seed):
+            return sum((MPoly.monomial((seed * (i + 3) + j) % 7 - 3 or 1, {"x": i, "y": j})
+                        for i in range(d + 1) for j in range(d + 1 - i)), MPoly.zero())
+
+        f, g = dense(3, 2), dense(4, 5)
+        res = resultant(f, g, "y")
+        assert res.total_degree() == 12
+        assert res == sylvester_resultant(f, g, "y")
+
+    def test_leading_coefficient_vanishing_at_the_first_points(self):
+        # lc_y f vanishes at x = 0, 1, -1, 2, the first four evaluation points
+        f = x * (x - 1) * (x + 1) * (x - 2) * y**2 + (x**2 + 3) * y - x + 5
+        g = (x - 2) * y**3 + y * x**2 - 7
+        assert resultant(f, g, "y") == sylvester_resultant(f, g, "y")
+
+    def test_rational_content_scales(self):
+        # Res(y^2 - x, 2y + 3) = 4 * (9/4 - x); the contents give (1/6)^1 * (1/4)^2
+        f, g = (y**2 - x) * Fraction(1, 6), (2 * y + 3) * Fraction(1, 4)
+        assert resultant(f, g, "y") == (9 - 4 * x) * Fraction(1, 96)
+        assert resultant(f, g, "y") == sylvester_resultant(f, g, "y")
+
+    def test_odd_degrees_sign(self):
+        assert resultant(y + 1, y**3, "y") == -1
+        assert resultant(y**3, y + 1, "y") == 1
+
+    def test_planted_common_factor_in_three_variables(self):
+        z = MPoly.variable("z")
+        h = x * y - z + 2
+        f, g = h * (y**2 + z * x - 1), h * (x * z**2 + y + 3)
+        assert resultant(f, g, "y") == 0
+        assert resultant(f, g, "x") == 0
+
 
 @pytest.fixture(scope="module")
 def sympy():
@@ -278,11 +358,6 @@ def from_sympy(sympy, expr) -> MPoly:
     if not gens:
         return MPoly.constant(Fraction(str(expr)))
     return MPoly([str(s) for s in gens], {e: Fraction(str(c)) for e, c in sympy.Poly(expr, *gens).terms()})
-
-
-def rational_polys(variables=("x", "y", "z")):
-    """Sparse polynomials in three variables with rational coefficients."""
-    return st.tuples(small_polys(variables), st.integers(1, 5)).map(lambda t: t[0] * Fraction(1, t[1]))
 
 
 class TestSympyOracle:
@@ -322,6 +397,16 @@ class TestSympyOracle:
         # the oracle is sympy's Sylvester matrix: sympy.resultant has the wrong
         # sign when deg f < deg g and both degrees are odd (it gives
         # Res(y + 1, y^3) = 1, not -1)
+        from sympy.polys.subresultants_qq_zz import sylvester
+
+        if f.degree_in("y") == 0 or g.degree_in("y") == 0:
+            return
+        matrix = sylvester(to_sympy(sympy, f), to_sympy(sympy, g), sympy.Symbol("y"))
+        assert resultant(f, g, "y") == from_sympy(sympy, sympy.expand(matrix.det()))
+
+    @given(rational_polys(), rational_polys())
+    @settings(max_examples=30, deadline=None)
+    def test_resultant_in_three_variables(self, sympy, f, g):
         from sympy.polys.subresultants_qq_zz import sylvester
 
         if f.degree_in("y") == 0 or g.degree_in("y") == 0:
