@@ -491,7 +491,7 @@ def homogenize(f: MPoly, n: int | None = None) -> MPoly:
     z = MPoly.variable("z")
     total = MPoly.zero()
     for e, c in f.terms.items():
-        mono = MPoly((f.variables), {e: c})
+        mono = MPoly._make(f.variables, {e: c})
         total = total + mono * z ** (n - sum(e))
     return total
 

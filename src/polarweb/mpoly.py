@@ -8,6 +8,21 @@ they represent the same polynomial.
 
 Term order everywhere is graded lexicographic on the sorted variable names;
 this fixes leading coefficients, canonical signs, and printing.
+
+Construction.  `MPoly(variables, terms)` is the constructor for outside
+data and validates it: exponent vectors of the right length, no negative
+exponent and none above MAX_EXPONENT; it copies the exponent tuples and sorts
+the variables.  Every polynomial this module computes from MPoly values (sums,
+products, derivatives, substitutions, coefficient views, quotients,
+resultants, jets, and `zero`, `constant` and `variable`) is built by the
+trusted `MPoly._make` instead.  It trusts that the variables are sorted and
+distinct and that every exponent vector is a tuple of their length with
+entries in [0, MAX_EXPONENT]; it only drops zero coefficients and the
+variables that no longer occur, and keeps the term order.  `**` checks
+MAX_EXPONENT on the degrees before it multiplies; no other result is scanned.
+The hard limits on input size live in the parser (`parsing.MAX_DEGREE`,
+`parsing.MAX_PRODUCT_TERMS`), which checks every product and power of the
+input text before computing it.
 """
 
 from __future__ import annotations
@@ -15,6 +30,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import count, islice
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalInvariantError, PolynomialError
@@ -30,6 +46,56 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise PolynomialError(f"not an exact rational: {value!r}")
+
+
+# Term dicts {exponent tuple: coefficient} over one variable layout, the raw
+# material of the trusted constructor.  Their order is the order in which the
+# terms first appear, as in the MPoly arithmetic built on them.
+
+
+def _rekey(poly: "MPoly", names: tuple) -> dict:
+    """poly's terms laid out over names, a sorted superset of its variables
+    (poly's own dict when the layouts agree)."""
+    if poly.variables == names:
+        return poly.terms
+    pos = [names.index(v) for v in poly.variables]
+    out = {}
+    for e, c in poly.terms.items():
+        full = [0] * len(names)
+        for p, k in zip(pos, e):
+            full[p] = k
+        out[tuple(full)] = c
+    return out
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """The product, term by term; may hold zero sums when both have two or
+    more terms."""
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            s = out.get(e)
+            out[e] = ca * cb if s is None else s + ca * cb
+    return out
+
+
+def _nonzero(terms: dict) -> dict:
+    """terms without its zero coefficients."""
+    return terms if all(terms.values()) else {e: c for e, c in terms.items() if c}
+
+
+def _add_into(out: dict, terms: dict) -> None:
+    """out += terms; a sum that cancels leaves out, as it leaves the result
+    of `+`."""
+    for e, c in terms.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = c
+        elif s := s + c:
+            out[e] = s
+        else:
+            del out[e]
 
 
 class MPoly:
@@ -58,17 +124,38 @@ class MPoly:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def _make(variables: tuple, terms: dict) -> "MPoly":
+        """Trusted constructor for polynomials computed from MPoly values.
+
+        The variables must be sorted and distinct and every exponent vector a
+        tuple of their length with entries in [0, MAX_EXPONENT]; none of this
+        is checked.  Takes ownership of `terms`, drops its zero coefficients
+        and the variables that no longer occur, and keeps the term order.
+        """
+        terms = _nonzero(terms)
+        if variables:
+            used = [i for i, column in enumerate(zip(*terms)) if any(column)]
+            if len(used) < len(variables):
+                variables = tuple(variables[i] for i in used)
+                terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+        poly = object.__new__(MPoly)
+        poly.variables = variables
+        poly.terms = terms
+        poly._hash = None
+        return poly
+
+    @staticmethod
     def zero() -> "MPoly":
-        return MPoly((), {})
+        return MPoly._make((), {})
 
     @staticmethod
     def constant(value) -> "MPoly":
         c = _as_fraction(value)
-        return MPoly((), {(): c} if c else {})
+        return MPoly._make((), {(): c})
 
     @staticmethod
     def variable(name: str) -> "MPoly":
-        return MPoly((name,), {(1,): Fraction(1)})
+        return MPoly._make((name,), {(1,): Fraction(1)})
 
     @staticmethod
     def monomial(coeff, powers: Mapping[str, int]) -> "MPoly":
@@ -129,18 +216,7 @@ class MPoly:
         if self.variables == other.variables:
             return self.variables, self.terms, other.terms
         names = tuple(sorted(set(self.variables) | set(other.variables)))
-
-        def rekey(poly: "MPoly"):
-            pos = [names.index(v) for v in poly.variables]
-            out = {}
-            for e, c in poly.terms.items():
-                full = [0] * len(names)
-                for idx, p in enumerate(pos):
-                    full[p] = e[idx]
-                out[tuple(full)] = c
-            return out
-
-        return names, rekey(self), rekey(other)
+        return names, _rekey(self, names), _rekey(other, names)
 
     def __add__(self, other) -> "MPoly":
         if isinstance(other, (int, Fraction)):
@@ -149,14 +225,13 @@ class MPoly:
             return NotImplemented
         names, a, b = self._aligned(other)
         out = dict(a)
-        for e, c in b.items():
-            out[e] = out.get(e, Fraction(0)) + c
-        return MPoly(names, out)
+        _add_into(out, b)
+        return MPoly._make(names, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MPoly._make(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "MPoly":
         if isinstance(other, (int, Fraction)):
@@ -173,22 +248,19 @@ class MPoly:
             c = _as_fraction(other)
             if c == 0:
                 return MPoly.zero()
-            return MPoly(self.variables, {e: c * v for e, v in self.terms.items()})
+            return MPoly._make(self.variables, {e: c * v for e, v in self.terms.items()})
         if not isinstance(other, MPoly):
             return NotImplemented
         names, a, b = self._aligned(other)
-        out: dict = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-        return MPoly(names, out)
+        return MPoly._make(names, _mul_terms(a, b))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MPoly":
         if not isinstance(n, int) or n < 0:
             raise PolynomialError(f"polynomial power must be a non-negative integer, got {n!r}")
+        if any(self.degree_in(v) * n > MAX_EXPONENT for v in self.variables):
+            raise PolynomialError(f"exponent above cap {MAX_EXPONENT}")
         result = MPoly.constant(1)
         base = self
         while n:
@@ -212,36 +284,40 @@ class MPoly:
             e2 = list(e)
             e2[i] -= 1
             e2 = tuple(e2)
-            out[e2] = out.get(e2, Fraction(0)) + c * e[i]
-        return MPoly(self.variables, out)
+            out[e2] = c * e[i]
+        return MPoly._make(self.variables, out)
 
     def substitute(self, assignments: Mapping[str, "MPoly | Fraction | int"]) -> "MPoly":
-        """Simultaneous substitution; every assigned variable must occur."""
+        """Simultaneous substitution; every assigned variable must occur.
+
+        Every term is expanded over the union of the kept and the substituted
+        variables and added into one dict; the powers of each substituted
+        polynomial are cached as term dicts.
+        """
         for v in assignments:
             if v not in self.variables:
                 raise PolynomialError(f"substitute: variable {v!r} does not occur")
         subs = {v: (p if isinstance(p, MPoly) else MPoly.constant(p)) for v, p in assignments.items()}
-        idx = {v: self.variables.index(v) for v in subs}
-        keep = [i for i, v in enumerate(self.variables) if v not in subs]
-        powers: dict[str, list[MPoly]] = {v: [MPoly.constant(1)] for v in subs}
-
-        def power(v: str, n: int) -> MPoly:
-            cache = powers[v]
-            while len(cache) <= n:
-                cache.append(cache[-1] * subs[v])
-            return cache[n]
-
-        total = MPoly.zero()
+        kept = [v for v in self.variables if v not in subs]
+        names = tuple(sorted(set(kept).union(*(p.variables for p in subs.values()))))
+        moves = [(self.variables.index(v), names.index(v)) for v in kept]
+        # (position in self, [p^0, p^1, ...] as term dicts over names)
+        powers = [(self.variables.index(v), [{(0,) * len(names): Fraction(1)}, _rekey(p, names)])
+                  for v, p in subs.items()]
+        out: dict = {}
         for e, c in self.terms.items():
-            piece = MPoly((), {(): c}) if c else MPoly.zero()
-            mono = {self.variables[i]: e[i] for i in keep if e[i]}
-            if mono:
-                piece = piece * MPoly.monomial(1, mono)
-            for v, i in idx.items():
-                if e[i]:
-                    piece = piece * power(v, e[i])
-            total = total + piece
-        return total
+            mono = [0] * len(names)
+            for i, j in moves:
+                mono[j] = e[i]
+            piece = {tuple(mono): c}
+            for i, cache in powers:
+                k = e[i]
+                if k:
+                    while len(cache) <= k:
+                        cache.append(_nonzero(_mul_terms(cache[-1], cache[1])))
+                    piece = _nonzero(_mul_terms(piece, cache[k]))
+            _add_into(out, piece)
+        return MPoly._make(names, out)
 
     def evaluate(self, point: Mapping[str, "Fraction | int"]) -> Fraction:
         """Exact evaluation; the point must cover every variable."""
@@ -280,18 +356,19 @@ class MPoly:
         buckets: list[dict] = [dict() for _ in range(deg + 1)]
         rest = tuple(v for j, v in enumerate(self.variables) if j != i)
         for e, c in self.terms.items():
-            re = tuple(e[j] for j in range(len(e)) if j != i)
-            buckets[e[i]][re] = c
-        return [MPoly(rest, b) for b in buckets]
+            buckets[e[i]][e[:i] + e[i + 1:]] = c
+        return [MPoly._make(rest, b) for b in buckets]
 
     @staticmethod
     def from_coeffs_in(var: str, coeffs: Iterable["MPoly"]) -> "MPoly":
-        v = MPoly.variable(var)
-        total = MPoly.zero()
+        """The sum of coeffs[k] * var^k."""
+        coeffs = list(coeffs)
+        names = tuple(sorted({var}.union(*(c.variables for c in coeffs))))
+        i = names.index(var)
+        out: dict = {}
         for k, c in enumerate(coeffs):
-            if not c.is_zero():
-                total = total + c * v**k
-        return total
+            _add_into(out, {e[:i] + (e[i] + k,) + e[i + 1:]: a for e, a in _rekey(c, names).items()})
+        return MPoly._make(names, out)
 
     def univariate_coeffs(self, var: str) -> list[Fraction]:
         """Fraction coefficients, ascending; requires no other variables."""
@@ -322,7 +399,7 @@ class MPoly:
         _, lead = self.leading_term()
         if lead < 0:
             c = -c
-        return MPoly(self.variables, {e: v / c for e, v in self.terms.items()})
+        return MPoly._make(self.variables, {e: v / c for e, v in self.terms.items()})
 
     # -- display -------------------------------------------------------------
 
@@ -384,15 +461,17 @@ def try_exact_div(f: MPoly, g: MPoly) -> MPoly | None:
         if any(k < 0 for k in de):
             return None
         qc = fc / gc
-        q[de] = q.get(de, Fraction(0)) + qc
+        # the leading exponent of rem falls at every step, so de is new
+        q[de] = qc
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(de, eb))
-            nc = rem.get(e, Fraction(0)) - qc * cb
+            e = tuple(map(add, de, eb))
+            s = rem.get(e)
+            nc = -qc * cb if s is None else s - qc * cb
             if nc:
                 rem[e] = nc
             else:
-                rem.pop(e, None)
-    return MPoly(names, q)
+                del rem[e]
+    return MPoly._make(names, q)
 
 
 def exact_div(f: MPoly, g: MPoly) -> MPoly:
@@ -444,35 +523,17 @@ def _content_in(f: MPoly, var: str) -> MPoly:
 
 
 def _univariate_gcd(f: MPoly, g: MPoly, var: str) -> MPoly:
-    a = f.univariate_coeffs(var)
-    b = g.univariate_coeffs(var)
-
-    def strip(u):
-        while u and u[-1] == 0:
-            u.pop()
-        return u
-
-    a, b = strip(list(a)), strip(list(b))
+    """gcd of two polynomials in var alone, by the primitive Euclidean
+    algorithm on integer coefficient lists: each pseudo-remainder is divided
+    by its content, so the coefficients stay small."""
+    a, b = (_dense(_integer_terms(h, h.rational_content(), [var]), h.degree_in(var)) for h in (f, g))
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        inv = Fraction(1) / b[-1]
-        bb = [c * inv for c in b]
-        r = list(a)
-        while True:
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < len(bb):
-                break
-            q = r[-1]
-            off = len(r) - len(bb)
-            for i, c in enumerate(bb):
-                r[off + i] -= q * c
-            r.pop()
-        a, b = b, r
-    poly = MPoly.from_coeffs_in(var, [MPoly.constant(c) for c in a])
-    return poly.canonical()
+        r = _int_prem(a, b)
+        content = math.gcd(*r)
+        a, b = b, [c // content for c in r]
+    return MPoly._make((var,), {(k,): Fraction(c) for k, c in enumerate(a) if c}).canonical()
 
 
 # Coprimality certificate.  Reduce mod a prime p and set every variable but v
@@ -661,7 +722,7 @@ def resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
     order = [var] + others
     F, G = _integer_terms(f, cf, order), _integer_terms(g, cg, order)
     scale = cf**n * cg**m
-    return MPoly(others, {e: scale * c for e, c in _int_resultant(F, G, m, n).items()})
+    return MPoly._make(tuple(others), {e: scale * c for e, c in _int_resultant(F, G, m, n).items()})
 
 
 # Integer polynomials for `resultant`: {exponent tuple: nonzero int}, the
@@ -897,7 +958,7 @@ def jet_decompose(f: MPoly, variables: Sequence[str] = ("x", "y"), about=(0, 0))
     for e, c in g.terms.items():
         d = sum(e[i] for i in idx if i is not None)
         parts.setdefault(d, {})[e] = c
-    return {d: MPoly(g.variables, t) for d, t in sorted(parts.items())}
+    return {d: MPoly._make(g.variables, t) for d, t in sorted(parts.items())}
 
 
 def lowest_jet(f: MPoly, variables: Sequence[str] = ("x", "y")) -> tuple[int, MPoly]:

@@ -20,6 +20,13 @@ File format (line oriented, '#' comments):
 
 Exactly one of `form`, the pair `A:`/`B:`, or `f:` must appear, matching the
 declared type.
+
+Input limits.  Each product and power is checked before it is computed: a
+product or power of total degree above MAX_DEGREE, a power with an exponent
+above MAX_DEGREE, and a product of more than MAX_PRODUCT_TERMS term pairs are
+rejected with ParseError (exit code 2 at the command line).  They are the
+guards against oversized input: apart from the exponent cap of `**`, the
+polynomial arithmetic does not check the size of its results.
 """
 
 from __future__ import annotations
@@ -32,6 +39,8 @@ from .mpoly import MPoly
 from .webmodel import AffinePoint, PlaneCurve, SymWeb
 
 VARIABLES = ("x", "y", "a", "b", "dx", "dy", "t")
+MAX_DEGREE = 32
+MAX_PRODUCT_TERMS = 10**5
 
 
 class _Lexer:
@@ -101,7 +110,7 @@ def _parse_term(lex: _Lexer) -> MPoly:
     total = _parse_factor(lex)
     while lex.peek() == "*":
         lex.pos += 1
-        total = total * _parse_factor(lex)
+        total = _product(lex, total, _parse_factor(lex))
     return total
 
 
@@ -109,9 +118,31 @@ def _parse_factor(lex: _Lexer) -> MPoly:
     base = _parse_atom(lex)
     if lex.peek() == "^":
         lex.pos += 1
-        exp = lex.take_int()
-        base = base**exp
+        base = _power(lex, base, lex.take_int())
     return base
+
+
+def _product(lex: _Lexer, f: MPoly, g: MPoly) -> MPoly:
+    """f*g, once it is known to be within the input limits."""
+    if f.total_degree() + g.total_degree() > MAX_DEGREE:
+        raise lex.error(f"product of total degree above {MAX_DEGREE}")
+    if len(f.terms) * len(g.terms) > MAX_PRODUCT_TERMS:
+        raise lex.error(f"product of more than {MAX_PRODUCT_TERMS} term pairs")
+    return f * g
+
+
+def _power(lex: _Lexer, base: MPoly, n: int) -> MPoly:
+    """base^n by the binary powering of `MPoly.__pow__`, every product checked
+    by `_product` before it is computed."""
+    if n > MAX_DEGREE or base.total_degree() * n > MAX_DEGREE:
+        raise lex.error(f"power of exponent or total degree above {MAX_DEGREE}")
+    result = MPoly.constant(1)
+    while n:
+        if n & 1:
+            result = _product(lex, result, base)
+        base = _product(lex, base, base) if n > 1 else base
+        n >>= 1
+    return result
 
 
 def _parse_atom(lex: _Lexer) -> MPoly:

@@ -115,7 +115,7 @@ class PolarFamily:
             key = (e[ia] if ia is not None else 0, e[ib] if ib is not None else 0)
             rest = tuple(e[i] for i in keep)
             groups.setdefault(key, {})[rest] = c
-        return [MPoly(names, terms) for key, terms in sorted(groups.items())]
+        return [MPoly._make(names, terms) for key, terms in sorted(groups.items())]
 
 
 def polar_family(web: SymWeb, seed: int = 0) -> PolarFamily:

@@ -88,7 +88,7 @@ def univariate_root_split(
                     continue
                 for cap in RECONSTRUCT_DENOMS:
                     cand = Fraction(r.real).limit_denominator(cap)
-                    if work.substitute({var: MPoly.constant(cand)}).is_zero():
+                    if work.evaluate({var: cand}) == 0:
                         rational.append((cand, mult))
                         q = try_exact_div(work, MPoly.variable(var) - MPoly.constant(cand))
                         if q is None:

@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -50,6 +52,24 @@ class TestPolynomialParser:
     def test_unknown_variable_rejected(self):
         with pytest.raises(ParseError):
             parse_polynomial("x + z")
+
+    def test_input_limits(self):
+        from polarweb.parsing import MAX_DEGREE, MAX_PRODUCT_TERMS
+
+        assert MAX_DEGREE == 32 and MAX_PRODUCT_TERMS == 10**5
+        assert parse_polynomial("x^16*y^16").total_degree() == 32
+        assert parse_polynomial("(x + y)^32") == (x + y) ** 32
+        assert parse_polynomial("2^32") == 2**32
+        for text in ("x^33", "x^16*y^17", "(x*y)^17", "2^33", "x^2147483648", "(x + y + 1)^40",
+                     "(x + y + a + b + dx + dy + t)^8*(x + y + a + b + dx + dy + t)^8",
+                     "(x + y + a + b + dx + dy + t)^30"):
+            with pytest.raises(ParseError):
+                parse_polynomial(text)
+
+    def test_power_keeps_the_term_order_of_pow(self):
+        got = parse_polynomial("(x + 2*y - 1/3)^12")
+        ref = (x + 2 * y - MPoly.constant(Fraction(1, 3))) ** 12
+        assert got == ref and list(got.terms) == list(ref.terms)
 
     def test_round_trip_canonical_text(self):
         from polarweb.mpoly import format_mpoly
@@ -232,6 +252,26 @@ class TestExitCodes:
     def test_wrong_input_kind_is_2(self, inputs):
         code, _ = run_command(["inflexion", "--in", inputs["web"]])
         assert code == 2
+
+    @pytest.mark.parametrize("text", [
+        "type: curve\nf: x^2147483648 - y\n",
+        "type: curve\nf: x^4294967296*y\n",
+        "type: curve\nf: (x+y+1)^40\n",
+        "type: web\nform: (x+y+a+b+dx+dy+t)^30*dx\n",
+    ])
+    def test_oversized_input_is_2_at_once(self, tmp_path, text):
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        start = time.perf_counter()
+        code, out = run_command(["degree", "--in", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out.startswith("error: ")
+        proc = subprocess.run(
+            [sys.executable, "-m", "polarweb.cli", "degree", "--in", str(path)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stdout + proc.stderr
 
     def test_math_failure_is_1(self, inputs, monkeypatch):
         from polarweb import cli as cli_mod

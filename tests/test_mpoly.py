@@ -123,6 +123,75 @@ def subresultant_resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
     return res if sign == 1 else -res
 
 
+
+def termwise_substitute(f: MPoly, assignments) -> MPoly:
+    """`MPoly.substitute` as it was before it accumulated into one dict:
+    every term is built as its own MPoly and added to the running total.
+    Kept as the reference, term order included."""
+    subs = {v: (p if isinstance(p, MPoly) else MPoly.constant(p)) for v, p in assignments.items()}
+    idx = {v: f.variables.index(v) for v in subs}
+    keep = [i for i, v in enumerate(f.variables) if v not in subs]
+    powers = {v: [MPoly.constant(1)] for v in subs}
+
+    def power(v, n):
+        cache = powers[v]
+        while len(cache) <= n:
+            cache.append(cache[-1] * subs[v])
+        return cache[n]
+
+    total = MPoly.zero()
+    for e, c in f.terms.items():
+        piece = MPoly((), {(): c})
+        mono = {f.variables[i]: e[i] for i in keep if e[i]}
+        if mono:
+            piece = piece * MPoly.monomial(1, mono)
+        for v, i in idx.items():
+            if e[i]:
+                piece = piece * power(v, e[i])
+        total = total + piece
+    return total
+
+
+def fraction_univariate_gcd(f: MPoly, g: MPoly, var: str) -> MPoly:
+    """Euclid on Fraction coefficient lists, the divisor made monic at every
+    step: the route `_univariate_gcd` took before it ran on integers, kept as
+    the reference."""
+    def strip(u):
+        while u and u[-1] == 0:
+            u.pop()
+        return u
+
+    a, b = strip(f.univariate_coeffs(var)), strip(g.univariate_coeffs(var))
+    while b:
+        if len(a) < len(b):
+            a, b = b, a
+            continue
+        inv = Fraction(1) / b[-1]
+        bb = [c * inv for c in b]
+        r = list(a)
+        while True:
+            strip(r)
+            if len(r) < len(bb):
+                break
+            q = r[-1]
+            off = len(r) - len(bb)
+            for i, c in enumerate(bb):
+                r[off + i] -= q * c
+            r.pop()
+        a, b = b, r
+    return MPoly.from_coeffs_in(var, [MPoly.constant(c) for c in a]).canonical()
+
+
+def assert_well_formed(r: MPoly) -> None:
+    """What the trusted constructor relies on and keeps: sorted, distinct
+    variables that all occur, exponent vectors of their length, no zero
+    coefficient, and the same value through the validating constructor."""
+    assert list(r.variables) == sorted(set(r.variables))
+    assert all(len(e) == len(r.variables) for e in r.terms)
+    assert all(any(e[i] for e in r.terms) for i in range(len(r.variables)))
+    assert all(c != 0 for c in r.terms.values())
+    assert r == MPoly(r.variables, r.terms)
+
 class TestArithmetic:
     def test_product_identity(self):
         assert (x + y) * (x - y) == x**2 - y**2
@@ -136,6 +205,14 @@ class TestArithmetic:
     def test_negative_power_rejected(self):
         with pytest.raises(PolynomialError):
             x ** (-1)
+
+    def test_power_above_exponent_cap_rejected(self):
+        with pytest.raises(PolynomialError, match="exponent above cap"):
+            x ** 2**33
+        with pytest.raises(PolynomialError, match="exponent above cap"):
+            (x * y**2) ** (mpoly.MAX_EXPONENT // 2 + 1)
+        top = (x * y) ** mpoly.MAX_EXPONENT
+        assert top == MPoly.monomial(1, {"x": mpoly.MAX_EXPONENT, "y": mpoly.MAX_EXPONENT})
 
     @given(small_polys(), small_polys(), small_polys())
     @settings(max_examples=60, deadline=None)
@@ -184,6 +261,137 @@ class TestSubstitute:
         assert apply(f + g) == apply(f) + apply(g)
 
 
+
+class TestTrustedConstructor:
+    """Every result built by the trusted constructor is well formed."""
+
+    @given(rational_polys(), rational_polys())
+    @settings(max_examples=60, deadline=None)
+    def test_arithmetic(self, f, g):
+        for r in (f + g, f - g, f * g, -f, f * Fraction(-2, 3), f * 0, f + 1):
+            assert_well_formed(r)
+        for v in ("x", "y", "z", "t"):
+            assert_well_formed(f.derivative(v))
+        if not f.is_zero():
+            assert_well_formed(f.canonical())
+        if not g.is_zero():
+            assert_well_formed(try_exact_div(f * g, g))
+            q = try_exact_div(f, g)
+            if q is not None:
+                assert_well_formed(q)
+
+    @given(rational_polys(), st.sampled_from(["x", "y", "z", "t"]))
+    @settings(max_examples=60, deadline=None)
+    def test_coefficient_views(self, f, var):
+        coeffs = f.coeffs_in(var)
+        for c in coeffs:
+            assert_well_formed(c)
+        back = MPoly.from_coeffs_in(var, coeffs)
+        assert_well_formed(back)
+        assert back == f
+
+    @given(rational_polys(), st.integers(-2, 2), st.integers(-2, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_jets(self, f, a, b):
+        if f.is_zero():
+            return
+        for part in jet_decompose(f, ("x", "y"), (a, b)).values():
+            assert_well_formed(part)
+
+    def test_constructors(self):
+        for r in (MPoly.zero(), MPoly.constant(0), MPoly.constant(Fraction(-3, 4)), MPoly.variable("dx")):
+            assert_well_formed(r)
+        assert MPoly.constant(0) == MPoly.zero()
+
+    def test_from_coeffs_in_with_the_variable_in_a_coefficient(self):
+        got = MPoly.from_coeffs_in("x", [x, MPoly.constant(-1), y])
+        assert got == x**2 * y
+        assert_well_formed(got)
+
+    def test_from_coeffs_in_matches_the_sum(self):
+        coeffs = [y - 1, MPoly.zero(), x * y, -x]
+        got = MPoly.from_coeffs_in("x", coeffs)
+        ref = sum((c * x**k for k, c in enumerate(coeffs)), MPoly.zero())
+        assert got == ref and list(got.terms) == list(ref.terms)
+
+
+class TestSubstituteMatchesTermwise:
+    """One-dict substitution against the term-by-term reference: the same
+    polynomial with the same term order."""
+
+    @staticmethod
+    def check(f, subs):
+        got = f.substitute(subs)
+        ref = termwise_substitute(f, subs)
+        assert_well_formed(got)
+        assert got == ref
+        assert list(got.terms) == list(ref.terms)
+        return got
+
+    @given(rational_polys(), rational_polys(), rational_polys(("x", "t")))
+    @settings(max_examples=80, deadline=None)
+    def test_random(self, f, g, h):
+        for candidates in ((("x", g), ("y", h), ("z", 3)), (("x", 0), ("y", -1), ("z", 2))):
+            subs = {v: p for v, p in candidates if v in f.variables}
+            if subs:
+                self.check(f, subs)
+
+    @given(rational_polys(("x", "y")), st.integers(-3, 3), st.integers(-3, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_translations_and_shears(self, f, a, lam):
+        if "x" in f.variables:
+            self.check(f, {"x": x + a})
+            self.check(f, {"x": x + lam * y})
+        if set(f.variables) == {"x", "y"}:
+            self.check(f, {"y": y + a, "x": x - a})
+
+    @given(rational_polys(), rational_polys(("y", "z")))
+    @settings(max_examples=60, deadline=None)
+    def test_cancellation_removes_variables(self, g, h):
+        # x -> -y cancels x + y: no variable of g * (x + y) but those of h is left
+        if g.is_zero():
+            return
+        got = self.check(g * (x + y) + h, {"x": -y})
+        assert got == h and got.variables == h.variables
+
+    def test_a_cancelled_term_comes_back_last(self):
+        # the pieces are x, z, -x, x: x leaves the sum and comes back after z
+        z = MPoly.variable("z")
+        got = self.check(x * y + z - x * y**2 + x * y**3, {"y": 1})
+        assert list(got.terms) == [(0, 1), (1, 0)]
+
+    def test_a_product_cancelling_inside_one_term(self):
+        # x*y -> (a + b)*(a - b): the a*b products cancel before a*b comes in
+        a, b, t = (MPoly.variable(v) for v in "abt")
+        got = self.check(x * y + t + a * b, {"x": a + b, "y": a - b})
+        assert got == a**2 - b**2 + t + a * b
+
+    def test_everything_cancels(self):
+        assert self.check((x - y) * (x + y), {"x": y}).is_zero()
+        assert self.check(x * y - y * x + x, {"x": 0}).is_zero()
+        t = MPoly.variable("t")
+        assert self.check(x**2 - 2 * x * y + y**2, {"x": t + 1, "y": t + 1}).is_zero()
+
+
+class TestWorkCount:
+    def test_a_check_job_makes_no_validating_construction(self, tmp_path, monkeypatch):
+        from polarweb.cli import run_command
+
+        calls = []
+        validating = MPoly.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            validating(self, *args, **kwargs)
+
+        monkeypatch.setattr(MPoly, "__init__", counted)
+        path = tmp_path / "fol.txt"
+        path.write_text("type: foliation\nA: x^2 - 2*x*y + 3*y - 1\nB: y^2 + x*y - 2*x + 2\n")
+        code, text = run_command(["check", "--in", str(path), "--theorem", "polar-degree",
+                                  "--samples", "4", "--seed", "1"])
+        assert code == 0, text
+        assert len(calls) == 0
+
 class TestGcdSquarefree:
     def test_monomials(self):
         g, _ = gcd_squarefree(x**2 * y, x * y**2)
@@ -198,6 +406,23 @@ class TestGcdSquarefree:
     def test_both_zero_rejected(self):
         with pytest.raises(PolynomialError):
             gcd_squarefree(MPoly.zero(), MPoly.zero())
+
+    @given(small_polys(("x",), max_terms=4, max_exp=4), small_polys(("x",), max_terms=4, max_exp=4),
+           small_polys(("x",), max_terms=3, max_exp=3), st.integers(1, 6), st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_univariate_gcd_matches_fraction_euclid(self, f, g, h, p, q):
+        a, b = f * h * Fraction(1, p), g * h * Fraction(q, 5)
+        if a.variables != ("x",) or b.variables != ("x",):
+            return
+        got = mpoly._univariate_gcd(a, b, "x")
+        ref = fraction_univariate_gcd(a, b, "x")
+        assert got == ref and list(got.terms) == list(ref.terms)
+        assert_well_formed(got)
+
+    def test_univariate_gcd_with_a_real_common_factor(self):
+        f = (x - 1) ** 2 * (3 * x + 2) * Fraction(1, 6)
+        g = (x - 1) * (3 * x + 2) ** 2 * (x + 5)
+        assert mpoly._univariate_gcd(f, g, "x") == ((x - 1) * (3 * x + 2)).canonical()
 
     def test_gcd_divides_both(self):
         f = (x + y) ** 2 * (x - 2)
