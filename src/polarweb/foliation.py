@@ -210,7 +210,7 @@ def classify_singularity(fol: FoliationData, q: AffinePoint) -> SingularityClass
 
 
 def classify_singularity_numeric(
-    fol: FoliationData, q: tuple[complex, complex], tol: float = 1e-7
+    fol: FoliationData, q: tuple[complex, complex]
 ) -> SingularityClass:
     """Jet-pair criterion at a non-rational singular point, with tolerances."""
     ca = cp_clean(cp_translate(cp_from_mpoly(fol.A), q[0], q[1]))
@@ -229,7 +229,7 @@ def classify_singularity_numeric(
     for (i, j), c in bk.items():
         crit[(i + 1, j)] = crit.get((i + 1, j), 0j) - c
     scale = max(cp_norm(ak), cp_norm(bk))
-    qr = cp_norm(crit) <= tol * scale
+    qr = cp_norm(crit) <= 1e-7 * scale
     return SingularityClass(q, k, qr, None, False)
 
 
@@ -355,19 +355,6 @@ def is_inflexion_point(curve: PlaneCurve, p: AffinePoint) -> bool:
     fyy = F.derivative("y").derivative("y").evaluate(point)
     u, v = -fy, fx
     return fxx * u * u + 2 * fxy * u * v + fyy * v * v == 0
-
-
-def _is_inflexion_numeric(curve: PlaneCurve, pt: dict[str, complex], tol: float = 1e-9) -> bool:
-    F = curve.defining
-    fx = F.derivative("x").evaluate_complex(pt)
-    fy = F.derivative("y").evaluate_complex(pt)
-    fxx = F.derivative("x").derivative("x").evaluate_complex(pt)
-    fxy = F.derivative("x").derivative("y").evaluate_complex(pt)
-    fyy = F.derivative("y").derivative("y").evaluate_complex(pt)
-    u, v = -fy, fx
-    val = fxx * u * u + 2 * fxy * u * v + fyy * v * v
-    scale = max(abs(fxx), abs(fxy), abs(fyy), 1e-30) * max(abs(u), abs(v)) ** 2
-    return abs(val) <= tol * max(scale, 1e-30)
 
 
 def _rational_points_on_curve(
@@ -496,7 +483,7 @@ def inflexion_lemma_check(
     return report
 
 
-def _numeric_center_inflexion(fol: FoliationData, zp: tuple[complex, complex], tol: float = 1e-8) -> bool:
+def _numeric_center_inflexion(fol: FoliationData, zp: tuple[complex, complex]) -> bool:
     """Inflexion test of P_p at p for a numeric center p."""
     A, B = fol.A, fol.B
     pt = {"x": zp[0], "y": zp[1]}
@@ -527,7 +514,7 @@ def _numeric_center_inflexion(fol: FoliationData, zp: tuple[complex, complex], t
     u, v = -fy, fx
     val = fxx * u * u + 2 * fxy * u * v + fyy * v * v
     scale = max(abs(fxx), abs(fxy), abs(fyy), 1e-30) * max(abs(u), abs(v), 1e-30) ** 2
-    return abs(val) <= tol * max(scale, 1e-30)
+    return abs(val) <= 1e-8 * max(scale, 1e-30)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Local invariants of plane curve germs.
 
-A germ is a curve equation translated so the point of interest is the origin.
-Germs at rational points stay exact; germs at irrational points (and germs
-whose resolution passes through irrational infinitely-near points) continue
-with complex floating-point coefficients, normalized and cleaned at every
-step.  All the integer invariants (multiplicity sequence, branch count, delta)
-come out of the same blow-up recursion in both modes, so fingerprints are
-comparable across modes.
+A germ is a curve equation translated so the point of interest is the origin,
+held as one term dict {(i, j): c}.  Germs at rational points stay exact with
+`Fraction` coefficients; germs at irrational points, and the strict
+transforms at irrational infinitely-near points, carry `complex` coefficients
+scaled to norm 1 and cleaned at every step.  Both coefficient fields go
+through the same blow-up recursion (exponent remaps for the charts, one
+binomial expansion for the shift to each tangent line), so the integer
+invariants (multiplicity sequence, branch count, delta) and the fingerprints
+built from them are comparable across modes.
 
 Resolution convention: blow up until every strict transform is smooth,
 meets at most one exceptional component, and is transverse to it.  This gives
@@ -19,6 +21,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .errors import (
     DegenerateSampleError,
@@ -29,8 +32,6 @@ from .errors import (
 )
 from .mpoly import (
     MPoly,
-    exact_div,
-    lowest_jet,
     poly_gcd,
     proper_shears,
     resultant,
@@ -42,7 +43,7 @@ from .numerics import cluster_points, univariate_roots
 from .reports import CheckReport
 from .sampling import GenericSampler, sample_centers
 from .solve import common_zeros, univariate_root_split
-from .webmodel import Direction, PlaneCurve, binary_form_factors
+from .webmodel import Direction, PlaneCurve
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
@@ -51,85 +52,54 @@ CLEAN_TOL = 1e-8
 CLUSTER_TOL = 1e-5
 MAX_BLOWUPS = 50
 
-CPoly = dict  # {(i, j): complex}
+CPoly = dict  # {(i, j): c}, c a Fraction (exact) or a complex (numeric)
 
 
 # ---------------------------------------------------------------------------
-# numeric bivariate polynomials
+# bivariate term dicts
 # ---------------------------------------------------------------------------
 
 
-def _binomials(n: int) -> list[list[int]]:
-    rows = [[1]]
-    for i in range(1, n + 1):
-        prev = rows[-1]
-        rows.append([1] + [prev[k - 1] + prev[k] for k in range(1, i)] + [1])
-    return rows
-
-
-def cp_from_mpoly(f: MPoly) -> CPoly:
+def _xy_terms(f: MPoly) -> CPoly:
+    """The exact term dict of f, by its exponents of x and y."""
     out: CPoly = {}
     ix = f.variables.index("x") if "x" in f.variables else None
     iy = f.variables.index("y") if "y" in f.variables else None
     for e, c in f.terms.items():
         i = e[ix] if ix is not None else 0
         j = e[iy] if iy is not None else 0
-        out[(i, j)] = out.get((i, j), 0j) + complex(c)
+        out[(i, j)] = out.get((i, j), 0) + c
     return out
+
+
+def cp_from_mpoly(f: MPoly) -> CPoly:
+    return {e: complex(c) for e, c in _xy_terms(f).items()}
 
 
 def cp_norm(cp: CPoly) -> float:
     return max((abs(c) for c in cp.values()), default=0.0)
 
 
-def cp_clean(cp: CPoly, tol: float | None = None) -> CPoly:
-    if tol is None:
-        tol = CLEAN_TOL
+def cp_clean(cp: CPoly) -> CPoly:
+    """Scale to norm 1 and drop the terms below CLEAN_TOL."""
     norm = cp_norm(cp)
     if norm == 0.0:
         return {}
-    cut = tol * norm
+    cut = CLEAN_TOL * norm
     return {e: c / norm for e, c in cp.items() if abs(c) > cut}
 
 
-def cp_translate(cp: CPoly, zx: complex, zy: complex) -> CPoly:
-    degx = max((i for i, _ in cp), default=0)
-    degy = max((j for _, j in cp), default=0)
-    binom = _binomials(max(degx, degy))
+def cp_translate(cp: CPoly, zx, zy) -> CPoly:
+    """f(x + zx, y + zy) by binomial expansion; exact when the coefficients
+    and the shift are."""
     out: CPoly = {}
     for (i, j), c in cp.items():
-        for a in range(i + 1):
-            xa = binom[i][a] * (zx ** (i - a)) if i - a else binom[i][a]
-            for b in range(j + 1):
-                yb = binom[j][b] * (zy ** (j - b)) if j - b else binom[j][b]
-                out[(a, b)] = out.get((a, b), 0j) + c * xa * yb
+        for a in range(i + 1) if zx else (i,):
+            xa = comb(i, a) * zx ** (i - a) if i - a else 1
+            for b in range(j + 1) if zy else (j,):
+                yb = comb(j, b) * zy ** (j - b) if j - b else 1
+                out[(a, b)] = out.get((a, b), 0) + c * xa * yb
     return {e: c for e, c in out.items() if c != 0}
-
-
-def cp_order(cp: CPoly) -> int:
-    if not cp:
-        raise NumericAbortError("numeric germ vanished entirely")
-    return min(i + j for i, j in cp)
-
-
-def cp_blowup1(cp: CPoly, m: int) -> CPoly:
-    """f(x, x*y) / x^m in the chart where the exceptional line is {x = 0}."""
-    out: CPoly = {}
-    for (i, j), c in cp.items():
-        out[(i + j - m, j)] = out.get((i + j - m, j), 0j) + c
-    if any(i < 0 for i, _ in out):
-        raise InternalInvariantError("blow-up division by wrong multiplicity")
-    return out
-
-
-def cp_blowup2(cp: CPoly, m: int) -> CPoly:
-    """f(x*y, y) / y^m in the chart where the exceptional line is {y = 0}."""
-    out: CPoly = {}
-    for (i, j), c in cp.items():
-        out[(i, i + j - m)] = out.get((i, i + j - m), 0j) + c
-    if any(j < 0 for _, j in out):
-        raise InternalInvariantError("blow-up division by wrong multiplicity")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +111,7 @@ def cp_blowup2(cp: CPoly, m: int) -> CPoly:
 class CurveGerm:
     """A reduced plane curve germ at the origin (exact or numeric)."""
 
-    poly: MPoly | None
-    cpoly: CPoly | None
+    terms: CPoly
     exact: bool
 
     @staticmethod
@@ -150,21 +119,26 @@ class CurveGerm:
         g = translate(curve, point)
         if g.evaluate({v: 0 for v in g.variables}) != 0:
             raise PolynomialError(f"curve does not pass through {point}")
-        reduced = squarefree_part(g)
-        return CurveGerm(reduced, None, True)
+        return CurveGerm(_xy_terms(squarefree_part(g)), True)
 
     @staticmethod
     def at_numeric_point(curve: MPoly, point: tuple[complex, complex]) -> "CurveGerm":
         cp = cp_clean(cp_translate(cp_from_mpoly(curve), point[0], point[1]))
-        if not cp or cp_order(cp) == 0:
+        if not cp or (0, 0) in cp:
             raise PolynomialError("curve does not pass through the numeric point (residual constant term)")
-        return CurveGerm(None, cp, False)
+        return CurveGerm(cp, False)
+
+    @property
+    def poly(self) -> MPoly | None:
+        """The exact germ as a polynomial in x and y (None when numeric)."""
+        return MPoly._make(("x", "y"), dict(self.terms)) if self.exact else None
 
     def multiplicity(self) -> int:
-        if self.exact:
-            m, _ = lowest_jet(self.poly, ("x", "y"))
-            return m
-        return cp_order(self.cpoly)
+        if not self.terms:
+            if self.exact:
+                raise PolynomialError("zero polynomial has no initial form")
+            raise NumericAbortError("numeric germ vanished entirely")
+        return min(i + j for i, j in self.terms)
 
 
 def local_multiplicity(germ: CurveGerm) -> int:
@@ -254,74 +228,65 @@ def blow_up_germ(germ: CurveGerm) -> list[BlowUpPoint]:
     """One blow-up: the points of the exceptional line met by the strict
     transform, each with the translated strict-transform germ."""
     m = germ.multiplicity()
-    out = []
-    for direction, _mult, child in _children(germ, m):
-        out.append(BlowUpPoint(direction, child))
+    return [BlowUpPoint(d, child) for d, child in _children(germ, m, _tangents(germ, m))]
+
+
+def _tangents(germ: CurveGerm, m: int) -> list[tuple[Direction, int]]:
+    """The lines of the tangent cone with their multiplicities: the vertical
+    line first, then rational slopes ascending, then the others by (re, im).
+
+    The slopes are the roots of init(1, t); the vertical line's multiplicity
+    is the drop of its degree below m."""
+    init = {j: c for (i, j), c in germ.terms.items() if i + j == m}
+    top = max(init)
+    lines = [(Direction.exact(0, 1), m - top)] if top < m else []
+    if top == 0:
+        return lines
+    if germ.exact:
+        u = MPoly._make(("t",), {(j,): c for j, c in init.items()})
+        rational, numeric = univariate_root_split(u, "t")
+    else:
+        roots = univariate_roots([init.get(j, 0j) for j in range(top + 1)])
+        scale = 1.0 + max(abs(r) for r in roots)
+        rational, numeric = [], cluster_points(roots, CLUSTER_TOL * scale)
+    lines += [(Direction.exact(1, r), k) for r, k in sorted(rational)]
+    lines += [
+        (Direction.numeric(1.0 + 0j, z), k)
+        for z, k in sorted(numeric, key=lambda t: (t[0].real, t[0].imag))
+    ]
+    return lines
+
+
+def _chart(terms: CPoly, m: int, vertical: bool) -> CPoly:
+    """f(x, x*y) / x^m, or f(x*y, y) / y^m at the vertical line, as a remap
+    of exponents."""
+    out = {((i, i + j - m) if vertical else (i + j - m, j)): c for (i, j), c in terms.items()}
+    if any(min(e) < 0 for e in out):
+        raise InternalInvariantError("blow-up division by wrong multiplicity")
     return out
 
 
-def _children(germ: CurveGerm, m: int):
-    """Directions in the tangent cone and the strict-transform germs there."""
-    if germ.exact:
-        _, init = lowest_jet(germ.poly, ("x", "y"))
-        chart1 = exact_div(
-            germ.poly.substitute({"y": X * Y}) if "y" in germ.poly.variables else germ.poly,
-            X**m,
-        )
-        for direction, mult in sorted(
-            binary_form_factors(init), key=_direction_sort_key
-        ):
-            if direction.is_exact and direction.u != 0:
-                c = direction.v
-                shifted = (
-                    chart1.substitute({"y": Y + MPoly.constant(c)})
-                    if c != 0 and "y" in chart1.variables
-                    else chart1
-                )
-                yield direction, mult, CurveGerm(shifted, None, True)
-            elif direction.is_exact:
-                chart2 = exact_div(
-                    germ.poly.substitute({"x": X * Y}) if "x" in germ.poly.variables else germ.poly,
-                    Y**m,
-                )
-                yield direction, mult, CurveGerm(chart2, None, True)
-            else:
-                z = _slope(direction)
-                cp = cp_clean(cp_translate(cp_from_mpoly(chart1), 0j, z))
-                yield direction, mult, CurveGerm(None, cp, False)
-    else:
-        cp = germ.cpoly
-        init = {e: c for e, c in cp.items() if e[0] + e[1] == m}
-        # univariate u(t) = init(1, t); the direction (0:1) shows up as degree drop
-        u = [0j] * (m + 1)
-        for (i, j), c in init.items():
-            u[j] = c
-        top = next((j for j in range(m, -1, -1) if abs(u[j]) > 0), None)
-        if top is not None and top < m:
-            chart2 = cp_clean(cp_blowup2(cp, m))
-            yield Direction.exact(0, 1), m - top, CurveGerm(None, chart2, False)
-        if top is not None and top > 0:
-            roots = univariate_roots(u[: top + 1])
-            scale = 1.0 + max(abs(r) for r in roots)
-            chart1 = cp_blowup1(cp, m)
-            for center, count in sorted(
-                cluster_points(roots, CLUSTER_TOL * scale), key=lambda t: (t[0].real, t[0].imag)
-            ):
-                shifted = cp_clean(cp_translate(chart1, 0j, center))
-                yield Direction.numeric(1.0 + 0j, center), count, CurveGerm(None, shifted, False)
+def _children(germ: CurveGerm, m: int, lines: list[tuple[Direction, int]]):
+    """The strict-transform germ at each line of the tangent cone.  A child
+    is exact when its parent and its line are; otherwise its coefficients
+    become complex and are cleaned."""
+    chart = None
+    for direction, _mult in lines:
+        if direction.is_exact and direction.u == 0:
+            child = _chart(germ.terms, m, vertical=True)
+        else:
+            if chart is None:
+                chart = _chart(germ.terms, m, vertical=False)
+            child = cp_translate(chart, 0, direction.v if direction.is_exact else _slope(direction))
+        exact = germ.exact and direction.is_exact
+        if not exact:
+            child = cp_clean({e: complex(c) for e, c in child.items()})
+        yield direction, CurveGerm(child, exact)
 
 
 def _slope(d: Direction) -> complex:
     u, v = d.approx
     return v / u
-
-
-def _direction_sort_key(item):
-    d, _ = item
-    if d.is_exact:
-        return (0, float(d.u), float(d.v))
-    u, v = d.approx
-    return (1, (v / u).real if u != 0 else float("inf"), (v / u).imag if u != 0 else 0.0)
 
 
 @dataclass
@@ -335,12 +300,7 @@ class Resolution:
 def resolve_germ(germ: CurveGerm) -> Resolution:
     """Full embedded resolution bookkeeping: multiplicities of the strict
     transforms at all infinitely-near points, and the leaf (branch) count."""
-    m0 = germ.multiplicity()
-    if germ.exact:
-        _, init = lowest_jet(germ.poly, ("x", "y"))
-        pattern = tuple(sorted(mult for _, mult in binary_form_factors(init)))
-    else:
-        pattern = _numeric_tangent_pattern(germ.cpoly, m0)
+    root_lines = _tangents(germ, germ.multiplicity())
     seq: list[int] = []
     leaves = 0
     all_exact = True
@@ -359,7 +319,8 @@ def resolve_germ(germ: CurveGerm) -> Resolution:
             leaves += 1
             return
         seq.append(m)
-        for direction, _mult, child in _children(g, m):
+        lines = root_lines if g is germ else _tangents(g, m)
+        for direction, child in _children(g, m, lines):
             if direction.is_exact and direction.u != 0:
                 new_has_x, new_has_y = True, (direction.v == 0 and has_y)
             elif direction.is_exact:
@@ -369,47 +330,21 @@ def resolve_germ(germ: CurveGerm) -> Resolution:
             recurse(child, new_has_x, new_has_y, depth + 1)
 
     recurse(germ, False, False, 0)
-    return Resolution(seq, leaves, all_exact, pattern)
+    return Resolution(seq, leaves, all_exact, tuple(sorted(k for _, k in root_lines)))
 
 
 def _is_terminal(g: CurveGerm, has_x: bool, has_y: bool) -> bool:
     """Smooth, through at most one exceptional component, and transverse to it."""
     if has_x and has_y:
         return False
-    if g.exact:
-        _, init = lowest_jet(g.poly, ("x", "y"))
-        alpha = init.coeffs_in("x")[1].constant_value() if init.degree_in("x") == 1 else Fraction(0)
-        beta = init.coeffs_in("y")[1].constant_value() if init.degree_in("y") == 1 else Fraction(0)
-        tangent_is_vertical = beta == 0  # tangent line x = 0
-        tangent_is_horizontal = alpha == 0
-    else:
-        init = {e: c for e, c in g.cpoly.items() if e[0] + e[1] == 1}
-        alpha = init.get((1, 0), 0j)
-        beta = init.get((0, 1), 0j)
-        norm = max(abs(alpha), abs(beta))
-        tangent_is_vertical = abs(beta) <= 1e-7 * norm
-        tangent_is_horizontal = abs(alpha) <= 1e-7 * norm
-    if has_x and tangent_is_vertical:
+    alpha = g.terms.get((1, 0), 0)
+    beta = g.terms.get((0, 1), 0)
+    tol = 0 if g.exact else 1e-7 * max(abs(alpha), abs(beta))
+    if has_x and abs(beta) <= tol:  # tangent line x = 0
         return False
-    if has_y and tangent_is_horizontal:
+    if has_y and abs(alpha) <= tol:  # tangent line y = 0
         return False
     return True
-
-
-def _numeric_tangent_pattern(cp: CPoly, m: int) -> tuple[int, ...]:
-    init = {e: c for e, c in cp.items() if e[0] + e[1] == m}
-    u = [0j] * (m + 1)
-    for (i, j), c in init.items():
-        u[j] = c
-    top = next((j for j in range(m, -1, -1) if abs(u[j]) > 0), None)
-    pattern = []
-    if top is not None and top < m:
-        pattern.append(m - top)
-    if top is not None and top > 0:
-        roots = univariate_roots(u[: top + 1])
-        scale = 1.0 + max(abs(r) for r in roots)
-        pattern += [count for _, count in cluster_points(roots, CLUSTER_TOL * scale)]
-    return tuple(sorted(pattern))
 
 
 def multiplicity_sequence(germ: CurveGerm) -> list[int]:

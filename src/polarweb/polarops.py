@@ -22,7 +22,6 @@ from .sampling import GenericSampler, sample_centers
 from .solve import (
     certify_membership_tolerance,
     common_zeros,
-    term_scale,
     univariate_root_split,
     vanishes_numerically,
 )
@@ -262,7 +261,7 @@ class ProjPoint:
     z: complex  # 0 for points at infinity
     exact: tuple[Fraction, Fraction] | None = None
 
-    def key(self, tol: float = 1e-8) -> tuple:
+    def key(self) -> tuple:
         # normalized rounding key for dedup
         vec = (self.x, self.y, self.z)
         norm = max(abs(v) for v in vec)
@@ -345,16 +344,9 @@ def family_degree(web: SymWeb, p1: AffinePoint, p2: AffinePoint, seed: int = 0,
             if not (curve.contains(p1) and curve.contains(p2)):
                 raise DegenerateSampleError(f"center {pt} fails the polar membership cross-check")
         else:
-            env = {"a": pt.x, "b": pt.y}
             for target in (p1, p2):
-                val = family.parametric.evaluate_complex(
-                    {**env, "x": complex(target.a), "y": complex(target.b)}
-                )
-                scale = term_scale(
-                    family.parametric,
-                    {**env, "x": complex(target.a), "y": complex(target.b)},
-                )
-                if abs(val) > 1e-9 * scale:
+                env = {"a": pt.x, "b": pt.y, "x": complex(target.a), "y": complex(target.b)}
+                if not vanishes_numerically(family.parametric, env):
                     raise DegenerateSampleError(f"center {pt} fails the numeric membership cross-check")
     return len(points), points
 
@@ -631,8 +623,6 @@ def curve_component_count(curve: PlaneCurve, seed: int = 0) -> tuple[int, Monodr
     if lam is None:
         raise DegenerateSampleError("no shear makes the curve y-proper")
     Fs = shear(F, lam)
-    if Fs.degree_in("y") != n:
-        raise DegenerateSampleError("shear failed to make the curve y-proper")
     disc = resultant(Fs, Fs.derivative("y"), "y")
     if disc.is_zero():
         raise PolynomialError("discriminant vanished on a reduced curve (internal)")

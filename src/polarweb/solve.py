@@ -33,10 +33,8 @@ def term_scale(f: MPoly, point: dict[str, complex]) -> float:
     return max(total, 1.0)
 
 
-def vanishes_numerically(f: MPoly, point: dict[str, complex], tol: float | None = None) -> bool:
-    if tol is None:
-        tol = NUMERIC_TOL
-    return abs(f.evaluate_complex(point)) <= tol * term_scale(f, point)
+def vanishes_numerically(f: MPoly, point: dict[str, complex]) -> bool:
+    return abs(f.evaluate_complex(point)) <= NUMERIC_TOL * term_scale(f, point)
 
 
 def certify_membership_tolerance(report) -> None:
@@ -126,12 +124,9 @@ def common_zeros(
     xvar: str = "x",
     yvar: str = "y",
     rng: random.Random | None = None,
-    tol: float | None = None,
 ) -> ZeroSet:
     """Common zero set, expected finite, of polynomials in (xvar, yvar)."""
     rng = rng or random.Random(0)
-    if tol is None:
-        tol = NUMERIC_TOL
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         raise InfiniteZeroSetError("all generators are zero")
@@ -199,7 +194,7 @@ def common_zeros(
             pt = {xvar: xv, yvar: yv}
             if any(abs(xv - a) < 1e-7 and abs(yv - b) < 1e-7 for a, b in exact_pts):
                 continue
-            if all(vanishes_numerically(p, pt, tol) for p in polys):
+            if all(vanishes_numerically(p, pt) for p in polys):
                 if not any(
                     abs(xv - a) < 1e-7 and abs(yv - b) < 1e-7 for a, b in zs.numeric
                 ):

@@ -78,11 +78,11 @@ class Direction:
             return complex(self.u), complex(self.v)
         return self.approx
 
-    def matches(self, other: "Direction", tol: float = 1e-9) -> bool:
+    def matches(self, other: "Direction") -> bool:
         if self.is_exact and other.is_exact:
             return (self.u, self.v) == (other.u, other.v)
         (u1, v1), (u2, v2) = self.as_complex(), other.as_complex()
-        return abs(u1 * v2 - u2 * v1) <= tol * max(1.0, abs(u1 * v2), abs(u2 * v1))
+        return abs(u1 * v2 - u2 * v1) <= 1e-9 * max(1.0, abs(u1 * v2), abs(u2 * v1))
 
     def __str__(self):
         if self.is_exact:
@@ -123,8 +123,8 @@ class PlaneCurve:
     def contains(self, p: AffinePoint) -> bool:
         return self.defining.evaluate(p.as_dict()) == 0
 
-    def contains_numeric(self, pt: tuple[complex, complex], tol: float | None = None) -> bool:
-        return vanishes_numerically(self.defining, {"x": pt[0], "y": pt[1]}, tol)
+    def contains_numeric(self, pt: tuple[complex, complex]) -> bool:
+        return vanishes_numerically(self.defining, {"x": pt[0], "y": pt[1]})
 
     def __eq__(self, other):
         return isinstance(other, PlaneCurve) and self.defining == other.defining
@@ -149,8 +149,8 @@ class SingularSet:
     def contains(self, p: AffinePoint) -> bool:
         return all(g.evaluate(p.as_dict()) == 0 for g in self.generators)
 
-    def contains_numeric(self, pt: tuple[complex, complex], tol: float | None = None) -> bool:
-        return all(vanishes_numerically(g, {"x": pt[0], "y": pt[1]}, tol) for g in self.generators)
+    def contains_numeric(self, pt: tuple[complex, complex]) -> bool:
+        return all(vanishes_numerically(g, {"x": pt[0], "y": pt[1]}) for g in self.generators)
 
 
 class SymWeb:

@@ -180,6 +180,40 @@ class TestFingerprint:
         assert numeric.key() == fingerprint(CUSP).key()
 
 
+class TestOneBlowUpPath:
+    """Exact and numeric germs share one blow-up on their term dicts."""
+
+    def test_exact_resolution_makes_no_substitution(self, monkeypatch):
+        g = germ(((Y - X) ** 2 - 2 * X**2) * (Y**2 - X**3) * (Y + 3 * X))
+        calls = []
+        substitute = MPoly.substitute
+
+        def counting(self, *args, **kwargs):
+            calls.append(1)
+            return substitute(self, *args, **kwargs)
+
+        monkeypatch.setattr(MPoly, "substitute", counting)
+        resolve_germ(g)
+        monkeypatch.undo()
+        assert len(calls) == 0
+        assert str(fingerprint(g)) == "(m=5, mu=17, r=4, delta=10, seq=[5, 1, 1], cone=[1, 1, 1, 2])"
+
+    def test_irrational_lines_give_numeric_children(self):
+        children = [p.germ for p in blow_up_germ(germ(Y**2 - 2 * X**2))]
+        assert len(children) == 2
+        for child in children:
+            assert not child.exact
+            assert all(isinstance(c, complex) for c in child.terms.values())
+            assert max(abs(c) for c in child.terms.values()) == 1
+
+    def test_rational_lines_keep_children_exact(self):
+        children = [p.germ for p in blow_up_germ(germ(Y**2 - X**2))]
+        assert len(children) == 2
+        for child in children:
+            assert child.exact
+            assert all(isinstance(c, Fraction) for c in child.terms.values())
+
+
 def random_rational_germ(rng: random.Random) -> MPoly:
     """Products of branch-like factors with rational tangents; kept reduced."""
     factors = []

@@ -175,6 +175,14 @@ class TestFamilyDegree:
         count, _ = family_degree(w_sqrt, AffinePoint.of(1, 1), AffinePoint.of(4, -1))
         assert count == 4
 
+    def test_numeric_cross_check_reads_the_membership_tolerance(self, monkeypatch):
+        from polarweb import solve
+
+        # the two numeric centers fail the cross-check once no residual is allowed
+        monkeypatch.setattr(solve, "NUMERIC_TOL", 0.0)
+        with pytest.raises(DegenerateSampleError):
+            family_degree(w_sqrt, AffinePoint.of(2, 1), AffinePoint.of(3, -1))
+
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
     def test_k_squared_on_battery(self, entry):
         if entry.is_radial_pencil:
