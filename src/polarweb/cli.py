@@ -75,7 +75,6 @@ _TOLERANCE_FLAGS = (
     ("tol_residual", solve_mod, "NUMERIC_TOL"),
     ("tol_cluster", localsing_mod, "CLUSTER_TOL"),
     ("tol_root_residual", numerics_mod, "RESIDUAL_TOL"),
-    ("tol_step_guard", numerics_mod, "STEP_GUARD"),
 )
 
 
@@ -103,8 +102,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="numeric clustering tolerance (default 1e-5)")
         p.add_argument("--tol-root-residual", type=float, default=None,
                        help="root-finder residual tolerance (default 1e-9)")
-        p.add_argument("--tol-step-guard", type=float, default=None,
-                       help="tracking guard: max step as a fraction 1/g of the root separation (default 3)")
 
     common(sub.add_parser("polar", help="polar curve with a given center"), center=True)
     common(sub.add_parser("degree", help="degree of the web"))

@@ -507,7 +507,7 @@ def genus_of_curve(curve: PlaneCurve, seed: int = 0, include_infinity: bool = Tr
     n = F.total_degree()
     if n <= 0:
         raise PolynomialError("genus of an empty curve")
-    count, _ = curve_component_count(curve, seed)
+    count = curve_component_count(curve)
     if count != 1:
         raise PolynomialError(f"genus_of_curve: curve has {count} components; not irreducible")
     rng = random.Random(seed)

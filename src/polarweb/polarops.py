@@ -5,24 +5,37 @@ in the symmetric form: the locus of points whose leaf direction points at the
 center.  This module houses the degree count d + k, the polar-equality
 criterion, the two-dimensionality and degree k^2 of the family, base points,
 the singular-locus containment of the generic polar, the k-branch structure at
-the center, and the monodromy-based irreducibility verdict.
+the center, and the irreducibility verdict, from exact component counts by
+the Gao-Ruppert kernel.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
-from .errors import DegenerateSampleError, NumericAbortError, PolynomialError, WebValidationError
-from .mpoly import MPoly, exact_div, jet_decompose, proper_shears, resultant, shear, try_exact_div
-from .numerics import MonodromyResult, cluster_points, monodromy_partition, univariate_roots
+from .errors import DegenerateSampleError, InternalInvariantError, PolynomialError, WebValidationError
+from .mpoly import (
+    MPoly,
+    _content_in,
+    _rekey,
+    _small_integers,
+    exact_div,
+    jet_decompose,
+    poly_gcd,
+    proper_shears,
+    shear,
+    squarefree_part,
+    try_exact_div,
+)
 from .reports import CheckReport
 from .sampling import GenericSampler, sample_centers
 from .solve import (
     certify_membership_tolerance,
     common_zeros,
-    univariate_root_split,
     vanishes_numerically,
 )
 from .webmodel import (
@@ -427,33 +440,15 @@ def family_dimension(web: SymWeb, seed: int = 0, samples: int = 5) -> int:
             [coeff_value(m, a0, b0, da=1) for m in mono_list],
             [coeff_value(m, a0, b0, db=1) for m in mono_list],
         ]
-        best = max(best, _rank(rows) - 1)
+        # rank is unchanged by scaling each row to integers
+        scaled = []
+        for row in rows:
+            den = math.lcm(*(v.denominator for v in row))
+            scaled.append({j: v.numerator * (den // v.denominator) for j, v in enumerate(row) if v})
+        best = max(best, _integer_rank(scaled) - 1)
         if best == 2:
             break
     return best
-
-
-def _rank(rows: list[list[Fraction]]) -> int:
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        r += 1
-        rank += 1
-        if r == len(rows):
-            break
-    return rank
 
 
 def family_dimension_check(web: SymWeb, seed: int = 0) -> CheckReport:
@@ -603,136 +598,144 @@ def branches_check(web: SymWeb, seed: int = 0, samples: int = 20) -> CheckReport
 
 
 # ---------------------------------------------------------------------------
-# irreducibility via monodromy
+# irreducibility by the Gao-Ruppert kernel
 # ---------------------------------------------------------------------------
 
 
-def curve_component_count(curve: PlaneCurve, seed: int = 0) -> tuple[int, MonodromyResult | None]:
-    """Number of irreducible components over C of a reduced curve, by
-    monodromy of a sheared line-section cover."""
-    F = curve.defining
-    n = F.total_degree()
-    if n <= 0:
-        raise PolynomialError("component count of an empty curve")
-    if n == 1:
-        return 1, None
-    rng = random.Random(seed)
-    # all drawn, whichever shear is taken: they move the rng for the base point
-    draws = [rng.randint(-20, 20) for _ in range(20)]
-    lam = next(proper_shears([F], [0, 1, -1, 2, -2, 3, -3] + draws), None)
-    if lam is None:
-        raise DegenerateSampleError("no shear makes the curve y-proper")
-    Fs = shear(F, lam)
-    disc = resultant(Fs, Fs.derivative("y"), "y")
-    if disc.is_zero():
-        raise PolynomialError("discriminant vanished on a reduced curve (internal)")
-    branch: list[complex] = []
-    if disc.degree_in("x") > 0:
-        rat, num = univariate_root_split(disc, "x")
-        branch = [complex(r) for r, _ in rat] + [z for z, _ in num]
-        branch = [c for c, _ in cluster_points(branch, 1e-7 * _spread_scale(branch))]
-    coeff_polys = Fs.coeffs_in("y")
+def _absolute_factor_count(f: MPoly) -> int:
+    """Number of absolutely irreducible factors of a square-free f in (x, y).
 
-    def cover(s: complex):
-        return [c.evaluate_complex({"x": s}) for c in coeff_polys]
+    After a shear x -> x + lam*y with gcd(f, f_y) = 1, f is a primitive
+    integer polynomial of bidegree (m, n) in (x, y), and the count is the
+    dimension of the pairs (g, h), deg g <= (m-1, n), deg h <= (m, n-1), with
+    f*g_y - g*f_y - f*h_x + h*f_x = 0 (S. Gao, "Factoring multivariate
+    polynomials via partial differential equations", Math. Comp. 72, 2003;
+    W. Ruppert, J. Number Theory 77, 1999).  Gao states it under
+    gcd(f, f_x) = 1; the system is the same up to sign under x <-> y.  Each
+    factor f_i over C gives the solution g/f = (f_i)_x/f_i, h/f = (f_i)_y/f_i.
+    The dimension is the number of unknowns minus the rank over Q of the
+    integer matrix, so the count is exact.  For square-free f, gcd(f, f_y) is
+    the product of the factors free of y, so the condition holds exactly when
+    f is primitive in y.  A factor free of y after the shear by lam is a
+    union of lines of direction (lam, 1), and f has at most deg f of those
+    directions, so deg f + 1 candidates always find a shear.
+    """
+    for lam in islice(_small_integers(), f.total_degree() + 1):
+        fs = shear(f, lam)
+        if _content_in(fs, "y").is_constant():
+            break
+    else:
+        raise InternalInvariantError("no shear makes a square-free curve primitive in y")
+    terms = [(i, j, int(c)) for (i, j), c in _rekey(fs.canonical(), ("x", "y")).items()]
+    m = max(i for i, _, _ in terms)
+    n = max(j for _, j, _ in terms)
+    # one row per unknown, its image as {monomial: coefficient}:
+    # x^a y^b in g gives sum c*(b - j) x^(i+a) y^(j+b-1),
+    # x^a y^b in h gives sum c*(i - a) x^(i+a-1) y^(j+b)
+    rows = []
+    for a in range(m):
+        for b in range(n + 1):
+            rows.append({(i + a, j + b - 1): c * (b - j) for i, j, c in terms if b != j})
+    for a in range(m + 1):
+        for b in range(n):
+            rows.append({(i + a - 1, j + b): c * (i - a) for i, j, c in terms if i != a})
+    return len(rows) - _integer_rank(rows)
 
-    base = _pick_base(branch, cover, rng, n)
-    result = monodromy_partition(cover, base, branch)
-    return result.orbit_count, result
 
+def _integer_rank(rows: list[dict]) -> int:
+    """Rank over Q of an integer matrix given by sparse rows {column: int},
+    by fraction-free Gaussian elimination.
 
-def _spread_scale(points: list[complex]) -> float:
-    if len(points) < 2:
-        return 1.0
-    return max(abs(p - q) for i, p in enumerate(points) for q in points[i + 1 :]) or 1.0
+    The pivot is the entry of least magnitude.  A row with a nonzero entry a
+    in the pivot column becomes p*row - a*pivot_row, divided by its content;
+    the other rows are left alone.  After given pivots a remaining row is
+    fixed up to scale by its zeros in the pivot columns, and Bareiss's
+    elimination keeps an integer multiple of the primitive row kept here.
+    So these entries never exceed Bareiss's minors, and at centers with
+    large denominators they are far smaller.
+    """
+    def keyed(r: dict) -> tuple:
+        least = min(r, key=lambda c: abs(r[c]))
+        return abs(r[least]), least, r
 
-
-def _pick_base(branch: list[complex], cover, rng: random.Random, degree: int) -> complex:
-    spread = _spread_scale(branch)
-    center = sum(branch) / len(branch) if branch else 0j
-    for _ in range(100):
-        z = center + spread * complex(rng.uniform(-1.6, 1.6), rng.uniform(0.3, 1.6))
-        if branch and min(abs(z - b) for b in branch) <= 2e-3 * spread:
-            continue
-        try:
-            roots = univariate_roots(cover(z))
-        except NumericAbortError:
-            continue
-        if len(roots) != degree:
-            continue
-        if degree > 1:
-            sep = min(
-                abs(r1 - r2) for i, r1 in enumerate(roots) for r2 in roots[i + 1 :]
-            )
-            if sep < 1e-6 * max(1.0, max(abs(r) for r in roots)):
+    rows = [keyed(r) for r in rows if r]
+    rank = 0
+    while rows:
+        _, col, top = rows.pop(min(range(len(rows)), key=lambda i: rows[i][0]))
+        p = top[col]
+        rest = []
+        for row in rows:
+            r = row[2]
+            a = r.get(col)
+            if not a:
+                rest.append(row)
                 continue
-        return z
-    raise DegenerateSampleError("no admissible monodromy base point found")
+            new = {c: p * v for c, v in r.items()}
+            for c, v in top.items():
+                new[c] = new.get(c, 0) - a * v
+            g = math.gcd(*new.values())
+            if g:
+                rest.append(keyed({c: v // g for c, v in new.items() if v}))
+        rows, rank = rest, rank + 1
+    return rank
 
 
-def web_decomposable(web: SymWeb, seed: int = 0) -> tuple[bool, MonodromyResult | None]:
-    """Whether the web splits as a superposition, decided by monodromy of the
-    direction cover over a generic line."""
+def curve_component_count(curve: PlaneCurve) -> int:
+    """Number of irreducible components over C of a reduced plane curve."""
+    F = curve.defining
+    if F.total_degree() <= 0:
+        raise PolynomialError("component count of an empty curve")
+    return _absolute_factor_count(F)
+
+
+def web_decomposable(web: SymWeb, seed: int = 0) -> tuple[bool, int]:
+    """Whether the web splits as a superposition, and its number of
+    components over C.
+
+    That number is the component count of the direction cover
+    q(t, m) = F(a1*t + b1, a2*t + b2, 1, m) over a seeded line, taken when
+    the line passes an exact transversality test: q has m-degree k and is
+    primitive in m, and the square-free part R of Res_m(F, F_m) stays
+    square-free and of full degree on the line.  The line then meets the
+    branch curve and the line at infinity transversally, so by Zariski's
+    Lefschetz-type theorem the loops of the line generate the monodromy of
+    the cover and the two counts agree.
+    """
     if web.k == 1:
-        return False, None
+        return False, 1
     rng = random.Random(seed)
-    t = MPoly.variable("t")
-    form = shear(web.form, next(proper_shears([web.form], u="dx", v="dy")), "dx", "dy")
+    lam = next(proper_shears([web.form], u="dx", v="dy"))
+    form = shear(web.form, lam, "dx", "dy")
+    # Res_m(F, F_m) = +-lc * disc, lc the dy^k coefficient after the shear
+    lead = web.form.substitute({v: c for v, c in (("dx", lam), ("dy", 1)) if v in web.form.variables})
+    branch = squarefree_part(lead * web.discriminant_form)
     for _ in range(30):
         a1, a2 = rng.randint(-15, 15), rng.randint(-15, 15)
         b1, b2 = rng.randint(-15, 15), rng.randint(-15, 15)
         if a1 == 0 and a2 == 0:
             continue
-        subs = {}
-        if "x" in form.variables:
-            subs["x"] = MPoly.constant(a1) * t + MPoly.constant(b1)
-        if "y" in form.variables:
-            subs["y"] = MPoly.constant(a2) * t + MPoly.constant(b2)
-        if "dx" in form.variables:
-            subs["dx"] = MPoly.constant(1)
-        if "dy" in form.variables:
-            subs["dy"] = MPoly.variable("m")
-        q = form.substitute(subs)
-        if q.degree_in("m") != web.k:
+        line = {"x": MPoly.constant(a1) * X + MPoly.constant(b1),
+                "y": MPoly.constant(a2) * X + MPoly.constant(b2)}
+        # q(t, m) with t as x and m as y: primitive in m is the counter's
+        # condition gcd(q, q_m) = 1, so it needs no shear
+        chart = {**line, "dx": MPoly.constant(1), "dy": Y}
+        q = form.substitute({v: p for v, p in chart.items() if v in form.variables})
+        if q.degree_in("y") != web.k or not _content_in(q, "y").is_constant():
             continue
-        lead = q.coeffs_in("m")[web.k]
-        if q.degree_in("t") == 0:
-            # direction cover is constant along the line: split sections
-            rat, num = univariate_root_split(q, "m")
-            count = len(rat) + len(num)
-            if count == web.k:
-                partition = tuple((i,) for i in range(web.k))
-                return True, MonodromyResult(web.k, 0, partition)
+        r = branch.substitute({v: p for v, p in line.items() if v in branch.variables})
+        if r.total_degree() != branch.total_degree():
             continue
-        try:
-            disc = resultant(q, q.derivative("m"), "m")
-        except PolynomialError:
+        if not r.is_constant() and not poly_gcd(r, r.derivative("x")).is_constant():
             continue
-        if disc.is_zero():
-            continue
-        special: list[complex] = []
-        for poly in (disc, lead):
-            if poly.degree_in("t") > 0:
-                rat, num = univariate_root_split(poly, "t")
-                special += [complex(r) for r, _ in rat] + [z for z, _ in num]
-        special = [c for c, _ in cluster_points(special, 1e-7 * _spread_scale(special))]
-        coeff_polys = q.coeffs_in("m")
-
-        def cover(s: complex):
-            return [c.evaluate_complex({"t": s}) for c in coeff_polys]
-
-        try:
-            base = _pick_base(special, cover, rng, web.k)
-            result = monodromy_partition(cover, base, special)
-        except (DegenerateSampleError, NumericAbortError):
-            continue
-        return result.orbit_count > 1, result
+        count = _absolute_factor_count(q)
+        return count > 1, count
     raise DegenerateSampleError("web_decomposable: no admissible line found")
 
 
 def generic_polar_irreducible(web: SymWeb, seed: int = 0, samples: int = 5) -> CheckReport:
     """Generic polar decomposable iff the web is decomposable or has degree 0
-    (with k >= 2); verified sample by sample against the monodromy count."""
+    (with k >= 2); verified sample by sample against the exact component
+    count."""
     report = CheckReport("polar-irreducible", seed=seed, samples_requested=samples)
     d = web_degree(web, seed)
     k = web.k
@@ -754,7 +757,7 @@ def generic_polar_irreducible(web: SymWeb, seed: int = 0, samples: int = 5) -> C
             return None, "center on the discriminant"
         return curve, None
 
-    for i, p, curve in sample_centers(report, GenericSampler(seed), samples, admissible):
+    for _, p, curve in sample_centers(report, GenericSampler(seed), samples, admissible):
         reduced = curve.raw == curve.defining
         if not reduced:
             report.add(
@@ -762,19 +765,7 @@ def generic_polar_irreducible(web: SymWeb, seed: int = 0, samples: int = 5) -> C
                 False,
                 "polar is non-reduced; component count uses the reduction",
             )
-        try:
-            count, cert = curve_component_count(curve, seed + i)
-        except (DegenerateSampleError, PolynomialError) as e:
-            report.add(f"components at p={p}", False, f"monodromy failed: {e}")
-            continue
+        count = curve_component_count(curve)
         ok = (count >= 2) if expect_reducible else (count == 1)
-        detail = f"{count} component(s)"
-        if cert is not None:
-            detail += (
-                f"; loops={cert.loops_traced}, min separation {cert.min_separation:.3e}, "
-                f"max step {cert.max_step:.3f} of separation"
-            )
-        report.add(f"components at p={p}", ok, detail, exact=False)
-        if cert is not None:
-            report.certify(f"min_separation[{i}]", cert.min_separation)
+        report.add(f"components at p={p}", ok, f"{count} component(s)")
     return report

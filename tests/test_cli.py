@@ -410,7 +410,7 @@ class TestToleranceOverrides:
     def _settings(self):
         from polarweb import localsing, numerics, solve
 
-        return (solve.NUMERIC_TOL, localsing.CLUSTER_TOL, numerics.RESIDUAL_TOL, numerics.STEP_GUARD)
+        return (solve.NUMERIC_TOL, localsing.CLUSTER_TOL, numerics.RESIDUAL_TOL)
 
     def test_overrides_hold_for_one_call_only(self, inputs, monkeypatch):
         from polarweb import cli as cli_mod
@@ -426,10 +426,10 @@ class TestToleranceOverrides:
         monkeypatch.setattr(cli_mod, "_run_check", record)
         code, _ = run_command(
             ["check", "--in", inputs["fol"], "--theorem", "polar-degree", "--tol-residual", "0.5",
-             "--tol-cluster", "0.25", "--tol-root-residual", "0.125", "--tol-step-guard", "1.01"]
+             "--tol-cluster", "0.25", "--tol-root-residual", "0.125"]
         )
         assert code == 0
-        assert seen == [(0.5, 0.25, 0.125, 1.01)]
+        assert seen == [(0.5, 0.25, 0.125)]
         assert self._settings() == defaults
 
     def test_overrides_restored_after_an_error(self):

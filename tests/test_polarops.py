@@ -1,8 +1,11 @@
 """Polar curves, the polar family, and the section-2/3 theorem checks."""
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from battery import BATTERY, DX, DY, X, Y
 from polarweb import (
@@ -21,6 +24,8 @@ from polarweb import (
 )
 from polarweb.errors import DegenerateSampleError
 from polarweb.polarops import (
+    _absolute_factor_count,
+    _integer_rank,
     base_points,
     base_points_check,
     branches_at_center,
@@ -249,13 +254,13 @@ class TestBranches:
 
 class TestIrreducibility:
     def test_component_count_conic(self):
-        assert curve_component_count(PlaneCurve(X**2 + Y**2 - 1), 0)[0] == 1
+        assert curve_component_count(PlaneCurve(X**2 + Y**2 - 1)) == 1
 
     def test_component_count_product(self):
-        assert curve_component_count(PlaneCurve((Y - X) * (Y + X - 1)), 0)[0] == 2
+        assert curve_component_count(PlaneCurve((Y - X) * (Y + X - 1))) == 2
 
     def test_component_count_vertical_line_factor(self):
-        assert curve_component_count(PlaneCurve((X - 1) * (Y - 2)), 0)[0] == 2
+        assert curve_component_count(PlaneCurve((X - 1) * (Y - 2))) == 2
 
     def test_web_decomposability(self):
         assert web_decomposable(w_product, 0)[0]
@@ -267,8 +272,8 @@ class TestIrreducibility:
         form = MPoly.constant(1)
         for m in (0, 1, -1, 2, -2, 3, -3):
             form = form * (DX - m * DY)
-        decomposable, cert = web_decomposable(SymWeb(form), 0)
-        assert decomposable and cert.partition == tuple((i,) for i in range(7))
+        decomposable, count = web_decomposable(SymWeb(form), 0)
+        assert decomposable and count == 7
 
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
     def test_battery(self, entry):
@@ -291,9 +296,76 @@ class TestComponentCountErrors:
         from polarweb import polarops
         from polarweb.errors import InternalInvariantError
 
-        def broken(coeffs):
-            raise InternalInvariantError("broken root finder")
+        def broken(rows):
+            raise InternalInvariantError("broken elimination")
 
-        monkeypatch.setattr(polarops, "univariate_roots", broken)
+        monkeypatch.setattr(polarops, "_integer_rank", broken)
         with pytest.raises(InternalInvariantError):
-            curve_component_count(PlaneCurve(X**2 + Y**2 - 1), seed=0)
+            generic_polar_irreducible(w_circles, seed=0, samples=1)
+
+
+def _line(a, b, c):
+    """Key of the line a*x + b*y + c = 0, the same for proportional triples."""
+    g = math.gcd(a, b, c)
+    a, b, c = a // g, b // g, c // g
+    return (a, b, c) if (a, b) > (0, 0) else (-a, -b, -c)
+
+
+class TestAbsoluteFactorCount:
+    """The Gao-Ruppert counter: components over C, exactly."""
+
+    def test_counts_over_the_complex_numbers(self):
+        assert _absolute_factor_count(X**2 + Y**2) == 2
+        assert _absolute_factor_count(X**2 + Y**2 - 1) == 1
+
+    def test_small_curves(self):
+        assert _absolute_factor_count(X**2 - 2 * Y**2) == 2
+        assert _absolute_factor_count(Y**2 - X**3) == 1
+        # x - 1 is free of y: the count needs the shear
+        assert _absolute_factor_count((X - 1) * (Y - 2)) == 2
+
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)),
+                    min_size=1, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_product_of_distinct_lines(self, triples):
+        lines = {_line(*t) for t in triples if t[:2] != (0, 0)}
+        assume(lines)
+        f = MPoly.constant(1)
+        for a, b, c in lines:
+            f = f * (a * X + b * Y + c)
+        assert _absolute_factor_count(f) == len(lines)
+
+    @given(st.integers(1, 8), st.integers(1, 10), st.integers(0, 4), st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_rank_matches_sympy(self, n, m, extra, rnd):
+        sympy = pytest.importorskip("sympy")
+        # sparse rows, so that rows skip pivots, plus combinations of them
+        rows = [[rnd.choice((0, 0, 0, rnd.randint(-9, 9))) for _ in range(m)] for _ in range(n)]
+        for _ in range(extra):
+            i, j = rnd.randrange(n), rnd.randrange(n)
+            a, b = rnd.randint(-3, 3), rnd.randint(-3, 3)
+            rows.append([a * u + b * v for u, v in zip(rows[i], rows[j])])
+        rnd.shuffle(rows)
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+        assert _integer_rank(sparse) == sympy.Matrix(rows).rank()
+
+    def test_polar_of_the_eight_web(self):
+        form = DX * (X * DX + Y * DY)
+        for m in (1, 2, 3):
+            form = form * (DX - m * DY) * (DX + m * DY)
+        assert curve_component_count(polar_curve(SymWeb(form), AffinePoint.of(3, -2))) == 8
+
+    def test_two_web_with_a_degenerate_line(self):
+        # a line through (1, 0), where every coefficient vanishes, used to
+        # make this web look decomposable
+        web = SymWeb((3 * X + Y - 3) * DX**2 + (X - 2 * Y - 1) * DX * DY + (3 * X + Y - 3) * DY**2)
+        report = generic_polar_irreducible(web, seed=971888, samples=2)
+        assert report.passed, report.render_text()
+
+    def test_three_web_with_linear_coefficients(self):
+        web = SymWeb((X + 3 * Y - 1) * DX**3 + (X - Y - 3) * DX**2 * DY
+                     + (-3 * X + 2 * Y - 2) * DX * DY**2 + (X + 2 * Y + 1) * DY**3)
+        start = time.perf_counter()
+        report = generic_polar_irreducible(web, seed=20262, samples=2)
+        assert report.passed, report.render_text()
+        assert time.perf_counter() - start < 2
