@@ -130,11 +130,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(path: str):
-    obj, warnings = parse_input(path)
-    return obj, warnings
-
-
 def _as_web(obj) -> SymWeb:
     if isinstance(obj, SymWeb):
         return obj
@@ -209,7 +204,7 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         for flag, module, name in _TOLERANCE_FLAGS:
             if getattr(args, flag) is not None:
                 setattr(module, name, getattr(args, flag))
-        obj, warnings = _load(args.path)
+        obj, warnings = parse_input(args.path)
         lines = [f"warning: {w}" for w in warnings]
         report: CheckReport | None = None
         if args.command == "polar":
@@ -361,17 +356,14 @@ def _dichotomy_all_singularities(fol: FoliationData, seed: int, samples: int) ->
     if sing.is_empty():
         merged.add("singular set", True, "foliation has no affine singular points; nothing to check")
         return merged
-    for q in sing.points:
-        sub = tangent_cone_dichotomy(fol, q, seed, per_point)
+    checks = [(tangent_cone_dichotomy, q) for q in sing.points]
+    checks += [(tangent_cone_dichotomy_numeric, q) for q in sing.numeric_points]
+    for check, q in checks:
+        sub = check(fol, q, seed, per_point)
         merged.assertions.extend(sub.assertions)
         merged.notes.extend(sub.notes)
         merged.discards.extend(sub.discards)
-        merged.samples_used += sub.samples_used
-    for q in sing.numeric_points:
-        sub = tangent_cone_dichotomy_numeric(fol, q, seed, per_point)
-        merged.assertions.extend(sub.assertions)
-        merged.notes.extend(sub.notes)
-        merged.discards.extend(sub.discards)
+        merged.certificates.update(sub.certificates)
         merged.samples_used += sub.samples_used
     return merged
 

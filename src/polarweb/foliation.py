@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import (
     DegenerateSampleError,
@@ -133,22 +134,24 @@ def polar_sing_in_inflexion_check(fol: FoliationData, seed: int = 0, samples: in
         return report
     sampler = GenericSampler(seed)
     rng = random.Random(seed + 3)
-    centers: list[AffinePoint] = [AffinePoint.of(0, 0), AffinePoint.of(1, 0), AffinePoint.of(0, 1)]
-    centers += singular_set(fol.as_web, seed).points[:2]
-    while len(centers) < samples:
-        centers.append(AffinePoint(*sampler.point()))
-    used = 0
-    for p in centers[:samples]:
+    fixed = [AffinePoint.of(0, 0), AffinePoint.of(1, 0), AffinePoint.of(0, 1)]
+    fixed += singular_set(fol.as_web, seed).points[:2]
+
+    def draw():
+        return fixed.pop(0) if fixed else sampler.center()
+
+    def admissible(p):
         curve = fol.polar(p)
         if isinstance(curve, RadialProduct):
-            sampler.discards.add(str(p), "polar degenerates (radial factor)")
-            continue
+            return None, "polar degenerates (radial factor)"
         F = curve.defining
         fx, fy = F.derivative("x"), F.derivative("y")
         if fx.is_zero() and fy.is_zero():
-            sampler.discards.add(str(p), "polar gradient vanishes identically")
-            continue
-        zs = common_zeros([F, fx, fy], rng=rng)
+            return None, "polar gradient vanishes identically"
+        return [F, fx, fy], None
+
+    for _, p, gens in sample_centers(report, sampler, samples, admissible, draw):
+        zs = common_zeros(gens, rng=rng)
         bad = []
         for q in zs.rational:
             on_divisor = (not e.is_empty) and e.defining.evaluate({"x": q[0], "y": q[1]}) == 0
@@ -163,9 +166,6 @@ def polar_sing_in_inflexion_check(fol: FoliationData, seed: int = 0, samples: in
             f"{len(zs)} singular point(s)" + (f"; violations {bad}" if bad else ""),
             exact=not zs.numeric,
         )
-        used += 1
-    report.samples_used = used
-    report.discards = list(sampler.discards.entries)
     certify_membership_tolerance(report)
     return report
 
@@ -212,9 +212,12 @@ def classify_singularity(fol: FoliationData, q: AffinePoint) -> SingularityClass
 def classify_singularity_numeric(
     fol: FoliationData, q: tuple[complex, complex]
 ) -> SingularityClass:
-    """Jet-pair criterion at a non-rational singular point, with tolerances."""
-    ca = cp_clean(cp_translate(cp_from_mpoly(fol.A), q[0], q[1]))
-    cb = cp_clean(cp_translate(cp_from_mpoly(fol.B), q[0], q[1]))
+    """Jet-pair criterion at a non-rational singular point, with tolerances.
+    A and B are scaled by one norm: the criterion compares their jets."""
+    ta = cp_translate(cp_from_mpoly(fol.A), q[0], q[1])
+    tb = cp_translate(cp_from_mpoly(fol.B), q[0], q[1])
+    norm = max(cp_norm(ta), cp_norm(tb))
+    ca, cb = cp_clean(ta, norm), cp_clean(tb, norm)
     if not ca and not cb:
         raise PolynomialError("vector field vanishes identically at the point")
     orders = [i + j for i, j in ca] + [i + j for i, j in cb]
@@ -301,13 +304,14 @@ def tangent_cone_dichotomy_numeric(
     report = CheckReport("qr-dichotomy-numeric", seed=seed, samples_requested=samples)
     cls = classify_singularity_numeric(fol, q)
     report.note(f"singular point ({q[0]:.6g}, {q[1]:.6g}): {cls}")
-    sampler = GenericSampler(seed)
-    for _ in range(samples):
-        p = AffinePoint(*sampler.point())
+
+    def admissible(p):
         curve = fol.polar(p)
         if isinstance(curve, RadialProduct):
-            sampler.discards.add(str(p), "polar degenerates")
-            continue
+            return None, "polar degenerates"
+        return curve, None
+
+    for _, p, curve in sample_centers(report, GenericSampler(seed), samples, admissible):
         cp = cp_clean(cp_translate(cp_from_mpoly(curve.raw), q[0], q[1]))
         order = min(i + j for i, j in cp)
         cone = {e: c for e, c in cp.items() if e[0] + e[1] == order}
@@ -328,8 +332,6 @@ def tangent_cone_dichotomy_numeric(
             f"multiplicity {mult}, expected {expected} (cone order {order})",
             exact=False,
         )
-    report.samples_used = len(report.assertions)
-    report.discards = list(sampler.discards.entries)
     report.certify("cone_root_match_tolerance", 1e-6)
     return report
 
@@ -357,42 +359,35 @@ def is_inflexion_point(curve: PlaneCurve, p: AffinePoint) -> bool:
     return fxx * u * u + 2 * fxy * u * v + fyy * v * v == 0
 
 
-def _rational_points_on_curve(
-    e: PlaneCurve, reject, sampler: GenericSampler, want: int, tries: int = 50
-) -> list[AffinePoint]:
-    """Rational points on a curve found by intersecting with random rational
-    lines y = m x + c and keeping rational intersection abscissae."""
-    found: list[AffinePoint] = []
-    for _ in range(tries):
-        if len(found) >= want:
-            break
+def _line_roots(e: PlaneCurve, sampler: GenericSampler):
+    """For each seeded line y = m x + c, yield (m, c, rational, numeric): the
+    abscissae where it meets the curve, as `univariate_root_split` gives them,
+    both empty when the line meets it nowhere or its roots cannot be found.
+    Each line is drawn only when the next one is asked for."""
+    while True:
         m, c = sampler.fraction(), sampler.fraction()
         sub = {}
         if "y" in e.defining.variables:
             sub["y"] = MPoly.constant(m) * X + MPoly.constant(c)
         restricted = e.defining.substitute(sub) if sub else e.defining
-        if restricted.is_zero() or restricted.degree_in("x") == 0:
-            continue
-        try:
-            rat, _ = univariate_root_split(restricted, "x")
-        except NumericAbortError:
-            continue  # wildly scaled line; try another
-        for x0, _mult in rat:
-            p = AffinePoint(x0, m * x0 + c)
-            if reject(p):
-                continue
-            if p not in found:
-                found.append(p)
-            if len(found) >= want:
-                break
-    return found
+        rat, num = [], []
+        if not restricted.is_zero() and restricted.degree_in("x") > 0:
+            try:
+                rat, num = univariate_root_split(restricted, "x")
+            except NumericAbortError:
+                pass  # wildly scaled line; try another
+        yield m, c, rat, num
 
 
 def inflexion_lemma_check(
     fol: FoliationData, seed: int = 0, on_curve: int = 5, off_curve: int = 15
 ) -> CheckReport:
     """p is an inflexion point of its own polar iff p lies on the inflexion
-    divisor; both directions witnessed by stratified sampling."""
+    divisor; both directions witnessed by stratified sampling.
+
+    On-divisor points come from lines through the divisor: rational ones from
+    up to 50 lines, then numeric ones from up to 50 more if those fall short.
+    Off-divisor points are drawn like any generic center."""
     report = CheckReport("inflexion-lemma", seed=seed, samples_requested=on_curve + off_curve)
     e = inflexion_divisor(fol)
     if e is None:
@@ -404,82 +399,54 @@ def inflexion_lemma_check(
     def regular(p: AffinePoint) -> bool:
         return not (fol.A.evaluate(p.as_dict()) == 0 and fol.B.evaluate(p.as_dict()) == 0)
 
-    used = 0
     if e.is_empty:
         report.note("inflexion divisor is a nonzero constant: no on-divisor points exist")
     else:
-        on_points = _rational_points_on_curve(
-            e, lambda p: not regular(p) or isinstance(fol.polar(p), RadialProduct), sampler, on_curve
-        )
-        for p in on_points:
-            curve = fol.polar(p)
-            got = is_inflexion_point(curve, p)
+        # lazy: a line is drawn only while points are still wanted, and `fresh`
+        # sees each admitted point in on_points before it looks at the next
+        lines = _line_roots(e, sampler)
+        rational = (AffinePoint(x0, m * x0 + c) for m, c, rat, _ in islice(lines, 50) for x0, _mult in rat)
+        on_points: list[AffinePoint] = []
+        fresh = (p for p in rational
+                 if p not in on_points and regular(p) and not isinstance(fol.polar(p), RadialProduct))
+        for p in islice(fresh, on_curve):
+            on_points.append(p)
             report.add(
                 f"p on E(F): inflexion at p={p}",
-                got,
+                is_inflexion_point(fol.polar(p), p),
                 "polar inflects at its center",
             )
-            used += 1
-        if len(on_points) < on_curve:
-            # numeric fallback: intersect with lines and keep complex roots
-            needed = on_curve - len(on_points)
-            added = 0
-            for _ in range(50):
-                if added >= needed:
-                    break
-                m, c = sampler.fraction(), sampler.fraction()
-                sub = {}
-                if "y" in e.defining.variables:
-                    sub["y"] = MPoly.constant(m) * X + MPoly.constant(c)
-                restricted = e.defining.substitute(sub) if sub else e.defining
-                if restricted.is_zero() or restricted.degree_in("x") == 0:
-                    continue
-                try:
-                    _, num = univariate_root_split(restricted, "x")
-                except NumericAbortError:
-                    continue
-                for z, _mult in num:
-                    zp = (z, complex(m) * z + complex(c))
-                    if sing.contains_numeric(zp):
-                        continue
-                    got = _numeric_center_inflexion(fol, zp)
-                    report.add(
-                        f"p on E(F) (numeric): inflexion at p≈({zp[0]:.5g},{zp[1]:.5g})",
-                        got,
-                        "numeric Hessian on tangent direction",
-                        exact=False,
-                    )
-                    added += 1
-                    used += 1
-                    if added >= needed:
-                        break
-            if added < needed:
-                report.add("on-divisor sampling", False, f"found {len(on_points)}+{added} of {on_curve}")
-    off_found = 0
-    for _ in range(50 * off_curve):
-        if off_found >= off_curve:
-            break
-        p = AffinePoint(*sampler.point())
+        # numeric fallback: complex roots on up to 50 more lines
+        numeric = ((z, complex(m) * z + complex(c)) for m, c, _, num in islice(lines, 50) for z, _mult in num)
+        added = 0
+        for zp in islice((zp for zp in numeric if not sing.contains_numeric(zp)), on_curve - len(on_points)):
+            report.add(
+                f"p on E(F) (numeric): inflexion at p≈({zp[0]:.5g},{zp[1]:.5g})",
+                _numeric_center_inflexion(fol, zp),
+                "numeric Hessian on tangent direction",
+                exact=False,
+            )
+            added += 1
+        report.samples_used += len(on_points) + added
+        if len(on_points) + added < on_curve:
+            report.add("on-divisor sampling", False, f"found {len(on_points)}+{added} of {on_curve}")
+
+    def off_divisor(p):
         if not regular(p):
-            sampler.discards.add(str(p), "singular point of the foliation")
-            continue
+            return None, "singular point of the foliation"
         if not e.is_empty and e.defining.evaluate(p.as_dict()) == 0:
-            sampler.discards.add(str(p), "accidentally on the inflexion divisor")
-            continue
+            return None, "accidentally on the inflexion divisor"
         curve = fol.polar(p)
         if isinstance(curve, RadialProduct):
-            sampler.discards.add(str(p), "polar degenerates")
-            continue
-        got = is_inflexion_point(curve, p)
+            return None, "polar degenerates"
+        return curve, None
+
+    for _, p, curve in sample_centers(report, sampler, off_curve, off_divisor):
         report.add(
             f"p off E(F): no inflexion at p={p}",
-            not got,
+            not is_inflexion_point(curve, p),
             "polar does not inflect at its center",
         )
-        off_found += 1
-        used += 1
-    report.samples_used = used
-    report.discards = list(sampler.discards.entries)
     return report
 
 

@@ -80,9 +80,10 @@ def cp_norm(cp: CPoly) -> float:
     return max((abs(c) for c in cp.values()), default=0.0)
 
 
-def cp_clean(cp: CPoly) -> CPoly:
-    """Scale to norm 1 and drop the terms below CLEAN_TOL."""
-    norm = cp_norm(cp)
+def cp_clean(cp: CPoly, norm: float | None = None) -> CPoly:
+    """Scale to norm 1 and drop the terms below CLEAN_TOL; a given norm (of
+    several term dicts together) replaces cp's own, keeping their ratio."""
+    norm = cp_norm(cp) if norm is None else norm
     if norm == 0.0:
         return {}
     cut = CLEAN_TOL * norm

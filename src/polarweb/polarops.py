@@ -399,52 +399,20 @@ def family_degree_check(web: SymWeb, seed: int = 0, pairs: int = 5) -> CheckRepo
 def family_dimension(web: SymWeb, seed: int = 0, samples: int = 5) -> int:
     """Dimension of the polar family inside the space of degree-(d+k) curves:
     projective rank of the coefficient map at sampled centers, maximized."""
-    family = polar_family(web, seed)
+    P = polar_family(web, seed).parametric
+    # the polar at a center and its derivatives in the center's coordinates
+    maps = [P, P.derivative("a"), P.derivative("b")]
     sampler = GenericSampler(seed)
-    poly = family.parametric
-    monos: set[tuple] = set()
-    ia = poly.variables.index("a") if "a" in poly.variables else None
-    ib = poly.variables.index("b") if "b" in poly.variables else None
-    keep = [i for i, v in enumerate(poly.variables) if v not in ("a", "b")]
-    coeff_map: dict[tuple, dict] = {}
-    for e, c in poly.terms.items():
-        key = tuple(e[i] for i in keep)
-        ab = tuple(
-            e[i] if i is not None else 0 for i in (ia, ib)
-        )
-        coeff_map.setdefault(key, {})[ab] = c
-        monos.add(key)
-    mono_list = sorted(monos)
-
-    def coeff_value(key, a0, b0, da=0, db=0) -> Fraction:
-        total = Fraction(0)
-        for (ea, eb), c in coeff_map.get(key, {}).items():
-            if da and ea == 0 or db and eb == 0:
-                continue
-            fa, fb = ea, eb
-            coeff = c
-            if da:
-                coeff *= fa
-                fa -= 1
-            if db:
-                coeff *= fb
-                fb -= 1
-            total += coeff * a0**fa * b0**fb
-        return total
-
     best = 0
     for _ in range(samples):
         a0, b0 = sampler.point()
-        rows = [
-            [coeff_value(m, a0, b0) for m in mono_list],
-            [coeff_value(m, a0, b0, da=1) for m in mono_list],
-            [coeff_value(m, a0, b0, db=1) for m in mono_list],
-        ]
-        # rank is unchanged by scaling each row to integers
+        center = {"a": MPoly.constant(a0), "b": MPoly.constant(b0)}
         scaled = []
-        for row in rows:
-            den = math.lcm(*(v.denominator for v in row))
-            scaled.append({j: v.numerator * (den // v.denominator) for j, v in enumerate(row) if v})
+        for f in maps:
+            # the row at the center, scaled to integers: the rank does not change
+            row = _rekey(f.substitute({v: c for v, c in center.items() if v in f.variables}), ("x", "y"))
+            den = math.lcm(*(v.denominator for v in row.values()))
+            scaled.append({j: v.numerator * (den // v.denominator) for j, v in row.items()})
         best = max(best, _integer_rank(scaled) - 1)
         if best == 2:
             break

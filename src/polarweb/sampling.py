@@ -9,20 +9,11 @@ it fails.  Identical seeds reproduce identical sample streams.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .webmodel import AffinePoint
 
 MAX_RESAMPLES = 50
-
-
-@dataclass
-class DiscardLog:
-    entries: list[tuple[str, str]] = field(default_factory=list)
-
-    def add(self, witness: str, reason: str) -> None:
-        self.entries.append((witness, reason))
 
 
 class GenericSampler:
@@ -31,7 +22,6 @@ class GenericSampler:
     def __init__(self, seed: int):
         self.seed = seed
         self.rng = random.Random(seed)
-        self.discards = DiscardLog()
 
     def fraction(self) -> Fraction:
         return Fraction(self.rng.randint(-100, 100), self.rng.randint(1, 100))
@@ -55,25 +45,25 @@ def sample_centers(report, sampler: GenericSampler, n: int, admissible, draw=Non
     `draw()` gives a candidate (a center by default, a tuple of centers for
     checks that need several); `admissible(point)` returns (value, None) to
     admit it, handing the value it computed on to the caller, or
-    (None, reason) to reject it, which logs a discard.  At most
-    MAX_RESAMPLES * n draws are made; if they run out first, one failed
-    `sampling` assertion is added.  `report.samples_used` counts the admitted
-    points as they come, and the discard log is copied into the report at the
-    end.
+    (None, reason) to reject it, which appends a discard to `report.discards`.
+    At most MAX_RESAMPLES * n draws are made; if they run out first, one
+    failed `sampling` assertion is added.  Each admitted point adds one to
+    `report.samples_used` as it comes, so a check that samples several strata
+    calls this once per stratum on the same report.
     """
     draw = draw or sampler.center
     budget = MAX_RESAMPLES * n
-    report.samples_used = 0
+    used = 0
     for _ in range(budget):
-        if report.samples_used == n:
+        if used == n:
             break
         pt = draw()
         value, reason = admissible(pt)
         if reason is not None:
-            sampler.discards.add(",".join(map(str, pt)) if isinstance(pt, tuple) else str(pt), reason)
+            report.discards.append((",".join(map(str, pt)) if isinstance(pt, tuple) else str(pt), reason))
             continue
+        used += 1
         report.samples_used += 1
-        yield report.samples_used - 1, pt, value
-    if report.samples_used < n:
-        report.add("sampling", False, f"only {report.samples_used} of {n} admissible samples in {budget} draws")
-    report.discards = list(sampler.discards.entries)
+        yield used - 1, pt, value
+    if used < n:
+        report.add("sampling", False, f"only {used} of {n} admissible samples in {budget} draws")

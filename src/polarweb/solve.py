@@ -114,10 +114,6 @@ class ZeroSet:
     def __len__(self) -> int:
         return len(self.rational) + len(self.numeric)
 
-    def all_points_complex(self) -> list[tuple[complex, complex]]:
-        pts = [(complex(a), complex(b)) for a, b in self.rational]
-        return pts + list(self.numeric)
-
 
 def common_zeros(
     polys: list[MPoly],

@@ -1,5 +1,6 @@
 """Inflexion divisor, quasi-radial classification, dichotomy, class, bound."""
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from polarweb import (
     inflexion_divisor,
     is_inflexion_point,
 )
+from polarweb.cli import run_command
 from polarweb.errors import PolynomialError, WebValidationError
 from polarweb.foliation import (
     classify_singularity_numeric,
@@ -26,9 +28,25 @@ from polarweb.foliation import (
     tangent_cone_dichotomy,
     tangent_cone_dichotomy_numeric,
 )
+from polarweb.sampling import GenericSampler
+from polarweb.polarops import RadialProduct
 from polarweb.webmodel import singular_set
 
 one = MPoly.constant(1)
+SQRT2 = (2**0.5 + 0j, 0j)
+
+
+def radial_at(monkeypatch, centers):
+    """Make the polar of every center in `centers` (every center when None)
+    degenerate to a radial product."""
+    polar = FoliationData.polar
+
+    def patched(self, p):
+        if centers is None or p in centers:
+            return RadialProduct(p, MPoly.constant(1))
+        return polar(self, p)
+
+    monkeypatch.setattr(FoliationData, "polar", patched)
 
 
 def subs(f: MPoly, assignments) -> MPoly:
@@ -92,6 +110,13 @@ class TestSingInInflexion:
         report = polar_sing_in_inflexion_check(fol, seed=2, samples=4)
         assert report.passed
 
+    def test_degenerate_fixed_center_is_replaced(self, monkeypatch):
+        radial_at(monkeypatch, [AffinePoint.of(0, 0)])
+        report = polar_sing_in_inflexion_check(FoliationData(one, X**2), seed=2, samples=4)
+        assert report.samples_used == 4 and len(report.assertions) == 4
+        assert report.discards == [("(0, 0)", "polar degenerates (radial factor)")]
+        assert report.passed, report.render_text()
+
 
 class TestClassification:
     def test_radial_point(self):
@@ -132,6 +157,12 @@ class TestClassification:
         numeric = classify_singularity_numeric(fol, (0j, 0j))
         assert exact.quasi_radial == numeric.quasi_radial == True
 
+    def test_numeric_jets_keep_their_relative_scale(self):
+        # at (sqrt 2, 0): A_1 = 2 sqrt(2) u with B_1 = v is not a multiple of
+        # (u, v); with B_1 = 2 sqrt(2) v it is
+        assert not classify_singularity_numeric(FoliationData(X**2 - 2, Y), SQRT2).quasi_radial
+        assert classify_singularity_numeric(FoliationData(X**2 - 2, 2 * X * Y), SQRT2).quasi_radial
+
 
 class TestDichotomy:
     def test_radial_spec_example(self):
@@ -163,6 +194,28 @@ class TestDichotomy:
         for q in sing.numeric_points:
             report = tangent_cone_dichotomy_numeric(entry.foliation, q, seed=1, samples=4)
             assert report.passed, report.render_text()
+
+    def test_numeric_redraws_after_radial_polar(self, monkeypatch):
+        fol = FoliationData(X**2 - 2, Y)
+        first = AffinePoint(*GenericSampler(3).point())
+        radial_at(monkeypatch, [first])
+        report = tangent_cone_dichotomy_numeric(fol, SQRT2, seed=3, samples=4)
+        assert report.samples_used == 4 and len(report.assertions) == 4
+        assert report.discards == [(str(first), "polar degenerates")]
+        assert report.passed, report.render_text()
+
+    @pytest.mark.parametrize(
+        "A, B",
+        [("x^2 - 2", "y"), ("-x^2 + 3*x*y - 2*x", "3*y^2 - 2"),
+         ("3*x^3 + x*y^2", "3*x^3 + y^3 + 2*x^2 - 2*y^2 - 2*y + 1")],
+    )
+    def test_cli_at_irrational_singular_points(self, tmp_path, A, B):
+        path = tmp_path / "fol.txt"
+        path.write_text(f"type: foliation\nA: {A}\nB: {B}\n")
+        code, text = run_command(["check", "--in", str(path), "--theorem", "qr-dichotomy",
+                                  "--samples", "4", "--json"])
+        assert code == 0, text
+        assert json.loads(text)["report"]["certificates"] == {"cone_root_match_tolerance": "1.000000e-06"}
 
 
 class TestInflexionPoint:
@@ -199,6 +252,15 @@ class TestInflexionLemma:
     def test_battery(self, entry):
         report = inflexion_lemma_check(entry.foliation, seed=4, on_curve=2, off_curve=4)
         assert report.passed, report.render_text()
+
+    def test_short_off_divisor_stratum_fails(self, monkeypatch):
+        radial_at(monkeypatch, None)
+        report = inflexion_lemma_check(FoliationData(one, X**2), seed=1, on_curve=1, off_curve=2)
+        sampling = [a for a in report.assertions if a.name == "sampling"]
+        assert [(a.passed, a.detail) for a in sampling] == [
+            (False, "only 0 of 2 admissible samples in 100 draws")
+        ]
+        assert not report.passed
 
 
 class TestClassOfCurve:
