@@ -221,7 +221,7 @@ def run_command(argv: list[str]) -> tuple[int, str]:
                 lines.append(f"degree: {result.raw_degree}")
         elif args.command == "degree":
             web = _as_web(obj)
-            lines.append(f"degree: {web_degree(web, args.seed)}")
+            lines.append(f"degree: {web_degree(web)}")
         elif args.command == "discriminant":
             web = _as_web(obj)
             curve = discriminant_curve(web)
@@ -268,7 +268,7 @@ def run_command(argv: list[str]) -> tuple[int, str]:
                 report = family_degree_check(web, args.seed)
             else:
                 report = family_dimension_check(web, args.seed)
-            fam = polar_family(web, args.seed)
+            fam = polar_family(web)
             lines.append(f"parametric polar: {format_mpoly(fam.parametric)}")
         elif args.command == "class":
             curve = _as_curve(obj)

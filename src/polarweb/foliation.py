@@ -84,8 +84,8 @@ class FoliationData:
         self.A, self.B = A, B
         self.as_web = foliation_web(A, B)
 
-    def degree(self, seed: int = 0) -> int:
-        return web_degree(self.as_web, seed)
+    def degree(self) -> int:
+        return web_degree(self.as_web)
 
     def polar(self, p: AffinePoint) -> PlaneCurve | RadialProduct:
         return polar_curve(self.as_web, p)
@@ -117,7 +117,7 @@ def inflexion_divisor(fol: FoliationData) -> PlaneCurve | None:
     if e.is_zero():
         return None
     if e.is_constant():
-        return PlaneCurve(MPoly.constant(1), reduce=False)
+        return PlaneCurve(MPoly.constant(1))
     return PlaneCurve(e)
 
 

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .mpoly import (
     MPoly,
+    _rekey,
     poly_gcd,
     proper_shears,
     resultant,
@@ -40,10 +41,11 @@ from .mpoly import (
     translate,
 )
 from .numerics import cluster_points, univariate_roots
+from .polarops import RadialProduct, curve_component_count, polar_curve
 from .reports import CheckReport
 from .sampling import GenericSampler, sample_centers
 from .solve import common_zeros, univariate_root_split
-from .webmodel import Direction, PlaneCurve
+from .webmodel import Direction, PlaneCurve, singular_set
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
@@ -60,20 +62,8 @@ CPoly = dict  # {(i, j): c}, c a Fraction (exact) or a complex (numeric)
 # ---------------------------------------------------------------------------
 
 
-def _xy_terms(f: MPoly) -> CPoly:
-    """The exact term dict of f, by its exponents of x and y."""
-    out: CPoly = {}
-    ix = f.variables.index("x") if "x" in f.variables else None
-    iy = f.variables.index("y") if "y" in f.variables else None
-    for e, c in f.terms.items():
-        i = e[ix] if ix is not None else 0
-        j = e[iy] if iy is not None else 0
-        out[(i, j)] = out.get((i, j), 0) + c
-    return out
-
-
 def cp_from_mpoly(f: MPoly) -> CPoly:
-    return {e: complex(c) for e, c in _xy_terms(f).items()}
+    return {e: complex(c) for e, c in _rekey(f, ("x", "y")).items()}
 
 
 def cp_norm(cp: CPoly) -> float:
@@ -120,7 +110,7 @@ class CurveGerm:
         g = translate(curve, point)
         if g.evaluate({v: 0 for v in g.variables}) != 0:
             raise PolynomialError(f"curve does not pass through {point}")
-        return CurveGerm(_xy_terms(squarefree_part(g)), True)
+        return CurveGerm(_rekey(squarefree_part(g), ("x", "y")), True)
 
     @staticmethod
     def at_numeric_point(curve: MPoly, point: tuple[complex, complex]) -> "CurveGerm":
@@ -309,6 +299,10 @@ def resolve_germ(germ: CurveGerm) -> Resolution:
     def recurse(g: CurveGerm, has_x: bool, has_y: bool, depth: int):
         nonlocal leaves, all_exact
         if depth > MAX_BLOWUPS:
+            if not g.exact:
+                raise NumericAbortError(
+                    "numeric germ exceeded the blow-up cap (tangent lines not separated numerically)"
+                )
             raise PolynomialError(
                 "resolution exceeded the blow-up cap (is the germ reduced?)"
             )
@@ -421,9 +415,9 @@ def fingerprint(germ: CurveGerm) -> GermFingerprint:
 # ---------------------------------------------------------------------------
 
 
-def homogenize(f: MPoly, n: int | None = None) -> MPoly:
-    """Degree-n homogenization with the variable z."""
-    n = f.total_degree() if n is None else n
+def homogenize(f: MPoly) -> MPoly:
+    """Homogenization with the variable z, of degree the total degree of f."""
+    n = f.total_degree()
     z = MPoly.variable("z")
     total = MPoly.zero()
     for e, c in f.terms.items():
@@ -432,10 +426,9 @@ def homogenize(f: MPoly, n: int | None = None) -> MPoly:
     return total
 
 
-def _delta_sum_at_infinity(F: MPoly, rng: random.Random) -> int:
+def _delta_sum_at_infinity(F: MPoly) -> int:
     """Sum of delta invariants of the projective curve along the line z = 0."""
-    n = F.total_degree()
-    H = homogenize(F, n)
+    H = homogenize(F)
     total = 0
     # chart y = 1: coordinates (x, z); points [x0 : 1 : 0]
     G = H.substitute({"y": MPoly.constant(1)}) if "y" in H.variables else H
@@ -500,8 +493,6 @@ def _rename_yz_to_xy(g: MPoly) -> MPoly:
 def genus_of_curve(curve: PlaneCurve, seed: int = 0, include_infinity: bool = True) -> int:
     """Geometric genus of a reduced irreducible plane curve:
     (n-1)(n-2)/2 minus the sum of local delta invariants."""
-    from .polarops import curve_component_count
-
     if curve.raw != curve.defining:
         raise PolynomialError("genus_of_curve needs a reduced curve")
     F = curve.defining
@@ -522,7 +513,7 @@ def genus_of_curve(curve: PlaneCurve, seed: int = 0, include_infinity: bool = Tr
         for q in zs.numeric:
             delta_total += fingerprint(CurveGerm.at_numeric_point(F, q)).delta
     if include_infinity:
-        delta_total += _delta_sum_at_infinity(F, rng)
+        delta_total += _delta_sum_at_infinity(F)
     g = (n - 1) * (n - 2) // 2 - delta_total
     if g < 0:
         raise InternalInvariantError(f"negative genus {g}: delta sum {delta_total} too large")
@@ -540,9 +531,6 @@ def equisingularity_check(fol, seed: int = 0, samples: int = 10) -> CheckReport:
 
     `fol` is any object with an `as_web` SymWeb attribute (a foliation).
     """
-    from .polarops import RadialProduct, polar_curve
-    from .webmodel import singular_set
-
     web = fol.as_web if hasattr(fol, "as_web") else fol
     report = CheckReport("equisingularity", seed=seed, samples_requested=samples)
     report.note(
@@ -605,8 +593,6 @@ def _fmt_fp(key: tuple) -> str:
 
 def genus_constancy_check(fol, seed: int = 0, samples: int = 5) -> CheckReport:
     """Genus of the generic polar is the same for every generic center."""
-    from .polarops import RadialProduct, polar_curve
-
     web = fol.as_web if hasattr(fol, "as_web") else fol
     report = CheckReport("genus-constancy", seed=seed, samples_requested=samples)
 
@@ -618,7 +604,7 @@ def genus_constancy_check(fol, seed: int = 0, samples: int = 5) -> CheckReport:
             return None, "polar not reduced"
         try:
             return genus_of_curve(curve, seed), None
-        except PolynomialError as e:
+        except (NumericAbortError, PolynomialError) as e:
             return None, f"genus unavailable: {e}"
 
     genera = [(str(p), g) for _, p, g in sample_centers(report, GenericSampler(seed), samples, admissible)]

@@ -481,17 +481,15 @@ def exact_div(f: MPoly, g: MPoly) -> MPoly:
     return q
 
 
-def divisibility_multiplicity(f: MPoly, g: MPoly, cap: int = 64) -> int:
-    """Largest m with g^m | f (f nonzero)."""
+def divisibility_multiplicity(f: MPoly, g: MPoly) -> int:
+    """Largest m with g^m | f (f nonzero), up to 64."""
     if f.is_zero():
         raise PolynomialError("multiplicity of factor in zero polynomial")
-    m = 0
-    while m < cap:
+    for m in range(64):
         q = try_exact_div(f, g)
         if q is None:
             return m
         f = q
-        m += 1
     raise PolynomialError("divisibility multiplicity exceeded cap")
 
 

@@ -50,7 +50,7 @@ def _derivative(coeffs: Sequence[complex]) -> list[complex]:
     return [k * c for k, c in enumerate(coeffs)][1:]
 
 
-def univariate_roots(coeffs: Sequence[complex], max_iter: int = MAX_ABERTH_ITER) -> list[complex]:
+def univariate_roots(coeffs: Sequence[complex]) -> list[complex]:
     """All roots with multiplicity by simultaneous Aberth-Ehrlich iteration.
 
     Requires degree >= 1 and a leading coefficient above the underflow guard;
@@ -71,7 +71,7 @@ def univariate_roots(coeffs: Sequence[complex], max_iter: int = MAX_ABERTH_ITER)
     roots = [
         radius * cmath.exp(2j * cmath.pi * (k / n) + 0.4j) for k in range(n)
     ]
-    for _ in range(max_iter):
+    for _ in range(MAX_ABERTH_ITER):
         converged = True
         for i in range(n):
             z = roots[i]

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 
 from .errors import DegenerateSampleError, InternalInvariantError, PolynomialError, WebValidationError
 from .mpoly import (
@@ -100,17 +100,12 @@ class PolarFamily:
     """The polar with a symbolic center: one polynomial in (a, b, x, y)."""
 
     parametric: MPoly
-    k: int
-    d: int
-    excluded_centers: list[AffinePoint] = field(default_factory=list)
 
     def at(self, p: AffinePoint) -> PlaneCurve | RadialProduct:
         raw = self.parametric
         subs = {v: MPoly.constant(val) for v, val in (("a", p.a), ("b", p.b)) if v in raw.variables}
         raw = raw.substitute(subs) if subs else raw
         if raw.is_zero():
-            if p not in self.excluded_centers:
-                self.excluded_centers.append(p)
             return RadialProduct(p, MPoly.zero())
         return PlaneCurve(raw)
 
@@ -130,9 +125,8 @@ class PolarFamily:
         return [MPoly._make(names, terms) for key, terms in sorted(groups.items())]
 
 
-def polar_family(web: SymWeb, seed: int = 0) -> PolarFamily:
-    parametric = _substitute_center(web.form, A_VAR, B_VAR).canonical()
-    return PolarFamily(parametric, web.k, web_degree(web, seed))
+def polar_family(web: SymWeb) -> PolarFamily:
+    return PolarFamily(_substitute_center(web.form, A_VAR, B_VAR).canonical())
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +137,7 @@ def polar_family(web: SymWeb, seed: int = 0) -> PolarFamily:
 def polar_degree_check(web: SymWeb, seed: int = 0, samples: int = 20) -> CheckReport:
     """deg P_p = d + k at seeded generic centers (raw degree, multiplicities kept)."""
     report = CheckReport("polar-degree", seed=seed, samples_requested=samples)
-    d = web_degree(web, seed)
+    d = web_degree(web)
     k = web.k
     report.note(f"web degree d={d}, k={k}, expected polar degree {d + k}")
 
@@ -222,7 +216,7 @@ def _proportionality(f: MPoly, g: MPoly) -> Fraction | None:
 def base_points_check(web: SymWeb, seed: int = 0) -> CheckReport:
     """Points on every polar lie in the singular set of the web."""
     report = CheckReport("base-points", seed=seed)
-    family = polar_family(web, seed)
+    family = polar_family(web)
     coeffs = family.center_coefficients()
     report.note(f"{len(coeffs)} center-monomial coefficients")
     if any(c.is_constant() and not c.is_zero() for c in coeffs):
@@ -252,7 +246,7 @@ def base_points_check(web: SymWeb, seed: int = 0) -> CheckReport:
 
 def base_points(web: SymWeb, seed: int = 0):
     """The base locus itself (rational and numeric points)."""
-    family = polar_family(web, seed)
+    family = polar_family(web)
     coeffs = [c for c in family.center_coefficients() if not c.is_zero()]
     if any(c.is_constant() for c in coeffs):
         return [], []
@@ -303,15 +297,15 @@ def _tangent_line(p: AffinePoint, d: Direction):
     return (A, B, C), False
 
 
-def family_degree(web: SymWeb, p1: AffinePoint, p2: AffinePoint, seed: int = 0,
+def family_degree(web: SymWeb, p1: AffinePoint, p2: AffinePoint,
                   family: PolarFamily | None = None) -> tuple[int, list[ProjPoint]]:
     """Number of webs' polar curves through two generic points: the k^2
     pairwise intersections of the tangent lines at p1 and p2, counted in the
-    projective plane.  `family` is polar_family(web, seed), built here when
-    not given."""
+    projective plane.  `family` is polar_family(web), built here when not
+    given."""
     dirs1 = tangent_directions(web, p1)
     dirs2 = tangent_directions(web, p2)
-    family = family or polar_family(web, seed)
+    family = family or polar_family(web)
     points: list[ProjPoint] = []
     for da in dirs1:
         la, exa = _tangent_line(p1, da)
@@ -378,8 +372,8 @@ def family_degree_check(web: SymWeb, seed: int = 0, pairs: int = 5) -> CheckRepo
         try:
             if not is_smooth_point(web, p1)[0] or not is_smooth_point(web, p2)[0]:
                 return None, "point not smooth on the web"
-            family = family or polar_family(web, seed)
-            return family_degree(web, p1, p2, seed, family), None
+            family = family or polar_family(web)
+            return family_degree(web, p1, p2, family), None
         except DegenerateSampleError as e:
             return None, str(e)
 
@@ -396,33 +390,40 @@ def family_degree_check(web: SymWeb, seed: int = 0, pairs: int = 5) -> CheckRepo
     return report
 
 
-def family_dimension(web: SymWeb, seed: int = 0, samples: int = 5) -> int:
+def family_dimension(web: SymWeb) -> int:
     """Dimension of the polar family inside the space of degree-(d+k) curves:
-    projective rank of the coefficient map at sampled centers, maximized."""
-    P = polar_family(web, seed).parametric
-    # the polar at a center and its derivatives in the center's coordinates
+    the projective rank over Q(a, b) of the rows P, dP/da and dP/db, the
+    polar at a center (a, b) and its derivatives in the center's coordinates.
+
+    The rank is read at the centers of the grid {0, ..., 3k - 2}^2, in order,
+    until it reaches 3.  P has degree at most k in (a, b) and its derivatives
+    at most k - 1, so every minor of the three rows has degree at most
+    3k - 2.  A nonzero polynomial of degree at most D in two variables does
+    not vanish on all of S^2 when |S| > D (J. T. Schwartz, J. ACM 27, 1980;
+    N. Alon, Combinatorial Nullstellensatz, 1999), so the largest rank on the
+    grid is the rank over Q(a, b), and the value is exact.
+    """
+    P = polar_family(web).parametric
     maps = [P, P.derivative("a"), P.derivative("b")]
-    sampler = GenericSampler(seed)
     best = 0
-    for _ in range(samples):
-        a0, b0 = sampler.point()
+    for a0, b0 in product(range(3 * web.k - 1), repeat=2):
         center = {"a": MPoly.constant(a0), "b": MPoly.constant(b0)}
-        scaled = []
+        rows = []
         for f in maps:
-            # the row at the center, scaled to integers: the rank does not change
             row = _rekey(f.substitute({v: c for v, c in center.items() if v in f.variables}), ("x", "y"))
-            den = math.lcm(*(v.denominator for v in row.values()))
-            scaled.append({j: v.numerator * (den // v.denominator) for j, v in row.items()})
-        best = max(best, _integer_rank(scaled) - 1)
-        if best == 2:
+            # P is canonical, so it has integer coefficients, and so does the
+            # row at an integer center
+            rows.append({j: v.numerator for j, v in row.items()})
+        best = max(best, _integer_rank(rows))
+        if best == 3:
             break
-    return best
+    return best - 1
 
 
 def family_dimension_check(web: SymWeb, seed: int = 0) -> CheckReport:
     report = CheckReport("family-dimension", seed=seed)
-    dim = family_dimension(web, seed)
-    d = web_degree(web, seed)
+    dim = family_dimension(web)
+    d = web_degree(web)
     is_radial = web.k == 1 and d == 0
     expected = 1 if is_radial else 2
     report.add(
@@ -705,7 +706,7 @@ def generic_polar_irreducible(web: SymWeb, seed: int = 0, samples: int = 5) -> C
     (with k >= 2); verified sample by sample against the exact component
     count."""
     report = CheckReport("polar-irreducible", seed=seed, samples_requested=samples)
-    d = web_degree(web, seed)
+    d = web_degree(web)
     k = web.k
     decomposable, _ = web_decomposable(web, seed)
     expect_reducible = decomposable or (d == 0 and k >= 2)

@@ -18,18 +18,14 @@ class Assertion:
     passed: bool
     detail: str = ""
     exact: bool = True
-    residual: float | None = None
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "name": self.name,
             "passed": self.passed,
             "detail": self.detail,
             "mode": "exact" if self.exact else "numeric",
         }
-        if self.residual is not None:
-            d["residual"] = f"{self.residual:.3e}"
-        return d
 
 
 @dataclass
@@ -43,9 +39,8 @@ class CheckReport:
     notes: list[str] = field(default_factory=list)
     certificates: dict[str, str] = field(default_factory=dict)
 
-    def add(self, name: str, passed: bool, detail: str = "", exact: bool = True,
-            residual: float | None = None) -> None:
-        self.assertions.append(Assertion(name, passed, detail, exact, residual))
+    def add(self, name: str, passed: bool, detail: str = "", exact: bool = True) -> None:
+        self.assertions.append(Assertion(name, passed, detail, exact))
 
     def note(self, text: str) -> None:
         self.notes.append(text)
@@ -98,11 +93,8 @@ class CheckReport:
         for a in self.assertions:
             flag = "PASS" if a.passed else "FAIL"
             mode = "exact" if a.exact else "numeric"
-            tail = f" [{mode}]"
-            if a.residual is not None:
-                tail = f" [{mode}, residual {a.residual:.3e}]"
             detail = f" -- {a.detail}" if a.detail else ""
-            lines.append(f"{flag} {a.name}{detail}{tail}")
+            lines.append(f"{flag} {a.name}{detail} [{mode}]")
         for n in self.notes:
             lines.append(f"note: {n}")
         for k in sorted(self.certificates):

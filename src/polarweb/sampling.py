@@ -32,9 +32,9 @@ class GenericSampler:
     def center(self) -> AffinePoint:
         return AffinePoint(*self.point())
 
-    def nonzero_int(self, lo: int = -9, hi: int = 9) -> int:
+    def nonzero_int(self) -> int:
         while True:
-            v = self.rng.randint(lo, hi)
+            v = self.rng.randint(-9, 9)
             if v != 0:
                 return v
 

@@ -115,13 +115,8 @@ class ZeroSet:
         return len(self.rational) + len(self.numeric)
 
 
-def common_zeros(
-    polys: list[MPoly],
-    xvar: str = "x",
-    yvar: str = "y",
-    rng: random.Random | None = None,
-) -> ZeroSet:
-    """Common zero set, expected finite, of polynomials in (xvar, yvar)."""
+def common_zeros(polys: list[MPoly], rng: random.Random | None = None) -> ZeroSet:
+    """Common zero set, expected finite, of polynomials in (x, y)."""
     rng = rng or random.Random(0)
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
@@ -169,25 +164,25 @@ def common_zeros(
             out = poly_gcd(out, c)
         return out.canonical()
 
-    ex = eliminant(yvar, xvar)
-    ey = eliminant(xvar, yvar)
-    if ex.degree_in(xvar) == 0 or ey.degree_in(yvar) == 0:
+    ex = eliminant("y", "x")
+    ey = eliminant("x", "y")
+    if ex.degree_in("x") == 0 or ey.degree_in("y") == 0:
         # a constant eliminant certifies emptiness in that direction
         return ZeroSet(elim_x=ex, elim_y=ey)
-    rx, nx = univariate_root_split(ex, xvar)
-    ry, ny = univariate_root_split(ey, yvar)
+    rx, nx = univariate_root_split(ex, "x")
+    ry, ny = univariate_root_split(ey, "y")
 
     zs = ZeroSet(elim_x=ex, elim_y=ey)
     for xr, _ in rx:
         for yr, _ in ry:
-            if all(p.evaluate({xvar: xr, yvar: yr}) == 0 for p in polys):
+            if all(p.evaluate({"x": xr, "y": yr}) == 0 for p in polys):
                 zs.rational.append((xr, yr))
     exact_pts = {(complex(a), complex(b)) for a, b in zs.rational}
     xs = [complex(v) for v, _ in rx] + [v for v, _ in nx]
     ys = [complex(v) for v, _ in ry] + [v for v, _ in ny]
     for xv in xs:
         for yv in ys:
-            pt = {xvar: xv, yvar: yv}
+            pt = {"x": xv, "y": yv}
             if any(abs(xv - a) < 1e-7 and abs(yv - b) < 1e-7 for a, b in exact_pts):
                 continue
             if all(vanishes_numerically(p, pt) for p in polys):

@@ -99,14 +99,14 @@ class PlaneCurve:
     defining: MPoly
     raw: MPoly
 
-    def __init__(self, poly: MPoly, reduce: bool = True):
+    def __init__(self, poly: MPoly):
         if poly.is_zero():
             raise PolynomialError("a plane curve needs a nonzero equation")
         extra = set(poly.variables) - {"x", "y"}
         if extra:
             raise PolynomialError(f"curve equation involves {sorted(extra)}")
         self.raw = poly.canonical()
-        self.defining = squarefree_part(self.raw) if reduce else self.raw
+        self.defining = squarefree_part(self.raw)
 
     @property
     def degree(self) -> int:
@@ -189,7 +189,7 @@ class SymWeb:
                 )
         self.form = form.canonical()
         self.k = k
-        self.cached_degree: int | None = None
+        self._degree: int | None = None
         self._discriminant: MPoly | None = None
 
     # -- structure -----------------------------------------------------------
@@ -215,11 +215,11 @@ class SymWeb:
         return f"{self.k}-web[{self.form}]"
 
 
-def foliation_web(A: MPoly, B: MPoly, saturate: bool = False) -> SymWeb:
+def foliation_web(A: MPoly, B: MPoly) -> SymWeb:
     """The k=1 web of the vector field A d/dx + B d/dy (form A*dy - B*dx)."""
     if A.is_zero() and B.is_zero():
         raise WebValidationError("zero vector field")
-    return SymWeb(A * DY - B * DX, saturate=saturate)
+    return SymWeb(A * DY - B * DX)
 
 
 def radial_web(p: AffinePoint) -> SymWeb:
@@ -275,40 +275,20 @@ def superpose(w1: SymWeb, w2: SymWeb) -> Superposition:
     return Superposition(web, squarefree_warning=not web.generically_squarefree)
 
 
-def web_degree(web: SymWeb, seed: int = 0, lines: int = 3, max_rounds: int = 50) -> int:
+def web_degree(web: SymWeb) -> int:
     """Degree of the tangency divisor with a generic line.
 
-    Restricts the form to random rational lines; all non-degenerate samples in
-    a round must agree, otherwise the round is retried with fresh lines.
+    The degree in t of the form on the line (x, y, dx, dy) =
+    (l1*t + m1, l2*t + m2, l1, l2), with l1, l2, m1 and m2 kept as symbols,
+    so the value is the generic one by definition.
     """
-    if web.cached_degree is not None:
-        return web.cached_degree
-    rng = random.Random(seed)
-    t = MPoly.variable("t")
-    for _ in range(max_rounds):
-        values = []
-        for _ in range(lines):
-            a1, a2 = rng.randint(-40, 40), rng.randint(-40, 40)
-            b1, b2 = rng.randint(-40, 40), rng.randint(-40, 40)
-            if a1 == 0 and a2 == 0:
-                continue
-            subs = {}
-            for v, val in (
-                ("x", MPoly.constant(a1) * t + MPoly.constant(b1)),
-                ("y", MPoly.constant(a2) * t + MPoly.constant(b2)),
-                ("dx", MPoly.constant(a1)),
-                ("dy", MPoly.constant(a2)),
-            ):
-                if v in web.form.variables:
-                    subs[v] = val
-            restricted = web.form.substitute(subs)
-            if restricted.is_zero():
-                continue
-            values.append(restricted.degree_in("t"))
-        if values and len(values) >= min(lines, 2) and len(set(values)) == 1:
-            web.cached_degree = values[0]
-            return values[0]
-    raise DegenerateSampleError("web_degree: random lines never agreed")
+    if web._degree is None:
+        t, l1, l2 = MPoly.variable("t"), MPoly.variable("l1"), MPoly.variable("l2")
+        line = {"x": l1 * t + MPoly.variable("m1"), "y": l2 * t + MPoly.variable("m2"),
+                "dx": l1, "dy": l2}
+        restricted = web.form.substitute({v: p for v, p in line.items() if v in web.form.variables})
+        web._degree = restricted.degree_in("t")
+    return web._degree
 
 
 def singular_set(web: SymWeb, seed: int = 0) -> SingularSet:
@@ -327,7 +307,7 @@ def discriminant_curve(web: SymWeb) -> PlaneCurve:
     if disc.is_zero():
         raise WebValidationError("web is not generically square-free; discriminant vanishes")
     if disc.is_constant():
-        return PlaneCurve(MPoly.constant(1), reduce=False)
+        return PlaneCurve(MPoly.constant(1))
     return PlaneCurve(disc)
 
 

@@ -45,7 +45,7 @@ def random_foliation(seed: int, max_degree: int = 3) -> FoliationData:
             continue
         fol = FoliationData(A, B)
         try:
-            d = fol.degree(seed)
+            d = fol.degree()
         except Exception:
             continue
         if d >= 1:

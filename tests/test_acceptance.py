@@ -147,7 +147,7 @@ def test_criterion_05_family_dimension():
     """dim R(W) = 2 for every battery element except the radial pencil (1)."""
     ok = True
     for entry in BATTERY:
-        dim = family_dimension(entry.web, seed=SEED)
+        dim = family_dimension(entry.web)
         expected = 1 if entry.is_radial_pencil else 2
         ok = ok and dim == expected
     verdict(5, "family dimension", ok, "exact rank computation")

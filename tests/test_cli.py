@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from polarweb import FoliationData, MPoly, PlaneCurve, SymWeb
-from polarweb.cli import run_command
+from polarweb.cli import CHECKS, _as_foliation, run_command
 from polarweb.errors import ParseError
 from polarweb.parsing import parse_input_text, parse_point, parse_polynomial
 
@@ -253,6 +254,14 @@ class TestExitCodes:
         code, _ = run_command(["inflexion", "--in", inputs["web"]])
         assert code == 2
 
+    def test_unseparated_numeric_germ_is_3(self, tmp_path):
+        # reduced, with E6 points at (+-sqrt 2, 0) whose triple tangent line
+        # the numeric germs cannot separate
+        path = tmp_path / "e6.txt"
+        path.write_text("type: curve\nf: (y - x^2 + 2)^3 - (x^2 - 2)^4\n")
+        code, text = run_command(["genus", "--in", str(path)])
+        assert code == 3 and text.startswith("numeric abort:")
+
     @pytest.mark.parametrize("text", [
         "type: curve\nf: x^2147483648 - y\n",
         "type: curve\nf: x^4294967296*y\n",
@@ -325,6 +334,22 @@ class TestDeterminism:
         _, first = run_command(argv)
         _, second = run_command(argv)
         assert _body(first) == _body(second)
+
+    @pytest.mark.parametrize("argv", [["degree"], ["check", "--theorem", "family-dim"]])
+    def test_exact_invariants_depend_on_no_seed(self, inputs, argv):
+        # the bodies differ only in the command line and the report's seed
+        bodies = []
+        for seed in ("0", "7"):
+            full = argv[:1] + ["--in", inputs["web3"]] + argv[1:] + ["--seed", seed, "--json"]
+            code, text = run_command(full)
+            assert code == 0, text
+            doc = json.loads(text)
+            assert doc.pop("command") == "polarweb " + " ".join(full)
+            doc.pop("timestamp")
+            if doc["report"] is not None:
+                assert doc["report"].pop("seed") == int(seed)
+            bodies.append(doc)
+        assert bodies[0] == bodies[1]
 
     def test_across_processes_and_hash_seeds(self, inputs):
         cmd = [
@@ -437,3 +462,102 @@ class TestToleranceOverrides:
         code, _ = run_command(["degree", "--in", "/nonexistent/input.txt", "--tol-residual", "0.75"])
         assert code == 2
         assert self._settings() == defaults
+
+
+class TestFuzz:
+    """Seeded generated command lines: every one ends in an exit code in
+    {0, 1, 2, 3}, and no exception escapes `run_command`."""
+
+    INPUTS = {
+        "web": "type: web\nform: dy^2 - x*dx^2\n",
+        "radial": "type: web\nform: x*dy - y*dx\n",
+        "product": "type: web\nform: dx*dy\n",
+        "web3": "type: web\nform: dy^3 + x*dx^2*dy + y*dx^3 + (x - y)*dx*dy^2\n",
+        "fol": "type: foliation\nA: x^2\nB: y^2\n",
+        "fol-qr": "type: foliation\nA: x - y^2\nB: y + x^2\n",
+        "fol-lines": "type: foliation\nA: 1\nB: 0\n",
+        "fol-common": "type: foliation\nA: x*y\nB: x*y^2\n",
+        "cusp": "type: curve\nf: y^2 - x^3\n",
+        "conic": "type: curve\nf: x^2 + y^2 - 1\n",
+        "e6": "type: curve\nf: (y - x^2 + 2)^3 - (x^2 - 2)^4\n",
+        "reducible": "type: curve\nf: (x - y)*(x + y - 1)\n",
+        "line": "type: curve\nf: x + 2*y - 1\n",
+        "constant": "type: curve\nf: 3\n",
+        "empty": "",
+        "no-type": "form: dx\n",
+        "bad-type": "type: surface\nf: x\n",
+        "no-form": "type: web\n",
+        "zero-form": "type: web\nform: 0\n",
+        "inhomogeneous": "type: web\nform: dx + x\n",
+        "dangling": "type: web\nform: dx +\n",
+        "open-paren": "type: curve\nf: (x - y\n",
+        "implicit": "type: curve\nf: 2x\n",
+        "unknown-var": "type: curve\nf: x + z\n",
+        "too-big": "type: curve\nf: x^33\n",
+        "zero-field": "type: foliation\nA: 0\nB: 0\n",
+    }
+    MISSING = "/nonexistent/fuzz.txt"
+    POINTS = ["0,0", "1,0", "1,2", "-1/2,3", "1/0,2", "a,b", "1", "", "1,2,3", "0.5,1", "--"]
+    SAMPLES = ["0", "-1", "1", "2", "0", "-1", "1", "2", "x"]  # one malformed in nine
+    TOLERANCES = ["0", "-1", "nan", "1e-9"]
+    FAMILY = ["--base-points", "--degree", "--dimension"]
+
+    # the inputs each command reads: webs, foliations or curves
+    FOLIATIONS = ["fol", "fol-qr", "fol-lines", "fol-common"]
+    WEBS = ["web", "radial", "product", "web3"] + FOLIATIONS
+    CURVES = ["cusp", "conic", "e6", "reducible", "line", "constant"]
+    READS = {"inflexion": FOLIATIONS, "classify-sing": FOLIATIONS,
+             "class": CURVES, "genus": CURVES, "localsing": CURVES}
+
+    def _argv(self, rng, paths, command, theorem=None):
+        """A command line; most of them name an input of the kind it reads."""
+        kind = self.READS.get(command, self.WEBS)
+        if theorem is not None and CHECKS[theorem][0] is _as_foliation:
+            kind = self.FOLIATIONS
+        path = paths[rng.choice(kind)] if rng.random() < 0.7 else rng.choice(list(paths.values()))
+        argv = [command, "--in", path]
+        if command == "polar":
+            argv += ["--center", rng.choice(self.POINTS)]
+        if command in ("directions", "classify-sing", "localsing"):
+            argv += ["--point", rng.choice(self.POINTS)]
+        if command == "family":
+            argv.append(rng.choice(self.FAMILY))
+        if command == "genus" and rng.random() < 0.5:
+            argv.append("--affine-only")
+        if command == "check":
+            argv += ["--theorem", theorem, "--samples", rng.choice(self.SAMPLES)]
+        if rng.random() < 0.5:
+            argv += ["--seed", str(rng.randint(-5, 50))]
+        if rng.random() < 0.3:
+            flag = rng.choice(["--tol-residual", "--tol-cluster", "--tol-root-residual"])
+            argv += [flag, rng.choice(self.TOLERANCES)]
+        if rng.random() < 0.3:
+            argv.append("--json")
+        if rng.random() < 0.05:
+            argv.remove("--in")  # a required option goes missing
+        return argv
+
+    def test_generated_command_lines(self, tmp_path):
+        paths = {"missing": self.MISSING}
+        for name, text in self.INPUTS.items():
+            path = tmp_path / f"{name}.txt"
+            path.write_text(text)
+            paths[name] = str(path)
+        commands = ["polar", "degree", "discriminant", "singular", "directions", "inflexion",
+                    "classify-sing", "family", "class", "genus", "localsing"]
+        targets = [(c, None) for c in commands] + [("check", t) for t in CHECKS]
+        rng = random.Random(20261018)
+        cases = [self._argv(rng, paths, c, t) for c, t in targets]
+        while len(cases) < 300:
+            cases.append(self._argv(rng, paths, *rng.choice(targets)))
+        cases += [[], ["bogus"], ["check", "--in", paths["web"], "--theorem", "bogus"]]
+        failures = []
+        for argv in cases:
+            try:
+                code, _ = run_command(argv)
+            except Exception as exc:  # noqa: BLE001 - the test reports it
+                failures.append((argv, repr(exc)))
+                continue
+            if code not in (0, 1, 2, 3):
+                failures.append((argv, code))
+        assert not failures, failures

@@ -19,7 +19,7 @@ from polarweb import (
     milnor_number,
     multiplicity_sequence,
 )
-from polarweb.errors import PolynomialError
+from polarweb.errors import NumericAbortError, PolynomialError
 from polarweb.localsing import (
     blow_up_germ,
     equisingularity_check,
@@ -179,6 +179,21 @@ class TestFingerprint:
         numeric = fingerprint(CurveGerm.at_numeric_point(poly, (2 + 0j, 1 + 0j)))
         assert numeric.key() == fingerprint(CUSP).key()
 
+    def test_numeric_triple_tangent_is_a_numeric_abort(self):
+        # the cone line y = x has multiplicity 3 and does not separate
+        # numerically; the exact germ resolves
+        poly = (Y - X) ** 3 - X**4
+        with pytest.raises(NumericAbortError):
+            fingerprint(CurveGerm.at_numeric_point(poly, (0j, 0j)))
+        assert fingerprint(germ(poly)).key() == (3, 6, 1, 3, (3, 1, 1, 1), (3,))
+
+    def test_exact_germ_past_the_cap_is_a_polynomial_error(self, monkeypatch):
+        from polarweb import localsing
+
+        monkeypatch.setattr(localsing, "MAX_BLOWUPS", 1)
+        with pytest.raises(PolynomialError):
+            fingerprint(germ(Y**2 - X**5))
+
 
 class TestOneBlowUpPath:
     """Exact and numeric germs share one blow-up on their term dicts."""
@@ -300,3 +315,23 @@ class TestEquisingularity:
         fol = [e for e in FOLIATIONS if e.name == "A=x^2 B=y^2"][0].foliation
         report = genus_constancy_check(fol, seed=6, samples=3)
         assert report.passed, report.render_text()
+
+    def test_numeric_abort_in_one_genus_is_a_discard(self, monkeypatch):
+        from polarweb import localsing
+
+        fol = [e for e in FOLIATIONS if e.name == "A=x^2 B=y^2"][0].foliation
+        genus = localsing.genus_of_curve
+        calls = []
+
+        def first_aborts(curve, seed=0, include_infinity=True):
+            calls.append(curve)
+            if len(calls) == 1:
+                raise NumericAbortError("numeric germ exceeded the blow-up cap")
+            return genus(curve, seed, include_infinity)
+
+        monkeypatch.setattr(localsing, "genus_of_curve", first_aborts)
+        report = genus_constancy_check(fol, seed=6, samples=3)
+        assert report.passed, report.render_text()
+        assert report.samples_used == 3 and len(calls) == 4
+        assert len(report.discards) == 1
+        assert report.discards[0][1] == "genus unavailable: numeric germ exceeded the blow-up cap"

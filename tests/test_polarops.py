@@ -1,6 +1,7 @@
 """Polar curves, the polar family, and the section-2/3 theorem checks."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from polarweb import (
     web_degree,
 )
 from polarweb.errors import DegenerateSampleError
+from polarweb.mpoly import _rekey
 from polarweb.polarops import (
     _absolute_factor_count,
     _integer_rank,
@@ -141,7 +143,6 @@ class TestPolarFamily:
         fam = polar_family(w_radial)
         result = fam.at(P0)
         assert isinstance(result, RadialProduct)
-        assert fam.excluded_centers == [P0]
 
 
 class TestBasePoints:
@@ -196,6 +197,28 @@ class TestFamilyDegree:
         assert report.passed, report.render_text()
 
 
+def sampled_family_dimension(web: SymWeb, seed: int = 0, samples: int = 5) -> int:
+    """Reference: the family dimension as it was estimated before the grid,
+    the largest projective rank at up to five seeded centers (a lower bound
+    on the exact value)."""
+    P = polar_family(web).parametric
+    maps = [P, P.derivative("a"), P.derivative("b")]
+    sampler = GenericSampler(seed)
+    best = 0
+    for _ in range(samples):
+        a0, b0 = sampler.point()
+        center = {"a": MPoly.constant(a0), "b": MPoly.constant(b0)}
+        scaled = []
+        for f in maps:
+            row = _rekey(f.substitute({v: c for v, c in center.items() if v in f.variables}), ("x", "y"))
+            den = math.lcm(*(v.denominator for v in row.values()))
+            scaled.append({j: v.numerator * (den // v.denominator) for j, v in row.items()})
+        best = max(best, _integer_rank(scaled) - 1)
+        if best == 2:
+            break
+    return best
+
+
 class TestFamilyDimension:
     def test_radial_is_a_line_of_curves(self):
         assert family_dimension(w_radial) == 1
@@ -210,6 +233,26 @@ class TestFamilyDimension:
     def test_battery(self, entry):
         report = family_dimension_check(entry.web, seed=4)
         assert report.passed, report.render_text()
+
+    @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
+    def test_matches_sampled_centers_on_battery(self, entry):
+        assert family_dimension(entry.web) == sampled_family_dimension(entry.web, seed=4)
+
+    def test_scan_moves_past_a_vanishing_polar(self):
+        # the polar of (x*dy - y*dx)*dx vanishes at the first grid point (0, 0)
+        web = superpose(SymWeb(X * DY - Y * DX), SymWeb(DX)).web
+        assert isinstance(polar_curve(web, P0), RadialProduct)
+        assert family_dimension(web) == 2
+
+    def test_exact_invariants_draw_nothing(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a random number")
+
+        monkeypatch.setattr(random.Random, "randint", no_draw)
+        monkeypatch.setattr(random.Random, "random", no_draw)
+        web = SymWeb(Y * DX**2 + X * DY**2 + DX * DY)
+        assert web_degree(web) == 1
+        assert family_dimension(web) == 2
 
 
 class TestSingularLocus:

@@ -1,8 +1,10 @@
 """Webs on the affine chart: degree, singular set, discriminant, directions."""
 
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from battery import BATTERY, DX, DY, X, Y
 from polarweb import (
@@ -69,21 +71,85 @@ class TestSuperpose:
                     continue
                 if s.squarefree_warning:
                     continue
-                assert web_degree(s.web, 3) == web_degree(e1.web, 3) + web_degree(e2.web, 3)
+                assert web_degree(s.web) == web_degree(e1.web) + web_degree(e2.web)
+
+
+def random_line_degree(web: SymWeb, seed: int = 0, lines: int = 3, max_rounds: int = 50) -> int:
+    """Reference: the web degree estimated on seeded random rational lines, as
+    it was computed before the exact symbolic line.  All non-degenerate lines
+    of a round must agree, otherwise the round is retried with fresh lines."""
+    rng = random.Random(seed)
+    t = MPoly.variable("t")
+    for _ in range(max_rounds):
+        values = []
+        for _ in range(lines):
+            a1, a2 = rng.randint(-40, 40), rng.randint(-40, 40)
+            b1, b2 = rng.randint(-40, 40), rng.randint(-40, 40)
+            if a1 == 0 and a2 == 0:
+                continue
+            line = {"x": a1 * t + b1, "y": a2 * t + b2, "dx": MPoly.constant(a1), "dy": MPoly.constant(a2)}
+            restricted = web.form.substitute({v: p for v, p in line.items() if v in web.form.variables})
+            if not restricted.is_zero():
+                values.append(restricted.degree_in("t"))
+        if values and len(values) >= min(lines, 2) and len(set(values)) == 1:
+            return values[0]
+    raise DegenerateSampleError("random lines never agreed")
+
+
+@st.composite
+def random_webs(draw) -> SymWeb:
+    """Forms of degree k <= 3 in (dx, dy) with coefficients of degree <= 3."""
+    k = draw(st.integers(1, 3))
+    monomials = [(i, j) for i in range(4) for j in range(4 - i)]
+    form = MPoly.zero()
+    for n in range(k + 1):
+        for i, j in monomials:
+            c = draw(st.integers(-3, 3)) if draw(st.booleans()) else 0
+            if c:
+                form = form + MPoly.monomial(c, {"x": i, "y": j}) * DX ** (k - n) * DY**n
+    assume(not form.is_zero())
+    try:
+        web = SymWeb(form)
+    except WebValidationError:
+        assume(False)
+    return web
 
 
 class TestWebDegree:
     def test_product_zero(self):
-        assert web_degree(w_product, 0) == 0
+        assert web_degree(w_product) == 0
 
     def test_radial_zero(self):
-        assert web_degree(w_radial, 0) == 0
+        assert web_degree(w_radial) == 0
 
     def test_circle_pencil_one(self):
-        assert web_degree(w_circles, 0) == 1
+        assert web_degree(w_circles) == 1
 
     def test_sqrt_web_one(self):
-        assert web_degree(w_sqrt, 0) == 1
+        assert web_degree(w_sqrt) == 1
+
+    @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
+    def test_matches_random_lines_on_battery(self, entry):
+        assert web_degree(entry.web) == random_line_degree(entry.web, 3)
+
+    def test_matches_random_lines_on_superpositions(self):
+        for i, e1 in enumerate(BATTERY):
+            for e2 in BATTERY[i:]:
+                try:
+                    web = superpose(e1.web, e2.web).web
+                except WebValidationError:
+                    continue
+                assert web_degree(web) == random_line_degree(web, 5), (e1.name, e2.name)
+
+    @given(random_webs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_random_lines_on_random_forms(self, web):
+        assert web_degree(web) == random_line_degree(web)
+
+    def test_cached_on_the_web(self):
+        web = SymWeb(X * DX**2 + Y * DY**2)
+        assert web_degree(web) == 1
+        assert web._degree == 1
 
 
 class TestSingularSet:
