@@ -12,6 +12,7 @@ import argparse
 import datetime
 import functools
 import json
+import math
 import sys
 
 from . import localsing as localsing_mod
@@ -78,6 +79,28 @@ _TOLERANCE_FLAGS = (
 )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --samples: an int of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of the --tol-* flags: a finite float above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and shared by every call."""
@@ -96,11 +119,11 @@ def _build_parser() -> argparse.ArgumentParser:
         if seeded:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--tol-residual", type=float, default=None,
+        p.add_argument("--tol-residual", type=_tolerance, default=None,
                        help="numeric membership tolerance (default 1e-9)")
-        p.add_argument("--tol-cluster", type=float, default=None,
+        p.add_argument("--tol-cluster", type=_tolerance, default=None,
                        help="numeric clustering tolerance (default 1e-5)")
-        p.add_argument("--tol-root-residual", type=float, default=None,
+        p.add_argument("--tol-root-residual", type=_tolerance, default=None,
                        help="root-finder residual tolerance (default 1e-9)")
 
     common(sub.add_parser("polar", help="polar curve with a given center"), center=True)
@@ -126,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="run a theorem check")
     common(chk)
     chk.add_argument("--theorem", required=True, choices=CHECKS)
-    chk.add_argument("--samples", type=int, default=20)
+    chk.add_argument("--samples", type=_positive_int, default=20)
     return parser
 
 

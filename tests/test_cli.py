@@ -464,6 +464,36 @@ class TestToleranceOverrides:
         assert self._settings() == defaults
 
 
+class TestOptionValidation:
+    """--samples takes a positive int and --tol-* a finite positive float;
+    anything else is a usage error that names the flag."""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--samples", "0"), ("--samples", "-1"),
+        *[(f"--tol-{name}", value) for name in ("residual", "cluster", "root-residual")
+          for value in ("0", "-1", "nan", "inf")],
+    ])
+    def test_bad_value_is_a_usage_error(self, inputs, capsys, flag, value):
+        code, text = run_command(["check", "--in", inputs["fol"], "--theorem", "polar-degree", flag, value])
+        err = capsys.readouterr().err
+        assert (code, text) == (2, "")
+        assert f"argument {flag}:" in err
+        assert "Traceback" not in err
+
+    def test_genus_constant_with_no_samples(self, inputs):
+        # used to FAIL with `genera: []`
+        code, text = run_command(["check", "--in", inputs["fol"], "--theorem", "genus-constant",
+                                  "--samples", "0"])
+        assert code == 2
+        assert "genera" not in text
+
+    def test_negative_root_residual_is_not_a_numeric_abort(self, inputs):
+        # used to reach univariate_roots and abort with exit 3
+        argv = ["directions", "--in", inputs["web"], "--point", "2,0"]
+        assert run_command(argv)[0] == 0
+        assert run_command(argv + ["--tol-root-residual", "-1"]) == (2, "")
+
+
 class TestFuzz:
     """Seeded generated command lines: every one ends in an exit code in
     {0, 1, 2, 3}, and no exception escapes `run_command`."""

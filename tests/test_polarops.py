@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -24,10 +25,11 @@ from polarweb import (
     web_degree,
 )
 from polarweb.errors import DegenerateSampleError
-from polarweb.mpoly import _rekey
+from polarweb.mpoly import _CERT_PRIME, _rekey
 from polarweb.polarops import (
     _absolute_factor_count,
     _integer_rank,
+    _independent_mod_p,
     base_points,
     base_points_check,
     branches_at_center,
@@ -342,9 +344,70 @@ class TestComponentCountErrors:
         def broken(rows):
             raise InternalInvariantError("broken elimination")
 
-        monkeypatch.setattr(polarops, "_integer_rank", broken)
+        # the irreducible polars of the circle pencil are counted by the
+        # rank mod p alone
+        monkeypatch.setattr(polarops, "_independent_mod_p", broken)
         with pytest.raises(InternalInvariantError):
             generic_polar_irreducible(w_circles, seed=0, samples=1)
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap every binding of `name` in the polarweb modules; return the list
+    that records one entry per call."""
+    calls = []
+    for module in [m for n, m in sys.modules.items() if n.startswith("polarweb.")]:
+        original = getattr(module, name, None)
+        if callable(original):
+            def spy(*args, _original=original, **kwargs):
+                calls.append(args)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestIrreducibilityWork:
+    """What the irreducibility check computes, counted call by call."""
+
+    def test_count_of_one_needs_no_integer_rank(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "_integer_rank")
+        assert _absolute_factor_count(X**2 + Y**2 - 1) == 1
+        assert calls == []
+
+    def test_count_above_one_reaches_the_integer_rank(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "_integer_rank")
+        assert _absolute_factor_count(X**2 + Y**2) == 2
+        assert len(calls) == 1
+
+    def test_no_singular_set_solve(self, monkeypatch):
+        web = next(e.web for e in BATTERY if e.name == "A=x^2 B=y^2")
+        sing = _count_calls(monkeypatch, "singular_set")
+        zeros = _count_calls(monkeypatch, "common_zeros")
+        report = generic_polar_irreducible(web, seed=3, samples=2)
+        assert report.passed, report.render_text()
+        assert (sing, zeros) == ([], [])
+
+    def test_singular_center_is_discarded(self, monkeypatch):
+        from polarweb import polarops
+
+        class Stub(GenericSampler):
+            """The web's singular point (0, 0) first, then the seeded draws."""
+
+            def __init__(self, seed):
+                super().__init__(seed)
+                self.first = True
+
+            def center(self):
+                if self.first:
+                    self.first = False
+                    return P0
+                return super().center()
+
+        monkeypatch.setattr(polarops, "GenericSampler", Stub)
+        report = generic_polar_irreducible(w_circles, seed=0, samples=1)
+        assert report.discards[0] == (str(P0), "center is singular on the web")
+        assert report.samples_used == report.samples_requested == 1
+        assert report.passed, report.render_text()
 
 
 def _line(a, b, c):
@@ -391,6 +454,30 @@ class TestAbsoluteFactorCount:
         rnd.shuffle(rows)
         sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
         assert _integer_rank(sparse) == sympy.Matrix(rows).rank()
+
+    @given(st.lists(st.dictionaries(
+        st.integers(0, 7),
+        st.builds(lambda a, k: a + k * _CERT_PRIME, st.integers(-9, 9), st.integers(-2, 2)).filter(bool),
+        max_size=8), max_size=10))
+    @settings(max_examples=100, deadline=None)
+    def test_rank_mod_p_is_a_lower_bound(self, rows):
+        # entries a + k*p: the matrix mod p has entries in -9..9, and a minor
+        # that is a nonzero multiple of p drops rank_p below rank_Q
+        assert sum(_independent_mod_p(rows)) <= _integer_rank(rows)
+
+    @given(st.lists(st.dictionaries(st.integers(0, 7), st.integers(-9, 9).filter(bool), max_size=8),
+                    max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_rank_mod_p_is_exact_below_the_hadamard_bound(self, rows):
+        # every minor is at most (9 * sqrt(6))^6 < 2^61 - 1 in magnitude, so
+        # a minor is zero mod p only when it is zero
+        assert sum(_independent_mod_p(rows)) == _integer_rank(rows)
+
+    def test_rank_mod_p_drops_at_the_prime(self):
+        # the determinant is p
+        rows = [{0: _CERT_PRIME + 1, 1: 1}, {0: 1, 1: 1}]
+        assert list(_independent_mod_p(rows)) == [True, False]
+        assert _integer_rank(rows) == 2
 
     def test_polar_of_the_eight_web(self):
         form = DX * (X * DX + Y * DY)
