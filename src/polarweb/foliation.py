@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import comb
 
 from .errors import (
     DegenerateSampleError,
@@ -24,6 +25,8 @@ from .errors import (
 )
 from .mpoly import (
     MPoly,
+    _from_int_coeffs,
+    _integer_terms,
     divisibility_multiplicity,
     exact_div,
     jet_decompose,
@@ -359,6 +362,24 @@ def is_inflexion_point(curve: PlaneCurve, p: AffinePoint) -> bool:
     return fxx * u * u + 2 * fxy * u * v + fyy * v * v == 0
 
 
+def _line_restriction(f: MPoly, m: Fraction, c: Fraction) -> MPoly:
+    """f(x, m x + c) * (q s)^deg_y f for m = p/q and c = r/s: the restriction
+    of f in (x, y) to the line, scaled to integer coefficients.  Each term
+    a x^i y^j gives a x^i (p s x + r q)^j (q s)^(deg_y f - j)."""
+    terms = _integer_terms(f, f.rational_content(), ["x", "y"])
+    top = max((j for _, j in terms), default=0)
+    slope, offset, den = (
+        [u**k for k in range(top + 1)]
+        for u in (m.numerator * c.denominator, c.numerator * m.denominator, m.denominator * c.denominator)
+    )
+    out = [0] * (max((i + j for i, j in terms), default=0) + 1)
+    for (i, j), a in terms.items():
+        a *= den[top - j]
+        for k in range(j + 1):
+            out[i + k] += a * comb(j, k) * slope[k] * offset[j - k]
+    return _from_int_coeffs("x", out)
+
+
 def _line_roots(e: PlaneCurve, sampler: GenericSampler):
     """For each seeded line y = m x + c, yield (m, c, rational, numeric): the
     abscissae where it meets the curve, as `univariate_root_split` gives them,
@@ -366,10 +387,7 @@ def _line_roots(e: PlaneCurve, sampler: GenericSampler):
     Each line is drawn only when the next one is asked for."""
     while True:
         m, c = sampler.fraction(), sampler.fraction()
-        sub = {}
-        if "y" in e.defining.variables:
-            sub["y"] = MPoly.constant(m) * X + MPoly.constant(c)
-        restricted = e.defining.substitute(sub) if sub else e.defining
+        restricted = _line_restriction(e.defining, m, c)
         rat, num = [], []
         if not restricted.is_zero() and restricted.degree_in("x") > 0:
             try:

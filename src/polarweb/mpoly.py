@@ -521,17 +521,9 @@ def _content_in(f: MPoly, var: str) -> MPoly:
 
 
 def _univariate_gcd(f: MPoly, g: MPoly, var: str) -> MPoly:
-    """gcd of two polynomials in var alone, by the primitive Euclidean
-    algorithm on integer coefficient lists: each pseudo-remainder is divided
-    by its content, so the coefficients stay small."""
-    a, b = (_dense(_integer_terms(h, h.rational_content(), [var]), h.degree_in(var)) for h in (f, g))
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _int_prem(a, b)
-        content = math.gcd(*r)
-        a, b = b, [c // content for c in r]
-    return MPoly._make((var,), {(k,): Fraction(c) for k, c in enumerate(a) if c}).canonical()
+    """gcd of two polynomials in var alone, on their integer coefficient
+    lists (`_int_gcd`)."""
+    return _from_int_coeffs(var, _int_gcd(_int_coeffs(f, var), _int_coeffs(g, var)))
 
 
 # Coprimality certificate.  Reduce mod a prime p and set every variable but v
@@ -723,20 +715,23 @@ def resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
     return MPoly._make(tuple(others), {e: scale * c for e, c in _int_resultant(F, G, m, n).items()})
 
 
-# Integer polynomials for `resultant`: {exponent tuple: nonzero int}, the
-# eliminated variable first.
+# Integer polynomials: term dicts {exponent tuple: nonzero int} for
+# `resultant`, the eliminated variable first, and ascending int lists for
+# univariate work (the PRS, `_int_gcd`, and Yun's decomposition in `solve`).
 
 
 def _integer_terms(f: MPoly, content: Fraction, order: list[str]) -> dict[tuple, int]:
     """The terms of the integer polynomial f / content, exponents laid out
     in the given variable order."""
     pos = [order.index(v) for v in f.variables]
+    num, den = content.numerator, content.denominator
     out = {}
     for e, c in f.terms.items():
         full = [0] * len(order)
         for i, k in zip(pos, e):
             full[i] = k
-        out[tuple(full)] = (c / content).numerator
+        # c / content is an integer; dividing ints skips Fraction's gcd
+        out[tuple(full)] = c.numerator * den // (c.denominator * num)
     return out
 
 
@@ -787,6 +782,19 @@ def _dense(F: dict, degree: int) -> list[int]:
     return out
 
 
+def _int_coeffs(f: MPoly, var: str) -> list[int]:
+    """Ascending coefficients of the integer polynomial f / content(f), for a
+    nonzero f in var alone."""
+    if f.variables not in ((), (var,)):
+        raise PolynomialError(f"not univariate in {var!r}: involves {list(f.variables)}")
+    return _dense(_integer_terms(f, f.rational_content(), [var]), f.degree_in(var))
+
+
+def _from_int_coeffs(var: str, coeffs: list[int]) -> MPoly:
+    """The polynomial in var with the ascending coefficients."""
+    return MPoly._make((var,), {(k,): Fraction(c) for k, c in enumerate(coeffs) if c})
+
+
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b of ascending lists
     with nonzero tops; [] for zero."""
@@ -803,6 +811,40 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
             r.pop()
         e -= 1
     return [c * lcb**e for c in r] if e > 0 else r
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """gcd of two ascending int lists, a nonzero, by the primitive Euclidean
+    algorithm: each pseudo-remainder is divided by its content, so the
+    coefficients stay small.  Primitive, with a positive top."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _int_prem(a, b)
+        content = math.gcd(*r)
+        a, b = b, [c // content for c in r]
+    content = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
+    return [c // content for c in a]
+
+
+def _int_exact_quo(a: list[int], b: list[int]) -> list[int]:
+    """a / b for ascending int lists with nonzero tops when b divides a in
+    Z[x]; a remainder or a fractional quotient coefficient is a broken
+    invariant of the caller."""
+    r = list(a)
+    lcb = b[-1]
+    q = [0] * (len(a) - len(b) + 1)
+    for off in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[off + len(b) - 1], lcb)
+        if rem:
+            raise InternalInvariantError("exact division of integer lists failed")
+        q[off] = c
+        if c:
+            for i, bc in enumerate(b):
+                r[off + i] -= c * bc
+    if any(r[: len(b) - 1]):
+        raise InternalInvariantError("exact division of integer lists failed")
+    return q
 
 
 def _int_prs_resultant(a: list[int], b: list[int]) -> int:

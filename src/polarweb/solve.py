@@ -1,10 +1,19 @@
-"""Finite zero sets of polynomial collections in two variables.
+"""Roots of univariate polynomials, and finite zero sets of polynomial
+collections in two variables.
 
-The strategy is classical elimination: resultants of random small integer
-combinations give univariate eliminants whose roots form a candidate superset,
-and every candidate is verified against all inputs -- exactly for rational
-candidates, numerically (relative residual) otherwise.  Multiplicity data is
-recovered exactly through square-free decomposition of the eliminants.
+A univariate polynomial is split on its integer coefficient list: Yun's
+square-free decomposition gives each factor with its exact multiplicity, and
+each factor is solved by Aberth.  A real approximation rounded to a fraction
+a/b counts as a rational root only when the factor vanishes there exactly,
+by an integer test (b divides the top coefficient, a the lowest nonzero one,
+and sum c_i a^i b^(n-i) = 0).  The numeric roots are the approximations of a
+factor once no rational root is left to divide out.
+
+Zero sets use classical elimination: resultants of the generators (or of
+random small integer combinations) give univariate eliminants whose roots
+form a candidate superset, and every candidate is verified against all
+inputs -- exactly for rational candidates, numerically (relative residual)
+otherwise.
 """
 
 from __future__ import annotations
@@ -12,10 +21,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import InfiniteZeroSetError, PolynomialError
-from .mpoly import MPoly, poly_gcd, resultant, try_exact_div
-from .numerics import univariate_roots
+from .mpoly import MPoly, _from_int_coeffs, _int_coeffs, _int_exact_quo, _int_gcd, poly_gcd, resultant
+from .numerics import _derivative, univariate_roots
 
 NUMERIC_TOL = 1e-9
 RECONSTRUCT_DENOMS = (10**6, 10**12)
@@ -43,62 +53,96 @@ def certify_membership_tolerance(report) -> None:
         report.certify("numeric_membership_tolerance", NUMERIC_TOL)
 
 
-def squarefree_decomposition_univariate(f: MPoly, var: str) -> list[tuple[MPoly, int]]:
-    """Yun decomposition: f = unit * prod g_i^i with g_i square-free, coprime."""
-    if f.degree_in(var) == 0:
-        return []
-    from .mpoly import exact_div
+def _sub(a: list[int], b: list[int]) -> list[int]:
+    """a - b for ascending int lists, without top zeros."""
+    out = [u - v for u, v in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
-    fp = f.derivative(var)
-    a = poly_gcd(f, fp)
-    b = exact_div(f, a)
-    d = exact_div(fp, a) - b.derivative(var)
+
+def _yun(f: list[int]) -> list[tuple[list[int], int]]:
+    """Yun's square-free decomposition (SYMSAC 1976) of an ascending int list
+    of positive degree: the pairs (g_i, i) with deg g_i > 0, where
+    f = unit * prod g_i^i and each g_i is square-free, primitive and has a
+    positive top.  Every quotient is exact in Z[x]: each divisor is a
+    primitive factor of an integer dividend (Gauss's lemma)."""
+    fp = _derivative(f)
+    a = _int_gcd(f, fp)
+    b = _int_exact_quo(f, a)
+    d = _sub(_int_exact_quo(fp, a), _derivative(b))
     out = []
     i = 1
-    while b.degree_in(var) > 0:
-        g = poly_gcd(b, d) if not d.is_zero() else b.canonical()
-        if g.degree_in(var) > 0:
+    while len(b) > 1:
+        g = _int_gcd(b, d)
+        if len(g) > 1:
             out.append((g, i))
-        b = exact_div(b, g)
-        d = exact_div(d, g) - b.derivative(var) if not d.is_zero() else -b.derivative(var)
+        b = _int_exact_quo(b, g)
+        d = _sub(_int_exact_quo(d, g), _derivative(b))
         i += 1
     return out
+
+
+def squarefree_decomposition_univariate(f: MPoly, var: str) -> list[tuple[MPoly, int]]:
+    """Yun decomposition: f = unit * prod g_i^i with g_i square-free, coprime
+    and canonical; f must not involve another variable."""
+    if f.degree_in(var) == 0:
+        return []
+    return [(_from_int_coeffs(var, g), i) for g, i in _yun(_int_coeffs(f, var))]
+
+
+def _vanishes_at(coeffs: list[int], root: Fraction) -> bool:
+    """Whether the ascending int list, not all zero, vanishes at root = a/b:
+    b must divide the top coefficient and a the lowest nonzero one (the
+    rational root theorem), and then sum c_i a^i b^(n-i) must be 0."""
+    a, b = root.numerator, root.denominator
+    if coeffs[-1] % b or (a and next(c for c in coeffs if c) % a):
+        return False
+    acc, bp = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * a + c * bp
+        bp *= b
+    return acc == 0
+
+
+def _candidates(approx: list[complex]):
+    """Rational guesses for the real-looking approximations, in order."""
+    for r in approx:
+        if abs(r.imag) <= 1e-7 * max(1.0, abs(r)):
+            for cap in RECONSTRUCT_DENOMS:
+                yield Fraction(r.real).limit_denominator(cap)
 
 
 def univariate_root_split(
     f: MPoly, var: str
 ) -> tuple[list[tuple[Fraction, int]], list[tuple[complex, int]]]:
-    """Roots of a univariate polynomial: (rational with exact multiplicity,
-    non-rational numeric with multiplicity)."""
+    """Roots of a nonzero polynomial in var alone: (rational with exact
+    multiplicity, non-rational numeric with multiplicity).
+
+    Each square-free factor of Yun's decomposition, as an int list, is solved
+    by Aberth; a rounding of a real approximation that the factor vanishes at
+    exactly (`_vanishes_at`) is a rational root, and dividing it out gives
+    the next factor to solve.  The numeric roots are the approximations of
+    the last solve, in which no rational root was verified.
+    """
     if f.is_zero():
         raise PolynomialError("root split of zero polynomial")
     rational: list[tuple[Fraction, int]] = []
     numeric: list[tuple[complex, int]] = []
-    for g, mult in squarefree_decomposition_univariate(f.canonical(), var):
-        # peel rational roots exactly; what remains is handled numerically
-        work = g
-        changed = True
-        while changed and work.degree_in(var) > 0:
-            changed = False
-            approx = univariate_roots([complex(c) for c in work.univariate_coeffs(var)])
-            for r in approx:
-                if abs(r.imag) > 1e-7 * max(1.0, abs(r)):
-                    continue
-                for cap in RECONSTRUCT_DENOMS:
-                    cand = Fraction(r.real).limit_denominator(cap)
-                    if work.evaluate({var: cand}) == 0:
-                        rational.append((cand, mult))
-                        q = try_exact_div(work, MPoly.variable(var) - MPoly.constant(cand))
-                        if q is None:
-                            raise PolynomialError("verified root failed to deflate")
-                        work = q
-                        changed = True
-                        break
-                if changed:
-                    break
-        if work.degree_in(var) > 0:
-            for r in univariate_roots([complex(c) for c in work.univariate_coeffs(var)]):
-                numeric.append((r, mult))
+    if f.degree_in(var) == 0:
+        return rational, numeric
+    for work, mult in _yun(_int_coeffs(f, var)):
+        while len(work) > 1:
+            approx = univariate_roots(work)
+            root = next((r for r in _candidates(approx) if _vanishes_at(work, r)), None)
+            if root is None:
+                numeric += [(r, mult) for r in approx]
+                break
+            rational.append((root, mult))
+            # work / (var - a/b) = b * (work / (b*var - a)): the quotient over
+            # Q, whose float image fixes the approximations reported
+            q = _int_exact_quo(work, [-root.numerator, root.denominator])
+            work = [root.denominator * c for c in q]
     return rational, numeric
 
 
