@@ -110,14 +110,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, center=False, point=False, seeded=True):
+    def common(p, center=False, point=False):
         p.add_argument("--in", dest="path", required=True, help="input file")
         if center:
             p.add_argument("--center", required=True, help="rational center a,b")
         if point:
             p.add_argument("--point", required=True, help="rational point a,b")
-        if seeded:
-            p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--tol-residual", type=_tolerance, default=None,
                        help="numeric membership tolerance (default 1e-9)")
@@ -251,7 +250,7 @@ def run_command(argv: list[str]) -> tuple[int, str]:
             lines.append("discriminant: " + ("empty" if curve.is_empty else format_mpoly(curve.defining)))
         elif args.command == "singular":
             web = _as_web(obj)
-            sing = singular_set(web, args.seed)
+            sing = singular_set(web)
             for p in sing.points:
                 lines.append(f"singular point: {p} [exact]")
             for q in sing.numeric_points:
@@ -298,7 +297,7 @@ def run_command(argv: list[str]) -> tuple[int, str]:
             lines.append(f"class: {class_of_curve(curve, args.seed)}")
         elif args.command == "genus":
             curve = _as_curve(obj)
-            g = genus_of_curve(curve, args.seed, include_infinity=not args.affine_only)
+            g = genus_of_curve(curve, include_infinity=not args.affine_only)
             lines.append(f"genus: {g}" + (" (affine singularities only)" if args.affine_only else ""))
         elif args.command == "localsing":
             curve = _as_curve(obj)
@@ -372,7 +371,7 @@ def _equality_check(web: SymWeb, seed: int, rounds: int) -> CheckReport:
 
 
 def _dichotomy_all_singularities(fol: FoliationData, seed: int, samples: int) -> CheckReport:
-    sing = singular_set(fol.as_web, seed)
+    sing = singular_set(fol.as_web)
     total_points = len(sing.points) + len(sing.numeric_points)
     per_point = max(samples // max(total_points, 1), 1)
     merged = CheckReport("qr-dichotomy", seed=seed, samples_requested=per_point * total_points)

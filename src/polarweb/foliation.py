@@ -136,9 +136,8 @@ def polar_sing_in_inflexion_check(fol: FoliationData, seed: int = 0, samples: in
         report.add("inflexion divisor", True, "identically zero: all leaves are lines; check skipped")
         return report
     sampler = GenericSampler(seed)
-    rng = random.Random(seed + 3)
     fixed = [AffinePoint.of(0, 0), AffinePoint.of(1, 0), AffinePoint.of(0, 1)]
-    fixed += singular_set(fol.as_web, seed).points[:2]
+    fixed += singular_set(fol.as_web).points[:2]
 
     def draw():
         return fixed.pop(0) if fixed else sampler.center()
@@ -154,7 +153,7 @@ def polar_sing_in_inflexion_check(fol: FoliationData, seed: int = 0, samples: in
         return [F, fx, fy], None
 
     for _, p, gens in sample_centers(report, sampler, samples, admissible, draw):
-        zs = common_zeros(gens, rng=rng)
+        zs = common_zeros(gens)
         bad = []
         for q in zs.rational:
             on_divisor = (not e.is_empty) and e.defining.evaluate({"x": q[0], "y": q[1]}) == 0
@@ -412,7 +411,7 @@ def inflexion_lemma_check(
         report.add("inflexion divisor", True, "identically zero (all leaves lines); check skipped")
         return report
     sampler = GenericSampler(seed)
-    sing = singular_set(fol.as_web, seed)
+    sing = singular_set(fol.as_web)
 
     def regular(p: AffinePoint) -> bool:
         return not (fol.A.evaluate(p.as_dict()) == 0 and fol.B.evaluate(p.as_dict()) == 0)
@@ -523,7 +522,7 @@ def class_of_curve(curve: PlaneCurve, seed: int = 0) -> int:
     F = _chart_without_infinite_singularities(F0, rng)
     fx, fy = F.derivative("x"), F.derivative("y")
     gens = [g for g in (F, fx, fy) if not g.is_zero()]
-    sing = common_zeros(gens, rng=rng) if not (fx.is_zero() and fy.is_zero()) else None
+    sing = common_zeros(gens) if not (fx.is_zero() and fy.is_zero()) else None
     values = []
     for _ in range(2):
         values.append(_class_once(F, n, sing, rng))
@@ -617,9 +616,9 @@ def _class_once(F: MPoly, n: int, sing, rng: random.Random) -> int:
 # ---------------------------------------------------------------------------
 
 
-def count_quasi_radial(fol: FoliationData, seed: int = 0) -> tuple[int, list[str], bool]:
+def count_quasi_radial(fol: FoliationData) -> tuple[int, list[str], bool]:
     """(#quasi-radial singular points, descriptions, all-exact flag)."""
-    sing = singular_set(fol.as_web, seed)
+    sing = singular_set(fol.as_web)
     count = 0
     descriptions = []
     exact = True
@@ -644,7 +643,7 @@ def quasi_radial_bound_check(fol: FoliationData, seed: int = 0, samples: int = 5
     if e is None:
         report.add("inflexion divisor", True, "identically zero; bound check skipped (degenerate)")
         return report
-    qr, descriptions, exact = count_quasi_radial(fol, seed)
+    qr, descriptions, exact = count_quasi_radial(fol)
     for d in descriptions:
         report.note(d)
 

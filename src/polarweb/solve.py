@@ -9,21 +9,21 @@ by an integer test (b divides the top coefficient, a the lowest nonzero one,
 and sum c_i a^i b^(n-i) = 0).  The numeric roots are the approximations of a
 factor once no rational root is left to divide out.
 
-Zero sets use classical elimination: resultants of the generators (or of
-random small integer combinations) give univariate eliminants whose roots
-form a candidate superset, and every candidate is verified against all
-inputs -- exactly for rational candidates, numerically (relative residual)
-otherwise.
+Zero sets use classical elimination: resultants of the generators give
+univariate eliminants whose roots form a candidate superset, and every
+candidate is verified against all inputs -- exactly for rational candidates,
+numerically (relative residual) otherwise.  When every pairwise resultant
+vanishes, two combinations sum_i t^i p_i at integers t, found within a proven
+bound (`_combination_resultant`), take their place: no draw is involved.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import count, islice, zip_longest
 
-from .errors import InfiniteZeroSetError, PolynomialError
+from .errors import InfiniteZeroSetError, InternalInvariantError, PolynomialError
 from .mpoly import MPoly, _from_int_coeffs, _int_coeffs, _int_exact_quo, _int_gcd, poly_gcd, resultant
 from .numerics import _derivative, univariate_roots
 
@@ -159,9 +159,33 @@ class ZeroSet:
         return len(self.rational) + len(self.numeric)
 
 
-def common_zeros(polys: list[MPoly], rng: random.Random | None = None) -> ZeroSet:
+def _combination_resultant(polys: list[MPoly], v: str) -> MPoly:
+    """A nonzero Res_v(G(t1), G(t2)) for G(t) = sum_i t^i p_i, where the n >= 2
+    polynomials p_i all involve v and have gcd 1.
+
+    An irreducible h dividing G(t) for n distinct t divides every p_i (the
+    Vandermonde matrix is invertible), so it divides G(t) for at most n - 1
+    values of t; and deg_v G(t) drops below its maximum for at most n - 1
+    values (the top coefficient has degree < n in t).  So the first t1 with
+    deg_v G(t1) > 0 is at most n, and within the next
+    (deg_v G(t1) + 1)(n - 1) + 1 values some G(t2) involves v and shares no
+    factor with G(t1).
+    """
+    n = len(polys)
+    combos = (sum((MPoly.constant(t**i) * p for i, p in enumerate(polys)), MPoly.zero())
+              for t in count(1))
+    c1 = next((c for c in islice(combos, n) if c.degree_in(v) > 0), None)
+    if c1 is not None:
+        for c2 in islice(combos, (c1.degree_in(v) + 1) * (n - 1) + 1):
+            if c2.degree_in(v) > 0:
+                r = resultant(c1, c2, v)
+                if not r.is_zero():
+                    return r
+    raise InternalInvariantError(f"no combination of coprime generators eliminates {v}")
+
+
+def common_zeros(polys: list[MPoly]) -> ZeroSet:
     """Common zero set, expected finite, of polynomials in (x, y)."""
-    rng = rng or random.Random(0)
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         raise InfiniteZeroSetError("all generators are zero")
@@ -177,30 +201,19 @@ def common_zeros(polys: list[MPoly], rng: random.Random | None = None) -> ZeroSe
 
     def eliminant(elim_var: str, keep_var: str) -> MPoly:
         """A nonzero polynomial in keep_var vanishing at every common zero's
-        keep_var coordinate: gcd of pure generators, pairwise resultants, and
-        (if needed) resultants of random combinations."""
+        keep_var coordinate: the gcd of the generators free of elim_var and
+        of the nonzero pairwise resultants, or, when there are none, the
+        resultant of two combinations (`_combination_resultant`)."""
         positive = [p for p in polys if p.degree_in(elim_var) > 0]
-        pure = [p for p in polys if p.degree_in(elim_var) == 0]
-        candidates = list(pure)
+        candidates = [p for p in polys if p.degree_in(elim_var) == 0]
         for i in range(len(positive)):
             for j in range(i + 1, len(positive)):
                 r = resultant(positive[i], positive[j], elim_var)
                 if not r.is_zero():
                     candidates.append(r)
-        if not candidates and len(positive) >= 2:
-            for _ in range(40):
-                c1 = sum((MPoly.constant(rng.randint(-9, 9)) * p for p in positive), MPoly.zero())
-                c2 = sum((MPoly.constant(rng.randint(-9, 9)) * p for p in positive), MPoly.zero())
-                if c1.degree_in(elim_var) == 0 or c2.degree_in(elim_var) == 0:
-                    continue
-                r = resultant(c1, c2, elim_var)
-                if not r.is_zero():
-                    candidates.append(r)
-                    break
         if not candidates:
-            raise InfiniteZeroSetError(
-                f"could not eliminate {elim_var}: every route keeps a common factor"
-            )
+            # every generator involves elim_var, and there are >= 2 of them
+            candidates.append(_combination_resultant(positive, elim_var))
         out = candidates[0]
         for c in candidates[1:]:
             if out.is_constant():

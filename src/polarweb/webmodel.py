@@ -9,7 +9,6 @@ primitive integer representative with positive graded-lex leading coefficient.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -77,12 +76,6 @@ class Direction:
         if self.is_exact:
             return complex(self.u), complex(self.v)
         return self.approx
-
-    def matches(self, other: "Direction") -> bool:
-        if self.is_exact and other.is_exact:
-            return (self.u, self.v) == (other.u, other.v)
-        (u1, v1), (u2, v2) = self.as_complex(), other.as_complex()
-        return abs(u1 * v2 - u2 * v1) <= 1e-9 * max(1.0, abs(u1 * v2), abs(u2 * v1))
 
     def __str__(self):
         if self.is_exact:
@@ -291,12 +284,12 @@ def web_degree(web: SymWeb) -> int:
     return web._degree
 
 
-def singular_set(web: SymWeb, seed: int = 0) -> SingularSet:
+def singular_set(web: SymWeb) -> SingularSet:
     """Common zeros of the coefficients a_i(x, y); finite for a valid web."""
     gens = [c for c in web.coefficients() if not c.is_zero()]
     if any(c.is_constant() for c in gens):
         return SingularSet([], [], gens, None, None)
-    zs: ZeroSet = common_zeros(gens, rng=random.Random(seed))
+    zs: ZeroSet = common_zeros(gens)
     pts = [AffinePoint(a, b) for a, b in zs.rational]
     return SingularSet(pts, zs.numeric, gens, zs.elim_x, zs.elim_y)
 

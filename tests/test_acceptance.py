@@ -203,7 +203,7 @@ def test_criterion_10_quasi_radial_dichotomy():
     """Line-pq multiplicity 1 at quasi-radial points, 0 otherwise, 20 centers."""
     ok = True
     for entry in FOLIATIONS:
-        sing = singular_set(entry.foliation.as_web, SEED)
+        sing = singular_set(entry.foliation.as_web)
         for q in sing.points:
             report = tangent_cone_dichotomy(entry.foliation, q, seed=SEED, samples=20)
             ok = ok and report.passed

@@ -97,10 +97,17 @@ class TestInputFiles:
         assert any("saturated" in w for w in warnings)
 
     def test_foliation_as_form(self):
-        obj, _ = parse_input_text("type: foliation\nform: x*dy - y*dx\n")
-        assert isinstance(obj, FoliationData)
+        obj, warnings = parse_input_text("type: foliation\nform: x*dy - y*dx\n")
+        assert isinstance(obj, FoliationData) and not warnings
         # the radial field, up to the canonical-sign normalization of the form
         assert obj.A * y - obj.B * x == 0 and not obj.A.is_zero()
+
+    def test_foliation_as_form_with_a_common_factor(self):
+        obj, warnings = parse_input_text("type: foliation\nform: x^2*dy - x*y*dx\n")
+        assert isinstance(obj, FoliationData) and not obj.saturated
+        assert obj.A * y - obj.B * x == 0 and obj.A.total_degree() == 1
+        # the form is saturated once, before the vector field is built
+        assert len(warnings) == 1 and warnings[0].startswith("form coefficients were not coprime")
 
     def test_curve(self):
         obj, _ = parse_input_text("type: curve\nf: y^2 - x^3\n")
@@ -350,6 +357,20 @@ class TestDeterminism:
                 assert doc["report"].pop("seed") == int(seed)
             bodies.append(doc)
         assert bodies[0] == bodies[1]
+
+    def test_singular_set_depends_on_no_seed(self, tmp_path):
+        # every pair of coefficients shares a factor in y, so eliminating y
+        # takes the combination fallback of common_zeros
+        path = tmp_path / "pairwise.txt"
+        path.write_text("type: web\nform: y*(y-1)*(x+1)*dx^2 + (y-1)*(y-2)*(x-1)*dx*dy"
+                        " + (y-2)*y*(x+2)*dy^2\n")
+        bodies = []
+        for seed in ("0", "5"):
+            code, text = run_command(["singular", "--in", str(path), "--seed", seed])
+            assert code == 0, text
+            bodies.append([line for line in _body(text).splitlines() if not line.startswith("command")])
+        assert bodies[0] == bodies[1]
+        assert bodies[0][:3] == [f"singular point: {p} [exact]" for p in ("(-2, 1)", "(-1, 2)", "(1, 0)")]
 
     def test_across_processes_and_hash_seeds(self, inputs):
         cmd = [

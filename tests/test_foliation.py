@@ -189,7 +189,7 @@ class TestDichotomy:
 
     @pytest.mark.parametrize("entry", FOLIATIONS, ids=lambda e: e.name)
     def test_battery_all_rational_singularities(self, entry):
-        sing = singular_set(entry.foliation.as_web, 0)
+        sing = singular_set(entry.foliation.as_web)
         for q in sing.points:
             report = tangent_cone_dichotomy(entry.foliation, q, seed=1, samples=4)
             assert report.passed, report.render_text()
@@ -319,5 +319,5 @@ class TestQuasiRadialBound:
         assert report.passed
 
     def test_qr_count_perturbed_radial(self):
-        count, _, _ = count_quasi_radial(FoliationData(X - Y**2, Y + X**2), 0)
+        count, _, _ = count_quasi_radial(FoliationData(X - Y**2, Y + X**2))
         assert count >= 1

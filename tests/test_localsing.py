@@ -323,11 +323,11 @@ class TestEquisingularity:
         genus = localsing.genus_of_curve
         calls = []
 
-        def first_aborts(curve, seed=0, include_infinity=True):
+        def first_aborts(curve, include_infinity=True):
             calls.append(curve)
             if len(calls) == 1:
                 raise NumericAbortError("numeric germ exceeded the blow-up cap")
-            return genus(curve, seed, include_infinity)
+            return genus(curve, include_infinity)
 
         monkeypatch.setattr(localsing, "genus_of_curve", first_aborts)
         report = genus_constancy_check(fol, seed=6, samples=3)

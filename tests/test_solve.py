@@ -1,5 +1,6 @@
 """Univariate root splitting: Yun's decomposition on integers, the exact
-rational root test, and the roots it reports."""
+rational root test, and the roots it reports; and the elimination fallback
+of `common_zeros`."""
 
 from fractions import Fraction
 from math import prod
@@ -9,10 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 from polarweb import MPoly
 from polarweb import solve
+from polarweb.errors import InternalInvariantError
 from polarweb.mpoly import divisibility_multiplicity, exact_div, poly_gcd
-from polarweb.solve import _vanishes_at, squarefree_decomposition_univariate, univariate_root_split
+from polarweb.solve import (
+    _combination_resultant,
+    _vanishes_at,
+    common_zeros,
+    squarefree_decomposition_univariate,
+    univariate_root_split,
+)
 
 x = MPoly.variable("x")
+y = MPoly.variable("y")
 
 
 def fraction_yun(f: MPoly, var: str) -> list[tuple[MPoly, int]]:
@@ -163,3 +172,35 @@ class TestExactRootTest:
         # the divisibility filter alone would admit -1: b | 3 and -1 | 2
         assert not _vanishes_at([2, 0, 3], Fraction(-1))
 
+
+def _staircase(r, s):
+    """p_i = (x - s_i) * prod_{j != i} (y - r_j): for three or more distinct
+    r_j every pair shares a factor in y, the gcd of all is 1, and the common
+    zeros are the points (s_i, r_i)."""
+    return [(x - si) * prod((y - rj for j, rj in enumerate(r) if j != i), start=MPoly.constant(1))
+            for i, si in enumerate(s)]
+
+
+class TestCombinationFallback:
+    def test_web_with_pairwise_common_factors(self, monkeypatch):
+        calls, real = [], solve._combination_resultant
+        monkeypatch.setattr(solve, "_combination_resultant", lambda polys, v: calls.append(v) or real(polys, v))
+        # the coefficients of the 2-web in tests/test_cli.py::TestDeterminism
+        zs = common_zeros([y * (y - 1) * (x + 1), (y - 1) * (y - 2) * (x - 1), (y - 2) * y * (x + 2)])
+        assert zs.rational == [(-2, 1), (-1, 2), (1, 0)] and not zs.numeric
+        # only the elimination of y needs the combinations
+        assert calls == ["y"]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(3, 4).flatmap(lambda n: st.tuples(
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n, unique=True),
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n, unique=True))))
+    def test_staircases(self, rs):
+        r, s = rs
+        zs = common_zeros(_staircase(r, s))
+        assert zs.rational == sorted(zip(s, r)) and not zs.numeric
+
+    def test_common_factor_exhausts_the_bound(self):
+        # outside its precondition (gcd 1) every combination keeps the factor y
+        with pytest.raises(InternalInvariantError):
+            _combination_resultant([y * (x + 1), y * (x - 1)], "y")

@@ -168,7 +168,7 @@ class TestSingularSet:
             if e.web.k < 2:
                 continue
             disc = e.web.discriminant_form
-            s = singular_set(e.web, 1)
+            s = singular_set(e.web)
             for p in s.points:
                 assert disc.is_zero() or disc.evaluate(p.as_dict()) == 0
             for q in s.numeric_points:
