@@ -14,7 +14,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb
 
 from .errors import (
     DegenerateSampleError,
@@ -25,7 +24,6 @@ from .errors import (
 )
 from .mpoly import (
     MPoly,
-    _from_int_coeffs,
     _integer_terms,
     divisibility_multiplicity,
     exact_div,
@@ -49,7 +47,7 @@ from .numerics import univariate_roots
 from .polarops import RadialProduct, polar_curve
 from .reports import CheckReport
 from .sampling import GenericSampler, sample_centers
-from .solve import certify_membership_tolerance, common_zeros, univariate_root_split
+from .solve import certify_membership_tolerance, common_zeros, int_root_split, univariate_root_split
 from .webmodel import (
     AffinePoint,
     PlaneCurve,
@@ -58,6 +56,7 @@ from .webmodel import (
     singular_set,
     web_degree,
 )
+from .zpoly import _line_restriction
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
@@ -361,36 +360,23 @@ def is_inflexion_point(curve: PlaneCurve, p: AffinePoint) -> bool:
     return fxx * u * u + 2 * fxy * u * v + fyy * v * v == 0
 
 
-def _line_restriction(f: MPoly, m: Fraction, c: Fraction) -> MPoly:
-    """f(x, m x + c) * (q s)^deg_y f for m = p/q and c = r/s: the restriction
-    of f in (x, y) to the line, scaled to integer coefficients.  Each term
-    a x^i y^j gives a x^i (p s x + r q)^j (q s)^(deg_y f - j)."""
-    terms = _integer_terms(f, f.rational_content(), ["x", "y"])
-    top = max((j for _, j in terms), default=0)
-    slope, offset, den = (
-        [u**k for k in range(top + 1)]
-        for u in (m.numerator * c.denominator, c.numerator * m.denominator, m.denominator * c.denominator)
-    )
-    out = [0] * (max((i + j for i, j in terms), default=0) + 1)
-    for (i, j), a in terms.items():
-        a *= den[top - j]
-        for k in range(j + 1):
-            out[i + k] += a * comb(j, k) * slope[k] * offset[j - k]
-    return _from_int_coeffs("x", out)
-
-
 def _line_roots(e: PlaneCurve, sampler: GenericSampler):
     """For each seeded line y = m x + c, yield (m, c, rational, numeric): the
-    abscissae where it meets the curve, as `univariate_root_split` gives them,
-    both empty when the line meets it nowhere or its roots cannot be found.
-    Each line is drawn only when the next one is asked for."""
+    abscissae where it meets the curve, as `int_root_split` gives them, both
+    empty when the line meets it nowhere or its roots cannot be found.  The
+    curve's integer terms are taken once; each line is drawn only when the
+    next one is asked for."""
+    f = e.defining
+    terms = _integer_terms(f, f.rational_content(), ["x", "y"])
     while True:
         m, c = sampler.fraction(), sampler.fraction()
-        restricted = _line_restriction(e.defining, m, c)
+        restricted = _line_restriction(terms, m, c)
+        while restricted and not restricted[-1]:
+            restricted.pop()
         rat, num = [], []
-        if not restricted.is_zero() and restricted.degree_in("x") > 0:
+        if len(restricted) > 1:
             try:
-                rat, num = univariate_root_split(restricted, "x")
+                rat, num = int_root_split(restricted)
             except NumericAbortError:
                 pass  # wildly scaled line; try another
         yield m, c, rat, num

@@ -34,6 +34,7 @@ from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalInvariantError, PolynomialError
+from .zpoly import _CERT_PRIME, _coprime_mod_p, _int_gcd, _int_prs_resultant, _newton_interpolate
 
 MAX_EXPONENT = 2**31
 
@@ -520,18 +521,11 @@ def _content_in(f: MPoly, var: str) -> MPoly:
     return g.canonical() if not g.is_constant() else MPoly.constant(1)
 
 
-def _univariate_gcd(f: MPoly, g: MPoly, var: str) -> MPoly:
-    """gcd of two polynomials in var alone, on their integer coefficient
-    lists (`_int_gcd`)."""
-    return _from_int_coeffs(var, _int_gcd(_int_coeffs(f, var), _int_coeffs(g, var)))
-
-
 # Coprimality certificate.  Reduce mod a prime p and set every variable but v
 # to an integer, at a point where neither leading coefficient in v vanishes.
 # The image of gcd(f, g) then divides the gcd of the images and keeps its
 # degree in v (W. S. Brown, J. ACM 18, 1971), so coprime images prove that
 # gcd(f, g) is free of v.  The prime and the points are fixed: no draws.
-_CERT_PRIME = 2**61 - 1
 _CERT_TRIES = 3
 
 
@@ -560,25 +554,6 @@ def _image_in(res: list[tuple[tuple, int]], variables: tuple, v: str, point: dic
                 c = c * pow(vals[j], k, p) % p
         out[e[i]] = (out[e[i]] + c) % p
     return out
-
-
-def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
-    """Whether two polynomials over F_p, ascending with nonzero tops, have a
-    constant gcd (Euclid; a and b are consumed)."""
-    p = _CERT_PRIME
-    while len(b) > 1:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            q = a[-1] * inv % p
-            off = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[off + i] = (a[off + i] - q * c) % p
-            while a and not a[-1]:
-                a.pop()
-        if not a:
-            return False
-        a, b = b, a
-    return True
 
 
 def _certified_coprime(f: MPoly, g: MPoly, active: list[str]) -> bool:
@@ -624,7 +599,7 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
         return MPoly.constant(1)
     var = min(active, key=lambda v: min(f.degree_in(v), g.degree_in(v)))
     if len(f.variables) == 1 and len(g.variables) == 1:
-        return _univariate_gcd(f, g, var)
+        return _from_int_coeffs(var, _int_gcd(_int_coeffs(f, var), _int_coeffs(g, var)))
     cf = _content_in(f, var)
     cg = _content_in(g, var)
     c = poly_gcd(cf, cg) if not (cf.is_constant() and cg.is_constant()) else MPoly.constant(1)
@@ -715,9 +690,7 @@ def resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
     return MPoly._make(tuple(others), {e: scale * c for e, c in _int_resultant(F, G, m, n).items()})
 
 
-# Integer polynomials: term dicts {exponent tuple: nonzero int} for
-# `resultant`, the eliminated variable first, and ascending int lists for
-# univariate work (the PRS, `_int_gcd`, and Yun's decomposition in `solve`).
+# Bridges between MPoly values and the integer formats of `zpoly`.
 
 
 def _integer_terms(f: MPoly, content: Fraction, order: list[str]) -> dict[tuple, int]:
@@ -793,109 +766,6 @@ def _int_coeffs(f: MPoly, var: str) -> list[int]:
 def _from_int_coeffs(var: str, coeffs: list[int]) -> MPoly:
     """The polynomial in var with the ascending coefficients."""
     return MPoly._make((var,), {(k,): Fraction(c) for k, c in enumerate(coeffs) if c})
-
-
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b of ascending lists
-    with nonzero tops; [] for zero."""
-    lcb = b[-1]
-    r = list(a)
-    e = len(a) - len(b) + 1
-    while len(r) >= len(b):
-        lcr = r[-1]
-        off = len(r) - len(b)
-        r = [c * lcb for c in r]
-        for i, c in enumerate(b):
-            r[off + i] -= lcr * c
-        while r and not r[-1]:
-            r.pop()
-        e -= 1
-    return [c * lcb**e for c in r] if e > 0 else r
-
-
-def _int_gcd(a: list[int], b: list[int]) -> list[int]:
-    """gcd of two ascending int lists, a nonzero, by the primitive Euclidean
-    algorithm: each pseudo-remainder is divided by its content, so the
-    coefficients stay small.  Primitive, with a positive top."""
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _int_prem(a, b)
-        content = math.gcd(*r)
-        a, b = b, [c // content for c in r]
-    content = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
-    return [c // content for c in a]
-
-
-def _int_exact_quo(a: list[int], b: list[int]) -> list[int]:
-    """a / b for ascending int lists with nonzero tops when b divides a in
-    Z[x]; a remainder or a fractional quotient coefficient is a broken
-    invariant of the caller."""
-    r = list(a)
-    lcb = b[-1]
-    q = [0] * (len(a) - len(b) + 1)
-    for off in range(len(q) - 1, -1, -1):
-        c, rem = divmod(r[off + len(b) - 1], lcb)
-        if rem:
-            raise InternalInvariantError("exact division of integer lists failed")
-        q[off] = c
-        if c:
-            for i, bc in enumerate(b):
-                r[off + i] -= c * bc
-    if any(r[: len(b) - 1]):
-        raise InternalInvariantError("exact division of integer lists failed")
-    return q
-
-
-def _int_prs_resultant(a: list[int], b: list[int]) -> int:
-    """Res(a, b) of ascending int lists with nonzero tops and positive
-    degrees, by the subresultant PRS; every division in it is exact."""
-    m, n = len(a) - 1, len(b) - 1
-    sign = 1
-    if m < n:
-        a, b = b, a
-        if m % 2 == 1 and n % 2 == 1:
-            sign = -sign
-    gg = h = 1
-    while len(b) > 1:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            sign = -sign
-        r = _int_prem(a, b)
-        if not r:
-            return 0
-        div = gg * h**delta
-        a, b = b, [c // div for c in r]
-        gg = a[-1]
-        if delta > 0:
-            h = gg**delta // h ** (delta - 1) if delta > 1 else gg
-    da = len(a) - 1
-    res = b[0] ** da // h ** (da - 1) if da > 1 else b[0]
-    return sign * res
-
-
-def _newton_interpolate(nodes: list[int], values: list[int]) -> list[int]:
-    """Ascending coefficients of the integer polynomial of degree below
-    len(nodes) taking the values at the nodes.  Every divided difference of
-    an integer polynomial at integer nodes is an integer, so a remainder is
-    a broken degree bound or image, never rounding."""
-    c = list(values)
-    for j in range(1, len(nodes)):
-        for i in range(len(nodes) - 1, j - 1, -1):
-            q, rem = divmod(c[i] - c[i - 1], nodes[i] - nodes[i - j])
-            if rem:
-                raise InternalInvariantError("resultant: inexact divided difference")
-            c[i] = q
-    poly = [c[-1]]
-    for i in range(len(nodes) - 2, -1, -1):
-        # poly * (z - nodes[i]) + c[i]
-        shifted = [0] + poly
-        for k, p in enumerate(poly):
-            shifted[k] -= nodes[i] * p
-        shifted[0] += c[i]
-        poly = shifted
-    return poly
 
 
 def binary_form_degree(f: MPoly, u: str = "dx", v: str = "dy") -> int:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import NumericAbortError
+from .zpoly import _derivative
 
 RESIDUAL_TOL = 1e-9
 LC_UNDERFLOW = 1e-12
@@ -44,10 +45,6 @@ def relative_residual(coeffs: Sequence[complex], z: complex) -> float:
         den += abs(c) * zp
         zp *= az
     return num / max(den, 1e-300)
-
-
-def _derivative(coeffs: Sequence[complex]) -> list[complex]:
-    return [k * c for k, c in enumerate(coeffs)][1:]
 
 
 def univariate_roots(coeffs: Sequence[complex]) -> list[complex]:

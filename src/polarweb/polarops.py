@@ -11,9 +11,6 @@ the Gao-Ruppert kernel.
 
 from __future__ import annotations
 
-import math
-import random
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, product
@@ -21,7 +18,6 @@ from itertools import islice, product
 from .errors import DegenerateSampleError, InternalInvariantError, PolynomialError, WebValidationError
 from .mpoly import (
     MPoly,
-    _CERT_PRIME,
     _content_in,
     _rekey,
     _small_integers,
@@ -56,6 +52,7 @@ from .webmodel import (
     tangent_directions,
     web_degree,
 )
+from .zpoly import _independent_mod_p, _integer_rank
 
 A_VAR = MPoly.variable("a")
 B_VAR = MPoly.variable("b")
@@ -618,76 +615,6 @@ def _absolute_factor_count(f: MPoly) -> int:
     return len(rows) - _integer_rank(rows)
 
 
-def _independent_mod_p(rows: list[dict]) -> Iterator[bool]:
-    """For each row of an integer matrix given by sparse rows {column: int},
-    in turn, whether it is independent mod p = 2^61 - 1 of the rows before
-    it; the number of True values is the rank over F_p.
-
-    By row echelon form: each kept row is scaled to 1 at its greatest column
-    and indexed by it; a new row loses its greatest column to the kept row
-    there until it is zero or its greatest column is new, and then it is
-    kept.  On Gao matrices the greatest column fills in about half as much as
-    the least.
-    """
-    p = _CERT_PRIME
-    kept: dict = {}
-    for r in rows:
-        row = {c: v % p for c, v in r.items() if v % p}
-        while row:
-            col = max(row)
-            top = kept.get(col)
-            if top is None:
-                inv = pow(row[col], -1, p)
-                kept[col] = {c: v * inv % p for c, v in row.items()}
-                break
-            a = row[col]
-            for c, v in top.items():
-                w = (row.get(c, 0) - a * v) % p
-                if w:
-                    row[c] = w
-                else:
-                    row.pop(c, None)
-        yield bool(row)
-
-
-def _integer_rank(rows: list[dict]) -> int:
-    """Rank over Q of an integer matrix given by sparse rows {column: int},
-    by fraction-free Gaussian elimination.
-
-    The pivot is the entry of least magnitude.  A row with a nonzero entry a
-    in the pivot column becomes p*row - a*pivot_row, divided by its content;
-    the other rows are left alone.  After given pivots a remaining row is
-    fixed up to scale by its zeros in the pivot columns, and Bareiss's
-    elimination keeps an integer multiple of the primitive row kept here.
-    So these entries never exceed Bareiss's minors, and at centers with
-    large denominators they are far smaller.
-    """
-    def keyed(r: dict) -> tuple:
-        least = min(r, key=lambda c: abs(r[c]))
-        return abs(r[least]), least, r
-
-    rows = [keyed(r) for r in rows if r]
-    rank = 0
-    while rows:
-        _, col, top = rows.pop(min(range(len(rows)), key=lambda i: rows[i][0]))
-        p = top[col]
-        rest = []
-        for row in rows:
-            r = row[2]
-            a = r.get(col)
-            if not a:
-                rest.append(row)
-                continue
-            new = {c: p * v for c, v in r.items()}
-            for c, v in top.items():
-                new[c] = new.get(c, 0) - a * v
-            g = math.gcd(*new.values())
-            if g:
-                rest.append(keyed({c: v // g for c, v in new.items() if v}))
-        rows, rank = rest, rank + 1
-    return rank
-
-
 def curve_component_count(curve: PlaneCurve) -> int:
     """Number of irreducible components over C of a reduced plane curve."""
     F = curve.defining
@@ -696,48 +623,48 @@ def curve_component_count(curve: PlaneCurve) -> int:
     return _absolute_factor_count(F)
 
 
-def web_decomposable(web: SymWeb, seed: int = 0) -> tuple[bool, int]:
+def web_decomposable(web: SymWeb) -> tuple[bool, int]:
     """Whether the web splits as a superposition, and its number of
-    components over C.
+    components over C: the component count of the direction cover
+    q(t, m) = F(mu*t + c, t, 1, m) on a line x = mu*t + c, y = t where q is
+    primitive in m and the square-free part R of Res_m(F, F_m) stays
+    square-free.  (mu, 1) is the first direction where the top form of R is
+    nonzero, so R keeps its degree n on the line and q its m-degree k (each
+    factor of lc_m q divides R).  The line then meets the branch curve and
+    the line at infinity transversally, and by Zariski's Lefschetz-type
+    theorem its loops generate the monodromy of the cover: the counts agree.
 
-    That number is the component count of the direction cover
-    q(t, m) = F(a1*t + b1, a2*t + b2, 1, m) over a seeded line, taken when
-    the line passes an exact transversality test: q has m-degree k and is
-    primitive in m, and the square-free part R of Res_m(F, F_m) stays
-    square-free and of full degree on the line.  The line then meets the
-    branch curve and the line at infinity transversally, so by Zariski's
-    Lefschetz-type theorem the loops of the line generate the monodromy of
-    the cover and the two counts agree.
+    The intercepts are c = 0, 1, -1, 2, -2, ...  A rejected c is a root of
+    disc_t R(mu*t + c, t), nonzero of degree at most n(n - 1) in c, or lies
+    on a line through a point of Sing(W), where q has content in m; as the
+    coefficients have gcd 1, Sing(W) has at most D^2 points (Bezout for two
+    coprime combinations of them, D their largest degree).  So a search past
+    n(n - 1) + D^2 intercepts is a broken invariant.
     """
     if web.k == 1:
         return False, 1
-    rng = random.Random(seed)
     lam = next(proper_shears([web.form], u="dx", v="dy"))
     form = shear(web.form, lam, "dx", "dy")
     # Res_m(F, F_m) = +-lc * disc, lc the dy^k coefficient after the shear
     lead = web.form.substitute({v: c for v, c in (("dx", lam), ("dy", 1)) if v in web.form.variables})
     branch = squarefree_part(lead * web.discriminant_form)
-    for _ in range(30):
-        a1, a2 = rng.randint(-15, 15), rng.randint(-15, 15)
-        b1, b2 = rng.randint(-15, 15), rng.randint(-15, 15)
-        if a1 == 0 and a2 == 0:
-            continue
-        line = {"x": MPoly.constant(a1) * X + MPoly.constant(b1),
-                "y": MPoly.constant(a2) * X + MPoly.constant(b2)}
+    n = branch.total_degree()
+    bound = n * (n - 1) + max(a.total_degree() for a in web.coefficients()) ** 2
+    slope = MPoly.constant(next(proper_shears([branch]))) * X
+    for c in islice(_small_integers(), bound + 1):
+        line = {"x": slope + MPoly.constant(c), "y": X}
         # q(t, m) with t as x and m as y: primitive in m is the counter's
         # condition gcd(q, q_m) = 1, so it needs no shear
         chart = {**line, "dx": MPoly.constant(1), "dy": Y}
         q = form.substitute({v: p for v, p in chart.items() if v in form.variables})
-        if q.degree_in("y") != web.k or not _content_in(q, "y").is_constant():
+        if not _content_in(q, "y").is_constant():
             continue
         r = branch.substitute({v: p for v, p in line.items() if v in branch.variables})
-        if r.total_degree() != branch.total_degree():
-            continue
         if not r.is_constant() and not poly_gcd(r, r.derivative("x")).is_constant():
             continue
         count = _absolute_factor_count(q)
         return count > 1, count
-    raise DegenerateSampleError("web_decomposable: no admissible line found")
+    raise InternalInvariantError(f"web_decomposable: {bound + 1} intercepts found no transversal line")
 
 
 def generic_polar_irreducible(web: SymWeb, seed: int = 0, samples: int = 5) -> CheckReport:
@@ -747,7 +674,7 @@ def generic_polar_irreducible(web: SymWeb, seed: int = 0, samples: int = 5) -> C
     report = CheckReport("polar-irreducible", seed=seed, samples_requested=samples)
     d = web_degree(web)
     k = web.k
-    decomposable, _ = web_decomposable(web, seed)
+    decomposable, _ = web_decomposable(web)
     expect_reducible = decomposable or (d == 0 and k >= 2)
     report.note(
         f"web: k={k}, d={d}, decomposable={decomposable}; expected generic polar "

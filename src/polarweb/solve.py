@@ -1,31 +1,23 @@
 """Roots of univariate polynomials, and finite zero sets of polynomial
 collections in two variables.
 
-A univariate polynomial is split on its integer coefficient list: Yun's
-square-free decomposition gives each factor with its exact multiplicity, and
-each factor is solved by Aberth.  A real approximation rounded to a fraction
-a/b counts as a rational root only when the factor vanishes there exactly,
-by an integer test (b divides the top coefficient, a the lowest nonzero one,
-and sum c_i a^i b^(n-i) = 0).  The numeric roots are the approximations of a
-factor once no rational root is left to divide out.
-
-Zero sets use classical elimination: resultants of the generators give
-univariate eliminants whose roots form a candidate superset, and every
-candidate is verified against all inputs -- exactly for rational candidates,
-numerically (relative residual) otherwise.  When every pairwise resultant
-vanishes, two combinations sum_i t^i p_i at integers t, found within a proven
-bound (`_combination_resultant`), take their place: no draw is involved.
+A root split runs Yun's decomposition on the integer coefficient list and
+Aberth on each factor; a rounded approximation is a rational root only when
+the exact integer test (`zpoly._vanishes_at`) holds.  A zero set is the grid
+of the roots of two eliminants, resultants of the generators, each point
+verified on every generator: exactly when rational, by residual otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice, zip_longest
+from itertools import count, islice
 
 from .errors import InfiniteZeroSetError, InternalInvariantError, PolynomialError
-from .mpoly import MPoly, _from_int_coeffs, _int_coeffs, _int_exact_quo, _int_gcd, poly_gcd, resultant
-from .numerics import _derivative, univariate_roots
+from .mpoly import MPoly, _int_coeffs, poly_gcd, resultant
+from .numerics import univariate_roots
+from .zpoly import _int_exact_quo, _vanishes_at, _yun
 
 NUMERIC_TOL = 1e-9
 RECONSTRUCT_DENOMS = (10**6, 10**12)
@@ -53,58 +45,6 @@ def certify_membership_tolerance(report) -> None:
         report.certify("numeric_membership_tolerance", NUMERIC_TOL)
 
 
-def _sub(a: list[int], b: list[int]) -> list[int]:
-    """a - b for ascending int lists, without top zeros."""
-    out = [u - v for u, v in zip_longest(a, b, fillvalue=0)]
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _yun(f: list[int]) -> list[tuple[list[int], int]]:
-    """Yun's square-free decomposition (SYMSAC 1976) of an ascending int list
-    of positive degree: the pairs (g_i, i) with deg g_i > 0, where
-    f = unit * prod g_i^i and each g_i is square-free, primitive and has a
-    positive top.  Every quotient is exact in Z[x]: each divisor is a
-    primitive factor of an integer dividend (Gauss's lemma)."""
-    fp = _derivative(f)
-    a = _int_gcd(f, fp)
-    b = _int_exact_quo(f, a)
-    d = _sub(_int_exact_quo(fp, a), _derivative(b))
-    out = []
-    i = 1
-    while len(b) > 1:
-        g = _int_gcd(b, d)
-        if len(g) > 1:
-            out.append((g, i))
-        b = _int_exact_quo(b, g)
-        d = _sub(_int_exact_quo(d, g), _derivative(b))
-        i += 1
-    return out
-
-
-def squarefree_decomposition_univariate(f: MPoly, var: str) -> list[tuple[MPoly, int]]:
-    """Yun decomposition: f = unit * prod g_i^i with g_i square-free, coprime
-    and canonical; f must not involve another variable."""
-    if f.degree_in(var) == 0:
-        return []
-    return [(_from_int_coeffs(var, g), i) for g, i in _yun(_int_coeffs(f, var))]
-
-
-def _vanishes_at(coeffs: list[int], root: Fraction) -> bool:
-    """Whether the ascending int list, not all zero, vanishes at root = a/b:
-    b must divide the top coefficient and a the lowest nonzero one (the
-    rational root theorem), and then sum c_i a^i b^(n-i) must be 0."""
-    a, b = root.numerator, root.denominator
-    if coeffs[-1] % b or (a and next(c for c in coeffs if c) % a):
-        return False
-    acc, bp = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * a + c * bp
-        bp *= b
-    return acc == 0
-
-
 def _candidates(approx: list[complex]):
     """Rational guesses for the real-looking approximations, in order."""
     for r in approx:
@@ -113,25 +53,17 @@ def _candidates(approx: list[complex]):
                 yield Fraction(r.real).limit_denominator(cap)
 
 
-def univariate_root_split(
-    f: MPoly, var: str
-) -> tuple[list[tuple[Fraction, int]], list[tuple[complex, int]]]:
-    """Roots of a nonzero polynomial in var alone: (rational with exact
-    multiplicity, non-rational numeric with multiplicity).
-
-    Each square-free factor of Yun's decomposition, as an int list, is solved
-    by Aberth; a rounding of a real approximation that the factor vanishes at
-    exactly (`_vanishes_at`) is a rational root, and dividing it out gives
-    the next factor to solve.  The numeric roots are the approximations of
-    the last solve, in which no rational root was verified.
-    """
-    if f.is_zero():
-        raise PolynomialError("root split of zero polynomial")
+def int_root_split(coeffs: list[int]) -> tuple[list[tuple[Fraction, int]], list[tuple[complex, int]]]:
+    """Roots of the polynomial with the ascending int coefficients (nonzero
+    top; any content): (rational with exact multiplicity, non-rational
+    numeric with multiplicity).  Each square-free factor of Yun's
+    decomposition is solved by Aberth; a rounded real approximation that the
+    factor vanishes at exactly (`_vanishes_at`) is a rational root, divided
+    out before the next solve.  The numeric roots are the approximations of
+    the last solve, in which no rational root was verified."""
     rational: list[tuple[Fraction, int]] = []
     numeric: list[tuple[complex, int]] = []
-    if f.degree_in(var) == 0:
-        return rational, numeric
-    for work, mult in _yun(_int_coeffs(f, var)):
+    for work, mult in _yun(coeffs):
         while len(work) > 1:
             approx = univariate_roots(work)
             root = next((r for r in _candidates(approx) if _vanishes_at(work, r)), None)
@@ -144,6 +76,15 @@ def univariate_root_split(
             q = _int_exact_quo(work, [-root.numerator, root.denominator])
             work = [root.denominator * c for c in q]
     return rational, numeric
+
+
+def univariate_root_split(f: MPoly, var: str) -> tuple[list[tuple[Fraction, int]], list[tuple[complex, int]]]:
+    """`int_root_split` of a nonzero polynomial in var alone; a constant has no roots."""
+    if f.is_zero():
+        raise PolynomialError("root split of zero polynomial")
+    if f.degree_in(var) == 0:
+        return [], []
+    return int_root_split(_int_coeffs(f, var))
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 import json
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from battery import FOLIATIONS, X, Y
 from polarweb import (
@@ -20,7 +20,7 @@ from polarweb import (
 from polarweb.cli import run_command
 from polarweb.errors import PolynomialError, WebValidationError
 from polarweb.foliation import (
-    _line_restriction,
+    _line_roots,
     classify_singularity_numeric,
     count_quasi_radial,
     inflexion_lemma_check,
@@ -33,6 +33,7 @@ from polarweb.foliation import (
 from polarweb.sampling import GenericSampler
 from polarweb.polarops import RadialProduct
 from polarweb.webmodel import singular_set
+from test_polarops import _count_calls
 
 one = MPoly.constant(1)
 SQRT2 = (2**0.5 + 0j, 0j)
@@ -265,27 +266,15 @@ class TestInflexionLemma:
         assert not report.passed
 
 
-class TestLineRestriction:
-    """`_line_restriction` is the substitution y = m x + c up to scale."""
-
-    fractions = st.fractions(min_value=-100, max_value=100, max_denominator=100)
-    curves = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), fractions), max_size=5).map(
-        lambda terms: sum((c * X**i * Y**j for i, j, c in terms), MPoly.zero())
-    )
-
-    @given(curves, fractions, fractions)
-    @settings(max_examples=150, deadline=None)
-    def test_matches_substitution(self, f, m, c):
-        got = _line_restriction(f, m, c)
-        assert got.canonical() == subs(f, {"y": m * X + c}).canonical()
-        assert set(got.variables) <= {"x"} and all(v.denominator == 1 for v in got.terms.values())
-
-    def test_curve_without_y(self):
-        assert _line_restriction(X**2 - 2, Fraction(3, 7), Fraction(-1, 2)) == X**2 - 2
-
-    def test_line_on_the_curve(self):
-        f = (Y - Fraction(2, 3) * X - Fraction(1, 5)) * (X**2 + Y)
-        assert _line_restriction(f, Fraction(2, 3), Fraction(1, 5)).is_zero()
+class TestLineRootWork:
+    def test_ten_lines_take_the_integer_terms_once(self, monkeypatch):
+        fol = FoliationData(X**2 + Y, X * Y - 1)
+        e = inflexion_divisor(fol)
+        terms = _count_calls(monkeypatch, "_integer_terms")
+        wraps = _count_calls(monkeypatch, "_from_int_coeffs")
+        assert len(list(islice(_line_roots(e, GenericSampler(0)), 10))) == 10
+        # the divisor's terms once, and no restriction wrapped into an MPoly
+        assert (len(terms), wraps) == (1, [])
 
 
 class TestClassOfCurve:

@@ -154,8 +154,8 @@ def termwise_substitute(f: MPoly, assignments) -> MPoly:
 
 def fraction_univariate_gcd(f: MPoly, g: MPoly, var: str) -> MPoly:
     """Euclid on Fraction coefficient lists, the divisor made monic at every
-    step: the route `_univariate_gcd` took before it ran on integers, kept as
-    the reference."""
+    step: the route the univariate `poly_gcd` took before it ran on
+    integers, kept as the reference."""
     def strip(u):
         while u and u[-1] == 0:
             u.pop()
@@ -414,7 +414,7 @@ class TestGcdSquarefree:
         a, b = f * h * Fraction(1, p), g * h * Fraction(q, 5)
         if a.variables != ("x",) or b.variables != ("x",):
             return
-        got = mpoly._univariate_gcd(a, b, "x")
+        got = poly_gcd(a, b)
         ref = fraction_univariate_gcd(a, b, "x")
         assert got == ref and list(got.terms) == list(ref.terms)
         assert_well_formed(got)
@@ -422,7 +422,7 @@ class TestGcdSquarefree:
     def test_univariate_gcd_with_a_real_common_factor(self):
         f = (x - 1) ** 2 * (3 * x + 2) * Fraction(1, 6)
         g = (x - 1) * (3 * x + 2) ** 2 * (x + 5)
-        assert mpoly._univariate_gcd(f, g, "x") == ((x - 1) * (3 * x + 2)).canonical()
+        assert poly_gcd(f, g) == ((x - 1) * (3 * x + 2)).canonical()
 
     def test_gcd_divides_both(self):
         f = (x + y) ** 2 * (x - 2)

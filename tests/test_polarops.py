@@ -24,12 +24,11 @@ from polarweb import (
     superpose,
     web_degree,
 )
-from polarweb.errors import DegenerateSampleError
-from polarweb.mpoly import _CERT_PRIME, _rekey
+from polarweb.errors import DegenerateSampleError, InternalInvariantError
+from polarweb.mpoly import _rekey
 from polarweb.polarops import (
     _absolute_factor_count,
     _integer_rank,
-    _independent_mod_p,
     base_points,
     base_points_check,
     branches_at_center,
@@ -308,17 +307,36 @@ class TestIrreducibility:
         assert curve_component_count(PlaneCurve((X - 1) * (Y - 2))) == 2
 
     def test_web_decomposability(self):
-        assert web_decomposable(w_product, 0)[0]
-        assert not web_decomposable(w_sqrt, 0)[0]
-        assert web_decomposable(superpose(w_circles, w_sqrt).web, 0)[0]
+        assert web_decomposable(w_product)[0]
+        assert not web_decomposable(w_sqrt)[0]
+        assert web_decomposable(superpose(w_circles, w_sqrt).web)[0]
 
     def test_web_vanishing_at_the_first_seven_slopes(self):
         # the direction search has to go past 0, 1, -1, 2, -2, 3, -3 to 4
         form = MPoly.constant(1)
         for m in (0, 1, -1, 2, -2, 3, -3):
             form = form * (DX - m * DY)
-        decomposable, count = web_decomposable(SymWeb(form), 0)
+        decomposable, count = web_decomposable(SymWeb(form))
         assert decomposable and count == 7
+
+    # (decomposable, count) of the webs of the battery that are not (False, 1)
+    DECOMPOSITIONS = {"product dx*dy": (True, 2), "radial x vertical": (True, 2),
+                      "circles x sqrt (k=3)": (True, 2), "triple product (k=3)": (True, 3)}
+
+    @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
+    def test_decomposability_on_the_battery(self, entry):
+        assert web_decomposable(entry.web) == self.DECOMPOSITIONS.get(entry.name, (False, 1))
+
+    def test_exhausted_intercepts_are_a_broken_invariant(self, monkeypatch):
+        from polarweb import polarops
+
+        calls = []
+        monkeypatch.setattr(polarops, "_content_in", lambda f, v: calls.append(v) or Y)
+        with pytest.raises(InternalInvariantError):
+            web_decomposable(w_sqrt)
+        # branch curve x = 0 (n = 1), coefficients of degree <= 1 (D = 1):
+        # the bound n(n - 1) + D^2 = 1, so two intercepts are tried
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
     def test_battery(self, entry):
@@ -440,44 +458,6 @@ class TestAbsoluteFactorCount:
         for a, b, c in lines:
             f = f * (a * X + b * Y + c)
         assert _absolute_factor_count(f) == len(lines)
-
-    @given(st.integers(1, 8), st.integers(1, 10), st.integers(0, 4), st.randoms(use_true_random=False))
-    @settings(max_examples=60, deadline=None)
-    def test_rank_matches_sympy(self, n, m, extra, rnd):
-        sympy = pytest.importorskip("sympy")
-        # sparse rows, so that rows skip pivots, plus combinations of them
-        rows = [[rnd.choice((0, 0, 0, rnd.randint(-9, 9))) for _ in range(m)] for _ in range(n)]
-        for _ in range(extra):
-            i, j = rnd.randrange(n), rnd.randrange(n)
-            a, b = rnd.randint(-3, 3), rnd.randint(-3, 3)
-            rows.append([a * u + b * v for u, v in zip(rows[i], rows[j])])
-        rnd.shuffle(rows)
-        sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
-        assert _integer_rank(sparse) == sympy.Matrix(rows).rank()
-
-    @given(st.lists(st.dictionaries(
-        st.integers(0, 7),
-        st.builds(lambda a, k: a + k * _CERT_PRIME, st.integers(-9, 9), st.integers(-2, 2)).filter(bool),
-        max_size=8), max_size=10))
-    @settings(max_examples=100, deadline=None)
-    def test_rank_mod_p_is_a_lower_bound(self, rows):
-        # entries a + k*p: the matrix mod p has entries in -9..9, and a minor
-        # that is a nonzero multiple of p drops rank_p below rank_Q
-        assert sum(_independent_mod_p(rows)) <= _integer_rank(rows)
-
-    @given(st.lists(st.dictionaries(st.integers(0, 7), st.integers(-9, 9).filter(bool), max_size=8),
-                    max_size=6))
-    @settings(max_examples=100, deadline=None)
-    def test_rank_mod_p_is_exact_below_the_hadamard_bound(self, rows):
-        # every minor is at most (9 * sqrt(6))^6 < 2^61 - 1 in magnitude, so
-        # a minor is zero mod p only when it is zero
-        assert sum(_independent_mod_p(rows)) == _integer_rank(rows)
-
-    def test_rank_mod_p_drops_at_the_prime(self):
-        # the determinant is p
-        rows = [{0: _CERT_PRIME + 1, 1: 1}, {0: 1, 1: 1}]
-        assert list(_independent_mod_p(rows)) == [True, False]
-        assert _integer_rank(rows) == 2
 
     def test_polar_of_the_eight_web(self):
         form = DX * (X * DX + Y * DY)

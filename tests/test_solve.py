@@ -1,6 +1,5 @@
-"""Univariate root splitting: Yun's decomposition on integers, the exact
-rational root test, and the roots it reports; and the elimination fallback
-of `common_zeros`."""
+"""Univariate root splitting: the roots it reports, checked against planted
+factors and against sympy; and the elimination fallback of `common_zeros`."""
 
 from fractions import Fraction
 from math import prod
@@ -11,39 +10,16 @@ from hypothesis import given, settings, strategies as st
 from polarweb import MPoly
 from polarweb import solve
 from polarweb.errors import InternalInvariantError
-from polarweb.mpoly import divisibility_multiplicity, exact_div, poly_gcd
+from polarweb.mpoly import divisibility_multiplicity
 from polarweb.solve import (
     _combination_resultant,
-    _vanishes_at,
     common_zeros,
-    squarefree_decomposition_univariate,
+    int_root_split,
     univariate_root_split,
 )
 
 x = MPoly.variable("x")
 y = MPoly.variable("y")
-
-
-def fraction_yun(f: MPoly, var: str) -> list[tuple[MPoly, int]]:
-    """Yun's decomposition on Fraction `MPoly`s with `poly_gcd`: the route
-    `squarefree_decomposition_univariate` took before it ran on integer
-    lists, kept as the reference."""
-    if f.degree_in(var) == 0:
-        return []
-    fp = f.derivative(var)
-    a = poly_gcd(f, fp)
-    b = exact_div(f, a)
-    d = exact_div(fp, a) - b.derivative(var)
-    out = []
-    i = 1
-    while b.degree_in(var) > 0:
-        g = poly_gcd(b, d) if not d.is_zero() else b.canonical()
-        if g.degree_in(var) > 0:
-            out.append((g, i))
-        b = exact_div(b, g)
-        d = exact_div(d, g) - b.derivative(var) if not d.is_zero() else -b.derivative(var)
-        i += 1
-    return out
 
 
 def from_list(coeffs) -> MPoly:
@@ -72,23 +48,6 @@ def planted(draw):
     if x_power:
         linear[Fraction(0)] = linear.get(Fraction(0), 0) + x_power
     return f, linear
-
-
-class TestSquarefreeDecomposition:
-    @given(planted())
-    @settings(max_examples=150, deadline=None)
-    def test_matches_the_fraction_reference(self, case):
-        f, _ = case
-        assert squarefree_decomposition_univariate(f, "x") == fraction_yun(f.canonical(), "x")
-
-    def test_factors_are_canonical(self):
-        f = Fraction(-2, 3) * (2 * x + 1) ** 2 * (x**2 - 3) * x**3
-        assert squarefree_decomposition_univariate(f, "x") == [
-            ((x**2 - 3).canonical(), 1), (2 * x + 1, 2), (x, 3)
-        ]
-
-    def test_constant_has_no_factors(self):
-        assert squarefree_decomposition_univariate(MPoly.constant(5), "x") == []
 
 
 @pytest.fixture
@@ -146,31 +105,52 @@ class TestRootSplit:
         assert sorted(rational) == [(Fraction(1, 3), 1), (Fraction(10000000003, 30000000000), 1)]
 
 
-class TestExactRootTest:
-    candidates = st.one_of(
-        st.just(Fraction(0)),
-        roots,
-        st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**6)).map(lambda t: Fraction(*t)),
-    )
+def times(a: list[int], b: list[int]) -> list[int]:
+    """Product of two ascending int lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] += u * v
+    return out
 
-    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=6).filter(any), candidates,
-           st.booleans(), st.integers(0, 2))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_exact_evaluation(self, coeffs, cand, plant, x_power):
-        f = from_list(coeffs) * x**x_power
-        if plant:
-            # make cand a root, so the test sees both answers
-            f = f * (cand.denominator * x - cand.numerator)
-        ints = [int(c) for c in f.univariate_coeffs("x")]
-        assert _vanishes_at(ints, cand) == (f.evaluate({"x": cand}) == 0)
 
-    def test_zero_constant_term_and_negative_numerator(self):
-        assert _vanishes_at([0, 2, 3], Fraction(0))  # 3x^2 + 2x
-        assert _vanishes_at([0, 2, 3], Fraction(-2, 3))
-        assert not _vanishes_at([0, 2, 3], Fraction(2, 3))
-        assert not _vanishes_at([5, 2, 3], Fraction(0))
-        # the divisibility filter alone would admit -1: b | 3 and -1 | 2
-        assert not _vanishes_at([2, 0, 3], Fraction(-1))
+# an ascending int list with a nonzero top, of degree 0 to 4
+int_lists = st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(lambda c: c[-1])
+
+
+class TestIntEntry:
+    @given(int_lists, st.integers(-6, 6).filter(bool))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_mpoly_entry(self, coeffs, content):
+        coeffs = [content * c for c in coeffs]
+        assert int_root_split(coeffs) == univariate_root_split(from_list(coeffs), "x")
+
+
+class TestSympyRootOracle:
+    """Rational roots and multiplicities against the linear factors sympy's
+    `factor_list` finds, on products of random int lists and planted
+    rational linear factors."""
+
+    @given(st.lists(int_lists, max_size=3), st.lists(st.tuples(roots, multiplicities), max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_rational_roots_match_sympy(self, others, linear):
+        sympy = pytest.importorskip("sympy")
+        coeffs = [1]
+        for g in others:
+            coeffs = times(coeffs, g)
+        for r, k in linear:
+            for _ in range(k):
+                coeffs = times(coeffs, [-r.numerator, r.denominator])
+        t = sympy.Symbol("t")
+        _, factors = sympy.factor_list(sympy.Poly(coeffs[::-1], t))
+        expected = {}
+        for h, k in factors:
+            if h.degree() == 1:
+                b, a = h.all_coeffs()
+                root = Fraction(-int(a), int(b))
+                expected[root] = expected.get(root, 0) + k
+        rational, _ = int_root_split(coeffs)
+        assert len(rational) == len(expected) and dict(rational) == expected
 
 
 def _staircase(r, s):
