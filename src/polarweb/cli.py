@@ -187,8 +187,7 @@ CHECKS = {
     "sing-locus": (_as_web, lambda w, s, n: generic_polar_singularities_check(w, s, n)),
     "branches": (_as_web, lambda w, s, n: branches_check(w, s, n)),
     "irreducible": (_as_web, lambda w, s, n: generic_polar_irreducible(w, s, min(n, 5))),
-    "inflexion-lemma": (_as_foliation,
-                        lambda f, s, n: inflexion_lemma_check(f, s, on_curve=5, off_curve=max(n - 5, 5))),
+    "inflexion-lemma": (_as_foliation, lambda f, s, n: inflexion_lemma_check(f, s, n)),
     "sing-in-E": (_as_foliation, lambda f, s, n: polar_sing_in_inflexion_check(f, s, n)),
     "qr-dichotomy": (_as_foliation, lambda f, s, n: _dichotomy_all_singularities(f, s, n)),
     "qr-bound": (_as_foliation, lambda f, s, n: quasi_radial_bound_check(f, s, min(n, 5))),

@@ -3,9 +3,10 @@
 A foliation is the k = 1 web of a vector field A d/dx + B d/dy with coprime
 polynomial components.  This module computes the inflexion divisor, classifies
 singular points as quasi-radial or not through the first nonzero jet pair,
-verifies the tangent-cone dichotomy of the polar at singular points, runs both
-directions of the inflexion-at-center equivalence, and computes the class of a
-curve (degree of its dual) to bound the number of quasi-radial singularities.
+verifies the tangent-cone dichotomy of the polar at singular points, proves the
+inflexion-at-center equivalence by one exact identity in the center of the
+polar family, and computes the class of a curve (degree of its dual) to bound
+the number of quasi-radial singularities.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 
 from .errors import (
     DegenerateSampleError,
@@ -24,7 +24,6 @@ from .errors import (
 )
 from .mpoly import (
     MPoly,
-    _integer_terms,
     divisibility_multiplicity,
     exact_div,
     jet_decompose,
@@ -44,10 +43,10 @@ from .localsing import (
     intersection_multiplicity,
 )
 from .numerics import univariate_roots
-from .polarops import RadialProduct, polar_curve
+from .polarops import A_VAR, B_VAR, RadialProduct, _proportionality, polar_curve, polar_family
 from .reports import CheckReport
 from .sampling import GenericSampler, sample_centers
-from .solve import certify_membership_tolerance, common_zeros, int_root_split, univariate_root_split
+from .solve import certify_membership_tolerance, common_zeros, univariate_root_split
 from .webmodel import (
     AffinePoint,
     PlaneCurve,
@@ -56,7 +55,6 @@ from .webmodel import (
     singular_set,
     web_degree,
 )
-from .zpoly import _line_restriction
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
@@ -360,131 +358,56 @@ def is_inflexion_point(curve: PlaneCurve, p: AffinePoint) -> bool:
     return fxx * u * u + 2 * fxy * u * v + fyy * v * v == 0
 
 
-def _line_roots(e: PlaneCurve, sampler: GenericSampler):
-    """For each seeded line y = m x + c, yield (m, c, rational, numeric): the
-    abscissae where it meets the curve, as `int_root_split` gives them, both
-    empty when the line meets it nowhere or its roots cannot be found.  The
-    curve's integer terms are taken once; each line is drawn only when the
-    next one is asked for."""
-    f = e.defining
-    terms = _integer_terms(f, f.rational_content(), ["x", "y"])
-    while True:
-        m, c = sampler.fraction(), sampler.fraction()
-        restricted = _line_restriction(terms, m, c)
-        while restricted and not restricted[-1]:
-            restricted.pop()
-        rat, num = [], []
-        if len(restricted) > 1:
-            try:
-                rat, num = int_root_split(restricted)
-            except NumericAbortError:
-                pass  # wildly scaled line; try another
-        yield m, c, rat, num
+def _at_center(f: MPoly) -> MPoly:
+    """f with x -> a and y -> b."""
+    subs = {v: c for v, c in (("x", A_VAR), ("y", B_VAR)) if v in f.variables}
+    return f.substitute(subs) if subs else f
 
 
-def inflexion_lemma_check(
-    fol: FoliationData, seed: int = 0, on_curve: int = 5, off_curve: int = 15
-) -> CheckReport:
-    """p is an inflexion point of its own polar iff p lies on the inflexion
-    divisor; both directions witnessed by stratified sampling.
+def inflexion_lemma_check(fol: FoliationData, seed: int = 0, samples: int = 20) -> CheckReport:
+    """p is an inflexion point of its own polar P_p iff p lies on E(F).
 
-    On-divisor points come from lines through the divisor: rational ones from
-    up to 50 lines, then numeric ones from up to 50 more if those fall short.
-    Off-divisor points are drawn like any generic center."""
-    report = CheckReport("inflexion-lemma", seed=seed, samples_requested=on_curve + off_curve)
-    e = inflexion_divisor(fol)
-    if e is None:
+    One exact identity proves it at every regular p.  Let P(a, b; x, y) be
+    the parametric polar and take its partials at x = a, y = b.  The Hessian
+    form on the tangent direction (u, v) = (-P_y, P_x) is then a polynomial
+    in the center, and it is a nonzero constant c times E(a, b).  At a
+    regular p, grad P_p(p) = s*(-B, A) != 0, with s the nonzero scale of the
+    web's form, so p is a smooth point of P_p and inflects exactly where that
+    form vanishes, that is, on E(F).  Exact
+    samples off the divisor then witness the lemma at `samples` centers."""
+    report = CheckReport("inflexion-lemma", seed=seed, samples_requested=samples)
+    e = inflexion_polynomial(fol)
+    if e.is_zero():
         report.add("inflexion divisor", True, "identically zero (all leaves lines); check skipped")
         return report
-    sampler = GenericSampler(seed)
-    sing = singular_set(fol.as_web)
-
-    def regular(p: AffinePoint) -> bool:
-        return not (fol.A.evaluate(p.as_dict()) == 0 and fol.B.evaluate(p.as_dict()) == 0)
-
-    if e.is_empty:
-        report.note("inflexion divisor is a nonzero constant: no on-divisor points exist")
-    else:
-        # lazy: a line is drawn only while points are still wanted, and `fresh`
-        # sees each admitted point in on_points before it looks at the next
-        lines = _line_roots(e, sampler)
-        rational = (AffinePoint(x0, m * x0 + c) for m, c, rat, _ in islice(lines, 50) for x0, _mult in rat)
-        on_points: list[AffinePoint] = []
-        fresh = (p for p in rational
-                 if p not in on_points and regular(p) and not isinstance(fol.polar(p), RadialProduct))
-        for p in islice(fresh, on_curve):
-            on_points.append(p)
-            report.add(
-                f"p on E(F): inflexion at p={p}",
-                is_inflexion_point(fol.polar(p), p),
-                "polar inflects at its center",
-            )
-        # numeric fallback: complex roots on up to 50 more lines
-        numeric = ((z, complex(m) * z + complex(c)) for m, c, _, num in islice(lines, 50) for z, _mult in num)
-        added = 0
-        for zp in islice((zp for zp in numeric if not sing.contains_numeric(zp)), on_curve - len(on_points)):
-            report.add(
-                f"p on E(F) (numeric): inflexion at p≈({zp[0]:.5g},{zp[1]:.5g})",
-                _numeric_center_inflexion(fol, zp),
-                "numeric Hessian on tangent direction",
-                exact=False,
-            )
-            added += 1
-        report.samples_used += len(on_points) + added
-        if len(on_points) + added < on_curve:
-            report.add("on-divisor sampling", False, f"found {len(on_points)}+{added} of {on_curve}")
+    P = polar_family(fol.as_web).parametric
+    px, py = P.derivative("x"), P.derivative("y")
+    pxx, pxy, pyy = (_at_center(f) for f in (px.derivative("x"), px.derivative("y"), py.derivative("y")))
+    u, v = -_at_center(py), _at_center(px)
+    c = _proportionality(_at_center(e), pxx * u * u + pxy * u * v * 2 + pyy * v * v)
+    report.add(
+        "Hessian of P_p at p on its tangent = c·E(p)",
+        c is not None,
+        f"c = {c}" if c is not None else "not a constant multiple of E",
+    )
 
     def off_divisor(p):
-        if not regular(p):
+        if fol.A.evaluate(p.as_dict()) == 0 and fol.B.evaluate(p.as_dict()) == 0:
             return None, "singular point of the foliation"
-        if not e.is_empty and e.defining.evaluate(p.as_dict()) == 0:
+        if e.evaluate(p.as_dict()) == 0:
             return None, "accidentally on the inflexion divisor"
         curve = fol.polar(p)
         if isinstance(curve, RadialProduct):
             return None, "polar degenerates"
         return curve, None
 
-    for _, p, curve in sample_centers(report, sampler, off_curve, off_divisor):
+    for _, p, curve in sample_centers(report, GenericSampler(seed), samples, off_divisor):
         report.add(
             f"p off E(F): no inflexion at p={p}",
             not is_inflexion_point(curve, p),
             "polar does not inflect at its center",
         )
     return report
-
-
-def _numeric_center_inflexion(fol: FoliationData, zp: tuple[complex, complex]) -> bool:
-    """Inflexion test of P_p at p for a numeric center p."""
-    A, B = fol.A, fol.B
-    pt = {"x": zp[0], "y": zp[1]}
-
-    def dpolar(fdx: int, fdy: int) -> complex:
-        # partials of F = A*(y-b) - B*(x-a) at the center: the (y-b) and (x-a)
-        # factors vanish there, leaving the Leibniz cross terms only
-        def d(f, i, j):
-            g = f
-            for _ in range(i):
-                g = g.derivative("x")
-            for _ in range(j):
-                g = g.derivative("y")
-            return g.evaluate_complex(pt)
-
-        total = 0j
-        if fdy >= 1:
-            total += fdy * d(A, fdx, fdy - 1)
-        if fdx >= 1:
-            total -= fdx * d(B, fdx - 1, fdy)
-        return total
-
-    fx = dpolar(1, 0)
-    fy = dpolar(0, 1)
-    fxx = dpolar(2, 0)
-    fxy = dpolar(1, 1)
-    fyy = dpolar(0, 2)
-    u, v = -fy, fx
-    val = fxx * u * u + 2 * fxy * u * v + fyy * v * v
-    scale = max(abs(fxx), abs(fxy), abs(fyy), 1e-30) * max(abs(u), abs(v), 1e-30) ** 2
-    return abs(val) <= 1e-8 * max(scale, 1e-30)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .webmodel import (
     PlaneCurve,
     SymWeb,
     binary_form_factors,
+    form_at,
     is_smooth_point,
     on_discriminant,
     singular_set,
@@ -215,38 +216,37 @@ def _proportionality(f: MPoly, g: MPoly) -> Fraction | None:
 def base_points_check(web: SymWeb, seed: int = 0) -> CheckReport:
     """Points on every polar lie in the singular set of the web."""
     report = CheckReport("base-points", seed=seed)
-    family = polar_family(web)
-    coeffs = family.center_coefficients()
+    coeffs = polar_family(web).center_coefficients()
     report.note(f"{len(coeffs)} center-monomial coefficients")
-    if any(c.is_constant() and not c.is_zero() for c in coeffs):
+    if any(c.is_constant() for c in coeffs):
         report.add("base locus", True, "a center-monomial coefficient is a nonzero constant: empty")
         return report
-    zs = common_zeros([c for c in coeffs if not c.is_zero()])
+    rational, numeric = base_points(web, coeffs)
     sing = singular_set(web)
-    for q in zs.rational:
-        pt = AffinePoint(*q)
+    for pt in rational:
         report.add(
             f"base point {pt} in Sing(W)",
             sing.contains(pt),
             "exact containment",
         )
-    for q in zs.numeric:
+    for q in numeric:
         report.add(
             f"base point ({q[0]:.6g}, {q[1]:.6g}) in Sing(W)",
             sing.contains_numeric(q),
             "numeric containment",
             exact=False,
         )
-    if len(zs) == 0:
+    if not rational and not numeric:
         report.add("base locus", True, "empty")
     certify_membership_tolerance(report)
     return report
 
 
-def base_points(web: SymWeb):
-    """The base locus itself (rational and numeric points)."""
-    family = polar_family(web)
-    coeffs = [c for c in family.center_coefficients() if not c.is_zero()]
+def base_points(web: SymWeb, coeffs: list[MPoly] | None = None):
+    """The base locus itself (rational and numeric points): the common zeros
+    of the family's center coefficients, which the caller may pass in."""
+    if coeffs is None:
+        coeffs = polar_family(web).center_coefficients()
     if any(c.is_constant() for c in coeffs):
         return [], []
     zs = common_zeros(coeffs)
@@ -522,15 +522,12 @@ def _tangent_cone(web: SymWeb, p: AffinePoint, curve: PlaneCurve) -> TangentCone
     cone = jets[order]
     if order != web.k:
         return TangentConeReport(p, cone, [], False)
-    # cross-check against the specialized symmetric form
-    coeffs = [c.evaluate(p.as_dict()) for c in web.coefficients()]
-    expected = MPoly.zero()
-    for i, c in enumerate(coeffs):
-        expected = expected + MPoly.constant(c) * X ** (web.k - i) * Y**i
+    # cross-check against the symmetric form at p, in the cone's variables
+    expected = form_at(web, p)
     if _proportionality(expected, cone) is None:
         return TangentConeReport(p, cone, [], False)
     # the cone is a multiple of the form at p, so its factors are the web's directions
-    factors = binary_form_factors(cone)
+    factors = binary_form_factors(expected)
     ok = len(factors) == web.k and all(m == 1 for _, m in factors)
     return TangentConeReport(p, cone, factors, ok)
 

@@ -311,6 +311,13 @@ def on_discriminant(web: SymWeb, p: AffinePoint) -> bool:
     return disc.evaluate(p.as_dict()) == 0
 
 
+def form_at(web: SymWeb, p: AffinePoint) -> MPoly:
+    """The web's binary form at p, written in (x, y) in place of (dx, dy), the
+    variables of a tangent cone at p."""
+    subs = {"x": MPoly.constant(p.a), "y": MPoly.constant(p.b), "dx": X, "dy": Y}
+    return web.form.substitute({v: f for v, f in subs.items() if v in web.form.variables})
+
+
 def tangent_directions(web: SymWeb, p: AffinePoint) -> list[Direction]:
     """The k leaf directions (u:v) at a smooth point, roots of form(p; u, v)."""
     smooth, reason = is_smooth_point(web, p)
@@ -318,18 +325,7 @@ def tangent_directions(web: SymWeb, p: AffinePoint) -> list[Direction]:
         if "singular" in reason:
             raise DegenerateSampleError(f"tangent directions undefined: {reason}")
         raise DegenerateSampleError(f"repeated direction: {reason}")
-    coeffs = [c.evaluate(p.as_dict()) for c in web.coefficients()]
-    # binary form sum c_i u^(k-i) v^i; root (0:1) iff c_k = 0
-    dirs: list[Direction] = []
-    if coeffs[web.k] == 0:
-        dirs.append(Direction.exact(0, 1))
-    poly = MPoly.from_coeffs_in("t", [MPoly.constant(c) for c in coeffs])
-    if poly.degree_in("t") > 0:
-        rat, num = univariate_root_split(poly, "t")
-        for r, _ in rat:
-            dirs.append(Direction.exact(1, r))
-        for z, _ in num:
-            dirs.append(Direction.numeric(1.0 + 0j, z))
+    dirs = [d for d, _ in binary_form_factors(form_at(web, p))]
     if len(dirs) != web.k:
         raise DegenerateSampleError(
             f"expected {web.k} distinct directions at {p}, found {len(dirs)}"

@@ -171,25 +171,6 @@ def _vanishes_at(coeffs: list[int], root: Fraction) -> bool:
     return acc == 0
 
 
-def _line_restriction(terms: dict[tuple[int, int], int], m: Fraction, c: Fraction) -> list[int]:
-    """Ascending coefficients of f(x, m x + c) * (q s)^deg_y f for the integer
-    polynomial f with the terms {(i, j): a} in (x, y), m = p/q and c = r/s:
-    the restriction of f to the line, scaled to integers.  Each term
-    a x^i y^j gives a x^i (p s x + r q)^j (q s)^(deg_y f - j).  The list may
-    end in zeros."""
-    top = max((j for _, j in terms), default=0)
-    slope, offset, den = (
-        [u**k for k in range(top + 1)]
-        for u in (m.numerator * c.denominator, c.numerator * m.denominator, m.denominator * c.denominator)
-    )
-    out = [0] * (max((i + j for i, j in terms), default=0) + 1)
-    for (i, j), a in terms.items():
-        a *= den[top - j]
-        for k in range(j + 1):
-            out[i + k] += a * math.comb(j, k) * slope[k] * offset[j - k]
-    return out
-
-
 def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
     """Whether two polynomials over F_p, ascending with nonzero tops, have a
     constant gcd (Euclid; a and b are consumed)."""

@@ -214,12 +214,13 @@ def test_criterion_10_quasi_radial_dichotomy():
 
 
 def test_criterion_11_inflexion_lemma():
-    """Both directions of the inflexion equivalence, >=5 on-E and >=15 off-E."""
+    """The inflexion equivalence as one exact identity in the center, and 20
+    exact off-E samples."""
     ok = True
     for entry in FOLIATIONS:
-        report = inflexion_lemma_check(entry.foliation, seed=SEED, on_curve=5, off_curve=15)
+        report = inflexion_lemma_check(entry.foliation, seed=SEED, samples=20)
         ok = ok and report.passed
-    verdict(11, "inflexion lemma", ok, "stratified sampling, exact at rational samples")
+    verdict(11, "inflexion lemma", ok, "exact identity in the center, exact off-E samples")
 
 
 def test_criterion_12_class_and_bound():

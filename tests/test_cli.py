@@ -423,7 +423,7 @@ class TestCheckRegistry:
         ("polar-degree", "polar-equality", "k2", "family-dim", "base-points", "sing-locus",
          "branches", "irreducible", "inflexion-lemma", "sing-in-E", "qr-dichotomy", "qr-bound",
          "equising", "genus-constant"),
-        (6, 2, 5, 0, 0, 6, 6, 5, 10, 6, 6, 5, 6, 5),
+        (6, 2, 5, 0, 0, 6, 6, 5, 6, 6, 6, 5, 6, 5),
     ))
 
     def test_registry_order(self):

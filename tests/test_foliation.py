@@ -2,9 +2,9 @@
 
 import json
 from fractions import Fraction
-from itertools import islice
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from battery import FOLIATIONS, X, Y
 from polarweb import (
@@ -17,13 +17,14 @@ from polarweb import (
     inflexion_divisor,
     is_inflexion_point,
 )
+from polarweb import foliation
 from polarweb.cli import run_command
 from polarweb.errors import PolynomialError, WebValidationError
 from polarweb.foliation import (
-    _line_roots,
     classify_singularity_numeric,
     count_quasi_radial,
     inflexion_lemma_check,
+    inflexion_polynomial,
     line_multiplicity_in_cone,
     polar_sing_in_inflexion_check,
     quasi_radial_bound_check,
@@ -33,10 +34,12 @@ from polarweb.foliation import (
 from polarweb.sampling import GenericSampler
 from polarweb.polarops import RadialProduct
 from polarweb.webmodel import singular_set
-from test_polarops import _count_calls
 
 one = MPoly.constant(1)
 SQRT2 = (2**0.5 + 0j, 0j)
+IDENTITY = "Hessian of P_p at p on its tangent = c·E(p)"
+CUBIC_MONOMIALS = [(i, j) for i in range(4) for j in range(4 - i)]
+cubic_coefficients = st.lists(st.integers(-3, 3), min_size=len(CUBIC_MONOMIALS), max_size=len(CUBIC_MONOMIALS))
 
 
 def radial_at(monkeypatch, centers):
@@ -253,28 +256,70 @@ class TestInflexionLemma:
 
     @pytest.mark.parametrize("entry", FOLIATIONS, ids=lambda e: e.name)
     def test_battery(self, entry):
-        report = inflexion_lemma_check(entry.foliation, seed=4, on_curve=2, off_curve=4)
+        report = inflexion_lemma_check(entry.foliation, seed=4, samples=4)
         assert report.passed, report.render_text()
 
     def test_short_off_divisor_stratum_fails(self, monkeypatch):
         radial_at(monkeypatch, None)
-        report = inflexion_lemma_check(FoliationData(one, X**2), seed=1, on_curve=1, off_curve=2)
+        report = inflexion_lemma_check(FoliationData(one, X**2), seed=1, samples=2)
         sampling = [a for a in report.assertions if a.name == "sampling"]
         assert [(a.passed, a.detail) for a in sampling] == [
             (False, "only 0 of 2 admissible samples in 100 draws")
         ]
         assert not report.passed
 
+    @given(cubic_coefficients, cubic_coefficients)
+    @settings(max_examples=30, deadline=None)
+    def test_identity_matches_sympy(self, ca, cb):
+        sympy = pytest.importorskip("sympy")
+        R, x, y, a, b = sympy.ring("x,y,a,b", sympy.ZZ)
+        A, B = (sum((c * x**i * y**j for (i, j), c in zip(CUBIC_MONOMIALS, cs)), R.zero) for cs in (ca, cb))
+        assume(A and B)  # a zero component with a nonconstant other one is no foliation
 
-class TestLineRootWork:
-    def test_ten_lines_take_the_integer_terms_once(self, monkeypatch):
-        fol = FoliationData(X**2 + Y, X * Y - 1)
-        e = inflexion_divisor(fol)
-        terms = _count_calls(monkeypatch, "_integer_terms")
-        wraps = _count_calls(monkeypatch, "_from_int_coeffs")
-        assert len(list(islice(_line_roots(e, GenericSampler(0)), 10))) == 10
-        # the divisor's terms once, and no restriction wrapped into an MPoly
-        assert (len(terms), wraps) == (1, [])
+        def at(f):
+            return f.compose([(x, a), (y, b)])
+
+        # the Hessian form of A(y - b) - B(x - a) at its center (a, b), on its tangent
+        F = A * (y - b) - B * (x - a)
+        u, v = -at(F.diff(y)), at(F.diff(x))
+        hess = at(F.diff(x).diff(x)) * u**2 + 2 * at(F.diff(x).diff(y)) * u * v + at(F.diff(y).diff(y)) * v**2
+        E = B**2 * A.diff(y) + A * B * A.diff(x) - A**2 * B.diff(x) - A * B * B.diff(y)
+        assert hess == 2 * at(E)
+
+        fol = FoliationData(*(sum((c * X**i * Y**j for (i, j), c in zip(CUBIC_MONOMIALS, cs)), MPoly.zero())
+                              for cs in (ca, cb)))
+        report = inflexion_lemma_check(fol, samples=0)
+        identity = [t for t in report.assertions if t.name == IDENTITY]
+        assert report.passed
+        assert len(identity) == (0 if inflexion_polynomial(fol).is_zero() else 1)
+
+    def test_a_wrong_divisor_fails(self, monkeypatch, tmp_path):
+        def without_last_term(fol):
+            A, B = fol.A, fol.B
+            return B * B * A.derivative("y") + A * B * A.derivative("x") - A * A * B.derivative("x")
+
+        monkeypatch.setattr(foliation, "inflexion_polynomial", without_last_term)
+        report = inflexion_lemma_check(FoliationData(X**2, Y**2), seed=1, samples=2)
+        assert [(t.passed, t.detail) for t in report.assertions if t.name == IDENTITY] == [
+            (False, "not a constant multiple of E")
+        ]
+        assert not report.passed
+        path = tmp_path / "fol.txt"
+        path.write_text("type: foliation\nA: x^2\nB: y^2\n")
+        code, text = run_command(["check", "--in", str(path), "--theorem", "inflexion-lemma", "--samples", "2"])
+        assert code == 1, text
+
+    def test_identity_does_not_depend_on_the_seed(self, tmp_path):
+        path = tmp_path / "fol.txt"
+        path.write_text("type: foliation\nA: x^2\nB: y^2\n")
+        seen = set()
+        for seed in range(4):
+            code, text = run_command(["check", "--in", str(path), "--theorem", "inflexion-lemma",
+                                      "--seed", str(seed), "--samples", "2", "--json"])
+            assert code == 0, text
+            first = json.loads(text)["report"]["assertions"][0]
+            seen.add((first["name"], first["detail"], first["mode"]))
+        assert seen == {(IDENTITY, "c = 2", "exact")}
 
 
 class TestClassOfCurve:

@@ -1,6 +1,6 @@
-"""The integer kernel: Yun's decomposition, the exact root test, the line
-restriction and the ranks of sparse integer matrices, all on `int` data; and
-the rule that `zpoly` imports nothing from the package but `.errors`."""
+"""The integer kernel: Yun's decomposition, the exact root test and the
+ranks of sparse integer matrices, all on `int` data; and the rule that
+`zpoly` imports nothing from the package but `.errors`."""
 
 import ast
 from fractions import Fraction
@@ -8,11 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from battery import X, Y
 from polarweb import MPoly
 from polarweb import zpoly
-from polarweb.mpoly import _from_int_coeffs, _int_coeffs, _integer_terms, exact_div, poly_gcd
-from polarweb.zpoly import _CERT_PRIME, _independent_mod_p, _integer_rank, _line_restriction, _vanishes_at, _yun
+from polarweb.mpoly import _from_int_coeffs, _int_coeffs, exact_div, poly_gcd
+from polarweb.zpoly import _CERT_PRIME, _independent_mod_p, _integer_rank, _vanishes_at, _yun
 from test_solve import from_list, planted, roots
 
 x = MPoly.variable("x")
@@ -43,10 +42,6 @@ def fraction_yun(f: MPoly, var: str) -> list[tuple[MPoly, int]]:
 def yun(f: MPoly) -> list[tuple[MPoly, int]]:
     """`_yun` on the integer coefficient list of f in x, factors as `MPoly`."""
     return [(_from_int_coeffs("x", g), i) for g, i in _yun(_int_coeffs(f, "x"))]
-
-
-def integer_terms(f: MPoly) -> dict:
-    return _integer_terms(f, f.rational_content(), ["x", "y"])
 
 
 class TestSquarefreeDecomposition:
@@ -91,31 +86,6 @@ class TestExactRootTest:
         assert not _vanishes_at([5, 2, 3], Fraction(0))
         # the divisibility filter alone would admit -1: b | 3 and -1 | 2
         assert not _vanishes_at([2, 0, 3], Fraction(-1))
-
-
-class TestLineRestriction:
-    """`_line_restriction` is the substitution y = m x + c up to scale."""
-
-    fractions = st.fractions(min_value=-100, max_value=100, max_denominator=100)
-    curves = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), fractions), max_size=5).map(
-        lambda terms: sum((c * X**i * Y**j for i, j, c in terms), MPoly.zero())
-    )
-
-    @given(curves, fractions, fractions)
-    @settings(max_examples=150, deadline=None)
-    def test_matches_substitution(self, f, m, c):
-        got = _line_restriction(integer_terms(f), m, c)
-        use = {"y": m * X + c} if "y" in f.variables else {}
-        assert _from_int_coeffs("x", got).canonical() == (f.substitute(use) if use else f).canonical()
-        assert all(isinstance(v, int) for v in got)
-
-    def test_curve_without_y(self):
-        got = _line_restriction(integer_terms(X**2 - 2), Fraction(3, 7), Fraction(-1, 2))
-        assert _from_int_coeffs("x", got) == X**2 - 2
-
-    def test_line_on_the_curve(self):
-        f = (Y - Fraction(2, 3) * X - Fraction(1, 5)) * (X**2 + Y)
-        assert _from_int_coeffs("x", _line_restriction(integer_terms(f), Fraction(2, 3), Fraction(1, 5))).is_zero()
 
 
 class TestRank:
