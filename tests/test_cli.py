@@ -67,6 +67,58 @@ class TestPolynomialParser:
             with pytest.raises(ParseError):
                 parse_polynomial(text)
 
+    # (text, message, column): every cap and every kind of malformed input,
+    # with the column the error points at.  A product or power is checked
+    # after its last factor, so its column is just past that factor.
+    ERRORS = [
+        ("2x", "unexpected 'x'", 2),
+        ("x y", "unexpected 'y'", 3),
+        ("x**2", "unexpected '*'", 3),
+        ("x^2^2", "unexpected '^'", 4),
+        ("+-x", "unexpected '-'", 2),
+        ("x @ y", "unexpected '@'", 3),
+        ("()", "unexpected ')'", 2),
+        ("(x))", "unexpected ')'", 4),
+        ("x + z", "unknown variable 'z' (allowed: x, y, a, b, dx, dy, t)", 6),
+        ("xy", "unknown variable 'xy' (allowed: x, y, a, b, dx, dy, t)", 3),
+        ("dxdy", "unknown variable 'dxdy' (allowed: x, y, a, b, dx, dy, t)", 5),
+        ("x + é", "unknown variable 'é' (allowed: x, y, a, b, dx, dy, t)", 6),
+        ("1/0", "zero denominator", 4),
+        ("1/ 0", "zero denominator", 5),
+        ("1/", "expected an integer", 3),
+        ("1/x", "expected an integer", 3),
+        ("x ^ y", "expected an integer", 5),
+        ("x^-1", "expected an integer", 3),
+        ("(x", "expected ')'", 3),
+        ("", "unexpected end of expression", 1),
+        ("   ", "unexpected end of expression", 4),
+        ("-", "unexpected end of expression", 2),
+        ("x +", "unexpected end of expression", 4),
+        ("x*", "unexpected end of expression", 3),
+        ("x^33", "power of exponent or total degree above 32", 5),
+        ("x^ 33", "power of exponent or total degree above 32", 6),
+        ("x  ^33  ", "power of exponent or total degree above 32", 7),
+        ("x^33 + qq", "power of exponent or total degree above 32", 5),
+        ("x^2147483648", "power of exponent or total degree above 32", 13),
+        ("2^33", "power of exponent or total degree above 32", 5),
+        ("(x*y)^17", "power of exponent or total degree above 32", 9),
+        ("(x + y + 1)^40", "power of exponent or total degree above 32", 15),
+        ("x^16*y^17", "product of total degree above 32", 10),
+        ("x^16 *y^17 ", "product of total degree above 32", 11),
+        ("x^16*y^16*x", "product of total degree above 32", 12),
+        ("(x+y)^17*  x^16", "product of total degree above 32", 16),
+        ("(x + y + a + b + dx + dy + t)^30", "product of more than 100000 term pairs", 33),
+        ("(x + y + a + b + dx + dy + t)^6*(x + y + a + b + dx + dy + t)^6",
+         "product of more than 100000 term pairs", 64),
+    ]
+
+    @pytest.mark.parametrize("text,message,column", ERRORS, ids=[repr(e[0]) for e in ERRORS])
+    def test_error_message_and_column(self, text, message, column):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, line=3)
+        assert str(err.value) == f"{message} (line 3, col {column})"
+        assert (err.value.line, err.value.column) == (3, column)
+
     def test_power_keeps_the_term_order_of_pow(self):
         got = parse_polynomial("(x + 2*y - 1/3)^12")
         ref = (x + 2 * y - MPoly.constant(Fraction(1, 3))) ** 12
