@@ -164,8 +164,7 @@ def _as_foliation(obj) -> FoliationData:
     if isinstance(obj, FoliationData):
         return obj
     if isinstance(obj, SymWeb) and obj.k == 1:
-        coeffs = obj.coefficients()
-        return FoliationData(coeffs[1], -coeffs[0])
+        return FoliationData._of_web(obj)
     raise ParseError("this subcommand needs a foliation (k = 1) input")
 
 

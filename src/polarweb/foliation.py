@@ -51,7 +51,7 @@ from .webmodel import (
     AffinePoint,
     PlaneCurve,
     SymWeb,
-    foliation_web,
+    _foliation_web,
     singular_set,
     web_degree,
 )
@@ -75,14 +75,21 @@ class FoliationData:
         extra = (set(A.variables) | set(B.variables)) - {"x", "y"}
         if extra:
             raise WebValidationError(f"vector field involves {sorted(extra)}")
-        self.saturated = False
-        if not A.is_zero() and not B.is_zero():
-            g = poly_gcd(A, B)
-            if not g.is_constant():
-                A, B = exact_div(A, g), exact_div(B, g)
-                self.saturated = True
-        self.A, self.B = A, B
-        self.as_web = foliation_web(A, B)
+        # the one gcd of the input; a zero component saturates the other
+        g = poly_gcd(A, B)
+        self.saturated = not g.is_constant()
+        if self.saturated:
+            A, B = exact_div(A, g), exact_div(B, g)
+        self.A, self.B, self.as_web = A, B, _foliation_web(A, B)
+
+    @staticmethod
+    def _of_web(web: SymWeb) -> "FoliationData":
+        """The vector field of a k = 1 web, whose coefficients are coprime."""
+        fol = object.__new__(FoliationData)
+        coeffs = web.coefficients()
+        fol.A, fol.B, fol.saturated = coeffs[1], -coeffs[0], False
+        fol.as_web = _foliation_web(fol.A, fol.B)
+        return fol
 
     def degree(self) -> int:
         return web_degree(self.as_web)

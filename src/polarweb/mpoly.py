@@ -20,9 +20,9 @@ distinct and that every exponent vector is a tuple of their length with
 entries in [0, MAX_EXPONENT]; it only drops zero coefficients and the
 variables that no longer occur, and keeps the term order.  `**` checks
 MAX_EXPONENT on the degrees before it multiplies; no other result is scanned.
-The hard limits on input size live in the parser (`parsing.MAX_DEGREE`,
-`parsing.MAX_PRODUCT_TERMS`), which checks every product and power of the
-input text before computing it.
+Input text is the parser's: it checks the hard limits (`parsing.MAX_DEGREE`,
+`parsing.MAX_PRODUCT_TERMS`) on every product and power before computing it,
+and builds each polynomial as one term dict for one `MPoly._make`.
 """
 
 from __future__ import annotations
@@ -400,6 +400,8 @@ class MPoly:
         _, lead = self.leading_term()
         if lead < 0:
             c = -c
+        if c == 1:
+            return self
         return MPoly._make(self.variables, {e: v / c for e, v in self.terms.items()})
 
     # -- display -------------------------------------------------------------

@@ -21,122 +21,168 @@ File format (line oriented, '#' comments):
 Exactly one of `form`, the pair `A:`/`B:`, or `f:` must appear, matching the
 declared type.
 
-Input limits.  Each product and power is checked before it is computed: a
-product or power of total degree above MAX_DEGREE, a power with an exponent
-above MAX_DEGREE, and a product of more than MAX_PRODUCT_TERMS term pairs are
-rejected with ParseError (exit code 2 at the command line).  They are the
-guards against oversized input: apart from the exponent cap of `**`, the
-polynomial arithmetic does not check the size of its results.
+Input limits.  The parser is where outside text becomes trusted polynomial
+data: one term dict per polynomial, handed to `MPoly._make` once.  Each
+product and power is checked before it is computed: a product or power of
+total degree above MAX_DEGREE, a power with an exponent above MAX_DEGREE, and
+a product of more than MAX_PRODUCT_TERMS term pairs are rejected with
+ParseError (exit code 2 at the command line).  They are the guards against
+oversized input: apart from the exponent cap of `**`, the polynomial
+arithmetic does not check the size of its results.  Sums of monomials take a
+fast path; other text, and every error, goes through the recursive descent.
+Both combine terms in the order of the MPoly operators.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError, WebValidationError
 from .foliation import FoliationData
-from .mpoly import MPoly
+from .mpoly import MPoly, _add_into, _mul_terms, _nonzero
 from .webmodel import AffinePoint, PlaneCurve, SymWeb
 
 VARIABLES = ("x", "y", "a", "b", "dx", "dy", "t")
 MAX_DEGREE = 32
 MAX_PRODUCT_TERMS = 10**5
 
+# Term dicts are laid out over the variables in MPoly's sorted order.
+_LAYOUT = tuple(sorted(VARIABLES))
+_ONE = (0,) * len(_LAYOUT)
+_POSITION = {v: _LAYOUT.index(v) for v in VARIABLES}
+# One token after optional white space: an integer (group 1), a run of
+# letters (group 2) or any other character (group 3).
+_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d_]+)|(\S))")
+_INT, _NAME = 1, 2
+_SIGN = re.compile("([+-])")
+
 
 class _Lexer:
+    """Tokens (text, group, start, end), then an end marker with text None.
+    `pos` moves as a character scanner's would: to a token's start when it
+    is looked at, past its end when it is taken, so that every error points
+    at the column it always has."""
+
     def __init__(self, text: str, line: int | None = None):
-        self.text = text
-        self.pos = 0
+        self.tokens = [(m[m.lastindex], m.lastindex, m.start(m.lastindex), m.end())
+                       for m in _TOKEN.finditer(text)] + [(None, 0, len(text), len(text))]
+        self.i = self.pos = 0
         self.line = line
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, line=self.line, column=self.pos + 1)
 
-    def peek(self) -> str | None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            return None
-        return self.text[self.pos]
+    def peek(self) -> tuple:
+        token = self.tokens[self.i]
+        self.pos = token[2]
+        return token
+
+    def take(self) -> tuple:
+        token = self.tokens[self.i]
+        self.i += 1
+        self.pos = token[3]
+        return token
 
     def take_int(self) -> int:
-        ch = self.peek()
-        if ch is None or not ch.isdigit():
+        if self.peek()[1] != _INT:
             raise self.error("expected an integer")
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return int(self.text[start : self.pos])
-
-    def take_name(self) -> str:
-        ch = self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isalpha():
-            self.pos += 1
-        name = self.text[start : self.pos]
-        if name not in VARIABLES:
-            raise self.error(f"unknown variable {name!r} (allowed: {', '.join(VARIABLES)})")
-        return name
-
-    def expect(self, ch: str) -> None:
-        if self.peek() != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
+        return int(self.take()[0])
 
 
 def parse_polynomial(text: str, line: int | None = None) -> MPoly:
-    lex = _Lexer(text, line)
-    poly = _parse_expr(lex)
-    if lex.peek() is not None:
-        raise lex.error(f"unexpected {lex.peek()!r}")
-    return poly
+    terms = _monomials(text)
+    if terms is None:
+        lex = _Lexer(text, line)
+        terms = _parse_expr(lex)
+        if lex.peek()[0] is not None:
+            raise lex.error(f"unexpected {lex.peek()[0][0]!r}")
+    return MPoly._make(_LAYOUT, {e: c if type(c) is Fraction else Fraction(c)
+                                 for e, c in terms.items()})
 
 
-def _parse_expr(lex: _Lexer) -> MPoly:
-    sign = 1
-    if lex.peek() in ("+", "-"):
-        sign = -1 if lex.peek() == "-" else 1
-        lex.pos += 1
-    total = _parse_term(lex) * sign
-    while lex.peek() in ("+", "-"):
-        op = lex.peek()
-        lex.pos += 1
+def _monomials(text: str) -> dict | None:
+    """The fast path: the terms of a sum of monomials, each a product of
+    nonzero integers, variables and their powers, in the order `_parse_expr`
+    gives them; None for any other text, which `_parse_expr` then parses or
+    rejects."""
+    pieces = _SIGN.split(text)
+    pieces = pieces[1:] if len(pieces) > 1 and not pieces[0].strip() else ["+"] + pieces
+    out: dict = {}
+    for sign, term in zip(pieces[::2], pieces[1::2]):
+        coef, exps, deg = (-1 if sign == "-" else 1), [0] * len(_LAYOUT), 0
+        for k, factor in enumerate(term.split("*")):
+            base, caret, power = factor.partition("^")
+            base, power = base.strip(), power.strip() if caret else "1"
+            if not power.isdecimal() or (n := int(power)) > MAX_DEGREE:
+                return None
+            if base in _POSITION:
+                if k and deg + n > MAX_DEGREE:
+                    return None
+                exps[_POSITION[base]] += n
+                deg += n
+            elif base.isdecimal() and int(base):
+                coef *= int(base) ** n
+            else:
+                return None
+        _add_into(out, {tuple(exps): coef})
+    return out
+
+
+def _degree(terms: dict) -> int:
+    """Total degree; -1 for the zero polynomial, as `MPoly.total_degree`."""
+    return max(map(sum, terms), default=-1)
+
+
+def _negated(terms: dict) -> dict:
+    return {e: -c for e, c in terms.items()}
+
+
+def _parse_expr(lex: _Lexer) -> dict:
+    sign = lex.peek()[0]
+    if sign == "+" or sign == "-":
+        lex.take()
+    total = _parse_term(lex)
+    if sign == "-":
+        total = _negated(total)
+    while (op := lex.peek()[0]) == "+" or op == "-":
+        lex.take()
         term = _parse_term(lex)
-        total = total + term if op == "+" else total - term
+        _add_into(total, term if op == "+" else _negated(term))
     return total
 
 
-def _parse_term(lex: _Lexer) -> MPoly:
+def _parse_term(lex: _Lexer) -> dict:
     total = _parse_factor(lex)
-    while lex.peek() == "*":
-        lex.pos += 1
+    while lex.peek()[0] == "*":
+        lex.take()
         total = _product(lex, total, _parse_factor(lex))
     return total
 
 
-def _parse_factor(lex: _Lexer) -> MPoly:
+def _parse_factor(lex: _Lexer) -> dict:
     base = _parse_atom(lex)
-    if lex.peek() == "^":
-        lex.pos += 1
+    if lex.peek()[0] == "^":
+        lex.take()
         base = _power(lex, base, lex.take_int())
     return base
 
 
-def _product(lex: _Lexer, f: MPoly, g: MPoly) -> MPoly:
+def _product(lex: _Lexer, f: dict, g: dict) -> dict:
     """f*g, once it is known to be within the input limits."""
-    if f.total_degree() + g.total_degree() > MAX_DEGREE:
+    if _degree(f) + _degree(g) > MAX_DEGREE:
         raise lex.error(f"product of total degree above {MAX_DEGREE}")
-    if len(f.terms) * len(g.terms) > MAX_PRODUCT_TERMS:
+    if len(f) * len(g) > MAX_PRODUCT_TERMS:
         raise lex.error(f"product of more than {MAX_PRODUCT_TERMS} term pairs")
-    return f * g
+    return _nonzero(_mul_terms(f, g))
 
 
-def _power(lex: _Lexer, base: MPoly, n: int) -> MPoly:
+def _power(lex: _Lexer, base: dict, n: int) -> dict:
     """base^n by the binary powering of `MPoly.__pow__`, every product checked
     by `_product` before it is computed."""
-    if n > MAX_DEGREE or base.total_degree() * n > MAX_DEGREE:
+    if n > MAX_DEGREE or _degree(base) * n > MAX_DEGREE:
         raise lex.error(f"power of exponent or total degree above {MAX_DEGREE}")
-    result = MPoly.constant(1)
+    result = {_ONE: 1}
     while n:
         if n & 1:
             result = _product(lex, result, base)
@@ -145,27 +191,32 @@ def _power(lex: _Lexer, base: MPoly, n: int) -> MPoly:
     return result
 
 
-def _parse_atom(lex: _Lexer) -> MPoly:
-    ch = lex.peek()
-    if ch is None:
+def _parse_atom(lex: _Lexer) -> dict:
+    text, group, _, _ = lex.peek()
+    if text is None:
         raise lex.error("unexpected end of expression")
-    if ch.isdigit():
+    if group == _INT:
         num = lex.take_int()
-        if lex.peek() == "/":
-            lex.pos += 1
+        if lex.peek()[0] == "/":
+            lex.take()
             den = lex.take_int()
             if den == 0:
                 raise lex.error("zero denominator")
-            return MPoly.constant(Fraction(num, den))
-        return MPoly.constant(num)
-    if ch.isalpha():
-        return MPoly.variable(lex.take_name())
-    if ch == "(":
-        lex.pos += 1
+            num = Fraction(num, den)
+        return {_ONE: num} if num else {}
+    if group == _NAME:
+        lex.take()
+        if text not in VARIABLES:
+            raise lex.error(f"unknown variable {text!r} (allowed: {', '.join(VARIABLES)})")
+        return {tuple(int(v == text) for v in _LAYOUT): 1}
+    if text == "(":
+        lex.take()
         inner = _parse_expr(lex)
-        lex.expect(")")
+        if lex.peek()[0] != ")":
+            raise lex.error("expected ')'")
+        lex.take()
         return inner
-    raise lex.error(f"unexpected {ch!r}")
+    raise lex.error(f"unexpected {text!r}")
 
 
 def parse_point(text: str) -> AffinePoint:
@@ -261,9 +312,7 @@ def parse_input_text(text: str) -> tuple[SymWeb | FoliationData | PlaneCurve, li
     if declared == "foliation":
         if web.k != 1:
             raise ParseError(f"type foliation requires a degree-1 form, got k={web.k}", line=lineno)
-        coeffs = web.coefficients()
-        # the coefficients are coprime here, so this vector field is never saturated
-        return FoliationData(coeffs[1], -coeffs[0]), warnings
+        return FoliationData._of_web(web), warnings
     if not web.generically_squarefree:
         warnings.append("form is not generically square-free (repeated local factor)")
     return web, warnings

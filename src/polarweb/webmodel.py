@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm
 
 from .errors import DegenerateSampleError, PolynomialError, WebValidationError
 from .mpoly import (
     MPoly,
+    _rekey,
     discriminant_binary,
     binary_form_degree,
     poly_gcd,
@@ -208,33 +210,27 @@ class SymWeb:
         return f"{self.k}-web[{self.form}]"
 
 
-def foliation_web(A: MPoly, B: MPoly) -> SymWeb:
-    """The k=1 web of the vector field A d/dx + B d/dy (form A*dy - B*dx)."""
-    if A.is_zero() and B.is_zero():
-        raise WebValidationError("zero vector field")
-    return SymWeb(A * DY - B * DX)
-
-
-def radial_web(p: AffinePoint) -> SymWeb:
-    """Lines through p: the degree-0 foliation (x-a)dy - (y-b)dx."""
-    return SymWeb((X - MPoly.constant(p.a)) * DY - (Y - MPoly.constant(p.b)) * DX)
+def _foliation_web(A: MPoly, B: MPoly) -> SymWeb:
+    """The web of the vector field A d/dx + B d/dy, the form A dy - B dx, for
+    coprime A and B in (x, y); nothing is checked.  The terms are laid out as
+    the MPoly expression A*dy - B*dx lays them out."""
+    names = tuple(sorted({"dx", "dy"}.union(A.variables, B.variables)))
+    ix, iy = names.index("dx"), names.index("dy")
+    terms = {}
+    for poly, at in ((A, iy), (B, ix)):
+        for e, c in _rekey(poly, names).items():
+            terms[e[:at] + (1,) + e[at + 1:]] = c if at == iy else -c
+    web = object.__new__(SymWeb)
+    web.form, web.k = MPoly._make(names, terms).canonical(), 1
+    web._degree = web._discriminant = None
+    return web
 
 
 def _dxdy_coefficients(form: MPoly, k: int) -> list[MPoly]:
-    out = [MPoly.zero()] * (k + 1)
+    """a_i with form = sum a_i dx^(k-i) dy^i, for a form homogeneous of degree
+    k in (dx, dy)."""
     by_dy = form.coeffs_in("dy")
-    for i, ci in enumerate(by_dy):
-        if ci.is_zero():
-            continue
-        rest = ci.coeffs_in("dx")
-        expect = k - i
-        for j, cj in enumerate(rest):
-            if cj.is_zero():
-                continue
-            if j != expect:
-                raise WebValidationError("form not homogeneous in (dx, dy)")
-            out[i] = cj
-    return out
+    return [c.coeffs_in("dx")[-1] for c in by_dy] + [MPoly.zero()] * (k + 1 - len(by_dy))
 
 
 def _divide_coefficients(form: MPoly, g: MPoly, k: int) -> MPoly:
@@ -269,18 +265,29 @@ def superpose(w1: SymWeb, w2: SymWeb) -> Superposition:
 
 
 def web_degree(web: SymWeb) -> int:
-    """Degree of the tangency divisor with a generic line.
+    """Degree of the tangency divisor with a generic line (x, y) = l t + m.
 
-    The degree in t of the form on the line (x, y, dx, dy) =
-    (l1*t + m1, l2*t + m2, l1, l2), with l1, l2, m1 and m2 kept as symbols,
-    so the value is the generic one by definition.
+    With F_d the part of the form of degree d in (x, y), the coefficient of
+    t^j on the line is the sum over d >= j and |alpha| = d - j of the distinct
+    monomials m^alpha/alpha! times (d^alpha F_d)(l; dx, dy = l), so the search
+    runs down from the top degree to the first j with one of those nonzero.
     """
     if web._degree is None:
-        t, l1, l2 = MPoly.variable("t"), MPoly.variable("l1"), MPoly.variable("l2")
-        line = {"x": l1 * t + MPoly.variable("m1"), "y": l2 * t + MPoly.variable("m2"),
-                "dx": l1, "dy": l2}
-        restricted = web.form.substitute({v: p for v, p in line.items() if v in web.form.variables})
-        web._degree = restricted.degree_in("t")
+        parts: dict[int, list] = {}
+        for (u, _, a, b), c in _rekey(web.form, ("dx", "dy", "x", "y")).items():
+            parts.setdefault(a + b, []).append((a, b, a + u, c))
+        top = max(parts)
+
+        def nonzero(j: int, d: int, p: int) -> bool:
+            # (d^p/dx^p d^q/dy^q F_d)(l; l), q = d - j - p, by its powers of l1
+            q, sums = d - j - p, {}
+            for a, b, s, c in parts.get(d, ()):
+                if a >= p and b >= q:
+                    sums[s - p] = sums.get(s - p, 0) + c * perm(a, p) * perm(b, q)
+            return any(sums.values())
+
+        web._degree = next((j for j in range(top, 0, -1) if any(
+            nonzero(j, d, p) for d in range(j, top + 1) for p in range(d - j + 1))), 0)
     return web._degree
 
 

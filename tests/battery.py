@@ -13,6 +13,16 @@ DX = MPoly.variable("dx")
 DY = MPoly.variable("dy")
 
 
+def to_sympy(sympy, f: MPoly):
+    """f as a sympy expression; the sympy module is passed in, so this file
+    does not need it."""
+    gens = [sympy.Symbol(v) for v in f.variables]
+    return sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**k for s, k in zip(gens, e)))
+        for e, c in f.terms.items()
+    ))
+
+
 @dataclass
 class Entry:
     name: str

@@ -10,11 +10,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from battery import to_sympy
 from polarweb import FoliationData, MPoly, PlaneCurve, SymWeb
 from polarweb.cli import CHECKS, _as_foliation, run_command
 from polarweb.errors import ParseError
-from polarweb.parsing import parse_input_text, parse_point, parse_polynomial
+from polarweb.parsing import VARIABLES, parse_input_text, parse_point, parse_polynomial
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -23,6 +25,60 @@ x = MPoly.variable("x")
 y = MPoly.variable("y")
 dx = MPoly.variable("dx")
 dy = MPoly.variable("dy")
+
+
+def _gap(draw) -> str:
+    return draw(st.sampled_from(["", " ", "  "]))
+
+
+def _sum(draw, budget: int, depth: int):
+    """(text, the MPoly its operators give in the parser's order, degree bound)
+    of a random expression of degree at most budget."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    text, ref, bound = _term(draw, budget, depth)
+    text, ref = sign + _gap(draw) + text, ref * (-1 if sign == "-" else 1)
+    for _ in range(draw(st.integers(0, 3))):
+        op = draw(st.sampled_from("+-"))
+        t, r, b = _term(draw, budget, depth)
+        text, ref, bound = text + _gap(draw) + op + _gap(draw) + t, ref + r if op == "+" else ref - r, max(bound, b)
+    return text, ref, bound
+
+
+def _term(draw, budget: int, depth: int):
+    count = draw(st.integers(1, 3))
+    text, ref, bound = _factor(draw, budget // count, depth)
+    for _ in range(count - 1):
+        t, r, b = _factor(draw, budget // count, depth)
+        text, ref, bound = text + _gap(draw) + "*" + _gap(draw) + t, ref * r, bound + b
+    return text, ref, bound
+
+
+def _factor(draw, budget: int, depth: int):
+    kind = draw(st.sampled_from(["int", "rational", "variable", "sum"] if depth else
+                                ["int", "rational", "variable"]))
+    if kind == "variable" and budget >= 1:
+        name = draw(st.sampled_from(VARIABLES))
+        text, ref, bound = name, MPoly.variable(name), 1
+    elif kind == "sum" and budget >= 1:
+        text, ref, bound = _sum(draw, budget, depth - 1)
+        text = "(" + _gap(draw) + text + _gap(draw) + ")"
+    elif kind == "rational":
+        num, den = draw(st.integers(0, 40)), draw(st.integers(1, 12))
+        text, ref, bound = f"{num}/{den}", MPoly.constant(Fraction(num, den)), 0
+    else:
+        num = draw(st.integers(0, 40))
+        text, ref, bound = str(num), MPoly.constant(num), 0
+    if draw(st.booleans()):
+        n = draw(st.integers(0, min(4, budget // max(bound, 1))))
+        if "/" in text and not text.startswith("("):
+            text = f"({text})"  # '/' of a rational binds tighter than '^' here, looser in sympy
+        text, ref, bound = text + _gap(draw) + "^" + _gap(draw) + str(n), ref**n, bound * n
+    return text, ref, bound
+
+
+@st.composite
+def expressions(draw):
+    return _sum(draw, draw(st.integers(1, 12)), 2)
 
 
 class TestPolynomialParser:
@@ -124,6 +180,16 @@ class TestPolynomialParser:
         ref = (x + 2 * y - MPoly.constant(Fraction(1, 3))) ** 12
         assert got == ref and list(got.terms) == list(ref.terms)
 
+    @given(expressions())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sympy_and_the_mpoly_operators(self, drawn):
+        sympy = pytest.importorskip("sympy")
+        text, ref, bound = drawn
+        got = parse_polynomial(text)
+        assert got == ref and list(got.terms) == list(ref.terms), text
+        assert all(type(c) is Fraction for c in got.terms.values())
+        assert sympy.expand(to_sympy(sympy, got) - sympy.parse_expr(text.replace("^", "**"))) == 0, text
+
     def test_round_trip_canonical_text(self):
         from polarweb.mpoly import format_mpoly
 
@@ -147,6 +213,16 @@ class TestInputFiles:
         assert isinstance(obj, FoliationData)
         assert obj.A == x and obj.B == y
         assert any("saturated" in w for w in warnings)
+
+    @pytest.mark.parametrize("a,b,expect_a,expect_b", [
+        ("0", "x^3", 0, 1), ("x^2", "0", 1, 0), ("0", "-2*x*y + 2*y", 0, -2), ("0", "3", 0, 3)])
+    def test_foliation_with_a_zero_component(self, a, b, expect_a, expect_b):
+        # a zero component is saturated like any other common factor
+        obj, warnings = parse_input_text(f"type: foliation\nA: {a}\nB: {b}\n")
+        assert (obj.A, obj.B) == (MPoly.constant(expect_a), MPoly.constant(expect_b))
+        assert obj.saturated == (b != "3")
+        assert warnings == ([f"gcd(A, B) was not constant; saturated to A={expect_a}, B={expect_b}"]
+                            if obj.saturated else [])
 
     def test_foliation_as_form(self):
         obj, warnings = parse_input_text("type: foliation\nform: x*dy - y*dx\n")
@@ -341,6 +417,13 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stdout + proc.stderr
 
+    @pytest.mark.parametrize("a,b", [("0", "x^3"), ("x^2", "0")])
+    def test_a_zero_component_is_saturated_and_checked(self, tmp_path, a, b):
+        path = tmp_path / "fol.txt"
+        path.write_text(f"type: foliation\nA: {a}\nB: {b}\n")
+        code, text = run_command(["check", "--in", str(path), "--theorem", "inflexion-lemma", "--samples", "3"])
+        assert code == 0 and "warning: gcd(A, B) was not constant; saturated to" in text
+
     def test_math_failure_is_1(self, inputs, monkeypatch):
         from polarweb import cli as cli_mod
         from polarweb.reports import CheckReport
@@ -365,6 +448,51 @@ class TestExitCodes:
             ["check", "--in", inputs["web"], "--theorem", "irreducible"]
         )
         assert code == 3 and "numeric abort" in text
+
+
+class TestFrontEndWork:
+    """Deterministic work counts of reading an input: one trusted MPoly
+    construction per parsed polynomial, one gcd per foliation input."""
+
+    TEN_TERMS = "3*x^3 - 2*x^2*y + x*y^2 - 5*y^3 + 4*x^2 - x*y + 7*y^2 - 6*x + 2*y - 9"
+
+    def test_one_construction_per_polynomial(self, monkeypatch):
+        calls = []
+        make = MPoly._make
+        monkeypatch.setattr(MPoly, "_make", staticmethod(lambda v, t: calls.append(v) or make(v, t)))
+        for text in (self.TEN_TERMS, f"({self.TEN_TERMS})*(x - 1/2)^2"):
+            calls.clear()
+            f = parse_polynomial(text)
+            assert len(calls) == 1 and len(f.terms) >= 10
+
+    @pytest.fixture()
+    def gcd_calls(self, monkeypatch):
+        from polarweb import mpoly
+
+        calls = []
+        original = mpoly.poly_gcd
+
+        def counting(f, g):
+            calls.append((f, g))
+            return original(f, g)
+
+        # every binding but mpoly's own, so a gcd's recursion is not counted
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("polarweb.") and name != "polarweb.mpoly"
+                    and getattr(module, "poly_gcd", None) is original):
+                monkeypatch.setattr(module, "poly_gcd", counting)
+        return calls
+
+    @pytest.mark.parametrize("text", [
+        "type: foliation\nA: x^2 + y - 1\nB: x*y + 2\n",
+        "type: foliation\nA: x^2 - x\nB: x*y\n",
+        "type: foliation\nform: (x^2 + y - 1)*dy - (x*y + 2)*dx\n",
+        "type: web\nform: (x^2 + y - 1)*dy - (x*y + 2)*dx\n",
+    ])
+    def test_one_gcd_per_foliation_input(self, gcd_calls, text):
+        fol = _as_foliation(parse_input_text(text)[0])
+        assert len(gcd_calls) == 1
+        assert fol.as_web.form == (fol.A * dy - fol.B * dx).canonical()
 
 
 class TestParserReuse:

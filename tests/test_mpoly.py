@@ -6,6 +6,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from battery import to_sympy
 from polarweb import MPoly, discriminant_binary, gcd_squarefree, jet_decompose, poly_gcd, resultant, squarefree_part
 from polarweb import mpoly
 from polarweb.errors import PolynomialError
@@ -568,14 +569,6 @@ class TestResultant:
 @pytest.fixture(scope="module")
 def sympy():
     return pytest.importorskip("sympy")
-
-
-def to_sympy(sympy, f: MPoly):
-    gens = [sympy.Symbol(v) for v in f.variables]
-    return sympy.Add(*(
-        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**k for s, k in zip(gens, e)))
-        for e, c in f.terms.items()
-    ))
 
 
 def from_sympy(sympy, expr) -> MPoly:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -20,6 +21,7 @@ from polarweb import (
 )
 from polarweb.errors import DegenerateSampleError, WebValidationError
 from polarweb.mpoly import try_exact_div
+from polarweb.polarops import radial_form
 
 w_product = SymWeb(DX * DY)
 w_radial = SymWeb(X * DY - Y * DX)
@@ -115,6 +117,50 @@ def random_webs(draw) -> SymWeb:
     return web
 
 
+def symbolic_line_degree(web: SymWeb) -> int:
+    """Reference: the degree in t of the form on the line (x, y, dx, dy) =
+    (l1*t + m1, l2*t + m2, l1, l2), with l1, l2, m1 and m2 kept as symbols,
+    so the value is the generic one by definition (the web degree as it was
+    computed before the search over the homogeneous parts)."""
+    t, l1, l2 = MPoly.variable("t"), MPoly.variable("l1"), MPoly.variable("l2")
+    line = {"x": l1 * t + MPoly.variable("m1"), "y": l2 * t + MPoly.variable("m2"),
+            "dx": l1, "dy": l2}
+    return web.form.substitute({v: p for v, p in line.items() if v in web.form.variables}).degree_in("t")
+
+
+def dense_poly(draw, degree: int, low: int = 0) -> MPoly:
+    """Every monomial of degree low..degree in (x, y) with a nonzero coefficient."""
+    return sum((MPoly.monomial(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), {"x": i, "y": d - i})
+                for d in range(low, degree + 1) for i in range(d + 1)), MPoly.zero())
+
+
+@st.composite
+def dense_webs(draw) -> SymWeb:
+    """Forms of degree k <= 3 in (dx, dy), every coefficient dense of degree <= 3."""
+    k = draw(st.integers(1, 3))
+    form = sum((dense_poly(draw, draw(st.integers(0, 3))) * DX ** (k - n) * DY**n
+                for n in range(k + 1)), MPoly.zero())
+    try:
+        return SymWeb(form)
+    except WebValidationError:
+        assume(False)
+
+
+@st.composite
+def planted_foliations(draw) -> SymWeb:
+    """(x h + P) dy - (y h + Q) dx with h dense homogeneous of degree m and P,
+    Q of degree <= m: the top part h (x dy - y dx) vanishes on every line's
+    own direction, so the degree is below the top degree m + 1."""
+    m = draw(st.integers(0, 3))
+    h = dense_poly(draw, m, m)
+    lower = [dense_poly(draw, draw(st.integers(0, m))) if draw(st.booleans()) else MPoly.zero()
+             for _ in range(2)]
+    try:
+        return SymWeb((X * h + lower[0]) * DY - (Y * h + lower[1]) * DX)
+    except WebValidationError:
+        assume(False)
+
+
 class TestWebDegree:
     def test_product_zero(self):
         assert web_degree(w_product) == 0
@@ -145,6 +191,30 @@ class TestWebDegree:
     @settings(max_examples=40, deadline=None)
     def test_matches_random_lines_on_random_forms(self, web):
         assert web_degree(web) == random_line_degree(web)
+
+    @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
+    def test_matches_the_symbolic_line_on_battery(self, entry):
+        assert web_degree(entry.web) == symbolic_line_degree(entry.web)
+
+    @given(dense_webs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_symbolic_line_on_dense_forms(self, web):
+        assert web_degree(web) == symbolic_line_degree(web)
+
+    @given(planted_foliations())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_symbolic_line_below_the_top_degree(self, web):
+        top = max(sum(e[i] for i, v in enumerate(web.form.variables) if v in ("x", "y"))
+                  for e in web.form.terms)
+        assert web_degree(web) == symbolic_line_degree(web) < top
+
+    @pytest.mark.parametrize("centers", [[(0, 0)], [(2, -1)], [(0, 0), (1, 0)],
+                                         [(0, 0), (1, 2), (-3, 1)]])
+    def test_products_of_radial_foliations_have_degree_zero(self, centers):
+        # the top part of degree k vanishes on the line, and so does every
+        # part down to t^1: the search runs k levels below the top
+        web = SymWeb(prod((radial_form(AffinePoint.of(a, b)) for a, b in centers), start=MPoly.constant(1)))
+        assert web_degree(web) == symbolic_line_degree(web) == 0
 
     def test_cached_on_the_web(self):
         web = SymWeb(X * DX**2 + Y * DY**2)
