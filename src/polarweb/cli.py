@@ -164,7 +164,8 @@ def _as_foliation(obj) -> FoliationData:
     if isinstance(obj, FoliationData):
         return obj
     if isinstance(obj, SymWeb) and obj.k == 1:
-        return FoliationData._of_web(obj)
+        coeffs = obj.coefficients()
+        return FoliationData(coeffs[1], -coeffs[0])
     raise ParseError("this subcommand needs a foliation (k = 1) input")
 
 

@@ -47,14 +47,7 @@ from .polarops import A_VAR, B_VAR, RadialProduct, _proportionality, polar_curve
 from .reports import CheckReport
 from .sampling import GenericSampler, sample_centers
 from .solve import certify_membership_tolerance, common_zeros, univariate_root_split
-from .webmodel import (
-    AffinePoint,
-    PlaneCurve,
-    SymWeb,
-    _foliation_web,
-    singular_set,
-    web_degree,
-)
+from .webmodel import DX, DY, AffinePoint, PlaneCurve, SymWeb, singular_set, web_degree
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
@@ -80,16 +73,8 @@ class FoliationData:
         self.saturated = not g.is_constant()
         if self.saturated:
             A, B = exact_div(A, g), exact_div(B, g)
-        self.A, self.B, self.as_web = A, B, _foliation_web(A, B)
-
-    @staticmethod
-    def _of_web(web: SymWeb) -> "FoliationData":
-        """The vector field of a k = 1 web, whose coefficients are coprime."""
-        fol = object.__new__(FoliationData)
-        coeffs = web.coefficients()
-        fol.A, fol.B, fol.saturated = coeffs[1], -coeffs[0], False
-        fol.as_web = _foliation_web(fol.A, fol.B)
-        return fol
+        # A and B are coprime now, so the form needs no second gcd
+        self.A, self.B, self.as_web = A, B, SymWeb._trusted(A * DY - B * DX, 1)
 
     def degree(self) -> int:
         return web_degree(self.as_web)

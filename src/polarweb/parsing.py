@@ -47,10 +47,10 @@ VARIABLES = ("x", "y", "a", "b", "dx", "dy", "t")
 MAX_DEGREE = 32
 MAX_PRODUCT_TERMS = 10**5
 
-# Term dicts are laid out over the variables in MPoly's sorted order.
-_LAYOUT = tuple(sorted(VARIABLES))
-_ONE = (0,) * len(_LAYOUT)
-_POSITION = {v: _LAYOUT.index(v) for v in VARIABLES}
+# A polynomial's term dicts are laid out over the variables its text names,
+# in MPoly's sorted order.
+_SORTED = tuple(sorted(VARIABLES))
+_NAMES = re.compile(r"[^\W\d_]+")
 # One token after optional white space: an integer (group 1), a run of
 # letters (group 2) or any other character (group 3).
 _TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d_]+)|(\S))")
@@ -64,11 +64,12 @@ class _Lexer:
     is looked at, past its end when it is taken, so that every error points
     at the column it always has."""
 
-    def __init__(self, text: str, line: int | None = None):
+    def __init__(self, text: str, line: int | None, layout: tuple):
         self.tokens = [(m[m.lastindex], m.lastindex, m.start(m.lastindex), m.end())
                        for m in _TOKEN.finditer(text)] + [(None, 0, len(text), len(text))]
         self.i = self.pos = 0
         self.line = line
+        self.layout, self.one = layout, (0,) * len(layout)
 
     def error(self, message: str) -> ParseError:
         return ParseError(message, line=self.line, column=self.pos + 1)
@@ -91,35 +92,38 @@ class _Lexer:
 
 
 def parse_polynomial(text: str, line: int | None = None) -> MPoly:
-    terms = _monomials(text)
+    named = set(_NAMES.findall(text))
+    layout = tuple(v for v in _SORTED if v in named)
+    terms = _monomials(text, layout)
     if terms is None:
-        lex = _Lexer(text, line)
+        lex = _Lexer(text, line, layout)
         terms = _parse_expr(lex)
         if lex.peek()[0] is not None:
             raise lex.error(f"unexpected {lex.peek()[0][0]!r}")
-    return MPoly._make(_LAYOUT, {e: c if type(c) is Fraction else Fraction(c)
-                                 for e, c in terms.items()})
+    return MPoly._make(layout, {e: c if type(c) is Fraction else Fraction(c)
+                                for e, c in terms.items()})
 
 
-def _monomials(text: str) -> dict | None:
+def _monomials(text: str, layout: tuple) -> dict | None:
     """The fast path: the terms of a sum of monomials, each a product of
     nonzero integers, variables and their powers, in the order `_parse_expr`
     gives them; None for any other text, which `_parse_expr` then parses or
     rejects."""
+    position = {v: i for i, v in enumerate(layout)}
     pieces = _SIGN.split(text)
     pieces = pieces[1:] if len(pieces) > 1 and not pieces[0].strip() else ["+"] + pieces
     out: dict = {}
     for sign, term in zip(pieces[::2], pieces[1::2]):
-        coef, exps, deg = (-1 if sign == "-" else 1), [0] * len(_LAYOUT), 0
+        coef, exps, deg = (-1 if sign == "-" else 1), [0] * len(layout), 0
         for k, factor in enumerate(term.split("*")):
             base, caret, power = factor.partition("^")
             base, power = base.strip(), power.strip() if caret else "1"
             if not power.isdecimal() or (n := int(power)) > MAX_DEGREE:
                 return None
-            if base in _POSITION:
+            if base in position:
                 if k and deg + n > MAX_DEGREE:
                     return None
-                exps[_POSITION[base]] += n
+                exps[position[base]] += n
                 deg += n
             elif base.isdecimal() and int(base):
                 coef *= int(base) ** n
@@ -182,7 +186,7 @@ def _power(lex: _Lexer, base: dict, n: int) -> dict:
     by `_product` before it is computed."""
     if n > MAX_DEGREE or _degree(base) * n > MAX_DEGREE:
         raise lex.error(f"power of exponent or total degree above {MAX_DEGREE}")
-    result = {_ONE: 1}
+    result = {lex.one: 1}
     while n:
         if n & 1:
             result = _product(lex, result, base)
@@ -203,12 +207,12 @@ def _parse_atom(lex: _Lexer) -> dict:
             if den == 0:
                 raise lex.error("zero denominator")
             num = Fraction(num, den)
-        return {_ONE: num} if num else {}
+        return {lex.one: num} if num else {}
     if group == _NAME:
         lex.take()
         if text not in VARIABLES:
             raise lex.error(f"unknown variable {text!r} (allowed: {', '.join(VARIABLES)})")
-        return {tuple(int(v == text) for v in _LAYOUT): 1}
+        return {tuple(int(v == text) for v in lex.layout): 1}
     if text == "(":
         lex.take()
         inner = _parse_expr(lex)
@@ -312,7 +316,8 @@ def parse_input_text(text: str) -> tuple[SymWeb | FoliationData | PlaneCurve, li
     if declared == "foliation":
         if web.k != 1:
             raise ParseError(f"type foliation requires a degree-1 form, got k={web.k}", line=lineno)
-        return FoliationData._of_web(web), warnings
+        coeffs = web.coefficients()
+        return FoliationData(coeffs[1], -coeffs[0]), warnings
     if not web.generically_squarefree:
         warnings.append("form is not generically square-free (repeated local factor)")
     return web, warnings

@@ -182,10 +182,20 @@ class SymWeb:
                 raise WebValidationError(
                     f"coefficients share the factor {g}; the singular set is a curve"
                 )
+        self._set_form(form, k)
+
+    def _set_form(self, form: MPoly, k: int) -> None:
         self.form = form.canonical()
         self.k = k
         self._degree: int | None = None
         self._discriminant: MPoly | None = None
+
+    @classmethod
+    def _trusted(cls, form: MPoly, k: int) -> "SymWeb":
+        """The web of a form already known to be valid; nothing is checked."""
+        web = object.__new__(cls)
+        web._set_form(form, k)
+        return web
 
     # -- structure -----------------------------------------------------------
 
@@ -208,22 +218,6 @@ class SymWeb:
 
     def __str__(self):
         return f"{self.k}-web[{self.form}]"
-
-
-def _foliation_web(A: MPoly, B: MPoly) -> SymWeb:
-    """The web of the vector field A d/dx + B d/dy, the form A dy - B dx, for
-    coprime A and B in (x, y); nothing is checked.  The terms are laid out as
-    the MPoly expression A*dy - B*dx lays them out."""
-    names = tuple(sorted({"dx", "dy"}.union(A.variables, B.variables)))
-    ix, iy = names.index("dx"), names.index("dy")
-    terms = {}
-    for poly, at in ((A, iy), (B, ix)):
-        for e, c in _rekey(poly, names).items():
-            terms[e[:at] + (1,) + e[at + 1:]] = c if at == iy else -c
-    web = object.__new__(SymWeb)
-    web.form, web.k = MPoly._make(names, terms).canonical(), 1
-    web._degree = web._discriminant = None
-    return web
 
 
 def _dxdy_coefficients(form: MPoly, k: int) -> list[MPoly]:
