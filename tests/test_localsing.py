@@ -297,6 +297,38 @@ class TestGenus:
         with pytest.raises(PolynomialError):
             genus_of_curve(PlaneCurve((X + Y) * (X - Y + 1)))
 
+    # (F, genus, delta at infinity, [(chart point, exact, m, mu, delta)]):
+    # a cusp and an E6 point at [1:0:0] (chart x = 1, point (0, 0) in the
+    # coordinates (y, z)), and two numeric cusps at [+-sqrt(2) : 1 : 0] (chart
+    # y = 1, points (x0, 0) in the coordinates (x, z)).
+    @pytest.mark.parametrize("F, genus, delta, points", [
+        (X - Y**3, 0, 1, [((0, 0), True, 2, 2, 1)]),
+        (X * Y**3 - 1, 0, 3, [((0, 0), True, 3, 6, 3)]),
+        ((X**2 - 2 * Y**2)**2 + X, 1, 2,
+         [((2**0.5, 0), False, 2, 2, 1), ((-(2**0.5), 0), False, 2, 2, 1)]),
+    ], ids=["x-y^3", "xy^3-1", "(x^2-2y^2)^2+x"])
+    def test_charts_at_infinity(self, monkeypatch, F, genus, delta, points):
+        from polarweb import localsing
+
+        seen = []
+
+        def recording(make):
+            def at(curve, point):
+                g = make(curve, point)
+                fp = localsing.fingerprint(g)
+                seen.append((tuple(complex(c) for c in point), fp.exact, fp.m, fp.mu, fp.delta))
+                return g
+            return staticmethod(at)
+
+        assert genus_of_curve(PlaneCurve(F)) == genus
+        monkeypatch.setattr(CurveGerm, "at_point", recording(CurveGerm.at_point))
+        monkeypatch.setattr(CurveGerm, "at_numeric_point", recording(CurveGerm.at_numeric_point))
+        assert localsing._delta_sum_at_infinity(F) == delta
+        assert len(seen) == len(points)
+        for (p, *fp), (q, *expected) in zip(sorted(seen, key=lambda s: -s[0][0].real), points):
+            assert fp == expected
+            assert all(abs(a - b) < 1e-9 for a, b in zip(p, q))
+
 
 class TestEquisingularity:
     def test_squares_node_fingerprint(self):
