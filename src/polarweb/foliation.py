@@ -26,6 +26,7 @@ from .mpoly import (
     MPoly,
     divisibility_multiplicity,
     exact_div,
+    gcd_fold,
     jet_decompose,
     poly_gcd,
     proper_shears,
@@ -352,8 +353,7 @@ def is_inflexion_point(curve: PlaneCurve, p: AffinePoint) -> bool:
 
 def _at_center(f: MPoly) -> MPoly:
     """f with x -> a and y -> b."""
-    subs = {v: c for v, c in (("x", A_VAR), ("y", B_VAR)) if v in f.variables}
-    return f.substitute(subs) if subs else f
+    return f.substitute({"x": A_VAR, "y": B_VAR})
 
 
 def inflexion_lemma_check(fol: FoliationData, seed: int = 0, samples: int = 20) -> CheckReport:
@@ -421,9 +421,7 @@ def class_of_curve(curve: PlaneCurve, seed: int = 0) -> int:
         raise PolynomialError("class of a line (degree < 2) is not defined here")
     rng = random.Random(seed)
     F = _chart_without_infinite_singularities(F0, rng)
-    fx, fy = F.derivative("x"), F.derivative("y")
-    gens = [g for g in (F, fx, fy) if not g.is_zero()]
-    sing = common_zeros(gens) if not (fx.is_zero() and fy.is_zero()) else None
+    sing = common_zeros([F, F.derivative("x"), F.derivative("y")])
     values = []
     for _ in range(2):
         values.append(_class_once(F, n, sing, rng))
@@ -446,20 +444,10 @@ def _chart_without_infinite_singularities(F: MPoly, rng: random.Random) -> MPoly
         else:
             c1, c2 = rng.randint(-9, 9), rng.randint(-9, 9)
             H2 = H.substitute({"z": Z + MPoly.constant(c1) * X + MPoly.constant(c2) * Y})
-        restricted = [
-            (g.substitute({"z": MPoly.zero()}) if "z" in g.variables else g)
-            for g in (H2.derivative("x"), H2.derivative("y"), H2.derivative("z"))
-        ]
+        restricted = [H2.derivative(v).substitute({"z": 0}) for v in "xyz"]
         restricted = [g for g in restricted if not g.is_zero()]
-        if not restricted:
-            continue
-        g = restricted[0]
-        for h in restricted[1:]:
-            if g.is_constant():
-                break
-            g = poly_gcd(g, h)
-        if g.is_constant():
-            Fa = H2.substitute({"z": MPoly.constant(1)}) if "z" in H2.variables else H2
+        if restricted and gcd_fold(restricted).is_constant():
+            Fa = H2.substitute({"z": 1})
             if Fa.total_degree() == F.total_degree():
                 return Fa.canonical()
     raise DegenerateSampleError("could not move all singular points into the affine chart")
@@ -475,7 +463,7 @@ def _class_once(F: MPoly, n: int, sing, rng: random.Random) -> int:
             + MPoly.constant(z2) * H.derivative("y")
             + H.derivative("z")
         )
-        G = G.substitute({"z": MPoly.constant(1)}) if "z" in G.variables else G
+        G = G.substitute({"z": 1})
         if G.is_zero() or poly_gcd(F, G).total_degree() > 0:
             continue
         # all drawn, whichever shear is taken: they move the rng for the next point
@@ -488,24 +476,23 @@ def _class_once(F: MPoly, n: int, sing, rng: random.Random) -> int:
             continue
         local_sum = 0
         ok = True
-        if sing is not None:
-            rational_x = []
-            for q in sing.rational:
-                germ_f = translate(F, q)
-                germ_g = translate(G, q)
-                local_sum += intersection_multiplicity(germ_f, germ_g)
-                rational_x.append(complex(q[0] - lam * q[1]))
-            if sing.numeric:
-                rat_roots, num_roots = univariate_root_split(R, "x")
-                all_roots = [(complex(r), m) for r, m in rat_roots] + num_roots
-                spread = 1.0 + max(abs(r) for r, _ in all_roots)
-                for q in sing.numeric:
-                    xq = q[0] - lam * q[1]
-                    if any(abs(xq - rx) < 1e-6 * spread for rx in rational_x):
-                        ok = False  # shear failed to separate singular columns
-                        break
-                    cluster = [m for r, m in all_roots if abs(r - xq) < 1e-7 * spread]
-                    local_sum += sum(cluster)
+        rational_x = []
+        for q in sing.rational:
+            germ_f = translate(F, q)
+            germ_g = translate(G, q)
+            local_sum += intersection_multiplicity(germ_f, germ_g)
+            rational_x.append(complex(q[0] - lam * q[1]))
+        if sing.numeric:
+            rat_roots, num_roots = univariate_root_split(R, "x")
+            all_roots = [(complex(r), m) for r, m in rat_roots] + num_roots
+            spread = 1.0 + max(abs(r) for r, _ in all_roots)
+            for q in sing.numeric:
+                xq = q[0] - lam * q[1]
+                if any(abs(xq - rx) < 1e-6 * spread for rx in rational_x):
+                    ok = False  # shear failed to separate singular columns
+                    break
+                cluster = [m for r, m in all_roots if abs(r - xq) < 1e-7 * spread]
+                local_sum += sum(cluster)
         if not ok:
             continue
         return n * (n - 1) - local_sum

@@ -32,6 +32,7 @@ from .errors import (
 from .mpoly import (
     MPoly,
     _rekey,
+    gcd_fold,
     poly_gcd,
     proper_shears,
     resultant,
@@ -164,8 +165,7 @@ def intersection_multiplicity(f: MPoly, g: MPoly) -> int:
     for lam in proper_shears([f, g], _SHEAR_CANDIDATES):
         # (x, y) -> (x + lam*y, y) keeps the origin and makes both y-proper
         fs, gs = shear(f, lam), shear(g, lam)
-        f0 = fs.substitute({"x": MPoly.zero()}) if "x" in fs.variables else fs
-        g0 = gs.substitute({"x": MPoly.zero()}) if "x" in gs.variables else gs
+        f0, g0 = fs.substitute({"x": 0}), gs.substitute({"x": 0})
         if f0.is_zero() or g0.is_zero():
             continue
         u = poly_gcd(f0, g0)
@@ -430,63 +430,27 @@ def _delta_sum_at_infinity(F: MPoly) -> int:
     H = homogenize(F)
     total = 0
     # chart y = 1: coordinates (x, z); points [x0 : 1 : 0]
-    G = H.substitute({"y": MPoly.constant(1)}) if "y" in H.variables else H
-    gens = [G, G.derivative("x"), G.derivative("z")]
-    line = [g.substitute({"z": MPoly.zero()}) if "z" in g.variables else g for g in gens]
+    G = H.substitute({"y": 1})
+    line = [g.substitute({"z": 0}) for g in (G, G.derivative("x"), G.derivative("z"))]
     line = [g for g in line if not g.is_zero()]
-    candidates_r: list[Fraction] = []
-    candidates_n: list[complex] = []
+    rational, numeric = [], []
     if line and all(not g.is_constant() for g in line):
-        elim = line[0]
-        for g in line[1:]:
-            elim = poly_gcd(elim, g)
-            if elim.is_constant():
-                break
+        elim = gcd_fold(line)
         if not elim.is_constant():
-            rat, num = univariate_root_split(elim, "x")
-            candidates_r = [r for r, _ in rat]
-            candidates_n = [z for z, _ in num]
-    for x0 in candidates_r:
-        if G.evaluate({"x": x0, "z": 0} | {v: 0 for v in G.variables if v not in ("x", "z")}) == 0:
-            germ = CurveGerm.at_point(_rename_to_xy(G), (x0, Fraction(0)))
+            rational, numeric = univariate_root_split(elim, "x")
+    for x0, _ in rational:
+        if G.evaluate({"x": x0, "z": 0}) == 0:
+            germ = CurveGerm.at_point(G.substitute({"z": Y}), (x0, Fraction(0)))
             total += fingerprint(germ).delta
-    for x0 in candidates_n:
-        germ = CurveGerm.at_numeric_point(_rename_to_xy(G), (x0, 0j))
+    for x0, _ in numeric:
+        germ = CurveGerm.at_numeric_point(G.substitute({"z": Y}), (x0, 0j))
         total += fingerprint(germ).delta
-    # the point [1 : 0 : 0] lives in the chart x = 1
-    K = H.substitute({"x": MPoly.constant(1)}) if "x" in H.variables else H
-    K = _rename_yz_to_xy(K)
-    origin = {v: 0 for v in K.variables}
-    if (
-        K.evaluate(origin) == 0
-        and K.derivative("x").evaluate(origin) == 0
-        and K.derivative("y").evaluate(origin) == 0
-    ):
+    # the point [1 : 0 : 0] lives in the chart x = 1, with (y, z) renamed (x, y)
+    K = H.substitute({"x": 1, "y": X, "z": Y})
+    if not any(_nonzero_at_origin(g) for g in (K, K.derivative("x"), K.derivative("y"))):
         germ = CurveGerm.at_point(K, (Fraction(0), Fraction(0)))
         total += fingerprint(germ).delta
     return total
-
-
-def _rename_to_xy(g: MPoly) -> MPoly:
-    """(x, z) -> (x, y) for germ machinery."""
-    if "z" not in g.variables:
-        return g
-    return g.substitute({"z": Y})
-
-
-def _rename_yz_to_xy(g: MPoly) -> MPoly:
-    """(y, z) -> (x, y) for germ machinery (chart x = 1)."""
-    out = g
-    if "y" in out.variables:
-        out = out.substitute({"y": MPoly.variable("u")})
-    if "z" in out.variables:
-        out = out.substitute({"z": MPoly.variable("v")})
-    subs = {}
-    if "u" in out.variables:
-        subs["u"] = X
-    if "v" in out.variables:
-        subs["v"] = Y
-    return out.substitute(subs) if subs else out
 
 
 def genus_of_curve(curve: PlaneCurve, include_infinity: bool = True) -> int:
@@ -502,14 +466,11 @@ def genus_of_curve(curve: PlaneCurve, include_infinity: bool = True) -> int:
     if count != 1:
         raise PolynomialError(f"genus_of_curve: curve has {count} components; not irreducible")
     delta_total = 0
-    fx, fy = F.derivative("x"), F.derivative("y")
-    if not (fx.is_zero() and fy.is_zero()) and n >= 2:
-        gens = [g for g in (F, fx, fy) if not g.is_zero()]
-        zs = common_zeros(gens)
-        for q in zs.rational:
-            delta_total += fingerprint(CurveGerm.at_point(F, q)).delta
-        for q in zs.numeric:
-            delta_total += fingerprint(CurveGerm.at_numeric_point(F, q)).delta
+    zs = common_zeros([F, F.derivative("x"), F.derivative("y")])
+    for q in zs.rational:
+        delta_total += fingerprint(CurveGerm.at_point(F, q)).delta
+    for q in zs.numeric:
+        delta_total += fingerprint(CurveGerm.at_numeric_point(F, q)).delta
     if include_infinity:
         delta_total += _delta_sum_at_infinity(F)
     g = (n - 1) * (n - 2) // 2 - delta_total

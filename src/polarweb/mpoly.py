@@ -20,6 +20,9 @@ distinct and that every exponent vector is a tuple of their length with
 entries in [0, MAX_EXPONENT]; it only drops zero coefficients and the
 variables that no longer occur, and keeps the term order.  `**` checks
 MAX_EXPONENT on the degrees before it multiplies; no other result is scanned.
+`substitute` is total: an assigned variable that does not occur is left
+alone, as `derivative`, `degree_in` and `coeffs_in` treat it as a constant,
+and a polynomial in which no assigned variable occurs is returned itself.
 Input text is the parser's: it checks the hard limits (`parsing.MAX_DEGREE`,
 `parsing.MAX_PRODUCT_TERMS`) on every product and power before computing it,
 and builds each polynomial as one term dict for one `MPoly._make`.
@@ -289,16 +292,18 @@ class MPoly:
         return MPoly._make(self.variables, out)
 
     def substitute(self, assignments: Mapping[str, "MPoly | Fraction | int"]) -> "MPoly":
-        """Simultaneous substitution; every assigned variable must occur.
+        """Simultaneous substitution.  An assigned variable that does not
+        occur is left alone, as `derivative`, `degree_in` and `coeffs_in`
+        treat it as a constant; self is returned when none occurs.
 
         Every term is expanded over the union of the kept and the substituted
         variables and added into one dict; the powers of each substituted
         polynomial are cached as term dicts.
         """
-        for v in assignments:
-            if v not in self.variables:
-                raise PolynomialError(f"substitute: variable {v!r} does not occur")
-        subs = {v: (p if isinstance(p, MPoly) else MPoly.constant(p)) for v, p in assignments.items()}
+        subs = {v: (p if isinstance(p, MPoly) else MPoly.constant(p))
+                for v, p in assignments.items() if v in self.variables}
+        if not subs:
+            return self
         kept = [v for v in self.variables if v not in subs]
         names = tuple(sorted(set(kept).union(*(p.variables for p in subs.values()))))
         moves = [(self.variables.index(v), names.index(v)) for v in kept]
@@ -513,14 +518,19 @@ def _prem(a: MPoly, b: MPoly, var: str) -> MPoly:
     return r
 
 
-def _content_in(f: MPoly, var: str) -> MPoly:
-    coeffs = [c for c in f.coeffs_in(var) if not c.is_zero()]
-    g = coeffs[0]
-    for c in coeffs[1:]:
+def gcd_fold(polys: Sequence[MPoly]) -> MPoly:
+    """gcd of the polynomials, taken in order; it stops at the first constant.
+    A lone polynomial is returned as it is, not made canonical."""
+    g = polys[0]
+    for p in polys[1:]:
         if g.is_constant():
             break
-        g = poly_gcd(g, c)
-    return g.canonical() if not g.is_constant() else MPoly.constant(1)
+        g = poly_gcd(g, p)
+    return g
+
+
+def _content_in(f: MPoly, var: str) -> MPoly:
+    return gcd_fold([c for c in f.coeffs_in(var) if not c.is_zero()]).canonical()
 
 
 # Coprimality certificate.  Reduce mod a prime p and set every variable but v
@@ -797,12 +807,11 @@ def discriminant_binary(f: MPoly, u: str = "dx", v: str = "dy") -> MPoly:
     if k == 1:
         return MPoly.constant(1)
     g = shear(f, next(proper_shears([f], u=u, v=v)), u, v)
-    gt = g.substitute({u: 1}) if u in g.variables else g
+    gt = g.substitute({u: 1})
     # the shear keeps gt univariate of exact degree k in v
     lead = gt.coeffs_in(v)[k]
     res = resultant(gt, gt.derivative(v), v)
-    disc = exact_div(res, lead)
-    return disc.canonical() if not disc.is_zero() else MPoly.zero()
+    return exact_div(res, lead).canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -834,8 +843,7 @@ def proper_shears(polys: Sequence[MPoly], candidates: Iterable[int] | None = Non
         candidates = islice(_small_integers(), sum(d for d, _ in tops) + 1)
     for lam in candidates:
         direction = {u: lam, v: 1}
-        if all(top.substitute({w: direction[w] for w in top.variables if w in direction})
-               for _, top in tops):
+        if all(top.substitute(direction) for _, top in tops):
             yield lam
 
 
@@ -847,12 +855,8 @@ def proper_shears(polys: Sequence[MPoly], candidates: Iterable[int] | None = Non
 def translate(f: MPoly, point, variables: Sequence[str] = ("x", "y")) -> MPoly:
     """Each variable v replaced by v + c, c its coordinate of the point: the
     point moves to the origin."""
-    subs = {
-        v: MPoly.variable(v) + MPoly.constant(c)
-        for v, c in zip(variables, point)
-        if v in f.variables and c != 0
-    }
-    return f.substitute(subs) if subs else f
+    return f.substitute({v: MPoly.variable(v) + MPoly.constant(c)
+                         for v, c in zip(variables, point) if c != 0})
 
 
 def jet_decompose(f: MPoly, variables: Sequence[str] = ("x", "y"), about=(0, 0)) -> dict[int, MPoly]:

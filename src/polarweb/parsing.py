@@ -41,7 +41,7 @@ from fractions import Fraction
 from .errors import ParseError, WebValidationError
 from .foliation import FoliationData
 from .mpoly import MPoly, _add_into, _mul_terms, _nonzero
-from .webmodel import AffinePoint, PlaneCurve, SymWeb
+from .webmodel import AffinePoint, PlaneCurve, SymWeb, shared_factor_message
 
 VARIABLES = ("x", "y", "a", "b", "dx", "dy", "t")
 MAX_DEGREE = 32
@@ -86,9 +86,22 @@ class _Lexer:
         return token
 
     def take_int(self) -> int:
-        if self.peek()[1] != _INT:
+        text, group, _, _ = self.peek()
+        if group != _INT:
             raise self.error("expected an integer")
-        return int(self.take()[0])
+        if (value := _decimal(text)) is None:
+            raise self.error(f"integer literal of {len(text)} digits is too long")
+        self.take()
+        return value
+
+
+def _decimal(text: str) -> int | None:
+    """The value of a decimal literal; None when it is not one, or when it
+    has more digits than `int` converts (`sys.get_int_max_str_digits`)."""
+    try:
+        return int(text) if text.isdecimal() else None
+    except ValueError:
+        return None
 
 
 def parse_polynomial(text: str, line: int | None = None) -> MPoly:
@@ -118,15 +131,15 @@ def _monomials(text: str, layout: tuple) -> dict | None:
         for k, factor in enumerate(term.split("*")):
             base, caret, power = factor.partition("^")
             base, power = base.strip(), power.strip() if caret else "1"
-            if not power.isdecimal() or (n := int(power)) > MAX_DEGREE:
+            if (n := _decimal(power)) is None or n > MAX_DEGREE:
                 return None
             if base in position:
                 if k and deg + n > MAX_DEGREE:
                     return None
                 exps[position[base]] += n
                 deg += n
-            elif base.isdecimal() and int(base):
-                coef *= int(base) ** n
+            elif c := _decimal(base):
+                coef *= c ** n
             else:
                 return None
         _add_into(out, {tuple(exps): coef})
@@ -306,13 +319,12 @@ def parse_input_text(text: str) -> tuple[SymWeb | FoliationData | PlaneCurve, li
     value, lineno = fields["form"]
     poly = parse_polynomial(value, lineno)
     try:
-        web = SymWeb(poly)
+        web = SymWeb(poly, saturate=True)
     except WebValidationError as e:
-        try:
-            web = SymWeb(poly, saturate=True)
-            warnings.append(f"form coefficients were not coprime; saturated ({e})")
-        except WebValidationError:
-            raise ParseError(str(e), line=lineno)
+        raise ParseError(str(e), line=lineno)
+    if web.common_factor is not None:
+        warnings.append(f"form coefficients were not coprime; saturated "
+                        f"({shared_factor_message(web.common_factor)})")
     if declared == "foliation":
         if web.k != 1:
             raise ParseError(f"type foliation requires a degree-1 form, got k={web.k}", line=lineno)

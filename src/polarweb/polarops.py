@@ -79,12 +79,7 @@ class RadialProduct:
 
 def _substitute_center(form: MPoly, a, b) -> MPoly:
     """dx -> x - a, dy -> y - b; the center is rational or the symbols (a, b)."""
-    subs = {}
-    if "dx" in form.variables:
-        subs["dx"] = X - a
-    if "dy" in form.variables:
-        subs["dy"] = Y - b
-    return form.substitute(subs) if subs else form
+    return form.substitute({"dx": X - a, "dy": Y - b})
 
 
 def polar_curve(web: SymWeb, p: AffinePoint) -> PlaneCurve | RadialProduct:
@@ -102,9 +97,7 @@ class PolarFamily:
     parametric: MPoly
 
     def at(self, p: AffinePoint) -> PlaneCurve | RadialProduct:
-        raw = self.parametric
-        subs = {v: MPoly.constant(val) for v, val in (("a", p.a), ("b", p.b)) if v in raw.variables}
-        raw = raw.substitute(subs) if subs else raw
+        raw = self.parametric.substitute({"a": p.a, "b": p.b})
         if raw.is_zero():
             return RadialProduct(p, MPoly.zero())
         return PlaneCurve(raw)
@@ -406,10 +399,9 @@ def family_dimension(web: SymWeb) -> int:
     maps = [P, P.derivative("a"), P.derivative("b")]
     best = 0
     for a0, b0 in product(range(3 * web.k - 1), repeat=2):
-        center = {"a": MPoly.constant(a0), "b": MPoly.constant(b0)}
         rows = []
         for f in maps:
-            row = _rekey(f.substitute({v: c for v, c in center.items() if v in f.variables}), ("x", "y"))
+            row = _rekey(f.substitute({"a": a0, "b": b0}), ("x", "y"))
             # P is canonical, so it has integer coefficients, and so does the
             # row at an integer center
             rows.append({j: v.numerator for j, v in row.items()})
@@ -643,7 +635,7 @@ def web_decomposable(web: SymWeb) -> tuple[bool, int]:
     lam = next(proper_shears([web.form], u="dx", v="dy"))
     form = shear(web.form, lam, "dx", "dy")
     # Res_m(F, F_m) = +-lc * disc, lc the dy^k coefficient after the shear
-    lead = web.form.substitute({v: c for v, c in (("dx", lam), ("dy", 1)) if v in web.form.variables})
+    lead = web.form.substitute({"dx": lam, "dy": 1})
     branch = squarefree_part(lead * web.discriminant_form)
     n = branch.total_degree()
     bound = n * (n - 1) + max(a.total_degree() for a in web.coefficients()) ** 2
@@ -652,11 +644,11 @@ def web_decomposable(web: SymWeb) -> tuple[bool, int]:
         line = {"x": slope + MPoly.constant(c), "y": X}
         # q(t, m) with t as x and m as y: primitive in m is the counter's
         # condition gcd(q, q_m) = 1, so it needs no shear
-        chart = {**line, "dx": MPoly.constant(1), "dy": Y}
-        q = form.substitute({v: p for v, p in chart.items() if v in form.variables})
+        chart = {**line, "dx": 1, "dy": Y}
+        q = form.substitute(chart)
         if not _content_in(q, "y").is_constant():
             continue
-        r = branch.substitute({v: p for v, p in line.items() if v in branch.variables})
+        r = branch.substitute(line)
         if not r.is_constant() and not poly_gcd(r, r.derivative("x")).is_constant():
             continue
         count = _absolute_factor_count(q)

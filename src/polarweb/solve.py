@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import count, islice
 
 from .errors import InfiniteZeroSetError, InternalInvariantError, PolynomialError
-from .mpoly import MPoly, _int_coeffs, poly_gcd, resultant
+from .mpoly import MPoly, _int_coeffs, gcd_fold, resultant
 from .numerics import univariate_roots
 from .zpoly import _int_exact_quo, _vanishes_at, _yun
 
@@ -132,11 +132,7 @@ def common_zeros(polys: list[MPoly]) -> ZeroSet:
         raise InfiniteZeroSetError("all generators are zero")
     if any(p.is_constant() for p in polys):
         return ZeroSet()
-    g = polys[0]
-    for p in polys[1:]:
-        g = poly_gcd(g, p)
-        if g.is_constant():
-            break
+    g = gcd_fold(polys)
     if not g.is_constant():
         raise InfiniteZeroSetError(f"generators share the factor {g}")
 
@@ -155,12 +151,7 @@ def common_zeros(polys: list[MPoly]) -> ZeroSet:
         if not candidates:
             # every generator involves elim_var, and there are >= 2 of them
             candidates.append(_combination_resultant(positive, elim_var))
-        out = candidates[0]
-        for c in candidates[1:]:
-            if out.is_constant():
-                break
-            out = poly_gcd(out, c)
-        return out.canonical()
+        return gcd_fold(candidates).canonical()
 
     ex = eliminant("y", "x")
     ey = eliminant("x", "y")

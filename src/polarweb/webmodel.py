@@ -19,7 +19,7 @@ from .mpoly import (
     _rekey,
     discriminant_binary,
     binary_form_degree,
-    poly_gcd,
+    gcd_fold,
     squarefree_part,
     try_exact_div,
 )
@@ -169,24 +169,20 @@ class SymWeb:
         if k < 1:
             raise WebValidationError("form has degree 0 in (dx, dy)")
         coeffs = _dxdy_coefficients(form, k)
-        nonzero = [c for c in coeffs if not c.is_zero()]
-        g = nonzero[0]
-        for c in nonzero[1:]:
-            if g.is_constant():
-                break
-            g = poly_gcd(g, c)
-        if not g.is_constant():
-            if saturate:
-                form = _divide_coefficients(form, g, k)
-            else:
-                raise WebValidationError(
-                    f"coefficients share the factor {g}; the singular set is a curve"
-                )
-        self._set_form(form, k)
+        g = gcd_fold([c for c in coeffs if not c.is_zero()])
+        if g.is_constant():
+            g = None
+        elif saturate:
+            form = _divide_coefficients(form, g, k)
+        else:
+            raise WebValidationError(shared_factor_message(g))
+        self._set_form(form, k, g)
 
-    def _set_form(self, form: MPoly, k: int) -> None:
+    def _set_form(self, form: MPoly, k: int, common_factor: MPoly | None = None) -> None:
         self.form = form.canonical()
         self.k = k
+        # the factor of the coefficients that saturation divided out
+        self.common_factor = common_factor
         self._degree: int | None = None
         self._discriminant: MPoly | None = None
 
@@ -218,6 +214,10 @@ class SymWeb:
 
     def __str__(self):
         return f"{self.k}-web[{self.form}]"
+
+
+def shared_factor_message(g: MPoly) -> str:
+    return f"coefficients share the factor {g}; the singular set is a curve"
 
 
 def _dxdy_coefficients(form: MPoly, k: int) -> list[MPoly]:
@@ -315,8 +315,7 @@ def on_discriminant(web: SymWeb, p: AffinePoint) -> bool:
 def form_at(web: SymWeb, p: AffinePoint) -> MPoly:
     """The web's binary form at p, written in (x, y) in place of (dx, dy), the
     variables of a tangent cone at p."""
-    subs = {"x": MPoly.constant(p.a), "y": MPoly.constant(p.b), "dx": X, "dy": Y}
-    return web.form.substitute({v: f for v, f in subs.items() if v in web.form.variables})
+    return web.form.substitute({"x": p.a, "y": p.b, "dx": X, "dy": Y})
 
 
 def tangent_directions(web: SymWeb, p: AffinePoint) -> list[Direction]:

@@ -20,6 +20,8 @@ from polarweb.parsing import VARIABLES, parse_input_text, parse_point, parse_pol
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
+# an integer literal with more digits than `int` converts by default (4,300)
+NINES = "9" * 5000
 
 x = MPoly.variable("x")
 y = MPoly.variable("y")
@@ -125,8 +127,12 @@ class TestPolynomialParser:
 
     # (text, message, column): every cap and every kind of malformed input,
     # with the column the error points at.  A product or power is checked
-    # after its last factor, so its column is just past that factor.
+    # after its last factor, so its column is just past that factor.  An
+    # integer literal longer than `int` converts is rejected at its start.
     ERRORS = [
+        (f"x^{NINES} - y", "integer literal of 5000 digits is too long", 3),
+        (f"{NINES}*x - y", "integer literal of 5000 digits is too long", 1),
+        (f"({NINES}*x - y)^2", "integer literal of 5000 digits is too long", 2),
         ("2x", "unexpected 'x'", 2),
         ("x y", "unexpected 'y'", 3),
         ("x**2", "unexpected '*'", 3),
@@ -168,7 +174,8 @@ class TestPolynomialParser:
          "product of more than 100000 term pairs", 64),
     ]
 
-    @pytest.mark.parametrize("text,message,column", ERRORS, ids=[repr(e[0]) for e in ERRORS])
+    @pytest.mark.parametrize("text,message,column", ERRORS,
+                             ids=[repr(e[0].replace(NINES, "9...9")) for e in ERRORS])
     def test_error_message_and_column(self, text, message, column):
         with pytest.raises(ParseError) as err:
             parse_polynomial(text, line=3)
@@ -402,6 +409,8 @@ class TestExitCodes:
         "type: curve\nf: x^4294967296*y\n",
         "type: curve\nf: (x+y+1)^40\n",
         "type: web\nform: (x+y+a+b+dx+dy+t)^30*dx\n",
+        *(pytest.param(f"type: curve\nf: {f}\n", id=f"f: {f.replace(NINES, '9...9')}")
+          for f in (f"x^{NINES} - y", f"{NINES}*x - y", f"({NINES}*x - y)^2")),
     ])
     def test_oversized_input_is_2_at_once(self, tmp_path, text):
         path = tmp_path / "big.txt"
@@ -470,16 +479,22 @@ class TestFrontEndWork:
         from polarweb import mpoly
 
         calls = []
+        depth = [0]
         original = mpoly.poly_gcd
 
         def counting(f, g):
-            calls.append((f, g))
-            return original(f, g)
+            if not depth[0]:
+                calls.append((f, g))
+            depth[0] += 1
+            try:
+                return original(f, g)
+            finally:
+                depth[0] -= 1
 
-        # every binding but mpoly's own, so a gcd's recursion is not counted
+        # every binding, mpoly's own too, so that the gcds a fold in mpoly
+        # takes are seen; a gcd's own recursion runs deeper and is not counted
         for name, module in list(sys.modules.items()):
-            if (name.startswith("polarweb.") and name != "polarweb.mpoly"
-                    and getattr(module, "poly_gcd", None) is original):
+            if name.startswith("polarweb.") and getattr(module, "poly_gcd", None) is original:
                 monkeypatch.setattr(module, "poly_gcd", counting)
         return calls
 
@@ -494,6 +509,13 @@ class TestFrontEndWork:
         fol = _as_foliation(parse_input_text(text)[0])
         assert len(gcd_calls) == gcds
         assert fol.as_web.form == (fol.A * dy - fol.B * dx).canonical()
+
+    def test_a_saturated_form_takes_its_gcds_once(self, gcd_calls):
+        web, warnings = parse_input_text("type: web\nform: (x^2 - y)*(x*dy^2 + y*dx*dy - dx^2)\n")
+        assert len(gcd_calls) == 2
+        assert web.form == (x * dy**2 + y * dx * dy - dx**2).canonical()
+        assert warnings == ["form coefficients were not coprime; saturated "
+                            "(coefficients share the factor x^2 - y; the singular set is a curve)"]
 
 
 class TestParserReuse:

@@ -247,9 +247,13 @@ class TestSubstitute:
     def test_radial_contraction_vanishes(self):
         assert (x * dy - y * dx).substitute({"dx": x, "dy": y}) == 0
 
-    def test_unknown_variable_rejected(self):
-        with pytest.raises(PolynomialError):
-            (x**2).substitute({"t": x})
+    @given(rational_polys(), st.fixed_dictionaries({}, optional={
+        v: st.one_of(st.integers(-3, 3), rational_polys(("x", "t"))) for v in ("x", "y", "z", "a")}))
+    @settings(max_examples=60, deadline=None)
+    def test_absent_variables_are_left_alone(self, f, s):
+        present = {v: p for v, p in s.items() if v in f.variables}
+        assert f.substitute(s) == f.substitute(present) == termwise_substitute(f, present)
+        assert f.substitute({"t": x}) is f
 
     @given(small_polys(), small_polys())
     @settings(max_examples=40, deadline=None)
