@@ -293,7 +293,7 @@ def run_command(argv: list[str]) -> tuple[int, str]:
             lines.append(f"parametric polar: {format_mpoly(fam.parametric)}")
         elif args.command == "class":
             curve = _as_curve(obj)
-            lines.append(f"class: {class_of_curve(curve, args.seed)}")
+            lines.append(f"class: {class_of_curve(curve)}")
         elif args.command == "genus":
             curve = _as_curve(obj)
             g = genus_of_curve(curve, include_infinity=not args.affine_only)

@@ -11,17 +11,10 @@ the number of quasi-radial singularities.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DegenerateSampleError,
-    InternalInvariantError,
-    NumericAbortError,
-    PolynomialError,
-    WebValidationError,
-)
+from .errors import InternalInvariantError, PolynomialError, WebValidationError
 from .mpoly import (
     MPoly,
     divisibility_multiplicity,
@@ -32,22 +25,16 @@ from .mpoly import (
     proper_shears,
     resultant,
     shear,
-    translate,
     try_exact_div,
 )
-from .localsing import (
-    cp_clean,
-    cp_from_mpoly,
-    cp_norm,
-    cp_translate,
-    homogenize,
-    intersection_multiplicity,
-)
+from .localsing import cp_clean, cp_from_mpoly, cp_norm, cp_translate
 from .numerics import univariate_roots
-from .polarops import A_VAR, B_VAR, RadialProduct, _proportionality, polar_curve, polar_family
+from .polarops import (
+    A_VAR, B_VAR, PolarFamily, RadialProduct, _proportionality, polar_curve, polar_family,
+)
 from .reports import CheckReport
 from .sampling import GenericSampler, sample_centers
-from .solve import certify_membership_tolerance, common_zeros, univariate_root_split
+from .solve import certify_membership_tolerance, common_zeros
 from .webmodel import DX, DY, AffinePoint, PlaneCurve, SymWeb, singular_set, web_degree
 
 X = MPoly.variable("x")
@@ -407,96 +394,37 @@ def inflexion_lemma_check(fol: FoliationData, seed: int = 0, samples: int = 20) 
 # ---------------------------------------------------------------------------
 
 
-def class_of_curve(curve: PlaneCurve, seed: int = 0) -> int:
+def class_of_curve(curve: PlaneCurve) -> int:
     """Number of tangent lines to the curve through a generic point.
 
-    Computed as n(n-1) minus the local intersection numbers of the curve with
-    its first polar at the singular points; verified against two independent
-    auxiliary points."""
+    One exact resultant, with the polar's center left symbolic.  Shear F by
+    the first lam of `proper_shears`, so that F_lam is y-proper, and let
+    G = (a - x)*F_x + (b - y)*F_y + n*F be the polar of F from [a:b:1].
+    R = Res_y(F_lam, G_lam) lies in Q[a, b, x], and the class is
+    deg_x R - deg_x C, with C the gcd of R's coefficients over the monomials
+    in (a, b):
+    - A point of F lies on every polar exactly when F_x = F_y = 0 there, so
+      C is the part of R that every center shares.
+    - C holds each affine singular point's generic intersection multiplicity
+      with the polar, mu + m - 1 (Teissier), also when several singular
+      points share a column x.
+    - Points at infinity never enter deg_x R, because F_lam is y-proper.  For
+      a generic center, the only points of F at infinity on its polar are
+      singular points, so they are all that deg_x R loses of n(n - 1).
+    - What remains counts the tangency points of a generic center: the class.
+    For n >= 2, G_lam has positive y-degree: the part in (a, b) of its
+    y^(n-1) coefficient is a*F_x + b*F_y of F's top form at (lam, 1), and
+    Euler's lam*F_x + F_y = n*F != 0 there keeps it nonzero."""
     if curve.raw != curve.defining:
         raise PolynomialError("class_of_curve needs a reduced curve")
-    F0 = curve.defining
-    n = F0.total_degree()
+    F = curve.defining
+    n = F.total_degree()
     if n < 2:
         raise PolynomialError("class of a line (degree < 2) is not defined here")
-    rng = random.Random(seed)
-    F = _chart_without_infinite_singularities(F0, rng)
-    sing = common_zeros([F, F.derivative("x"), F.derivative("y")])
-    values = []
-    for _ in range(2):
-        values.append(_class_once(F, n, sing, rng))
-    if values[0] != values[1]:
-        # one more draw decides
-        values.append(_class_once(F, n, sing, rng))
-        if values[1] == values[2] or values[0] == values[2]:
-            return values[2]
-        raise NumericAbortError(f"class_of_curve: auxiliary points disagree: {values}")
-    return values[0]
-
-
-def _chart_without_infinite_singularities(F: MPoly, rng: random.Random) -> MPoly:
-    """Projective coordinate change keeping the curve's singular points affine."""
-    H = homogenize(F)
-    Z = MPoly.variable("z")
-    for attempt in range(50):
-        if attempt == 0:
-            H2 = H
-        else:
-            c1, c2 = rng.randint(-9, 9), rng.randint(-9, 9)
-            H2 = H.substitute({"z": Z + MPoly.constant(c1) * X + MPoly.constant(c2) * Y})
-        restricted = [H2.derivative(v).substitute({"z": 0}) for v in "xyz"]
-        restricted = [g for g in restricted if not g.is_zero()]
-        if restricted and gcd_fold(restricted).is_constant():
-            Fa = H2.substitute({"z": 1})
-            if Fa.total_degree() == F.total_degree():
-                return Fa.canonical()
-    raise DegenerateSampleError("could not move all singular points into the affine chart")
-
-
-def _class_once(F: MPoly, n: int, sing, rng: random.Random) -> int:
-    H = homogenize(F)
-    for _ in range(50):
-        z1 = Fraction(rng.randint(-60, 60), rng.randint(1, 20))
-        z2 = Fraction(rng.randint(-60, 60), rng.randint(1, 20))
-        G = (
-            MPoly.constant(z1) * H.derivative("x")
-            + MPoly.constant(z2) * H.derivative("y")
-            + H.derivative("z")
-        )
-        G = G.substitute({"z": 1})
-        if G.is_zero() or poly_gcd(F, G).total_degree() > 0:
-            continue
-        # all drawn, whichever shear is taken: they move the rng for the next point
-        draws = [rng.randint(-30, 30) for _ in range(20)]
-        lam = next(proper_shears([F, G], [0, 1, -1, 2, -2, 3, -3] + draws), None)
-        if lam is None:
-            continue
-        R = resultant(shear(F, lam), shear(G, lam), "y")
-        if R.is_zero() or R.degree_in("x") != n * (n - 1):
-            continue
-        local_sum = 0
-        ok = True
-        rational_x = []
-        for q in sing.rational:
-            germ_f = translate(F, q)
-            germ_g = translate(G, q)
-            local_sum += intersection_multiplicity(germ_f, germ_g)
-            rational_x.append(complex(q[0] - lam * q[1]))
-        if sing.numeric:
-            rat_roots, num_roots = univariate_root_split(R, "x")
-            all_roots = [(complex(r), m) for r, m in rat_roots] + num_roots
-            spread = 1.0 + max(abs(r) for r, _ in all_roots)
-            for q in sing.numeric:
-                xq = q[0] - lam * q[1]
-                if any(abs(xq - rx) < 1e-6 * spread for rx in rational_x):
-                    ok = False  # shear failed to separate singular columns
-                    break
-                cluster = [m for r, m in all_roots if abs(r - xq) < 1e-7 * spread]
-                local_sum += sum(cluster)
-        if not ok:
-            continue
-        return n * (n - 1) - local_sum
-    raise DegenerateSampleError("class_of_curve: no admissible auxiliary point/shear")
+    G = (A_VAR - X) * F.derivative("x") + (B_VAR - Y) * F.derivative("y") + F * n
+    lam = next(proper_shears([F]))
+    R = resultant(shear(F, lam), shear(G, lam), "y")
+    return R.degree_in("x") - gcd_fold(PolarFamily(R).center_coefficients()).degree_in("x")
 
 
 # ---------------------------------------------------------------------------
@@ -541,11 +469,7 @@ def quasi_radial_bound_check(fol: FoliationData, seed: int = 0, samples: int = 5
             return None, "polar degenerates"
         if curve.raw != curve.defining:
             return None, "polar not reduced"
-        try:
-            # seeded by the index this center gets if it is admitted
-            return class_of_curve(curve, seed + report.samples_used), None
-        except (DegenerateSampleError, NumericAbortError) as exc:
-            return None, f"class computation failed: {exc}"
+        return class_of_curve(curve), None
 
     for _, p, cls in sample_centers(report, GenericSampler(seed), samples, admissible):
         report.add(

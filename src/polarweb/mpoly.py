@@ -432,7 +432,9 @@ def format_mpoly(f: MPoly) -> str:
             elif k > 1:
                 factors.append(f"{name}^{k}")
         mag = abs(c)
-        coeff_txt = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+        coeff_txt = _decimal_text(mag.numerator)
+        if mag.denominator != 1:
+            coeff_txt += "/" + _decimal_text(mag.denominator)
         if factors and mag == 1:
             body = "*".join(factors)
         elif factors:
@@ -442,6 +444,17 @@ def format_mpoly(f: MPoly) -> str:
         parts.append(("- " if c < 0 else "+ ") + body)
     out = " ".join(parts)
     return out[2:] if out.startswith("+ ") else ("-" + out[2:])
+
+
+def _decimal_text(k: int) -> str:
+    """str(k) for k > 0; a PolynomialError naming the digit count when k has
+    more digits than `str` converts (`sys.get_int_max_str_digits`)."""
+    try:
+        return str(k)
+    except ValueError:
+        digits = int(math.log10(k)) + 1
+        digits += (10**digits <= k) - (10 ** (digits - 1) > k)
+        raise PolynomialError(f"coefficient of {digits} digits is too long to print") from None
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +696,8 @@ def resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
     The number of points is one more than a proven bound on deg_z Res(F, G),
     the smaller of n*deg_z F + m*deg_z G (each term of the Sylvester
     determinant takes n entries from F's rows and m from G's) and
-    tdeg F * tdeg G (Bezout).
+    tdeg_(var,z) F * tdeg_(var,z) G, the total degrees in var and z alone
+    (Bezout over the field of the remaining variables).
 
     Both inputs must have positive degree in var; degree-0 inputs are a
     reported degenerate case rather than silently extended.
@@ -727,7 +741,7 @@ def _int_resultant(F: dict, G: dict, m: int, n: int) -> dict[tuple, int]:
         r = _int_prs_resultant(_dense(F, m), _dense(G, n))
         return {(): r} if r else {}
     bound = min(n * max(e[-1] for e in F) + m * max(e[-1] for e in G),
-                max(map(sum, F)) * max(map(sum, G)))
+                max(e[0] + e[-1] for e in F) * max(e[0] + e[-1] for e in G))
     nodes, images = [], []
     for t in _small_integers():
         Ft, Gt = _evaluate_last(F, t), _evaluate_last(G, t)

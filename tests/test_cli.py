@@ -307,6 +307,13 @@ class TestSubcommands:
         assert code == 0
         assert "polar is all of the plane" in text
 
+    def test_polar_with_a_coefficient_too_long_to_print(self, tmp_path):
+        # each literal parses, but the polar's coefficient N^2 has 6,000 digits
+        f = tmp_path / "huge.txt"
+        f.write_text(f"type: web\nform: {'9' * 3000}^2*x*dx + y*dy + dx\n")
+        code, text = run_command(["polar", "--in", str(f), "--center", "1,2"])
+        assert (code, text) == (2, "error: coefficient of 6000 digits is too long to print")
+
     def test_degree(self, inputs):
         code, text = run_command(["degree", "--in", inputs["web"]])
         assert code == 0 and "degree: 1" in text

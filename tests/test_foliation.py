@@ -20,6 +20,7 @@ from polarweb import (
 from polarweb import foliation
 from polarweb.cli import run_command
 from polarweb.errors import PolynomialError, WebValidationError
+from polarweb.parsing import parse_polynomial
 from polarweb.foliation import (
     classify_singularity_numeric,
     count_quasi_radial,
@@ -336,10 +337,47 @@ class TestClassOfCurve:
         with pytest.raises(PolynomialError):
             class_of_curve(PlaneCurve(X + Y))
 
-    def test_two_auxiliary_points_agree_by_construction(self):
-        # different seeds use different auxiliary points; the class is stable
-        curve = PlaneCurve(Y**2 - X**3 + X + 1)
-        assert class_of_curve(curve, seed=1) == class_of_curve(curve, seed=99)
+    # (curve, class); the deltoid's two irrational cusps share the column
+    # x = -3/2, and the E6 curve has E6 points at (+-sqrt(2), 0)
+    CLASSES = [
+        ("(x^2 + y^2)^2 + 18*(x^2 + y^2) - 8*(x^3 - 3*x*y^2) - 27", 3),
+        ("(y - x^2 + 2)^3 - (x^2 - 2)^4", 8),
+        ("y^2 - x^5", 5),
+        ("(x^2 + y^2)^2 - (x^2 - y^2)", 6),
+        ("x*y*(x - y)*(x + y)", 0),
+        ("x^4 + y^4 - 1", 12),
+    ]
+
+    @pytest.mark.parametrize("text, expected", CLASSES, ids=[c[0] for c in CLASSES])
+    def test_pinned_classes(self, text, expected):
+        assert class_of_curve(PlaneCurve(parse_polynomial(text))) == expected
+
+    def test_takes_no_seed(self, tmp_path):
+        with pytest.raises(TypeError):
+            class_of_curve(PlaneCurve(Y**2 - X**3), seed=1)
+        path = tmp_path / "deltoid.txt"
+        path.write_text(f"type: curve\nf: {self.CLASSES[0][0]}\n")
+        bodies = set()
+        for seed in ("0", "5"):
+            code, text = run_command(["class", "--in", str(path), "--seed", seed])
+            bodies.add((code, tuple(t for t in text.splitlines() if not t.startswith(("command:", "timestamp:")))))
+        assert bodies == {(0, ("class: 3",))}
+
+    @given(st.sampled_from([3, 4]), st.booleans(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_invariant_under_affine_changes(self, n, singular, data):
+        # with `singular`, no terms of degree < 2: the origin is a singular point
+        monomials = [(i, d - i) for d in range(2 * singular, n + 1) for i in range(d + 1)]
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(monomials), max_size=len(monomials)))
+        f = sum((c * X**i * Y**j for (i, j), c in zip(monomials, coeffs)), MPoly.zero())
+        assume(not f.is_zero() and f.total_degree() == n)
+        curve = PlaneCurve(f)
+        assume(curve.raw == curve.defining)
+        entry = st.fractions(-3, 3, max_denominator=3)
+        p, q, r, s, u, v = (data.draw(entry) for _ in range(6))
+        assume(p * s != q * r)
+        moved = f.substitute({"x": X * p + Y * q + u, "y": X * r + Y * s + v})
+        assert class_of_curve(PlaneCurve(moved)) == class_of_curve(curve)
 
 
 class TestQuasiRadialBound:

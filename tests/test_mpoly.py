@@ -636,6 +636,20 @@ class TestSympyOracle:
         matrix = sylvester(to_sympy(sympy, f), to_sympy(sympy, g), sympy.Symbol("y"))
         assert resultant(f, g, "y") == from_sympy(sympy, sympy.expand(matrix.det()))
 
+    @given(small_polys(max_terms=4, max_exp=3), st.lists(small_polys(max_terms=3, max_exp=2), min_size=3, max_size=3))
+    @settings(max_examples=30, deadline=None)
+    def test_resultant_in_four_variables(self, sympy, f, parts):
+        # shaped like the class of a curve: g is linear in the center (a, b),
+        # and y is eliminated, keeping a, b and x
+        from sympy.polys.subresultants_qq_zz import sylvester
+
+        p, q, r = parts
+        g = MPoly.variable("a") * p + MPoly.variable("b") * q + r
+        if f.degree_in("y") == 0 or g.degree_in("y") == 0:
+            return
+        matrix = sylvester(to_sympy(sympy, f), to_sympy(sympy, g), sympy.Symbol("y"))
+        assert resultant(f, g, "y") == from_sympy(sympy, sympy.expand(matrix.det()))
+
     @given(st.lists(small_polys(("x",), max_terms=2, max_exp=2), min_size=3, max_size=4))
     @settings(max_examples=30, deadline=None)
     def test_discriminant_binary(self, sympy, coeffs):
