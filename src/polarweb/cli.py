@@ -188,7 +188,7 @@ CHECKS = {
     "branches": (_as_web, lambda w, s, n: branches_check(w, s, n)),
     "irreducible": (_as_web, lambda w, s, n: generic_polar_irreducible(w, s, min(n, 5))),
     "inflexion-lemma": (_as_foliation, lambda f, s, n: inflexion_lemma_check(f, s, n)),
-    "sing-in-E": (_as_foliation, lambda f, s, n: polar_sing_in_inflexion_check(f, s, n)),
+    "sing-in-E": (_as_foliation, lambda f, s, n: polar_sing_in_inflexion_check(f, s)),
     "qr-dichotomy": (_as_foliation, lambda f, s, n: _dichotomy_all_singularities(f, s, n)),
     "qr-bound": (_as_foliation, lambda f, s, n: quasi_radial_bound_check(f, s, min(n, 5))),
     "equising": (_as_foliation, lambda f, s, n: equisingularity_check(f, s, min(n, 10))),

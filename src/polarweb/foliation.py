@@ -4,7 +4,8 @@ A foliation is the k = 1 web of a vector field A d/dx + B d/dy with coprime
 polynomial components.  This module computes the inflexion divisor, classifies
 singular points as quasi-radial or not through the first nonzero jet pair,
 verifies the tangent-cone dichotomy of the polar at singular points, proves the
-inflexion-at-center equivalence by one exact identity in the center of the
+inflexion-at-center equivalence and the containment of every polar's singular
+points in the inflexion divisor by exact identities in the center of the
 polar family, and computes the class of a curve (degree of its dual) to bound
 the number of quasi-radial singularities.
 """
@@ -30,11 +31,11 @@ from .mpoly import (
 from .localsing import cp_clean, cp_from_mpoly, cp_norm, cp_translate
 from .numerics import univariate_roots
 from .polarops import (
-    A_VAR, B_VAR, PolarFamily, RadialProduct, _proportionality, polar_curve, polar_family,
+    A_VAR, B_VAR, PolarFamily, RadialProduct, _proportionality, inflexion_of_field, linear_identity,
+    polar_curve, polar_family,
 )
 from .reports import CheckReport
 from .sampling import GenericSampler, sample_centers
-from .solve import certify_membership_tolerance, common_zeros
 from .webmodel import DX, DY, AffinePoint, PlaneCurve, SymWeb, singular_set, web_degree
 
 X = MPoly.variable("x")
@@ -81,13 +82,7 @@ class FoliationData:
 
 def inflexion_polynomial(fol: FoliationData) -> MPoly:
     """B^2 A_y + A B A_x - A^2 B_x - A B B_y, not yet reduced."""
-    A, B = fol.A, fol.B
-    return (
-        B * B * A.derivative("y")
-        + A * B * A.derivative("x")
-        - A * A * B.derivative("x")
-        - A * B * B.derivative("y")
-    )
+    return inflexion_of_field(fol.A, fol.B)
 
 
 def inflexion_divisor(fol: FoliationData) -> PlaneCurve | None:
@@ -101,51 +96,17 @@ def inflexion_divisor(fol: FoliationData) -> PlaneCurve | None:
     return PlaneCurve(e)
 
 
-def polar_sing_in_inflexion_check(fol: FoliationData, seed: int = 0, samples: int = 20) -> CheckReport:
+def polar_sing_in_inflexion_check(fol: FoliationData, seed: int = 0) -> CheckReport:
     """Singular points of every polar lie on the inflexion divisor.
 
-    The statement holds for every center, so the samples deliberately include
-    non-generic points (the origin, singular points of the foliation, points
-    on the inflexion divisor itself)."""
-    report = CheckReport("sing-in-inflexion", seed=seed, samples_requested=samples)
-    e = inflexion_divisor(fol)
-    if e is None:
+    One exact identity proves it at every center, so the check takes no
+    sample: by `linear_identity`, q is singular on P_p only if
+    M'(q)·(a, b, 1)^T = 0 for some center, so det M'(q) = -E(q) = 0."""
+    report = CheckReport("sing-in-inflexion", seed=seed)
+    if inflexion_polynomial(fol).is_zero():
         report.add("inflexion divisor", True, "identically zero: all leaves are lines; check skipped")
         return report
-    sampler = GenericSampler(seed)
-    fixed = [AffinePoint.of(0, 0), AffinePoint.of(1, 0), AffinePoint.of(0, 1)]
-    fixed += singular_set(fol.as_web).points[:2]
-
-    def draw():
-        return fixed.pop(0) if fixed else sampler.center()
-
-    def admissible(p):
-        curve = fol.polar(p)
-        if isinstance(curve, RadialProduct):
-            return None, "polar degenerates (radial factor)"
-        F = curve.defining
-        fx, fy = F.derivative("x"), F.derivative("y")
-        if fx.is_zero() and fy.is_zero():
-            return None, "polar gradient vanishes identically"
-        return [F, fx, fy], None
-
-    for _, p, gens in sample_centers(report, sampler, samples, admissible, draw):
-        zs = common_zeros(gens)
-        bad = []
-        for q in zs.rational:
-            on_divisor = (not e.is_empty) and e.defining.evaluate({"x": q[0], "y": q[1]}) == 0
-            if not on_divisor:
-                bad.append(f"({q[0]},{q[1]})")
-        for q in zs.numeric:
-            if e.is_empty or not e.contains_numeric(q):
-                bad.append(f"({q[0]:.5g},{q[1]:.5g})")
-        report.add(
-            f"Sing(P_p) ⊆ E(F) at p={p}",
-            not bad,
-            f"{len(zs)} singular point(s)" + (f"; violations {bad}" if bad else ""),
-            exact=not zs.numeric,
-        )
-    certify_membership_tolerance(report)
+    linear_identity(report, fol.as_web, fol.A, fol.B)
     return report
 
 

@@ -6,7 +6,8 @@ center.  This module houses the degree count d + k, the polar-equality
 criterion, the two-dimensionality and degree k^2 of the family, base points,
 the singular-locus containment of the generic polar, the k-branch structure at
 the center, and the irreducibility verdict, from exact component counts by
-the Gao-Ruppert kernel.
+the Gao-Ruppert kernel.  Base points, branches and the singular locus of a
+foliation's polars are exact identities on the polar family.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .mpoly import (
     _small_integers,
     exact_div,
     jet_decompose,
+    lowest_jet,
     poly_gcd,
     proper_shears,
     shear,
@@ -195,10 +197,10 @@ def _proportionality(f: MPoly, g: MPoly) -> Fraction | None:
     if f.is_zero() or g.is_zero():
         return None
     ef, cf = f.leading_term()
-    if f.variables != g.variables or ef not in g.terms:
+    if f.variables != g.variables or len(f.terms) != len(g.terms) or ef not in g.terms:
         return None
     lam = g.terms[ef] / cf
-    return lam if f * lam == g else None
+    return lam if all(g.terms.get(e) == lam * c for e, c in f.terms.items()) else None
 
 
 # ---------------------------------------------------------------------------
@@ -207,43 +209,38 @@ def _proportionality(f: MPoly, g: MPoly) -> Fraction | None:
 
 
 def base_points_check(web: SymWeb, seed: int = 0) -> CheckReport:
-    """Points on every polar lie in the singular set of the web."""
+    """Points on every polar lie in the singular set of the web.
+
+    One exact identity proves it: at a = x + s, b = y + t, the polar
+    P = sum a_i(x, y) (x - a)^(k-i) (y - b)^i is (-1)^k W(x, y; s, t).  So
+    P's coefficient at a^(k-i) b^i is (-1)^k a_i, and the base locus is
+    the common zero set of the a_i, Sing(W), which the report lists."""
     report = CheckReport("base-points", seed=seed)
-    coeffs = polar_family(web).center_coefficients()
-    report.note(f"{len(coeffs)} center-monomial coefficients")
-    if any(c.is_constant() for c in coeffs):
-        report.add("base locus", True, "a center-monomial coefficient is a nonzero constant: empty")
-        return report
-    rational, numeric = base_points(web, coeffs)
-    sing = singular_set(web)
-    for pt in rational:
-        report.add(
-            f"base point {pt} in Sing(W)",
-            sing.contains(pt),
-            "exact containment",
-        )
-    for q in numeric:
-        report.add(
-            f"base point ({q[0]:.6g}, {q[1]:.6g}) in Sing(W)",
-            sing.contains_numeric(q),
-            "numeric containment",
-            exact=False,
-        )
-    if not rational and not numeric:
-        report.add("base locus", True, "empty")
-    certify_membership_tolerance(report)
+    S, T = MPoly.variable("s"), MPoly.variable("t")
+    P = polar_family(web).parametric.substitute({"a": X + S, "b": Y + T})
+    form = web.form.substitute({"dx": S, "dy": T})
+    c = _proportionality(-form if web.k % 2 else form, P)
+    report.add("P(x + s, y + t; x, y) = c·(-1)^k·W(x, y; s, t)", c is not None,
+               f"c = {c}" if c is not None else "not a constant multiple of the form")
+    _note_points(report, "base point", *base_points(web), "base locus: empty")
     return report
 
 
-def base_points(web: SymWeb, coeffs: list[MPoly] | None = None):
-    """The base locus itself (rational and numeric points): the common zeros
-    of the family's center coefficients, which the caller may pass in."""
-    if coeffs is None:
-        coeffs = polar_family(web).center_coefficients()
-    if any(c.is_constant() for c in coeffs):
-        return [], []
-    zs = common_zeros(coeffs)
-    return [AffinePoint(*q) for q in zs.rational], zs.numeric
+def _note_points(report: CheckReport, label: str, rational: list[AffinePoint], numeric: list, empty: str) -> None:
+    """One note per point of a finite zero set, or the note `empty`."""
+    for pt in rational:
+        report.note(f"{label} {pt} [exact]")
+    for q in numeric:
+        report.note(f"{label} ({q[0]:.6g}, {q[1]:.6g}) [numeric]")
+    if not rational and not numeric:
+        report.note(empty)
+
+
+def base_points(web: SymWeb):
+    """The base locus itself (rational and numeric points): Sing(W), by the
+    identity of `base_points_check`."""
+    sing = singular_set(web)
+    return sing.points, sing.numeric_points
 
 
 # ---------------------------------------------------------------------------
@@ -434,11 +431,17 @@ def family_dimension_check(web: SymWeb, seed: int = 0) -> CheckReport:
 def generic_polar_singularities_check(web: SymWeb, seed: int = 0, samples: int = 20) -> CheckReport:
     """Sing(P_p) inside discriminant ∪ Sing(W) ∪ {p} for generic p.
 
-    The web discriminant is computed as the (dx:dy)-discriminant, which for
-    k >= 2 contains the singular set of the web; for k = 1 the ramification
-    locus over the singular points is accounted for by the explicit Sing(W)
-    membership branch.
+    A foliation with E ≢ 0 is decided on its polar family.  Other webs are
+    sampled; the web discriminant is computed as the (dx:dy)-discriminant,
+    which for k >= 2 contains the singular set of the web; for k = 1 the
+    ramification locus over the singular points is accounted for by the
+    explicit Sing(W) membership branch.
     """
+    if web.k == 1:
+        b, a = web.coefficients()  # the form is A*dy - B*dx
+        A, B = a, -b
+        if not inflexion_of_field(A, B).is_zero():
+            return _foliation_polar_singularities(web, A, B, seed)
     report = CheckReport("polar-singular-locus", seed=seed, samples_requested=samples)
     sing = singular_set(web)
     disc = web.discriminant_form
@@ -483,6 +486,46 @@ def generic_polar_singularities_check(web: SymWeb, seed: int = 0, samples: int =
     return report
 
 
+def inflexion_of_field(A: MPoly, B: MPoly) -> MPoly:
+    """E = B^2 A_y + A B A_x - A^2 B_x - A B B_y of A d/dx + B d/dy, not yet reduced."""
+    return (B * (B * A.derivative("y") + A * A.derivative("x"))
+            - A * (A * B.derivative("x") + B * B.derivative("y")))
+
+
+def linear_identity(report: CheckReport, web: SymWeb, A: MPoly, B: MPoly) -> None:
+    """Assert that the polar family of the 1-web A*dy - B*dx is linear in
+    the center, P = c·(aB - bA + Ay - Bx) with c a nonzero rational.
+
+    Then q is singular on P_p exactly when M(q)·(a, b, 1)^T = 0, M's rows
+    the coefficients of P, P_x and P_y in (a, b, 1).  Adding x·column 1 +
+    y·column 2 to column 3 gives M' = [[B, -A, 0], [B_x, -A_x, -B],
+    [B_y, -A_y, A]], and det M' = -E for every A and B."""
+    c = _proportionality(A * (Y - B_VAR) - B * (X - A_VAR), polar_family(web).parametric)
+    report.add("P = c·(aB - bA + Ay - Bx)", c is not None,
+               f"c = {c}" if c is not None else "the polar family is not linear in the center")
+
+
+def _foliation_polar_singularities(web: SymWeb, A: MPoly, B: MPoly, seed: int) -> CheckReport:
+    """The generic polar of a foliation with E ≢ 0 is singular exactly on
+    Z = V(A, B, A_x, A_y, B_x, B_y), a subset of Sing(W).
+
+    Off V(A, B), M' of `linear_identity` has rank >= 2: its first row
+    (B, -A, 0) is nonzero, and so is (-B, A), the last entries of the other
+    two.  So such a point is singular on at most one polar, and it lies on
+    E, as det M' = -E; those centers form a set of dimension at most 1.  At
+    q in V(A, B), grad P_p(q) = J(q)·(y_q - b, a - x_q), J's rows (A_x, B_x)
+    and (A_y, B_y), which vanishes at a generic center exactly when
+    J(q) = 0.  So the check is the identity, and the notes list Z."""
+    report = CheckReport("polar-singular-locus", seed=seed)
+    linear_identity(report, web, A, B)
+    report.note("E ≢ 0: a point off V(A, B) is singular on at most one polar")
+    zs = common_zeros([A, B] + [f.derivative(v) for f in (A, B) for v in ("x", "y")])
+    where = "generic Sing(P_p) = V(A, B, A_x, A_y, B_x, B_y) ⊆ Sing(W)"
+    _note_points(report, f"{where}:", [AffinePoint(*q) for q in zs.rational], zs.numeric,
+                 f"{where}: empty, the generic polar is smooth")
+    return report
+
+
 # ---------------------------------------------------------------------------
 # branches at the center
 # ---------------------------------------------------------------------------
@@ -505,18 +548,12 @@ def branches_at_center(web: SymWeb, p: AffinePoint) -> TangentConeReport:
     curve = polar_curve(web, p)
     if isinstance(curve, RadialProduct):
         raise DegenerateSampleError("polar degenerates at this center")
-    return _tangent_cone(web, p, curve)
-
-
-def _tangent_cone(web: SymWeb, p: AffinePoint, curve: PlaneCurve) -> TangentConeReport:
     jets = jet_decompose(curve.raw, ("x", "y"), (p.a, p.b))
     order = min(jets)
     cone = jets[order]
-    if order != web.k:
-        return TangentConeReport(p, cone, [], False)
     # cross-check against the symmetric form at p, in the cone's variables
     expected = form_at(web, p)
-    if _proportionality(expected, cone) is None:
+    if order != web.k or _proportionality(expected, cone) is None:
         return TangentConeReport(p, cone, [], False)
     # the cone is a multiple of the form at p, so its factors are the web's directions
     factors = binary_form_factors(expected)
@@ -525,26 +562,30 @@ def _tangent_cone(web: SymWeb, p: AffinePoint, curve: PlaneCurve) -> TangentCone
 
 
 def branches_check(web: SymWeb, seed: int = 0, samples: int = 20) -> CheckReport:
+    """k transversal branches of P_p at its center p, for generic p.
+
+    One exact identity proves the tangent cone at every center: in
+    x = a + u, y = b + v, P = sum a_i(a + u, b + v) u^(k-i) v^i has no part
+    of degree below k in (u, v), and its part of degree k is W(a, b; u, v),
+    the form at the center.  So at p off Sing(W) the cone is the k leaf
+    directions, and they are distinct exactly when disc(p) != 0: each sample
+    asserts that by one exact evaluation."""
     report = CheckReport("branches-at-center", seed=seed, samples_requested=samples)
+    U, V = MPoly.variable("u"), MPoly.variable("v")
+    at_center = polar_family(web).parametric.substitute({"x": A_VAR + U, "y": B_VAR + V})
+    order, jet = lowest_jet(at_center, ("u", "v"))
+    form = web.form.substitute({"x": A_VAR, "y": B_VAR, "dx": U, "dy": V})
+    c = _proportionality(form, jet) if order == web.k else None
+    report.add("lowest (u, v)-jet of P(a, b; a + u, b + v) = c·W(a, b; u, v)", c is not None,
+               f"c = {c}" if c is not None else f"lowest jet of degree {order}, not a multiple of the form")
+    disc = web.discriminant_form
 
     def admissible(p):
         ok, reason = is_smooth_point(web, p)
-        if not ok:
-            return None, reason
-        curve = polar_curve(web, p)
-        if isinstance(curve, RadialProduct):
-            return None, "center of a radial factor"
-        return curve, None
+        return (disc.evaluate(p.as_dict()), None) if ok else (None, reason)
 
-    for _, p, curve in sample_centers(report, GenericSampler(seed), samples, admissible):
-        tc = _tangent_cone(web, p, curve)
-        exact = all(d.is_exact for d, _ in tc.factors)
-        report.add(
-            f"{web.k} transversal branches at p={p}",
-            tc.matches_web_directions,
-            f"cone factors: {[(str(d), m) for d, m in tc.factors]}",
-            exact=exact,
-        )
+    for _, p, value in sample_centers(report, GenericSampler(seed), samples, admissible):
+        report.add(f"{web.k} transversal branches at p={p}", value != 0, f"disc(p) = {value}")
     return report
 
 

@@ -118,9 +118,6 @@ class PlaneCurve:
     def contains(self, p: AffinePoint) -> bool:
         return self.defining.evaluate(p.as_dict()) == 0
 
-    def contains_numeric(self, pt: tuple[complex, complex]) -> bool:
-        return vanishes_numerically(self.defining, {"x": pt[0], "y": pt[1]})
-
     def __eq__(self, other):
         return isinstance(other, PlaneCurve) and self.defining == other.defining
 

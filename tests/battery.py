@@ -23,6 +23,15 @@ def to_sympy(sympy, f: MPoly):
     ))
 
 
+def break_family(monkeypatch):
+    """Add a*x^2 to every polar family, so that P is no longer the polar."""
+    from polarweb import polarops
+
+    family = polarops.polar_family
+    broken = MPoly.variable("a") * X**2
+    monkeypatch.setattr(polarops, "polar_family", lambda web: polarops.PolarFamily(family(web).parametric + broken))
+
+
 @dataclass
 class Entry:
     name: str

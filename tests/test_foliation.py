@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from battery import FOLIATIONS, X, Y
+from battery import FOLIATIONS, X, Y, break_family
 from polarweb import (
     AffinePoint,
     FoliationData,
@@ -39,6 +39,7 @@ from polarweb.webmodel import singular_set
 one = MPoly.constant(1)
 SQRT2 = (2**0.5 + 0j, 0j)
 IDENTITY = "Hessian of P_p at p on its tangent = c·E(p)"
+LINEAR_IDENTITY = "P = c·(aB - bA + Ay - Bx)"
 CUBIC_MONOMIALS = [(i, j) for i in range(4) for j in range(4 - i)]
 cubic_coefficients = st.lists(st.integers(-3, 3), min_size=len(CUBIC_MONOMIALS), max_size=len(CUBIC_MONOMIALS))
 
@@ -109,20 +110,54 @@ class TestInflexionDivisor:
 class TestSingInInflexion:
     @pytest.mark.parametrize("entry", FOLIATIONS, ids=lambda e: e.name)
     def test_battery(self, entry):
-        report = polar_sing_in_inflexion_check(entry.foliation, seed=2, samples=6)
+        report = polar_sing_in_inflexion_check(entry.foliation, seed=2)
         assert report.passed, report.render_text()
+        assert report.samples_used == 0 and len(report.assertions) == 1
 
     def test_smooth_polar_vacuous(self):
         fol = FoliationData(one, X**2)
-        report = polar_sing_in_inflexion_check(fol, seed=2, samples=4)
+        report = polar_sing_in_inflexion_check(fol, seed=2)
         assert report.passed
+        assert [(a.name, a.detail) for a in report.assertions] == [(LINEAR_IDENTITY, "c = 1")]
 
-    def test_degenerate_fixed_center_is_replaced(self, monkeypatch):
-        radial_at(monkeypatch, [AffinePoint.of(0, 0)])
-        report = polar_sing_in_inflexion_check(FoliationData(one, X**2), seed=2, samples=4)
-        assert report.samples_used == 4 and len(report.assertions) == 4
-        assert report.discards == [("(0, 0)", "polar degenerates (radial factor)")]
-        assert report.passed, report.render_text()
+    @given(cubic_coefficients, cubic_coefficients)
+    @settings(max_examples=20, deadline=None)
+    def test_det_M_matches_sympy(self, ca, cb):
+        sympy = pytest.importorskip("sympy")
+        R, x, y, a, b = sympy.ring("x,y,a,b", sympy.ZZ)
+        A, B = (sum((c * x**i * y**j for (i, j), c in zip(CUBIC_MONOMIALS, cs)), R.zero) for cs in (ca, cb))
+        assume(A and B)  # a zero component with a nonconstant other one is no foliation
+
+        def det3(m):
+            return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+                    - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+                    + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+        # the rows of M are P, P_x and P_y as linear forms in (a, b, 1)
+        F = A * (y - b) - B * (x - a)
+        M = [[f.diff(a), f.diff(b), f.compose([(a, R.zero), (b, R.zero)])] for f in (F, F.diff(x), F.diff(y))]
+        E = B**2 * A.diff(y) + A * B * A.diff(x) - A**2 * B.diff(x) - A * B * B.diff(y)
+        assert det3(M) == -E
+        # M' after column 3 += x·column 1 + y·column 2
+        assert [row[2] + x * row[0] + y * row[1] for row in M] == [R.zero, -B, A]
+        assert det3([[B, -A, R.zero], [B.diff(x), -A.diff(x), -B], [B.diff(y), -A.diff(y), A]]) == -E
+
+        fol = FoliationData(*(sum((c * X**i * Y**j for (i, j), c in zip(CUBIC_MONOMIALS, cs)), MPoly.zero())
+                              for cs in (ca, cb)))
+        report = polar_sing_in_inflexion_check(fol)
+        identity = [t for t in report.assertions if t.name == LINEAR_IDENTITY]
+        assert report.passed
+        assert len(identity) == (0 if inflexion_polynomial(fol).is_zero() else 1)
+
+    def test_a_broken_family_fails(self, monkeypatch, tmp_path):
+        break_family(monkeypatch)
+        report = polar_sing_in_inflexion_check(FoliationData(X**2, Y**2))
+        assert [(t.name, t.passed) for t in report.assertions] == [(LINEAR_IDENTITY, False)]
+        assert not report.passed
+        path = tmp_path / "fol.txt"
+        path.write_text("type: foliation\nA: x^2\nB: y^2\n")
+        code, text = run_command(["check", "--in", str(path), "--theorem", "sing-in-E", "--samples", "2"])
+        assert code == 1, text
 
 
 class TestClassification:

@@ -9,9 +9,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from battery import BATTERY, DX, DY, X, Y
+from battery import BATTERY, DX, DY, X, Y, break_family, to_sympy
 from polarweb import (
     AffinePoint,
+    FoliationData,
     MPoly,
     PlaneCurve,
     RadialProduct,
@@ -24,7 +25,9 @@ from polarweb import (
     superpose,
     web_degree,
 )
-from polarweb.errors import DegenerateSampleError, InternalInvariantError
+from polarweb import polarops
+from polarweb.cli import run_command
+from polarweb.errors import DegenerateSampleError, InternalInvariantError, WebValidationError
 from polarweb.mpoly import _rekey
 from polarweb.polarops import (
     _absolute_factor_count,
@@ -49,6 +52,38 @@ w_circles = SymWeb(X * DX + Y * DY)
 w_sqrt = SymWeb(DY**2 - X * DX**2)
 
 P0 = AffinePoint.of(0, 0)
+
+BASE_IDENTITY = "P(x + s, y + t; x, y) = c·(-1)^k·W(x, y; s, t)"
+JET_IDENTITY = "lowest (u, v)-jet of P(a, b; a + u, b + v) = c·W(a, b; u, v)"
+LINEAR_IDENTITY = "P = c·(aB - bA + Ay - Bx)"
+QUADRATIC_MONOMIALS = [(i, j) for i in range(3) for j in range(3 - i)]
+CUBIC_MONOMIALS = [(i, j) for i in range(4) for j in range(4 - i)]
+
+
+@st.composite
+def small_webs(draw):
+    """(k, coefficients): a 2- or 3-web sum a_i dx^(k-i) dy^i, each a_i of
+    degree <= 2 with coefficients in [-3, 3], as {(i, j): c} dicts."""
+    k = draw(st.integers(2, 3))
+    coefficient = st.lists(st.integers(-3, 3), min_size=len(QUADRATIC_MONOMIALS),
+                           max_size=len(QUADRATIC_MONOMIALS))
+    return k, [dict(zip(QUADRATIC_MONOMIALS, draw(coefficient))) for _ in range(k + 1)]
+
+
+def web_of(k, coefficients) -> SymWeb:
+    form = sum((MPoly.constant(c) * X**i * Y**j * DX ** (k - n) * DY**n
+                for n, terms in enumerate(coefficients) for (i, j), c in terms.items()), MPoly.zero())
+    try:
+        return SymWeb(form)
+    except WebValidationError:
+        assume(False)  # a zero form or coefficients with a common factor: no web
+
+
+def check_fails(tmp_path, text, theorem):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out = run_command(["check", "--in", str(path), "--theorem", theorem, "--samples", "2"])
+    assert code == 1, out
 
 
 class TestPolarCurve:
@@ -163,6 +198,42 @@ class TestBasePoints:
     def test_contained_in_singular_set(self, entry):
         report = base_points_check(entry.web, seed=2)
         assert report.passed, report.render_text()
+        assert [a.name for a in report.assertions] == [BASE_IDENTITY]
+
+    def test_lists_the_singular_set(self):
+        report = base_points_check(w_circles)
+        assert report.notes == ["base point (0, 0) [exact]"]
+        assert base_points_check(w_product).notes == ["base locus: empty"]
+
+    @given(small_webs())
+    @settings(max_examples=15, deadline=None)
+    def test_identity_matches_sympy(self, drawn):
+        sympy = pytest.importorskip("sympy")
+        x, y, a, b, s, t = sympy.symbols("x y a b s t")
+        k, coefficients = drawn
+        web = web_of(k, coefficients)
+        coeffs = [sum((c * x**i * y**j for (i, j), c in terms.items()), sympy.Integer(0)) for terms in coefficients]
+        P = sympy.expand(sum(c * (x - a) ** (k - n) * (y - b) ** n for n, c in enumerate(coeffs)))
+        # the coefficient of P at a^(k-i) b^i is (-1)^k a_i, and at a = x + s,
+        # b = y + t the polar is (-1)^k times the form at (x, y) on (s, t)
+        in_center = sympy.Poly(P, a, b)
+        for n, c in enumerate(coeffs):
+            assert sympy.expand(in_center.coeff_monomial(a ** (k - n) * b**n) - (-1) ** k * c) == 0
+        shifted = sympy.expand(P.subs({a: x + s, b: y + t}, simultaneous=True))
+        assert shifted == sympy.expand((-1) ** k * sum(c * s ** (k - n) * t**n for n, c in enumerate(coeffs)))
+        # polarweb's family is P up to a constant, and its identity holds
+        ours, theirs = (sympy.Poly(f, x, y, a, b) for f in (to_sympy(sympy, polar_family(web).parametric), P))
+        assert (ours - theirs * (ours.LC() / theirs.LC())).is_zero
+        report = base_points_check(web)
+        assert report.passed and [a.name for a in report.assertions] == [BASE_IDENTITY]
+
+    def test_a_broken_family_fails(self, monkeypatch, tmp_path):
+        break_family(monkeypatch)
+        report = base_points_check(w_sqrt)
+        assert [(a.name, a.passed, a.detail) for a in report.assertions] == [
+            (BASE_IDENTITY, False, "not a constant multiple of the form")]
+        assert not report.passed
+        check_fails(tmp_path, "type: web\nform: dy^2 - x*dx^2\n", "base-points")
 
 
 class TestFamilyDegree:
@@ -262,6 +333,64 @@ class TestSingularLocus:
         report = generic_polar_singularities_check(entry.web, seed=6, samples=4)
         assert report.passed, report.render_text()
 
+    def test_foliation_is_an_identity(self):
+        # the center of the circle pencil has a nonzero linear part, the
+        # origin of x^2 d/dx + y^2 d/dy none
+        report = generic_polar_singularities_check(w_circles, seed=6, samples=4)
+        assert report.samples_used == 0
+        assert [(a.name, a.passed) for a in report.assertions] == [(LINEAR_IDENTITY, True)]
+        assert report.notes[-1].endswith(": empty, the generic polar is smooth")
+        report = generic_polar_singularities_check(FoliationData(X**2, Y**2).as_web)
+        assert report.passed and report.notes[-1].endswith(": (0, 0) [exact]")
+
+    def test_foliation_of_lines_is_sampled(self):
+        # E ≡ 0 for the radial pencil: the sampled path decides it
+        report = generic_polar_singularities_check(w_radial, seed=6, samples=4)
+        assert report.samples_used == 4 and report.passed
+        assert all(a.name.startswith("Sing(P_p) ⊆") for a in report.assertions)
+
+    @given(st.lists(st.integers(-3, 3), min_size=2 * len(CUBIC_MONOMIALS), max_size=2 * len(CUBIC_MONOMIALS)),
+           st.booleans())
+    @settings(max_examples=12, deadline=None)
+    def test_foliation_matches_sympy(self, drawn, planted):
+        # A and B of degree <= 3, both in the square of the maximal ideal of
+        # q = (1/2, -1/3) when planted, so that the generic polar is singular at q
+        sympy = pytest.importorskip("sympy")
+        x, y = sympy.symbols("x y")
+        r, s = Fraction(1, 2), Fraction(-1, 3)
+        monomials = [(i, j) for i, j in CUBIC_MONOMIALS if not planted or i + j >= 2]
+        fields = []
+        for cs in (drawn[:len(CUBIC_MONOMIALS)], drawn[len(CUBIC_MONOMIALS):]):
+            base = (X - r, Y - s) if planted else (X, Y)
+            fields.append(sum((c * base[0] ** i * base[1] ** j for (i, j), c in zip(monomials, cs)), MPoly.zero()))
+        assume(not fields[0].is_zero() or not fields[1].is_zero())
+        fol = FoliationData(*fields)
+        assume(not fol.saturated and not polarops.inflexion_of_field(fol.A, fol.B).is_zero())
+        report = generic_polar_singularities_check(fol.as_web)
+        assert report.passed and [a.name for a in report.assertions] == [LINEAR_IDENTITY]
+        listed = [n.rsplit(": ", 1)[1] for n in report.notes if n.endswith("]")]
+        assume(len(listed) <= 1)
+        if planted:
+            assert listed == ["(1/2, -1/3) [exact]"]
+        # sympy: the singular points of the polar at one center
+        A, B = (to_sympy(sympy, f) for f in (fol.A, fol.B))
+        a, b = sympy.Rational(3, 7), sympy.Rational(-5, 11)
+        P = sympy.expand(A * (y - b) - B * (x - a))
+        G = sympy.groebner([P, P.diff(x), P.diff(y)], x, y, order="grevlex")
+        if not listed:
+            assert list(G) == [1]
+        else:
+            q = [sympy.Rational(v) for v in listed[0][1:-len(") [exact]")].split(", ")]
+            assert list(G) != [1]
+            assert G.contains((x - q[0]) ** 4) and G.contains((y - q[1]) ** 4)
+
+    def test_a_broken_family_fails(self, monkeypatch, tmp_path):
+        break_family(monkeypatch)
+        report = generic_polar_singularities_check(w_circles)
+        assert [(a.name, a.passed) for a in report.assertions] == [(LINEAR_IDENTITY, False)]
+        assert not report.passed
+        check_fails(tmp_path, "type: foliation\nA: x^2\nB: y^2\n", "sing-locus")
+
     def test_product_node_at_center(self):
         p = AffinePoint.of(2, 3)
         curve = polar_curve(w_product, p)
@@ -294,6 +423,32 @@ class TestBranches:
     def test_battery(self, entry):
         report = branches_check(entry.web, seed=8, samples=4)
         assert report.passed, report.render_text()
+        assert report.assertions[0].name == JET_IDENTITY
+
+    @given(small_webs())
+    @settings(max_examples=15, deadline=None)
+    def test_identity_matches_sympy(self, drawn):
+        sympy = pytest.importorskip("sympy")
+        x, y, a, b, u, v = sympy.symbols("x y a b u v")
+        k, coefficients = drawn
+        web = web_of(k, coefficients)
+        coeffs = [sum((c * x**i * y**j for (i, j), c in terms.items()), sympy.Integer(0)) for terms in coefficients]
+        P = sum(c * (x - a) ** (k - n) * (y - b) ** n for n, c in enumerate(coeffs))
+        at_center = sympy.Poly(sympy.expand(P.subs({x: a + u, y: b + v}, simultaneous=True)), u, v)
+        lowest = min(sum(m) for m in at_center.monoms())
+        jet = sum(c * u**i * v**j for (i, j), c in at_center.terms() if i + j == lowest)
+        form = sum(c.subs({x: a, y: b}, simultaneous=True) * u ** (k - n) * v**n for n, c in enumerate(coeffs))
+        assert lowest == k and sympy.expand(jet - form) == 0
+        report = branches_check(web, samples=0)
+        assert report.passed and [a.name for a in report.assertions] == [JET_IDENTITY]
+
+    def test_a_broken_family_fails(self, monkeypatch, tmp_path):
+        break_family(monkeypatch)
+        report = branches_check(w_sqrt, seed=8, samples=2)
+        assert [(a.passed, a.detail) for a in report.assertions if a.name == JET_IDENTITY] == [
+            (False, "lowest jet of degree 0, not a multiple of the form")]
+        assert not report.passed
+        check_fails(tmp_path, "type: web\nform: dy^2 - x*dx^2\n", "branches")
 
 
 class TestIrreducibility:
@@ -350,7 +505,7 @@ class TestSamplingExhaustion:
         report = branches_check(SymWeb(DX**2), seed=1, samples=3)
         assert report.samples_used == 0
         assert len(report.discards) == 150
-        assert [a.name for a in report.assertions] == ["sampling"]
+        assert [a.name for a in report.assertions] == [JET_IDENTITY, "sampling"]
         assert not report.passed
 
 

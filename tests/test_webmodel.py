@@ -326,12 +326,9 @@ class TestNumericMembershipTolerance:
 
     def test_default_follows_numeric_tol(self, monkeypatch):
         from polarweb import solve
-        from polarweb.webmodel import PlaneCurve, SingularSet
+        from polarweb.webmodel import SingularSet
 
-        curve = PlaneCurve(X**2 + Y**2 - 1)
         sing = SingularSet([], [], [X - 1, Y], None, None)
-        assert not curve.contains_numeric(self.POINT)
         assert not sing.contains_numeric(self.POINT)
         monkeypatch.setattr(solve, "NUMERIC_TOL", 1e-3)
-        assert curve.contains_numeric(self.POINT)
         assert sing.contains_numeric(self.POINT)
