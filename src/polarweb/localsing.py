@@ -2,7 +2,7 @@
 
 A germ is a curve equation translated so the point of interest is the origin,
 held as one term dict {(i, j): c}.  Germs at rational points stay exact with
-`Fraction` coefficients; germs at irrational points, and the strict
+`int | Fraction` coefficients; germs at irrational points, and the strict
 transforms at irrational infinitely-near points, carry `complex` coefficients
 scaled to norm 1 and cleaned at every step.  Both coefficient fields go
 through the same blow-up recursion (exponent remaps for the charts, one
@@ -31,6 +31,7 @@ from .errors import (
 )
 from .mpoly import (
     MPoly,
+    _as_rational,
     _rekey,
     gcd_fold,
     poly_gcd,
@@ -54,7 +55,7 @@ CLEAN_TOL = 1e-8
 CLUSTER_TOL = 1e-5
 MAX_BLOWUPS = 50
 
-CPoly = dict  # {(i, j): c}, c a Fraction (exact) or a complex (numeric)
+CPoly = dict  # {(i, j): c}, c an int | Fraction (exact) or a complex (numeric)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +268,7 @@ def _children(germ: CurveGerm, m: int, lines: list[tuple[Direction, int]]):
         else:
             if chart is None:
                 chart = _chart(germ.terms, m, vertical=False)
-            child = cp_translate(chart, 0, direction.v if direction.is_exact else _slope(direction))
+            child = cp_translate(chart, 0, _as_rational(direction.v) if direction.is_exact else _slope(direction))
         exact = germ.exact and direction.is_exact
         if not exact:
             child = cp_clean({e: complex(c) for e, c in child.items()})

@@ -1,21 +1,28 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial is a map from exponent vectors to nonzero Fraction coefficients,
-together with a sorted tuple of variable names.  The representation is kept
-canonical at all times: no zero coefficients are stored, and variables that do
-not occur in any term are dropped, so two MPoly values are equal exactly when
-they represent the same polynomial.
+A polynomial is a map from exponent vectors to nonzero coefficients, together
+with a sorted tuple of variable names.  The representation is kept canonical
+at all times: no zero coefficients are stored, and variables that do not occur
+in any term are dropped, so two MPoly values are equal exactly when they
+represent the same polynomial.
+
+A coefficient is an `int | Fraction`: integer data stays on `int` arithmetic,
+and only a real denominator makes a `Fraction`.  An integral `Fraction` that
+rational arithmetic leaves behind is equally valid, since it equals its `int`
+and hashes alike.  Coefficients are divided only through `_div`, which gives
+an `int` when the quotient is one (`/` on two `int`s would give a float).
 
 Term order everywhere is graded lexicographic on the sorted variable names;
 this fixes leading coefficients, canonical signs, and printing.
 
 Construction.  `MPoly(variables, terms)` is the constructor for outside
 data and validates it: exponent vectors of the right length, no negative
-exponent and none above MAX_EXPONENT; it copies the exponent tuples and sorts
-the variables.  Every polynomial this module computes from MPoly values (sums,
-products, derivatives, substitutions, coefficient views, quotients,
-resultants, jets, and `zero`, `constant` and `variable`) is built by the
-trusted `MPoly._make` instead.  It trusts that the variables are sorted and
+exponent and none above MAX_EXPONENT, and every coefficient an `int` or a
+`Fraction` (an integral one becomes its `int`); it copies the exponent tuples
+and sorts the variables.  Every polynomial this module computes from MPoly
+values (sums, products, derivatives, substitutions, coefficient views,
+quotients, resultants, jets, and `zero`, `constant` and `variable`) is built
+by the trusted `MPoly._make` instead.  It trusts that the variables are sorted and
 distinct and that every exponent vector is a tuple of their length with
 entries in [0, MAX_EXPONENT]; it only drops zero coefficients and the
 variables that no longer occur, and keeps the term order.  `**` checks
@@ -44,12 +51,23 @@ MAX_EXPONENT = 2**31
 Rational = Fraction
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_rational(value) -> int | Fraction:
+    """value as a coefficient: its `int` when integral, else its `Fraction`;
+    anything else (`bool`, `float`, `complex`, ...) is a PolynomialError."""
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise PolynomialError(f"not an exact rational: {value!r}")
+
+
+def _div(a: int | Fraction, b: int | Fraction) -> int | Fraction:
+    """a / b for coefficients, an `int` when the quotient is one."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = a / b
+    return q.numerator if q.denominator == 1 else q
 
 
 # Term dicts {exponent tuple: coefficient} over one variable layout, the raw
@@ -103,13 +121,16 @@ def _add_into(out: dict, terms: dict) -> None:
 
 
 class MPoly:
-    """Immutable sparse polynomial with Fraction coefficients."""
+    """Immutable sparse polynomial with `int | Fraction` coefficients."""
 
     __slots__ = ("variables", "terms", "_hash")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[tuple, Fraction]):
+    def __init__(self, variables: Sequence[str], terms: Mapping[tuple, int | Fraction]):
         variables = tuple(variables)
-        cleaned = {tuple(e): c for e, c in terms.items() if c != 0}
+        cleaned = {}
+        for e, c in terms.items():
+            if c := _as_rational(c):
+                cleaned[tuple(e)] = c
         for e in cleaned:
             if len(e) != len(variables):
                 raise PolynomialError("exponent vector length mismatch")
@@ -154,18 +175,17 @@ class MPoly:
 
     @staticmethod
     def constant(value) -> "MPoly":
-        c = _as_fraction(value)
-        return MPoly._make((), {(): c})
+        return MPoly._make((), {(): _as_rational(value)})
 
     @staticmethod
     def variable(name: str) -> "MPoly":
-        return MPoly._make((name,), {(1,): Fraction(1)})
+        return MPoly._make((name,), {(1,): 1})
 
     @staticmethod
     def monomial(coeff, powers: Mapping[str, int]) -> "MPoly":
         names = tuple(sorted(powers))
         exp = tuple(powers[n] for n in names)
-        return MPoly(names, {exp: _as_fraction(coeff)})
+        return MPoly(names, {exp: _as_rational(coeff)})
 
     # -- basic queries -----------------------------------------------------
 
@@ -175,10 +195,10 @@ class MPoly:
     def is_constant(self) -> bool:
         return not self.variables
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if self.variables:
             raise PolynomialError("not a constant polynomial")
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -192,7 +212,7 @@ class MPoly:
         i = self.variables.index(var)
         return max((e[i] for e in self.terms), default=0)
 
-    def leading_term(self) -> tuple[tuple, Fraction]:
+    def leading_term(self) -> tuple[tuple, int | Fraction]:
         """Leading (exponent, coefficient) in graded-lex order."""
         if not self.terms:
             raise PolynomialError("zero polynomial has no leading term")
@@ -249,7 +269,7 @@ class MPoly:
 
     def __mul__(self, other) -> "MPoly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
+            c = _as_rational(other)
             if c == 0:
                 return MPoly.zero()
             return MPoly._make(self.variables, {e: c * v for e, v in self.terms.items()})
@@ -291,7 +311,7 @@ class MPoly:
             out[e2] = c * e[i]
         return MPoly._make(self.variables, out)
 
-    def substitute(self, assignments: Mapping[str, "MPoly | Fraction | int"]) -> "MPoly":
+    def substitute(self, assignments: Mapping[str, "MPoly | int | Fraction"]) -> "MPoly":
         """Simultaneous substitution.  An assigned variable that does not
         occur is left alone, as `derivative`, `degree_in` and `coeffs_in`
         treat it as a constant; self is returned when none occurs.
@@ -308,7 +328,7 @@ class MPoly:
         names = tuple(sorted(set(kept).union(*(p.variables for p in subs.values()))))
         moves = [(self.variables.index(v), names.index(v)) for v in kept]
         # (position in self, [p^0, p^1, ...] as term dicts over names)
-        powers = [(self.variables.index(v), [{(0,) * len(names): Fraction(1)}, _rekey(p, names)])
+        powers = [(self.variables.index(v), [{(0,) * len(names): 1}, _rekey(p, names)])
                   for v, p in subs.items()]
         out: dict = {}
         for e, c in self.terms.items():
@@ -325,14 +345,14 @@ class MPoly:
             _add_into(out, piece)
         return MPoly._make(names, out)
 
-    def evaluate(self, point: Mapping[str, "Fraction | int"]) -> Fraction:
+    def evaluate(self, point: Mapping[str, "int | Fraction"]) -> int | Fraction:
         """Exact evaluation; the point must cover every variable."""
         vals = {}
         for v in self.variables:
             if v not in point:
                 raise PolynomialError(f"evaluate: missing value for {v!r}")
-            vals[v] = _as_fraction(point[v])
-        total = Fraction(0)
+            vals[v] = _as_rational(point[v])
+        total = 0
         for e, c in self.terms.items():
             t = c
             for i, v in enumerate(self.variables):
@@ -376,8 +396,8 @@ class MPoly:
             _add_into(out, {e[:i] + (e[i] + k,) + e[i + 1:]: a for e, a in _rekey(c, names).items()})
         return MPoly._make(names, out)
 
-    def univariate_coeffs(self, var: str) -> list[Fraction]:
-        """Fraction coefficients, ascending; requires no other variables."""
+    def univariate_coeffs(self, var: str) -> list[int | Fraction]:
+        """Coefficients, ascending; requires no other variables."""
         others = set(self.variables) - {var}
         if others:
             raise PolynomialError(f"not univariate in {var!r}: also involves {sorted(others)}")
@@ -385,16 +405,17 @@ class MPoly:
 
     # -- content, primitivity, canonical form -------------------------------
 
-    def rational_content(self) -> Fraction:
-        """Positive c with self/c integer-coefficient and coprime; 0 for 0."""
+    def rational_content(self) -> int | Fraction:
+        """Positive c with self/c integer-coefficient and coprime, an `int`
+        when integral; 0 for 0."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         num = 0
         den = 1
         for c in self.terms.values():
             num = math.gcd(num, c.numerator)
             den = den * c.denominator // math.gcd(den, c.denominator)
-        return Fraction(num, den)
+        return Fraction(num, den) if den != 1 else num
 
     def canonical(self) -> "MPoly":
         """Primitive integer-coefficient representative with positive leading
@@ -407,7 +428,7 @@ class MPoly:
             c = -c
         if c == 1:
             return self
-        return MPoly._make(self.variables, {e: v / c for e, v in self.terms.items()})
+        return MPoly._make(self.variables, {e: _div(v, c) for e, v in self.terms.items()})
 
     # -- display -------------------------------------------------------------
 
@@ -469,7 +490,8 @@ def try_exact_div(f: MPoly, g: MPoly) -> MPoly | None:
     if f.is_zero():
         return MPoly.zero()
     if g.is_constant():
-        return f * (Fraction(1) / g.constant_value())
+        k = g.constant_value()
+        return MPoly._make(f.variables, {e: _div(c, k) for e, c in f.terms.items()})
     names, a, b = f._aligned(g)
     rem = dict(a)
     ge = max(b, key=lambda t: (sum(t), t))
@@ -481,7 +503,7 @@ def try_exact_div(f: MPoly, g: MPoly) -> MPoly | None:
         de = tuple(x - y for x, y in zip(fe, ge))
         if any(k < 0 for k in de):
             return None
-        qc = fc / gc
+        qc = _div(fc, gc)
         # the leading exponent of rem falls at every step, so de is new
         q[de] = qc
         for eb, cb in b.items():
@@ -719,7 +741,7 @@ def resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
 # Bridges between MPoly values and the integer formats of `zpoly`.
 
 
-def _integer_terms(f: MPoly, content: Fraction, order: list[str]) -> dict[tuple, int]:
+def _integer_terms(f: MPoly, content: int | Fraction, order: list[str]) -> dict[tuple, int]:
     """The terms of the integer polynomial f / content, exponents laid out
     in the given variable order."""
     pos = [order.index(v) for v in f.variables]
@@ -791,7 +813,7 @@ def _int_coeffs(f: MPoly, var: str) -> list[int]:
 
 def _from_int_coeffs(var: str, coeffs: list[int]) -> MPoly:
     """The polynomial in var with the ascending coefficients."""
-    return MPoly._make((var,), {(k,): Fraction(c) for k, c in enumerate(coeffs) if c})
+    return MPoly._make((var,), {(k,): c for k, c in enumerate(coeffs) if c})
 
 
 def binary_form_degree(f: MPoly, u: str = "dx", v: str = "dy") -> int:
@@ -879,7 +901,7 @@ def jet_decompose(f: MPoly, variables: Sequence[str] = ("x", "y"), about=(0, 0))
     Returns {degree: nonzero homogeneous component}; the components sum back to
     the translated polynomial exactly.
     """
-    a = [_as_fraction(c) for c in about]
+    a = [_as_rational(c) for c in about]
     if len(a) != len(variables):
         raise PolynomialError("point arity does not match variables")
     g = translate(f, a, variables)

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from .errors import ParseError, WebValidationError
 from .foliation import FoliationData
-from .mpoly import MPoly, _add_into, _mul_terms, _nonzero
+from .mpoly import MPoly, _add_into, _as_rational, _mul_terms, _nonzero
 from .webmodel import AffinePoint, PlaneCurve, SymWeb, shared_factor_message
 
 VARIABLES = ("x", "y", "a", "b", "dx", "dy", "t")
@@ -113,8 +113,7 @@ def parse_polynomial(text: str, line: int | None = None) -> MPoly:
         terms = _parse_expr(lex)
         if lex.peek()[0] is not None:
             raise lex.error(f"unexpected {lex.peek()[0][0]!r}")
-    return MPoly._make(layout, {e: c if type(c) is Fraction else Fraction(c)
-                                for e, c in terms.items()})
+    return MPoly._make(layout, {e: _as_rational(c) for e, c in terms.items()})
 
 
 def _monomials(text: str, layout: tuple) -> dict | None:

@@ -20,10 +20,10 @@ from .errors import DegenerateSampleError, InternalInvariantError, PolynomialErr
 from .mpoly import (
     MPoly,
     _content_in,
+    _div,
     _rekey,
     _small_integers,
     exact_div,
-    jet_decompose,
     lowest_jet,
     poly_gcd,
     proper_shears,
@@ -47,8 +47,6 @@ from .webmodel import (
     Direction,
     PlaneCurve,
     SymWeb,
-    binary_form_factors,
-    form_at,
     is_smooth_point,
     on_discriminant,
     singular_set,
@@ -164,7 +162,7 @@ class EqualityVerdict:
     divisible: bool
     routes_agree: bool
     quotient_form: MPoly | None = None
-    scale: Fraction | None = None
+    scale: int | Fraction | None = None
 
 
 def polar_equality_criterion(w1: SymWeb, w2: SymWeb, p: AffinePoint) -> EqualityVerdict:
@@ -192,14 +190,14 @@ def polar_equality_criterion(w1: SymWeb, w2: SymWeb, p: AffinePoint) -> Equality
     )
 
 
-def _proportionality(f: MPoly, g: MPoly) -> Fraction | None:
+def _proportionality(f: MPoly, g: MPoly) -> int | Fraction | None:
     """lambda with g = lambda * f, or None."""
     if f.is_zero() or g.is_zero():
         return None
     ef, cf = f.leading_term()
     if f.variables != g.variables or len(f.terms) != len(g.terms) or ef not in g.terms:
         return None
-    lam = g.terms[ef] / cf
+    lam = _div(g.terms[ef], cf)
     return lam if all(g.terms.get(e) == lam * c for e, c in f.terms.items()) else None
 
 
@@ -529,36 +527,6 @@ def _foliation_polar_singularities(web: SymWeb, A: MPoly, B: MPoly, seed: int) -
 # ---------------------------------------------------------------------------
 # branches at the center
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class TangentConeReport:
-    point: AffinePoint
-    cone: MPoly
-    factors: list[tuple[Direction, int]]
-    matches_web_directions: bool
-
-
-def branches_at_center(web: SymWeb, p: AffinePoint) -> TangentConeReport:
-    """Tangent cone of the polar at its center: k distinct lines along the
-    web's tangent directions.  Requires p off the discriminant and Sing(W)."""
-    smooth, reason = is_smooth_point(web, p)
-    if not smooth:
-        raise DegenerateSampleError(f"branches_at_center precondition: {reason}")
-    curve = polar_curve(web, p)
-    if isinstance(curve, RadialProduct):
-        raise DegenerateSampleError("polar degenerates at this center")
-    jets = jet_decompose(curve.raw, ("x", "y"), (p.a, p.b))
-    order = min(jets)
-    cone = jets[order]
-    # cross-check against the symmetric form at p, in the cone's variables
-    expected = form_at(web, p)
-    if order != web.k or _proportionality(expected, cone) is None:
-        return TangentConeReport(p, cone, [], False)
-    # the cone is a multiple of the form at p, so its factors are the web's directions
-    factors = binary_form_factors(expected)
-    ok = len(factors) == web.k and all(m == 1 for _, m in factors)
-    return TangentConeReport(p, cone, factors, ok)
 
 
 def branches_check(web: SymWeb, seed: int = 0, samples: int = 20) -> CheckReport:

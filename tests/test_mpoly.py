@@ -842,3 +842,99 @@ class TestCanonicalForm:
 
     def test_canonical_sign(self):
         assert (-(x**3) + y).canonical() == (x**3 - y).canonical()
+
+
+def int_coefficients(f: MPoly) -> bool:
+    return all(type(c) is int for c in f.terms.values())
+
+
+class TestIntegerCoefficients:
+    """A coefficient is an `int`, or a `Fraction` only where there is a
+    denominator; nothing else gets into a polynomial."""
+
+    @pytest.mark.parametrize("bad", [True, 0.5, 1.0, 1j], ids=["bool", "float", "integral float", "complex"])
+    def test_validating_constructor_rejects(self, bad):
+        # a float was once accepted, and str() then failed on its numerator
+        with pytest.raises(PolynomialError, match="not an exact rational"):
+            MPoly(("x",), {(1,): bad})
+        with pytest.raises(PolynomialError, match="not an exact rational"):
+            MPoly(("x",), {(1,): 1, (0,): bad})
+
+    def test_integral_fractions_become_ints(self):
+        f = MPoly(("x", "y"), {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2), (0, 0): -3})
+        assert [type(c) for c in f.terms.values()] == [int, Fraction, int]
+        assert f == 2 * x + Fraction(1, 2) * y - 3
+        assert type(MPoly.constant(Fraction(6, 3)).constant_value()) is int
+
+    def test_divisions_keep_ints(self):
+        f = 6 * x**2 - 4 * y
+        assert int_coefficients(f.canonical()) and f.canonical() == 3 * x**2 - 2 * y
+        assert [type(c) for c in (f * Fraction(1, 4)).canonical().terms.values()] == [int, int]
+        assert int_coefficients(try_exact_div(f, MPoly.constant(2)))
+        assert try_exact_div(f, MPoly.constant(4)) == Fraction(3, 2) * x**2 - y
+        assert type(f.rational_content()) is int and f.rational_content() == 2
+        assert (f * Fraction(1, 3)).rational_content() == Fraction(2, 3)
+
+    @given(small_polys(), small_polys(), small_polys(max_terms=3, max_exp=2), st.integers(0, 3),
+           st.integers(-3, 3), binary_forms())
+    @settings(max_examples=40, deadline=None)
+    def test_integers_stay_integers(self, sympy, f, g, h, n, t, form):
+        from sympy.polys.subresultants_qq_zz import sylvester
+
+        X, Y = sympy.symbols("x y")
+        F, G, H = (to_sympy(sympy, p) for p in (f, g, h))
+        # (result, sympy reference); the second list holds results that are
+        # defined up to a unit and made canonical
+        exact = [
+            (f + g, F + G), (f - g, F - G), (f * g, F * G), (f**n, F**n),
+            (f.derivative("x"), sympy.diff(F, X)),
+            (f.substitute({"x": t}), F.subs(X, t)),
+            (f.substitute({"x": h, "y": g}), F.subs({X: H, Y: G}, simultaneous=True)),
+        ]
+        canonical = []
+        if not g.is_zero():
+            exact.append((try_exact_div(f * g, g), F))
+        if t:
+            exact.append((try_exact_div(f * t, MPoly.constant(t)), F))
+        if f.variables:
+            canonical.append((f.canonical(), sympy.Poly(F, X, Y).primitive()[1].as_expr()))
+        if not (f.is_zero() and g.is_zero()):
+            canonical.append((poly_gcd(f, g), sympy.gcd(F, G)))
+        if not (f * g).is_constant():
+            canonical.append((squarefree_part(f * f * g), sympy.sqf_part(F * F * G)))
+        if f.degree_in("y") and g.degree_in("y"):
+            exact.append((resultant(f, g, "y"), sylvester(F, G, Y).det()))
+        if not form.substitute({"dx": 1, "dy": 0}).is_zero():
+            dehomogenized = to_sympy(sympy, form.substitute({"dy": 1}))
+            canonical.append((discriminant_binary(form), sympy.discriminant(dehomogenized, sympy.Symbol("dx"))))
+        for got, ref in exact + canonical:
+            assert int_coefficients(got), got
+        for got, ref in exact:
+            assert got == from_sympy(sympy, sympy.expand(ref)), got
+        for got, ref in canonical:
+            assert got == from_sympy(sympy, sympy.expand(ref)).canonical(), got
+
+    def test_no_float_reaches_a_polynomial(self, monkeypatch, tmp_path):
+        """Every check on every battery input, through the command line: each
+        polynomial built along the way has `int` or `Fraction` coefficients."""
+        from battery import BATTERY
+        from polarweb.cli import CHECKS, _as_foliation, run_command
+
+        make, seen = MPoly._make, set()
+
+        def checking(variables, terms):
+            seen.update(map(type, terms.values()))
+            return make(variables, terms)
+
+        monkeypatch.setattr(MPoly, "_make", staticmethod(checking))
+        path = tmp_path / "input.txt"
+        for entry in BATTERY:
+            fol = entry.foliation
+            path.write_text(f"type: foliation\nA: {fol.A}\nB: {fol.B}\n" if fol is not None
+                            else f"type: web\nform: {entry.web.form}\n")
+            for theorem, (coerce, _) in CHECKS.items():
+                if coerce is _as_foliation and fol is None:
+                    continue
+                code, _ = run_command(["check", "--in", str(path), "--theorem", theorem, "--samples", "2"])
+                assert code == 0, (entry.name, theorem)
+        assert seen and seen <= {int, Fraction}, seen

@@ -34,7 +34,6 @@ from polarweb.polarops import (
     _integer_rank,
     base_points,
     base_points_check,
-    branches_at_center,
     branches_check,
     curve_component_count,
     family_degree_check,
@@ -45,6 +44,7 @@ from polarweb.polarops import (
     web_decomposable,
 )
 from polarweb.sampling import GenericSampler
+from polarweb.webmodel import binary_form_factors, form_at, is_smooth_point
 
 w_product = SymWeb(DX * DY)
 w_radial = SymWeb(X * DY - Y * DX)
@@ -401,23 +401,23 @@ class TestSingularLocus:
 
 
 class TestBranches:
+    # The tangent cone of P_p at p is the form at p (JET_IDENTITY); these pin
+    # that form, its leaf directions and the smoothness precondition.
     def test_product_web(self):
-        tc = branches_at_center(w_product, AffinePoint.of(1, 2))
-        assert tc.matches_web_directions
-        assert tc.cone == (X * Y).canonical()
+        cone = form_at(w_product, AffinePoint.of(1, 2))
+        assert cone == (X * Y).canonical()
+        assert [m for _, m in binary_form_factors(cone)] == [1, 1]
 
     def test_sqrt_web(self):
-        tc = branches_at_center(w_sqrt, AffinePoint.of(1, 0))
-        assert tc.matches_web_directions
-        assert {str(d) for d, _ in tc.factors} == {"(1:1)", "(1:-1)"}
+        factors = binary_form_factors(form_at(w_sqrt, AffinePoint.of(1, 0)))
+        assert sorted((str(d), m) for d, m in factors) == [("(1:-1)", 1), ("(1:1)", 1)]
 
     def test_foliation_smooth_at_center(self):
-        tc = branches_at_center(w_circles, AffinePoint.of(1, 2))
-        assert tc.matches_web_directions and len(tc.factors) == 1
+        factors = binary_form_factors(form_at(w_circles, AffinePoint.of(1, 2)))
+        assert [(str(d), m) for d, m in factors] == [("(1:-1/2)", 1)]
 
     def test_precondition_on_discriminant(self):
-        with pytest.raises(DegenerateSampleError):
-            branches_at_center(w_sqrt, AffinePoint.of(0, 1))
+        assert is_smooth_point(w_sqrt, AffinePoint.of(0, 1)) == (False, "(0, 1) lies on the discriminant")
 
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
     def test_battery(self, entry):
