@@ -6,8 +6,9 @@ center.  This module houses the degree count d + k, the polar-equality
 criterion, the two-dimensionality and degree k^2 of the family, base points,
 the singular-locus containment of the generic polar, the k-branch structure at
 the center, and the irreducibility verdict, from exact component counts by
-the Gao-Ruppert kernel.  Base points, branches and the singular locus of a
-foliation's polars are exact identities on the polar family.
+the Gao-Ruppert kernel.  Base points, the degree k^2, branches and the
+singular locus of a foliation's polars are exact identities on the polar
+family; k^2 then counts incidences of leaf lines at each pair of points.
 """
 
 from __future__ import annotations
@@ -44,13 +45,12 @@ from .webmodel import (
     X,
     Y,
     AffinePoint,
-    Direction,
     PlaneCurve,
     SymWeb,
+    form_at,
     is_smooth_point,
     on_discriminant,
     singular_set,
-    tangent_directions,
     web_degree,
 )
 from .zpoly import _independent_mod_p, _integer_rank
@@ -135,13 +135,12 @@ def polar_degree_check(web: SymWeb, seed: int = 0, samples: int = 20) -> CheckRe
     report.note(f"web degree d={d}, k={k}, expected polar degree {d + k}")
 
     def admissible(p):
-        curve = polar_curve(web, p)
-        if isinstance(curve, RadialProduct):
+        raw = _substitute_center(web.form, p.a, p.b)
+        if raw.is_zero():
             return None, "polar degenerates: center of a radial factor"
-        return curve, None
+        return raw.total_degree(), None
 
-    for _, p, curve in sample_centers(report, GenericSampler(seed), samples, admissible):
-        got = curve.raw_degree
+    for _, p, got in sample_centers(report, GenericSampler(seed), samples, admissible):
         report.add(
             f"deg P_p at p={p}",
             got == d + k,
@@ -214,14 +213,20 @@ def base_points_check(web: SymWeb, seed: int = 0) -> CheckReport:
     P's coefficient at a^(k-i) b^i is (-1)^k a_i, and the base locus is
     the common zero set of the a_i, Sing(W), which the report lists."""
     report = CheckReport("base-points", seed=seed)
+    _base_identity(report, web)
+    _note_points(report, "base point", *base_points(web), "base locus: empty")
+    return report
+
+
+def _base_identity(report: CheckReport, web: SymWeb) -> None:
+    """Assert P(x + s, y + t; x, y) = c·(-1)^k·W(x, y; s, t): seen from a
+    point, the polar is the form there applied to the point minus the center."""
     S, T = MPoly.variable("s"), MPoly.variable("t")
     P = polar_family(web).parametric.substitute({"a": X + S, "b": Y + T})
     form = web.form.substitute({"dx": S, "dy": T})
     c = _proportionality(-form if web.k % 2 else form, P)
     report.add("P(x + s, y + t; x, y) = c·(-1)^k·W(x, y; s, t)", c is not None,
                f"c = {c}" if c is not None else "not a constant multiple of the form")
-    _note_points(report, "base point", *base_points(web), "base locus: empty")
-    return report
 
 
 def _note_points(report: CheckReport, label: str, rational: list[AffinePoint], numeric: list, empty: str) -> None:
@@ -246,129 +251,52 @@ def base_points(web: SymWeb):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ProjPoint:
-    """Point of the projective plane, exact when possible."""
+def family_degree(web: SymWeb, p1: AffinePoint, p2: AffinePoint) -> tuple[int, int]:
+    """The number of polars through two smooth points p1 != p2, and how many
+    of their centers lie at infinity.
 
-    x: complex
-    y: complex
-    z: complex  # 0 for points at infinity
-    exact: tuple[Fraction, Fraction] | None = None
-
-    def key(self) -> tuple:
-        # normalized rounding key for dedup
-        vec = (self.x, self.y, self.z)
-        norm = max(abs(v) for v in vec)
-        lead = next(v for v in vec if abs(v) > 0.5 * norm)
-        vec = tuple(v / lead for v in vec)
-        return tuple((round(v.real, 6), round(v.imag, 6)) for v in vec)
-
-    def __str__(self):
-        if self.exact is not None:
-            return f"({self.exact[0]}, {self.exact[1]})"
-        if self.z == 0:
-            return f"[{self.x:.6g} : {self.y:.6g} : 0]"
-        return f"({self.x:.6g}, {self.y:.6g})"
-
-
-def _tangent_line(p: AffinePoint, d: Direction):
-    """Line through p with direction (u:v) as normal-form coefficients
-    (A, B, C) for A x + B y + C = 0; exact when the direction is."""
-    if d.is_exact:
-        A, B = d.v, -d.u
-        C = -(A * p.a + B * p.b)
-        return (A, B, C), True
-    u, v = d.approx
-    A, B = v, -u
-    C = -(A * complex(p.a) + B * complex(p.b))
-    return (A, B, C), False
-
-
-def family_degree(web: SymWeb, p1: AffinePoint, p2: AffinePoint,
-                  family: PolarFamily | None = None) -> tuple[int, list[ProjPoint]]:
-    """Number of webs' polar curves through two generic points: the k^2
-    pairwise intersections of the tangent lines at p1 and p2, counted in the
-    projective plane.  `family` is polar_family(web), built here when not
-    given."""
-    dirs1 = tangent_directions(web, p1)
-    dirs2 = tangent_directions(web, p2)
-    family = family or polar_family(web)
-    points: list[ProjPoint] = []
-    for da in dirs1:
-        la, exa = _tangent_line(p1, da)
-        for db in dirs2:
-            lb, exb = _tangent_line(p2, db)
-            if exa and exb:
-                det = la[0] * lb[1] - lb[0] * la[1]
-                if det == 0:
-                    if la[0] * lb[2] - lb[0] * la[2] == 0 and la[1] * lb[2] - lb[1] * la[2] == 0:
-                        raise DegenerateSampleError("coincident tangent lines between p1 and p2")
-                    points.append(ProjPoint(complex(da.u), complex(da.v), 0))
-                    continue
-                xq = (la[1] * lb[2] - lb[1] * la[2]) / det
-                yq = (lb[0] * la[2] - la[0] * lb[2]) / det
-                points.append(ProjPoint(complex(xq), complex(yq), 1, exact=(xq, yq)))
-            else:
-                ca = tuple(map(complex, la))
-                cb = tuple(map(complex, lb))
-                det = ca[0] * cb[1] - cb[0] * ca[1]
-                scale = max(abs(v) for v in ca + cb)
-                if abs(det) <= 1e-10 * scale * scale:
-                    u, v = da.as_complex()
-                    points.append(ProjPoint(u, v, 0))
-                    continue
-                xq = (ca[1] * cb[2] - cb[1] * ca[2]) / det
-                yq = (cb[0] * ca[2] - ca[0] * cb[2]) / det
-                points.append(ProjPoint(xq, yq, 1))
-    seen = {}
-    for pt in points:
-        key = pt.key()
-        if key in seen:
-            raise DegenerateSampleError("two tangent-line pairs meet in the same point")
-        seen[key] = pt
-    # cross-check: each affine intersection is the center of a polar through
-    # p1, p2 (a whole-plane polar contains them trivially)
-    for pt in points:
-        if pt.z == 0:
-            continue
-        if pt.exact is not None:
-            curve = family.at(AffinePoint(*pt.exact))
-            if isinstance(curve, RadialProduct):
-                continue
-            if not (curve.contains(p1) and curve.contains(p2)):
-                raise DegenerateSampleError(f"center {pt} fails the polar membership cross-check")
-        else:
-            for target in (p1, p2):
-                env = {"a": pt.x, "b": pt.y, "x": complex(target.a), "y": complex(target.b)}
-                if not vanishes_numerically(family.parametric, env):
-                    raise DegenerateSampleError(f"center {pt} fails the numeric membership cross-check")
-    return len(points), points
+    By the identity of `base_points_check`, p lies on P_c exactly when
+    W(p; p - c) = 0, so the centers are the meets of a leaf line through p1
+    with one through p2, k^2 pairs of lines.  With u = p2 - p1, a pair is
+    one line exactly when both are the line p1p2, W(p1; u) = W(p2; u) = 0.
+    An affine meet other than p1 and p2 fixes both lines, and a meet [d] at
+    infinity fixes d, so two pairs share a point only at p2 when
+    W(p1; u) = 0, or at p1 when W(p2; u) = 0, and then k pairs meet there.
+    Off those cases the k^2 centers are distinct, and the ones at infinity
+    are the common leaf directions, the roots of gcd(W(p1; .), W(p2; .))."""
+    if not (is_smooth_point(web, p1)[0] and is_smooth_point(web, p2)[0]):
+        raise DegenerateSampleError("point not smooth on the web")
+    f1, f2 = form_at(web, p1), form_at(web, p2)
+    u = {"x": p2.a - p1.a, "y": p2.b - p1.b}
+    w1, w2 = f1.evaluate(u), f2.evaluate(u)
+    if w1 == 0 and w2 == 0:
+        raise DegenerateSampleError("coincident tangent lines between p1 and p2")
+    if web.k >= 2 and (w1 == 0 or w2 == 0):
+        raise DegenerateSampleError("two tangent-line pairs meet in the same point")
+    return web.k * web.k, poly_gcd(f1, f2).total_degree()
 
 
 def family_degree_check(web: SymWeb, seed: int = 0, pairs: int = 5) -> CheckReport:
+    """k^2 polars through two generic points: the identity of `base_points_check`,
+    then `family_degree` at each sampled pair."""
     report = CheckReport("family-degree-k2", seed=seed, samples_requested=pairs)
+    _base_identity(report, web)
     k2 = web.k * web.k
     sampler = GenericSampler(seed)
-    family = None
 
     def admissible(pair):
-        nonlocal family
         p1, p2 = pair
         if p1 == p2:
             return None, "the two points coincide"
         try:
-            if not is_smooth_point(web, p1)[0] or not is_smooth_point(web, p2)[0]:
-                return None, "point not smooth on the web"
-            family = family or polar_family(web)
-            return family_degree(web, p1, p2, family), None
+            return family_degree(web, p1, p2), None
         except DegenerateSampleError as e:
             return None, str(e)
 
     def draw():
         return sampler.center(), sampler.center()
 
-    for _, (p1, p2), (count, pts) in sample_centers(report, sampler, pairs, admissible, draw):
-        at_inf = sum(1 for q in pts if q.z == 0)
+    for _, (p1, p2), (count, at_inf) in sample_centers(report, sampler, pairs, admissible, draw):
         report.add(
             f"|T_p1 W ∩ T_p2 W| at {p1}, {p2}",
             count == k2,

@@ -137,9 +137,7 @@ def test_criterion_04_family_degree_k2():
         ok = ok and report.passed
         covered_k.add(entry.web.k)
     # pinned example: dx*dy with two intersections at infinity
-    count, pts = family_degree(SymWeb(DX * DY), AffinePoint.of(0, 0), AffinePoint.of(1, 2))
-    at_inf = sum(1 for q in pts if q.z == 0)
-    ok = ok and count == 4 and at_inf == 2
+    ok = ok and family_degree(SymWeb(DX * DY), AffinePoint.of(0, 0), AffinePoint.of(1, 2)) == (4, 2)
     verdict(4, "family degree k^2", ok and covered_k == {1, 2, 3}, f"k covered: {sorted(covered_k)}")
 
 

@@ -238,28 +238,34 @@ class TestBasePoints:
 
 class TestFamilyDegree:
     def test_product_web_example(self):
-        count, pts = family_degree(w_product, P0, AffinePoint.of(1, 2))
-        assert count == 4
-        at_inf = [q for q in pts if q.z == 0]
-        affine = sorted(str(q) for q in pts if q.z != 0)
-        assert len(at_inf) == 2
-        assert affine == ["(0, 2)", "(1, 0)"]
+        # two centers at infinity, the common leaf directions (1:0) and (0:1)
+        assert family_degree(w_product, P0, AffinePoint.of(1, 2)) == (4, 2)
 
     def test_foliation_single_point(self):
-        count, _ = family_degree(w_circles, AffinePoint.of(1, 1), AffinePoint.of(2, -1))
-        assert count == 1
+        assert family_degree(w_circles, AffinePoint.of(1, 1), AffinePoint.of(2, -1)) == (1, 0)
 
     def test_sqrt_web_four(self):
-        count, _ = family_degree(w_sqrt, AffinePoint.of(1, 1), AffinePoint.of(4, -1))
-        assert count == 4
+        assert family_degree(w_sqrt, AffinePoint.of(1, 1), AffinePoint.of(4, -1)) == (4, 0)
 
-    def test_numeric_cross_check_reads_the_membership_tolerance(self, monkeypatch):
-        from polarweb import solve
+    def test_coincident_tangent_lines(self):
+        # the line through both points is a leaf line at each of them
+        with pytest.raises(DegenerateSampleError, match="coincident"):
+            family_degree(w_product, P0, AffinePoint.of(1, 0))
 
-        # the two numeric centers fail the cross-check once no residual is allowed
-        monkeypatch.setattr(solve, "NUMERIC_TOL", 0.0)
-        with pytest.raises(DegenerateSampleError):
-            family_degree(w_sqrt, AffinePoint.of(2, 1), AffinePoint.of(3, -1))
+    def test_pairs_meeting_in_one_point(self):
+        # the line through both points is a leaf line at (1, 0) only, so
+        # both leaf lines at (2, 1) meet it in (2, 1)
+        with pytest.raises(DegenerateSampleError, match="two tangent-line pairs"):
+            family_degree(w_sqrt, AffinePoint.of(1, 0), AffinePoint.of(2, 1))
+
+    def test_foliation_line_through_both_points(self):
+        # k = 1: the leaf line at (1, 0) passes through (1, 1) and meets the
+        # one there in (1, 1), a single center
+        assert family_degree(w_circles, AffinePoint.of(1, 0), AffinePoint.of(1, 1)) == (1, 0)
+
+    def test_singular_point(self):
+        with pytest.raises(DegenerateSampleError, match="not smooth"):
+            family_degree(w_circles, P0, AffinePoint.of(1, 1))
 
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
     def test_k_squared_on_battery(self, entry):
@@ -267,6 +273,41 @@ class TestFamilyDegree:
             pytest.skip("the radial pencil is the excluded web")
         report = family_degree_check(entry.web, seed=9, pairs=2)
         assert report.passed, report.render_text()
+        assert report.assertions[0].name == BASE_IDENTITY
+        assert report.mode == "exact"
+
+    @pytest.mark.parametrize("entry", [e for e in BATTERY if not e.is_radial_pencil], ids=lambda e: e.name)
+    def test_count_matches_sympy(self, entry):
+        sympy = pytest.importorskip("sympy")
+        a, b, x, y = sympy.symbols("a b x y")
+        sampler = GenericSampler(3)
+        while True:
+            p1, p2 = sampler.center(), sampler.center()
+            try:
+                count, at_infinity = family_degree(entry.web, p1, p2)
+                break
+            except DegenerateSampleError:
+                continue
+        # P(a, b; p): the form at p on p minus the center
+        form = to_sympy(sympy, entry.web.form)
+        polars = []
+        for p in (p1, p2):
+            px, py = sympy.Rational(p.a), sympy.Rational(p.b)
+            at = {x: px, y: py, sympy.Symbol("dx"): px - a, sympy.Symbol("dy"): py - b}
+            polars.append(sympy.Poly(sympy.expand(form.subs(at, simultaneous=True)), a, b))
+        affine = sympy.solve_poly_system([f.as_expr() for f in polars], a, b)
+        k = entry.web.k
+        tops = [sympy.Poly(sum(c * a**i * b**j for (i, j), c in f.terms() if i + j == k), a, b) for f in polars]
+        common = sympy.gcd(*tops).total_degree()
+        assert (len(set(affine)) + common, common) == (count, at_infinity)
+
+    def test_a_broken_family_fails(self, monkeypatch, tmp_path):
+        break_family(monkeypatch)
+        report = family_degree_check(w_sqrt, seed=9, pairs=2)
+        assert [(a.passed, a.detail) for a in report.assertions if a.name == BASE_IDENTITY] == [
+            (False, "not a constant multiple of the form")]
+        assert not report.passed
+        check_fails(tmp_path, "type: web\nform: dy^2 - x*dx^2\n", "k2")
 
 
 def sampled_family_dimension(web: SymWeb, seed: int = 0, samples: int = 5) -> int:
