@@ -284,7 +284,16 @@ def inputs(tmp_path):
     # three factors, five branches: milnor_number takes a 9 x 8 resultant in y
     germ = tmp_path / "germ.txt"
     germ.write_text("type: curve\nf: ((y - x)^2 - x^4)*((y + 2*x)^2 - 3*x^4)*(y - 3*x - x^2)\n")
-    return {"web": str(web), "fol": str(fol), "curve": str(curve), "web3": str(web3), "germ": str(germ)}
+    # a dense degree-2 foliation with E ≢ 0: the class of each sampled polar
+    # is one class_of_curve, and sing-locus is an identity on the family
+    fol2 = tmp_path / "fol2.txt"
+    fol2.write_text("type: foliation\nA: 3*x^2 - 3*x*y - y^2 + x + 2*y + 1\n"
+                    "B: -x^2 + x*y + y^2 + 3*x - y - 2\n")
+    # a 2-web singular at (1, 1): its coefficients eliminate to x - 1 and y - 1
+    web2 = tmp_path / "web2.txt"
+    web2.write_text("type: web\nform: (x^2 - y)*dx^2 + (x*y - 1)*dx*dy + (y^2 - x + 2*y - 2)*dy^2\n")
+    return {"web": str(web), "fol": str(fol), "curve": str(curve), "web3": str(web3), "germ": str(germ),
+            "fol2": str(fol2), "web2": str(web2)}
 
 
 def _body(text: str) -> str:
@@ -611,6 +620,13 @@ class TestGoldenReports:
              ["check", "--in", "{web}", "--theorem", "family-dim", "--seed", "7", "--json"]),
             ("discriminant-3-web", ["discriminant", "--in", "{web3}", "--json"]),
             ("localsing-3-factors", ["localsing", "--in", "{germ}", "--point", "0,0", "--json"]),
+            ("check-qr-bound",
+             ["check", "--in", "{fol2}", "--theorem", "qr-bound", "--seed", "7", "--samples", "3", "--json"]),
+            ("check-sing-locus-foliation",
+             ["check", "--in", "{fol2}", "--theorem", "sing-locus", "--seed", "7", "--samples", "3", "--json"]),
+            ("check-sing-locus-web",
+             ["check", "--in", "{web2}", "--theorem", "sing-locus", "--seed", "7", "--samples", "3", "--json"]),
+            ("singular-2-web", ["singular", "--in", "{web2}", "--json"]),
         ],
     )
     def test_matches_golden(self, inputs, name, argv):
