@@ -31,7 +31,7 @@ from .mpoly import (
 from .localsing import cp_clean, cp_from_mpoly, cp_norm, cp_translate
 from .numerics import univariate_roots
 from .polarops import (
-    A_VAR, B_VAR, PolarFamily, RadialProduct, _proportionality, inflexion_of_field, linear_identity,
+    A_VAR, B_VAR, RadialProduct, _proportionality, inflexion_of_field, linear_identity,
     polar_curve, polar_family,
 )
 from .reports import CheckReport
@@ -358,8 +358,8 @@ def inflexion_lemma_check(fol: FoliationData, seed: int = 0, samples: int = 20) 
 def class_of_curve(curve: PlaneCurve) -> int:
     """Number of tangent lines to the curve through a generic point.
 
-    One exact resultant, with the polar's center left symbolic.  Shear F by
-    the first lam of `proper_shears`, so that F_lam is y-proper, and let
+    The polar's center is left symbolic.  Shear F by the first lam of
+    `proper_shears`, so that F_lam is y-proper of y-degree n, and let
     G = (a - x)*F_x + (b - y)*F_y + n*F be the polar of F from [a:b:1].
     R = Res_y(F_lam, G_lam) lies in Q[a, b, x], and the class is
     deg_x R - deg_x C, with C the gcd of R's coefficients over the monomials
@@ -373,9 +373,16 @@ def class_of_curve(curve: PlaneCurve) -> int:
       a generic center, the only points of F at infinity on its polar are
       singular points, so they are all that deg_x R loses of n(n - 1).
     - What remains counts the tangency points of a generic center: the class.
-    For n >= 2, G_lam has positive y-degree: the part in (a, b) of its
-    y^(n-1) coefficient is a*F_x + b*F_y of F's top form at (lam, 1), and
-    Euler's lam*F_x + F_y = n*F != 0 there keeps it nonzero."""
+    R is never expanded in (a, b).  G is linear in the center and takes n
+    rows of the Sylvester matrix, so R has total degree at most n in (a, b).
+    The triangle of nodes {(i, j) : i + j <= n} is unisolvent for that
+    degree: the values R(i, j, x) are the coefficients of R over the center
+    monomials times an invertible matrix, so both span the same Q-space.
+    Hence deg_x R is the largest x-degree at a node, and C is the gcd of the
+    node values.  At a node, Res_y(F_lam, G_lam(i, j)) is R(i, j, x) times a
+    power of F_lam's constant leading coefficient when G's y-degree drops,
+    which leaves the span alone.  A node where G or the resultant vanishes
+    adds nothing, and where G is a c(x) free of y the resultant is c^n."""
     if curve.raw != curve.defining:
         raise PolynomialError("class_of_curve needs a reduced curve")
     F = curve.defining
@@ -384,8 +391,11 @@ def class_of_curve(curve: PlaneCurve) -> int:
         raise PolynomialError("class of a line (degree < 2) is not defined here")
     G = (A_VAR - X) * F.derivative("x") + (B_VAR - Y) * F.derivative("y") + F * n
     lam = next(proper_shears([F]))
-    R = resultant(shear(F, lam), shear(G, lam), "y")
-    return R.degree_in("x") - gcd_fold(PolarFamily(R).center_coefficients()).degree_in("x")
+    F_lam, G_lam = shear(F, lam), shear(G, lam)
+    at_nodes = (G_lam.substitute({"a": i, "b": j}) for i in range(n + 1) for j in range(n + 1 - i))
+    values = [resultant(F_lam, g, "y") if g.degree_in("y") else g**n for g in at_nodes if g]
+    values = [r for r in values if r]
+    return max(r.degree_in("x") for r in values) - gcd_fold(values).degree_in("x")
 
 
 # ---------------------------------------------------------------------------

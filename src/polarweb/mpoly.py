@@ -346,20 +346,28 @@ class MPoly:
         return MPoly._make(names, out)
 
     def evaluate(self, point: Mapping[str, "int | Fraction"]) -> int | Fraction:
-        """Exact evaluation; the point must cover every variable."""
-        vals = {}
-        for v in self.variables:
+        """Exact evaluation; the point must cover every variable.  A coordinate
+        n/d of a variable of degree D is put over the denominator d^D: a term
+        takes n^i * d^(D - i) for its power i, so the sum runs on ints."""
+        powers = []
+        den = 1
+        for i, v in enumerate(self.variables):
             if v not in point:
                 raise PolynomialError(f"evaluate: missing value for {v!r}")
-            vals[v] = _as_rational(point[v])
+            value = _as_rational(point[v])
+            num, d = value.numerator, value.denominator
+            top = max(e[i] for e in self.terms)
+            column = [d**top]
+            for _ in range(top):
+                column.append(column[-1] // d * num)
+            powers.append(column)
+            den *= column[0]
         total = 0
         for e, c in self.terms.items():
-            t = c
-            for i, v in enumerate(self.variables):
-                if e[i]:
-                    t *= vals[v] ** e[i]
-            total += t
-        return total
+            for column, k in zip(powers, e):
+                c *= column[k]
+            total += c
+        return _div(total, den)
 
     def evaluate_complex(self, point: Mapping[str, complex]) -> complex:
         total = 0j
@@ -553,12 +561,16 @@ def _prem(a: MPoly, b: MPoly, var: str) -> MPoly:
     return r
 
 
-def gcd_fold(polys: Sequence[MPoly]) -> MPoly:
-    """gcd of the polynomials, taken in order; it stops at the first constant.
-    A lone polynomial is returned as it is, not made canonical."""
-    g = polys[0]
-    for p in polys[1:]:
-        if g.is_constant():
+def gcd_fold(polys: Iterable[MPoly]) -> MPoly:
+    """gcd of the polynomials, taken in order; it stops at the first constant
+    and draws no further item, so a lazy iterable computes only the
+    candidates it needs and gets the same gcd as the full list.  A lone
+    polynomial is returned as it is, not made canonical."""
+    items = iter(polys)
+    g = next(items)
+    while not g.is_constant():
+        p = next(items, None)
+        if p is None:
             break
         g = poly_gcd(g, p)
     return g
@@ -714,7 +726,8 @@ def resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
     m = deg_var f and n = deg_var g.  Res(F, G) is the integer subresultant PRS
     when var is the only variable; otherwise another variable z is set to 0,
     1, -1, 2, -2, ..., skipping the points where a leading coefficient in var
-    vanishes, and the resultants of the images are Newton-interpolated in z.
+    vanishes, and the resultants of the images are Newton-interpolated in z;
+    each image is a Horner evaluation of terms grouped once per call.
     The number of points is one more than a proven bound on deg_z Res(F, G),
     the smaller of n*deg_z F + m*deg_z G (each term of the Sylvester
     determinant takes n entries from F's rows and m from G's) and
@@ -758,19 +771,32 @@ def _integer_terms(f: MPoly, content: int | Fraction, order: list[str]) -> dict[
 
 def _int_resultant(F: dict, G: dict, m: int, n: int) -> dict[tuple, int]:
     """Res(F, G) in the first variable, of degrees m and n in it, as terms in
-    the remaining variables; the last of them is evaluated and interpolated."""
-    if len(next(iter(F))) == 1:
+    the remaining variables; the last of them is evaluated and interpolated.
+    Each input's terms are grouped once per call, by all exponents but the
+    last, and every group is evaluated at every node by Horner.  With two
+    variables the images are dense lists in the first one and go to the PRS
+    directly; with more they are term dicts for the next level."""
+    width = len(next(iter(F)))
+    if width == 1:
         r = _int_prs_resultant(_dense(F, m), _dense(G, n))
         return {(): r} if r else {}
     bound = min(n * max(e[-1] for e in F) + m * max(e[-1] for e in G),
                 max(e[0] + e[-1] for e in F) * max(e[0] + e[-1] for e in G))
+    groups_f, groups_g = _by_last(F), _by_last(G)
     nodes, images = [], []
     for t in _small_integers():
-        Ft, Gt = _evaluate_last(F, t), _evaluate_last(G, t)
-        if not any(e[0] == m for e in Ft) or not any(e[0] == n for e in Gt):
-            continue
+        if width == 2:
+            a, b = _at_node(groups_f, t, [0] * (m + 1)), _at_node(groups_g, t, [0] * (n + 1))
+            if not (a[m] and b[n]):
+                continue
+            r = _int_prs_resultant(a, b)
+            images.append({(): r} if r else {})
+        else:
+            Ft, Gt = _at_node(groups_f, t, {}), _at_node(groups_g, t, {})
+            if not any(e[0] == m for e in Ft) or not any(e[0] == n for e in Gt):
+                continue
+            images.append(_int_resultant(Ft, Gt, m, n))
         nodes.append(t)
-        images.append(_int_resultant(Ft, Gt, m, n))
         if len(nodes) > bound:
             break
     out = {}
@@ -786,13 +812,30 @@ def _small_integers():
         yield (k + 1) // 2 * (1 if k % 2 else -1)
 
 
-def _evaluate_last(F: dict, t: int) -> dict[tuple, int]:
-    """F with its last variable set to t."""
-    out: dict = {}
+def _by_last(F: dict) -> list[tuple[tuple | int, list[int]]]:
+    """F's terms grouped by all exponents but the last, in order of
+    appearance: (those exponents, or the first alone when it is the only
+    one, and the coefficients in the last variable, descending)."""
+    groups: dict = {}
     for e, c in F.items():
-        key = e[:-1]
-        out[key] = out.get(key, 0) + c * t ** e[-1]
-    return {e: c for e, c in out.items() if c}
+        coeffs = groups.setdefault(e[0] if len(e) == 2 else e[:-1], [])
+        if len(coeffs) <= e[-1]:
+            coeffs.extend([0] * (e[-1] + 1 - len(coeffs)))
+        coeffs[e[-1]] = c
+    return [(key, coeffs[::-1]) for key, coeffs in groups.items()]
+
+
+def _at_node(groups: list[tuple[tuple | int, list[int]]], t: int, out: dict | list):
+    """out with the grouped polynomial's nonzero values at last variable = t
+    (Horner) stored under their keys: a term dict, or a dense list in the
+    first variable when the keys are its exponents."""
+    for key, coeffs in groups:
+        v = 0
+        for c in coeffs:
+            v = v * t + c
+        if v:
+            out[key] = v
+    return out
 
 
 def _dense(F: dict, degree: int) -> list[int]:

@@ -24,6 +24,7 @@ from .mpoly import (
     _div,
     _rekey,
     _small_integers,
+    binary_form_degree,
     exact_div,
     lowest_jet,
     poly_gcd,
@@ -78,8 +79,18 @@ class RadialProduct:
 
 
 def _substitute_center(form: MPoly, a, b) -> MPoly:
-    """dx -> x - a, dy -> y - b; the center is rational or the symbols (a, b)."""
-    return form.substitute({"dx": X - a, "dy": Y - b})
+    """dx -> x - a, dy -> y - b; the center is rational or the symbols (a, b).
+
+    A rational center (p/d, q/e) is put over the common denominator d*e: the
+    substitution dx -> e*(d*x - p), dy -> d*(e*y - q) runs on ints, and the
+    form, homogeneous of degree k, is divided by (d*e)^k once."""
+    if isinstance(a, MPoly):
+        return form.substitute({"dx": X - a, "dy": Y - b})
+    p, d, q, e = a.numerator, a.denominator, b.numerator, b.denominator
+    raw = form.substitute({"dx": MPoly._make(("x",), {(1,): e * d, (0,): -e * p}),
+                           "dy": MPoly._make(("y",), {(1,): d * e, (0,): -d * q})})
+    scale = (d * e) ** binary_form_degree(form)
+    return raw if scale == 1 else MPoly._make(raw.variables, {m: _div(c, scale) for m, c in raw.terms.items()})
 
 
 def polar_curve(web: SymWeb, p: AffinePoint) -> PlaneCurve | RadialProduct:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, islice
+from itertools import chain, count, islice
 
 from .errors import InfiniteZeroSetError, InternalInvariantError, PolynomialError
 from .mpoly import MPoly, _int_coeffs, gcd_fold, resultant
@@ -126,7 +126,8 @@ def _combination_resultant(polys: list[MPoly], v: str) -> MPoly:
 
 
 def common_zeros(polys: list[MPoly]) -> ZeroSet:
-    """Common zero set, expected finite, of polynomials in (x, y)."""
+    """Common zero set, expected finite, of polynomials in (x, y).  Each
+    eliminant draws its candidates lazily and gets the gcd of all of them."""
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         raise InfiniteZeroSetError("all generators are zero")
@@ -140,18 +141,18 @@ def common_zeros(polys: list[MPoly]) -> ZeroSet:
         """A nonzero polynomial in keep_var vanishing at every common zero's
         keep_var coordinate: the gcd of the generators free of elim_var and
         of the nonzero pairwise resultants, or, when there are none, the
-        resultant of two combinations (`_combination_resultant`)."""
+        resultant of two combinations (`_combination_resultant`).  The
+        candidates are drawn lazily, so no resultant is taken after the gcd
+        has become a constant; that gcd is the one of all the candidates."""
+        free = [p for p in polys if p.degree_in(elim_var) == 0]
         positive = [p for p in polys if p.degree_in(elim_var) > 0]
-        candidates = [p for p in polys if p.degree_in(elim_var) == 0]
-        for i in range(len(positive)):
-            for j in range(i + 1, len(positive)):
-                r = resultant(positive[i], positive[j], elim_var)
-                if not r.is_zero():
-                    candidates.append(r)
-        if not candidates:
+        nonzero = (r for i, p in enumerate(positive) for q in positive[i + 1:]
+                   if not (r := resultant(p, q, elim_var)).is_zero())
+        first = free[0] if free else next(nonzero, None)
+        if first is None:
             # every generator involves elim_var, and there are >= 2 of them
-            candidates.append(_combination_resultant(positive, elim_var))
-        return gcd_fold(candidates).canonical()
+            first = _combination_resultant(positive, elim_var)
+        return gcd_fold(chain([first], free[1:], nonzero)).canonical()
 
     ex = eliminant("y", "x")
     ey = eliminant("x", "y")

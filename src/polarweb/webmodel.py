@@ -74,11 +74,6 @@ class Direction:
     def is_exact(self) -> bool:
         return self.approx is None
 
-    def as_complex(self) -> tuple[complex, complex]:
-        if self.is_exact:
-            return complex(self.u), complex(self.v)
-        return self.approx
-
     def __str__(self):
         if self.is_exact:
             return f"({self.u}:{self.v})"

@@ -32,8 +32,9 @@ from polarweb.foliation import (
     tangent_cone_dichotomy,
     tangent_cone_dichotomy_numeric,
 )
+from polarweb.mpoly import gcd_fold, proper_shears, resultant, shear
 from polarweb.sampling import GenericSampler
-from polarweb.polarops import RadialProduct
+from polarweb.polarops import A_VAR, B_VAR, PolarFamily, RadialProduct
 from polarweb.webmodel import singular_set
 
 one = MPoly.constant(1)
@@ -358,6 +359,25 @@ class TestInflexionLemma:
         assert seen == {(IDENTITY, "c = 2", "exact")}
 
 
+def dense_class(curve: PlaneCurve) -> int:
+    """The class by one resultant in (a, b, x), R = Res_y(F_lam, G_lam), and
+    the gcd of R's coefficients over the center monomials."""
+    F = curve.defining
+    n = F.total_degree()
+    G = (A_VAR - X) * F.derivative("x") + (B_VAR - Y) * F.derivative("y") + F * n
+    lam = next(proper_shears([F]))
+    R = resultant(shear(F, lam), shear(G, lam), "y")
+    return R.degree_in("x") - gcd_fold(PolarFamily(R).center_coefficients()).degree_in("x")
+
+
+def node_polar(F: MPoly, i: int, j: int) -> MPoly:
+    """The sheared polar of F from the center (i, j), as `class_of_curve` takes it."""
+    n = F.total_degree()
+    lam = next(proper_shears([F]))
+    G = (i - X) * F.derivative("x") + (j - Y) * F.derivative("y") + F * n
+    return shear(G, lam)
+
+
 class TestClassOfCurve:
     def test_smooth_conic(self):
         assert class_of_curve(PlaneCurve(X**2 + Y**2 - 1)) == 2
@@ -397,6 +417,42 @@ class TestClassOfCurve:
             code, text = run_command(["class", "--in", str(path), "--seed", seed])
             bodies.add((code, tuple(t for t in text.splitlines() if not t.startswith(("command:", "timestamp:")))))
         assert bodies == {(0, ("class: 3",))}
+
+    def test_concurrent_lines_vanish_at_a_node(self):
+        # four lines through (1, 1): the polar from the node (1, 1) is 0
+        F = (X - 1) * (Y - 1) * (X - Y) * (X + Y - 2)
+        assert node_polar(F, 1, 1).is_zero()
+        assert class_of_curve(PlaneCurve(F)) == 0 == dense_class(PlaneCurve(F))
+
+    def test_polar_free_of_y_at_a_node(self):
+        # at the node (1, 0) the polar is 8*x^2 + 4*x, whose resultant with F
+        # is its cube; the polar itself in its place would give class 5
+        F = parse_polynomial("2*x^3 + x*y^2 + 2*y^3 + 2*x^2 - y^2")
+        assert node_polar(F, 1, 0) == 8 * X**2 + 4 * X
+        assert class_of_curve(PlaneCurve(F)) == 4 == dense_class(PlaneCurve(F))
+
+    @given(st.integers(2, 4), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_dense_route(self, n, data):
+        monomials = [(i, d - i) for d in range(n + 1) for i in range(d + 1)]
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=len(monomials), max_size=len(monomials)))
+        f = sum((c * X**i * Y**j for (i, j), c in zip(monomials, coeffs)), MPoly.zero())
+        assume(not f.is_zero() and f.total_degree() == n)
+        curve = PlaneCurve(f)
+        assume(curve.raw == curve.defining)
+        assert class_of_curve(curve) == dense_class(curve)
+
+    @pytest.mark.parametrize("text", ["x^3 + 2*x^2*y - x*y^2 + 3*y^3 - x^2 + x*y + 2*x - y + 1",
+                                      "(y - x^2 + 2)^3 - (x^2 - 2)^4"])
+    def test_one_resultant_in_two_variables_per_node(self, text, monkeypatch):
+        calls, real = [], foliation.resultant
+        monkeypatch.setattr(foliation, "resultant",
+                            lambda f, g, v: calls.append(set(f.variables) | set(g.variables)) or real(f, g, v))
+        F = parse_polynomial(text)
+        n = F.total_degree()
+        class_of_curve(PlaneCurve(F))
+        assert len(calls) == (n + 1) * (n + 2) // 2
+        assert all(names == {"x", "y"} for names in calls)
 
     @given(st.sampled_from([3, 4]), st.booleans(), st.data())
     @settings(max_examples=30, deadline=None)

@@ -1,5 +1,6 @@
 """Exact polynomial core: arithmetic, gcd, resultants, discriminants, jets."""
 
+import sys
 from fractions import Fraction
 from math import prod
 
@@ -236,6 +237,20 @@ class TestDerivative:
         assert MPoly.constant(5).derivative("x") == 0
 
 
+class TestEvaluate:
+    @given(small_polys(("x", "y", "z")), st.fractions(-5, 5, max_denominator=9),
+           st.fractions(-5, 5, max_denominator=9), st.fractions(-5, 5, max_denominator=9),
+           st.fractions(1, 4, max_denominator=3))
+    @settings(max_examples=100, deadline=None)
+    def test_common_denominator_matches_fraction_sums(self, f, a, b, c, scale):
+        f = f * scale
+        point = {"x": a, "y": b, "z": c}
+        ref = sum((Fraction(k) * prod(point[v] ** i for v, i in zip(f.variables, e))
+                   for e, k in f.terms.items()), Fraction(0))
+        got = f.evaluate(point)
+        assert got == ref and (type(got) is int) == (ref.denominator == 1)
+
+
 class TestSubstitute:
     def test_hand_expansion(self):
         got = (dx * dy).substitute({"dx": x - 1, "dy": y - 2})
@@ -396,6 +411,52 @@ class TestWorkCount:
                                   "--samples", "4", "--seed", "1"])
         assert code == 0, text
         assert len(calls) == 0
+
+    def test_a_polar_degree_job_multiplies_no_more(self, tmp_path, monkeypatch):
+        # the centers (-66/73, 95/9), ... are rational: the scaled linear forms
+        # of the integer substitution are built as term dicts, not by `*`
+        from polarweb.cli import run_command
+
+        calls = []
+        real = MPoly.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return real(self, other)
+
+        monkeypatch.setattr(MPoly, "__mul__", counted)
+        monkeypatch.setattr(MPoly, "__rmul__", counted)
+        path = tmp_path / "fol.txt"
+        path.write_text("type: foliation\nA: x^2 - 2*x*y + 3*y - 1\nB: y^2 + x*y - 2*x + 2\n")
+        code, text = run_command(["check", "--in", str(path), "--theorem", "polar-degree",
+                                  "--samples", "4", "--seed", "1"])
+        assert code == 0 and "p=(-66/73, 95/9)" in text, text
+        assert len(calls) <= 2
+
+    def test_the_foliation_singular_locus_takes_four_resultants(self, tmp_path, monkeypatch):
+        # Z = V(A, B, A_x, A_y, B_x, B_y) has 15 generator pairs per eliminant;
+        # the lazy gcd is constant after the second resultant of each
+        from polarweb.cli import run_command
+
+        calls = []
+        real = mpoly.resultant
+
+        def counted(f, g, var):
+            calls.append(var)
+            return real(f, g, var)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("polarweb") and module is not None:
+                for key, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, key, counted)
+        path = tmp_path / "fol.txt"
+        path.write_text("type: foliation\nA: 3*x^2 - 3*x*y - y^2 + x + 2*y + 1\n"
+                        "B: -x^2 + x*y + y^2 + 3*x - y - 2\n")
+        code, text = run_command(["check", "--in", str(path), "--theorem", "sing-locus",
+                                  "--samples", "4", "--seed", "1"])
+        assert code == 0, text
+        assert len(calls) <= 4
 
 class TestGcdSquarefree:
     def test_monomials(self):

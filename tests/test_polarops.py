@@ -112,6 +112,16 @@ class TestPolarCurve:
         assert isinstance(result, RadialProduct)
         assert result.cofactor_web().form == DX.canonical()
 
+    @given(st.sampled_from(BATTERY), st.fractions(-9, 9, max_denominator=12),
+           st.fractions(-9, 9, max_denominator=12))
+    @settings(max_examples=60, deadline=None)
+    def test_rational_center_over_a_common_denominator(self, entry, a, b):
+        # the substitution on ints gives the polynomial that dx -> x - a,
+        # dy -> y - b gives on Fractions, term for term and in the same order
+        got = polarops._substitute_center(entry.web.form, a, b)
+        ref = entry.web.form.substitute({"dx": X - a, "dy": Y - b})
+        assert got == ref and list(got.terms) == list(ref.terms)
+
     def test_product_rule_exact(self):
         # P_p(W1 x W2) = P_p(W1) * P_p(W2), exact identity up to normalization
         sampler = GenericSampler(11)

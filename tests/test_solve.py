@@ -1,5 +1,7 @@
 """Univariate root splitting: the roots it reports, checked against planted
-factors and against sympy; and the elimination fallback of `common_zeros`."""
+factors and against sympy; the zero sets of `common_zeros` against sympy, its
+lazy eliminants against the gcd of every candidate, and its elimination
+fallback."""
 
 from fractions import Fraction
 from math import prod
@@ -10,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from polarweb import MPoly
 from polarweb import solve
 from polarweb.errors import InternalInvariantError
-from polarweb.mpoly import divisibility_multiplicity
+from polarweb.errors import InfiniteZeroSetError
+from polarweb.mpoly import divisibility_multiplicity, poly_gcd, resultant
 from polarweb.solve import (
     _combination_resultant,
     common_zeros,
@@ -184,3 +187,88 @@ class TestCombinationFallback:
         # outside its precondition (gcd 1) every combination keeps the factor y
         with pytest.raises(InternalInvariantError):
             _combination_resultant([y * (x + 1), y * (x - 1)], "y")
+
+
+# small polynomials in (x, y): integer coefficients on monomials of degree <= 2
+_MONOMIALS = [(i, j) for i in range(3) for j in range(3 - i)]
+small_xy = st.lists(st.integers(-3, 3), min_size=len(_MONOMIALS), max_size=len(_MONOMIALS)).map(
+    lambda cs: sum((c * x**i * y**j for (i, j), c in zip(_MONOMIALS, cs)), MPoly.zero()))
+coordinates = st.fractions(-4, 4, max_denominator=3)
+
+
+class TestSympyZeroSetOracle:
+    """Rational zero sets against `sympy.solve_poly_system`: the generators
+    P(x) + s*Q(y), Q(y) and g vanish on the grid of the roots of P and Q where
+    g does, and g vanishes at one planted grid point, so every zero is
+    rational and the set is finite and not empty."""
+
+    @given(st.lists(coordinates, min_size=1, max_size=3, unique=True),
+           st.lists(coordinates, min_size=1, max_size=3, unique=True),
+           small_xy, small_xy, small_xy, st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_planted_grids(self, xs, ys, s, u, v, data):
+        sympy = pytest.importorskip("sympy")
+        P = prod((x - a for a in xs), start=MPoly.constant(1))
+        Q = prod((y - b for b in ys), start=MPoly.constant(1))
+        x0, y0 = data.draw(st.sampled_from(xs)), data.draw(st.sampled_from(ys))
+        g = u * (x - x0) + v * (y - y0)
+        gens = [P + s * Q, Q, g]
+        if g.is_zero() or g.is_constant():
+            gens = gens[:2]
+        zs = common_zeros(gens)
+        X, Y = sympy.symbols("x y")
+        system = [sympy.sympify(str(f).replace("^", "**"), locals={"x": X, "y": Y}) for f in gens]
+        expected = {(Fraction(str(a)), Fraction(str(b)))
+                    for a, b in sympy.solve_poly_system(system, X, Y)}
+        assert set(zs.rational) == expected and (x0, y0) in expected
+        assert not zs.numeric
+
+
+def eager_eliminant(polys: list[MPoly], elim_var: str) -> MPoly:
+    """The gcd of every candidate: the generators free of elim_var and every
+    nonzero pairwise resultant, or the combination resultant when there are
+    none; no candidate is skipped."""
+    positive = [p for p in polys if p.degree_in(elim_var) > 0]
+    candidates = [p for p in polys if p.degree_in(elim_var) == 0]
+    for i in range(len(positive)):
+        for j in range(i + 1, len(positive)):
+            r = resultant(positive[i], positive[j], elim_var)
+            if not r.is_zero():
+                candidates.append(r)
+    if not candidates:
+        candidates.append(_combination_resultant(positive, elim_var))
+    g = candidates[0]
+    for c in candidates[1:]:
+        g = poly_gcd(g, c)
+    return g.canonical()
+
+
+class TestLazyEliminant:
+    """The lazy eliminants of `common_zeros` equal the eager gcd of all the
+    candidates, on 2-6 random generators, some of them free of x or of y;
+    with `planted`, each generator is u*(x - x0) + v*(y - y0), so (x0, y0) is
+    a common zero."""
+
+    @given(st.lists(st.tuples(small_xy, small_xy, st.sampled_from(["x", "y", None])), min_size=2, max_size=6),
+           coordinates, coordinates, st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_gcd_of_every_candidate(self, triples, x0, y0, planted):
+        sx, sy = (x - x0, y - y0) if planted else (x, y)
+        gens = []
+        for u, v, free in triples:
+            # `free` names the variable the generator is made free of
+            if free:
+                u, v = u.substitute({free: 0}), v.substitute({free: 0})
+            g = (MPoly.zero() if free == "x" else u * sx) + (MPoly.zero() if free == "y" else v * sy)
+            gens.append(g if planted else g + u - v + 1)
+        gens = [g for g in gens if not g.is_zero()]
+        if len(gens) < 2 or any(g.is_constant() for g in gens):
+            return
+        try:
+            zs = common_zeros(gens)
+        except InfiniteZeroSetError:
+            return
+        assert zs.elim_x == eager_eliminant(gens, "y")
+        assert zs.elim_y == eager_eliminant(gens, "x")
+        if planted:
+            assert zs.elim_x.evaluate({"x": x0}) == 0 and zs.elim_y.evaluate({"y": y0}) == 0

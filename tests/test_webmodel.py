@@ -291,7 +291,7 @@ class TestTangentDirections:
             assert len(dirs) == e.web.k
             coeffs = [c.evaluate(p.as_dict()) for c in e.web.coefficients()]
             for d in dirs:
-                u, v = d.as_complex()
+                u, v = (complex(d.u), complex(d.v)) if d.is_exact else d.approx
                 val = sum(
                     complex(c) * u ** (e.web.k - i) * v**i for i, c in enumerate(coeffs)
                 )
