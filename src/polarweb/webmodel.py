@@ -306,8 +306,11 @@ def on_discriminant(web: SymWeb, p: AffinePoint) -> bool:
 
 def form_at(web: SymWeb, p: AffinePoint) -> MPoly:
     """The web's binary form at p, written in (x, y) in place of (dx, dy), the
-    variables of a tangent cone at p."""
-    return web.form.substitute({"x": p.a, "y": p.b, "dx": X, "dy": Y})
+    variables of a tangent cone at p: each coefficient a_i of dx^(k-i) dy^i
+    is evaluated at p, a sum on ints over a common denominator."""
+    point = p.as_dict()
+    k = web.k
+    return MPoly._make(("x", "y"), {(k - i, i): a.evaluate(point) for i, a in enumerate(web.coefficients())})
 
 
 def tangent_directions(web: SymWeb, p: AffinePoint) -> list[Direction]:

@@ -4,7 +4,11 @@ Integer polynomials: term dicts {exponent tuple: nonzero int} for
 `mpoly.resultant`, the eliminated variable first, and ascending int lists for
 univariate work (the PRS, the gcd, Yun's decomposition, the exact root test).
 Integer matrices are sparse rows {column: int}.  Work mod p uses the prime
-_CERT_PRIME = 2^61 - 1.  The bridges from `MPoly` live in `mpoly`.
+_CERT_PRIME = 2^30 - 35, the largest below 2^30: every residue is one 30-bit
+digit of a Python int, and a product of two is below 2^60.  Nothing here
+depends on the prime's size: a minor nonzero mod any prime is nonzero over Z,
+so rank_p <= rank_Q, and coprime images mod any prime prove a constant gcd.
+The bridges from `MPoly` live in `mpoly`.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from itertools import zip_longest
 
 from .errors import InternalInvariantError
 
-_CERT_PRIME = 2**61 - 1
+_CERT_PRIME = 2**30 - 35
 
 
 def _derivative(coeffs: list) -> list:
@@ -192,34 +196,42 @@ def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
 
 def _independent_mod_p(rows: list[dict]) -> Iterator[bool]:
     """For each row of an integer matrix given by sparse rows {column: int},
-    in turn, whether it is independent mod p = 2^61 - 1 of the rows before
+    in turn, whether it is independent mod p = 2^30 - 35 of the rows before
     it; the number of True values is the rank over F_p.
 
-    By row echelon form: each kept row is scaled to 1 at its greatest column
-    and indexed by it; a new row loses its greatest column to the kept row
+    By row echelon form on dense rows, lists over the sorted column keys:
+    each kept row is scaled to 1 at its greatest column, indexed by it and
+    cut off above it; a new row loses its greatest column to the kept row
     there until it is zero or its greatest column is new, and then it is
-    kept.  On Gao matrices the greatest column fills in about half as much as
-    the least.
+    kept.  A step is one list comprehension over the kept row, and zip cuts
+    the new row at the pivot.  Entries are reduced mod p on the way in, where
+    one is tested at the pivot and when a row is kept; in between each step
+    adds a product below p^2 < 2^60, so entries stay a few digits long.  On
+    Gao matrices the greatest column fills in about half as much as the
+    least.
     """
     p = _CERT_PRIME
-    kept: dict = {}
+    index = {c: i for i, c in enumerate(sorted(set().union(*rows)))}
+    width = len(index)
+    kept: dict[int, list[int]] = {}
     for r in rows:
-        row = {c: v % p for c, v in r.items() if v % p}
-        while row:
-            col = max(row)
+        row = [0] * width
+        for c, v in r.items():
+            row[index[c]] = v % p
+        col = width - 1
+        while col >= 0:
+            a = row[col] % p
+            if not a:
+                col -= 1
+                continue
             top = kept.get(col)
             if top is None:
-                inv = pow(row[col], -1, p)
-                kept[col] = {c: v * inv % p for c, v in row.items()}
+                inv = pow(a, -1, p)
+                kept[col] = [v * inv % p for v in row[: col + 1]]
                 break
-            a = row[col]
-            for c, v in top.items():
-                w = (row.get(c, 0) - a * v) % p
-                if w:
-                    row[c] = w
-                else:
-                    row.pop(c, None)
-        yield bool(row)
+            row = [x - a * y for x, y in zip(row, top)]
+            col -= 1
+        yield col >= 0
 
 
 def _integer_rank(rows: list[dict]) -> int:

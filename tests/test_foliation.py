@@ -34,7 +34,7 @@ from polarweb.foliation import (
 )
 from polarweb.mpoly import gcd_fold, proper_shears, resultant, shear
 from polarweb.sampling import GenericSampler
-from polarweb.polarops import A_VAR, B_VAR, PolarFamily, RadialProduct
+from polarweb.polarops import A_VAR, B_VAR, RadialProduct
 from polarweb.webmodel import singular_set
 
 one = MPoly.constant(1)
@@ -367,7 +367,12 @@ def dense_class(curve: PlaneCurve) -> int:
     G = (A_VAR - X) * F.derivative("x") + (B_VAR - Y) * F.derivative("y") + F * n
     lam = next(proper_shears([F]))
     R = resultant(shear(F, lam), shear(G, lam), "y")
-    return R.degree_in("x") - gcd_fold(PolarFamily(R).center_coefficients()).degree_in("x")
+    return R.degree_in("x") - gcd_fold(center_coefficients(R)).degree_in("x")
+
+
+def center_coefficients(R: MPoly) -> list[MPoly]:
+    """The nonzero coefficients of R over the monomials in the center (a, b)."""
+    return [c for by_a in R.coeffs_in("a") for c in by_a.coeffs_in("b") if not c.is_zero()]
 
 
 def node_polar(F: MPoly, i: int, j: int) -> MPoly:

@@ -28,9 +28,11 @@ from polarweb import (
 from polarweb import polarops
 from polarweb.cli import run_command
 from polarweb.errors import DegenerateSampleError, InternalInvariantError, WebValidationError
-from polarweb.mpoly import _rekey
+from polarweb.mpoly import _content_in, _rekey, _small_integers, shear
 from polarweb.polarops import (
     _absolute_factor_count,
+    _gao_rows,
+    _independent_mod_p,
     _integer_rank,
     base_points,
     base_points_check,
@@ -186,9 +188,10 @@ class TestPolarFamily:
         assert fam.parametric == (a * Y - b * X).canonical()
 
     def test_excluded_center_recorded(self):
+        # the polar vanishes identically at the center of the radial pencil
         fam = polar_family(w_radial)
-        result = fam.at(P0)
-        assert isinstance(result, RadialProduct)
+        assert fam.parametric.substitute({"a": P0.a, "b": P0.b}).is_zero()
+        assert isinstance(polar_curve(w_radial, P0), RadialProduct)
 
 
 class TestBasePoints:
@@ -664,6 +667,19 @@ class TestAbsoluteFactorCount:
         for a, b, c in lines:
             f = f * (a * X + b * Y + c)
         assert _absolute_factor_count(f) == len(lines)
+
+    @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
+    def test_rank_mod_p_is_the_rank_over_q_on_battery_polars(self, entry):
+        for p in (AffinePoint.of(3, -2), AffinePoint.of(Fraction(5, 7), Fraction(-4, 3))):
+            curve = polar_curve(entry.web, p)
+            if isinstance(curve, RadialProduct) or curve.defining.total_degree() <= 0:
+                continue
+            f = curve.defining
+            fs = next(fs for fs in (shear(f, lam) for lam in _small_integers())
+                      if _content_in(fs, "y").is_constant())
+            rows = _gao_rows(fs)
+            count_mod_p = len(rows) - sum(_independent_mod_p(rows))
+            assert count_mod_p == len(rows) - _integer_rank(rows) == _absolute_factor_count(f)
 
     def test_polar_of_the_eight_web(self):
         form = DX * (X * DX + Y * DY)

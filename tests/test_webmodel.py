@@ -22,6 +22,7 @@ from polarweb import (
 from polarweb.errors import DegenerateSampleError, WebValidationError
 from polarweb.mpoly import try_exact_div
 from polarweb.polarops import radial_form
+from polarweb.webmodel import form_at
 
 w_product = SymWeb(DX * DY)
 w_radial = SymWeb(X * DY - Y * DX)
@@ -305,6 +306,16 @@ class TestTangentDirections:
     def test_errors_at_singular_point(self):
         with pytest.raises(DegenerateSampleError):
             tangent_directions(w_circles, AffinePoint.of(0, 0))
+
+
+class TestFormAt:
+    @given(st.one_of(dense_webs(), st.sampled_from([e.web for e in BATTERY])),
+           st.fractions(-9, 9, max_denominator=12), st.fractions(-9, 9, max_denominator=12))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_substituted_form(self, web, a, b):
+        # the form with the point put in for (x, y) on Fractions, term by term
+        whole = web.form.substitute({"x": a, "y": b, "dx": X, "dy": Y})
+        assert form_at(web, AffinePoint.of(a, b)) == whole
 
 
 class TestSmoothPoint:

@@ -117,8 +117,8 @@ class TestRank:
                     max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_rank_mod_p_is_exact_below_the_hadamard_bound(self, rows):
-        # every minor is at most (9 * sqrt(6))^6 < 2^61 - 1 in magnitude, so
-        # a minor is zero mod p only when it is zero
+        # every minor is at most (9 * sqrt(6))^6 ~ 1.2e8 in magnitude, below
+        # p = 2^30 - 35 ~ 1.07e9, so a minor is zero mod p only when it is zero
         assert sum(_independent_mod_p(rows)) == _integer_rank(rows)
 
     def test_rank_mod_p_drops_at_the_prime(self):
@@ -126,6 +126,46 @@ class TestRank:
         rows = [{0: _CERT_PRIME + 1, 1: 1}, {0: 1, 1: 1}]
         assert list(_independent_mod_p(rows)) == [True, False]
         assert _integer_rank(rows) == 2
+
+    @given(st.lists(st.dictionaries(st.integers(0, 5), st.integers(-10**20, 10**20).filter(bool), max_size=6),
+                    min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_each_yield_is_a_rank_step_over_f_p(self, rows):
+        # large entries, reduced on the way in: row i is independent exactly
+        # when it raises the rank over F_p of the rows up to it
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        field = sympy.GF(_CERT_PRIME)
+
+        def rank(prefix):
+            dense = [[field(r.get(c, 0)) for c in range(6)] for r in prefix]
+            return DomainMatrix(dense, (len(prefix), 6), field).rank()
+
+        ranks = [rank(rows[:i]) for i in range(len(rows) + 1)]
+        assert list(_independent_mod_p(rows)) == [b > a for a, b in zip(ranks, ranks[1:])]
+
+    def test_the_prime_is_a_prime_below_2_to_the_30(self):
+        sympy = pytest.importorskip("sympy")
+        # every residue is one 30-bit digit of a Python int
+        assert sympy.isprime(_CERT_PRIME)
+        assert _CERT_PRIME < 2**30
+
+    @given(st.lists(st.dictionaries(st.integers(0, 7), st.integers(-9, 9).filter(bool), max_size=8),
+                    max_size=10),
+           st.permutations(range(8)), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_independence_does_not_depend_on_the_column_labels(self, rows, perm, rnd):
+        # independence of a row from the rows before it is a property of the
+        # matrix, so relabelling the columns injectively, in another order,
+        # changes which column is the greatest but no yielded value
+        label = {c: (perm[c] % 3, -perm[c]) for c in range(8)}
+        relabelled = []
+        for r in rows:
+            items = [(label[c], v) for c, v in r.items()]
+            rnd.shuffle(items)
+            relabelled.append(dict(items))
+        assert list(_independent_mod_p(relabelled)) == list(_independent_mod_p(rows))
 
 
 def test_imports_nothing_from_the_package_but_errors():
