@@ -404,13 +404,6 @@ class MPoly:
             _add_into(out, {e[:i] + (e[i] + k,) + e[i + 1:]: a for e, a in _rekey(c, names).items()})
         return MPoly._make(names, out)
 
-    def univariate_coeffs(self, var: str) -> list[int | Fraction]:
-        """Coefficients, ascending; requires no other variables."""
-        others = set(self.variables) - {var}
-        if others:
-            raise PolynomialError(f"not univariate in {var!r}: also involves {sorted(others)}")
-        return [c.constant_value() for c in self.coeffs_in(var)]
-
     # -- content, primitivity, canonical form -------------------------------
 
     def rational_content(self) -> int | Fraction:
@@ -885,9 +878,7 @@ def discriminant_binary(f: MPoly, u: str = "dx", v: str = "dy") -> MPoly:
         raise PolynomialError("discriminant of a constant form")
     if k == 1:
         return MPoly.constant(1)
-    g = shear(f, next(proper_shears([f], u=u, v=v)), u, v)
-    gt = g.substitute({u: 1})
-    # the shear keeps gt univariate of exact degree k in v
+    gt, = dehomogenize([f], u, v)
     lead = gt.coeffs_in(v)[k]
     res = resultant(gt, gt.derivative(v), v)
     return exact_div(res, lead).canonical()
@@ -903,6 +894,15 @@ def shear(f: MPoly, lam, u: str = "x", v: str = "y") -> MPoly:
     if lam == 0 or u not in f.variables:
         return f
     return f.substitute({u: MPoly.variable(u) + MPoly.constant(lam) * MPoly.variable(v)})
+
+
+def dehomogenize(forms: Sequence[MPoly], u: str = "dx", v: str = "dy") -> list[MPoly]:
+    """Nonzero binary forms in (u, v) after one shear u -> u + lam*v from
+    `proper_shears`, at u = 1: each has v-degree its form's degree, so no
+    root of a form is lost at infinity, and a resultant in v of two of them
+    vanishes at a point exactly where the two forms share a root (u:v)."""
+    lam = next(proper_shears(forms, u=u, v=v))
+    return [shear(f, lam, u, v).substitute({u: 1}) for f in forms]
 
 
 def proper_shears(polys: Sequence[MPoly], candidates: Iterable[int] | None = None,

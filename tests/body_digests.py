@@ -21,6 +21,7 @@ A mismatch prints the job's argv and input.  `gen.py` is read, not edited.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import importlib.util
 import sys
@@ -33,6 +34,7 @@ INPUTS = {"exact-checks": 90, "monodromy": 400, "germs": 400}
 SEEDS = (1, 20261017)
 
 
+@functools.cache
 def _gen():
     spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)

@@ -163,7 +163,7 @@ def fraction_univariate_gcd(f: MPoly, g: MPoly, var: str) -> MPoly:
             u.pop()
         return u
 
-    a, b = strip(f.univariate_coeffs(var)), strip(g.univariate_coeffs(var))
+    a, b = (strip([c.constant_value() for c in h.coeffs_in(var)]) for h in (f, g))
     while b:
         if len(a) < len(b):
             a, b = b, a

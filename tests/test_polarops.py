@@ -42,6 +42,7 @@ from polarweb.polarops import (
     family_dimension_check,
     generic_polar_irreducible,
     generic_polar_singularities_check,
+    inflexion_curve,
     polar_degree_check,
     web_decomposable,
 )
@@ -112,7 +113,7 @@ class TestPolarCurve:
         web = superpose(w_radial, SymWeb(DX)).web
         result = polar_curve(web, P0)
         assert isinstance(result, RadialProduct)
-        assert result.cofactor_web().form == DX.canonical()
+        assert result.cofactor_form.canonical() == DX.canonical()
 
     @given(st.sampled_from(BATTERY), st.fractions(-9, 9, max_denominator=12),
            st.fractions(-9, 9, max_denominator=12))
@@ -403,6 +404,21 @@ class TestSingularLocus:
         assert report.samples_used == 4 and report.passed
         assert all(a.name.startswith("Sing(P_p) ⊆") for a in report.assertions)
 
+    def test_web_is_an_identity(self):
+        # R ≢ 0 on the sqrt web: no sample, the identity and R's degree
+        report = generic_polar_singularities_check(w_sqrt, seed=6, samples=4)
+        assert [(a.name, a.passed) for a in report.assertions] == [(BASE_IDENTITY, True)]
+        assert report.samples_used == 0
+        assert report.notes == ["R = Res_(dx:dy)(W, W_x·W_dy - W_y·W_dx) ≢ 0, of degree 1: a point off "
+                                "Δ(W) ∪ Sing(W) is singular on at most k polars with other centers, "
+                                "and only on R = 0"]
+
+    def test_web_of_lines_is_sampled(self):
+        # R ≡ 0 for dx*dy: the sampled path decides it
+        report = generic_polar_singularities_check(w_product, seed=6, samples=4)
+        assert report.samples_used == 4 and report.passed
+        assert all(a.name.startswith("Sing(P_p) ⊆") for a in report.assertions)
+
     @given(st.lists(st.integers(-3, 3), min_size=2 * len(CUBIC_MONOMIALS), max_size=2 * len(CUBIC_MONOMIALS)),
            st.booleans())
     @settings(max_examples=12, deadline=None)
@@ -444,6 +460,10 @@ class TestSingularLocus:
         assert [(a.name, a.passed) for a in report.assertions] == [(LINEAR_IDENTITY, False)]
         assert not report.passed
         check_fails(tmp_path, "type: foliation\nA: x^2\nB: y^2\n", "sing-locus")
+        # a web with R ≢ 0 rests on the identity of base-points
+        report = generic_polar_singularities_check(w_sqrt)
+        assert [(a.name, a.passed) for a in report.assertions] == [(BASE_IDENTITY, False)]
+        check_fails(tmp_path, "type: web\nform: dy^2 - x*dx^2\n", "sing-locus")
 
     def test_product_node_at_center(self):
         p = AffinePoint.of(2, 3)
@@ -452,6 +472,144 @@ class TestSingularLocus:
         assert F.evaluate(p.as_dict()) == 0
         assert F.derivative("x").evaluate(p.as_dict()) == 0
         assert F.derivative("y").evaluate(p.as_dict()) == 0
+
+
+def sympy_inflexion_curve(sympy, web: SymWeb):
+    """Res_(dx:dy)(W, W_x·W_dy - W_y·W_dx) by sympy: both forms sheared by
+    dx -> dx + c·dy for the first c in 3, 4, ... that keeps their dy-degrees,
+    then dehomogenized at dx = 1.  The shear has determinant 1, so it does
+    not change the resultant.  `sympy.resultant` has the wrong sign when
+    both degrees are odd and the first is the smaller, so it is taken as
+    (-1)^(k(2k - 1))·Res(E_W, W)."""
+    x, y, dx, dy = sympy.symbols("x y dx dy")
+    W = to_sympy(sympy, web.form)
+    E = sympy.expand(W.diff(x) * W.diff(dy) - W.diff(y) * W.diff(dx))
+    if E == 0:
+        return sympy.Integer(0)
+    for c in range(3, 3 + 4 * web.k):
+        w, e = (sympy.expand(f.subs(dx, dx + c * dy, simultaneous=True).subs(dx, 1)) for f in (W, E))
+        if sympy.degree(w, dy) == web.k and sympy.degree(e, dy) == 2 * web.k - 1:
+            return sympy.expand((-1) ** (web.k * (2 * web.k - 1)) * sympy.resultant(e, w, dy))
+    raise AssertionError("no shear keeps both degrees")
+
+
+def seed_one_web_jobs(count: int = 30):
+    """(web, seed) of the `sing-locus` jobs on the first `count` 2-webs of the
+    seed-1 `exact-checks` benchmark inputs."""
+    from body_digests import jobs
+    from polarweb.parsing import parse_input_text
+
+    out = []
+    for _, text, args in jobs("exact-checks", 1, 3 * count):
+        if text.startswith("type: web") and args[2] == "sing-locus":
+            obj, _ = parse_input_text(text)
+            out.append((obj, int(args[args.index("--seed") + 1])))
+    return out
+
+
+R_NONZERO = [e for e in BATTERY if not inflexion_curve(e.web).is_zero()]
+
+
+class TestInflexionCurve:
+    # sing-locus on a web with k >= 2 is decided by R = Res_(dx:dy)(W, E_W),
+    # E_W = W_x·W_dy - W_y·W_dx, when R ≢ 0
+
+    @given(st.lists(st.integers(-3, 3), min_size=2 * len(CUBIC_MONOMIALS), max_size=2 * len(CUBIC_MONOMIALS)))
+    @settings(max_examples=15, deadline=None)
+    def test_foliation_form_at_the_leaf_direction_is_E(self, drawn):
+        sympy = pytest.importorskip("sympy")
+        x, y = sympy.symbols("x y")
+        n = len(CUBIC_MONOMIALS)
+        A, B = (sum((c * X**i * Y**j for (i, j), c in zip(CUBIC_MONOMIALS, cs)), MPoly.zero())
+                for cs in (drawn[:n], drawn[n:]))
+        try:
+            web = SymWeb(A * DY - B * DX)
+        except WebValidationError:
+            assume(False)
+        b, a = web.coefficients()
+        A, B = a, -b  # the form as stored, A*dy - B*dx
+        at_leaf = polarops.inflexion_form(web).substitute({"dx": A, "dy": B})
+        assert at_leaf == polarops.inflexion_of_field(A, B)
+        sA, sB = to_sympy(sympy, A), to_sympy(sympy, B)
+        E = sB**2 * sA.diff(y) + sA * sB * sA.diff(x) - sA**2 * sB.diff(x) - sA * sB * sB.diff(y)
+        assert sympy.expand(to_sympy(sympy, at_leaf) - E) == 0
+
+    @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
+    def test_curve_matches_sympy(self, entry):
+        sympy = pytest.importorskip("sympy")
+        ours = inflexion_curve(entry.web)
+        assert sympy.expand(to_sympy(sympy, ours) - sympy_inflexion_curve(sympy, entry.web)) == 0
+        # R ≡ 0 exactly on the webs whose leaves are lines and the radial pencil
+        lines = ("product dx*dy", "radial pencil", "radial x vertical", "triple product (k=3)")
+        assert ours.is_zero() == (entry.name in lines)
+
+    @given(st.fractions(-3, 3, max_denominator=4).filter(bool), st.integers(-2, 2),
+           st.lists(st.integers(-3, 3), min_size=13, max_size=13))
+    @settings(max_examples=20, deadline=None)
+    def test_a_planted_singular_polar(self, t, s, drawn):
+        # a 2-web with E_W(q; v) = 0 at the leaf direction v = (1, s) at q,
+        # planted through the gradient condition t·(W_x, W_y) + (W_dx, W_dy) = 0
+        # at (q; v): its polar at p = q - t·v is singular at q
+        sympy = pytest.importorskip("sympy")
+        qx, qy = Fraction(1, 2), Fraction(-1, 3)
+        v = (1, s)
+        mono = [v[0] ** (2 - i) * v[1] ** i for i in range(3)]  # dx^(2-i) dy^i at v
+        d_dx = [(2 - i) * v[1] ** i for i in range(3)]  # its dx-derivative at v
+        d_dy = [i * v[1] ** (i - 1) if i else 0 for i in range(3)]
+        c, d, e, h = drawn[0:3], drawn[3:6], drawn[6:9], drawn[9:12]
+        # the values, x- and y-derivatives of a_0, a_1, a_2 at q: index 0 solves
+        # W(q; v) = 0 and the two components of the gradient condition
+        c[0] = -(c[1] * mono[1] + c[2] * mono[2])
+        d[0] = -sum(ci * di for ci, di in zip(c, d_dx)) / t - d[1] * mono[1] - d[2] * mono[2]
+        e[0] = -sum(ci * di for ci, di in zip(c, d_dy)) / t - e[1] * mono[1] - e[2] * mono[2]
+        u, w = X - qx, Y - qy
+        coefficients = [c[i] + d[i] * u + e[i] * w + h[i] * u * u + drawn[12] * u * w for i in range(3)]
+        try:
+            web = SymWeb(sum((a * DX ** (2 - i) * DY**i for i, a in enumerate(coefficients)), MPoly.zero()))
+        except WebValidationError:
+            assume(False)
+        at_q = {"x": qx, "y": qy}
+        assume(web.discriminant_form.evaluate(at_q) != 0)  # q off Δ(W) ∪ Sing(W)
+        assert polarops.inflexion_form(web).evaluate({**at_q, "dx": v[0], "dy": v[1]}) == 0
+        assert inflexion_curve(web).evaluate(at_q) == 0
+        x, y = sympy.symbols("x y")
+        px, py = qx - t * v[0], qy - t * v[1]
+        P = to_sympy(sympy, web.form).subs({sympy.Symbol("dx"): x - sympy.Rational(px),
+                                            sympy.Symbol("dy"): y - sympy.Rational(py)}, simultaneous=True)
+        point = {x: sympy.Rational(qx), y: sympy.Rational(qy)}
+        assert [f.subs(point) for f in (P, P.diff(x), P.diff(y))] == [0, 0, 0]
+
+    @pytest.mark.parametrize("entry", R_NONZERO, ids=lambda e: e.name)
+    def test_sampled_path_agrees_on_the_battery(self, entry):
+        # where R ≢ 0 decides the check, the sampled containment holds too
+        report = polarops._sampled_polar_singularities(entry.web, seed=6, samples=4)
+        assert report.passed and report.samples_used == 4, report.render_text()
+
+    def test_sampled_path_agrees_on_benchmark_webs(self):
+        webs = seed_one_web_jobs()
+        assert len(webs) == 30
+        for web, seed in webs:
+            assert not inflexion_curve(web).is_zero()
+            report = polarops._sampled_polar_singularities(web, seed, 4)
+            assert report.passed and report.samples_used == 4, report.render_text()
+
+    def test_a_web_job_finds_no_common_zeros(self, tmp_path, monkeypatch):
+        # the work count of a 2-web sing-locus job: no polar, no zero set
+        def refused(*args, **kwargs):
+            raise AssertionError("called on a web with R ≢ 0")
+
+        from polarweb import solve
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("polarweb") and module is not None:
+                for key, value in list(vars(module).items()):
+                    if value is solve.common_zeros or value is polarops.polar_curve:
+                        monkeypatch.setattr(module, key, refused)
+        path = tmp_path / "web.txt"
+        path.write_text("type: web\nform: (x^2 - y)*dx^2 + (x*y - 1)*dx*dy + (y^2 - x + 2*y - 2)*dy^2\n")
+        code, text = run_command(["check", "--in", str(path), "--theorem", "sing-locus",
+                                  "--samples", "4", "--seed", "1"])
+        assert code == 0, text
 
 
 class TestBranches:

@@ -76,7 +76,7 @@ class TestExactRootTest:
         if plant:
             # make cand a root, so the test sees both answers
             f = f * (cand.denominator * x - cand.numerator)
-        ints = [int(c) for c in f.univariate_coeffs("x")]
+        ints = [int(c.constant_value()) for c in f.coeffs_in("x")]
         assert _vanishes_at(ints, cand) == (f.evaluate({"x": cand}) == 0)
 
     def test_zero_constant_term_and_negative_numerator(self):
