@@ -301,7 +301,7 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         elif args.command == "localsing":
             curve = _as_curve(obj)
             p = parse_point(args.point)
-            fp = fingerprint(CurveGerm.at_point(curve.defining, (p.a, p.b)))
+            fp = fingerprint(CurveGerm.at_point(curve, (p.a, p.b)))
             lines.append(f"fingerprint at {p}: {fp}")
         elif args.command == "check":
             report = _run_check(obj, args)

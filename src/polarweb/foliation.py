@@ -20,7 +20,6 @@ from .mpoly import (
     MPoly,
     divisibility_multiplicity,
     exact_div,
-    gcd_fold,
     jet_decompose,
     poly_gcd,
     proper_shears,
@@ -382,7 +381,16 @@ def class_of_curve(curve: PlaneCurve) -> int:
     node values.  At a node, Res_y(F_lam, G_lam(i, j)) is R(i, j, x) times a
     power of F_lam's constant leading coefficient when G's y-degree drops,
     which leaves the span alone.  A node where G or the resultant vanishes
-    adds nothing, and where G is a c(x) free of y the resultant is c^n."""
+    adds nothing, and where G is a c(x) free of y the resultant is c^n.
+
+    The nodes stop at the Bezout bound.  With F_n the top form of F, the
+    part of G of degree n in (x, y) is n·F_n - x·(F_n)_x - y·(F_n)_y = 0
+    (Euler), so G has total degree at most n - 1 at every center.  A node
+    value, the resultant of curves of degrees n and n - 1 (or c^n), then
+    has x-degree at most n(n - 1), the class of a smooth curve.  So once
+    one node value reaches n(n - 1) and the running gcd of the values is
+    constant, the class is n(n - 1) whatever the other nodes give: a smooth
+    curve takes two resultants, a singular one takes them all."""
     if curve.raw != curve.defining:
         raise PolynomialError("class_of_curve needs a reduced curve")
     F = curve.defining
@@ -392,10 +400,21 @@ def class_of_curve(curve: PlaneCurve) -> int:
     G = (A_VAR - X) * F.derivative("x") + (B_VAR - Y) * F.derivative("y") + F * n
     lam = next(proper_shears([F]))
     F_lam, G_lam = shear(F, lam), shear(G, lam)
-    at_nodes = (G_lam.substitute({"a": i, "b": j}) for i in range(n + 1) for j in range(n + 1 - i))
-    values = [resultant(F_lam, g, "y") if g.degree_in("y") else g**n for g in at_nodes if g]
-    values = [r for r in values if r]
-    return max(r.degree_in("x") for r in values) - gcd_fold(values).degree_in("x")
+    bound, top, common = n * (n - 1), 0, None
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            g = G_lam.substitute({"a": i, "b": j})
+            r = g and (resultant(F_lam, g, "y") if g.degree_in("y") else g**n)
+            if not r:
+                continue
+            top = max(top, r.degree_in("x"))
+            if common is None:
+                common = r
+            elif not common.is_constant():
+                common = poly_gcd(common, r)
+            if top == bound and common.is_constant():
+                return bound
+    return top - common.degree_in("x")
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from .mpoly import (
     proper_shears,
     resultant,
     shear,
-    squarefree_part,
     translate,
 )
 from .numerics import cluster_points, univariate_roots
@@ -107,11 +106,13 @@ class CurveGerm:
     exact: bool
 
     @staticmethod
-    def at_point(curve: MPoly, point: tuple[Fraction, Fraction]) -> "CurveGerm":
-        g = translate(curve, point)
+    def at_point(curve: PlaneCurve, point: tuple[Fraction, Fraction]) -> "CurveGerm":
+        """The germ of the reduced curve at a rational point: its defining
+        equation, already square-free, moved to the origin."""
+        g = translate(curve.defining, point).canonical()
         if g.evaluate({v: 0 for v in g.variables}) != 0:
             raise PolynomialError(f"curve does not pass through {point}")
-        return CurveGerm(_rekey(squarefree_part(g), ("x", "y")), True)
+        return CurveGerm(_rekey(g, ("x", "y")), True)
 
     @staticmethod
     def at_numeric_point(curve: MPoly, point: tuple[complex, complex]) -> "CurveGerm":
@@ -159,10 +160,15 @@ def intersection_multiplicity(f: MPoly, g: MPoly) -> int:
         return 0
     if f.is_zero() or g.is_zero():
         raise PolynomialError("intersection multiplicity with the zero germ")
-    common = poly_gcd(f, g)
-    if not common.is_constant() and common.evaluate({v: 0 for v in common.variables}) == 0:
-        raise PolynomialError("infinite intersection: germs share a component through the origin")
+    return _meet_at_origin(f, g, "infinite intersection: germs share a component through the origin")
 
+
+def _meet_at_origin(f: MPoly, g: MPoly, shared: str) -> int:
+    """I(f, g) at the origin, for nonzero f and g that both vanish there;
+    the error `shared` when they share a component through it."""
+    common = poly_gcd(f, g)
+    if not common.is_constant() and not _nonzero_at_origin(common):
+        raise PolynomialError(shared)
     for lam in proper_shears([f, g], _SHEAR_CANDIDATES):
         # (x, y) -> (x + lam*y, y) keeps the origin and makes both y-proper
         fs, gs = shear(f, lam), shear(g, lam)
@@ -194,10 +200,7 @@ def milnor_number(germ: CurveGerm) -> int:
         return 0
     if fx.is_zero() or fy.is_zero():
         raise PolynomialError("non-isolated singularity (a partial derivative vanishes)")
-    g = poly_gcd(fx, fy)
-    if not g.is_constant() and not _nonzero_at_origin(g):
-        raise PolynomialError("non-isolated singularity at the origin")
-    return intersection_multiplicity(fx, fy)
+    return _meet_at_origin(fx, fy, "non-isolated singularity at the origin")
 
 
 def _nonzero_at_origin(f: MPoly) -> bool:
@@ -441,7 +444,7 @@ def _delta_sum_at_infinity(F: MPoly) -> int:
             rational, numeric = univariate_root_split(elim, "x")
     for x0, _ in rational:
         if G.evaluate({"x": x0, "z": 0}) == 0:
-            germ = CurveGerm.at_point(G.substitute({"z": Y}), (x0, Fraction(0)))
+            germ = CurveGerm.at_point(PlaneCurve(G.substitute({"z": Y})), (x0, Fraction(0)))
             total += fingerprint(germ).delta
     for x0, _ in numeric:
         germ = CurveGerm.at_numeric_point(G.substitute({"z": Y}), (x0, 0j))
@@ -449,7 +452,7 @@ def _delta_sum_at_infinity(F: MPoly) -> int:
     # the point [1 : 0 : 0] lives in the chart x = 1, with (y, z) renamed (x, y)
     K = H.substitute({"x": 1, "y": X, "z": Y})
     if not any(_nonzero_at_origin(g) for g in (K, K.derivative("x"), K.derivative("y"))):
-        germ = CurveGerm.at_point(K, (Fraction(0), Fraction(0)))
+        germ = CurveGerm.at_point(PlaneCurve(K), (Fraction(0), Fraction(0)))
         total += fingerprint(germ).delta
     return total
 
@@ -469,7 +472,7 @@ def genus_of_curve(curve: PlaneCurve, include_infinity: bool = True) -> int:
     delta_total = 0
     zs = common_zeros([F, F.derivative("x"), F.derivative("y")])
     for q in zs.rational:
-        delta_total += fingerprint(CurveGerm.at_point(F, q)).delta
+        delta_total += fingerprint(CurveGerm.at_point(curve, q)).delta
     for q in zs.numeric:
         delta_total += fingerprint(CurveGerm.at_numeric_point(F, q)).delta
     if include_infinity:
@@ -516,7 +519,7 @@ def equisingularity_check(fol, seed: int = 0, samples: int = 10) -> CheckReport:
             zs = common_zeros([F, fx, fy])
         except (InfiniteZeroSetError, NumericAbortError) as e:
             return None, f"singular locus solve failed: {e}"
-        table = [fingerprint(CurveGerm.at_point(F, q)).key() for q in zs.rational]
+        table = [fingerprint(CurveGerm.at_point(curve, q)).key() for q in zs.rational]
         for q in zs.numeric:
             try:
                 table.append(fingerprint(CurveGerm.at_numeric_point(F, q)).key())

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import count, islice
+from itertools import count, islice, product
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
@@ -803,6 +803,13 @@ def _small_integers():
     """0, 1, -1, 2, -2, ... without end."""
     for k in count():
         yield (k + 1) // 2 * (1 if k % 2 else -1)
+
+
+def _small_grid(size: int):
+    """The integer points (i, j) of S x S, S the first `size` of
+    `_small_integers`, in that order."""
+    s = list(islice(_small_integers(), size))
+    return product(s, s)
 
 
 def _by_last(F: dict) -> list[tuple[tuple | int, list[int]]]:

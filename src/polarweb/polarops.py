@@ -9,8 +9,8 @@ the center, and the irreducibility verdict, from exact component counts by
 the Gao-Ruppert kernel.  Base points, the degree k^2, branches and the
 singular locus of a foliation's polars are exact identities on the polar
 family; k^2 then counts incidences of leaf lines at each pair of points.
-On a web with k >= 2 the singular locus is decided by one resultant, the
-inflexion curve of the web, and is sampled only where that curve is the
+On a web with k >= 2 the singular locus is decided by one nonzero value of
+the inflexion curve of the web, and is sampled only where that curve is the
 whole plane.
 """
 
@@ -26,6 +26,7 @@ from .mpoly import (
     _content_in,
     _div,
     _rekey,
+    _small_grid,
     _small_integers,
     binary_form_degree,
     dehomogenize,
@@ -59,7 +60,7 @@ from .webmodel import (
     singular_set,
     web_degree,
 )
-from .zpoly import _independent_mod_p, _integer_rank
+from .zpoly import _independent_mod_p, _int_prs_resultant, _integer_rank
 
 A_VAR = MPoly.variable("a")
 B_VAR = MPoly.variable("b")
@@ -348,7 +349,8 @@ def generic_polar_singularities_check(web: SymWeb, seed: int = 0, samples: int =
     k >= 2 whose inflexion curve R = Res_(dx:dy)(W, E_W),
     E_W = W_x·W_dy - W_y·W_dx (`inflexion_curve`), is not zero is decided
     by the identity of `base_points_check`, P_p(q) = ±W(q; q - p), and the
-    report notes R's degree.  Let q be singular on P_p with u = q - p ≠ 0.
+    report notes a point q with R(q) ≠ 0 and the value
+    (`inflexion_witness`).  Let q be singular on P_p with u = q - p ≠ 0.
     Then grad P_p(q) = (W_x + W_dx, W_y + W_dy)(q; u), and P_p(q) =
     W(q; u) = 0 makes u = t·v with t ≠ 0 and v a leaf direction at q.  Off
     Δ(W) ∪ Sing(W), v is a simple root, so (W_dx, W_dy)(q; v) ≠ 0, and by
@@ -370,10 +372,11 @@ def generic_polar_singularities_check(web: SymWeb, seed: int = 0, samples: int =
         A, B = a, -b
         if not inflexion_of_field(A, B).is_zero():
             return _foliation_polar_singularities(web, A, B, seed)
-    elif not (R := inflexion_curve(web)).is_zero():
+    elif (witness := inflexion_witness(web)) is not None:
         report = CheckReport("polar-singular-locus", seed=seed)
         _base_identity(report, web)
-        report.note(f"R = Res_(dx:dy)(W, W_x·W_dy - W_y·W_dx) ≢ 0, of degree {R.total_degree()}: a point off "
+        q, value = witness
+        report.note(f"R = Res_(dx:dy)(W, W_x·W_dy - W_y·W_dx) ≢ 0, R(q) = {value} at q = {q}: a point off "
                     "Δ(W) ∪ Sing(W) is singular on at most k polars with other centers, and only on R = 0")
         return report
     return _sampled_polar_singularities(web, seed, samples)
@@ -445,6 +448,34 @@ def inflexion_curve(web: SymWeb) -> MPoly:
         return E
     w, e = dehomogenize([web.form, E])
     return resultant(w, e, "dy")
+
+
+def inflexion_witness(web: SymWeb) -> tuple[AffinePoint, int] | None:
+    """An integer point q with R(q) ≠ 0 and the value, R of
+    `inflexion_curve`, or None when R ≡ 0.
+
+    R is never expanded when a witness turns up: at a point q of the small
+    grid where neither dy-leading coefficient of the dehomogenized forms w
+    and e vanishes, both keep their dy-degree, so Res_dy(w(q), e(q)), one
+    resultant of integer lists, is R(q).  When no point of {0, 1, -1}^2
+    gives a nonzero value, R itself decides: zero, or nonzero of total
+    degree n and then nonzero at a point of S^2, S the first n + 1 small
+    integers (N. Alon, Combinatorial Nullstellensatz, 1999)."""
+    E = inflexion_form(web)
+    if E.is_zero():
+        return None
+    w, e = dehomogenize([web.form, E])
+    cw, ce = w.coeffs_in("dy"), e.coeffs_in("dy")
+    for i, j in _small_grid(3):
+        point = {"x": i, "y": j}
+        a, b = [c.evaluate(point) for c in cw], [c.evaluate(point) for c in ce]
+        if a[-1] and b[-1] and (value := _int_prs_resultant(a, b)):
+            return AffinePoint.of(i, j), value
+    R = inflexion_curve(web)
+    if R.is_zero():
+        return None
+    return next((AffinePoint.of(i, j), v) for i, j in _small_grid(R.total_degree() + 1)
+                if (v := R.evaluate({"x": i, "y": j})))
 
 
 def inflexion_of_field(A: MPoly, B: MPoly) -> MPoly:

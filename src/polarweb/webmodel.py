@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import perm
 
 from .errors import DegenerateSampleError, PolynomialError, WebValidationError
 from .mpoly import (
     MPoly,
     _rekey,
+    _small_grid,
     discriminant_binary,
     binary_form_degree,
     gcd_fold,
@@ -24,6 +26,7 @@ from .mpoly import (
     try_exact_div,
 )
 from .solve import ZeroSet, common_zeros, univariate_root_split, vanishes_numerically
+from .zpoly import _distinct_binary_roots
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
@@ -86,7 +89,6 @@ class PlaneCurve:
     """Reduced affine plane curve; `raw` keeps multiplicities when an operation
     produces a non-reduced equation."""
 
-    defining: MPoly
     raw: MPoly
 
     def __init__(self, poly: MPoly):
@@ -96,7 +98,12 @@ class PlaneCurve:
         if extra:
             raise PolynomialError(f"curve equation involves {sorted(extra)}")
         self.raw = poly.canonical()
-        self.defining = squarefree_part(self.raw)
+
+    @cached_property
+    def defining(self) -> MPoly:
+        """The reduced equation, the square-free part of `raw`, taken on
+        first read: a check that reads only `raw` never pays for it."""
+        return squarefree_part(self.raw)
 
     @property
     def degree(self) -> int:
@@ -199,7 +206,25 @@ class SymWeb:
 
     @property
     def generically_squarefree(self) -> bool:
-        return not self.discriminant_form.is_zero()
+        """Whether W has no repeated factor over Q(x, y), decided by
+        witnesses without `discriminant_form`.
+
+        A point q where the integer binary form W(q; .) has k distinct roots
+        (dx : dy) is a witness: a repeated factor h^2 of W would give W(q; .)
+        the repeated root of h(q; .), or make it zero.  The binary
+        discriminant of the coefficients a_i(q) is a form of degree 2k - 2
+        in them, so when W has no repeated factor it is a nonzero polynomial
+        in q of degree at most (2k - 2)·D, D the largest degree of an a_i,
+        and it does not vanish on all of S^2 for |S| > (2k - 2)·D (N. Alon,
+        Combinatorial Nullstellensatz, 1999).  So the points of S^2 are
+        tried in order, S the first (2k - 2)·D + 1 small integers, and only
+        a form with a repeated factor reaches the end of the grid."""
+        if self.k == 1:
+            return True  # the discriminant of a linear form is the constant 1
+        coeffs = self.coefficients()
+        size = (2 * self.k - 2) * max(a.total_degree() for a in coeffs) + 1
+        return any(_distinct_binary_roots([a.evaluate({"x": i, "y": j}) for a in coeffs])
+                   for i, j in _small_grid(size))
 
     def __eq__(self, other):
         return isinstance(other, SymWeb) and self.form == other.form

@@ -68,6 +68,19 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     return [c // content for c in a]
 
 
+def _distinct_binary_roots(coeffs: list[int]) -> bool:
+    """Whether the binary form sum c_i u^(k-i) v^i, its ascending int list
+    c_0, ..., c_k, has k distinct roots (u : v) in P^1.  The top zeros are
+    its roots at (0 : 1), so at most one may be zero, and the rest must be
+    square-free: Res(p, p') != 0 for p = sum c_i t^i of degree 2 or more."""
+    p = list(coeffs)
+    while p and not p[-1]:
+        p.pop()
+    if len(coeffs) - len(p) > 1:
+        return False
+    return len(p) < 3 or _int_prs_resultant(p, _derivative(p)) != 0
+
+
 def _int_exact_quo(a: list[int], b: list[int]) -> list[int]:
     """a / b for ascending int lists with nonzero tops when b divides a in
     Z[x]; a remainder or a fractional quotient coefficient is a broken

@@ -236,9 +236,9 @@ def test_criterion_13_local_singularity_kit():
     """Classical fingerprints; Milnor relation on every germ; two delta routes
     agree on 100 random germs."""
     origin = (Fraction(0), Fraction(0))
-    cusp = fingerprint(CurveGerm.at_point(Y**2 - X**3, origin))
-    node = fingerprint(CurveGerm.at_point(X * Y, origin))
-    tac = fingerprint(CurveGerm.at_point(Y**2 - X**4, origin))
+    cusp = fingerprint(CurveGerm.at_point(PlaneCurve(Y**2 - X**3), origin))
+    node = fingerprint(CurveGerm.at_point(PlaneCurve(X * Y), origin))
+    tac = fingerprint(CurveGerm.at_point(PlaneCurve(Y**2 - X**4), origin))
     ok = cusp.key() == (2, 2, 1, 1, (2, 1, 1), (2,))
     ok = ok and node.key() == (2, 1, 2, 1, (2,), (1, 1))
     ok = ok and tac.key() == (2, 3, 2, 2, (2, 2), (2,))
@@ -253,7 +253,7 @@ def test_criterion_13_local_singularity_kit():
         attempts += 1
         poly = random_rational_germ(rng)
         try:
-            g = CurveGerm.at_point(poly, origin)
+            g = CurveGerm.at_point(PlaneCurve(poly), origin)
             if g.poly != poly.canonical():
                 continue
             fp = fingerprint(g)  # asserts both delta routes agree internally

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from battery import FOLIATIONS, X, Y
 from polarweb import (
@@ -31,7 +31,7 @@ ORIGIN = (Fraction(0), Fraction(0))
 
 
 def germ(poly: MPoly) -> CurveGerm:
-    return CurveGerm.at_point(poly, ORIGIN)
+    return CurveGerm.at_point(PlaneCurve(poly), ORIGIN)
 
 
 CUSP = germ(Y**2 - X**3)
@@ -52,7 +52,7 @@ class TestMultiplicity:
 
     def test_nonvanishing_rejected(self):
         with pytest.raises(PolynomialError):
-            CurveGerm.at_point(Y - X + 1, ORIGIN)
+            CurveGerm.at_point(PlaneCurve(Y - X + 1), ORIGIN)
 
 
 class TestIntersectionMultiplicity:
@@ -66,7 +66,7 @@ class TestIntersectionMultiplicity:
         assert intersection_multiplicity(Y**2 - X**3, Y) == 3
 
     def test_common_component_rejected(self):
-        with pytest.raises(PolynomialError):
+        with pytest.raises(PolynomialError, match="infinite intersection: germs share a component"):
             intersection_multiplicity(X * Y, X * (Y - X))
 
     @given(st.integers(1, 3), st.integers(1, 3))
@@ -96,6 +96,56 @@ class TestMilnor:
 
     def test_smooth(self):
         assert milnor_number(SMOOTH) == 0
+
+    def test_non_isolated_rejected(self):
+        # x^2*y is not reduced: f_x = 2xy and f_y = x^2 share x through the origin
+        with pytest.raises(PolynomialError, match="non-isolated singularity at the origin"):
+            milnor_number(CurveGerm({(2, 1): 1}, True))
+
+    def test_a_localsing_job_takes_one_square_free_part(self, tmp_path, monkeypatch):
+        # the curve is reduced once, when it is parsed, and the germ is its
+        # translate; gcd(f_x, f_y) is taken once, for the Milnor number
+        import sys
+
+        from polarweb import mpoly
+        from polarweb.cli import run_command
+
+        calls = {"squarefree_part": [], "poly_gcd": []}
+        for name in calls:
+            real = getattr(mpoly, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name].append(args)
+                return real(*args)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("polarweb") and module is not None:
+                    for key, value in list(vars(module).items()):
+                        if value is real:
+                            monkeypatch.setattr(module, key, counted)
+        path = tmp_path / "germ.txt"
+        path.write_text("type: curve\nf: ((y - 2*x)^2 - 3*x^4)*(y + x - x^2)\n")
+        code, text = run_command(["localsing", "--in", str(path), "--point", "0,0"])
+        assert code == 0, text
+        assert len(calls["squarefree_part"]) == 1
+        germ = CurveGerm.at_point(PlaneCurve(((Y - 2 * X) ** 2 - 3 * X**4) * (Y + X - X**2)), ORIGIN).poly
+        fx, fy = germ.derivative("x"), germ.derivative("y")
+        assert sum(1 for f, g in calls["poly_gcd"] if (f, g) == (fx, fy)) == 1
+
+    @given(st.integers(-2, 2), st.integers(-2, 2), st.lists(st.integers(-3, 3), min_size=6, max_size=6))
+    @settings(max_examples=20, deadline=None)
+    def test_germ_terms_match_the_square_free_part_of_the_translate(self, a, b, coeffs):
+        # at_point translates the reduced equation: the terms are those of the
+        # square-free part of the translated raw equation
+        from polarweb.mpoly import squarefree_part, translate
+
+        rest = sum((c * X**i * Y**j for (i, j), c in zip([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], coeffs)),
+                   MPoly.zero())
+        assume(not rest.is_zero())
+        f = (Y - a * X - b) ** 2 * rest  # the squared line passes through the point
+        point = (Fraction(1, 2), Fraction(a, 2) + b)
+        expected = squarefree_part(translate(f, point))
+        assert CurveGerm.at_point(PlaneCurve(f), point).poly == expected
 
 
 class TestBlowUp:

@@ -28,7 +28,7 @@ from polarweb import (
 from polarweb import polarops
 from polarweb.cli import run_command
 from polarweb.errors import DegenerateSampleError, InternalInvariantError, WebValidationError
-from polarweb.mpoly import _content_in, _rekey, _small_integers, shear
+from polarweb.mpoly import _content_in, _rekey, _small_integers, dehomogenize, shear
 from polarweb.polarops import (
     _absolute_factor_count,
     _gao_rows,
@@ -405,13 +405,16 @@ class TestSingularLocus:
         assert all(a.name.startswith("Sing(P_p) ⊆") for a in report.assertions)
 
     def test_web_is_an_identity(self):
-        # R ≢ 0 on the sqrt web: no sample, the identity and R's degree
+        # R ≢ 0 on the sqrt web: no sample, the identity and a nonzero value of
+        # R; after the shear dx -> dx + dy, R = 4x vanishes at (0, 0), (0, 1),
+        # (0, -1) and w's dy-leading coefficient 1 - x at (1, 0), (1, 1), (1, -1)
         report = generic_polar_singularities_check(w_sqrt, seed=6, samples=4)
         assert [(a.name, a.passed) for a in report.assertions] == [(BASE_IDENTITY, True)]
         assert report.samples_used == 0
-        assert report.notes == ["R = Res_(dx:dy)(W, W_x·W_dy - W_y·W_dx) ≢ 0, of degree 1: a point off "
-                                "Δ(W) ∪ Sing(W) is singular on at most k polars with other centers, "
+        assert report.notes == ["R = Res_(dx:dy)(W, W_x·W_dy - W_y·W_dx) ≢ 0, R(q) = -4 at q = (-1, 0): a point "
+                                "off Δ(W) ∪ Sing(W) is singular on at most k polars with other centers, "
                                 "and only on R = 0"]
+        assert inflexion_curve(w_sqrt) == 4 * X
 
     def test_web_of_lines_is_sampled(self):
         # R ≡ 0 for dx*dy: the sampled path decides it
@@ -592,6 +595,54 @@ class TestInflexionCurve:
             assert not inflexion_curve(web).is_zero()
             report = polarops._sampled_polar_singularities(web, seed, 4)
             assert report.passed and report.samples_used == 4, report.render_text()
+
+    @given(small_webs())
+    @settings(max_examples=25, deadline=None)
+    def test_the_witness_is_a_value_of_r(self, drawn):
+        web = web_of(*drawn)
+        R = inflexion_curve(web)
+        witness = polarops.inflexion_witness(web)
+        assert (witness is None) == R.is_zero()
+        if witness is not None:
+            q, value = witness
+            assert value != 0 and R.evaluate(q.as_dict()) == value
+
+    def test_a_planted_vanishing_leading_coefficient(self, monkeypatch):
+        # no shear is needed, so w's dy-leading coefficient is a_2 = x, zero at
+        # the first three grid points; the witness is a later point, and R is
+        # never expanded
+        web = SymWeb(X * DY**2 + DX * DY + (Y + 1) * DX**2)
+        w, _ = dehomogenize([web.form, polarops.inflexion_form(web)])
+        assert [w.coeffs_in("dy")[-1].evaluate({"x": 0, "y": j}) for j in (0, 1, -1)] == [0, 0, 0]
+        R = inflexion_curve(web)
+
+        def refused(web):
+            raise AssertionError("R expanded although a witness exists")
+
+        monkeypatch.setattr(polarops, "inflexion_curve", refused)
+        q, value = polarops.inflexion_witness(web)
+        assert q.a != 0 and value == R.evaluate(q.as_dict()) != 0
+        report = generic_polar_singularities_check(web, seed=6, samples=4)
+        assert report.passed and report.samples_used == 0
+        assert report.notes[0].startswith(f"R = Res_(dx:dy)(W, W_x·W_dy - W_y·W_dx) ≢ 0, R(q) = {value} at q = {q}:")
+
+    def test_r_is_expanded_only_without_a_small_witness(self, monkeypatch):
+        # R = 36x^7 - 60x^5 + 28x^3 - 4x vanishes on the columns x = 0, 1, -1
+        # of {0, 1, -1}^2, so R is expanded once and q is found on its grid
+        web = SymWeb(DY**2 - (X**3 - X) * DX**2)
+        calls, real = [], polarops.inflexion_curve
+        monkeypatch.setattr(polarops, "inflexion_curve", lambda w: calls.append(w) or real(w))
+        q, value = polarops.inflexion_witness(web)
+        assert len(calls) == 1 and calls[0] is web
+        assert (q, value) == (AffinePoint.of(2, 0), 2904) == (q, real(web).evaluate(q.as_dict()))
+
+    @pytest.mark.parametrize("entry", [e for e in BATTERY if e.web.k >= 2 and e not in R_NONZERO],
+                             ids=lambda e: e.name)
+    def test_webs_with_r_zero_are_sampled(self, entry):
+        assert polarops.inflexion_witness(entry.web) is None
+        report = generic_polar_singularities_check(entry.web, seed=6, samples=4)
+        assert report.passed and report.samples_used == 4, report.render_text()
+        assert all(a.name.startswith("Sing(P_p) ⊆") for a in report.assertions)
 
     def test_a_web_job_finds_no_common_zeros(self, tmp_path, monkeypatch):
         # the work count of a 2-web sing-locus job: no polar, no zero set

@@ -77,6 +77,57 @@ class TestSuperpose:
                 assert web_degree(s.web) == web_degree(e1.web) + web_degree(e2.web)
 
 
+class TestSquarefreeWitness:
+    # generically_squarefree is decided by integer forms W(q; .), never by
+    # the (dx:dy)-discriminant, which only its evaluators build
+
+    @staticmethod
+    def counting_discriminants(monkeypatch) -> list:
+        from polarweb import mpoly, webmodel
+
+        calls, real = [], mpoly.discriminant_binary
+        monkeypatch.setattr(webmodel, "discriminant_binary", lambda f: calls.append(1) or real(f))
+        return calls
+
+    def test_parsing_a_2_web_takes_no_discriminant(self, monkeypatch):
+        from polarweb.parsing import parse_input_text
+
+        calls = self.counting_discriminants(monkeypatch)
+        web, warnings = parse_input_text("type: web\nform: (x^2 - y)*dx^2 + (x*y - 1)*dx*dy + (y^2 - x + 2)*dy^2\n")
+        assert web.generically_squarefree and warnings == []
+        assert calls == []
+
+    def test_a_repeated_factor_still_warns(self, monkeypatch):
+        from polarweb.parsing import parse_input_text
+
+        calls = self.counting_discriminants(monkeypatch)
+        _, warnings = parse_input_text("type: web\nform: (dy - x*dx)^2*(dx + y*dy)\n")
+        assert warnings == ["form is not generically square-free (repeated local factor)"]
+        assert superpose(w_sqrt, w_sqrt).squarefree_warning
+        # a double root at (dx : dy) = (0 : 1), at every point
+        assert not SymWeb(DX**2 * (X * DX + DY)).generically_squarefree
+        assert superpose(w_circles, SymWeb((X * DX + Y * DY) * (2 * X * DX + 2 * Y * DY + DX))).squarefree_warning
+        assert calls == []
+
+    @given(st.integers(2, 4), st.booleans(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_agrees_with_the_discriminant(self, k, square, data):
+        # with `square`, a planted repeated linear factor
+        monomials = [(i, j) for i in range(3) for j in range(3 - i)]
+        coefficient = st.lists(st.integers(-2, 2), min_size=len(monomials), max_size=len(monomials))
+
+        def form(degree):
+            return sum((c * X**i * Y**j * DX ** (degree - n) * DY**n for n in range(degree + 1)
+                        for (i, j), c in zip(monomials, data.draw(coefficient))), MPoly.zero())
+
+        W = form(k - 2) * form(1) ** 2 if square else form(k)
+        try:
+            web = SymWeb(W)
+        except WebValidationError:
+            assume(False)
+        assert web.generically_squarefree == (not web.discriminant_form.is_zero())
+
+
 def random_line_degree(web: SymWeb, seed: int = 0, lines: int = 3, max_rounds: int = 50) -> int:
     """Reference: the web degree estimated on seeded random rational lines, as
     it was computed before the exact symbolic line.  All non-degenerate lines
