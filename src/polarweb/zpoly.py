@@ -103,8 +103,12 @@ def _int_exact_quo(a: list[int], b: list[int]) -> list[int]:
 
 def _int_prs_resultant(a: list[int], b: list[int]) -> int:
     """Res(a, b) of ascending int lists with nonzero tops and positive
-    degrees, by the subresultant PRS; every division in it is exact."""
+    degrees, by the subresultant PRS; every division in it is exact.  A zero
+    top or a degree below 1 is a broken invariant of the caller: the PRS
+    would read other degrees and return a wrong value without an error."""
     m, n = len(a) - 1, len(b) - 1
+    if m < 1 or n < 1 or not (a[-1] and b[-1]):
+        raise InternalInvariantError("resultant of integer lists needs nonzero tops and positive degrees")
     sign = 1
     if m < n:
         a, b = b, a

@@ -28,7 +28,7 @@ from polarweb import (
 from polarweb import polarops
 from polarweb.cli import run_command
 from polarweb.errors import DegenerateSampleError, InternalInvariantError, WebValidationError
-from polarweb.mpoly import _content_in, _rekey, _small_integers, dehomogenize, shear
+from polarweb.mpoly import _content_in, _rekey, _small_integers, dehomogenize, shear, squarefree_part
 from polarweb.polarops import (
     _absolute_factor_count,
     _gao_rows,
@@ -846,6 +846,46 @@ class TestIrreducibilityWork:
         assert report.passed, report.render_text()
 
 
+def _box_rows(fs: MPoly) -> list[dict]:
+    """The Gao-Ruppert matrix over the whole box, deg g <= (m-1, n) and
+    deg h <= (m, n-1) with no bound on the total degree: the reference for
+    `_gao_rows`, which keeps only the unknowns of total degree below deg fs."""
+    terms = [(i, j, int(c)) for (i, j), c in _rekey(fs.canonical(), ("x", "y")).items()]
+    m = max(i for i, _, _ in terms)
+    n = max(j for _, j, _ in terms)
+    rows = []
+    for a in range(m):
+        for b in range(n + 1):
+            rows.append({(i + a + j + b - 1, i + a): c * (b - j) for i, j, c in terms if b != j})
+    for a in range(m + 1):
+        for b in range(n):
+            rows.append({(i + a - 1 + j + b, i + a - 1): c * (i - a) for i, j, c in terms if i != a})
+    return rows
+
+
+def _y_primitive_shear(f: MPoly) -> MPoly:
+    """f after the first shear of `_absolute_factor_count`'s search."""
+    return next(fs for fs in (shear(f, lam) for lam in _small_integers())
+                if _content_in(fs, "y").is_constant())
+
+
+@st.composite
+def plane_factors(draw):
+    """A line, a pair of conjugate lines L1^2 - d*L2^2 (d = 2, 3 or -1, as in
+    x^2 - 2y^2 and x^2 + y^2) or a dense conic, coefficients in [-3, 3]."""
+    small = st.integers(-3, 3)
+
+    def linear():
+        return draw(small) * X + draw(small) * Y + draw(small)
+
+    kind = draw(st.sampled_from(["line", "pair", "conic"]))
+    if kind == "line":
+        return linear()
+    if kind == "pair":
+        return linear() ** 2 - draw(st.sampled_from([2, 3, -1])) * linear() ** 2
+    return sum((draw(small) * X**i * Y**j for i, j in QUADRATIC_MONOMIALS), MPoly.zero())
+
+
 def _line(a, b, c):
     """Key of the line a*x + b*y + c = 0, the same for proportional triples."""
     g = math.gcd(a, b, c)
@@ -877,6 +917,29 @@ class TestAbsoluteFactorCount:
             f = f * (a * X + b * Y + c)
         assert _absolute_factor_count(f) == len(lines)
 
+    @given(st.lists(plane_factors(), min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_the_triangle_counts_as_the_box(self, factors):
+        f = MPoly.constant(1)
+        for factor in factors:
+            f = f * factor
+        assume(f.total_degree() >= 1)
+        f = squarefree_part(f)
+        fs = _y_primitive_shear(f)
+        triangle, box = _gao_rows(fs), _box_rows(fs)
+        assert len(triangle) <= len(box)
+        count = len(triangle) - _integer_rank(triangle)
+        assert count == len(box) - _integer_rank(box) == _absolute_factor_count(f)
+
+    @pytest.mark.parametrize("name", ["circle pencil x*dx+y*dy", "quasi-radial perturbation"])
+    def test_a_polar_of_bidegree_n_n_has_n_n_plus_1_rows(self, name):
+        # the triangle keeps half of the box's 2N(N + 1) unknowns
+        f = polar_curve(next(e.web for e in BATTERY if e.name == name), AffinePoint.of(3, -2)).defining
+        N = f.total_degree()
+        assert (f.degree_in("x"), f.degree_in("y")) == (N, N)
+        fs = _y_primitive_shear(f)
+        assert (len(_gao_rows(fs)), len(_box_rows(fs))) == (N * (N + 1), 2 * N * (N + 1))
+
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
     def test_rank_mod_p_is_the_rank_over_q_on_battery_polars(self, entry):
         for p in (AffinePoint.of(3, -2), AffinePoint.of(Fraction(5, 7), Fraction(-4, 3))):
@@ -884,17 +947,24 @@ class TestAbsoluteFactorCount:
             if isinstance(curve, RadialProduct) or curve.defining.total_degree() <= 0:
                 continue
             f = curve.defining
-            fs = next(fs for fs in (shear(f, lam) for lam in _small_integers())
-                      if _content_in(fs, "y").is_constant())
+            fs = _y_primitive_shear(f)
             rows = _gao_rows(fs)
             count_mod_p = len(rows) - sum(_independent_mod_p(rows))
             assert count_mod_p == len(rows) - _integer_rank(rows) == _absolute_factor_count(f)
 
+    EIGHT_WEB = DX * (X * DX + Y * DY) * (DX**2 - DY**2) * (DX**2 - 4 * DY**2) * (DX**2 - 9 * DY**2)
+
     def test_polar_of_the_eight_web(self):
-        form = DX * (X * DX + Y * DY)
-        for m in (1, 2, 3):
-            form = form * (DX - m * DY) * (DX + m * DY)
-        assert curve_component_count(polar_curve(SymWeb(form), AffinePoint.of(3, -2))) == 8
+        assert curve_component_count(polar_curve(SymWeb(self.EIGHT_WEB), AffinePoint.of(3, -2))) == 8
+
+    def test_polar_of_the_eight_web_at_a_large_denominator_center(self):
+        # a cleared polar with 70-bit coefficients that needs the shear
+        # lam = 4; under 1 s on the triangle, and the rows of the whole box
+        # (7-9 s) miss the bound
+        curve = polar_curve(SymWeb(self.EIGHT_WEB), AffinePoint.of(Fraction(-1, 49), Fraction(7, 6)))
+        start = time.perf_counter()
+        assert curve_component_count(curve) == 8
+        assert time.perf_counter() - start < 5
 
     def test_two_web_with_a_degenerate_line(self):
         # a line through (1, 0), where every coefficient vanishes, used to

@@ -1,6 +1,7 @@
-"""The integer kernel: Yun's decomposition, the exact root test and the
-ranks of sparse integer matrices, all on `int` data; and the rule that
-`zpoly` imports nothing from the package but `.errors`."""
+"""The integer kernel: Yun's decomposition, the exact root test, the PRS
+resultant's refusals and the ranks of sparse integer matrices, all on `int`
+data; and the rule that `zpoly` imports nothing from the package but
+`.errors`."""
 
 import ast
 from fractions import Fraction
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from polarweb import MPoly
 from polarweb import zpoly
 from polarweb.mpoly import _from_int_coeffs, _int_coeffs, exact_div, poly_gcd
-from polarweb.zpoly import _CERT_PRIME, _independent_mod_p, _integer_rank, _vanishes_at, _yun
+from polarweb.errors import InternalInvariantError
+from polarweb.zpoly import _CERT_PRIME, _independent_mod_p, _int_prs_resultant, _integer_rank, _vanishes_at, _yun
 from test_solve import from_list, planted, roots
 
 x = MPoly.variable("x")
@@ -166,6 +168,17 @@ class TestRank:
             rnd.shuffle(items)
             relabelled.append(dict(items))
         assert list(_independent_mod_p(relabelled)) == list(_independent_mod_p(rows))
+
+
+class TestPrsResultant:
+    # with a zero top the PRS reads other degrees and returns a wrong value
+    # (0 for the first pair, where Res = 2), and a constant has no PRS: the
+    # lists are refused
+    @pytest.mark.parametrize("a, b", [([1, 0, 1], [1, 1, 0]), ([1, 1, 0], [1, 0, 1]), ([2, 0, 0], [1, 1]),
+                                      ([3], [1, 1]), ([1, 0, 1], [5]), ([], [1, 1])])
+    def test_a_zero_top_or_a_constant_is_a_broken_invariant(self, a, b):
+        with pytest.raises(InternalInvariantError):
+            _int_prs_resultant(a, b)
 
 
 def test_imports_nothing_from_the_package_but_errors():
