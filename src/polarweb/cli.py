@@ -54,6 +54,7 @@ from .polarops import (
     family_dimension_check,
     generic_polar_irreducible,
     generic_polar_singularities_check,
+    linear_identity,
     polar_curve,
     polar_degree_check,
     polar_equality_criterion,
@@ -189,7 +190,7 @@ CHECKS = {
     "irreducible": (_as_web, lambda w, s, n: generic_polar_irreducible(w, s, min(n, 5))),
     "inflexion-lemma": (_as_foliation, lambda f, s, n: inflexion_lemma_check(f, s, n)),
     "sing-in-E": (_as_foliation, lambda f, s, n: polar_sing_in_inflexion_check(f, s)),
-    "qr-dichotomy": (_as_foliation, lambda f, s, n: _dichotomy_all_singularities(f, s, n)),
+    "qr-dichotomy": (_as_foliation, lambda f, s, n: _dichotomy_all_singularities(f, s)),
     "qr-bound": (_as_foliation, lambda f, s, n: quasi_radial_bound_check(f, s, min(n, 5))),
     "equising": (_as_foliation, lambda f, s, n: equisingularity_check(f, s, min(n, 10))),
     "genus-constant": (_as_foliation, lambda f, s, n: genus_constancy_check(f, s, min(n, 5))),
@@ -369,24 +370,19 @@ def _equality_check(web: SymWeb, seed: int, rounds: int) -> CheckReport:
     return report
 
 
-def _dichotomy_all_singularities(fol: FoliationData, seed: int, samples: int) -> CheckReport:
+def _dichotomy_all_singularities(fol: FoliationData, seed: int) -> CheckReport:
+    """The tangent-cone dichotomy at every affine singular point, from the
+    one identity of `tangent_cone_dichotomy`'s proof; no sample."""
+    report = CheckReport("qr-dichotomy", seed=seed)
+    linear_identity(report, fol.as_web, fol.A, fol.B)
     sing = singular_set(fol.as_web)
-    total_points = len(sing.points) + len(sing.numeric_points)
-    per_point = max(samples // max(total_points, 1), 1)
-    merged = CheckReport("qr-dichotomy", seed=seed, samples_requested=per_point * total_points)
     if sing.is_empty():
-        merged.add("singular set", True, "foliation has no affine singular points; nothing to check")
-        return merged
-    checks = [(tangent_cone_dichotomy, q) for q in sing.points]
-    checks += [(tangent_cone_dichotomy_numeric, q) for q in sing.numeric_points]
-    for check, q in checks:
-        sub = check(fol, q, seed, per_point)
-        merged.assertions.extend(sub.assertions)
-        merged.notes.extend(sub.notes)
-        merged.discards.extend(sub.discards)
-        merged.certificates.update(sub.certificates)
-        merged.samples_used += sub.samples_used
-    return merged
+        report.note("the foliation has no affine singular points")
+    for q in sing.points:
+        tangent_cone_dichotomy(report, fol, q)
+    for q in sing.numeric_points:
+        tangent_cone_dichotomy_numeric(report, fol, q)
+    return report
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,7 +3,7 @@
 A foliation is the k = 1 web of a vector field A d/dx + B d/dy with coprime
 polynomial components.  This module computes the inflexion divisor, classifies
 singular points as quasi-radial or not through the first nonzero jet pair,
-verifies the tangent-cone dichotomy of the polar at singular points, proves the
+proves the tangent-cone dichotomy of the polar at singular points, the
 inflexion-at-center equivalence and the containment of every polar's singular
 points in the inflexion divisor by exact identities in the center of the
 polar family, and computes the class of a curve (degree of its dual) to bound
@@ -13,22 +13,19 @@ the number of quasi-radial singularities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InternalInvariantError, PolynomialError, WebValidationError
 from .mpoly import (
     MPoly,
-    divisibility_multiplicity,
     exact_div,
+    format_mpoly,
     jet_decompose,
     poly_gcd,
     proper_shears,
     resultant,
     shear,
-    try_exact_div,
 )
-from .localsing import cp_clean, cp_from_mpoly, cp_norm, cp_translate
-from .numerics import univariate_roots
+from .localsing import CLEAN_TOL, cp_clean, cp_from_mpoly, cp_norm, cp_translate
 from .polarops import (
     A_VAR, B_VAR, RadialProduct, _proportionality, inflexion_of_field, linear_identity,
     polar_curve, polar_family,
@@ -39,6 +36,9 @@ from .webmodel import DX, DY, AffinePoint, PlaneCurve, SymWeb, singular_set, web
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
+
+# relative size of y*A_k - x*B_k below which a numeric point is quasi-radial
+QUASI_RADIAL_TOL = 1e-7
 
 
 @dataclass
@@ -121,6 +121,7 @@ class SingularityClass:
     quasi_radial: bool
     radial_cofactor: MPoly | None
     exact: bool
+    criterion: MPoly | None = None  # y*A_k - x*B_k at a rational point
 
     def __str__(self):
         kind = "quasi-radial" if self.quasi_radial else "not quasi-radial"
@@ -135,23 +136,30 @@ def classify_singularity(fol: FoliationData, q: AffinePoint) -> SingularityClass
         raise PolynomialError(f"{q} is not a singular point of the foliation")
     ja = jet_decompose(fol.A, ("x", "y"), (q.a, q.b))
     jb = jet_decompose(fol.B, ("x", "y"), (q.a, q.b))
-    orders = sorted(set(ja) | set(jb))
-    k = next(o for o in orders if o in ja or o in jb)
+    k = min(ja.keys() | jb.keys())
     ak = ja.get(k, MPoly.zero())
     bk = jb.get(k, MPoly.zero())
     crit = Y * ak - X * bk
     if not crit.is_zero():
-        return SingularityClass(q, k, False, None, True)
+        return SingularityClass(q, k, False, None, True, crit)
     cofactor = exact_div(ak, X) if not ak.is_zero() else exact_div(bk, Y)
     if ak != X * cofactor or bk != Y * cofactor:
         raise InternalInvariantError("quasi-radial cofactor extraction failed")
-    return SingularityClass(q, k, True, cofactor, True)
+    return SingularityClass(q, k, True, cofactor, True, crit)
+
+
+def certify_classification(report: CheckReport) -> None:
+    """Certify the tolerances `classify_singularity_numeric` reads."""
+    report.certify("jet_clean_tolerance", CLEAN_TOL)
+    report.certify("quasi_radial_tolerance", QUASI_RADIAL_TOL)
 
 
 def classify_singularity_numeric(
     fol: FoliationData, q: tuple[complex, complex]
 ) -> SingularityClass:
-    """Jet-pair criterion at a non-rational singular point, with tolerances.
+    """Jet-pair criterion at a non-rational singular point, with tolerances:
+    the jets are cleaned at CLEAN_TOL, and the point is quasi-radial when
+    y*A_k - x*B_k is within QUASI_RADIAL_TOL of zero relative to the jets.
     A and B are scaled by one norm: the criterion compares their jets."""
     ta = cp_translate(cp_from_mpoly(fol.A), q[0], q[1])
     tb = cp_translate(cp_from_mpoly(fol.B), q[0], q[1])
@@ -171,7 +179,7 @@ def classify_singularity_numeric(
     for (i, j), c in bk.items():
         crit[(i + 1, j)] = crit.get((i + 1, j), 0j) - c
     scale = max(cp_norm(ak), cp_norm(bk))
-    qr = cp_norm(crit) <= 1e-7 * scale
+    qr = cp_norm(crit) <= QUASI_RADIAL_TOL * scale
     return SingularityClass(q, k, qr, None, False)
 
 
@@ -180,99 +188,52 @@ def classify_singularity_numeric(
 # ---------------------------------------------------------------------------
 
 
-def line_multiplicity_in_cone(cone: MPoly, a1: Fraction, b1: Fraction) -> int:
-    """Multiplicity of the line b1*x - a1*y in a homogeneous cone (exact)."""
-    line = MPoly.constant(b1) * X - MPoly.constant(a1) * Y
-    return divisibility_multiplicity(cone, line)
+def _dichotomy_note(report: CheckReport, where: str, cls: SingularityClass, tail: str) -> int:
+    """Note which case of the dichotomy holds at q and which centers it
+    excludes; return the multiplicity of the line pq in the tangent cone of
+    P_p at q for the other centers."""
+    k = cls.first_jet_order
+    if cls.quasi_radial:
+        mult, claim = 1, f"line pq is a simple tangent of P_p at q for p ≠ q off Q(p - q) = 0, Q = A_{k}/x = B_{k}/y"
+    else:
+        mult, claim = 0, f"line pq is not tangent to P_p at q for p ≠ q off T(p - q) = 0, T = y·A_{k} - x·B_{k}"
+    report.note(f"singular point {where}: {cls}: {claim}{tail}")
+    return mult
 
 
-def tangent_cone_dichotomy(
-    fol: FoliationData, q: AffinePoint, seed: int = 0, samples: int = 20
-) -> CheckReport:
-    """Line through center and singular point divides the polar's tangent cone
-    exactly once for quasi-radial singularities, never otherwise."""
-    report = CheckReport("qr-dichotomy", seed=seed, samples_requested=samples)
+def tangent_cone_dichotomy(report: CheckReport, fol: FoliationData, q: AffinePoint) -> tuple[int, MPoly]:
+    """The tangent-cone dichotomy at a rational singular point q, for every
+    center p off finitely many lines through q at once.
+
+    By `linear_identity`, P_p = c·(A·(y - b) - B·(x - a)).  In x = x_q + s,
+    y = y_q + t, with c1 = y_q - b and c2 = x_q - a, that is
+    c·(c1·A - c2·B + t·A - s·B).  With k the first jet order at q, the part
+    of degree k of P_p at q is c·(c1·A_k - c2·B_k), and the line pq, of
+    direction (c2, c1), is c1·s - c2·t = 0.
+    - Quasi-radial q: A_k = s·Q and B_k = t·Q, so that part is
+      c·(c1·s - c2·t)·Q, nonzero for p != q: the tangent cone, in which pq
+      is a simple line unless Q(c2, c1) = 0.
+    - Any other q: c1·A_k - c2·B_k takes at (c2, c1) the value T(c2, c1) of
+      T = t·A_k - s·B_k, the classification's nonzero criterion of degree
+      k + 1.  Where that value is not 0, c1·A_k - c2·B_k is the tangent cone
+      and pq is not one of its lines.
+    Q and T are forms, so they vanish at (c2, c1) exactly when at p - q: the
+    excluded centers are q and the lines through q in the root directions of
+    Q or T, among them every center whose polar vanishes identically.
+
+    Notes the case at q (s, t written x, y); returns the multiplicity of pq
+    in the cone off the excluded centers, and Q or T."""
     cls = classify_singularity(fol, q)
-    report.note(f"singular point {q}: {cls}")
-    ja = jet_decompose(fol.A, ("x", "y"), (q.a, q.b))
-    jb = jet_decompose(fol.B, ("x", "y"), (q.a, q.b))
-    ak = ja.get(cls.first_jet_order, MPoly.zero())
-    bk = jb.get(cls.first_jet_order, MPoly.zero())
-
-    def admissible(p):
-        if p == q:
-            return None, "center equals the singular point"
-        curve = fol.polar(p)
-        if isinstance(curve, RadialProduct):
-            return None, "polar degenerates"
-        a1, b1 = p.a - q.a, p.b - q.b
-        if not cls.quasi_radial:
-            val = (
-                Fraction(b1) * ak.evaluate({v: (a1 if v == "x" else b1) for v in ak.variables})
-                - Fraction(a1) * bk.evaluate({v: (a1 if v == "x" else b1) for v in bk.variables})
-            )
-            if val == 0:
-                return None, "center on the measure-zero containment locus"
-        else:
-            line = MPoly.constant(b1) * X - MPoly.constant(a1) * Y
-            if try_exact_div(cls.radial_cofactor, line) is not None:
-                return None, "line through p and q divides the radial cofactor"
-        return curve, None
-
-    for _, p, curve in sample_centers(report, GenericSampler(seed), samples, admissible):
-        jets = jet_decompose(curve.raw, ("x", "y"), (q.a, q.b))
-        order = min(jets)
-        cone = jets[order]
-        if order != cls.first_jet_order:
-            report.note(f"cone at order {order} (deeper than the first jet order {cls.first_jet_order})")
-        mult = line_multiplicity_in_cone(cone, p.a - q.a, p.b - q.b)
-        expected = 1 if cls.quasi_radial else 0
-        report.add(
-            f"line-pq multiplicity at p={p}",
-            mult == expected,
-            f"multiplicity {mult}, expected {expected}",
-        )
-    return report
+    form = cls.radial_cofactor if cls.quasi_radial else cls.criterion
+    return _dichotomy_note(report, str(q), cls, f" = {format_mpoly(form)}"), form
 
 
-def tangent_cone_dichotomy_numeric(
-    fol: FoliationData, q: tuple[complex, complex], seed: int = 0, samples: int = 20
-) -> CheckReport:
-    """Dichotomy at a non-rational singular point: cone-root counting with
-    clustering replaces exact line division."""
-    report = CheckReport("qr-dichotomy-numeric", seed=seed, samples_requested=samples)
+def tangent_cone_dichotomy_numeric(report: CheckReport, fol: FoliationData, q: tuple[complex, complex]) -> int:
+    """`tangent_cone_dichotomy` at an irrational singular point: the same
+    argument from a numeric classification, whose tolerances are certified."""
+    certify_classification(report)
     cls = classify_singularity_numeric(fol, q)
-    report.note(f"singular point ({q[0]:.6g}, {q[1]:.6g}): {cls}")
-
-    def admissible(p):
-        curve = fol.polar(p)
-        if isinstance(curve, RadialProduct):
-            return None, "polar degenerates"
-        return curve, None
-
-    for _, p, curve in sample_centers(report, GenericSampler(seed), samples, admissible):
-        cp = cp_clean(cp_translate(cp_from_mpoly(curve.raw), q[0], q[1]))
-        order = min(i + j for i, j in cp)
-        cone = {e: c for e, c in cp.items() if e[0] + e[1] == order}
-        u = [0j] * (order + 1)
-        for (i, j), c in cone.items():
-            u[j] = c
-        slope = (complex(p.b) - q[1]) / (complex(p.a) - q[0])
-        top = next((j for j in range(order, -1, -1) if abs(u[j]) > 0), 0)
-        mult = 0
-        if top > 0:
-            roots = univariate_roots(u[: top + 1])
-            scale = 1.0 + max(abs(r) for r in roots) + abs(slope)
-            mult = sum(1 for r in roots if abs(r - slope) < 1e-6 * scale)
-        expected = 1 if cls.quasi_radial else 0
-        report.add(
-            f"line-pq multiplicity at p={p}",
-            mult == expected,
-            f"multiplicity {mult}, expected {expected} (cone order {order})",
-            exact=False,
-        )
-    report.certify("cone_root_match_tolerance", 1e-6)
-    return report
+    return _dichotomy_note(report, f"({q[0]:.6g}, {q[1]:.6g})", cls, " [numeric]")
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +351,14 @@ def class_of_curve(curve: PlaneCurve) -> int:
     has x-degree at most n(n - 1), the class of a smooth curve.  So once
     one node value reaches n(n - 1) and the running gcd of the values is
     constant, the class is n(n - 1) whatever the other nodes give: a smooth
-    curve takes two resultants, a singular one takes them all."""
-    if curve.raw != curve.defining:
-        raise PolynomialError("class_of_curve needs a reduced curve")
-    F = curve.defining
+    curve takes two resultants, a singular one takes them all.
+
+    F itself is read, never its square-free part: every node value vanishes
+    exactly when F is not reduced.  A repeated factor of F divides F_x, F_y,
+    so every G, and it keeps a positive y-degree after the shear.  For
+    reduced F, gcd(F, F_x, F_y) = 1, so R is not zero, nor, as the nodes are
+    unisolvent, is every node value."""
+    F = curve.raw
     n = F.total_degree()
     if n < 2:
         raise PolynomialError("class of a line (degree < 2) is not defined here")
@@ -414,6 +379,8 @@ def class_of_curve(curve: PlaneCurve) -> int:
                 common = poly_gcd(common, r)
             if top == bound and common.is_constant():
                 return bound
+    if common is None:
+        raise PolynomialError("class_of_curve needs a reduced curve")
     return top - common.degree_in("x")
 
 
@@ -425,21 +392,9 @@ def class_of_curve(curve: PlaneCurve) -> int:
 def count_quasi_radial(fol: FoliationData) -> tuple[int, list[str], bool]:
     """(#quasi-radial singular points, descriptions, all-exact flag)."""
     sing = singular_set(fol.as_web)
-    count = 0
-    descriptions = []
-    exact = True
-    for q in sing.points:
-        cls = classify_singularity(fol, q)
-        if cls.quasi_radial:
-            count += 1
-        descriptions.append(f"{q}: {cls}")
-    for q in sing.numeric_points:
-        cls = classify_singularity_numeric(fol, q)
-        exact = False
-        if cls.quasi_radial:
-            count += 1
-        descriptions.append(f"({q[0]:.5g},{q[1]:.5g}): {cls}")
-    return count, descriptions, exact
+    classes = [(str(q), classify_singularity(fol, q)) for q in sing.points]
+    classes += [(f"({q[0]:.5g},{q[1]:.5g})", classify_singularity_numeric(fol, q)) for q in sing.numeric_points]
+    return sum(c.quasi_radial for _, c in classes), [f"{w}: {c}" for w, c in classes], not sing.numeric_points
 
 
 def quasi_radial_bound_check(fol: FoliationData, seed: int = 0, samples: int = 5) -> CheckReport:
@@ -452,14 +407,19 @@ def quasi_radial_bound_check(fol: FoliationData, seed: int = 0, samples: int = 5
     qr, descriptions, exact = count_quasi_radial(fol)
     for d in descriptions:
         report.note(d)
+    if not exact:
+        certify_classification(report)
 
     def admissible(p):
         curve = fol.polar(p)
         if isinstance(curve, RadialProduct):
             return None, "polar degenerates"
-        if curve.raw != curve.defining:
+        # E ≢ 0, so the polar has degree at least 2, and the class refuses
+        # only a polar that is not reduced
+        try:
+            return class_of_curve(curve), None
+        except PolynomialError:
             return None, "polar not reduced"
-        return class_of_curve(curve), None
 
     for _, p, cls in sample_centers(report, GenericSampler(seed), samples, admissible):
         report.add(

@@ -525,18 +525,6 @@ def exact_div(f: MPoly, g: MPoly) -> MPoly:
     return q
 
 
-def divisibility_multiplicity(f: MPoly, g: MPoly) -> int:
-    """Largest m with g^m | f (f nonzero), up to 64."""
-    if f.is_zero():
-        raise PolynomialError("multiplicity of factor in zero polynomial")
-    for m in range(64):
-        q = try_exact_div(f, g)
-        if q is None:
-            return m
-        f = q
-    raise PolynomialError("divisibility multiplicity exceeded cap")
-
-
 def _prem(a: MPoly, b: MPoly, var: str) -> MPoly:
     """Pseudo-remainder of a by b in var: lc(b)^(da-db+1) * a mod b."""
     db = b.degree_in(var)

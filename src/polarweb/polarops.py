@@ -580,12 +580,29 @@ def _gao_rows(fs: MPoly) -> list[dict]:
 
 
 def _absolute_factor_count(f: MPoly) -> int:
-    """Number of absolutely irreducible factors of a square-free f in (x, y).
+    """Number of absolutely irreducible factors of a square-free f in (x, y):
+    `_gao_count` of f sheared by x -> x + lam*y for the first lam of
+    0, 1, -1, 2, ... that makes f primitive in y, so that gcd(f, f_y) = 1.
 
-    After a shear x -> x + lam*y with gcd(f, f_y) = 1, f is a primitive
-    integer polynomial of bidegree (m, n) in (x, y), and the count is the
-    dimension of the pairs (g, h), deg g <= (m-1, n), deg h <= (m, n-1), with
-    f*g_y - g*f_y - f*h_x + h*f_x = 0 (S. Gao, "Factoring multivariate
+    For square-free f, gcd(f, f_y) is the product of the factors free of y,
+    so the condition holds exactly when f is primitive in y.  Its content in
+    y divides its leading coefficient in y, so when that coefficient is a
+    constant f is primitive in y and the gcds of the content are skipped;
+    the shear found is the same.  A factor free of y after the shear by lam
+    is a union of lines of direction (lam, 1), and f has at most deg f of
+    those directions, so deg f + 1 candidates always find a shear."""
+    for lam in islice(_small_integers(), f.total_degree() + 1):
+        fs = shear(f, lam)
+        if fs.coeffs_in("y")[-1].is_constant() or _content_in(fs, "y").is_constant():
+            return _gao_count(fs)
+    raise InternalInvariantError("no shear makes a square-free curve primitive in y")
+
+
+def _gao_count(fs: MPoly) -> int:
+    """Number of absolutely irreducible factors of a square-free integer fs
+    in (x, y), of bidegree (m, n), primitive in y: with gcd(fs, fs_y) = 1,
+    the dimension of the pairs (g, h), deg g <= (m-1, n), deg h <= (m, n-1),
+    with fs*g_y - g*fs_y - fs*h_x + h*fs_x = 0 (S. Gao, "Factoring multivariate
     polynomials via partial differential equations", Math. Comp. 72, 2003;
     W. Ruppert, J. Number Theory 77, 1999).  Gao states it under
     gcd(f, f_x) = 1; the system is the same up to sign under x <-> y.  Each
@@ -597,14 +614,7 @@ def _absolute_factor_count(f: MPoly) -> int:
     the whole solution space, and `_gao_rows` keeps only those: about half
     of the box, with the same kernel dimension.  The dimension is the number
     of unknowns minus the rank over Q of that integer matrix, so the count is
-    exact.  For square-free f, gcd(f, f_y) is the product of the factors free
-    of y, so the condition holds exactly when f is primitive in y.  Its
-    content in y divides its leading coefficient in y, so when that
-    coefficient is a constant f is primitive in y and the gcds of the
-    content are skipped; the shear found is the same.  A factor free of y
-    after the shear by lam is a union of lines of direction (lam, 1), and f
-    has at most deg f of those directions, so deg f + 1 candidates always
-    find a shear.
+    exact.
 
     The rank is read mod p = 2^30 - 35 first, the largest prime below 2^30,
     so every residue is one digit of a Python int.  A minor that is nonzero
@@ -616,12 +626,6 @@ def _absolute_factor_count(f: MPoly) -> int:
     The columns are in graded order, which the elimination pivots on at the
     greatest column.
     """
-    for lam in islice(_small_integers(), f.total_degree() + 1):
-        fs = shear(f, lam)
-        if fs.coeffs_in("y")[-1].is_constant() or _content_in(fs, "y").is_constant():
-            break
-    else:
-        raise InternalInvariantError("no shear makes a square-free curve primitive in y")
     rows = _gao_rows(fs)
     # N - rank_p rows are dependent mod p: looking for two of them is enough
     dependent = islice((new for new in _independent_mod_p(rows) if not new), 2)
@@ -677,7 +681,7 @@ def web_decomposable(web: SymWeb) -> tuple[bool, int]:
         r = branch.substitute(line)
         if not r.is_constant() and not poly_gcd(r, r.derivative("x")).is_constant():
             continue
-        count = _absolute_factor_count(q)
+        count = _gao_count(q)
         return count > 1, count
     raise InternalInvariantError(f"web_decomposable: {bound + 1} intercepts found no transversal line")
 

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import comb
 
-from polarweb import FoliationData, MPoly, SymWeb, superpose
+from polarweb import AffinePoint, FoliationData, MPoly, SymWeb, superpose
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
@@ -30,6 +31,86 @@ def break_family(monkeypatch):
     family = polarops.polar_family
     broken = MPoly.variable("a") * X**2
     monkeypatch.setattr(polarops, "polar_family", lambda web: polarops.PolarFamily(family(web).parametric + broken))
+
+
+def divisibility_multiplicity(f: MPoly, g: MPoly) -> int:
+    """Largest m with g^m | f, for nonzero f and nonconstant g."""
+    from polarweb.mpoly import try_exact_div
+
+    m = 0
+    while (q := try_exact_div(f, g)) is not None:
+        f, m = q, m + 1
+    return m
+
+
+def cone_multiplicity(fol: FoliationData, q: AffinePoint, p: AffinePoint) -> int:
+    """Multiplicity of the line pq in the tangent cone of the polar P_p at a
+    rational singular point q, from the jets of P_p at q, one center at a
+    time: the reference that the dichotomy's identity is checked against."""
+    from polarweb.mpoly import jet_decompose
+
+    jets = jet_decompose(fol.polar(p).raw, ("x", "y"), (q.a, q.b))
+    line = MPoly.constant(p.b - q.b) * X - MPoly.constant(p.a - q.a) * Y
+    return divisibility_multiplicity(jets[min(jets)], line)
+
+
+def numeric_cone_multiplicity(fol: FoliationData, q: tuple[complex, complex], p: AffinePoint,
+                              tol: float = 1e-6) -> int:
+    """The same multiplicity at an irrational q, in floats: the order at
+    tau = 0 of C(v + tau*w), C the cone of P_p at q, v = p - q and w a unit
+    vector off v, counted as the Taylor coefficients below tol relative to
+    the cone."""
+    from polarweb.localsing import cp_clean, cp_from_mpoly, cp_translate
+
+    terms = cp_clean(cp_translate(cp_from_mpoly(fol.polar(p).raw), q[0], q[1]))
+    order = min(i + j for i, j in terms)
+    v = (complex(p.a) - q[0], complex(p.b) - q[1])
+    along_x = abs(v[1]) >= abs(v[0])  # w = (1, 0), else (0, 1)
+    taylor = [0j] * (order + 1)
+    for (i, j), c in terms.items():
+        if i + j == order:
+            moved, fixed = (i, v[1] ** j) if along_x else (j, v[0] ** i)
+            base = v[0] if along_x else v[1]
+            for m in range(moved + 1):
+                taylor[m] += c * fixed * comb(moved, m) * base ** (moved - m)
+    scale = (1 + abs(v[0]) + abs(v[1])) ** order
+    return next(m for m, t in enumerate(taylor) if abs(t) > tol * scale)
+
+
+def rational_dichotomy_mismatches(fol: FoliationData, q: AffinePoint, seed: int, centers: int) -> list[tuple]:
+    """(q, p, multiplicity the dichotomy claims, multiplicity of the cone)
+    for each of `centers` seeded centers p off the lines that the dichotomy
+    excludes at the rational singular point q where the two differ; p is
+    None when the centers could not avoid those lines."""
+    from polarweb.foliation import tangent_cone_dichotomy
+    from polarweb.reports import CheckReport
+    from polarweb.sampling import GenericSampler
+
+    mult, form = tangent_cone_dichotomy(CheckReport("qr-dichotomy"), fol, q)
+    sampler = GenericSampler(seed)
+    admitted = [p for p in (sampler.center() for _ in range(50 * centers))
+                if p != q and form.evaluate({"x": p.a - q.a, "y": p.b - q.b}) != 0][:centers]
+    out = [(q, p, mult, cone) for p in admitted if (cone := cone_multiplicity(fol, q, p)) != mult]
+    return out + [(q, None, mult, None)] * (len(admitted) < centers)
+
+
+def dichotomy_mismatches(fol: FoliationData, seed: int, centers: int) -> list[tuple]:
+    """`rational_dichotomy_mismatches` at every affine singular point; at an
+    irrational one, the first `centers` seeded centers against the cone in
+    floats."""
+    from polarweb.foliation import tangent_cone_dichotomy_numeric
+    from polarweb.reports import CheckReport
+    from polarweb.sampling import GenericSampler
+    from polarweb.webmodel import singular_set
+
+    sing = singular_set(fol.as_web)
+    out = [m for q in sing.points for m in rational_dichotomy_mismatches(fol, q, seed, centers)]
+    for q in sing.numeric_points:
+        mult = tangent_cone_dichotomy_numeric(CheckReport("qr-dichotomy"), fol, q)
+        sampler = GenericSampler(seed)
+        out += [(q, p, mult, cone) for p in (sampler.center() for _ in range(centers))
+                if (cone := numeric_cone_multiplicity(fol, q, p)) != mult]
+    return out
 
 
 @dataclass

@@ -51,6 +51,12 @@ MUTANTS = [
      "{(k - i, i): a.evaluate(point)",
      "{(i, k - i): a.evaluate(point)",
      "tests/test_webmodel.py::TestFormAt::test_equals_the_substituted_form"),
+    # the two cases of the dichotomy swapped, which the tangent cones of
+    # planted singular points catch
+    ("foliation.py",
+     "if cls.quasi_radial:\n        mult, claim = 1,",
+     "if not cls.quasi_radial:\n        mult, claim = 1,",
+     "tests/test_foliation.py::TestDichotomy::test_planted_rational_singular_point"),
     # Res_y(F, c) = c^n for a polar free of y, not c
     ("foliation.py",
      "else g**n)",

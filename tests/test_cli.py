@@ -292,8 +292,12 @@ def inputs(tmp_path):
     # a 2-web singular at (1, 1): its coefficients eliminate to x - 1 and y - 1
     web2 = tmp_path / "web2.txt"
     web2.write_text("type: web\nform: (x^2 - y)*dx^2 + (x*y - 1)*dx*dy + (y^2 - x + 2*y - 2)*dy^2\n")
+    # nine singular points: the origin and (+-sqrt 2, +-sqrt 2) quasi-radial,
+    # (0, +-sqrt 2) and (+-sqrt 2, 0) not
+    fol9 = tmp_path / "fol9.txt"
+    fol9.write_text("type: foliation\nA: x^3 - 2*x\nB: y^3 - 2*y\n")
     return {"web": str(web), "fol": str(fol), "curve": str(curve), "web3": str(web3), "germ": str(germ),
-            "fol2": str(fol2), "web2": str(web2)}
+            "fol2": str(fol2), "web2": str(web2), "fol9": str(fol9)}
 
 
 def _body(text: str) -> str:
@@ -627,6 +631,8 @@ class TestGoldenReports:
             ("check-sing-locus-web",
              ["check", "--in", "{web2}", "--theorem", "sing-locus", "--seed", "7", "--samples", "3", "--json"]),
             ("singular-2-web", ["singular", "--in", "{web2}", "--json"]),
+            ("check-qr-dichotomy",
+             ["check", "--in", "{fol9}", "--theorem", "qr-dichotomy", "--seed", "7", "--json"]),
         ],
     )
     def test_matches_golden(self, inputs, name, argv):
@@ -646,12 +652,12 @@ class TestCheckRegistry:
     # samples.requested (= samples.used) of each theorem at --samples 6, in
     # registry order: each theorem's sample cap applied once.  On this
     # foliation (E ≢ 0) sing-locus and sing-in-E are identities on the polar
-    # family and take no sample
+    # family and take no sample, and qr-dichotomy never samples
     EXPECTED_SAMPLES = dict(zip(
         ("polar-degree", "polar-equality", "k2", "family-dim", "base-points", "sing-locus",
          "branches", "irreducible", "inflexion-lemma", "sing-in-E", "qr-dichotomy", "qr-bound",
          "equising", "genus-constant"),
-        (6, 2, 5, 0, 0, 0, 6, 5, 6, 0, 6, 5, 6, 5),
+        (6, 2, 5, 0, 0, 0, 6, 5, 6, 0, 0, 5, 6, 5),
     ))
 
     def test_registry_order(self):
@@ -668,16 +674,17 @@ class TestCheckRegistry:
         samples = json.loads(text)["report"]["samples"]
         assert samples["requested"] == samples["used"] == self.EXPECTED_SAMPLES[theorem]
 
-    def test_dichotomy_requests_what_it_samples(self, tmp_path):
-        # four singular points (+-1, +-1) and two samples: one sample at each point
+    def test_dichotomy_takes_no_sample(self, tmp_path):
+        # four singular points (+-1, +-1): one identity and one note per point
         fol = tmp_path / "fol4.txt"
         fol.write_text("type: foliation\nA: x^2 - 1\nB: y^2 - 1\n")
         code, text = run_command(
             ["check", "--in", str(fol), "--theorem", "qr-dichotomy", "--seed", "1", "--samples", "2", "--json"]
         )
         assert code == 0, text
-        samples = json.loads(text)["report"]["samples"]
-        assert samples["requested"] == samples["used"] == 4
+        report = json.loads(text)["report"]
+        assert report["samples"] == {"requested": 0, "used": 0, "discarded": []}
+        assert (len(report["assertions"]), len(report["notes"])) == (1, 4)
 
 
 class TestToleranceOverrides:

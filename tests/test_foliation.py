@@ -6,7 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from battery import FOLIATIONS, X, Y, break_family
+from battery import (
+    FOLIATIONS,
+    X,
+    Y,
+    break_family,
+    cone_multiplicity,
+    dichotomy_mismatches,
+    rational_dichotomy_mismatches,
+)
 from polarweb import (
     AffinePoint,
     FoliationData,
@@ -18,7 +26,7 @@ from polarweb import (
     is_inflexion_point,
 )
 from polarweb import foliation
-from polarweb.cli import run_command
+from polarweb.cli import _dichotomy_all_singularities, run_command
 from polarweb.errors import PolynomialError, WebValidationError
 from polarweb.parsing import parse_polynomial
 from polarweb.foliation import (
@@ -26,18 +34,17 @@ from polarweb.foliation import (
     count_quasi_radial,
     inflexion_lemma_check,
     inflexion_polynomial,
-    line_multiplicity_in_cone,
     polar_sing_in_inflexion_check,
     quasi_radial_bound_check,
     tangent_cone_dichotomy,
-    tangent_cone_dichotomy_numeric,
 )
-from polarweb.mpoly import gcd_fold, proper_shears, resultant, shear
+from polarweb.mpoly import gcd_fold, jet_decompose, proper_shears, resultant, shear
+from polarweb.reports import CheckReport
 from polarweb.sampling import GenericSampler
 from polarweb.polarops import A_VAR, B_VAR, RadialProduct
-from polarweb.webmodel import singular_set
 
 one = MPoly.constant(1)
+ORIGIN = AffinePoint.of(0, 0)
 SQRT2 = (2**0.5 + 0j, 0j)
 IDENTITY = "Hessian of P_p at p on its tangent = c·E(p)"
 LINEAR_IDENTITY = "P = c·(aB - bA + Ay - Bx)"
@@ -207,16 +214,31 @@ class TestClassification:
         assert classify_singularity_numeric(FoliationData(X**2 - 2, 2 * X * Y), SQRT2).quasi_radial
 
 
+def planted_foliation(q: AffinePoint, ak: MPoly, bk: MPoly, a_next: MPoly, b_next: MPoly) -> FoliationData:
+    """A = A_k + A_(k+1), B = B_k + B_(k+1) in coordinates centered at q."""
+    to_q = {"x": X - q.a, "y": Y - q.b}
+    return FoliationData((ak + a_next).substitute(to_q), (bk + b_next).substitute(to_q))
+
+
+def binary_form(coefficients: list[int]) -> MPoly:
+    """sum c_i x^(d - i) y^i, d = len(coefficients) - 1."""
+    d = len(coefficients) - 1
+    return sum((c * X ** (d - i) * Y**i for i, c in enumerate(coefficients)), MPoly.zero())
+
+
 class TestDichotomy:
+    """The multiplicity that the dichotomy claims for the line pq in the
+    tangent cone of P_p at q, against the cone itself (`cone_multiplicity`)."""
+
     def test_radial_spec_example(self):
         fol = FoliationData(X, Y)
-        jets_cone = (X * 2 - Y).canonical()
-        curve = fol.polar(AffinePoint.of(1, 2))
-        from polarweb.mpoly import jet_decompose
-
-        jets = jet_decompose(curve.raw, ("x", "y"), (0, 0))
-        assert jets[min(jets)].canonical() == jets_cone
-        assert line_multiplicity_in_cone(jets[min(jets)], Fraction(1), Fraction(2)) == 1
+        report = CheckReport("qr-dichotomy")
+        assert tangent_cone_dichotomy(report, fol, ORIGIN) == (1, one)
+        jets = jet_decompose(fol.polar(AffinePoint.of(1, 2)).raw, ("x", "y"), (0, 0))
+        assert jets[min(jets)].canonical() == (X * 2 - Y).canonical()
+        assert cone_multiplicity(fol, ORIGIN, AffinePoint.of(1, 2)) == 1
+        assert report.notes == ["singular point (0, 0): quasi-radial (first jet order 1): line pq is a simple "
+                                "tangent of P_p at q for p ≠ q off Q(p - q) = 0, Q = A_1/x = B_1/y = 1"]
 
     @pytest.mark.parametrize(
         "fol",
@@ -225,27 +247,54 @@ class TestDichotomy:
         ids=["radial", "saddle", "squares", "qr-perturbed"],
     )
     def test_rational_points(self, fol):
-        report = tangent_cone_dichotomy(fol, AffinePoint.of(0, 0), seed=1, samples=6)
-        assert report.passed, report.render_text()
+        assert dichotomy_mismatches(fol, seed=1, centers=6) == []
 
     @pytest.mark.parametrize("entry", FOLIATIONS, ids=lambda e: e.name)
     def test_battery_all_rational_singularities(self, entry):
-        sing = singular_set(entry.foliation.as_web)
-        for q in sing.points:
-            report = tangent_cone_dichotomy(entry.foliation, q, seed=1, samples=4)
-            assert report.passed, report.render_text()
-        for q in sing.numeric_points:
-            report = tangent_cone_dichotomy_numeric(entry.foliation, q, seed=1, samples=4)
-            assert report.passed, report.render_text()
+        # the irrational points against the cone in floats
+        assert dichotomy_mismatches(entry.foliation, seed=1, centers=4) == []
 
-    def test_numeric_redraws_after_radial_polar(self, monkeypatch):
-        fol = FoliationData(X**2 - 2, Y)
-        first = AffinePoint(*GenericSampler(3).point())
-        radial_at(monkeypatch, [first])
-        report = tangent_cone_dichotomy_numeric(fol, SQRT2, seed=3, samples=4)
-        assert report.samples_used == 4 and len(report.assertions) == 4
-        assert report.discards == [(str(first), "polar degenerates")]
-        assert report.passed, report.render_text()
+    @given(st.integers(1, 3), st.booleans(), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_planted_rational_singular_point(self, k, radial, data):
+        small = st.integers(-3, 3)
+        entry = st.fractions(-3, 3, max_denominator=3)
+        q = AffinePoint(data.draw(entry), data.draw(entry))
+
+        def form(degree):
+            return binary_form(data.draw(st.lists(small, min_size=degree + 1, max_size=degree + 1)))
+
+        if radial:
+            cofactor = form(k - 1)
+            assume(not cofactor.is_zero())
+            ak, bk = X * cofactor, Y * cofactor
+        else:
+            ak, bk = form(k), form(k)
+            assume(not (Y * ak - X * bk).is_zero())
+        fol = planted_foliation(q, ak, bk, form(k + 1), form(k + 1))
+        assume(not fol.saturated)
+        cls = classify_singularity(fol, q)
+        assert (cls.quasi_radial, cls.first_jet_order) == (radial, k)
+        assert rational_dichotomy_mismatches(fol, q, seed=data.draw(small), centers=3) == []
+
+    def test_an_excluded_line_is_tangent_more_often(self):
+        # at the origin Q = x, so centers on the line x = 0 are excluded:
+        # there the cone is x^2 and the line pq is a double tangent
+        fol = planted_foliation(ORIGIN, X**2, X * Y, Y**3, X**3)
+        mult, form = tangent_cone_dichotomy(CheckReport("qr-dichotomy"), fol, ORIGIN)
+        assert (mult, form) == (1, X)
+        assert cone_multiplicity(fol, ORIGIN, AffinePoint.of(0, 5)) == 2
+        assert cone_multiplicity(fol, ORIGIN, AffinePoint.of(1, 5)) == 1
+
+    def test_planted_points_of_both_kinds(self):
+        # x^3 - 2x, y^3 - 2y: the origin and (+-sqrt 2, +-sqrt 2) are
+        # quasi-radial, (0, +-sqrt 2) and (+-sqrt 2, 0) are not
+        fol = FoliationData(X**3 - 2 * X, Y**3 - 2 * Y)
+        report = _dichotomy_all_singularities(fol, seed=1)
+        assert report.passed and report.samples_requested == report.samples_used == 0
+        kinds = sorted((n.endswith("[numeric]"), "not quasi-radial" in n) for n in report.notes)
+        assert kinds == [(False, False)] + [(True, False)] * 4 + [(True, True)] * 4
+        assert dichotomy_mismatches(fol, seed=1, centers=3) == []
 
     @pytest.mark.parametrize(
         "A, B",
@@ -258,7 +307,12 @@ class TestDichotomy:
         code, text = run_command(["check", "--in", str(path), "--theorem", "qr-dichotomy",
                                   "--samples", "4", "--json"])
         assert code == 0, text
-        assert json.loads(text)["report"]["certificates"] == {"cone_root_match_tolerance": "1.000000e-06"}
+        report = json.loads(text)["report"]
+        assert report["certificates"] == {"jet_clean_tolerance": "1.000000e-08",
+                                          "quasi_radial_tolerance": "1.000000e-07"}
+        assert [a["name"] for a in report["assertions"]] == [LINEAR_IDENTITY]
+        assert report["samples"] == {"requested": 0, "used": 0, "discarded": []}
+        assert all(n.endswith("[numeric]") for n in report["notes"] if "j," in n)
 
 
 class TestInflexionPoint:
@@ -383,6 +437,17 @@ def node_polar(F: MPoly, i: int, j: int) -> MPoly:
     return shear(G, lam)
 
 
+@st.composite
+def plane_factor(draw):
+    """A line or a conic with coefficients in [-2, 2], not constant."""
+    degree = draw(st.integers(1, 2))
+    monomials = [(i, d - i) for d in range(degree + 1) for i in range(d + 1)]
+    coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(monomials), max_size=len(monomials)))
+    f = sum((c * X**i * Y**j for (i, j), c in zip(monomials, coeffs)), MPoly.zero())
+    assume(not f.is_zero() and not f.is_constant())
+    return f
+
+
 class TestClassOfCurve:
     def test_smooth_conic(self):
         assert class_of_curve(PlaneCurve(X**2 + Y**2 - 1)) == 2
@@ -396,6 +461,22 @@ class TestClassOfCurve:
     def test_line_rejected(self):
         with pytest.raises(PolynomialError):
             class_of_curve(PlaneCurve(X + Y))
+
+    @given(plane_factor(), plane_factor(), plane_factor())
+    @settings(max_examples=30, deadline=None)
+    def test_every_node_vanishes_exactly_off_reduced_curves(self, f, g, repeated):
+        # a repeated factor divides F, F_x and F_y, so every node polar; a
+        # reduced curve has a nonzero node value
+        curve = PlaneCurve(f * g)
+        if curve.raw == curve.defining:
+            assert class_of_curve(curve) == dense_class(curve)
+        with pytest.raises(PolynomialError, match="needs a reduced curve"):
+            class_of_curve(PlaneCurve(f * repeated**2))
+
+    def test_cli_refuses_a_curve_that_is_not_reduced(self, tmp_path):
+        path = tmp_path / "square.txt"
+        path.write_text("type: curve\nf: (x^2 + y^2 - 1)^2*(x - y)\n")
+        assert run_command(["class", "--in", str(path)]) == (2, "error: class_of_curve needs a reduced curve")
 
     # (curve, class); the deltoid's two irrational cusps share the column
     # x = -3/2, and the E6 curve has E6 points at (+-sqrt(2), 0)
@@ -493,3 +574,21 @@ class TestQuasiRadialBound:
     def test_qr_count_perturbed_radial(self):
         count, _, _ = count_quasi_radial(FoliationData(X - Y**2, Y + X**2))
         assert count >= 1
+
+    def test_a_polar_that_is_not_reduced_is_discarded_by_its_class(self, monkeypatch):
+        # class_of_curve refuses it from the raw polar: no square-free part
+        first = GenericSampler(5).center()
+        square = PlaneCurve((X**2 + Y**2 - 1) ** 2 * (X - Y))
+        polar = FoliationData.polar
+        monkeypatch.setattr(FoliationData, "polar", lambda self, p: square if p == first else polar(self, p))
+        report = quasi_radial_bound_check(FoliationData(X - Y**2, Y + X**2), seed=5, samples=2)
+        assert report.discards == [(str(first), "polar not reduced")]
+        assert report.passed and report.samples_used == 2
+        assert "defining" not in vars(square)
+
+    def test_numeric_points_certify_the_classification(self):
+        report = quasi_radial_bound_check(FoliationData(X**3 - 2 * X, Y**3 - 2 * Y), seed=5, samples=1)
+        assert report.passed and report.mode == "numeric"
+        assert report.certificates == {"jet_clean_tolerance": "1.000000e-08",
+                                       "quasi_radial_tolerance": "1.000000e-07"}
+        assert quasi_radial_bound_check(FoliationData(X, -Y + X**2), seed=5, samples=1).certificates == {}

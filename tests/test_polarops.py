@@ -756,6 +756,20 @@ class TestIrreducibility:
         # the bound n(n - 1) + D^2 = 1, so two intercepts are tried
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("name", ["radial x vertical", "circles x sqrt (k=3)", "triple product (k=3)"])
+    def test_one_content_per_intercept(self, name, monkeypatch):
+        # the cover q of each intercept takes one y-content, and the count
+        # reads the q already shown primitive without a second one
+        from polarweb import polarops
+
+        contents, counted = [], []
+        content_in, gao_count = polarops._content_in, polarops._gao_count
+        monkeypatch.setattr(polarops, "_content_in", lambda f, v: contents.append(f) or content_in(f, v))
+        monkeypatch.setattr(polarops, "_gao_count", lambda f: counted.append(f) or gao_count(f))
+        assert web_decomposable(next(e.web for e in BATTERY if e.name == name))[0]
+        assert len(contents) == len(set(contents)) >= 1
+        assert counted == contents[-1:]
+
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
     def test_battery(self, entry):
         report = generic_polar_irreducible(entry.web, seed=3, samples=2)

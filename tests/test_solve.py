@@ -13,7 +13,8 @@ from polarweb import MPoly
 from polarweb import solve
 from polarweb.errors import InternalInvariantError
 from polarweb.errors import InfiniteZeroSetError
-from polarweb.mpoly import divisibility_multiplicity, poly_gcd, resultant
+from battery import divisibility_multiplicity
+from polarweb.mpoly import poly_gcd, resultant
 from polarweb.solve import (
     _combination_resultant,
     common_zeros,
