@@ -180,15 +180,15 @@ def _as_curve(obj) -> PlaneCurve:
 # applies its theorem's sample cap and calls the check through this module's
 # globals, so a wrapper bound over a check name is the one that runs.
 CHECKS = {
-    "polar-degree": (_as_web, lambda w, s, n: polar_degree_check(w, s, n)),
+    "polar-degree": (_as_web, lambda w, s, n: polar_degree_check(w, s)),
     "polar-equality": (_as_web, lambda w, s, n: _equality_check(w, s, max(n // 4, 2))),
     "k2": (_as_web, lambda w, s, n: family_degree_check(w, s, min(n, 5))),
     "family-dim": (_as_web, lambda w, s, n: family_dimension_check(w, s)),
     "base-points": (_as_web, lambda w, s, n: base_points_check(w, s)),
     "sing-locus": (_as_web, lambda w, s, n: generic_polar_singularities_check(w, s, n)),
-    "branches": (_as_web, lambda w, s, n: branches_check(w, s, n)),
+    "branches": (_as_web, lambda w, s, n: branches_check(w, s)),
     "irreducible": (_as_web, lambda w, s, n: generic_polar_irreducible(w, s, min(n, 5))),
-    "inflexion-lemma": (_as_foliation, lambda f, s, n: inflexion_lemma_check(f, s, n)),
+    "inflexion-lemma": (_as_foliation, lambda f, s, n: inflexion_lemma_check(f, s)),
     "sing-in-E": (_as_foliation, lambda f, s, n: polar_sing_in_inflexion_check(f, s)),
     "qr-dichotomy": (_as_foliation, lambda f, s, n: _dichotomy_all_singularities(f, s)),
     "qr-bound": (_as_foliation, lambda f, s, n: quasi_radial_bound_check(f, s, min(n, 5))),

@@ -6,9 +6,9 @@ center.  This module houses the degree count d + k, the polar-equality
 criterion, the two-dimensionality and degree k^2 of the family, base points,
 the singular-locus containment of the generic polar, the k-branch structure at
 the center, and the irreducibility verdict, from exact component counts by
-the Gao-Ruppert kernel.  Base points, the degree k^2, branches and the
-singular locus of a foliation's polars are exact identities on the polar
-family; k^2 then counts incidences of leaf lines at each pair of points.
+the Gao-Ruppert kernel.  The degree d + k, base points, the degree k^2,
+branches and the singular locus of a foliation's polars are decided on the
+polar family; k^2 then counts incidences of leaf lines at pairs of points.
 On a web with k >= 2 the singular locus is decided by one nonzero value of
 the inflexion curve of the web, and is sampled only where that curve is the
 whole plane.
@@ -31,6 +31,7 @@ from .mpoly import (
     binary_form_degree,
     dehomogenize,
     exact_div,
+    jet_decompose,
     lowest_jet,
     poly_gcd,
     proper_shears,
@@ -118,25 +119,32 @@ def polar_family(web: SymWeb) -> PolarFamily:
 # ---------------------------------------------------------------------------
 
 
-def polar_degree_check(web: SymWeb, seed: int = 0, samples: int = 20) -> CheckReport:
-    """deg P_p = d + k at seeded generic centers (raw degree, multiplicities kept)."""
-    report = CheckReport("polar-degree", seed=seed, samples_requested=samples)
-    d = web_degree(web)
-    k = web.k
-    report.note(f"web degree d={d}, k={k}, expected polar degree {d + k}")
+def polar_top(web: SymWeb) -> tuple[int, list[MPoly]]:
+    """deg_(x,y) P(a, b; x, y) and the coefficients of P's part of that degree
+    over the monomials in (x, y): polynomials in the center, in (x, y)."""
+    jets = jet_decompose(polar_family(web).parametric, ("x", "y"))
+    degree = max(jets)
+    top = [c for cx in jets[degree].coeffs_in("x") for c in cx.coeffs_in("y") if c]
+    return degree, [c.substitute({"a": X, "b": Y}) for c in top]
 
-    def admissible(p):
-        raw = _substitute_center(web.form, p.a, p.b)
-        if raw.is_zero():
-            return None, "polar degenerates: center of a radial factor"
-        return raw.total_degree(), None
 
-    for _, p, got in sample_centers(report, GenericSampler(seed), samples, admissible):
-        report.add(
-            f"deg P_p at p={p}",
-            got == d + k,
-            f"degree {got}",
-        )
+def polar_degree_check(web: SymWeb, seed: int = 0) -> CheckReport:
+    """deg P_p = d + k at every center off an exact locus, with no sample.
+
+    P_p is P(a, b; x, y) at (a, b) = p, and the coefficients of P's top part
+    in (x, y) are polynomials in the center (`polar_top`), so P_p keeps that
+    degree wherever one of them is nonzero.  The check asserts that it is
+    d + k, d of `web_degree`, and notes that the top part is free of (a, b)
+    or lists the common zeros of its coefficients (`common_zeros`)."""
+    report = CheckReport("polar-degree", seed=seed)
+    d, (degree, coefficients) = web_degree(web), polar_top(web)
+    report.add("deg_(x,y) P(a, b; x, y) = d + k", degree == d + web.k, f"degree {degree}, d={d}, k={web.k}")
+    if all(c.is_constant() for c in coefficients):
+        report.note("the top part of P in (x, y) is free of (a, b): deg P_p = d + k at every center")
+    else:
+        zs = common_zeros(coefficients)
+        _note_points(report, "deg P_p < d + k at center", [AffinePoint(*q) for q in zs.rational], zs.numeric,
+                     "the top coefficients of P in (x, y) have no common zero: deg P_p = d + k at every center")
     return report
 
 
@@ -345,8 +353,8 @@ def family_dimension_check(web: SymWeb, seed: int = 0) -> CheckReport:
 def generic_polar_singularities_check(web: SymWeb, seed: int = 0, samples: int = 20) -> CheckReport:
     """Sing(P_p) inside Δ(W) ∪ Sing(W) ∪ {p} for generic p.
 
-    A foliation with E ≢ 0 is decided on its polar family.  A web with
-    k >= 2 whose inflexion curve R = Res_(dx:dy)(W, E_W),
+    A foliation is decided on its polar family (`linear_identity`).  A web
+    with k >= 2 whose inflexion curve R = Res_(dx:dy)(W, E_W),
     E_W = W_x·W_dy - W_y·W_dx (`inflexion_curve`), is not zero is decided
     by the identity of `base_points_check`, P_p(q) = ±W(q; q - p), and the
     report notes a point q with R(q) ≠ 0 and the value
@@ -358,21 +366,15 @@ def generic_polar_singularities_check(web: SymWeb, seed: int = 0, samples: int =
     That vanishes for some t only if E_W(q; v) = 0, so only if R(q) = 0,
     and then t is unique.  So such a q is singular on at most k polars with
     centers other than q, and the bad centers lie on the image of the curve
-    R = 0, which a generic center avoids.  For k = 1, E_W at the leaf
-    direction is E of `inflexion_of_field`.
+    R = 0, which a generic center avoids.
 
-    Other webs (R ≡ 0, as for webs whose leaves are lines) and foliations
-    with E ≡ 0 are sampled.  The web discriminant is the
-    (dx:dy)-discriminant, which for k >= 2 contains the singular set of the
-    web; for k = 1 the ramification locus over the singular points is
-    accounted for by the explicit Sing(W) membership branch.
+    Webs with R ≡ 0, as for webs whose leaves are lines, are sampled.  The
+    (dx:dy)-discriminant contains the singular set of a web with k >= 2.
     """
     if web.k == 1:
         b, a = web.coefficients()  # the form is A*dy - B*dx
-        A, B = a, -b
-        if not inflexion_of_field(A, B).is_zero():
-            return _foliation_polar_singularities(web, A, B, seed)
-    elif (witness := inflexion_witness(web)) is not None:
+        return _foliation_polar_singularities(web, a, -b, seed)
+    if (witness := inflexion_witness(web)) is not None:
         report = CheckReport("polar-singular-locus", seed=seed)
         _base_identity(report, web)
         q, value = witness
@@ -498,19 +500,29 @@ def linear_identity(report: CheckReport, web: SymWeb, A: MPoly, B: MPoly) -> Non
 
 
 def _foliation_polar_singularities(web: SymWeb, A: MPoly, B: MPoly, seed: int) -> CheckReport:
-    """The generic polar of a foliation with E ≢ 0 is singular exactly on
+    """The generic polar of a foliation is singular exactly on
     Z = V(A, B, A_x, A_y, B_x, B_y), a subset of Sing(W).
 
-    Off V(A, B), M' of `linear_identity` has rank >= 2: its first row
-    (B, -A, 0) is nonzero, and so is (-B, A), the last entries of the other
-    two.  So such a point is singular on at most one polar, and it lies on
-    E, as det M' = -E; those centers form a set of dimension at most 1.  At
-    q in V(A, B), grad P_p(q) = J(q)·(y_q - b, a - x_q), J's rows (A_x, B_x)
-    and (A_y, B_y), which vanishes at a generic center exactly when
-    J(q) = 0.  So the check is the identity, and the notes list Z."""
+    With E ≢ 0: off V(A, B), M' of `linear_identity` has rank >= 2: its
+    first row (B, -A, 0) is nonzero, and so is (-B, A), the last entries of
+    the other two.  So such a point is singular on at most one polar, and it
+    lies on E, as det M' = -E; those centers form a set of dimension at most
+    1.  At q in V(A, B), grad P_p(q) = J(q)·(y_q - b, a - x_q), J's rows
+    (A_x, B_x) and (A_y, B_y), which vanishes at a generic center exactly
+    when J(q) = 0.
+
+    With E ≡ 0 the leaves are lines that meet only at infinity or at the
+    finitely many singular points: a pencil, (A, B) a constant or
+    c·(x - x0, y - y0).  So deg_(x,y) P = 1, which the check asserts
+    (`polar_top`), and as P_p(p) = 0 every polar is a line through p or
+    zero: Z is empty.  The notes list Z."""
     report = CheckReport("polar-singular-locus", seed=seed)
     linear_identity(report, web, A, B)
-    report.note("E ≢ 0: a point off V(A, B) is singular on at most one polar")
+    if inflexion_of_field(A, B).is_zero():
+        degree, _ = polar_top(web)
+        report.add("E ≡ 0: deg_(x,y) P(a, b; x, y) = 1", degree == 1, f"degree {degree}: every polar is a line or 0")
+    else:
+        report.note("E ≢ 0: a point off V(A, B) is singular on at most one polar")
     zs = common_zeros([A, B] + [f.derivative(v) for f in (A, B) for v in ("x", "y")])
     where = "generic Sing(P_p) = V(A, B, A_x, A_y, B_x, B_y) ⊆ Sing(W)"
     _note_points(report, f"{where}:", [AffinePoint(*q) for q in zs.rational], zs.numeric,
@@ -523,16 +535,15 @@ def _foliation_polar_singularities(web: SymWeb, A: MPoly, B: MPoly, seed: int) -
 # ---------------------------------------------------------------------------
 
 
-def branches_check(web: SymWeb, seed: int = 0, samples: int = 20) -> CheckReport:
-    """k transversal branches of P_p at its center p, for generic p.
+def branches_check(web: SymWeb, seed: int = 0) -> CheckReport:
+    """k transversal branches of P_p at p, for every p off Sing(W) ∪ Δ(W).
 
-    One exact identity proves the tangent cone at every center: in
-    x = a + u, y = b + v, P = sum a_i(a + u, b + v) u^(k-i) v^i has no part
-    of degree below k in (u, v), and its part of degree k is W(a, b; u, v),
-    the form at the center.  So at p off Sing(W) the cone is the k leaf
-    directions, and they are distinct exactly when disc(p) != 0: each sample
-    asserts that by one exact evaluation."""
-    report = CheckReport("branches-at-center", seed=seed, samples_requested=samples)
+    In x = a + u, y = b + v, P = sum a_i(a + u, b + v) u^(k-i) v^i has no
+    part of degree below k in (u, v), and its part of degree k is
+    W(a, b; u, v): at p off Sing(W) the tangent cone of P_p is the k leaf
+    directions.  W is generically square-free (`generically_squarefree`),
+    so Δ(W) is a curve, off which the k directions are distinct."""
+    report = CheckReport("branches-at-center", seed=seed)
     U, V = MPoly.variable("u"), MPoly.variable("v")
     at_center = polar_family(web).parametric.substitute({"x": A_VAR + U, "y": B_VAR + V})
     order, jet = lowest_jet(at_center, ("u", "v"))
@@ -540,14 +551,9 @@ def branches_check(web: SymWeb, seed: int = 0, samples: int = 20) -> CheckReport
     c = _proportionality(form, jet) if order == web.k else None
     report.add("lowest (u, v)-jet of P(a, b; a + u, b + v) = c·W(a, b; u, v)", c is not None,
                f"c = {c}" if c is not None else f"lowest jet of degree {order}, not a multiple of the form")
-    disc = web.discriminant_form
-
-    def admissible(p):
-        ok, reason = is_smooth_point(web, p)
-        return (disc.evaluate(p.as_dict()), None) if ok else (None, reason)
-
-    for _, p, value in sample_centers(report, GenericSampler(seed), samples, admissible):
-        report.add(f"{web.k} transversal branches at p={p}", value != 0, f"disc(p) = {value}")
+    squarefree = web.generically_squarefree
+    report.add("W generically square-free", squarefree,
+               "the k leaf directions are distinct off Δ(W)" if squarefree else "W has a repeated factor")
     return report
 
 

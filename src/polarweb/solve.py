@@ -4,8 +4,9 @@ collections in two variables.
 A root split runs Yun's decomposition on the integer coefficient list and
 Aberth on each factor; a rounded approximation is a rational root only when
 the exact integer test (`zpoly._vanishes_at`) holds.  A zero set is the grid
-of the roots of two eliminants, resultants of the generators, each point
-verified on every generator: exactly when rational, by residual otherwise.
+of the roots of two eliminants, resultants of the generators: a rational
+point is verified exactly, a point with one rational coordinate is read from
+the generators' gcd on that coordinate's line, any other by residual.
 """
 
 from __future__ import annotations
@@ -162,24 +163,24 @@ def common_zeros(polys: list[MPoly]) -> ZeroSet:
     rx, nx = univariate_root_split(ex, "x")
     ry, ny = univariate_root_split(ey, "y")
 
+    def fiber(var: str, value: Fraction, other: str) -> list[complex]:
+        """The non-rational `other` coordinates of the zeros on the line
+        var = value: the numeric roots of the generators' gcd there."""
+        on_line = [r for p in polys if not (r := p.substitute({var: value})).is_zero()]
+        return [root for root, _ in univariate_root_split(gcd_fold(on_line), other)[1]]
+
     zs = ZeroSet(elim_x=ex, elim_y=ey)
     for xr, _ in rx:
         for yr, _ in ry:
             if all(p.evaluate({"x": xr, "y": yr}) == 0 for p in polys):
                 zs.rational.append((xr, yr))
-    exact_pts = {(complex(a), complex(b)) for a, b in zs.rational}
-    xs = [complex(v) for v, _ in rx] + [v for v, _ in nx]
-    ys = [complex(v) for v, _ in ry] + [v for v, _ in ny]
-    for xv in xs:
-        for yv in ys:
-            pt = {"x": xv, "y": yv}
-            if any(abs(xv - a) < 1e-7 and abs(yv - b) < 1e-7 for a, b in exact_pts):
-                continue
-            if all(vanishes_numerically(p, pt) for p in polys):
-                if not any(
-                    abs(xv - a) < 1e-7 and abs(yv - b) < 1e-7 for a, b in zs.numeric
-                ):
-                    zs.numeric.append((xv, yv))
+    zs.numeric += [(complex(xr), yv) for xr, _ in rx for yv in fiber("x", xr, "y")]
+    zs.numeric += [(xv, complex(yr)) for yr, _ in ry for xv in fiber("y", yr, "x")]
+    for xv, _ in nx:
+        for yv, _ in ny:
+            if (all(vanishes_numerically(p, {"x": xv, "y": yv}) for p in polys)
+                    and not any(abs(xv - a) < 1e-7 and abs(yv - b) < 1e-7 for a, b in zs.numeric)):
+                zs.numeric.append((xv, yv))
     zs.rational.sort(key=lambda t: (t[0], t[1]))
     zs.numeric.sort(key=lambda t: (t[0].real, t[0].imag, t[1].real, t[1].imag))
     return zs

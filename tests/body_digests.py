@@ -15,12 +15,18 @@ the jobs whose bodies changed.
     python tests/body_digests.py --check      # every job; exit 1 on a mismatch
     python tests/body_digests.py --write      # regenerate the file
 
-A mismatch prints the job's argv and input.  `gen.py` is read, not edited.
+A mismatch prints the job's argv and input, and `--check` ends with one line
+that counts the differing jobs for each workload and theorem (the subcommand
+of a job that is not a `check`), as in
+`420 of 3160 jobs differ from body-digests.txt: exact-checks branches 180, ...`;
+a change that alters report bodies declares them by that line.  `gen.py` is
+read, not edited.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import hashlib
 import importlib.util
@@ -75,18 +81,27 @@ def committed() -> dict[tuple[str, int, int], str]:
     return out
 
 
-def mismatches(workload: str, seed: int, inputs: int) -> list[str]:
-    """One message per job of the first `inputs` inputs whose digest is not
-    the committed one, with the job's argv and input."""
+def mismatches(workload: str, seed: int, inputs: int) -> list[tuple[list[str], str]]:
+    """(argv, message) of each job of the first `inputs` inputs whose digest
+    is not the committed one; the message has the job's argv and input."""
     expected = committed()
     out = []
     with tempfile.TemporaryDirectory() as directory:
         for index, argv, text, got in run_jobs(workload, seed, inputs, directory):
             want = expected.get((workload, seed, index))
             if got != want:
-                out.append(f"{workload} seed {seed} job {index}: got {got}, committed {want}\n"
-                           f"  argv: {argv}\n  input:\n" + "".join(f"    {t}\n" for t in text.splitlines()))
+                out.append((argv, f"{workload} seed {seed} job {index}: got {got}, committed {want}\n"
+                                  f"  argv: {argv}\n  input:\n" + "".join(f"    {t}\n" for t in text.splitlines())))
     return out
+
+
+def summary(jobs: list[tuple[str, list[str]]]) -> str:
+    """The number of (workload, argv) jobs for each workload and theorem, or
+    subcommand when the job is not a `check`, on one line."""
+    counts = collections.Counter(
+        (workload, argv[argv.index("--theorem") + 1] if "--theorem" in argv else argv[0])
+        for workload, argv in jobs)
+    return ", ".join(f"{workload} {name} {n}" for (workload, name), n in sorted(counts.items()))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -106,9 +121,11 @@ def main(argv: list[str] | None = None) -> int:
         DIGESTS.write_text("".join(lines), encoding="utf-8")
         print(f"wrote {len(lines)} digests to {DIGESTS.name}")
         return 0
-    bad = [m for workload, inputs in INPUTS.items() for seed in SEEDS
-           for m in mismatches(workload, seed, inputs)]
-    print("".join(bad) + f"{len(bad)} of {len(committed())} jobs differ from {DIGESTS.name}")
+    bad = [(workload, argv, message) for workload, inputs in INPUTS.items() for seed in SEEDS
+           for argv, message in mismatches(workload, seed, inputs)]
+    counts = f": {summary([(workload, argv) for workload, argv, _ in bad])}" if bad else ""
+    print("".join(message for *_, message in bad)
+          + f"{len(bad)} of {len(committed())} jobs differ from {DIGESTS.name}{counts}")
     return 1 if bad else 0
 
 

@@ -62,6 +62,16 @@ MUTANTS = [
      "else g**n)",
      "else g)",
      "tests/test_foliation.py::TestClassOfCurve::test_polar_free_of_y_at_a_node"),
+    # without the square-free assertion, dx^2 passes the branches check
+    ("polarops.py",
+     "squarefree = web.generically_squarefree",
+     "squarefree = True",
+     "tests/test_polarops.py::TestBranches::test_a_repeated_factor_fails"),
+    # the lowest part of the polar family in (x, y) in place of the top one
+    ("polarops.py",
+     "degree = max(jets)",
+     "degree = min(jets)",
+     "tests/test_polarops.py::TestPolarDegree::test_sampled_degree_matches_the_locus"),
 ]
 
 

@@ -57,11 +57,11 @@ def verdict(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_01_polar_degree():
-    """deg P_p = d + k exactly, 20 generic centers per battery element, < 10 s."""
+    """deg_(x,y) P = d + k exactly on the polar family, per battery element, < 10 s."""
     start = time.monotonic()
     ok = True
     for entry in BATTERY:
-        report = polar_degree_check(entry.web, seed=SEED, samples=20)
+        report = polar_degree_check(entry.web, seed=SEED)
         ok = ok and report.passed
     elapsed = time.monotonic() - start
     verdict(1, "polar degree d+k", ok and elapsed < 10.0, f"{elapsed:.2f}s for {len(BATTERY)} webs")
@@ -160,9 +160,9 @@ def test_criterion_07_branches_at_center():
     """Tangent cone at the center: k distinct lines matching the web directions."""
     ok = True
     for entry in BATTERY:
-        report = branches_check(entry.web, seed=SEED, samples=20)
+        report = branches_check(entry.web, seed=SEED)
         ok = ok and report.passed
-    verdict(7, "k branches at center", ok, "20 samples per web")
+    verdict(7, "k branches at center", ok, "the jet identity and a square-free W per web")
 
 
 def test_criterion_08_irreducibility():
@@ -205,13 +205,12 @@ def test_criterion_10_quasi_radial_dichotomy():
 
 
 def test_criterion_11_inflexion_lemma():
-    """The inflexion equivalence as one exact identity in the center, and 20
-    exact off-E samples."""
+    """The inflexion equivalence as one exact identity in the center."""
     ok = True
     for entry in FOLIATIONS:
-        report = inflexion_lemma_check(entry.foliation, seed=SEED, samples=20)
+        report = inflexion_lemma_check(entry.foliation, seed=SEED)
         ok = ok and report.passed
-    verdict(11, "inflexion lemma", ok, "exact identity in the center, exact off-E samples")
+    verdict(11, "inflexion lemma", ok, "exact identity in the center")
 
 
 def test_criterion_12_class_and_bound():

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from battery import to_sympy
 from polarweb import FoliationData, MPoly, PlaneCurve, SymWeb
-from polarweb.cli import CHECKS, _as_foliation, run_command
+from polarweb.cli import CHECKS, _as_foliation, _as_web, run_command
 from polarweb.errors import ParseError
 from polarweb.parsing import VARIABLES, parse_input_text, parse_point, parse_polynomial
 
@@ -650,14 +650,14 @@ class TestGoldenReports:
 
 class TestCheckRegistry:
     # samples.requested (= samples.used) of each theorem at --samples 6, in
-    # registry order: each theorem's sample cap applied once.  On this
-    # foliation (E ≢ 0) sing-locus and sing-in-E are identities on the polar
-    # family and take no sample, and qr-dichotomy never samples
+    # registry order: each theorem's sample cap applied once.  polar-degree,
+    # branches, inflexion-lemma, sing-in-E, qr-dichotomy and sing-locus on a
+    # foliation are identities on the polar family and take no sample
     EXPECTED_SAMPLES = dict(zip(
         ("polar-degree", "polar-equality", "k2", "family-dim", "base-points", "sing-locus",
          "branches", "irreducible", "inflexion-lemma", "sing-in-E", "qr-dichotomy", "qr-bound",
          "equising", "genus-constant"),
-        (6, 2, 5, 0, 0, 0, 6, 5, 6, 0, 0, 5, 6, 5),
+        (0, 2, 5, 0, 0, 0, 0, 5, 0, 0, 0, 5, 6, 5),
     ))
 
     def test_registry_order(self):
@@ -673,6 +673,24 @@ class TestCheckRegistry:
         assert code == 0, text
         samples = json.loads(text)["report"]["samples"]
         assert samples["requested"] == samples["used"] == self.EXPECTED_SAMPLES[theorem]
+
+    NO_SAMPLE = [t for t, n in EXPECTED_SAMPLES.items() if n == 0]
+
+    @pytest.mark.parametrize("theorem, kind", [(t, "fol") for t in NO_SAMPLE]
+                             + [(t, "web") for t in NO_SAMPLE if CHECKS[t][0] is _as_web])
+    def test_a_check_without_samples_ignores_samples_and_seed(self, inputs, theorem, kind):
+        # the same report for --samples 1 and 20 and for two seeds, apart
+        # from the seed it echoes; the 2-web's sing-locus is the identity of
+        # its nonzero inflexion curve
+        reports = []
+        for samples, seed in (("1", "3"), ("20", "3"), ("1", "8")):
+            code, text = run_command(["check", "--in", inputs[kind], "--theorem", theorem,
+                                      "--seed", seed, "--samples", samples, "--json"])
+            assert code == 0, text
+            doc = json.loads(text)
+            doc["report"].pop("seed")
+            reports.append((doc["output"], doc["report"]))
+        assert reports[0] == reports[1] == reports[2]
 
     def test_dichotomy_takes_no_sample(self, tmp_path):
         # four singular points (+-1, +-1): one identity and one note per point

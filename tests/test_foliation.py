@@ -41,7 +41,7 @@ from polarweb.foliation import (
 from polarweb.mpoly import gcd_fold, jet_decompose, proper_shears, resultant, shear
 from polarweb.reports import CheckReport
 from polarweb.sampling import GenericSampler
-from polarweb.polarops import A_VAR, B_VAR, RadialProduct
+from polarweb.polarops import A_VAR, B_VAR
 
 one = MPoly.constant(1)
 ORIGIN = AffinePoint.of(0, 0)
@@ -50,19 +50,6 @@ IDENTITY = "Hessian of P_p at p on its tangent = c·E(p)"
 LINEAR_IDENTITY = "P = c·(aB - bA + Ay - Bx)"
 CUBIC_MONOMIALS = [(i, j) for i in range(4) for j in range(4 - i)]
 cubic_coefficients = st.lists(st.integers(-3, 3), min_size=len(CUBIC_MONOMIALS), max_size=len(CUBIC_MONOMIALS))
-
-
-def radial_at(monkeypatch, centers):
-    """Make the polar of every center in `centers` (every center when None)
-    degenerate to a radial product."""
-    polar = FoliationData.polar
-
-    def patched(self, p):
-        if centers is None or p in centers:
-            return RadialProduct(p, MPoly.constant(1))
-        return polar(self, p)
-
-    monkeypatch.setattr(FoliationData, "polar", patched)
 
 
 def subs(f: MPoly, assignments) -> MPoly:
@@ -347,17 +334,30 @@ class TestInflexionLemma:
 
     @pytest.mark.parametrize("entry", FOLIATIONS, ids=lambda e: e.name)
     def test_battery(self, entry):
-        report = inflexion_lemma_check(entry.foliation, seed=4, samples=4)
+        report = inflexion_lemma_check(entry.foliation, seed=4)
         assert report.passed, report.render_text()
+        assert [a.name for a in report.assertions] == [IDENTITY]
+        assert report.samples_requested == report.samples_used == 0
 
-    def test_short_off_divisor_stratum_fails(self, monkeypatch):
-        radial_at(monkeypatch, None)
-        report = inflexion_lemma_check(FoliationData(one, X**2), seed=1, samples=2)
-        sampling = [a for a in report.assertions if a.name == "sampling"]
-        assert [(a.passed, a.detail) for a in sampling] == [
-            (False, "only 0 of 2 admissible samples in 100 draws")
-        ]
-        assert not report.passed
+    @pytest.mark.parametrize("entry", FOLIATIONS, ids=lambda e: e.name)
+    def test_sampled_centers_inflect_exactly_on_E(self, entry):
+        # the oracle of the deleted sampling loop: at seeded regular centers
+        # and at the small integer points, P_p inflects at p iff E(p) = 0
+        fol, e = entry.foliation, inflexion_polynomial(entry.foliation)
+        sampler = GenericSampler(4)
+        centers = [sampler.center() for _ in range(6)] + [AffinePoint.of(i, j) for i in range(-2, 3)
+                                                        for j in range(-2, 3)]
+        for p in centers:
+            if fol.A.evaluate(p.as_dict()) == 0 and fol.B.evaluate(p.as_dict()) == 0:
+                continue
+            assert is_inflexion_point(fol.polar(p), p) == (e.evaluate(p.as_dict()) == 0), p
+
+    def test_a_planted_center_on_E_inflects(self):
+        # E = -2x for d/dx + x^2 d/dy: (0, 5) is on E, (1, 5) is not
+        fol = FoliationData(one, X**2)
+        assert inflexion_polynomial(fol) == -2 * X
+        assert is_inflexion_point(fol.polar(AffinePoint.of(0, 5)), AffinePoint.of(0, 5))
+        assert not is_inflexion_point(fol.polar(AffinePoint.of(1, 5)), AffinePoint.of(1, 5))
 
     @given(cubic_coefficients, cubic_coefficients)
     @settings(max_examples=30, deadline=None)
@@ -379,7 +379,7 @@ class TestInflexionLemma:
 
         fol = FoliationData(*(sum((c * X**i * Y**j for (i, j), c in zip(CUBIC_MONOMIALS, cs)), MPoly.zero())
                               for cs in (ca, cb)))
-        report = inflexion_lemma_check(fol, samples=0)
+        report = inflexion_lemma_check(fol)
         identity = [t for t in report.assertions if t.name == IDENTITY]
         assert report.passed
         assert len(identity) == (0 if inflexion_polynomial(fol).is_zero() else 1)
@@ -390,7 +390,7 @@ class TestInflexionLemma:
             return B * B * A.derivative("y") + A * B * A.derivative("x") - A * A * B.derivative("x")
 
         monkeypatch.setattr(foliation, "inflexion_polynomial", without_last_term)
-        report = inflexion_lemma_check(FoliationData(X**2, Y**2), seed=1, samples=2)
+        report = inflexion_lemma_check(FoliationData(X**2, Y**2), seed=1)
         assert [(t.passed, t.detail) for t in report.assertions if t.name == IDENTITY] == [
             (False, "not a constant multiple of E")
         ]

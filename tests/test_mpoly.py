@@ -413,9 +413,14 @@ class TestWorkCount:
         assert len(calls) == 0
 
     def test_a_polar_degree_job_multiplies_no_more(self, tmp_path, monkeypatch):
-        # the centers (-66/73, 95/9), ... are rational: the scaled linear forms
-        # of the integer substitution are built as term dicts, not by `*`
+        # the job reads the top part of the polar family and takes no
+        # center; the polars at the rational centers (-66/73, 95/9), ... that
+        # the sampled checks draw at seed 1 take no `*` at all: the scaled
+        # linear forms of the integer substitution are built as term dicts
         from polarweb.cli import run_command
+        from polarweb.parsing import parse_input
+        from polarweb.polarops import polar_curve
+        from polarweb.sampling import GenericSampler
 
         calls = []
         real = MPoly.__mul__
@@ -430,8 +435,15 @@ class TestWorkCount:
         path.write_text("type: foliation\nA: x^2 - 2*x*y + 3*y - 1\nB: y^2 + x*y - 2*x + 2\n")
         code, text = run_command(["check", "--in", str(path), "--theorem", "polar-degree",
                                   "--samples", "4", "--seed", "1"])
-        assert code == 0 and "p=(-66/73, 95/9)" in text, text
+        assert code == 0, text
         assert len(calls) <= 2
+        web = parse_input(str(path))[0].as_web
+        sampler = GenericSampler(1)
+        centers = [sampler.center() for _ in range(4)]
+        assert str(centers[0]) == "(-66/73, 95/9)"
+        calls.clear()
+        assert all(polar_curve(web, p).raw.total_degree() == 3 for p in centers)
+        assert calls == []
 
     def test_the_foliation_singular_locus_takes_four_resultants(self, tmp_path, monkeypatch):
         # Z = V(A, B, A_x, A_y, B_x, B_y) has 15 generator pairs per eliminant;

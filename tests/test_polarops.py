@@ -28,7 +28,7 @@ from polarweb import (
 from polarweb import polarops
 from polarweb.cli import run_command
 from polarweb.errors import DegenerateSampleError, InternalInvariantError, WebValidationError
-from polarweb.mpoly import _content_in, _rekey, _small_integers, dehomogenize, shear, squarefree_part
+from polarweb.mpoly import _content_in, _rekey, _small_integers, dehomogenize, jet_decompose, shear, squarefree_part
 from polarweb.polarops import (
     _absolute_factor_count,
     _gao_rows,
@@ -59,6 +59,9 @@ P0 = AffinePoint.of(0, 0)
 BASE_IDENTITY = "P(x + s, y + t; x, y) = c·(-1)^k·W(x, y; s, t)"
 JET_IDENTITY = "lowest (u, v)-jet of P(a, b; a + u, b + v) = c·W(a, b; u, v)"
 LINEAR_IDENTITY = "P = c·(aB - bA + Ay - Bx)"
+DEGREE_IDENTITY = "deg_(x,y) P(a, b; x, y) = d + k"
+CENTER_FREE = "the top part of P in (x, y) is free of (a, b): deg P_p = d + k at every center"
+SQUAREFREE = "W generically square-free"
 QUADRATIC_MONOMIALS = [(i, j) for i in range(3) for j in range(3 - i)]
 CUBIC_MONOMIALS = [(i, j) for i in range(4) for j in range(4 - i)]
 
@@ -139,10 +142,45 @@ class TestPolarCurve:
 
 
 class TestPolarDegree:
+    # the battery webs whose polar loses degree at some center: the radial
+    # center, where the polar of the radial factor vanishes identically
+    DROPS = ("radial pencil", "radial x vertical", "triple product (k=3)")
+
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
     def test_battery_degree(self, entry):
-        report = polar_degree_check(entry.web, seed=5, samples=6)
+        report = polar_degree_check(entry.web, seed=5)
         assert report.passed, report.render_text()
+        assert [a.name for a in report.assertions] == [DEGREE_IDENTITY]
+        assert report.samples_requested == report.samples_used == 0
+        if entry.name in self.DROPS:
+            assert report.notes == ["deg P_p < d + k at center (0, 0) [exact]"]
+        else:
+            assert report.notes == [CENTER_FREE]
+
+    @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
+    def test_sampled_degree_matches_the_locus(self, entry):
+        # the oracle of the deleted sampling loop: at seeded centers, and at
+        # the origin, the raw polar has degree d + k exactly off the common
+        # zeros of the top coefficients
+        d_k = web_degree(entry.web) + entry.web.k
+        _, coefficients = polarops.polar_top(entry.web)
+        sampler = GenericSampler(5)
+        for p in [sampler.center() for _ in range(6)] + [P0, AffinePoint.of(1, -1)]:
+            off_locus = any(c.evaluate({"x": p.a, "y": p.b}) for c in coefficients)
+            degree = polarops._substitute_center(entry.web.form, p.a, p.b).total_degree()
+            assert (degree == d_k) == off_locus, (p, degree)
+
+    def test_a_lower_degree_fails(self, monkeypatch):
+        monkeypatch.setattr(polarops, "web_degree", lambda web: 2)
+        report = polar_degree_check(w_sqrt)
+        assert [(a.passed, a.detail) for a in report.assertions] == [(False, "degree 3, d=2, k=2")]
+
+    def test_a_top_part_with_a_constant_coefficient(self):
+        # (x*dy - y*dx)*dx + dy^2: the top part (a*y - b*x)*x + y^2 moves
+        # with the center, but its coefficient at y^2 is 1
+        report = polar_degree_check(SymWeb((X * DY - Y * DX) * DX + DY**2))
+        assert report.passed and report.notes == [
+            "the top coefficients of P in (x, y) have no common zero: deg P_p = d + k at every center"]
 
     def test_sqrt_web_cubic(self):
         curve = polar_curve(w_sqrt, AffinePoint.of(3, 7))
@@ -398,11 +436,16 @@ class TestSingularLocus:
         report = generic_polar_singularities_check(FoliationData(X**2, Y**2).as_web)
         assert report.passed and report.notes[-1].endswith(": (0, 0) [exact]")
 
-    def test_foliation_of_lines_is_sampled(self):
-        # E ≡ 0 for the radial pencil: the sampled path decides it
-        report = generic_polar_singularities_check(w_radial, seed=6, samples=4)
-        assert report.samples_used == 4 and report.passed
-        assert all(a.name.startswith("Sing(P_p) ⊆") for a in report.assertions)
+    @pytest.mark.parametrize("A, B", [(X, Y), (MPoly.constant(2), MPoly.constant(-3)), (X - 2, Y + 3)],
+                             ids=["radial", "parallel", "radial at (2, -3)"])
+    def test_foliation_of_lines_is_an_identity(self, A, B):
+        # E ≡ 0: the leaves are a pencil, every polar is a line through its
+        # center or zero, and Z is empty; no sample
+        report = generic_polar_singularities_check(FoliationData(A, B).as_web, seed=6, samples=4)
+        assert report.passed and report.samples_requested == report.samples_used == 0
+        assert [a.name for a in report.assertions] == [LINEAR_IDENTITY, "E ≡ 0: deg_(x,y) P(a, b; x, y) = 1"]
+        assert report.notes == ["generic Sing(P_p) = V(A, B, A_x, A_y, B_x, B_y) ⊆ Sing(W): empty, "
+                                "the generic polar is smooth"]
 
     def test_web_is_an_identity(self):
         # R ≢ 0 on the sqrt web: no sample, the identity and a nonzero value of
@@ -684,9 +727,28 @@ class TestBranches:
 
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
     def test_battery(self, entry):
-        report = branches_check(entry.web, seed=8, samples=4)
+        report = branches_check(entry.web, seed=8)
         assert report.passed, report.render_text()
-        assert report.assertions[0].name == JET_IDENTITY
+        assert [a.name for a in report.assertions] == [JET_IDENTITY, SQUAREFREE]
+        assert report.samples_requested == report.samples_used == 0
+
+    @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
+    def test_sampled_cones_have_k_distinct_lines(self, entry):
+        # the oracle of the deleted sampling loop: at seeded centers off
+        # Sing(W) ∪ Δ(W), the lowest jet of P_p at p is k distinct lines
+        sampler = GenericSampler(8)
+        centers = [p for p in (sampler.center() for _ in range(8)) if is_smooth_point(entry.web, p)[0]]
+        assert len(centers) >= 4
+        for p in centers:
+            jets = jet_decompose(polar_curve(entry.web, p).raw, ("x", "y"), (p.a, p.b))
+            assert min(jets) == entry.web.k
+            assert [m for _, m in binary_form_factors(jets[min(jets)])] == [1] * entry.web.k
+
+    def test_a_repeated_factor_fails(self, tmp_path):
+        # dx^2 passes the jet identity, but no center has two distinct branches
+        report = branches_check(SymWeb(DX**2))
+        assert [(a.name, a.passed) for a in report.assertions] == [(JET_IDENTITY, True), (SQUAREFREE, False)]
+        check_fails(tmp_path, "type: web\nform: dx^2\n", "branches")
 
     @given(small_webs())
     @settings(max_examples=15, deadline=None)
@@ -702,12 +764,13 @@ class TestBranches:
         jet = sum(c * u**i * v**j for (i, j), c in at_center.terms() if i + j == lowest)
         form = sum(c.subs({x: a, y: b}, simultaneous=True) * u ** (k - n) * v**n for n, c in enumerate(coeffs))
         assert lowest == k and sympy.expand(jet - form) == 0
-        report = branches_check(web, samples=0)
-        assert report.passed and [a.name for a in report.assertions] == [JET_IDENTITY]
+        report = branches_check(web)
+        assert [(a.name, a.passed) for a in report.assertions] == [
+            (JET_IDENTITY, True), (SQUAREFREE, web.generically_squarefree)]
 
     def test_a_broken_family_fails(self, monkeypatch, tmp_path):
         break_family(monkeypatch)
-        report = branches_check(w_sqrt, seed=8, samples=2)
+        report = branches_check(w_sqrt, seed=8)
         assert [(a.passed, a.detail) for a in report.assertions if a.name == JET_IDENTITY] == [
             (False, "lowest jet of degree 0, not a multiple of the form")]
         assert not report.passed
@@ -778,11 +841,12 @@ class TestIrreducibility:
 
 class TestSamplingExhaustion:
     def test_no_admissible_center(self):
-        # a web that is not generically square-free has no smooth point
-        report = branches_check(SymWeb(DX**2), seed=1, samples=3)
+        # a web that is not generically square-free has no smooth point, so
+        # k2 finds no pair of points
+        report = family_degree_check(SymWeb(DX**2), seed=1, pairs=3)
         assert report.samples_used == 0
         assert len(report.discards) == 150
-        assert [a.name for a in report.assertions] == [JET_IDENTITY, "sampling"]
+        assert [a.name for a in report.assertions] == [BASE_IDENTITY, "sampling"]
         assert not report.passed
 
 

@@ -273,3 +273,35 @@ class TestLazyEliminant:
         assert zs.elim_y == eager_eliminant(gens, "x")
         if planted:
             assert zs.elim_x.evaluate({"x": x0}) == 0 and zs.elim_y.evaluate({"y": y0}) == 0
+
+
+class TestOneRationalCoordinate:
+    """A zero with exactly one rational coordinate is read from the roots of
+    the generators' gcd on that coordinate's line, never from a residual."""
+
+    def test_planted_irrational_partners(self):
+        zs = common_zeros([x - 1, (y**2 - 2) * (y - x)])
+        assert zs.rational == [(1, 1)]
+        assert [(a, round(b.real, 9)) for a, b in zs.numeric] == [(1, -1.414213562), (1, 1.414213562)]
+        zs = common_zeros([x**2 - 3, (y + 2) * (y - 5)])
+        assert [(round(a.real, 9), b) for a, b in zs.numeric] == [
+            (-1.732050808, -2), (-1.732050808, 5), (1.732050808, -2), (1.732050808, 5)]
+        assert zs.rational == []
+
+    def test_no_false_zero_next_to_a_multiple_rational_one(self, tmp_path):
+        # x = 0 divides A and B(0, y) = -3(y - 2)^3, so (0, 2) is the only
+        # zero on x = 0; the residual of (0, 1.99747), a root of the
+        # eliminant in y, passed the membership tolerance
+        A = "2*x^4 - x^2*y - 3*x*y^2 + 2*x^2 + 12*x*y - 12*x"
+        B = "-x^4 - x^3*y + x*y^3 + 2*x^3 - 7*x*y^2 - 3*y^3 + 16*x*y + 18*y^2 - 12*x - 36*y + 24"
+        from polarweb.cli import run_command
+        from polarweb.parsing import parse_polynomial
+
+        zs = common_zeros([parse_polynomial(A), parse_polynomial(B)])
+        assert zs.rational == [(0, 2)]
+        assert len(zs.numeric) == 3 and all(a != 0 for a, _ in zs.numeric)
+        path = tmp_path / "fol.txt"
+        path.write_text(f"type: foliation\nA: {A}\nB: {B}\n")
+        for theorem in ("qr-dichotomy", "qr-bound"):
+            code, text = run_command(["check", "--in", str(path), "--theorem", theorem, "--samples", "2"])
+            assert code == 0, text
