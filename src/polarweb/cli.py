@@ -44,7 +44,7 @@ from .localsing import (
     genus_constancy_check,
     genus_of_curve,
 )
-from .mpoly import MPoly, format_mpoly
+from .mpoly import format_mpoly
 from .parsing import parse_input, parse_point
 from .polarops import (
     RadialProduct,
@@ -57,12 +57,10 @@ from .polarops import (
     linear_identity,
     polar_curve,
     polar_degree_check,
-    polar_equality_criterion,
+    polar_equality_check as _equality_check,  # the name perfbench/spans.py wraps
     polar_family,
-    radial_form,
 )
 from .reports import CheckReport
-from .sampling import GenericSampler, sample_centers
 from .webmodel import (
     PlaneCurve,
     SymWeb,
@@ -176,16 +174,16 @@ def _as_curve(obj) -> PlaneCurve:
     raise ParseError("this subcommand needs a curve input (type: curve, f: ...)")
 
 
-# theorem -> (input coercion, runner(input, seed, samples)).  Each runner
-# applies its theorem's sample cap and calls the check through this module's
-# globals, so a wrapper bound over a check name is the one that runs.
+# theorem -> (input coercion, runner(input, seed, samples)).  A sampled
+# theorem's runner applies its sample cap.  Each calls the check through this
+# module's globals, so a wrapper bound over a check name is the one that runs.
 CHECKS = {
     "polar-degree": (_as_web, lambda w, s, n: polar_degree_check(w, s)),
-    "polar-equality": (_as_web, lambda w, s, n: _equality_check(w, s, max(n // 4, 2))),
-    "k2": (_as_web, lambda w, s, n: family_degree_check(w, s, min(n, 5))),
+    "polar-equality": (_as_web, lambda w, s, n: _equality_check(w, s)),
+    "k2": (_as_web, lambda w, s, n: family_degree_check(w, s)),
     "family-dim": (_as_web, lambda w, s, n: family_dimension_check(w, s)),
     "base-points": (_as_web, lambda w, s, n: base_points_check(w, s)),
-    "sing-locus": (_as_web, lambda w, s, n: generic_polar_singularities_check(w, s, n)),
+    "sing-locus": (_as_web, lambda w, s, n: generic_polar_singularities_check(w, s)),
     "branches": (_as_web, lambda w, s, n: branches_check(w, s)),
     "irreducible": (_as_web, lambda w, s, n: generic_polar_irreducible(w, s, min(n, 5))),
     "inflexion-lemma": (_as_foliation, lambda f, s, n: inflexion_lemma_check(f, s)),
@@ -324,50 +322,6 @@ def run_command(argv: list[str]) -> tuple[int, str]:
 def _run_check(obj, args) -> CheckReport:
     coerce, run = CHECKS[args.theorem]
     return run(coerce(obj), args.seed, args.samples)
-
-
-def _equality_check(web: SymWeb, seed: int, rounds: int) -> CheckReport:
-    """Constructed pairs satisfy the radial-divisibility criterion and have the
-    same polar; perturbed pairs fail both routes."""
-    report = CheckReport("polar-equality", seed=seed, samples_requested=rounds)
-    sampler = GenericSampler(seed)
-    DXv, DYv = MPoly.variable("dx"), MPoly.variable("dy")
-
-    def admissible(p):
-        # the multiplier beta is drawn right after its center
-        beta = DXv if sampler.rng.random() < 0.5 else DYv
-        if web.k >= 2:
-            beta = beta * MPoly.constant(sampler.nonzero_int())
-        else:
-            beta = MPoly.constant(sampler.nonzero_int())
-        constructed = web.form + radial_form(p) * beta * DXv ** max(web.k - 2, 0)
-        try:
-            w2 = SymWeb(constructed)
-        except WebValidationError:
-            return None, "constructed form not primitive"
-        if w2.k != web.k:
-            return None, "constructed form changed k"
-        return w2, None
-
-    for _, p, w2 in sample_centers(report, sampler, rounds, admissible):
-        verdict = polar_equality_criterion(web, w2, p)
-        report.add(
-            f"constructed pair at p={p}",
-            verdict.polars_equal and verdict.divisible and verdict.routes_agree,
-            f"divisible={verdict.divisible}, polars_equal={verdict.polars_equal}",
-        )
-        perturbed = web.form + DXv**web.k * MPoly.constant(sampler.nonzero_int())
-        try:
-            w3 = SymWeb(perturbed)
-        except WebValidationError:
-            continue
-        verdict2 = polar_equality_criterion(web, w3, p)
-        report.add(
-            f"perturbed pair at p={p}",
-            (not verdict2.polars_equal) and (not verdict2.divisible) and verdict2.routes_agree,
-            f"divisible={verdict2.divisible}, polars_equal={verdict2.polars_equal}",
-        )
-    return report
 
 
 def _dichotomy_all_singularities(fol: FoliationData, seed: int) -> CheckReport:

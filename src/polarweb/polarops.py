@@ -7,16 +7,16 @@ criterion, the two-dimensionality and degree k^2 of the family, base points,
 the singular-locus containment of the generic polar, the k-branch structure at
 the center, and the irreducibility verdict, from exact component counts by
 the Gao-Ruppert kernel.  The degree d + k, base points, the degree k^2,
-branches and the singular locus of a foliation's polars are decided on the
-polar family; k^2 then counts incidences of leaf lines at pairs of points.
-On a web with k >= 2 the singular locus is decided by one nonzero value of
-the inflexion curve of the web, and is sampled only where that curve is the
-whole plane.
+branches and the singular locus are decided on the polar family, with no
+sample; `family_degree` counts the incidences of leaf lines at one pair of
+points.  On a web with k >= 2 the singular locus is decided by one nonzero
+value of the inflexion curve of the web, or, where that curve is the whole
+plane, by splitting off the factor whose leaves are lines.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice, product
 
@@ -42,11 +42,7 @@ from .mpoly import (
 )
 from .reports import CheckReport
 from .sampling import GenericSampler, sample_centers
-from .solve import (
-    certify_membership_tolerance,
-    common_zeros,
-    vanishes_numerically,
-)
+from .solve import common_zeros
 from .webmodel import (
     DX,
     DY,
@@ -188,6 +184,35 @@ def polar_equality_criterion(w1: SymWeb, w2: SymWeb, p: AffinePoint) -> Equality
     )
 
 
+def polar_equality_check(web: SymWeb, seed: int = 0) -> CheckReport:
+    """`polar_equality_criterion`, proved once for every pair of webs of the
+    same k, with no sample.
+
+    Let R = (x - a)·dy - (y - b)·dx and σ: dx -> x - a, dy -> y - b, so that
+    σ(W) = P(a, b; x, y).  As (x - a)·dy ≡ (y - b)·dx (mod R), every form F
+    of degree k in (dx, dy) has (x - a)^k·F ≡ dx^k·σ(F) (mod R).  The check
+    asserts this by one exact division for each of the k + 1 monomials
+    dx^i·dy^(k-i), which span those forms, and once more for F = W.  The
+    quotients are polynomials in the center (a, b), so the congruence holds
+    at every center p.  R_p is irreducible and prime to x - a, and
+    σ_p(R_p) = 0, so σ_p(F) = 0 exactly when R_p | F.  Applied to
+    F = W2 - λ·W1, P_p(W2) = λ·P_p(W1) exactly when R_p | W2 - λ·W1: the two
+    routes of the criterion agree for every center and every W2."""
+    report = CheckReport("polar-equality", seed=seed)
+    k = web.k
+    sigma = {"dx": X - A_VAR, "dy": Y - B_VAR}
+    radial = (X - A_VAR) * DY - (Y - B_VAR) * DX
+    monomials = [DX ** i * DY ** (k - i) for i in range(k, -1, -1)]
+    for name, form in [(str(m), m) for m in monomials] + [("W", web.form)]:
+        difference = (X - A_VAR) ** k * form - DX**k * form.substitute(sigma)
+        divisible = try_exact_div(difference, radial) is not None
+        report.add(f"(x - a)^k·F ≡ dx^k·σ(F) (mod R) for F = {name}", divisible,
+                   "R = (x - a)·dy - (y - b)·dx divides the difference" if divisible else "R does not divide it")
+    report.note("R is irreducible and prime to x - a, and σ(R) = 0: at every center p, "
+                "P_p(W2) = λ·P_p(W1) exactly when R_p | W2 - λ·W1, for every web W2 with the same k")
+    return report
+
+
 def _proportionality(f: MPoly, g: MPoly) -> int | Fraction | None:
     """lambda with g = lambda * f, or None."""
     if f.is_zero() or g.is_zero():
@@ -275,29 +300,20 @@ def family_degree(web: SymWeb, p1: AffinePoint, p2: AffinePoint) -> tuple[int, i
     return web.k * web.k, poly_gcd(f1, f2).total_degree()
 
 
-def family_degree_check(web: SymWeb, seed: int = 0, pairs: int = 5) -> CheckReport:
-    """k^2 polars through two generic points: the identity of `base_points_check`
-    proves it, by the incidence rule of `family_degree`.  Each sampled pair
-    is a note with the count there and how many of its centers lie at
-    infinity; a pair the rule rejects is a discard."""
-    report = CheckReport("family-degree-k2", seed=seed, samples_requested=pairs)
+def family_degree_check(web: SymWeb, seed: int = 0) -> CheckReport:
+    """k^2 polars through two generic points, with no sample.
+
+    The check asserts the identity of `base_points_check`, by which p lies on
+    P_c exactly when W(p; p - c) = 0, and that W is generically square-free.
+    By `family_degree`'s incidence rule, p1 != p2 lie on k^2 polars when both
+    are off Sing(W) ∪ Δ(W), a curve as W is square-free, and W(p1; u) and
+    W(p2; u), u = p2 - p1, are nonzero (for k = 1, not both 0): these are
+    nonzero polynomials in (p1, p2), W(p; u) after an invertible linear change."""
+    report = CheckReport("family-degree-k2", seed=seed)
     _base_identity(report, web)
-    sampler = GenericSampler(seed)
-
-    def admissible(pair):
-        p1, p2 = pair
-        if p1 == p2:
-            return None, "the two points coincide"
-        try:
-            return family_degree(web, p1, p2), None
-        except DegenerateSampleError as e:
-            return None, str(e)
-
-    def draw():
-        return sampler.center(), sampler.center()
-
-    for _, (p1, p2), (count, at_inf) in sample_centers(report, sampler, pairs, admissible, draw):
-        report.note(f"|T_p1 W ∩ T_p2 W| at {p1}, {p2}: {count} points ({at_inf} at infinity)")
+    if _assert_squarefree(report, web):
+        report.note(f"p1, p2 off Sing(W) ∪ Δ(W) with W(p1; p2 - p1)·W(p2; p2 - p1) ≠ 0 lie on "
+                    f"k² = {web.k * web.k} polars")
     return report
 
 
@@ -350,85 +366,78 @@ def family_dimension_check(web: SymWeb, seed: int = 0) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def generic_polar_singularities_check(web: SymWeb, seed: int = 0, samples: int = 20) -> CheckReport:
-    """Sing(P_p) inside Δ(W) ∪ Sing(W) ∪ {p} for generic p.
+def generic_polar_singularities_check(web: SymWeb, seed: int = 0) -> CheckReport:
+    """Sing(P_p) inside Δ(W) ∪ Sing(W) ∪ {p} for generic p, with no sample.
 
     A foliation is decided on its polar family (`linear_identity`).  A web
-    with k >= 2 whose inflexion curve R = Res_(dx:dy)(W, E_W),
-    E_W = W_x·W_dy - W_y·W_dx (`inflexion_curve`), is not zero is decided
-    by the identity of `base_points_check`, P_p(q) = ±W(q; q - p), and the
-    report notes a point q with R(q) ≠ 0 and the value
-    (`inflexion_witness`).  Let q be singular on P_p with u = q - p ≠ 0.
-    Then grad P_p(q) = (W_x + W_dx, W_y + W_dy)(q; u), and P_p(q) =
-    W(q; u) = 0 makes u = t·v with t ≠ 0 and v a leaf direction at q.  Off
-    Δ(W) ∪ Sing(W), v is a simple root, so (W_dx, W_dy)(q; v) ≠ 0, and by
-    homogeneity grad P_p(q) = t^(k-1)·(t·(W_x, W_y) + (W_dx, W_dy))(q; v).
+    with k >= 2 asserts the identity of `base_points_check`, P_p(q) =
+    ±W(q; q - p), and is decided by `_web_polar_singularities`.  The
+    (dx:dy)-discriminant contains the singular set of a web with k >= 2.
+    """
+    if web.k == 1:
+        return _foliation_polar_singularities(web, seed)
+    report = CheckReport("polar-singular-locus", seed=seed)
+    _base_identity(report, web)
+    _web_polar_singularities(report, web)
+    return report
+
+
+def _web_polar_singularities(report: CheckReport, web: SymWeb, split: bool = True) -> None:
+    """The containment for a web with k >= 2, written into the report.
+
+    When the inflexion curve R = Res_(dx:dy)(W, E_W), E_W of
+    `inflexion_form`, is not zero, the report notes a point q with R(q) ≠ 0
+    and the value (`inflexion_witness`).  Let q be singular on P_p with
+    u = q - p ≠ 0.  Then grad P_p(q) = (W_x + W_dx, W_y + W_dy)(q; u), and
+    P_p(q) = W(q; u) = 0 makes u = t·v with t ≠ 0 and v a leaf direction at
+    q.  Off Δ(W) ∪ Sing(W), v is a simple root, so (W_dx, W_dy)(q; v) ≠ 0,
+    and by homogeneity grad P_p(q) = t^(k-1)·(t·(W_x, W_y) + (W_dx, W_dy))(q; v).
     That vanishes for some t only if E_W(q; v) = 0, so only if R(q) = 0,
     and then t is unique.  So such a q is singular on at most k polars with
     centers other than q, and the bad centers lie on the image of the curve
     R = 0, which a generic center avoids.
 
-    Webs with R ≡ 0, as for webs whose leaves are lines, are sampled.  The
-    (dx:dy)-discriminant contains the singular set of a web with k >= 2.
+    When R ≡ 0 and W has a repeated factor, Δ(W) is the whole plane, which
+    the report notes.  Otherwise W = L·N, L = gcd(W, E_W), and the check
+    asserts L | E_L: E_L vanishes on the leaves of L, so they are lines.
+    P_p(L)(q) = L(q; q - p) = 0 exactly when the leaf of L at q in the
+    direction q - p is a line through p: P_p(L) is a union of lines through
+    p, singular only at p.  At q ≠ p on P_p(L) ∩ P_p(N), q - p is a root of
+    L(q; .) and N(q; .), so a repeated root of W(q; .): q lies in Δ(W).  N
+    is a constant, a foliation (`_foliation_polar_singularities`), or a web
+    with R_N ≢ 0, decided here (`split` False); its assertions and notes are
+    marked `N: `, and Sing(N) ⊆ Sing(W), Δ(N) ⊆ Δ(W).  R_N ≡ 0 is a broken
+    invariant: E_W ≡ L^2·E_N (mod N), so a common factor of N and E_N would
+    divide both L and N, which are coprime as W is square-free.
     """
-    if web.k == 1:
-        b, a = web.coefficients()  # the form is A*dy - B*dx
-        return _foliation_polar_singularities(web, a, -b, seed)
     if (witness := inflexion_witness(web)) is not None:
-        report = CheckReport("polar-singular-locus", seed=seed)
-        _base_identity(report, web)
         q, value = witness
         report.note(f"R = Res_(dx:dy)(W, W_x·W_dy - W_y·W_dx) ≢ 0, R(q) = {value} at q = {q}: a point off "
                     "Δ(W) ∪ Sing(W) is singular on at most k polars with other centers, and only on R = 0")
-        return report
-    return _sampled_polar_singularities(web, seed, samples)
-
-
-def _sampled_polar_singularities(web: SymWeb, seed: int, samples: int) -> CheckReport:
-    """The containment at sampled centers, each polar's singular points
-    computed and tested for membership."""
-    report = CheckReport("polar-singular-locus", seed=seed, samples_requested=samples)
-    sing = singular_set(web)
-    disc = web.discriminant_form
-
-    def admissible(p):
-        curve = polar_curve(web, p)
-        if isinstance(curve, RadialProduct):
-            return None, "center of a radial factor"
-        if not disc.is_constant() and disc.evaluate(p.as_dict()) == 0:
-            return None, "center on the discriminant"
-        if sing.contains(p):
-            return None, "center is singular on the web"
-        return curve, None
-
-    for _, p, curve in sample_centers(report, GenericSampler(seed), samples, admissible):
-        F = curve.defining
-        fx, fy = F.derivative("x"), F.derivative("y")
-        if fx.is_zero() and fy.is_zero():
-            report.add(f"Sing(P_p) at p={p}", False, "degenerate polar gradient")
-            continue
-        zs = common_zeros([F, fx, fy])
-        bad = []
-        for q in zs.rational:
-            qp = AffinePoint(*q)
-            on_disc = (not disc.is_constant()) and disc.evaluate(qp.as_dict()) == 0
-            if not (qp == p or on_disc or sing.contains(qp)):
-                bad.append(str(qp))
-        for q in zs.numeric:
-            env = {"x": q[0], "y": q[1]}
-            on_disc = (not disc.is_constant()) and vanishes_numerically(disc, env)
-            near_p = abs(q[0] - complex(p.a)) < 1e-8 and abs(q[1] - complex(p.b)) < 1e-8
-            if not (near_p or on_disc or sing.contains_numeric(q)):
-                bad.append(f"({q[0]:.6g},{q[1]:.6g})")
-        exact = not zs.numeric
-        report.add(
-            f"Sing(P_p) ⊆ Δ(W) ∪ Sing(W) ∪ {{p}} at p={p}",
-            not bad,
-            f"{len(zs)} singular points" + (f"; violations: {bad}" if bad else ""),
-            exact=exact,
-        )
-    certify_membership_tolerance(report)
-    return report
+        return
+    if not split:
+        raise InternalInvariantError(f"R ≡ 0 on N = W / gcd(W, E_W) = {web.form}")
+    if not web.generically_squarefree:
+        report.note("R ≡ 0 and W has a repeated factor: Δ(W) is the whole plane")
+        return
+    L = poly_gcd(web.form, inflexion_form(web))
+    lines = SymWeb._trusted(L, binary_form_degree(L))
+    divides = try_exact_div(inflexion_form(lines), L) is not None
+    report.add("L | E_L for L = gcd(W, E_W)", divides,
+               f"L = {L}: " + ("every leaf of L is a line" if divides else "L does not divide E_L"))
+    report.note("R ≡ 0: W = L·N, P_p(L) is a union of lines through p and P_p(L) ∩ P_p(N) ⊆ Δ(W) ∪ {p}")
+    if lines.k == web.k:
+        report.note("N is a constant: W = L")
+        return
+    rest = SymWeb._trusted(exact_div(web.form, L), web.k - lines.k)
+    if rest.k == 1:
+        sub = _foliation_polar_singularities(rest, report.seed)
+    else:
+        sub = CheckReport(report.check)
+        _web_polar_singularities(sub, rest, split=False)
+    report.note(f"N = {rest.form}")
+    report.assertions += [replace(a, name=f"N: {a.name}") for a in sub.assertions]
+    report.notes += [f"N: {n}" for n in sub.notes]
 
 
 def inflexion_form(web: SymWeb) -> MPoly:
@@ -499,7 +508,7 @@ def linear_identity(report: CheckReport, web: SymWeb, A: MPoly, B: MPoly) -> Non
                f"c = {c}" if c is not None else "the polar family is not linear in the center")
 
 
-def _foliation_polar_singularities(web: SymWeb, A: MPoly, B: MPoly, seed: int) -> CheckReport:
+def _foliation_polar_singularities(web: SymWeb, seed: int) -> CheckReport:
     """The generic polar of a foliation is singular exactly on
     Z = V(A, B, A_x, A_y, B_x, B_y), a subset of Sing(W).
 
@@ -516,6 +525,8 @@ def _foliation_polar_singularities(web: SymWeb, A: MPoly, B: MPoly, seed: int) -
     c·(x - x0, y - y0).  So deg_(x,y) P = 1, which the check asserts
     (`polar_top`), and as P_p(p) = 0 every polar is a line through p or
     zero: Z is empty.  The notes list Z."""
+    b, a = web.coefficients()  # the form is A*dy - B*dx
+    A, B = a, -b
     report = CheckReport("polar-singular-locus", seed=seed)
     linear_identity(report, web, A, B)
     if inflexion_of_field(A, B).is_zero():
@@ -551,10 +562,19 @@ def branches_check(web: SymWeb, seed: int = 0) -> CheckReport:
     c = _proportionality(form, jet) if order == web.k else None
     report.add("lowest (u, v)-jet of P(a, b; a + u, b + v) = c·W(a, b; u, v)", c is not None,
                f"c = {c}" if c is not None else f"lowest jet of degree {order}, not a multiple of the form")
-    squarefree = web.generically_squarefree
-    report.add("W generically square-free", squarefree,
-               "the k leaf directions are distinct off Δ(W)" if squarefree else "W has a repeated factor")
+    _assert_squarefree(report, web)
     return report
+
+
+def _assert_squarefree(report: CheckReport, web: SymWeb, only_failure: bool = False) -> bool:
+    """Assert that W is generically square-free (`generically_squarefree`), so
+    that Δ(W) is a curve; with `only_failure`, only a failing assertion is
+    added.  Returns the verdict."""
+    squarefree = web.generically_squarefree
+    if not (only_failure and squarefree):
+        report.add("W generically square-free", squarefree,
+                   "the k leaf directions are distinct off Δ(W)" if squarefree else "W has a repeated factor")
+    return squarefree
 
 
 # ---------------------------------------------------------------------------
@@ -695,8 +715,12 @@ def web_decomposable(web: SymWeb) -> tuple[bool, int]:
 def generic_polar_irreducible(web: SymWeb, seed: int = 0, samples: int = 5) -> CheckReport:
     """Generic polar decomposable iff the web is decomposable or has degree 0
     (with k >= 2); verified sample by sample against the exact component
-    count."""
-    report = CheckReport("polar-irreducible", seed=seed, samples_requested=samples)
+    count.  A web with a repeated factor fails `W generically square-free`
+    and is not sampled: it has no branch curve for `web_decomposable`."""
+    report = CheckReport("polar-irreducible", seed=seed)
+    if not _assert_squarefree(report, web, only_failure=True):
+        return report
+    report.samples_requested = samples
     d = web_degree(web)
     k = web.k
     decomposable, _ = web_decomposable(web)

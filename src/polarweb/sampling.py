@@ -32,35 +32,27 @@ class GenericSampler:
     def center(self) -> AffinePoint:
         return AffinePoint(*self.point())
 
-    def nonzero_int(self) -> int:
-        while True:
-            v = self.rng.randint(-9, 9)
-            if v != 0:
-                return v
 
+def sample_centers(report, sampler: GenericSampler, n: int, admissible):
+    """Yield (index, center, value) for the first n admissible centers.
 
-def sample_centers(report, sampler: GenericSampler, n: int, admissible, draw=None):
-    """Yield (index, point, value) for the first n admissible draws.
-
-    `draw()` gives a candidate (a center by default, a tuple of centers for
-    checks that need several); `admissible(point)` returns (value, None) to
-    admit it, handing the value it computed on to the caller, or
-    (None, reason) to reject it, which appends a discard to `report.discards`.
-    At most MAX_RESAMPLES * n draws are made; if they run out first, one
-    failed `sampling` assertion is added.  Each admitted point adds one to
-    `report.samples_used` as it comes, so a check that samples several strata
-    calls this once per stratum on the same report.
+    `admissible(center)` returns (value, None) to admit it, handing the value
+    it computed on to the caller, or (None, reason) to reject it, which
+    appends a discard to `report.discards`.  At most MAX_RESAMPLES * n draws
+    are made; if they run out first, one failed `sampling` assertion is
+    added.  Each admitted center adds one to `report.samples_used` as it
+    comes, so a check that samples several strata calls this once per
+    stratum on the same report.
     """
-    draw = draw or sampler.center
     budget = MAX_RESAMPLES * n
     used = 0
     for _ in range(budget):
         if used == n:
             break
-        pt = draw()
+        pt = sampler.center()
         value, reason = admissible(pt)
         if reason is not None:
-            report.discards.append((",".join(map(str, pt)) if isinstance(pt, tuple) else str(pt), reason))
+            report.discards.append((str(pt), reason))
             continue
         used += 1
         report.samples_used += 1

@@ -40,12 +40,6 @@ def vanishes_numerically(f: MPoly, point: dict[str, complex]) -> bool:
     return abs(f.evaluate_complex(point)) <= NUMERIC_TOL * term_scale(f, point)
 
 
-def certify_membership_tolerance(report) -> None:
-    """Record the membership tolerance on a report with a numeric assertion."""
-    if any(not a.exact for a in report.assertions):
-        report.certify("numeric_membership_tolerance", NUMERIC_TOL)
-
-
 def _candidates(approx: list[complex]):
     """Rational guesses for the real-looking approximations, in order."""
     for r in approx:

@@ -25,7 +25,7 @@ from .mpoly import (
     squarefree_part,
     try_exact_div,
 )
-from .solve import ZeroSet, common_zeros, univariate_root_split, vanishes_numerically
+from .solve import ZeroSet, common_zeros, univariate_root_split
 from .zpoly import _distinct_binary_roots
 
 X = MPoly.variable("x")
@@ -117,9 +117,6 @@ class PlaneCurve:
     def is_empty(self) -> bool:
         return self.defining.is_constant()
 
-    def contains(self, p: AffinePoint) -> bool:
-        return self.defining.evaluate(p.as_dict()) == 0
-
     def __eq__(self, other):
         return isinstance(other, PlaneCurve) and self.defining == other.defining
 
@@ -142,9 +139,6 @@ class SingularSet:
 
     def contains(self, p: AffinePoint) -> bool:
         return all(g.evaluate(p.as_dict()) == 0 for g in self.generators)
-
-    def contains_numeric(self, pt: tuple[complex, complex]) -> bool:
-        return all(vanishes_numerically(g, {"x": pt[0], "y": pt[1]}) for g in self.generators)
 
 
 class SymWeb:

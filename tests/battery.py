@@ -24,6 +24,14 @@ def to_sympy(sympy, f: MPoly):
     ))
 
 
+def nonzero_int(sampler) -> int:
+    """A nonzero integer from [-9, 9], drawn by rejection from the stream of
+    a `GenericSampler`."""
+    while (value := sampler.rng.randint(-9, 9)) == 0:
+        pass
+    return value
+
+
 def break_family(monkeypatch):
     """Add a*x^2 to every polar family, so that P is no longer the polar."""
     from polarweb import polarops

@@ -17,10 +17,12 @@ the jobs whose bodies changed.
 
 A mismatch prints the job's argv and input, and `--check` ends with one line
 that counts the differing jobs for each workload and theorem (the subcommand
-of a job that is not a `check`), as in
-`420 of 3160 jobs differ from body-digests.txt: exact-checks branches 180, ...`;
-a change that alters report bodies declares them by that line.  `gen.py` is
-read, not edited.
+of a job that is not a `check`), then the jobs whose exit code changed, with
+a count for each workload, theorem and change, as in
+`420 of 3160 jobs differ from body-digests.txt: exact-checks branches 180, ...;
+exit codes changed: 3 (exact-checks polar-equality 1→0 3)`; a change that
+alters report bodies declares them by that line.  `gen.py` is read, not
+edited.
 """
 
 from __future__ import annotations
@@ -81,27 +83,38 @@ def committed() -> dict[tuple[str, int, int], str]:
     return out
 
 
-def mismatches(workload: str, seed: int, inputs: int) -> list[tuple[list[str], str]]:
-    """(argv, message) of each job of the first `inputs` inputs whose digest
-    is not the committed one; the message has the job's argv and input."""
+def mismatches(workload: str, seed: int, inputs: int) -> list[tuple[list[str], str, tuple[str, str]]]:
+    """(argv, message, (committed exit code, exit code now)) of each job of
+    the first `inputs` inputs whose digest is not the committed one; the
+    message has the job's argv and input, and a job with no committed line
+    has the committed code `-`."""
     expected = committed()
     out = []
     with tempfile.TemporaryDirectory() as directory:
         for index, argv, text, got in run_jobs(workload, seed, inputs, directory):
             want = expected.get((workload, seed, index))
             if got != want:
+                codes = (want.split()[0] if want else "-", got.split()[0])
                 out.append((argv, f"{workload} seed {seed} job {index}: got {got}, committed {want}\n"
-                                  f"  argv: {argv}\n  input:\n" + "".join(f"    {t}\n" for t in text.splitlines())))
+                                  f"  argv: {argv}\n  input:\n" + "".join(f"    {t}\n" for t in text.splitlines()),
+                            codes))
     return out
 
 
-def summary(jobs: list[tuple[str, list[str]]]) -> str:
-    """The number of (workload, argv) jobs for each workload and theorem, or
-    subcommand when the job is not a `check`, on one line."""
-    counts = collections.Counter(
-        (workload, argv[argv.index("--theorem") + 1] if "--theorem" in argv else argv[0])
-        for workload, argv in jobs)
-    return ", ".join(f"{workload} {name} {n}" for (workload, name), n in sorted(counts.items()))
+def summary(jobs: list[tuple[str, list[str], tuple[str, str]]]) -> str:
+    """On one line, the number of (workload, argv, (old, new) exit codes)
+    jobs for each workload and theorem, or subcommand when the job is not a
+    `check`, then the number whose exit code changed, with a count for each
+    workload, theorem and change."""
+    def name(argv):
+        return argv[argv.index("--theorem") + 1] if "--theorem" in argv else argv[0]
+
+    counts = collections.Counter((workload, name(argv)) for workload, argv, _ in jobs)
+    changed = collections.Counter((workload, name(argv), f"{old}→{new}") for workload, argv, (old, new) in jobs
+                                  if old != new)
+    line = ", ".join(f"{workload} {name} {n}" for (workload, name), n in sorted(counts.items()))
+    breakdown = ", ".join(f"{workload} {name} {change} {n}" for (workload, name, change), n in sorted(changed.items()))
+    return f"{line}; exit codes changed: {sum(changed.values())}" + (f" ({breakdown})" if changed else "")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -121,11 +134,11 @@ def main(argv: list[str] | None = None) -> int:
         DIGESTS.write_text("".join(lines), encoding="utf-8")
         print(f"wrote {len(lines)} digests to {DIGESTS.name}")
         return 0
-    bad = [(workload, argv, message) for workload, inputs in INPUTS.items() for seed in SEEDS
-           for argv, message in mismatches(workload, seed, inputs)]
-    counts = f": {summary([(workload, argv) for workload, argv, _ in bad])}" if bad else ""
-    print("".join(message for *_, message in bad)
-          + f"{len(bad)} of {len(committed())} jobs differ from {DIGESTS.name}{counts}")
+    bad = [(workload, argv, message, codes) for workload, inputs in INPUTS.items() for seed in SEEDS
+           for argv, message, codes in mismatches(workload, seed, inputs)]
+    counts = summary([(workload, argv, codes) for workload, argv, _, codes in bad])
+    print("".join(message for _, _, message, _ in bad)
+          + f"{len(bad)} of {len(committed())} jobs differ from {DIGESTS.name}" + (": " if bad else "") + counts)
     return 1 if bad else 0
 
 

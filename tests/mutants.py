@@ -72,6 +72,16 @@ MUTANTS = [
      "degree = max(jets)",
      "degree = min(jets)",
      "tests/test_polarops.py::TestPolarDegree::test_sampled_degree_matches_the_locus"),
+    # one power of x - a short in the congruence of polar-equality
+    ("polarops.py",
+     "(X - A_VAR) ** k",
+     "(X - A_VAR) ** (k - 1)",
+     "tests/test_polarops.py::TestPolarEquality::test_congruence_on_battery"),
+    # the whole web taken for its factor of lines, so N is lost
+    ("polarops.py",
+     "L = poly_gcd(web.form, inflexion_form(web))",
+     "L = web.form",
+     "tests/test_polarops.py::TestInflexionCurve::test_the_report_carries_the_witness_of_n"),
 ]
 
 

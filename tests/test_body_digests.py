@@ -22,15 +22,16 @@ def test_the_file_covers_every_job():
 @pytest.mark.parametrize("workload", sorted(PREFIX))
 def test_seed_one_prefix_matches(workload):
     bad = mismatches(workload, 1, PREFIX[workload])
-    assert not bad, "".join(message for _, message in bad)
+    assert not bad, "".join(message for _, message, _ in bad)
 
 
 def test_the_summary_counts_jobs_by_workload_and_theorem():
-    jobs = [("exact-checks", ["check", "--in", "0001.txt", "--theorem", "branches", "--samples", "4"]),
-            ("germs", ["localsing", "--in", "0003.txt", "--point", "0,0"]),
-            ("exact-checks", ["check", "--in", "0001.txt", "--theorem", "polar-degree", "--seed", "1"]),
-            ("exact-checks", ["check", "--in", "0002.txt", "--theorem", "branches", "--samples", "2"]),
-            ("monodromy", ["check", "--in", "0004.txt", "--theorem", "irreducible"])]
+    jobs = [("exact-checks", ["check", "--in", "0001.txt", "--theorem", "branches", "--samples", "4"], ("0", "0")),
+            ("germs", ["localsing", "--in", "0003.txt", "--point", "0,0"], ("0", "0")),
+            ("exact-checks", ["check", "--in", "0001.txt", "--theorem", "polar-degree", "--seed", "1"], ("1", "0")),
+            ("exact-checks", ["check", "--in", "0002.txt", "--theorem", "branches", "--samples", "2"], ("0", "0")),
+            ("monodromy", ["check", "--in", "0004.txt", "--theorem", "irreducible"], ("0", "0"))]
     assert summary(jobs) == ("exact-checks branches 2, exact-checks polar-degree 1, germs localsing 1, "
-                             "monodromy irreducible 1")
-    assert summary([]) == ""
+                             "monodromy irreducible 1; exit codes changed: 1 (exact-checks polar-degree 1→0 1)")
+    assert summary(jobs[:2]) == "exact-checks branches 1, germs localsing 1; exit codes changed: 0"
+    assert summary([]) == "; exit codes changed: 0"

@@ -633,6 +633,10 @@ class TestGoldenReports:
             ("singular-2-web", ["singular", "--in", "{web2}", "--json"]),
             ("check-qr-dichotomy",
              ["check", "--in", "{fol9}", "--theorem", "qr-dichotomy", "--seed", "7", "--json"]),
+            ("check-polar-equality",
+             ["check", "--in", "{web}", "--theorem", "polar-equality", "--seed", "7", "--samples", "3", "--json"]),
+            ("check-k2",
+             ["check", "--in", "{web}", "--theorem", "k2", "--seed", "7", "--samples", "3", "--json"]),
         ],
     )
     def test_matches_golden(self, inputs, name, argv):
@@ -650,14 +654,13 @@ class TestGoldenReports:
 
 class TestCheckRegistry:
     # samples.requested (= samples.used) of each theorem at --samples 6, in
-    # registry order: each theorem's sample cap applied once.  polar-degree,
-    # branches, inflexion-lemma, sing-in-E, qr-dichotomy and sing-locus on a
-    # foliation are identities on the polar family and take no sample
+    # registry order: each sampled theorem's cap applied once.  The others
+    # are decided on the polar family and take no sample
     EXPECTED_SAMPLES = dict(zip(
         ("polar-degree", "polar-equality", "k2", "family-dim", "base-points", "sing-locus",
          "branches", "irreducible", "inflexion-lemma", "sing-in-E", "qr-dichotomy", "qr-bound",
          "equising", "genus-constant"),
-        (0, 2, 5, 0, 0, 0, 0, 5, 0, 0, 0, 5, 6, 5),
+        (0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 5, 6, 5),
     ))
 
     def test_registry_order(self):
@@ -691,6 +694,28 @@ class TestCheckRegistry:
             doc["report"].pop("seed")
             reports.append((doc["output"], doc["report"]))
         assert reports[0] == reports[1] == reports[2]
+
+    def test_a_check_without_samples_draws_nothing(self, inputs, tmp_path, monkeypatch):
+        # every binding of GenericSampler in the package refuses to be built;
+        # the inputs: a foliation, a web with R ≢ 0 and one with R ≡ 0
+        from polarweb.sampling import GenericSampler
+
+        class Refused:
+            def __init__(self, seed):
+                raise AssertionError("a check without samples built a sampler")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("polarweb") and module is not None:
+                for key, value in list(vars(module).items()):
+                    if value is GenericSampler:
+                        monkeypatch.setattr(module, key, Refused)
+        mixed = tmp_path / "mixed.txt"
+        mixed.write_text("type: web\nform: dx*(dy^2 - x*dx^2)\n")
+        for theorem in self.NO_SAMPLE:
+            paths = [inputs["fol"]] + ([inputs["web"], str(mixed)] if CHECKS[theorem][0] is _as_web else [])
+            for path in paths:
+                code, text = run_command(["check", "--in", path, "--theorem", theorem, "--seed", "3"])
+                assert code == 0, (theorem, path, text)
 
     def test_dichotomy_takes_no_sample(self, tmp_path):
         # four singular points (+-1, +-1): one identity and one note per point

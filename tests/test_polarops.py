@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from battery import BATTERY, DX, DY, X, Y, break_family, to_sympy
+from battery import BATTERY, DX, DY, X, Y, break_family, nonzero_int, to_sympy
 from polarweb import (
     AffinePoint,
     FoliationData,
@@ -26,7 +26,7 @@ from polarweb import (
     web_degree,
 )
 from polarweb import polarops
-from polarweb.cli import run_command
+from polarweb.cli import _equality_check, run_command
 from polarweb.errors import DegenerateSampleError, InternalInvariantError, WebValidationError
 from polarweb.mpoly import _content_in, _rekey, _small_integers, dehomogenize, jet_decompose, shear, squarefree_part
 from polarweb.polarops import (
@@ -44,10 +44,12 @@ from polarweb.polarops import (
     generic_polar_singularities_check,
     inflexion_curve,
     polar_degree_check,
+    radial_form,
     web_decomposable,
 )
 from polarweb.sampling import GenericSampler
-from polarweb.webmodel import binary_form_factors, form_at, is_smooth_point
+from polarweb.solve import common_zeros, vanishes_numerically
+from polarweb.webmodel import binary_form_factors, form_at, is_smooth_point, singular_set
 
 w_product = SymWeb(DX * DY)
 w_radial = SymWeb(X * DY - Y * DX)
@@ -62,6 +64,8 @@ LINEAR_IDENTITY = "P = c·(aB - bA + Ay - Bx)"
 DEGREE_IDENTITY = "deg_(x,y) P(a, b; x, y) = d + k"
 CENTER_FREE = "the top part of P in (x, y) is free of (a, b): deg P_p = d + k at every center"
 SQUAREFREE = "W generically square-free"
+SPLIT = "L | E_L for L = gcd(W, E_W)"
+SPLIT_NOTE = "R ≡ 0: W = L·N, P_p(L) is a union of lines through p and P_p(L) ∩ P_p(N) ⊆ Δ(W) ∪ {p}"
 QUADRATIC_MONOMIALS = [(i, j) for i in range(3) for j in range(3 - i)]
 CUBIC_MONOMIALS = [(i, j) for i in range(4) for j in range(4 - i)]
 
@@ -209,6 +213,59 @@ class TestPolarEquality:
         # polars differ (scaling changes the sum), but routes must agree
         assert v.routes_agree
 
+    @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
+    def test_congruence_on_battery(self, entry):
+        # one division per monomial dx^i·dy^(k-i), one for W; no sample
+        report = _equality_check(entry.web, seed=5)
+        assert report.passed, report.render_text()
+        k = entry.web.k
+        assert [a.name.rsplit(" = ", 1)[1] for a in report.assertions] == [
+            str(DX ** i * DY ** (k - i)) for i in range(k, -1, -1)] + ["W"]
+        assert report.samples_requested == report.samples_used == 0
+
+    @pytest.mark.parametrize("entry", [e for e in BATTERY if e.web.form != DX**e.web.k], ids=lambda e: e.name)
+    def test_sampled_pairs_agree_on_battery(self, entry):
+        # the oracle of the deleted sampling loop, on every web whose dx^k
+        # perturbation is not a multiple of W
+        verdicts = sampled_equality_verdicts(entry.web, seed=5, rounds=3)
+        assert len(verdicts) == 3
+        for constructed, perturbed in verdicts:
+            assert constructed.polars_equal and constructed.divisible and constructed.routes_agree
+            assert not perturbed.polars_equal and not perturbed.divisible and perturbed.routes_agree
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_power_of_dx_passes(self, tmp_path, k):
+        # W + c·dx^k is a multiple of W = dx^k, which the sampled perturbed
+        # pair took for a counterexample
+        path = tmp_path / "web.txt"
+        path.write_text(f"type: web\nform: dx^{k}\n")
+        code, out = run_command(["check", "--in", str(path), "--theorem", "polar-equality", "--seed", "1"])
+        assert code == 0, out
+
+
+def sampled_equality_verdicts(web: SymWeb, seed: int, rounds: int) -> list:
+    """The oracle of the deleted `polar-equality` sampling loop: at up to
+    `rounds` seeded centers p, the verdicts of `polar_equality_criterion` on
+    W against the constructed W + R_p·β·dx^(k-2), β = c·dx or c·dy (c for
+    k = 1), and against the perturbed W + c·dx^k.  A center whose forms are
+    not both valid webs of degree k is skipped."""
+    sampler = GenericSampler(seed)
+    out = []
+    for _ in range(50 * rounds):
+        p = sampler.center()
+        beta = MPoly.constant(nonzero_int(sampler)) * ((DX if sampler.rng.random() < 0.5 else DY)
+                                                        if web.k >= 2 else 1)
+        try:
+            constructed = SymWeb(web.form + radial_form(p) * beta * DX ** max(web.k - 2, 0))
+            perturbed = SymWeb(web.form + MPoly.constant(nonzero_int(sampler)) * DX**web.k)
+        except WebValidationError:
+            continue
+        if constructed.k == web.k:
+            out.append((polar_equality_criterion(web, constructed, p), polar_equality_criterion(web, perturbed, p)))
+        if len(out) == rounds:
+            break
+    return out
+
 
 class TestPolarFamily:
     def test_product_parametric(self):
@@ -323,10 +380,16 @@ class TestFamilyDegree:
     def test_k_squared_on_battery(self, entry):
         if entry.is_radial_pencil:
             pytest.skip("the radial pencil is the excluded web")
-        report = family_degree_check(entry.web, seed=9, pairs=2)
+        # the identity and square-freeness decide it with no sample; the
+        # deleted sampling loop's count is the oracle
+        report = family_degree_check(entry.web, seed=9)
         assert report.passed, report.render_text()
-        assert report.assertions[0].name == BASE_IDENTITY
-        assert report.mode == "exact"
+        assert [a.name for a in report.assertions] == [BASE_IDENTITY, SQUAREFREE]
+        assert report.mode == "exact" and report.samples_requested == report.samples_used == 0
+        k = entry.web.k
+        assert report.notes[-1].endswith(f"lie on k² = {k * k} polars")
+        counts = sampled_family_degrees(entry.web, seed=9, pairs=2)
+        assert len(counts) == 2 and all(count == k * k for count, _ in counts)
 
     @pytest.mark.parametrize("entry", [e for e in BATTERY if not e.is_radial_pencil], ids=lambda e: e.name)
     def test_count_matches_sympy(self, entry):
@@ -355,11 +418,35 @@ class TestFamilyDegree:
 
     def test_a_broken_family_fails(self, monkeypatch, tmp_path):
         break_family(monkeypatch)
-        report = family_degree_check(w_sqrt, seed=9, pairs=2)
+        report = family_degree_check(w_sqrt, seed=9)
         assert [(a.passed, a.detail) for a in report.assertions if a.name == BASE_IDENTITY] == [
             (False, "not a constant multiple of the form")]
         assert not report.passed
         check_fails(tmp_path, "type: web\nform: dy^2 - x*dx^2\n", "k2")
+
+    def test_a_repeated_factor_fails(self, tmp_path):
+        # dx^2 has no smooth point, so no pair of points has k^2 centers
+        report = family_degree_check(SymWeb(DX**2))
+        assert [(a.name, a.passed) for a in report.assertions] == [(BASE_IDENTITY, True), (SQUAREFREE, False)]
+        assert report.notes == []
+        check_fails(tmp_path, "type: web\nform: dx^2\n", "k2")
+
+
+def sampled_family_degrees(web: SymWeb, seed: int, pairs: int) -> list[tuple[int, int]]:
+    """The oracle of the deleted `k2` sampling loop: `family_degree` at up to
+    `pairs` seeded pairs of distinct points that its incidence rule admits."""
+    sampler = GenericSampler(seed)
+    out = []
+    for _ in range(50 * pairs):
+        p1, p2 = sampler.center(), sampler.center()
+        try:
+            if p1 != p2:
+                out.append(family_degree(web, p1, p2))
+        except DegenerateSampleError:
+            continue
+        if len(out) == pairs:
+            break
+    return out
 
 
 def sampled_family_dimension(web: SymWeb, seed: int = 0, samples: int = 5) -> int:
@@ -423,13 +510,13 @@ class TestFamilyDimension:
 class TestSingularLocus:
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
     def test_containment(self, entry):
-        report = generic_polar_singularities_check(entry.web, seed=6, samples=4)
+        report = generic_polar_singularities_check(entry.web, seed=6)
         assert report.passed, report.render_text()
 
     def test_foliation_is_an_identity(self):
         # the center of the circle pencil has a nonzero linear part, the
         # origin of x^2 d/dx + y^2 d/dy none
-        report = generic_polar_singularities_check(w_circles, seed=6, samples=4)
+        report = generic_polar_singularities_check(w_circles, seed=6)
         assert report.samples_used == 0
         assert [(a.name, a.passed) for a in report.assertions] == [(LINEAR_IDENTITY, True)]
         assert report.notes[-1].endswith(": empty, the generic polar is smooth")
@@ -441,7 +528,7 @@ class TestSingularLocus:
     def test_foliation_of_lines_is_an_identity(self, A, B):
         # E ≡ 0: the leaves are a pencil, every polar is a line through its
         # center or zero, and Z is empty; no sample
-        report = generic_polar_singularities_check(FoliationData(A, B).as_web, seed=6, samples=4)
+        report = generic_polar_singularities_check(FoliationData(A, B).as_web, seed=6)
         assert report.passed and report.samples_requested == report.samples_used == 0
         assert [a.name for a in report.assertions] == [LINEAR_IDENTITY, "E ≡ 0: deg_(x,y) P(a, b; x, y) = 1"]
         assert report.notes == ["generic Sing(P_p) = V(A, B, A_x, A_y, B_x, B_y) ⊆ Sing(W): empty, "
@@ -451,7 +538,7 @@ class TestSingularLocus:
         # R ≢ 0 on the sqrt web: no sample, the identity and a nonzero value of
         # R; after the shear dx -> dx + dy, R = 4x vanishes at (0, 0), (0, 1),
         # (0, -1) and w's dy-leading coefficient 1 - x at (1, 0), (1, 1), (1, -1)
-        report = generic_polar_singularities_check(w_sqrt, seed=6, samples=4)
+        report = generic_polar_singularities_check(w_sqrt, seed=6)
         assert [(a.name, a.passed) for a in report.assertions] == [(BASE_IDENTITY, True)]
         assert report.samples_used == 0
         assert report.notes == ["R = Res_(dx:dy)(W, W_x·W_dy - W_y·W_dx) ≢ 0, R(q) = -4 at q = (-1, 0): a point "
@@ -460,10 +547,14 @@ class TestSingularLocus:
         assert inflexion_curve(w_sqrt) == 4 * X
 
     def test_web_of_lines_is_sampled(self):
-        # R ≡ 0 for dx*dy: the sampled path decides it
-        report = generic_polar_singularities_check(w_product, seed=6, samples=4)
-        assert report.samples_used == 4 and report.passed
-        assert all(a.name.startswith("Sing(P_p) ⊆") for a in report.assertions)
+        # R ≡ 0 for dx*dy, and E_W ≡ 0, so L = W: no sample in the check,
+        # and the deleted sampled path, the oracle, finds only the centers
+        report = generic_polar_singularities_check(w_product, seed=6)
+        assert report.passed and report.samples_used == 0
+        assert [(a.name, a.detail) for a in report.assertions] == [
+            (BASE_IDENTITY, "c = 1"), (SPLIT, "L = dx*dy: every leaf of L is a line")]
+        assert report.notes == [SPLIT_NOTE, "N is a constant: W = L"]
+        assert sampled_polar_singularities(w_product, seed=6, samples=4) == (4, [])
 
     @given(st.lists(st.integers(-3, 3), min_size=2 * len(CUBIC_MONOMIALS), max_size=2 * len(CUBIC_MONOMIALS)),
            st.booleans())
@@ -554,6 +645,44 @@ def seed_one_web_jobs(count: int = 30):
 
 
 R_NONZERO = [e for e in BATTERY if not inflexion_curve(e.web).is_zero()]
+# (W, its line factor L, the rest N): planted webs with R ≡ 0 that are not
+# webs of lines
+MIXED_WEBS = [
+    (DX * w_sqrt.form, DX, w_sqrt.form),
+    ((X * DY - Y * DX) * w_circles.form, X * DY - Y * DX, w_circles.form),
+    (DY * w_circles.form, DY, w_circles.form),
+    ((X * DY - Y * DX) * w_sqrt.form, X * DY - Y * DX, w_sqrt.form),
+]
+
+
+def sampled_polar_singularities(web: SymWeb, seed: int, samples: int) -> tuple[int, list]:
+    """The oracle of the deleted sampled `sing-locus` path: (centers used,
+    violations) over up to `samples` seeded centers p off the radial
+    centers, Sing(W) and Δ(W).  A violation is a singular point of the
+    reduced polar P_p that is neither p nor in Δ(W) ∪ Sing(W), tested
+    exactly at a rational point and by residual (`vanishes_numerically`) at
+    any other."""
+    sing, disc = singular_set(web), web.discriminant_form
+
+    def in_locus(point, numeric):
+        vanishes = (lambda f: vanishes_numerically(f, point)) if numeric else (lambda f: f.evaluate(point) == 0)
+        return (not disc.is_constant() and vanishes(disc)) or all(vanishes(g) for g in sing.generators)
+
+    sampler, used, bad = GenericSampler(seed), 0, []
+    for _ in range(50 * samples):
+        p = sampler.center()
+        curve = polar_curve(web, p)
+        if isinstance(curve, RadialProduct) or in_locus(p.as_dict(), False):
+            continue
+        F = curve.defining
+        zs = common_zeros([F, F.derivative("x"), F.derivative("y")])
+        bad += [q for q in zs.rational if AffinePoint(*q) != p and not in_locus({"x": q[0], "y": q[1]}, False)]
+        bad += [q for q in zs.numeric if max(abs(q[0] - complex(p.a)), abs(q[1] - complex(p.b))) >= 1e-8
+                and not in_locus({"x": q[0], "y": q[1]}, True)]
+        used += 1
+        if used == samples:
+            break
+    return used, bad
 
 
 class TestInflexionCurve:
@@ -628,16 +757,15 @@ class TestInflexionCurve:
     @pytest.mark.parametrize("entry", R_NONZERO, ids=lambda e: e.name)
     def test_sampled_path_agrees_on_the_battery(self, entry):
         # where R ≢ 0 decides the check, the sampled containment holds too
-        report = polarops._sampled_polar_singularities(entry.web, seed=6, samples=4)
-        assert report.passed and report.samples_used == 4, report.render_text()
+        assert generic_polar_singularities_check(entry.web, seed=6).passed
+        assert sampled_polar_singularities(entry.web, seed=6, samples=4) == (4, [])
 
     def test_sampled_path_agrees_on_benchmark_webs(self):
         webs = seed_one_web_jobs()
         assert len(webs) == 30
         for web, seed in webs:
             assert not inflexion_curve(web).is_zero()
-            report = polarops._sampled_polar_singularities(web, seed, 4)
-            assert report.passed and report.samples_used == 4, report.render_text()
+            assert sampled_polar_singularities(web, seed, 4) == (4, []), web
 
     @given(small_webs())
     @settings(max_examples=25, deadline=None)
@@ -665,7 +793,7 @@ class TestInflexionCurve:
         monkeypatch.setattr(polarops, "inflexion_curve", refused)
         q, value = polarops.inflexion_witness(web)
         assert q.a != 0 and value == R.evaluate(q.as_dict()) != 0
-        report = generic_polar_singularities_check(web, seed=6, samples=4)
+        report = generic_polar_singularities_check(web, seed=6)
         assert report.passed and report.samples_used == 0
         assert report.notes[0].startswith(f"R = Res_(dx:dy)(W, W_x·W_dy - W_y·W_dx) ≢ 0, R(q) = {value} at q = {q}:")
 
@@ -682,10 +810,50 @@ class TestInflexionCurve:
     @pytest.mark.parametrize("entry", [e for e in BATTERY if e.web.k >= 2 and e not in R_NONZERO],
                              ids=lambda e: e.name)
     def test_webs_with_r_zero_are_sampled(self, entry):
+        # every leaf is a line, so L = W; the deleted sampled path is the oracle
         assert polarops.inflexion_witness(entry.web) is None
-        report = generic_polar_singularities_check(entry.web, seed=6, samples=4)
-        assert report.passed and report.samples_used == 4, report.render_text()
-        assert all(a.name.startswith("Sing(P_p) ⊆") for a in report.assertions)
+        report = generic_polar_singularities_check(entry.web, seed=6)
+        assert report.passed and report.samples_used == 0, report.render_text()
+        assert [a.name for a in report.assertions] == [BASE_IDENTITY, SPLIT]
+        assert report.notes == [SPLIT_NOTE, "N is a constant: W = L"]
+        assert sampled_polar_singularities(entry.web, seed=6, samples=4) == (4, [])
+
+    @pytest.mark.parametrize("form, line, rest", MIXED_WEBS, ids=[str(f) for f, _, _ in MIXED_WEBS])
+    def test_planted_mixed_webs_split_off_their_lines(self, form, line, rest):
+        # R ≡ 0, L is exactly the line factor, and N is a foliation or a web
+        # with R_N ≢ 0; the deleted sampled path, the oracle, agrees
+        web = SymWeb(form)
+        assert polarops.inflexion_witness(web) is None
+        report = generic_polar_singularities_check(web, seed=6)
+        assert report.passed and report.samples_used == 0, report.render_text()
+        assert report.assertions[1].detail == f"L = {line.canonical()}: every leaf of L is a line"
+        assert report.notes[:2] == [SPLIT_NOTE, f"N = {rest.canonical()}"]
+        assert all(n.startswith("N: ") for n in report.notes[2:]) and len(report.notes) > 2
+        assert sampled_polar_singularities(web, seed=6, samples=4) == (4, [])
+
+    def test_the_report_carries_the_witness_of_n(self):
+        # dx·(dy^2 - x·dx^2): N is the sqrt web, with R(-1, 0) = -4
+        report = generic_polar_singularities_check(SymWeb(DX * w_sqrt.form), seed=6)
+        assert [a.name for a in report.assertions] == [BASE_IDENTITY, SPLIT]
+        assert report.notes[-1].startswith("N: R = Res_(dx:dy)(W, W_x·W_dy - W_y·W_dx) ≢ 0, "
+                                           "R(q) = -4 at q = (-1, 0):")
+
+    def test_a_foliation_n_carries_its_identity(self):
+        report = generic_polar_singularities_check(SymWeb((X * DY - Y * DX) * w_circles.form), seed=6)
+        assert [(a.name, a.passed) for a in report.assertions] == [
+            (BASE_IDENTITY, True), (SPLIT, True), (f"N: {LINEAR_IDENTITY}", True)]
+
+    def test_a_repeated_factor_is_noted(self):
+        # Δ(W) is the whole plane: the check passes, as the sampled path did
+        report = generic_polar_singularities_check(SymWeb(DX**2 * DY), seed=6)
+        assert report.passed and [a.name for a in report.assertions] == [BASE_IDENTITY]
+        assert report.notes == ["R ≡ 0 and W has a repeated factor: Δ(W) is the whole plane"]
+
+    def test_r_zero_on_n_is_a_broken_invariant(self, monkeypatch):
+        # E_W ≡ L^2·E_N (mod N) makes R_N ≢ 0; a zero R_N is refused
+        monkeypatch.setattr(polarops, "inflexion_witness", lambda web: None)
+        with pytest.raises(InternalInvariantError, match="R ≡ 0 on N"):
+            generic_polar_singularities_check(SymWeb(DX * w_sqrt.form))
 
     def test_a_web_job_finds_no_common_zeros(self, tmp_path, monkeypatch):
         # the work count of a 2-web sing-locus job: no polar, no zero set
@@ -777,6 +945,33 @@ class TestBranches:
         check_fails(tmp_path, "type: web\nform: dy^2 - x*dx^2\n", "branches")
 
 
+@st.composite
+def planted_curves(draw):
+    """1-3 planted factors in (x, y) with integer coefficients: a line; a
+    smooth conic a·x^2 + b·y^2 + c, a·b·c ≠ 0; or L1^2 - 2·L2^2 + c for
+    independent affine forms L1 and L2, two lines over Q(sqrt 2) when c = 0
+    and a smooth conic otherwise."""
+    small, nonzero = st.integers(-3, 3), st.sampled_from([-3, -2, -1, 1, 2, 3])
+
+    def affine():
+        a, b = draw(small), draw(small)
+        return (a, b), MPoly.constant(a) * X + MPoly.constant(b) * Y + draw(small)
+
+    factors = []
+    for kind in draw(st.lists(st.sampled_from(["line", "conic", "split"]), min_size=1, max_size=3)):
+        if kind == "line":
+            (a, b), f = affine()
+            assume((a, b) != (0, 0))
+        elif kind == "conic":
+            f = MPoly.constant(draw(nonzero)) * X**2 + MPoly.constant(draw(nonzero)) * Y**2 + draw(nonzero)
+        else:
+            ((a1, b1), l1), ((a2, b2), l2) = affine(), affine()
+            assume(a1 * b2 != a2 * b1)
+            f = l1 * l1 - 2 * l2 * l2 + draw(st.sampled_from([0, 0, 1, -2]))
+        factors.append(f)
+    return factors
+
+
 class TestIrreducibility:
     def test_component_count_conic(self):
         assert curve_component_count(PlaneCurve(X**2 + Y**2 - 1)) == 1
@@ -786,6 +981,32 @@ class TestIrreducibility:
 
     def test_component_count_vertical_line_factor(self):
         assert curve_component_count(PlaneCurve((X - 1) * (Y - 2))) == 2
+
+    def test_component_count_conjugate_lines(self):
+        # lines conjugate over Q(sqrt 2), one factor over Q
+        assert curve_component_count(PlaneCurve(X**2 - 2 * Y**2)) == 2
+        assert curve_component_count(PlaneCurve((X**2 + Y**2 - 1) * (X**2 - 2 * Y**2) * (2 * X - Y))) == 4
+
+    @given(planted_curves())
+    @settings(max_examples=15, deadline=None)
+    def test_component_count_matches_sympy(self, factors):
+        # an independent count: sympy's factors over Q(sqrt 2), each
+        # absolutely irreducible, as the planted split conics are lines there
+        sympy = pytest.importorskip("sympy")
+        x, y = sympy.symbols("x y")
+        f = math.prod(factors[1:], start=factors[0])
+        _, found = sympy.factor_list(to_sympy(sympy, f), x, y, extension=sympy.sqrt(2))
+        assume(all(m == 1 for _, m in found))  # square-free
+        assert curve_component_count(PlaneCurve(f)) == len(found)
+
+    @pytest.mark.parametrize("form", [DX**2, DX**2 * DY, w_sqrt.form**2], ids=str)
+    def test_a_repeated_factor_fails(self, tmp_path, form):
+        # the discriminant is zero and has no square-free part: the report
+        # fails the assertion and draws nothing
+        report = generic_polar_irreducible(SymWeb(form), seed=1)
+        assert [(a.name, a.passed) for a in report.assertions] == [(SQUAREFREE, False)]
+        assert report.samples_requested == report.samples_used == 0 and not report.notes
+        check_fails(tmp_path, f"type: web\nform: {form}\n", "irreducible")
 
     def test_web_decomposability(self):
         assert web_decomposable(w_product)[0]
@@ -837,17 +1058,6 @@ class TestIrreducibility:
     def test_battery(self, entry):
         report = generic_polar_irreducible(entry.web, seed=3, samples=2)
         assert report.passed, report.render_text()
-
-
-class TestSamplingExhaustion:
-    def test_no_admissible_center(self):
-        # a web that is not generically square-free has no smooth point, so
-        # k2 finds no pair of points
-        report = family_degree_check(SymWeb(DX**2), seed=1, pairs=3)
-        assert report.samples_used == 0
-        assert len(report.discards) == 150
-        assert [a.name for a in report.assertions] == [BASE_IDENTITY, "sampling"]
-        assert not report.passed
 
 
 class TestComponentCountErrors:

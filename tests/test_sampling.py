@@ -33,15 +33,13 @@ class TestSampleCenters:
         assert report.discards[: len(first)] == first
         assert report.passed
 
-    def test_pair_witness(self):
-        report = CheckReport("t")
-        sampler = GenericSampler(2)
-
-        def draw():
-            return sampler.center(), sampler.center()
-
-        verdicts = iter([(None, "first pair rejected"), (1, None)])
-        list(sample_centers(report, sampler, 1, lambda pair: next(verdicts), draw))
-        stream = GenericSampler(2)
-        first = f"{stream.center()},{stream.center()}"
-        assert report.discards == [(first, "first pair rejected")]
+    def test_no_admissible_center(self):
+        # every draw rejected: 50 draws per requested sample, each a discard,
+        # then one failed `sampling` assertion
+        report = CheckReport("t", samples_requested=3)
+        got = list(sample_centers(report, GenericSampler(1), 3, lambda p: (None, "rejected")))
+        assert got == [] and report.samples_used == 0
+        assert len(report.discards) == 150
+        assert [(a.name, a.passed, a.detail) for a in report.assertions] == [
+            ("sampling", False, "only 0 of 3 admissible samples in 150 draws")]
+        assert not report.passed

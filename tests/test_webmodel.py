@@ -387,10 +387,10 @@ class TestNumericMembershipTolerance:
     POINT = (1 + 1e-6 + 0j, 0j)
 
     def test_default_follows_numeric_tol(self, monkeypatch):
+        # the setting is read at call time, so --tol-residual reaches it
         from polarweb import solve
-        from polarweb.webmodel import SingularSet
 
-        sing = SingularSet([], [], [X - 1, Y], None, None)
-        assert not sing.contains_numeric(self.POINT)
+        point = {"x": self.POINT[0], "y": self.POINT[1]}
+        assert not solve.vanishes_numerically(X - 1, point)
         monkeypatch.setattr(solve, "NUMERIC_TOL", 1e-3)
-        assert sing.contains_numeric(self.POINT)
+        assert solve.vanishes_numerically(X - 1, point)
