@@ -185,7 +185,7 @@ CHECKS = {
     "base-points": (_as_web, lambda w, s, n: base_points_check(w, s)),
     "sing-locus": (_as_web, lambda w, s, n: generic_polar_singularities_check(w, s)),
     "branches": (_as_web, lambda w, s, n: branches_check(w, s)),
-    "irreducible": (_as_web, lambda w, s, n: generic_polar_irreducible(w, s, min(n, 5))),
+    "irreducible": (_as_web, lambda w, s, n: generic_polar_irreducible(w)),
     "inflexion-lemma": (_as_foliation, lambda f, s, n: inflexion_lemma_check(f, s)),
     "sing-in-E": (_as_foliation, lambda f, s, n: polar_sing_in_inflexion_check(f, s)),
     "qr-dichotomy": (_as_foliation, lambda f, s, n: _dichotomy_all_singularities(f, s)),

@@ -6,12 +6,12 @@ center.  This module houses the degree count d + k, the polar-equality
 criterion, the two-dimensionality and degree k^2 of the family, base points,
 the singular-locus containment of the generic polar, the k-branch structure at
 the center, and the irreducibility verdict, from exact component counts by
-the Gao-Ruppert kernel.  The degree d + k, base points, the degree k^2,
-branches and the singular locus are decided on the polar family, with no
-sample; `family_degree` counts the incidences of leaf lines at one pair of
-points.  On a web with k >= 2 the singular locus is decided by one nonzero
-value of the inflexion curve of the web, or, where that curve is the whole
-plane, by splitting off the factor whose leaves are lines.
+the Gao-Ruppert kernel.  No check samples: irreducibility is decided by one
+polar, at the first small integer center that proves it, and the rest on the
+polar family; `family_degree` counts the incidences of leaf lines at one
+pair of points.  On a web with k >= 2 the singular locus is decided by one
+nonzero value of the inflexion curve of the web, or, where that curve is
+the whole plane, by splitting off the factor whose leaves are lines.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .mpoly import (
     try_exact_div,
 )
 from .reports import CheckReport
-from .sampling import GenericSampler, sample_centers
 from .solve import common_zeros
 from .webmodel import (
     DX,
@@ -53,7 +52,6 @@ from .webmodel import (
     SymWeb,
     form_at,
     is_smooth_point,
-    on_discriminant,
     singular_set,
     web_degree,
 )
@@ -308,11 +306,14 @@ def family_degree_check(web: SymWeb, seed: int = 0) -> CheckReport:
     By `family_degree`'s incidence rule, p1 != p2 lie on k^2 polars when both
     are off Sing(W) ∪ Δ(W), a curve as W is square-free, and W(p1; u) and
     W(p2; u), u = p2 - p1, are nonzero (for k = 1, not both 0): these are
-    nonzero polynomials in (p1, p2), W(p; u) after an invertible linear change."""
+    nonzero polynomials in (p1, p2), W(p; u) after an invertible linear change.
+    A pencil of lines, k = 1 and d = 0, has one such center, noted instead."""
     report = CheckReport("family-degree-k2", seed=seed)
     _base_identity(report, web)
     if _assert_squarefree(report, web):
-        report.note(f"p1, p2 off Sing(W) ∪ Δ(W) with W(p1; p2 - p1)·W(p2; p2 - p1) ≠ 0 lie on "
+        report.note("k = 1, d = 0: the leaves are the lines through a point o, perhaps at infinity, the one center "
+                    "of a polar through p1 and p2; P_o is all of the plane" if web.k == 1 and web_degree(web) == 0
+                    else f"p1, p2 off Sing(W) ∪ Δ(W) with W(p1; p2 - p1)·W(p2; p2 - p1) ≠ 0 lie on "
                     f"k² = {web.k * web.k} polars")
     return report
 
@@ -348,16 +349,10 @@ def family_dimension(web: SymWeb) -> int:
 
 def family_dimension_check(web: SymWeb, seed: int = 0) -> CheckReport:
     report = CheckReport("family-dimension", seed=seed)
-    dim = family_dimension(web)
-    d = web_degree(web)
-    is_radial = web.k == 1 and d == 0
-    expected = 1 if is_radial else 2
-    report.add(
-        "dim R(W)",
-        dim == expected,
-        f"rank computation gives {dim}, expected {expected}"
-        + (" (radial web: the family is a line of curves)" if is_radial else ""),
-    )
+    dim, pencil = family_dimension(web), web.k == 1 and web_degree(web) == 0
+    expected = 1 if pencil else 2
+    report.add("dim R(W)", dim == expected, f"rank computation gives {dim}, expected {expected}"
+               + (" (radial web: the family is a line of curves)" if pencil else ""))
     return report
 
 
@@ -566,14 +561,12 @@ def branches_check(web: SymWeb, seed: int = 0) -> CheckReport:
     return report
 
 
-def _assert_squarefree(report: CheckReport, web: SymWeb, only_failure: bool = False) -> bool:
+def _assert_squarefree(report: CheckReport, web: SymWeb) -> bool:
     """Assert that W is generically square-free (`generically_squarefree`), so
-    that Δ(W) is a curve; with `only_failure`, only a failing assertion is
-    added.  Returns the verdict."""
+    that Δ(W) is a curve.  Returns the verdict."""
     squarefree = web.generically_squarefree
-    if not (only_failure and squarefree):
-        report.add("W generically square-free", squarefree,
-                   "the k leaf directions are distinct off Δ(W)" if squarefree else "W has a repeated factor")
+    report.add("W generically square-free", squarefree,
+               "the k leaf directions are distinct off Δ(W)" if squarefree else "W has a repeated factor")
     return squarefree
 
 
@@ -712,43 +705,57 @@ def web_decomposable(web: SymWeb) -> tuple[bool, int]:
     raise InternalInvariantError(f"web_decomposable: {bound + 1} intercepts found no transversal line")
 
 
-def generic_polar_irreducible(web: SymWeb, seed: int = 0, samples: int = 5) -> CheckReport:
-    """Generic polar decomposable iff the web is decomposable or has degree 0
-    (with k >= 2); verified sample by sample against the exact component
-    count.  A web with a repeated factor fails `W generically square-free`
-    and is not sampled: it has no branch curve for `web_decomposable`."""
-    report = CheckReport("polar-irreducible", seed=seed)
-    if not _assert_squarefree(report, web, only_failure=True):
-        return report
-    report.samples_requested = samples
-    d = web_degree(web)
-    k = web.k
-    decomposable, _ = web_decomposable(web)
-    expect_reducible = decomposable or (d == 0 and k >= 2)
-    report.note(
-        f"web: k={k}, d={d}, decomposable={decomposable}; expected generic polar "
-        + ("reducible" if expect_reducible else "irreducible")
-    )
+def generic_polar_irreducible(web: SymWeb) -> CheckReport:
+    """Generic polar reducible iff the web is decomposable or has degree 0
+    with k >= 2, decided with no sample; a web with a repeated factor fails
+    `W generically square-free` and has no branch curve to cut.
 
-    def admissible(p):
+    Reducible: over C, W = c·W_1···W_m, m >= 2 the count of
+    `web_decomposable`, so P_p(W) = c·∏ P_p(W_i), and each P_p(W_i) vanishes
+    at p: it is 0 or not a constant.  When d = 0, W(p + t·v; v) is free of
+    t, so P_p(p + v) = W(p; v): k lines through p.
+
+    Irreducible: the reducible or non-reduced curves of degree d + k, the
+    image of products of curves of lower degree, form a closed set.  So one
+    square-free polar of degree d + k with one component over C proves the
+    generic polar irreducible.  The walk of the small integer centers, side
+    d + k + 2 in `_small_grid` order, stops at the first such witness and
+    notes each center it passes.  If none is found it raises
+    `DegenerateSampleError`: a bounded walk proves nothing about a closed
+    set of unknown degree."""
+    report = CheckReport("polar-irreducible")
+    if not _assert_squarefree(report, web):
+        return report
+    d, k = web_degree(web), web.k
+    decomposable, count = web_decomposable(web)
+    expect_reducible = decomposable or (d == 0 and k >= 2)
+    report.note(f"web: k={k}, d={d}, decomposable={decomposable}; expected generic polar "
+                + ("reducible" if expect_reducible else "irreducible"))
+    if expect_reducible:
+        report.add("W decomposable over C" if decomposable else "d = 0 and k >= 2", True,
+                   f"{count} components over C" if decomposable else "P_p(p + v) = W(p; v), k lines through p")
+    side = d + k + 2
+    for i, j in _small_grid(side):
+        p = AffinePoint.of(i, j)
         curve = polar_curve(web, p)
         if isinstance(curve, RadialProduct):
-            return None, "center of a radial factor"
-        if all(c.evaluate(p.as_dict()) == 0 for c in web.coefficients()):
-            return None, "center is singular on the web"
-        if on_discriminant(web, p):
-            return None, "center on the discriminant"
-        return curve, None
-
-    for _, p, curve in sample_centers(report, GenericSampler(seed), samples, admissible):
-        reduced = curve.raw == curve.defining
-        if not reduced:
-            report.add(
-                f"polar at {p} square-free",
-                False,
-                "polar is non-reduced; component count uses the reduction",
-            )
-        count = curve_component_count(curve)
-        ok = (count >= 2) if expect_reducible else (count == 1)
-        report.add(f"components at p={p}", ok, f"{count} component(s)")
-    return report
+            special = "the polar is all of the plane"
+        elif curve.raw.total_degree() < d + k:
+            special = f"the polar has degree {curve.raw.total_degree()} < d + k"
+        elif curve.raw != curve.defining:
+            special = "the polar is not square-free"
+        else:
+            count = curve_component_count(curve)
+            if expect_reducible:
+                report.note(f"components at p={p}: {count}")
+                return report
+            if count == 1:
+                report.add(f"components at p={p}", True,
+                           f"1 component, degree {d + k}, square-free: the generic polar is irreducible")
+                return report
+            special = f"{count} components"
+        report.note(f"special center {p}: {special}")
+    if expect_reducible:
+        return report
+    raise DegenerateSampleError(f"irreducible: no center of the {side} x {side} grid has a square-free "
+                                f"polar of degree {d + k} with one component")

@@ -316,13 +316,6 @@ def discriminant_curve(web: SymWeb) -> PlaneCurve:
     return PlaneCurve(disc)
 
 
-def on_discriminant(web: SymWeb, p: AffinePoint) -> bool:
-    disc = web.discriminant_form
-    if disc.is_constant():
-        return False
-    return disc.evaluate(p.as_dict()) == 0
-
-
 def form_at(web: SymWeb, p: AffinePoint) -> MPoly:
     """The web's binary form at p, written in (x, y) in place of (dx, dy), the
     variables of a tangent cone at p: each coefficient a_i of dx^(k-i) dy^i

@@ -82,6 +82,21 @@ MUTANTS = [
      "L = poly_gcd(web.form, inflexion_form(web))",
      "L = web.form",
      "tests/test_polarops.py::TestInflexionCurve::test_the_report_carries_the_witness_of_n"),
+    # a polar of two components taken for the witness of irreducibility
+    ("polarops.py",
+     "if count == 1:",
+     "if count >= 1:",
+     "tests/test_polarops.py::TestIrreducibility::test_the_three_web_with_a_special_line"),
+    # a non-reduced polar taken for a witness: its reduction has one component
+    ("polarops.py",
+     "elif curve.raw != curve.defining:",
+     "elif False:",
+     "tests/test_polarops.py::TestIrreducibility::test_a_special_center_is_passed[non-reduced]"),
+    # a polar of short degree taken for a witness
+    ("polarops.py",
+     "elif curve.raw.total_degree() < d + k:",
+     "elif False:",
+     "tests/test_polarops.py::TestIrreducibility::test_a_special_center_is_passed[short degree]"),
 ]
 
 

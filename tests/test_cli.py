@@ -660,7 +660,7 @@ class TestCheckRegistry:
         ("polar-degree", "polar-equality", "k2", "family-dim", "base-points", "sing-locus",
          "branches", "irreducible", "inflexion-lemma", "sing-in-E", "qr-dichotomy", "qr-bound",
          "equising", "genus-constant"),
-        (0, 0, 0, 0, 0, 0, 0, 5, 0, 0, 0, 5, 6, 5),
+        (0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 5, 6, 5),
     ))
 
     def test_registry_order(self):

@@ -4,9 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from battery import FOLIATIONS, X, Y
+from battery import FOLIATIONS, X, Y, to_sympy
 from polarweb import (
     CurveGerm,
     MPoly,
@@ -84,6 +84,26 @@ class TestIntersectionMultiplicity:
         ) + intersection_multiplicity(f, h)
 
 
+@st.composite
+def isolated_germs(draw):
+    """f0(x, y - s·x) plus at most one monomial of higher weight, f0 a sum of
+    monomials x^i y^j on the line q·i + p·j = p·q with x^p and y^q among
+    them, coefficients in [-3, 3]: a quasi-homogeneous f0 with an isolated
+    critical point has no other, and the shear tilts its tangent cone."""
+    p, q = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    coefficient, nonzero = st.integers(-3, 3), st.sampled_from([-3, -2, -1, 1, 2, 3])
+    f = draw(nonzero) * X**p + draw(nonzero) * Y**q
+    for i in range(1, p):
+        if (p * q - q * i) % p == 0:
+            f = f + draw(coefficient) * X**i * Y ** ((p * q - q * i) // p)
+    s = draw(st.integers(-2, 2))
+    f = f.substitute({"y": Y - s * X})
+    i, j = draw(st.integers(0, p)), draw(st.integers(0, q))
+    if q * i + p * j > p * q:
+        f = f + draw(coefficient) * X**i * Y**j
+    return f
+
+
 class TestMilnor:
     def test_cusp(self):
         assert milnor_number(CUSP) == 2
@@ -101,6 +121,26 @@ class TestMilnor:
         # x^2*y is not reduced: f_x = 2xy and f_y = x^2 share x through the origin
         with pytest.raises(PolynomialError, match="non-isolated singularity at the origin"):
             milnor_number(CurveGerm({(2, 1): 1}, True))
+
+    @given(isolated_germs())
+    @example((Y - X) ** 3 - X**4)  # E6: mu = 6
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_standard_monomials_of_a_groebner_basis(self, f):
+        # an independent mu: when a power of x and a power of y lie in
+        # (f_x, f_y), the origin is its only zero, and mu is the number of
+        # monomials outside the leading terms of a grevlex basis
+        sympy = pytest.importorskip("sympy")
+        x, y = sympy.symbols("x y")
+        g = to_sympy(sympy, f)
+        basis = sympy.groebner([sympy.diff(g, x), sympy.diff(g, y)], x, y, order="grevlex")
+        assume(basis.is_zero_dimensional)
+        leads = [sympy.Poly(b, x, y).monoms(order="grevlex")[0] for b in basis.exprs]
+        top_x = min(i for i, j in leads if j == 0)
+        top_y = min(j for i, j in leads if i == 0)
+        standard = sum(1 for i in range(top_x) for j in range(top_y)
+                       if not any(i >= a and j >= b for a, b in leads))
+        assume(basis.contains(x**standard) and basis.contains(y**standard))
+        assert milnor_number(germ(f)) == standard
 
     def test_a_localsing_job_takes_one_square_free_part(self, tmp_path, monkeypatch):
         # the curve is reduced once, when it is parsed, and the germ is its

@@ -1,5 +1,6 @@
 """Polar curves, the polar family, and the section-2/3 theorem checks."""
 
+import json
 import math
 import random
 import sys
@@ -64,6 +65,8 @@ LINEAR_IDENTITY = "P = c·(aB - bA + Ay - Bx)"
 DEGREE_IDENTITY = "deg_(x,y) P(a, b; x, y) = d + k"
 CENTER_FREE = "the top part of P in (x, y) is free of (a, b): deg P_p = d + k at every center"
 SQUAREFREE = "W generically square-free"
+PENCIL_NOTE = ("k = 1, d = 0: the leaves are the lines through a point o, perhaps at infinity, the one center "
+               "of a polar through p1 and p2; P_o is all of the plane")
 SPLIT = "L | E_L for L = gcd(W, E_W)"
 SPLIT_NOTE = "R ≡ 0: W = L·N, P_p(L) is a union of lines through p and P_p(L) ∩ P_p(N) ⊆ Δ(W) ∪ {p}"
 QUADRATIC_MONOMIALS = [(i, j) for i in range(3) for j in range(3 - i)]
@@ -350,6 +353,12 @@ class TestFamilyDegree:
         # two centers at infinity, the common leaf directions (1:0) and (0:1)
         assert family_degree(w_product, P0, AffinePoint.of(1, 2)) == (4, 2)
 
+    @pytest.mark.parametrize("form", [DX, DY, DX - 2 * DY, X * DY - Y * DX], ids=str)
+    def test_a_pencil_of_lines_is_noted(self, form):
+        # parallel lines have their point o at infinity
+        report = family_degree_check(SymWeb(form))
+        assert report.passed and report.notes == [PENCIL_NOTE]
+
     def test_foliation_single_point(self):
         assert family_degree(w_circles, AffinePoint.of(1, 1), AffinePoint.of(2, -1)) == (1, 0)
 
@@ -378,14 +387,18 @@ class TestFamilyDegree:
 
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
     def test_k_squared_on_battery(self, entry):
-        if entry.is_radial_pencil:
-            pytest.skip("the radial pencil is the excluded web")
         # the identity and square-freeness decide it with no sample; the
         # deleted sampling loop's count is the oracle
         report = family_degree_check(entry.web, seed=9)
         assert report.passed, report.render_text()
         assert [a.name for a in report.assertions] == [BASE_IDENTITY, SQUAREFREE]
         assert report.mode == "exact" and report.samples_requested == report.samples_used == 0
+        if entry.is_radial_pencil:
+            # the one polar through two points is centered at the origin,
+            # and it is the whole plane
+            assert report.notes == [PENCIL_NOTE]
+            assert isinstance(polar_curve(entry.web, P0), RadialProduct)
+            return
         k = entry.web.k
         assert report.notes[-1].endswith(f"lie on k² = {k * k} polars")
         counts = sampled_family_degrees(entry.web, seed=9, pairs=2)
@@ -972,6 +985,27 @@ def planted_curves(draw):
     return factors
 
 
+THREE_WEB = "(-2*y)*dx^3 + (-3*x)*dx^2*dy + (-2*y + 2)*dx*dy^2 + (3*x - 3*y)*dy^3"
+
+
+def sampled_component_counts(web: SymWeb, seed: int, samples: int) -> list[int]:
+    """The oracle of the deleted sampled `irreducible` loop: the component
+    count of the polar at up to `samples` seeded centers off the radial
+    centers, Sing(W) and Δ(W)."""
+    disc = web.discriminant_form
+    sampler, counts = GenericSampler(seed), []
+    for _ in range(50 * samples):
+        p = sampler.center()
+        curve, point = polar_curve(web, p), p.as_dict()
+        if (isinstance(curve, RadialProduct) or all(c.evaluate(point) == 0 for c in web.coefficients())
+                or (not disc.is_constant() and disc.evaluate(point) == 0)):
+            continue
+        counts.append(curve_component_count(curve))
+        if len(counts) == samples:
+            break
+    return counts
+
+
 class TestIrreducibility:
     def test_component_count_conic(self):
         assert curve_component_count(PlaneCurve(X**2 + Y**2 - 1)) == 1
@@ -1003,7 +1037,7 @@ class TestIrreducibility:
     def test_a_repeated_factor_fails(self, tmp_path, form):
         # the discriminant is zero and has no square-free part: the report
         # fails the assertion and draws nothing
-        report = generic_polar_irreducible(SymWeb(form), seed=1)
+        report = generic_polar_irreducible(SymWeb(form))
         assert [(a.name, a.passed) for a in report.assertions] == [(SQUAREFREE, False)]
         assert report.samples_requested == report.samples_used == 0 and not report.notes
         check_fails(tmp_path, f"type: web\nform: {form}\n", "irreducible")
@@ -1056,8 +1090,80 @@ class TestIrreducibility:
 
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
     def test_battery(self, entry):
-        report = generic_polar_irreducible(entry.web, seed=3, samples=2)
+        # decided with no sample; the deleted sampled loop is the oracle: at
+        # 5 seeded centers off Δ(W) and Sing(W) the count is 1 exactly where
+        # the verdict is "irreducible"
+        report = generic_polar_irreducible(entry.web)
         assert report.passed, report.render_text()
+        assert report.samples_requested == report.samples_used == 0 and not report.discards
+        irreducible = report.notes[0].endswith("expected generic polar irreducible")
+        counts = sampled_component_counts(entry.web, seed=3, samples=5)
+        assert len(counts) == 5 and all((count == 1) == irreducible for count in counts), counts
+
+    def test_the_three_web_with_a_special_line(self, tmp_path):
+        # every polar centered on y = 0, such as (25/4, 0), has 2
+        # components: the walk notes (0, 0) and stops at (0, 1)
+        path = tmp_path / "web3.txt"
+        path.write_text(f"type: web\nform: {THREE_WEB}\n")
+        code, text = run_command(["check", "--in", str(path), "--theorem", "irreducible",
+                                  "--samples", "2", "--seed", "566025", "--json"])
+        assert code == 0, text
+        report = json.loads(text)["report"]
+        assert [a["name"] for a in report["assertions"]] == [SQUAREFREE, "components at p=(0, 1)"]
+        assert report["notes"][1:] == ["special center (0, 0): 2 components"]
+
+    def test_the_report_depends_on_no_seed_and_no_sample_count(self, tmp_path):
+        path = tmp_path / "web3.txt"
+        path.write_text(f"type: web\nform: {THREE_WEB}\n")
+        bodies = set()
+        for seed, samples in (("0", "1"), ("1", "1"), ("566025", "1"), ("0", "20")):
+            code, text = run_command(["check", "--in", str(path), "--theorem", "irreducible",
+                                      "--seed", seed, "--samples", samples])
+            assert code == 0, text
+            command, stamp, body = text.split("\n", 2)
+            assert command.startswith("command: ") and stamp.startswith("timestamp: ")
+            bodies.add(body)
+        assert len(bodies) == 1
+
+    # P_(0,0) = -(x - y)^2 is not square-free, and P_(0,0) = -x has degree
+    # 1 < 2: each has one component, and neither is a witness
+    @pytest.mark.parametrize("A, B, special, witness", [
+        (-Y, X - 2 * Y, "the polar is not square-free", "(0, 1)"),
+        (X**2, X * Y + 1, "the polar has degree 1 < d + k", "(1, 0)"),
+    ], ids=["non-reduced", "short degree"])
+    def test_a_special_center_is_passed(self, A, B, special, witness):
+        report = generic_polar_irreducible(SymWeb(A * DY - B * DX))
+        assert report.passed, report.render_text()
+        assert report.notes[1] == f"special center (0, 0): {special}"
+        assert [a.name for a in report.assertions] == [SQUAREFREE, f"components at p={witness}"]
+
+    def test_a_walk_without_a_witness_aborts(self, monkeypatch, tmp_path):
+        # a walk that finds no witness proves nothing: exit 3, not a FAIL
+        monkeypatch.setattr(polarops, "curve_component_count", lambda curve: 2)
+        with pytest.raises(DegenerateSampleError, match=r"^irreducible: no center of the 4 x 4 grid "):
+            generic_polar_irreducible(w_circles)
+        path = tmp_path / "circles.txt"
+        path.write_text("type: web\nform: x*dx + y*dy\n")
+        code, text = run_command(["check", "--in", str(path), "--theorem", "irreducible"])
+        assert code == 3 and text.startswith("numeric abort: irreducible: no center of the 4 x 4 grid"), text
+
+    def test_an_expected_reducible_polar_rests_on_the_premise(self):
+        report = generic_polar_irreducible(w_product)
+        assert [(a.name, a.detail) for a in report.assertions] == [
+            (SQUAREFREE, "the k leaf directions are distinct off Δ(W)"),
+            ("W decomposable over C", "2 components over C")]
+        assert report.notes[1:] == ["components at p=(0, 0): 2"]
+
+    def test_the_tangent_lines_of_a_conic(self):
+        # d = 0 and not decomposable: the polar at p is the pair of tangent
+        # lines from p to the unit circle.  The polar at the origin,
+        # x^2 + y^2, has no real point but 2 components over C
+        web = SymWeb((1 - Y**2) * DX**2 + 2 * X * Y * DX * DY + (1 - X**2) * DY**2)
+        assert web_degree(web) == 0 and web_decomposable(web) == (False, 1)
+        report = generic_polar_irreducible(web)
+        assert [(a.name, a.passed) for a in report.assertions] == [(SQUAREFREE, True), ("d = 0 and k >= 2", True)]
+        assert report.notes == ["web: k=2, d=0, decomposable=False; expected generic polar reducible",
+                                "components at p=(0, 0): 2"]
 
 
 class TestComponentCountErrors:
@@ -1072,7 +1178,7 @@ class TestComponentCountErrors:
         # rank mod p alone
         monkeypatch.setattr(polarops, "_independent_mod_p", broken)
         with pytest.raises(InternalInvariantError):
-            generic_polar_irreducible(w_circles, seed=0, samples=1)
+            generic_polar_irreducible(w_circles)
 
 
 def _count_calls(monkeypatch, name):
@@ -1107,30 +1213,16 @@ class TestIrreducibilityWork:
         web = next(e.web for e in BATTERY if e.name == "A=x^2 B=y^2")
         sing = _count_calls(monkeypatch, "singular_set")
         zeros = _count_calls(monkeypatch, "common_zeros")
-        report = generic_polar_irreducible(web, seed=3, samples=2)
+        report = generic_polar_irreducible(web)
         assert report.passed, report.render_text()
         assert (sing, zeros) == ([], [])
 
-    def test_singular_center_is_discarded(self, monkeypatch):
-        from polarweb import polarops
-
-        class Stub(GenericSampler):
-            """The web's singular point (0, 0) first, then the seeded draws."""
-
-            def __init__(self, seed):
-                super().__init__(seed)
-                self.first = True
-
-            def center(self):
-                if self.first:
-                    self.first = False
-                    return P0
-                return super().center()
-
-        monkeypatch.setattr(polarops, "GenericSampler", Stub)
-        report = generic_polar_irreducible(w_circles, seed=0, samples=1)
-        assert report.discards[0] == (str(P0), "center is singular on the web")
-        assert report.samples_used == report.samples_requested == 1
+    def test_singular_center_is_noted_special(self):
+        # the web's singular point (0, 0) comes first on the grid; its polar
+        # x^2 + y^2 has 2 components, and (0, 1) is the witness
+        report = generic_polar_irreducible(w_circles)
+        assert report.notes[1:] == ["special center (0, 0): 2 components"]
+        assert report.assertions[-1].name == "components at p=(0, 1)"
         assert report.passed, report.render_text()
 
 
@@ -1258,13 +1350,13 @@ class TestAbsoluteFactorCount:
         # a line through (1, 0), where every coefficient vanishes, used to
         # make this web look decomposable
         web = SymWeb((3 * X + Y - 3) * DX**2 + (X - 2 * Y - 1) * DX * DY + (3 * X + Y - 3) * DY**2)
-        report = generic_polar_irreducible(web, seed=971888, samples=2)
+        report = generic_polar_irreducible(web)
         assert report.passed, report.render_text()
 
     def test_three_web_with_linear_coefficients(self):
         web = SymWeb((X + 3 * Y - 1) * DX**3 + (X - Y - 3) * DX**2 * DY
                      + (-3 * X + 2 * Y - 2) * DX * DY**2 + (X + 2 * Y + 1) * DY**3)
         start = time.perf_counter()
-        report = generic_polar_irreducible(web, seed=20262, samples=2)
+        report = generic_polar_irreducible(web)
         assert report.passed, report.render_text()
         assert time.perf_counter() - start < 2
