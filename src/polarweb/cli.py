@@ -34,8 +34,7 @@ from .foliation import (
     inflexion_lemma_check,
     polar_sing_in_inflexion_check,
     quasi_radial_bound_check,
-    tangent_cone_dichotomy,
-    tangent_cone_dichotomy_numeric,
+    tangent_cone_dichotomy_check as _dichotomy_all_singularities,  # the name perfbench/spans.py wraps
 )
 from .localsing import (
     CurveGerm,
@@ -54,7 +53,6 @@ from .polarops import (
     family_dimension_check,
     generic_polar_irreducible,
     generic_polar_singularities_check,
-    linear_identity,
     polar_curve,
     polar_degree_check,
     polar_equality_check as _equality_check,  # the name perfbench/spans.py wraps
@@ -189,7 +187,7 @@ CHECKS = {
     "inflexion-lemma": (_as_foliation, lambda f, s, n: inflexion_lemma_check(f, s)),
     "sing-in-E": (_as_foliation, lambda f, s, n: polar_sing_in_inflexion_check(f, s)),
     "qr-dichotomy": (_as_foliation, lambda f, s, n: _dichotomy_all_singularities(f, s)),
-    "qr-bound": (_as_foliation, lambda f, s, n: quasi_radial_bound_check(f, s, min(n, 5))),
+    "qr-bound": (_as_foliation, lambda f, s, n: quasi_radial_bound_check(f)),
     "equising": (_as_foliation, lambda f, s, n: equisingularity_check(f, s, min(n, 10))),
     "genus-constant": (_as_foliation, lambda f, s, n: genus_constancy_check(f, s, min(n, 5))),
 }
@@ -322,21 +320,6 @@ def run_command(argv: list[str]) -> tuple[int, str]:
 def _run_check(obj, args) -> CheckReport:
     coerce, run = CHECKS[args.theorem]
     return run(coerce(obj), args.seed, args.samples)
-
-
-def _dichotomy_all_singularities(fol: FoliationData, seed: int) -> CheckReport:
-    """The tangent-cone dichotomy at every affine singular point, from the
-    one identity of `tangent_cone_dichotomy`'s proof; no sample."""
-    report = CheckReport("qr-dichotomy", seed=seed)
-    linear_identity(report, fol.as_web, fol.A, fol.B)
-    sing = singular_set(fol.as_web)
-    if sing.is_empty():
-        report.note("the foliation has no affine singular points")
-    for q in sing.points:
-        tangent_cone_dichotomy(report, fol, q)
-    for q in sing.numeric_points:
-        tangent_cone_dichotomy_numeric(report, fol, q)
-    return report
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,11 +3,11 @@
 A foliation is the k = 1 web of a vector field A d/dx + B d/dy with coprime
 polynomial components.  This module computes the inflexion divisor, classifies
 singular points as quasi-radial or not through the first nonzero jet pair,
-proves the tangent-cone dichotomy of the polar at singular points, the
+proves the tangent-cone dichotomy of the polar at every singular point, the
 inflexion-at-center equivalence and the containment of every polar's singular
 points in the inflexion divisor by exact identities in the center of the
-polar family, and computes the class of a curve (degree of its dual) to bound
-the number of quasi-radial singularities.
+polar family, and bounds the number of quasi-radial singularities by the
+class (degree of the dual) of one polar, on `irreducible`'s walk: no sample.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from .mpoly import (
 )
 from .localsing import CLEAN_TOL, cp_clean, cp_from_mpoly, cp_norm, cp_translate
 from .polarops import (
-    A_VAR, B_VAR, RadialProduct, _proportionality, inflexion_of_field, linear_identity,
+    A_VAR, B_VAR, RadialProduct, _full_polars, _proportionality, inflexion_of_field, linear_identity,
     polar_curve, polar_family,
 )
 from .reports import CheckReport
-from .sampling import GenericSampler, sample_centers
 from .webmodel import DX, DY, AffinePoint, PlaneCurve, SymWeb, singular_set, web_degree
 
 X = MPoly.variable("x")
@@ -379,35 +378,45 @@ def count_quasi_radial(fol: FoliationData) -> tuple[int, list[str], bool]:
     return sum(c.quasi_radial for _, c in classes), [f"{w}: {c}" for w, c in classes], not sing.numeric_points
 
 
-def quasi_radial_bound_check(fol: FoliationData, seed: int = 0, samples: int = 5) -> CheckReport:
-    """#Sing_QR <= class(P_p) - 1 for generic centers."""
-    report = CheckReport("qr-bound", seed=seed, samples_requested=samples)
-    e = inflexion_divisor(fol)
-    if e is None:
+def quasi_radial_bound_check(fol: FoliationData) -> CheckReport:
+    """#Sing_QR <= class(P_p) - 1 for the generic center p, by one exact
+    witness on the walk of `_full_polars`, which raises when it finds none.
+
+    A square-free curve can lose class when it specializes, never gain it.
+    Let P_0 be a square-free polar of degree n = d + 1, c the generic class
+    and P_t the polar at p_0 + t·v, v generic: square-free of degree n and
+    of class c for generic t.  Over the valuation ring at t = 0, the closure
+    of the duals of the P_t is cut out by a form of degree c with coprime
+    coefficients, so its fiber at t = 0 is a curve of degree c.  It holds
+    the dual of P_0, as each tangent of P_0 at a smooth point is a limit of
+    tangents of the P_t.  So class(P_0) <= c, and one center with
+    #QR <= class - 1 proves the bound; any other center is special."""
+    report = CheckReport("qr-bound")
+    if inflexion_divisor(fol) is None:
         report.add("inflexion divisor", True, "identically zero; bound check skipped (degenerate)")
         return report
     qr, descriptions, exact = count_quasi_radial(fol)
-    for d in descriptions:
-        report.note(d)
+    report.notes.extend(descriptions)
     if not exact:
         certify_classification(report)
+    # E ≢ 0, so d >= 1 and each polar of the walk is reduced of degree >= 2
+    for p, curve in _full_polars(report, fol.as_web, "qr-bound", f"class >= #QR + 1 = {qr + 1}"):
+        cls = class_of_curve(curve)
+        if qr <= cls - 1:
+            report.add(f"#Sing_QR <= class(P_p) - 1 at p={p}", True, f"#QR = {qr}, class = {cls}", exact=exact)
+            return report
+        report.note(f"special center {p}: class {cls} < #QR + 1")
 
-    def admissible(p):
-        curve = fol.polar(p)
-        if isinstance(curve, RadialProduct):
-            return None, "polar degenerates"
-        # E ≢ 0, so the polar has degree at least 2, and the class refuses
-        # only a polar that is not reduced
-        try:
-            return class_of_curve(curve), None
-        except PolynomialError:
-            return None, "polar not reduced"
 
-    for _, p, cls in sample_centers(report, GenericSampler(seed), samples, admissible):
-        report.add(
-            f"#Sing_QR <= class(P_p) - 1 at p={p}",
-            qr <= cls - 1,
-            f"#QR = {qr}, class = {cls}",
-            exact=exact,
-        )
+def tangent_cone_dichotomy_check(fol: FoliationData, seed: int) -> CheckReport:
+    """`tangent_cone_dichotomy` at every affine singular point; no sample."""
+    report = CheckReport("qr-dichotomy", seed=seed)
+    linear_identity(report, fol.as_web, fol.A, fol.B)
+    sing = singular_set(fol.as_web)
+    if sing.is_empty():
+        report.note("the foliation has no affine singular points")
+    for q in sing.points:
+        tangent_cone_dichotomy(report, fol, q)
+    for q in sing.numeric_points:
+        tangent_cone_dichotomy_numeric(report, fol, q)
     return report

@@ -7,11 +7,12 @@ criterion, the two-dimensionality and degree k^2 of the family, base points,
 the singular-locus containment of the generic polar, the k-branch structure at
 the center, and the irreducibility verdict, from exact component counts by
 the Gao-Ruppert kernel.  No check samples: irreducibility is decided by one
-polar, at the first small integer center that proves it, and the rest on the
-polar family; `family_degree` counts the incidences of leaf lines at one
-pair of points.  On a web with k >= 2 the singular locus is decided by one
-nonzero value of the inflexion curve of the web, or, where that curve is
-the whole plane, by splitting off the factor whose leaves are lines.
+polar, at the first small integer center that proves it (`qr-bound` shares
+that walk), and the rest on the polar family; `family_degree` counts the
+incidences of leaf lines at one pair of points.  On a web with k >= 2 the
+singular locus is decided by one nonzero value of the inflexion curve of
+the web, or, where that curve is the whole plane, by splitting off the
+factor whose leaves are lines.
 """
 
 from __future__ import annotations
@@ -718,11 +719,9 @@ def generic_polar_irreducible(web: SymWeb) -> CheckReport:
     Irreducible: the reducible or non-reduced curves of degree d + k, the
     image of products of curves of lower degree, form a closed set.  So one
     square-free polar of degree d + k with one component over C proves the
-    generic polar irreducible.  The walk of the small integer centers, side
-    d + k + 2 in `_small_grid` order, stops at the first such witness and
-    notes each center it passes.  If none is found it raises
-    `DegenerateSampleError`: a bounded walk proves nothing about a closed
-    set of unknown degree."""
+    generic polar irreducible.  It stops the walk of `_full_polars` at the
+    first such witness; a walk with none proves nothing about a closed set
+    of unknown degree, and raises `DegenerateSampleError`."""
     report = CheckReport("polar-irreducible")
     if not _assert_squarefree(report, web):
         return report
@@ -734,28 +733,37 @@ def generic_polar_irreducible(web: SymWeb) -> CheckReport:
     if expect_reducible:
         report.add("W decomposable over C" if decomposable else "d = 0 and k >= 2", True,
                    f"{count} components over C" if decomposable else "P_p(p + v) = W(p; v), k lines through p")
-    side = d + k + 2
+    for p, curve in _full_polars(report, web, None if expect_reducible else "irreducible", "one component"):
+        count = curve_component_count(curve)
+        if expect_reducible:
+            report.note(f"components at p={p}: {count}")
+            return report
+        if count == 1:
+            report.add(f"components at p={p}", True,
+                       f"1 component, degree {d + k}, square-free: the generic polar is irreducible")
+            return report
+        report.note(f"special center {p}: {count} components")
+    return report
+
+
+def _full_polars(report: CheckReport, web: SymWeb, check: str | None, witness: str):
+    """Yield (p, P_p) at the centers of the small integer grid, side d + k + 2
+    in `_small_grid` order, whose polar is square-free of degree d + k; note
+    the others as special.  At the end, raise `DegenerateSampleError` for
+    `check`, naming the `witness` it lacked, unless `check` is None."""
+    n = web_degree(web) + web.k
+    side = n + 2
     for i, j in _small_grid(side):
         p = AffinePoint.of(i, j)
         curve = polar_curve(web, p)
         if isinstance(curve, RadialProduct):
-            special = "the polar is all of the plane"
-        elif curve.raw.total_degree() < d + k:
-            special = f"the polar has degree {curve.raw.total_degree()} < d + k"
+            report.note(f"special center {p}: the polar is all of the plane")
+        elif curve.raw.total_degree() < n:
+            report.note(f"special center {p}: the polar has degree {curve.raw.total_degree()} < d + k")
         elif curve.raw != curve.defining:
-            special = "the polar is not square-free"
+            report.note(f"special center {p}: the polar is not square-free")
         else:
-            count = curve_component_count(curve)
-            if expect_reducible:
-                report.note(f"components at p={p}: {count}")
-                return report
-            if count == 1:
-                report.add(f"components at p={p}", True,
-                           f"1 component, degree {d + k}, square-free: the generic polar is irreducible")
-                return report
-            special = f"{count} components"
-        report.note(f"special center {p}: {special}")
-    if expect_reducible:
-        return report
-    raise DegenerateSampleError(f"irreducible: no center of the {side} x {side} grid has a square-free "
-                                f"polar of degree {d + k} with one component")
+            yield p, curve
+    if check is not None:
+        raise DegenerateSampleError(f"{check}: no center of the {side} x {side} grid has a square-free "
+                                    f"polar of degree {n} with {witness}")

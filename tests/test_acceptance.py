@@ -220,7 +220,7 @@ def test_criterion_12_class_and_bound():
     ok = ok and class_of_curve(PlaneCurve(Y**2 - X**2 * (X + 1))) == 4
     ok = ok and class_of_curve(PlaneCurve(Y**2 - X**3)) == 3
     for entry in FOLIATIONS:
-        report = quasi_radial_bound_check(entry.foliation, seed=SEED, samples=5)
+        report = quasi_radial_bound_check(entry.foliation)
         ok = ok and report.passed
     verdict(12, "class and quasi-radial bound", ok, "conic/nodal/cuspidal = 2/4/3")
 

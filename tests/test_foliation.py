@@ -27,7 +27,7 @@ from polarweb import (
 )
 from polarweb import foliation
 from polarweb.cli import _dichotomy_all_singularities, run_command
-from polarweb.errors import PolynomialError, WebValidationError
+from polarweb.errors import DegenerateSampleError, PolynomialError, WebValidationError
 from polarweb.parsing import parse_polynomial
 from polarweb.foliation import (
     classify_singularity_numeric,
@@ -41,7 +41,7 @@ from polarweb.foliation import (
 from polarweb.mpoly import gcd_fold, jet_decompose, proper_shears, resultant, shear
 from polarweb.reports import CheckReport
 from polarweb.sampling import GenericSampler
-from polarweb.polarops import A_VAR, B_VAR
+from polarweb.polarops import A_VAR, B_VAR, RadialProduct
 
 one = MPoly.constant(1)
 ORIGIN = AffinePoint.of(0, 0)
@@ -561,34 +561,80 @@ class TestClassOfCurve:
         assert class_of_curve(PlaneCurve(moved)) == class_of_curve(curve)
 
 
+def sampled_classes(fol: FoliationData, seed: int, samples: int) -> list[int]:
+    """The oracle of the deleted sampled `qr-bound` loop: the class of the
+    polar at up to `samples` seeded centers whose polar is square-free of
+    degree d + 1."""
+    sampler, classes, n = GenericSampler(seed), [], fol.degree() + 1
+    for _ in range(50 * samples):
+        curve = fol.polar(sampler.center())
+        if isinstance(curve, RadialProduct) or curve.raw.total_degree() < n or curve.raw != curve.defining:
+            continue
+        classes.append(class_of_curve(curve))
+        if len(classes) == samples:
+            break
+    return classes
+
+
 class TestQuasiRadialBound:
     @pytest.mark.parametrize("entry", FOLIATIONS, ids=lambda e: e.name)
     def test_battery(self, entry):
-        report = quasi_radial_bound_check(entry.foliation, seed=5, samples=2)
+        # the witness's class is at most the generic class: the class of
+        # every seeded center whose polar is square-free of full degree
+        report = quasi_radial_bound_check(entry.foliation)
         assert report.passed, report.render_text()
+        assert report.seed is None and report.samples_requested == report.samples_used == 0
+        if inflexion_polynomial(entry.foliation).is_zero():
+            return
+        [witness] = report.assertions
+        cls = int(witness.detail.rsplit("class = ", 1)[1])
+        classes = sampled_classes(entry.foliation, seed=5, samples=5)
+        assert len(classes) == 5 and min(classes) >= cls, (classes, cls)
 
     def test_degenerate_skipped(self):
-        report = quasi_radial_bound_check(FoliationData(X, Y), seed=5, samples=2)
+        report = quasi_radial_bound_check(FoliationData(X, Y))
         assert report.passed
 
     def test_qr_count_perturbed_radial(self):
         count, _, _ = count_quasi_radial(FoliationData(X - Y**2, Y + X**2))
         assert count >= 1
 
-    def test_a_polar_that_is_not_reduced_is_discarded_by_its_class(self, monkeypatch):
-        # class_of_curve refuses it from the raw polar: no square-free part
-        first = GenericSampler(5).center()
-        square = PlaneCurve((X**2 + Y**2 - 1) ** 2 * (X - Y))
-        polar = FoliationData.polar
-        monkeypatch.setattr(FoliationData, "polar", lambda self, p: square if p == first else polar(self, p))
-        report = quasi_radial_bound_check(FoliationData(X - Y**2, Y + X**2), seed=5, samples=2)
-        assert report.discards == [(str(first), "polar not reduced")]
-        assert report.passed and report.samples_used == 2
-        assert "defining" not in vars(square)
+    def test_the_circle_pencil_passes_its_center(self):
+        # P_(0,0) = -(x^2 + y^2), two lines over C of class 0 < #QR + 1 = 1
+        report = quasi_radial_bound_check(FoliationData(-Y, X))
+        assert [(a.name, a.detail) for a in report.assertions] == [
+            ("#Sing_QR <= class(P_p) - 1 at p=(0, 1)", "#QR = 0, class = 2")]
+        assert report.notes[-1] == "special center (0, 0): class 0 < #QR + 1"
+
+    def test_a_polar_that_is_not_square_free_is_passed(self):
+        # P_(0,0) = -(x - y)^2 and E = -(x - y)^2: the class refuses it, the
+        # walk passes it
+        fol = FoliationData(-Y, X - 2 * Y)
+        assert inflexion_polynomial(fol) == -(X - Y) ** 2
+        report = quasi_radial_bound_check(fol)
+        assert report.passed and [a.name for a in report.assertions] == ["#Sing_QR <= class(P_p) - 1 at p=(0, 1)"]
+        assert report.notes[-1] == "special center (0, 0): the polar is not square-free"
+
+    def test_the_bound_is_tight(self):
+        # five quasi-radial points; P_(0,0) = xy(x^2 - y^2) has class 0
+        report = quasi_radial_bound_check(FoliationData(X**3 - 2 * X, Y**3 - 2 * Y))
+        assert [(a.name, a.detail) for a in report.assertions] == [
+            ("#Sing_QR <= class(P_p) - 1 at p=(0, 1)", "#QR = 5, class = 6")]
+        assert report.notes[-1] == "special center (0, 0): class 0 < #QR + 1"
+
+    def test_a_walk_without_a_witness_aborts(self, monkeypatch, tmp_path):
+        # a walk that finds no witness proves nothing: exit 3, not a FAIL
+        monkeypatch.setattr(foliation, "class_of_curve", lambda curve: 0)
+        with pytest.raises(DegenerateSampleError, match=r"^qr-bound: no center of the 4 x 4 grid "):
+            quasi_radial_bound_check(FoliationData(-Y, X))
+        path = tmp_path / "circles.txt"
+        path.write_text("type: foliation\nA: -y\nB: x\n")
+        code, text = run_command(["check", "--in", str(path), "--theorem", "qr-bound"])
+        assert code == 3 and text.startswith("numeric abort: qr-bound: no center of the 4 x 4 grid"), text
 
     def test_numeric_points_certify_the_classification(self):
-        report = quasi_radial_bound_check(FoliationData(X**3 - 2 * X, Y**3 - 2 * Y), seed=5, samples=1)
+        report = quasi_radial_bound_check(FoliationData(X**3 - 2 * X, Y**3 - 2 * Y))
         assert report.passed and report.mode == "numeric"
         assert report.certificates == {"jet_clean_tolerance": "1.000000e-08",
                                        "quasi_radial_tolerance": "1.000000e-07"}
-        assert quasi_radial_bound_check(FoliationData(X, -Y + X**2), seed=5, samples=1).certificates == {}
+        assert quasi_radial_bound_check(FoliationData(X, -Y + X**2)).certificates == {}

@@ -225,6 +225,41 @@ class TestSympyZeroSetOracle:
         assert not zs.numeric
 
 
+
+def _close(p, q) -> bool:
+    return all(abs(a - b) <= 1e-6 * max(1.0, abs(b)) for a, b in zip(p, q))
+
+
+class TestSympyIrrationalZeroOracle:
+    """Planted conjugate pairs with both coordinates irrational against
+    `sympy.solve_poly_system`: f = x^2 - c with c not a square and
+    g = y - (a*x + b), a != 0, hidden in the generators f*u + g*v,
+    g*(x - y) + f and f + g^2.  Those vanish on the pair and, off it, where
+    g = x - y, f = -(x - y)^2 and v = (x - y)*u, a line and a conic that is
+    irreducible for c != 0, so the set is finite."""
+
+    @given(st.sampled_from([-7, -6, -5, -3, -2, -1, 2, 3, 5, 6, 7, 8, 10]),
+           st.integers(-3, 3).filter(bool), st.integers(-3, 3),
+           st.lists(st.integers(-2, 2), min_size=6, max_size=6).filter(any))
+    @settings(max_examples=25, deadline=None)
+    def test_planted_pairs(self, c, a, b, uv):
+        sympy = pytest.importorskip("sympy")
+        f, g = x**2 - c, y - (a * x + b)
+        u = uv[0] + uv[1] * x + uv[2] * y
+        v = uv[3] + uv[4] * x + uv[5] * y
+        gens = [f * u + g * v, g * (x - y) + f, f + g**2]
+        zs = common_zeros(gens)
+        found = [(complex(p), complex(q)) for p, q in zs.rational + zs.numeric]
+        X, Y = sympy.symbols("x y")
+        system = [sympy.sympify(str(h).replace("^", "**"), locals={"x": X, "y": Y}) for h in gens]
+        expected = [(complex(sympy.N(p, 30)), complex(sympy.N(q, 30)))
+                    for p, q in sympy.solve_poly_system(system, X, Y)]
+        assert len(found) == len(expected), (found, expected)
+        assert all(any(_close(p, q) for q in found) for p in expected), (found, expected)
+        root = complex(c) ** 0.5
+        for s in (root, -root):
+            assert any(_close((s, a * s + b), q) for q in found)
+
 def eager_eliminant(polys: list[MPoly], elim_var: str) -> MPoly:
     """The gcd of every candidate: the generators free of elim_var and every
     nonzero pairwise resultant, or the combination resultant when there are
