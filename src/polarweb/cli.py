@@ -149,6 +149,53 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _argv_tables(parser: argparse.ArgumentParser) -> dict:
+    """subcommand -> ({long flag: Action}, {dest: default}, required Actions) from
+    the parser's own actions, for each subcommand with no mutually exclusive group."""
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    tables = {}
+    for name, sub in subparsers.choices.items():
+        if sub._mutually_exclusive_groups:
+            continue
+        stores = [a for a in sub._actions if isinstance(a, (argparse._StoreAction, argparse._StoreConstAction))]
+        tables[name] = ({flag: a for a in stores for flag in a.option_strings if flag.startswith("--")},
+                        {a.dest: a.default for a in sub._actions if a.default is not argparse.SUPPRESS},
+                        [a for a in sub._actions if a.required])
+    return tables
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """`_build_parser().parse_args(argv)`.  A subcommand of `_argv_tables`
+    followed by full --flags, each value one token that does not start with
+    '-', is read from the tables: each value converted by its action's type
+    and checked against its choices, the last of a repeated flag kept, every
+    required flag given.  Anything else, help and errors too, goes to argparse."""
+    parser = _build_parser()
+    table = _argv_tables(parser).get(argv[0]) if argv else None
+    if table is not None:
+        flags, defaults, required = table
+        values, seen, i = dict(defaults), set(), 1
+        try:
+            while i < len(argv):
+                action = flags[argv[i]]
+                if action.nargs == 0:
+                    value, i = action.const, i + 1
+                else:
+                    text, i = argv[i + 1], i + 2
+                    value = action.type(text) if action.type else text
+                    if text.startswith("-") or action.choices is not None and value not in action.choices:
+                        raise ValueError(text)
+                values[action.dest] = value
+                seen.add(action)
+        except (KeyError, IndexError, ValueError, TypeError, argparse.ArgumentTypeError):
+            pass
+        else:
+            if all(a in seen for a in required):
+                return argparse.Namespace(command=argv[0], **values)
+    return parser.parse_args(argv)
+
+
 def _as_web(obj) -> SymWeb:
     if isinstance(obj, SymWeb):
         return obj
@@ -211,9 +258,8 @@ def _emit(args, lines: list[str], report: CheckReport | None, command: str) -> s
 
 
 def run_command(argv: list[str]) -> tuple[int, str]:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as e:
         return (0 if e.code in (0, None) else 2), ""
     command = "polarweb " + " ".join(argv)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .errors import InternalInvariantError, PolynomialError, WebValidationError
 from .mpoly import (
     MPoly,
+    _rekey,
     exact_div,
     format_mpoly,
     jet_decompose,
@@ -31,7 +32,7 @@ from .polarops import (
     polar_curve, polar_family,
 )
 from .reports import CheckReport
-from .webmodel import DX, DY, AffinePoint, PlaneCurve, SymWeb, singular_set, web_degree
+from .webmodel import AffinePoint, PlaneCurve, SymWeb, singular_set, web_degree
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
@@ -60,8 +61,12 @@ class FoliationData:
         self.saturated = not g.is_constant()
         if self.saturated:
             A, B = exact_div(A, g), exact_div(B, g)
-        # A and B are coprime now, so the form needs no second gcd
-        self.A, self.B, self.as_web = A, B, SymWeb._trusted(A * DY - B * DX, 1)
+        # A and B are coprime now, so the form needs no second gcd.  Its terms
+        # are those of A*dy - B*dx over (dx, dy, x, y), in that order.
+        terms = {(0, 1) + e: a for e, a in _rekey(A, ("x", "y")).items()}
+        terms.update({(1, 0) + e: -b for e, b in _rekey(B, ("x", "y")).items()})
+        form = MPoly._make(("dx", "dy", "x", "y"), terms)
+        self.A, self.B, self.as_web = A, B, SymWeb._trusted(form, 1)
 
     def degree(self) -> int:
         return web_degree(self.as_web)

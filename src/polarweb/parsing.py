@@ -36,6 +36,7 @@ Both combine terms in the order of the MPoly operators.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ParseError, WebValidationError
@@ -56,6 +57,8 @@ _NAMES = re.compile(r"[^\W\d_]+")
 _TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d_]+)|(\S))")
 _INT, _NAME = 1, 2
 _SIGN = re.compile("([+-])")
+# the decimal exponent of a coordinate, as `Fraction` reads it
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)$")
 
 
 class _Lexer:
@@ -242,6 +245,11 @@ def parse_point(text: str) -> AffinePoint:
 
     def frac(s: str) -> Fraction:
         s = s.strip()
+        # Fraction writes out 10^exponent: refuse an exponent above the cap on
+        # the digits of an int, as `_decimal` refuses a longer literal
+        if (exponent := _EXPONENT.search(s)) and (cap := sys.get_int_max_str_digits()):
+            if (n := _decimal(exponent[1].replace("_", ""))) is None or n > cap:
+                raise ParseError(f"bad rational coordinate {s!r}: decimal exponent above {cap}")
         try:
             return Fraction(s)
         except (ValueError, ZeroDivisionError) as e:

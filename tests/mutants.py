@@ -103,6 +103,25 @@ MUTANTS = [
      "if qr <= cls - 1:",
      "if qr <= cls:",
      "tests/test_foliation.py::TestQuasiRadialBound::test_the_circle_pencil_passes_its_center"),
+    # the argv reader takes a value outside the choices: `--theorem bogus`
+    # gives a Namespace where argparse exits 2
+    ("cli.py",
+     "or action.choices is not None and value not in action.choices:",
+     "or False:",
+     "tests/test_cli.py::TestFuzz::test_the_argv_reader_agrees_with_argparse"),
+    # the argv reader lets a required flag go missing: no `--in` gives
+    # path=None where argparse exits 2
+    ("cli.py",
+     "if all(a in seen for a in required):",
+     "if True:",
+     "tests/test_cli.py::TestFuzz::test_the_argv_reader_agrees_with_argparse"),
+    # the foliation form with dx and dy swapped: A*dx - B*dy
+    ("foliation.py",
+     "terms = {(0, 1) + e: a for e, a in _rekey(A, (\"x\", \"y\")).items()}\n"
+     "        terms.update({(1, 0) + e:",
+     "terms = {(1, 0) + e: a for e, a in _rekey(A, (\"x\", \"y\")).items()}\n"
+     "        terms.update({(0, 1) + e:",
+     "tests/test_foliation.py::TestFoliationData::test_form_is_a_dy_minus_b_dx"),
 ]
 
 

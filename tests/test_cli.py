@@ -208,6 +208,15 @@ class TestPolynomialParser:
 
         p = parse_point("1/2,-3")
         assert p.a == Fraction(1, 2) and p.b == -3
+        assert parse_point("0.5, 1e3") == parse_point("1/2,1000")
+        assert parse_point("1e4300,0").a == 10**4300
+
+    @pytest.mark.parametrize("text", ["1e4301,0", "0,1e-999999999", "1e1_000_000_000,0",
+                                      f"1e{NINES},0"])
+    def test_point_exponent_above_the_digit_cap(self, text):
+        # Fraction would write out 10^exponent first, for hours
+        with pytest.raises(ParseError, match="decimal exponent above 4300"):
+            parse_point(text)
 
 
 class TestInputFiles:
@@ -445,6 +454,15 @@ class TestExitCodes:
         )
         assert proc.returncode == 2
         assert "Traceback" not in proc.stdout + proc.stderr
+
+    @pytest.mark.parametrize("flag", ["--center", "--point"])
+    def test_a_huge_coordinate_exponent_is_2_at_once(self, inputs, flag):
+        command = {"--center": ["polar", "--in", inputs["web"]],
+                   "--point": ["classify-sing", "--in", inputs["fol"]]}[flag]
+        start = time.perf_counter()
+        code, out = run_command(command + [flag, "1e999999999,0"])
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "error: bad rational coordinate '1e999999999': decimal exponent above 4300")
 
     @pytest.mark.parametrize("a,b", [("0", "x^3"), ("x^2", "0")])
     def test_a_zero_component_is_saturated_and_checked(self, tmp_path, a, b):
@@ -795,7 +813,8 @@ class TestOptionValidation:
 
 class TestFuzz:
     """Seeded generated command lines: every one ends in an exit code in
-    {0, 1, 2, 3}, and no exception escapes `run_command`."""
+    {0, 1, 2, 3}, and no exception escapes `run_command`.  On each of them,
+    and on hostile shapes, `cli._parse_args` does what argparse does."""
 
     INPUTS = {
         "web": "type: web\nform: dy^2 - x*dx^2\n",
@@ -826,7 +845,7 @@ class TestFuzz:
         "zero-field": "type: foliation\nA: 0\nB: 0\n",
     }
     MISSING = "/nonexistent/fuzz.txt"
-    POINTS = ["0,0", "1,0", "1,2", "-1/2,3", "1/0,2", "a,b", "1", "", "1,2,3", "0.5,1", "--"]
+    POINTS = ["0,0", "1,0", "1,2", "-1/2,3", "1/0,2", "a,b", "1", "", "1,2,3", "0.5,1", "--", "1e999999999,0"]
     SAMPLES = ["0", "-1", "1", "2", "0", "-1", "1", "2", "x"]  # one malformed in nine
     TOLERANCES = ["0", "-1", "nan", "1e-9"]
     FAMILY = ["--base-points", "--degree", "--dimension"]
@@ -866,7 +885,43 @@ class TestFuzz:
             argv.remove("--in")  # a required option goes missing
         return argv
 
-    def test_generated_command_lines(self, tmp_path):
+    # argv shapes that the table reader must hand to argparse, or read as it does
+    HOSTILE = [
+        [], [""], ["x", "y"], ["-h"], ["--help"], ["bogus"], ["degre", "--in", "f"], ["--", "degree"],
+        ["degree", "-h"], ["check", "--in", "f", "--theorem", "k2", "--help"],
+        # abbreviations and = forms
+        ["check", "--in", "f", "--theorem", "k2", "--samp", "3"], ["degree", "--i", "f"],
+        ["degree", "--in=f"], ["check", "--in", "f", "--theorem=k2"], ["degree", "--in", "f", "--json="],
+        # repeats: the last value is kept
+        ["check", "--in", "f", "--in", "g", "--theorem", "k2", "--theorem", "irreducible", "--seed", "1",
+         "--seed", "2"], ["degree", "--json", "--in", "f", "--json"],
+        # --, dashes and negative values
+        ["degree", "--", "--in", "f"], ["degree", "--in", "f", "--"], ["degree", "--in", "--", "f"],
+        ["check", "--in", "f", "--theorem", "k2", "--seed", "-5"], ["degree", "--in", "-"],
+        ["degree", "-in", "f"], ["degree", "--in", "--json"], ["polar", "--in", "f", "--center", "-1,2"],
+        ["degree", "--in", "f", "--tol-residual", "-1e-9"],
+        # stray words and missing values
+        ["degree", "--in", "f", "x", "y"], ["degree", "--in", "f", "--json", "true"],
+        ["degree", "--in", "f", "--seed", "1", "2"], ["degree", "--in"], ["x", "--in", "f"],
+        # empty values
+        ["degree", "--in", ""], ["check", "--in", "f", "--theorem", ""], ["degree", "--in", "f", "--seed", ""],
+        ["polar", "--in", "f", "--center", ""], ["degree", "--in", "f", "--tol-cluster", ""],
+        # type and choice rejections
+        ["check", "--in", "f", "--theorem", "bogus"], ["check", "--in", "f", "--theorem", "K2"],
+        ["check", "--in", "f", "--theorem", "k2", "--samples", "0"], ["degree", "--in", "f", "--seed", "5.0"],
+        ["degree", "--in", "f", "--seed", " 7 "], ["degree", "--in", "f", "--tol-residual", "nan"],
+        # a required flag missing
+        ["degree"], ["check", "--theorem", "k2"], ["check", "--in", "f"], ["polar", "--in", "f"],
+        ["localsing", "--point", "0,0"], ["directions", "--in", "f", "--json"],
+        # family has a mutually exclusive group: argparse reads it
+        ["family", "--in", "f", "--degree"], ["family", "--in", "f", "--degree", "--dimension"],
+        ["family", "--in", "f"],
+        # well formed
+        ["genus", "--in", "f", "--affine-only", "--json"], ["class", "--in", "f"],
+        ["check", "--json", "--samples", "3", "--theorem", "qr-bound", "--in", "f", "--tol-root-residual", "1e-6"],
+    ]
+
+    def _cases(self, tmp_path) -> list[list[str]]:
         paths = {"missing": self.MISSING}
         for name, text in self.INPUTS.items():
             path = tmp_path / f"{name}.txt"
@@ -879,9 +934,25 @@ class TestFuzz:
         cases = [self._argv(rng, paths, c, t) for c, t in targets]
         while len(cases) < 300:
             cases.append(self._argv(rng, paths, *rng.choice(targets)))
-        cases += [[], ["bogus"], ["check", "--in", paths["web"], "--theorem", "bogus"]]
+        return cases + [[], ["bogus"], ["check", "--in", paths["web"], "--theorem", "bogus"]]
+
+    def test_the_argv_reader_agrees_with_argparse(self, tmp_path, capsys):
+        from polarweb.cli import _build_parser, _parse_args
+
+        def outcome(parse, argv):
+            try:
+                result = parse(list(argv))
+            except SystemExit as exit:
+                result = ("exit", exit.code)
+            return result, *capsys.readouterr()
+
+        mismatches = [argv for argv in self._cases(tmp_path) + self.HOSTILE
+                      if outcome(_parse_args, argv) != outcome(_build_parser().parse_args, argv)]
+        assert not mismatches
+
+    def test_generated_command_lines(self, tmp_path):
         failures = []
-        for argv in cases:
+        for argv in self._cases(tmp_path):
             try:
                 code, _ = run_command(argv)
             except Exception as exc:  # noqa: BLE001 - the test reports it

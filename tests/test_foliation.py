@@ -7,6 +7,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from battery import (
+    BATTERY,
+    DX,
+    DY,
     FOLIATIONS,
     X,
     Y,
@@ -70,6 +73,19 @@ class TestFoliationData:
     def test_degree(self):
         assert FoliationData(X**2, Y**2).degree() == 2
         assert FoliationData(2 * Y, 3 * X**2).degree() == 2
+
+    @pytest.mark.parametrize("A, B", [
+        *[pytest.param(e.foliation.A, e.foliation.B, id=e.name) for e in BATTERY if e.foliation is not None],
+        pytest.param((X**2 - Y) * (3 * X + Y**2 - 1), (X**2 - Y) * (2 * X * Y - 5), id="saturated"),
+        pytest.param(MPoly.constant(1), MPoly.zero(), id="A=1 B=0"),
+        pytest.param(MPoly.zero(), 2 * X, id="A=0 B=2x"),
+    ])
+    def test_form_is_a_dy_minus_b_dx(self, A, B):
+        fol = FoliationData(A, B)
+        want = (fol.A * DY - fol.B * DX).canonical()
+        # the same terms in the operators' order
+        assert list(fol.as_web.form.terms.items()) == list(want.terms.items())
+        assert fol.as_web.form.variables == want.variables
 
 
 class TestInflexionDivisor:
