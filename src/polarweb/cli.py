@@ -17,7 +17,6 @@ import sys
 
 from . import localsing as localsing_mod
 from . import numerics as numerics_mod
-from . import solve as solve_mod
 from .errors import (
     DegenerateSampleError,
     NumericAbortError,
@@ -70,7 +69,6 @@ from .webmodel import (
 
 # --tol-* flag -> the module setting it overrides for one call.
 _TOLERANCE_FLAGS = (
-    ("tol_residual", solve_mod, "NUMERIC_TOL"),
     ("tol_cluster", localsing_mod, "CLUSTER_TOL"),
     ("tol_root_residual", numerics_mod, "RESIDUAL_TOL"),
 )
@@ -115,8 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--point", required=True, help="rational point a,b")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--tol-residual", type=_tolerance, default=None,
-                       help="numeric membership tolerance (default 1e-9)")
         p.add_argument("--tol-cluster", type=_tolerance, default=None,
                        help="numeric clustering tolerance (default 1e-5)")
         p.add_argument("--tol-root-residual", type=_tolerance, default=None,

@@ -33,6 +33,7 @@ from .mpoly import (
     MPoly,
     _as_rational,
     _rekey,
+    exact_div,
     gcd_fold,
     poly_gcd,
     proper_shears,
@@ -143,8 +144,8 @@ def local_multiplicity(germ: CurveGerm) -> int:
 # intersection multiplicity and Milnor number (exact route)
 # ---------------------------------------------------------------------------
 
-# Finite on purpose: germs that share a component away from the origin (a
-# conic, say) meet again on every line through the origin, so no shear passes.
+# Coprime germs meet at finitely many points, and each one off the origin
+# rules out the one shear that moves it onto x = 0.
 _SHEAR_CANDIDATES = [0, 1, -1, 2, -2, 3, -3, 5, -5, 7, -7, 11, -11, 13]
 
 
@@ -165,10 +166,15 @@ def intersection_multiplicity(f: MPoly, g: MPoly) -> int:
 
 def _meet_at_origin(f: MPoly, g: MPoly, shared: str) -> int:
     """I(f, g) at the origin, for nonzero f and g that both vanish there;
-    the error `shared` when they share a component through it."""
+    the error `shared` when they share a component through it.  A common
+    factor that misses the origin is a unit of the local ring, which leaves
+    I alone, so both germs are divided by it: kept, it would meet x = 0 again
+    after every shear."""
     common = poly_gcd(f, g)
-    if not common.is_constant() and not _nonzero_at_origin(common):
-        raise PolynomialError(shared)
+    if not common.is_constant():
+        if not _nonzero_at_origin(common):
+            raise PolynomialError(shared)
+        f, g = exact_div(f, common), exact_div(g, common)
     for lam in proper_shears([f, g], _SHEAR_CANDIDATES):
         # (x, y) -> (x + lam*y, y) keeps the origin and makes both y-proper
         fs, gs = shear(f, lam), shear(g, lam)

@@ -912,12 +912,23 @@ def proper_shears(polys: Sequence[MPoly], candidates: Iterable[int] | None = Non
     """
     if any(h.is_zero() for h in polys):
         return
-    tops = [max(jet_decompose(h, (u, v)).items()) for h in polys]
+    # each top form as its degree and, for each monomial in the other
+    # variables, the (u-exponent, coefficient) pairs of its coefficient
+    tops = []
+    for h in polys:
+        iu, iv = (h.variables.index(w) if w in h.variables else None for w in (u, v))
+        split = [((e[iu] if iu is not None else 0), (e[iv] if iv is not None else 0), e, c)
+                 for e, c in h.terms.items()]
+        d = max(a + b for a, b, _, _ in split)
+        groups: dict = {}
+        for a, b, e, c in split:
+            if a + b == d:
+                groups.setdefault(tuple(k for i, k in enumerate(e) if i != iu and i != iv), []).append((a, c))
+        tops.append((d, list(groups.values())))
     if candidates is None:
         candidates = islice(_small_integers(), sum(d for d, _ in tops) + 1)
     for lam in candidates:
-        direction = {u: lam, v: 1}
-        if all(top.substitute(direction) for _, top in tops):
+        if all(any(sum(c * lam**a for a, c in g) for g in groups) for _, groups in tops):
             yield lam
 
 

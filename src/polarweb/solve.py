@@ -3,41 +3,58 @@ collections in two variables.
 
 A root split runs Yun's decomposition on the integer coefficient list and
 Aberth on each factor; a rounded approximation is a rational root only when
-the exact integer test (`zpoly._vanishes_at`) holds.  A zero set is the grid
-of the roots of two eliminants, resultants of the generators: a rational
-point is verified exactly, a point with one rational coordinate is read from
-the generators' gcd on that coordinate's line, any other by residual.
+the exact integer test (`zpoly._vanishes_at`) holds.
+
+A zero set is read by the shape lemma (F. Rouillier, AAECC 9, 1999; for two
+variables, Y. Bouzidi, S. Lazard, M. Pouget and F. Rouillier, J. Symb. Comp.
+68, 2015).  Two coprime generators are sheared to t = x - lam*y, the
+square-free part m(t) of their resultant in y holds the t of every common
+zero, and a subresultant gives y as a rational function of t on each part of
+m, once an exact test has shown that lam separates the zeros.  Each further
+generator cuts m by one exact gcd.  So every zero is one root of m: a
+rational root is a rational point, an irrational one gives both coordinates
+at once, and nothing is decided by a residual.  The eliminants in x and y
+that `singular` prints are computed only on request (`eliminant`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, count, islice
 
 from .errors import InfiniteZeroSetError, InternalInvariantError, PolynomialError
-from .mpoly import MPoly, _int_coeffs, gcd_fold, resultant
+from .mpoly import (
+    MPoly,
+    _from_int_coeffs,
+    _int_coeffs,
+    _integer_terms,
+    _small_integers,
+    gcd_fold,
+    poly_gcd,
+    proper_shears,
+    resultant,
+    shear,
+)
 from .numerics import univariate_roots
-from .zpoly import _int_exact_quo, _vanishes_at, _yun
+from .zpoly import (
+    _common_factor,
+    _derivative,
+    _int_exact_quo,
+    _int_gcd,
+    _int_prem,
+    _int_prs_resultant,
+    _mul,
+    _newton_interpolate,
+    _sub,
+    _subresultant_row,
+    _trim,
+    _vanishes_at,
+    _yun,
+)
 
-NUMERIC_TOL = 1e-9
 RECONSTRUCT_DENOMS = (10**6, 10**12)
-
-
-def term_scale(f: MPoly, point: dict[str, complex]) -> float:
-    """Sum of term magnitudes at the point; the natural residual scale."""
-    total = 0.0
-    for e, c in f.terms.items():
-        t = abs(float(c.numerator) / float(c.denominator))
-        for i, v in enumerate(f.variables):
-            if e[i]:
-                t *= abs(complex(point[v])) ** e[i]
-        total += t
-    return max(total, 1.0)
-
-
-def vanishes_numerically(f: MPoly, point: dict[str, complex]) -> bool:
-    return abs(f.evaluate_complex(point)) <= NUMERIC_TOL * term_scale(f, point)
 
 
 def _candidates(approx: list[complex]):
@@ -84,15 +101,20 @@ def univariate_root_split(f: MPoly, var: str) -> tuple[list[tuple[Fraction, int]
 
 @dataclass
 class ZeroSet:
-    """Common zeros of a polynomial family in two variables."""
+    """Common zeros of a polynomial family in two variables: the rational
+    points, and the others as approximations, where a rational coordinate is
+    exact."""
 
     rational: list[tuple[Fraction, Fraction]] = field(default_factory=list)
     numeric: list[tuple[complex, complex]] = field(default_factory=list)
-    elim_x: MPoly | None = None
-    elim_y: MPoly | None = None
 
     def __len__(self) -> int:
         return len(self.rational) + len(self.numeric)
+
+
+def _combinations(polys: list[MPoly]):
+    """G(1), G(2), ... for G(t) = sum_i t^i p_i."""
+    return (sum((MPoly.constant(t**i) * p for i, p in enumerate(polys)), MPoly.zero()) for t in count(1))
 
 
 def _combination_resultant(polys: list[MPoly], v: str) -> MPoly:
@@ -108,8 +130,7 @@ def _combination_resultant(polys: list[MPoly], v: str) -> MPoly:
     factor with G(t1).
     """
     n = len(polys)
-    combos = (sum((MPoly.constant(t**i) * p for i, p in enumerate(polys)), MPoly.zero())
-              for t in count(1))
+    combos = _combinations(polys)
     c1 = next((c for c in islice(combos, n) if c.degree_in(v) > 0), None)
     if c1 is not None:
         for c2 in islice(combos, (c1.degree_in(v) + 1) * (n - 1) + 1):
@@ -120,61 +141,255 @@ def _combination_resultant(polys: list[MPoly], v: str) -> MPoly:
     raise InternalInvariantError(f"no combination of coprime generators eliminates {v}")
 
 
+def _coprime_combinations(polys: list[MPoly]) -> tuple[MPoly, MPoly]:
+    """Two coprime G(t1), G(t2) for G(t) = sum_i t^i p_i, where the n >= 2
+    nonconstant polynomials p_i have gcd 1.  As for `_combination_resultant`,
+    an irreducible factor divides G(t), zero or not, for at most n - 1 values
+    of t, and G(t) is constant for at most n - 1 of them.  So the first
+    nonconstant G(t1) has t1 <= n, and as it has at most deg G(t1)
+    irreducible factors, one of the next deg G(t1) * (n - 1) + 1 values is
+    coprime to it."""
+    n = len(polys)
+    combos = _combinations(polys)
+    c1 = next(c for c in islice(combos, n) if not c.is_constant())
+    c2 = next((c for c in islice(combos, c1.total_degree() * (n - 1) + 1) if poly_gcd(c1, c).is_constant()), None)
+    if c2 is None:
+        raise InternalInvariantError("no two combinations of generators with gcd 1 are coprime")
+    return c1, c2
+
+
+def eliminant(polys: list[MPoly], elim_var: str) -> MPoly:
+    """A nonzero polynomial in the other variable vanishing at every common
+    zero's coordinate, for nonconstant generators with gcd 1: the gcd of the
+    generators free of elim_var and of the nonzero pairwise resultants, or,
+    when there are none, the resultant of two combinations
+    (`_combination_resultant`).  The candidates are drawn lazily, so no
+    resultant is taken after the gcd has become a constant; that gcd is the
+    one of all the candidates."""
+    free = [p for p in polys if p.degree_in(elim_var) == 0]
+    positive = [p for p in polys if p.degree_in(elim_var) > 0]
+    nonzero = (r for i, p in enumerate(positive) for q in positive[i + 1:]
+               if not (r := resultant(p, q, elim_var)).is_zero())
+    first = free[0] if free else next(nonzero, None)
+    if first is None:
+        # every generator involves elim_var, and there are >= 2 of them
+        first = _combination_resultant(positive, elim_var)
+    return gcd_fold(chain([first], free[1:], nonzero)).canonical()
+
+
+def _coprime_pair(polys: list[MPoly]) -> tuple[MPoly, MPoly, list[MPoly]]:
+    """Two coprime generators, the first such pair by total degree, and the
+    others; or, when no two are coprime, two coprime combinations and every
+    generator.  Raises when the generators share a factor."""
+    order = sorted(polys, key=MPoly.total_degree)
+    for i, f in enumerate(order):
+        for j in range(i + 1, len(order)):
+            if poly_gcd(f, order[j]).is_constant():
+                return f, order[j], order[:i] + order[i + 1:j] + order[j + 1:]
+    g = gcd_fold(polys)
+    if not g.is_constant():
+        raise InfiniteZeroSetError(f"generators share the factor {g}")
+    return *_coprime_combinations(polys), polys
+
+
+def _y_coeffs(f: MPoly) -> list[list[int]]:
+    """The coefficients of y^0, y^1, ... in f / content(f), each an ascending
+    int list in x."""
+    out = [[0] * (f.degree_in("x") + 1) for _ in range(f.degree_in("y") + 1)]
+    for (i, k), c in _integer_terms(f, f.rational_content(), ["y", "x"]).items():
+        out[i][k] = c
+    return [_trim(c) for c in out]
+
+
+def _horner(coeffs: list, t):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def _subresultant(nodes: list[int], images: list[tuple[list[int], list[int]]], j: int) -> list[list[int]]:
+    """s_(j,j)(t), ..., s_(j,0)(t) for F and G given by their images at the
+    integer nodes, of y-degrees p >= q > j, where the coefficient of y^k has
+    t-degree at most its total degree minus k.  Each comes from
+    `_subresultant_row` at the first nodes, Newton-interpolated.  An entry of
+    the row y^k * F at the column of y^e has t-degree at most p + k - e, so
+    s_(j,i) has t-degree at most the sum of p + k (q + k for G) over the
+    rows minus the sum of the column exponents.  That bound falls as j rises
+    (by p + q - 2j - 2 >= 0), and at j = 0, where it is pq, it bounds the
+    resultant."""
+    p, q = len(images[0][0]) - 1, len(images[0][1]) - 1
+    count = 1 + sum(p + k for k in range(q - j)) + sum(q + k for k in range(p - j)) - sum(range(j + 1, p + q - j))
+    rows = [_subresultant_row(a, b, j) for a, b in images[:count]]
+    return [_trim(_newton_interpolate(nodes[:count], list(values))) for values in zip(*rows)]
+
+
+def _separated(part: list[int], s: list[list[int]], j: int) -> bool:
+    """Whether S_j = s_(j,j) * (y - y0)^j at every root of part, with
+    y0 = -s_(j,j-1) / (j * s_(j,j)): then the fiber gcd there, which S_j is,
+    has the one root y0.  The coefficients of (j*s_(j,j)*y + s_(j,j-1))^j and
+    j^j * s_(j,j)^(j-1) * S_j must agree mod part; they agree identically on
+    y^j and y^(j-1)."""
+    top, lead = s[0], [j * c for c in s[0]]
+    for i in range(j - 1):
+        lhs = [math.comb(j, i) * c for c in _mul(_power(lead, i), _power(s[1], j - i))]
+        rhs = [j**j * c for c in _mul(_power(top, j - 1), s[j - i])]
+        if _int_prem(_sub(lhs, rhs), part):
+            return False
+    return True
+
+
+def _power(a: list[int], k: int) -> list[int]:
+    out = [1]
+    for _ in range(k):
+        out = _mul(out, a)
+    return out
+
+
+def _same_scale_rem(num: list[int], den: list[int], w: list[int]) -> tuple[list[int], list[int]]:
+    """num and den mod w, each times the same power of lc(w), so that their
+    ratio at every root of w is kept."""
+    e = [max(0, len(f) - len(w) + 1) for f in (num, den)]
+    return tuple([c * w[-1] ** (max(e) - k) for c in _int_prem(f, w)] for f, k in zip((num, den), e))
+
+
+def _cut(part: list[int], num: list[int], den: list[int], H: list[list[int]]) -> list[int]:
+    """The factor of part at whose roots H(t, y) = 0, for y = -num/den:
+    gcd(part, sum_k H_k (-num)^k den^(d - k)), with num and den first
+    reduced mod part."""
+    num, den = _same_scale_rem(num, den, part)
+    acc, power = H[-1], [1]
+    for h in reversed(H[:-1]):
+        power = _mul(power, den)
+        acc = _sub(_mul(h, power), _mul(acc, num))
+    return _common_factor(part, acc)
+
+
+def _shape(F: MPoly, G: MPoly, others: list[MPoly]) -> list[tuple[list[int], list[int], list[int]]] | None:
+    """The zeros of F, G and the others, polynomials in (t, y) with F and G
+    coprime and y-proper, as groups (part, num, den): every root t of part
+    is one zero, with y = -num(t)/den(t), and the parts are coprime factors
+    of the square-free part m of Res_y(F, G).  None when the test of
+    `_separated` fails, where one t is two zeros of F and G.
+
+    With p = deg_y F >= q = deg_y G and constant tops, the gcd of F(t, y)
+    and G(t, y) at a root t of m has the degree j of the first nonzero
+    s_(j,j)(t), and S_j(t, y) is that gcd up to a factor (the fundamental
+    theorem of subresultants; S_q is G).  So the part of m where s_(1,1) is
+    nonzero has y = -s_(1,0)/s_(1,1), and each part where the degree is
+    j >= 2 must pass `_separated`."""
+    Fc, Gc = _y_coeffs(F), _y_coeffs(G)
+    if len(Fc) < len(Gc):
+        Fc, Gc = Gc, Fc
+    nodes = list(islice(_small_integers(), (len(Fc) - 1) * (len(Gc) - 1) + 1))
+    images = [([_horner(c, t) for c in Fc], [_horner(c, t) for c in Gc]) for t in nodes]
+    R = _trim(_newton_interpolate(nodes, [_int_prs_resultant(a, b) for a, b in images]))
+    if not R:
+        raise InternalInvariantError("coprime generators have a zero resultant")
+    if len(R) == 1:
+        return []
+    rest = _int_exact_quo(R, _int_gcd(R, _derivative(R)))
+    rest = [c // math.gcd(*rest) for c in rest]
+    groups, j = [], 1
+    while len(rest) > 1:
+        s = Gc[::-1] if j == len(Gc) - 1 else _subresultant(nodes, images, j)
+        g = _int_gcd(rest, s[0]) if s[0] else rest
+        part = _int_exact_quo(rest, g)
+        if len(part) > 1:
+            if j > 1 and not _separated(part, s, j):
+                return None
+            # a factor that num and den share can be tiny near a root of part
+            # and take the digits of y in floats; it is divided out
+            num, den = s[1], [j * c for c in s[0]]
+            common = _common_factor(den, num)
+            groups.append((part, _int_exact_quo(num, common), _int_exact_quo(den, common)))
+        rest, j = g, j + 1
+    for H in map(_y_coeffs, others):
+        groups = [(_cut(part, num, den, H), num, den) for part, num, den in groups]
+        groups = [group for group in groups if len(group[0]) > 1]
+    return groups
+
+
+def _exact_coordinates(w: list[int], approx: list[complex], vanishing) -> list[Fraction | None]:
+    """For the approximations of one coordinate at the roots of w, the
+    rational value that each one is proved to have, or None.  vanishing(a, b)
+    is an int list whose gcd with w has for roots the roots of w where the
+    coordinate is a/b, so its degree k counts them: a guess (`_candidates`)
+    with k > 0 goes to the k approximations nearest to it among those that
+    round to it.  w has no rational root, so a rational coordinate is shared
+    by all the roots of an irreducible factor of degree >= 2: only a value
+    that two approximations share is tried."""
+    counts: dict[Fraction, int] = {}
+    rounding: dict[Fraction, list[int]] = {}
+    for i, z in enumerate(approx):
+        if sum(abs(v - z) <= 1e-6 * max(1.0, abs(z)) for v in approx) > 1:
+            for r in _candidates([z]):
+                if r not in counts:
+                    counts[r] = len(_common_factor(w, vanishing(r.numerator, r.denominator))) - 1
+                if counts[r]:
+                    rounding.setdefault(r, []).append(i)
+                    break
+    out: list[Fraction | None] = [None] * len(approx)
+    for r, indices in rounding.items():
+        for i in sorted(indices, key=lambda i: abs(approx[i] - r))[:counts[r]]:
+            out[i] = r
+    return out
+
+
+def _points(groups, lam: int) -> ZeroSet:
+    """The zeros of the groups of `_shape`, with x = t + lam*y.  A rational
+    root t gives a rational point.  At an irrational one, a coordinate that
+    rounds to a rational value is kept exact when one gcd proves it (both
+    cannot be rational, and x = t is not when lam = 0)."""
+    zs = ZeroSet()
+    for part, num, den in groups:
+        rational, numeric = univariate_root_split(_from_int_coeffs("x", part), "x")
+        w = part
+        for t, _ in rational:
+            y = -_horner(num, t) / _horner(den, t)
+            zs.rational.append((t + lam * y, y))
+            w = _int_exact_quo(w, [-t.numerator, t.denominator])
+        if not numeric:
+            continue
+        num, den = _same_scale_rem(num, den, w)
+        # one power of two brings every coefficient into float range
+        scale = 2 ** max(0, max(abs(c).bit_length() for c in num + den) - 1000)
+        num_f, den_f = [c / scale for c in num], [c / scale for c in den]
+        ts = [t for t, _ in numeric]
+        ys = [-_horner(num_f, t) / _horner(den_f, t) for t in ts]
+        xs = [t + lam * y for t, y in zip(ts, ys)]
+        # y = a/b where b*num + a*den = 0, x = a/b where b*(t*den - lam*num) = a*den
+        exact_y = _exact_coordinates(w, ys, lambda a, b: _sub(_mul([b], num), [-a * c for c in den]))
+        exact_x = _exact_coordinates(w, xs, lambda a, b: _sub(
+            _mul([b], _sub([0] + den, [lam * c for c in num])), [a * c for c in den])) if lam else [None] * len(ts)
+        zs.numeric += [(complex(x if x0 is None else x0), complex(y if y0 is None else y0))
+                       for x, y, x0, y0 in zip(xs, ys, exact_x, exact_y)]
+    zs.rational.sort()
+    # each coordinate carries its own round-off, so points that share one
+    # (to 9 places) are ordered by the other
+    zs.numeric.sort(key=lambda q: tuple(round(v, 9) for z in q for v in (z.real, z.imag)))
+    return zs
+
+
 def common_zeros(polys: list[MPoly]) -> ZeroSet:
-    """Common zero set, expected finite, of polynomials in (x, y).  Each
-    eliminant draws its candidates lazily and gets the gcd of all of them."""
+    """Common zero set, expected finite, of polynomials in (x, y).  Two
+    coprime generators f and g (`_coprime_pair`) are sheared by the first lam
+    of 0, 1, -1, 2, ... that `proper_shears` yields and at which `_shape`
+    separates their zeros.  A top form of degree d vanishes at d values of
+    lam at most, and two of the at most deg f * deg g zeros (Bezout) share a
+    t = x - lam*y for one lam at most, so one of the first
+    C(deg f * deg g, 2) + deg f + deg g + 1 values passes."""
     polys = [p for p in polys if not p.is_zero()]
     if not polys:
         raise InfiniteZeroSetError("all generators are zero")
     if any(p.is_constant() for p in polys):
         return ZeroSet()
-    g = gcd_fold(polys)
-    if not g.is_constant():
-        raise InfiniteZeroSetError(f"generators share the factor {g}")
-
-    def eliminant(elim_var: str, keep_var: str) -> MPoly:
-        """A nonzero polynomial in keep_var vanishing at every common zero's
-        keep_var coordinate: the gcd of the generators free of elim_var and
-        of the nonzero pairwise resultants, or, when there are none, the
-        resultant of two combinations (`_combination_resultant`).  The
-        candidates are drawn lazily, so no resultant is taken after the gcd
-        has become a constant; that gcd is the one of all the candidates."""
-        free = [p for p in polys if p.degree_in(elim_var) == 0]
-        positive = [p for p in polys if p.degree_in(elim_var) > 0]
-        nonzero = (r for i, p in enumerate(positive) for q in positive[i + 1:]
-                   if not (r := resultant(p, q, elim_var)).is_zero())
-        first = free[0] if free else next(nonzero, None)
-        if first is None:
-            # every generator involves elim_var, and there are >= 2 of them
-            first = _combination_resultant(positive, elim_var)
-        return gcd_fold(chain([first], free[1:], nonzero)).canonical()
-
-    ex = eliminant("y", "x")
-    ey = eliminant("x", "y")
-    if ex.degree_in("x") == 0 or ey.degree_in("y") == 0:
-        # a constant eliminant certifies emptiness in that direction
-        return ZeroSet(elim_x=ex, elim_y=ey)
-    rx, nx = univariate_root_split(ex, "x")
-    ry, ny = univariate_root_split(ey, "y")
-
-    def fiber(var: str, value: Fraction, other: str) -> list[complex]:
-        """The non-rational `other` coordinates of the zeros on the line
-        var = value: the numeric roots of the generators' gcd there."""
-        on_line = [r for p in polys if not (r := p.substitute({var: value})).is_zero()]
-        return [root for root, _ in univariate_root_split(gcd_fold(on_line), other)[1]]
-
-    zs = ZeroSet(elim_x=ex, elim_y=ey)
-    for xr, _ in rx:
-        for yr, _ in ry:
-            if all(p.evaluate({"x": xr, "y": yr}) == 0 for p in polys):
-                zs.rational.append((xr, yr))
-    zs.numeric += [(complex(xr), yv) for xr, _ in rx for yv in fiber("x", xr, "y")]
-    zs.numeric += [(xv, complex(yr)) for yr, _ in ry for xv in fiber("y", yr, "x")]
-    for xv, _ in nx:
-        for yv, _ in ny:
-            if (all(vanishes_numerically(p, {"x": xv, "y": yv}) for p in polys)
-                    and not any(abs(xv - a) < 1e-7 and abs(yv - b) < 1e-7 for a, b in zs.numeric)):
-                zs.numeric.append((xv, yv))
-    zs.rational.sort(key=lambda t: (t[0], t[1]))
-    zs.numeric.sort(key=lambda t: (t[0].real, t[0].imag, t[1].real, t[1].imag))
-    return zs
+    f, g, others = _coprime_pair(polys)
+    if f.is_constant() or g.is_constant():
+        return ZeroSet()
+    m, n = f.total_degree(), g.total_degree()
+    for lam in proper_shears([f, g], islice(_small_integers(), math.comb(m * n, 2) + m + n + 1)):
+        groups = _shape(shear(f, lam), shear(g, lam), [shear(h, lam) for h in others])
+        if groups is not None:
+            return _points(groups, lam)
+    raise InternalInvariantError("no shear separates the zeros of two coprime generators")

@@ -25,7 +25,7 @@ from .mpoly import (
     squarefree_part,
     try_exact_div,
 )
-from .solve import ZeroSet, common_zeros, univariate_root_split
+from .solve import common_zeros, eliminant, univariate_root_split
 from .zpoly import _distinct_binary_roots
 
 X = MPoly.variable("x")
@@ -126,13 +126,21 @@ class PlaneCurve:
 
 @dataclass
 class SingularSet:
-    """Zero set of the web coefficients, with its exact eliminants."""
+    """Zero set of the web coefficients, with its exact eliminants, which
+    are computed on first use (`solve.eliminant`); None when a generator is
+    a constant."""
 
     points: list[AffinePoint]
     numeric_points: list[tuple[complex, complex]]
     generators: list[MPoly]
-    elim_x: MPoly | None
-    elim_y: MPoly | None
+
+    @cached_property
+    def elim_x(self) -> MPoly | None:
+        return None if any(g.is_constant() for g in self.generators) else eliminant(self.generators, "y")
+
+    @cached_property
+    def elim_y(self) -> MPoly | None:
+        return None if any(g.is_constant() for g in self.generators) else eliminant(self.generators, "x")
 
     def is_empty(self) -> bool:
         return not self.points and not self.numeric_points
@@ -300,10 +308,9 @@ def singular_set(web: SymWeb) -> SingularSet:
     """Common zeros of the coefficients a_i(x, y); finite for a valid web."""
     gens = [c for c in web.coefficients() if not c.is_zero()]
     if any(c.is_constant() for c in gens):
-        return SingularSet([], [], gens, None, None)
-    zs: ZeroSet = common_zeros(gens)
-    pts = [AffinePoint(a, b) for a, b in zs.rational]
-    return SingularSet(pts, zs.numeric, gens, zs.elim_x, zs.elim_y)
+        return SingularSet([], [], gens)
+    zs = common_zeros(gens)
+    return SingularSet([AffinePoint(a, b) for a, b in zs.rational], zs.numeric, gens)
 
 
 def discriminant_curve(web: SymWeb) -> PlaneCurve:

@@ -28,11 +28,30 @@ def _derivative(coeffs: list) -> list:
     return [k * c for k, c in enumerate(coeffs)][1:]
 
 
+def _trim(a: list[int]) -> list[int]:
+    """a without its top zeros."""
+    while a and not a[-1]:
+        a = a[:-1]
+    return a
+
+
 def _sub(a: list[int], b: list[int]) -> list[int]:
     """a - b for ascending int lists, without top zeros."""
     out = [u - v for u, v in zip_longest(a, b, fillvalue=0)]
     while out and not out[-1]:
         out.pop()
+    return out
+
+
+def _mul(a: list[int], b: list[int]) -> list[int]:
+    """a * b for ascending int lists; [] when either is zero."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] += u * v
     return out
 
 
@@ -133,6 +152,38 @@ def _int_prs_resultant(a: list[int], b: list[int]) -> int:
     return sign * res
 
 
+def _subresultant_row(a: list[int], b: list[int], j: int) -> list[int]:
+    """The coefficients s_(j,j), ..., s_(j,0) of the j-th subresultant of
+    ascending int lists a and b with nonzero tops, of degrees p >= q > j.
+
+    s_(j,i) is the determinant of the matrix of the rows y^k * a (k < q - j)
+    and y^k * b (k < p - j) over the columns y^(p+q-j-1), ..., y^(j+1) and
+    y^i.  Those rows share the first p + q - 2j - 1 columns, so one Bareiss
+    elimination of them, by rows, leaves each s_(j,i) in the last row, at
+    the column of y^i, with the sign of the row swaps.  When those columns
+    have no full rank, every s_(j,i) is 0."""
+    p, q = len(a) - 1, len(b) - 1
+    width = p + q - j
+    rows = [[0] * (width - p - 1 - k) + a[::-1] + [0] * k for k in range(q - j - 1, -1, -1)]
+    rows += [[0] * (width - q - 1 - k) + b[::-1] + [0] * k for k in range(p - j - 1, -1, -1)]
+    n = len(rows)
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        pivot = next((r for r in range(c, n) if rows[r][c]), None)
+        if pivot is None:
+            return [0] * (j + 1)
+        if pivot != c:
+            rows[c], rows[pivot], sign = rows[pivot], rows[c], -sign
+        top = rows[c]
+        pc = top[c]
+        for r in range(c + 1, n):
+            rc = rows[r][c]
+            # Sylvester's identity: every quotient is exact
+            rows[r] = [(pc * u - rc * v) // prev for u, v in zip(rows[r], top)]
+        prev = pc
+    return [sign * v for v in rows[-1][n - 1:]]
+
+
 def _newton_interpolate(nodes: list[int], values: list[int]) -> list[int]:
     """Ascending coefficients of the integer polynomial of degree below
     len(nodes) taking the values at the nodes.  Every divided difference of
@@ -190,6 +241,21 @@ def _vanishes_at(coeffs: list[int], root: Fraction) -> bool:
         acc = acc * a + c * bp
         bp *= b
     return acc == 0
+
+
+def _common_factor(a: list[int], b: list[int]) -> list[int]:
+    """gcd(a, b) of ascending int lists, a with a nonzero top; b = [] is
+    zero.  Coprime images mod p prove a gcd of 1: a common factor over Q is
+    one in Z[x], and it keeps its degree mod p, as its top divides a's
+    (Gauss).  Any other case takes `_int_gcd`."""
+    p = _CERT_PRIME
+    b = _trim(b)
+    if not b:
+        return a
+    ap, bp = [c % p for c in a], _trim([c % p for c in b])
+    if ap[-1] and bp and _coprime_mod_p(ap, bp):
+        return [1]
+    return _int_gcd(a, b)
 
 
 def _coprime_mod_p(a: list[int], b: list[int]) -> bool:

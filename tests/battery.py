@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 from polarweb import AffinePoint, FoliationData, MPoly, SymWeb, superpose
 
@@ -22,6 +22,14 @@ def to_sympy(sympy, f: MPoly):
         sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**k for s, k in zip(gens, e)))
         for e, c in f.terms.items()
     ))
+
+
+def vanishes_numerically(f: MPoly, point: dict[str, complex], tol: float = 1e-9) -> bool:
+    """Residual oracle: |f| at the point is at most tol times the sum of the
+    term magnitudes there, or tol when that sum is below 1."""
+    scale = sum(abs(float(c)) * prod(abs(complex(point[v])) ** k for v, k in zip(f.variables, e))
+                for e, c in f.terms.items())
+    return abs(f.evaluate_complex(point)) <= tol * max(scale, 1.0)
 
 
 def nonzero_int(sampler) -> int:

@@ -122,6 +122,23 @@ MUTANTS = [
      "terms = {(1, 0) + e: a for e, a in _rekey(A, (\"x\", \"y\")).items()}\n"
      "        terms.update({(0, 1) + e:",
      "tests/test_foliation.py::TestFoliationData::test_form_is_a_dy_minus_b_dx"),
+    # every shear taken as separating: on the sqrt 2 grid, lam = 1 puts two
+    # zeros on one t, and their y would be read as the mean of the two
+    ("solve.py",
+     "if j > 1 and not _separated(part, s, j):",
+     "if False:",
+     "tests/test_solve.py::TestShapeLemma::test_the_sqrt_2_grid"),
+    # a common factor off the origin kept: it meets x = 0 after every shear
+    ("localsing.py",
+     "f, g = exact_div(f, common), exact_div(g, common)",
+     "f, g = f, g",
+     "tests/test_localsing.py::TestIntersectionMultiplicity::test_a_common_factor_off_the_origin"),
+    # the class of a smooth curve taken for every curve whose node value
+    # reaches n(n - 1)
+    ("foliation.py",
+     "if top == bound and common.is_constant():",
+     "if top == bound:",
+     "tests/test_localsing.py::TestTeissier::test_class_of_a_curve_smooth_at_infinity"),
 ]
 
 

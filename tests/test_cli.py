@@ -750,9 +750,9 @@ class TestCheckRegistry:
 
 class TestToleranceOverrides:
     def _settings(self):
-        from polarweb import localsing, numerics, solve
+        from polarweb import localsing, numerics
 
-        return (solve.NUMERIC_TOL, localsing.CLUSTER_TOL, numerics.RESIDUAL_TOL)
+        return (localsing.CLUSTER_TOL, numerics.RESIDUAL_TOL)
 
     def test_overrides_hold_for_one_call_only(self, inputs, monkeypatch):
         from polarweb import cli as cli_mod
@@ -767,23 +767,24 @@ class TestToleranceOverrides:
 
         monkeypatch.setattr(cli_mod, "_run_check", record)
         code, _ = run_command(
-            ["check", "--in", inputs["fol"], "--theorem", "polar-degree", "--tol-residual", "0.5",
+            ["check", "--in", inputs["fol"], "--theorem", "polar-degree",
              "--tol-cluster", "0.25", "--tol-root-residual", "0.125"]
         )
         assert code == 0
-        assert seen == [(0.5, 0.25, 0.125)]
+        assert seen == [(0.25, 0.125)]
         assert self._settings() == defaults
 
     def test_overrides_restored_after_an_error(self):
         defaults = self._settings()
-        code, _ = run_command(["degree", "--in", "/nonexistent/input.txt", "--tol-residual", "0.75"])
+        code, _ = run_command(["degree", "--in", "/nonexistent/input.txt", "--tol-cluster", "0.75"])
         assert code == 2
         assert self._settings() == defaults
 
 
 class TestOptionValidation:
     """--samples takes a positive int and --tol-* a finite positive float;
-    anything else is a usage error that names the flag."""
+    anything else is a usage error that names the flag.  --tol-residual is
+    gone, and argparse names it as an unrecognized argument with any value."""
 
     @pytest.mark.parametrize("flag,value", [
         ("--samples", "0"), ("--samples", "-1"),
@@ -794,7 +795,10 @@ class TestOptionValidation:
         code, text = run_command(["check", "--in", inputs["fol"], "--theorem", "polar-degree", flag, value])
         err = capsys.readouterr().err
         assert (code, text) == (2, "")
-        assert f"argument {flag}:" in err
+        if flag == "--tol-residual":
+            assert f"unrecognized arguments: {flag} {value}" in err
+        else:
+            assert f"argument {flag}:" in err
         assert "Traceback" not in err
 
     def test_genus_constant_with_no_samples(self, inputs):
@@ -877,7 +881,7 @@ class TestFuzz:
         if rng.random() < 0.5:
             argv += ["--seed", str(rng.randint(-5, 50))]
         if rng.random() < 0.3:
-            flag = rng.choice(["--tol-residual", "--tol-cluster", "--tol-root-residual"])
+            flag = rng.choice(["--tol-cluster", "--tol-root-residual"])
             argv += [flag, rng.choice(self.TOLERANCES)]
         if rng.random() < 0.3:
             argv.append("--json")
@@ -899,7 +903,9 @@ class TestFuzz:
         ["degree", "--", "--in", "f"], ["degree", "--in", "f", "--"], ["degree", "--in", "--", "f"],
         ["check", "--in", "f", "--theorem", "k2", "--seed", "-5"], ["degree", "--in", "-"],
         ["degree", "-in", "f"], ["degree", "--in", "--json"], ["polar", "--in", "f", "--center", "-1,2"],
-        ["degree", "--in", "f", "--tol-residual", "-1e-9"],
+        ["degree", "--in", "f", "--tol-root-residual", "-1e-9"],
+        # a removed flag
+        ["degree", "--in", "f", "--tol-residual", "1e-9"],
         # stray words and missing values
         ["degree", "--in", "f", "x", "y"], ["degree", "--in", "f", "--json", "true"],
         ["degree", "--in", "f", "--seed", "1", "2"], ["degree", "--in"], ["x", "--in", "f"],
@@ -909,7 +915,7 @@ class TestFuzz:
         # type and choice rejections
         ["check", "--in", "f", "--theorem", "bogus"], ["check", "--in", "f", "--theorem", "K2"],
         ["check", "--in", "f", "--theorem", "k2", "--samples", "0"], ["degree", "--in", "f", "--seed", "5.0"],
-        ["degree", "--in", "f", "--seed", " 7 "], ["degree", "--in", "f", "--tol-residual", "nan"],
+        ["degree", "--in", "f", "--seed", " 7 "], ["degree", "--in", "f", "--tol-cluster", "nan"],
         # a required flag missing
         ["degree"], ["check", "--theorem", "k2"], ["check", "--in", "f"], ["polar", "--in", "f"],
         ["localsing", "--point", "0,0"], ["directions", "--in", "f", "--json"],

@@ -19,7 +19,12 @@ from polarweb import (
     milnor_number,
     multiplicity_sequence,
 )
+from polarweb.cli import run_command
 from polarweb.errors import NumericAbortError, PolynomialError
+from polarweb.foliation import class_of_curve
+from polarweb.mpoly import _rekey, lowest_jet, proper_shears, shear
+from polarweb.solve import common_zeros
+from polarweb.zpoly import _distinct_binary_roots
 from polarweb.localsing import (
     blow_up_germ,
     equisingularity_check,
@@ -82,6 +87,31 @@ class TestIntersectionMultiplicity:
         assert intersection_multiplicity(f, g * h) == intersection_multiplicity(
             f, g
         ) + intersection_multiplicity(f, h)
+
+    def test_a_common_factor_off_the_origin(self, tmp_path):
+        # 1 + x, a unit at the origin, kept every shear from isolating it
+        assert intersection_multiplicity((1 + X) * (Y - X**2), (1 + X) * (Y + X**2)) == 2
+        # f_x and f_y of this node share 1 + x
+        path = tmp_path / "node.txt"
+        path.write_text("type: curve\nf: y^2 - 3*x^2 + 2*x*y^2 - 2*x^3 + x^2*y^2\n")
+        code, text = run_command(["localsing", "--in", str(path), "--point", "0,0"])
+        assert code == 0, text
+        assert "(m=2, mu=1, r=2, delta=1, seq=[2], cone=[1, 1])" in text
+
+    @given(st.lists(st.integers(-3, 3), min_size=10, max_size=10), st.integers(-3, 3).filter(bool),
+           st.lists(st.integers(-2, 2), min_size=5, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_a_unit_factor_leaves_it_alone(self, cs, unit, us):
+        # f and g vanish at the origin, u does not: I(u·f, u·g) = I(f, g)
+        monomials = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+        f = sum((c * X**i * Y**j for (i, j), c in zip(monomials, cs[:5])), Y**3)
+        g = sum((c * X**i * Y**j for (i, j), c in zip(monomials, cs[5:])), X**3)
+        u = sum((c * X**i * Y**j for (i, j), c in zip(monomials, us)), MPoly.constant(unit))
+        try:
+            expected = intersection_multiplicity(f, g)
+        except PolynomialError:
+            assume(False)  # a common component through the origin
+        assert intersection_multiplicity(u * f, u * g) == expected
 
 
 @st.composite
@@ -186,6 +216,61 @@ class TestMilnor:
         point = (Fraction(1, 2), Fraction(a, 2) + b)
         expected = squarefree_part(translate(f, point))
         assert CurveGerm.at_point(PlaneCurve(f), point).poly == expected
+
+
+@st.composite
+def planted_curves(draw, degrees=(2, 5)):
+    """(f, m): integer coefficients in [-3, 3] on the monomials of degree m
+    to n, for m in {2, 3} and n up to degrees[1], so the origin is a point
+    of order m or more."""
+    m = draw(st.integers(2, 3))
+    n = draw(st.integers(max(m, degrees[0]), degrees[1]))
+    f = MPoly.zero()
+    for d in range(m, n + 1):
+        for i in range(d + 1):
+            f = f + draw(st.integers(-3, 3)) * X**i * Y ** (d - i)
+    return f, m
+
+
+class TestTeissier:
+    """Teissier's polar formulas (B. Teissier, Astérisque 7-8, 1973) tie
+    the intersection number, the multiplicity, mu and the class to each
+    other."""
+
+    @given(planted_curves())
+    @settings(max_examples=60, deadline=None)
+    def test_local_polar_of_a_sheared_germ(self, case):
+        # after a shear that keeps x = 0 out of the tangent cone,
+        # I(f, f_y) = mu + I(f, x) - 1 and I(f, x) = m
+        f, _ = case
+        assume(not f.is_zero())
+        f = shear(f, next(proper_shears([lowest_jet(f)[1]])))
+        g = CurveGerm(_rekey(f, ("x", "y")), True)
+        try:
+            mu = milnor_number(g)
+        except PolynomialError:
+            assume(False)  # not an isolated singularity
+        m = local_multiplicity(g)
+        assert intersection_multiplicity(f, X) == m
+        assert intersection_multiplicity(f, f.derivative("y")) == mu + m - 1
+
+    @given(planted_curves(degrees=(3, 5)))
+    @settings(max_examples=60, deadline=None)
+    def test_class_of_a_curve_smooth_at_infinity(self, case):
+        # class(C) = n(n - 1) - sum over the singular points of (mu + m - 1)
+        # for a reduced C of degree n with n distinct points at infinity,
+        # and so smooth there, whose singular points `common_zeros` finds
+        # all rational
+        f, _ = case
+        n, terms = f.total_degree(), _rekey(f, ("x", "y"))
+        assume(n >= 3 and _distinct_binary_roots([terms.get((n - i, i), 0) for i in range(n + 1)]))
+        curve = PlaneCurve(f)
+        assume(curve.raw == curve.defining)
+        zs = common_zeros([f, f.derivative("x"), f.derivative("y")])
+        assume(not zs.numeric)
+        assert (0, 0) in zs.rational
+        germs = [CurveGerm.at_point(curve, q) for q in zs.rational]
+        assert class_of_curve(curve) == n * (n - 1) - sum(milnor_number(g) + local_multiplicity(g) - 1 for g in germs)
 
 
 class TestBlowUp:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from battery import BATTERY, DX, DY, X, Y, break_family, nonzero_int, to_sympy
+from battery import BATTERY, DX, DY, X, Y, break_family, nonzero_int, to_sympy, vanishes_numerically
 from polarweb import (
     AffinePoint,
     FoliationData,
@@ -49,7 +49,7 @@ from polarweb.polarops import (
     web_decomposable,
 )
 from polarweb.sampling import GenericSampler
-from polarweb.solve import common_zeros, vanishes_numerically
+from polarweb.solve import common_zeros
 from polarweb.webmodel import binary_form_factors, form_at, is_smooth_point, singular_set
 
 w_product = SymWeb(DX * DY)

@@ -1,7 +1,8 @@
 """Univariate root splitting: the roots it reports, checked against planted
-factors and against sympy; the zero sets of `common_zeros` against sympy, its
-lazy eliminants against the gcd of every candidate, and its elimination
-fallback."""
+factors and against sympy; the zero sets of `common_zeros` against sympy and
+on the cases its shear and subresultants must decide exactly, its fallback to
+combinations of the generators, and the lazy eliminants of a `SingularSet`
+against the gcd of every candidate."""
 
 from fractions import Fraction
 from math import prod
@@ -9,12 +10,14 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarweb import MPoly
+from polarweb import AffinePoint, MPoly
 from polarweb import solve
 from polarweb.errors import InternalInvariantError
 from polarweb.errors import InfiniteZeroSetError
-from battery import divisibility_multiplicity
+from battery import divisibility_multiplicity, vanishes_numerically
 from polarweb.mpoly import poly_gcd, resultant
+from polarweb.parsing import parse_polynomial
+from polarweb.webmodel import SingularSet
 from polarweb.solve import (
     _combination_resultant,
     common_zeros,
@@ -167,13 +170,18 @@ def _staircase(r, s):
 
 class TestCombinationFallback:
     def test_web_with_pairwise_common_factors(self, monkeypatch):
+        pairs, real_pair = [], solve._coprime_combinations
+        monkeypatch.setattr(solve, "_coprime_combinations", lambda polys: pairs.append(len(polys)) or real_pair(polys))
         calls, real = [], solve._combination_resultant
         monkeypatch.setattr(solve, "_combination_resultant", lambda polys, v: calls.append(v) or real(polys, v))
         # the coefficients of the 2-web in tests/test_cli.py::TestDeterminism
-        zs = common_zeros([y * (y - 1) * (x + 1), (y - 1) * (y - 2) * (x - 1), (y - 2) * y * (x + 2)])
+        gens = [y * (y - 1) * (x + 1), (y - 1) * (y - 2) * (x - 1), (y - 2) * y * (x + 2)]
+        zs = common_zeros(gens)
         assert zs.rational == [(-2, 1), (-1, 2), (1, 0)] and not zs.numeric
-        # only the elimination of y needs the combinations
-        assert calls == ["y"]
+        # no two generators are coprime, so the zero set takes two combinations
+        assert pairs == [3] and calls == []
+        # and of the eliminants, only the elimination of y needs them
+        assert [solve.eliminant(gens, v) for v in "yx"] and calls == ["y"]
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(3, 4).flatmap(lambda n: st.tuples(
@@ -280,10 +288,11 @@ def eager_eliminant(polys: list[MPoly], elim_var: str) -> MPoly:
 
 
 class TestLazyEliminant:
-    """The lazy eliminants of `common_zeros` equal the eager gcd of all the
-    candidates, on 2-6 random generators, some of them free of x or of y;
-    with `planted`, each generator is u*(x - x0) + v*(y - y0), so (x0, y0) is
-    a common zero."""
+    """The lazy eliminants of a `SingularSet` equal the eager gcd of all the
+    candidates, on 2-6 random generators with finitely many common zeros,
+    some of them free of x or of y; with `planted`, each generator is
+    u*(x - x0) + v*(y - y0), so (x0, y0) is a common zero.  Every rational
+    zero of `common_zeros` is a root of both."""
 
     @given(st.lists(st.tuples(small_xy, small_xy, st.sampled_from(["x", "y", None])), min_size=2, max_size=6),
            coordinates, coordinates, st.booleans())
@@ -304,10 +313,11 @@ class TestLazyEliminant:
             zs = common_zeros(gens)
         except InfiniteZeroSetError:
             return
-        assert zs.elim_x == eager_eliminant(gens, "y")
-        assert zs.elim_y == eager_eliminant(gens, "x")
-        if planted:
-            assert zs.elim_x.evaluate({"x": x0}) == 0 and zs.elim_y.evaluate({"y": y0}) == 0
+        sing = SingularSet([AffinePoint(*q) for q in zs.rational], zs.numeric, gens)
+        assert sing.elim_x == eager_eliminant(gens, "y")
+        assert sing.elim_y == eager_eliminant(gens, "x")
+        for a, b in zs.rational + ([(x0, y0)] if planted else []):
+            assert sing.elim_x.evaluate({"x": a}) == 0 and sing.elim_y.evaluate({"y": b}) == 0
 
 
 class TestOneRationalCoordinate:
@@ -340,3 +350,58 @@ class TestOneRationalCoordinate:
         for theorem in ("qr-dichotomy", "qr-bound"):
             code, text = run_command(["check", "--in", str(path), "--theorem", theorem, "--samples", "2"])
             assert code == 0, text
+
+
+class TestShapeLemma:
+    """Zero sets read from one eliminant m(t), t = x - lam*y, with y a
+    rational function of t on each part of m; every case is decided with
+    no residual."""
+
+    def test_the_sqrt_2_grid(self, monkeypatch):
+        # the nine zeros have coordinates 0 and +-sqrt 2; lam = 0 is not
+        # proper for x^3 - 2x, and 1, -1, 2, -2 put two zeros on one t
+        lams, real = [], solve._points
+        monkeypatch.setattr(solve, "_points", lambda groups, lam: lams.append(lam) or real(groups, lam))
+        zs = common_zeros([x**3 - 2 * x, y**3 - 2 * y])
+        assert lams == [3]
+        assert zs.rational == [(0, 0)] and len(zs.numeric) == 8
+        root = 2**0.5
+        for p in zs.numeric:
+            assert all(abs(abs(c) - root) < 1e-12 or c == 0 for c in p)
+        # the four zeros with one zero coordinate print it exactly
+        assert [f"{c:.6g}" for p in zs.numeric for c in p if c == 0] == ["0+0j"] * 4
+
+    def test_only_the_zeros_proved_rational_print_exactly(self):
+        # y = 0 on x^2 = 2 and y = (x - 2)/10^7 on x^2 = 3: all four y round
+        # to 0, and the gcd proves it at two zeros, the two nearest
+        zs = common_zeros([(x**2 - 2) * (x**2 - 3), y * (x**2 - 3) + (x**2 - 2) * (10**7 * y - x + 2)])
+        assert not zs.rational and len(zs.numeric) == 4
+        for a, b in zs.numeric:
+            if abs(a * a - 2) < 1e-9:
+                assert b == 0
+            else:
+                assert b != 0 and abs(b - (a - 2) / 10**7) < 1e-13
+
+    def test_one_zero_where_the_fibers_meet_twice(self):
+        zs = common_zeros([x**2 - y**2, x * y])
+        assert zs.rational == [(0, 0)] and not zs.numeric
+
+    def test_a_planted_pair_of_two_irrational_coordinates(self):
+        # (+-sqrt 2, 1 +- sqrt 2): y = x + 1 on x^2 = 2, and x*y - x - 2 = x^2 - 2 there
+        zs = common_zeros([x**2 - 2, (y - x - 1) * (y + 3), x * y - x - 2])
+        assert not zs.rational and len(zs.numeric) == 2
+        for (a, b), s in zip(zs.numeric, (-1, 1)):
+            assert abs(a - s * 2**0.5) < 1e-12 and abs(b - (1 + s * 2**0.5)) < 1e-12
+
+    def test_both_generators_singular_at_a_zero(self, monkeypatch):
+        # the foliation of TestOneRationalCoordinate: A and B are both
+        # singular at (0, 2), where the fiber gcd of the sheared pair has
+        # degree 3 and passes the exact test of `_separated`
+        tested, real = [], solve._separated
+        monkeypatch.setattr(solve, "_separated", lambda part, s, j: tested.append(j) or real(part, s, j))
+        A = parse_polynomial("2*x^4 - x^2*y - 3*x*y^2 + 2*x^2 + 12*x*y - 12*x")
+        B = parse_polynomial("-x^4 - x^3*y + x*y^3 + 2*x^3 - 7*x*y^2 - 3*y^3 + 16*x*y + 18*y^2 - 12*x - 36*y + 24")
+        zs = common_zeros([A, B])
+        assert tested == [3] and zs.rational == [(0, 2)] and len(zs.numeric) == 3
+        for a, b in zs.numeric:
+            assert vanishes_numerically(A, {"x": a, "y": b}) and vanishes_numerically(B, {"x": a, "y": b})

@@ -7,9 +7,10 @@ from math import prod
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from battery import BATTERY, DX, DY, X, Y
+from battery import BATTERY, DX, DY, X, Y, vanishes_numerically
 from polarweb import (
     AffinePoint,
+    FoliationData,
     MPoly,
     SymWeb,
     discriminant_curve,
@@ -19,7 +20,7 @@ from polarweb import (
     tangent_directions,
     web_degree,
 )
-from polarweb.errors import DegenerateSampleError, WebValidationError
+from polarweb.errors import DegenerateSampleError, NumericAbortError, WebValidationError
 from polarweb.mpoly import try_exact_div
 from polarweb.polarops import radial_form
 from polarweb.webmodel import form_at
@@ -285,6 +286,16 @@ class TestSingularSet:
     def test_radial_center(self):
         assert singular_set(w_radial).points == [AffinePoint.of(0, 0)]
 
+    def test_the_eliminants_are_computed_on_first_use(self, monkeypatch):
+        from polarweb import webmodel
+
+        calls, real = [], webmodel.eliminant
+        monkeypatch.setattr(webmodel, "eliminant", lambda gens, v: calls.append(v) or real(gens, v))
+        s = singular_set(FoliationData(X**2 - 2, Y).as_web)
+        assert len(s.numeric_points) == 2 and calls == []
+        assert (s.elim_x, s.elim_x, s.elim_y) == (X**2 - 2, X**2 - 2, Y) and calls == ["y", "x"]
+        assert singular_set(w_product).elim_x is None
+
     def test_contained_in_discriminant_for_k2(self):
         for e in BATTERY:
             if e.web.k < 2:
@@ -294,8 +305,6 @@ class TestSingularSet:
             for p in s.points:
                 assert disc.is_zero() or disc.evaluate(p.as_dict()) == 0
             for q in s.numeric_points:
-                from polarweb.solve import vanishes_numerically
-
                 assert disc.is_zero() or vanishes_numerically(disc, {"x": q[0], "y": q[1]})
 
 
@@ -382,15 +391,14 @@ class TestSmoothPoint:
         assert not ok and "singular" in reason
 
 
-class TestNumericMembershipTolerance:
-    # relative residual about 1e-6 at (1 + 1e-6, 0)
-    POINT = (1 + 1e-6 + 0j, 0j)
+class TestRootResidualTolerance:
+    def test_the_setting_is_read_at_call_time(self, monkeypatch):
+        # so --tol-root-residual reaches the root split of a singular set;
+        # no root passes a residual bound of 0
+        from polarweb import numerics
 
-    def test_default_follows_numeric_tol(self, monkeypatch):
-        # the setting is read at call time, so --tol-residual reaches it
-        from polarweb import solve
-
-        point = {"x": self.POINT[0], "y": self.POINT[1]}
-        assert not solve.vanishes_numerically(X - 1, point)
-        monkeypatch.setattr(solve, "NUMERIC_TOL", 1e-3)
-        assert solve.vanishes_numerically(X - 1, point)
+        web = FoliationData(X**2 - 2, Y).as_web
+        assert len(singular_set(web).numeric_points) == 2
+        monkeypatch.setattr(numerics, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(NumericAbortError):
+            singular_set(web)

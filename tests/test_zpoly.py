@@ -1,6 +1,6 @@
 """The integer kernel: Yun's decomposition, the exact root test, the PRS
-resultant's refusals and the ranks of sparse integer matrices, all on `int`
-data; and the rule that `zpoly` imports nothing from the package but
+resultant's refusals, subresultant coefficients, the certified gcd and the
+ranks of sparse integer matrices, all on `int` data; and the rule that `zpoly` imports nothing from the package but
 `.errors`."""
 
 import ast
@@ -179,6 +179,48 @@ class TestPrsResultant:
     def test_a_zero_top_or_a_constant_is_a_broken_invariant(self, a, b):
         with pytest.raises(InternalInvariantError):
             _int_prs_resultant(a, b)
+
+
+# an ascending int list of degree 1 to 5 with a nonzero top
+int_lists = st.lists(st.integers(-4, 4), min_size=2, max_size=6).filter(lambda c: c[-1])
+
+
+class TestSubresultantRow:
+    """`_subresultant_row` against the determinants that define s_(j,i),
+    taken by sympy on the explicit matrices; with j = 0 it is the
+    resultant."""
+
+    @given(int_lists, int_lists, st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_defining_determinants(self, a, b, data):
+        sympy = pytest.importorskip("sympy")
+        if len(a) < len(b):
+            a, b = b, a
+        p, q = len(a) - 1, len(b) - 1
+        j = data.draw(st.integers(0, q - 1))
+        # the rows y^(q-j-1) * a, ..., a, y^(p-j-1) * b, ..., b, as their
+        # coefficients of y^(p+q-j-1), ..., y^(j+1), then of y^i
+        shifts = [(a, k) for k in reversed(range(q - j))] + [(b, k) for k in reversed(range(p - j))]
+
+        def coefficient(f, k, e):
+            return f[e - k] if 0 <= e - k < len(f) else 0
+
+        expected = [int(sympy.Matrix([[coefficient(f, k, e) for e in [*range(p + q - j - 1, j, -1), i]]
+                                      for f, k in shifts]).det()) for i in range(j, -1, -1)]
+        assert zpoly._subresultant_row(a, b, j) == expected
+        if j == 0:
+            assert expected == [_int_prs_resultant(a, b)]
+
+
+class TestCommonFactor:
+    @given(int_lists, int_lists, st.one_of(st.just([1]), int_lists))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_euclidean_gcd(self, a, b, c):
+        # c = [1] leaves a and b mostly coprime, for the certificate mod p;
+        # any other c is a planted common factor
+        a, b = zpoly._mul(a, c), zpoly._mul(b, c)
+        assert zpoly._common_factor(a, b) == zpoly._int_gcd(a, b)
+        assert zpoly._common_factor(a, []) == a
 
 
 def test_imports_nothing_from_the_package_but_errors():
