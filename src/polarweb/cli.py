@@ -2,8 +2,8 @@
 
 Exit codes: 0 all assertions passed, 1 a mathematical assertion failed,
 2 usage or parse error, 3 numeric abort.  Reports are deterministic for a
-fixed (input, subcommand, seed); the timestamp is isolated on its own line so
-byte comparison of the remainder is meaningful.
+fixed input and argv; the timestamp is isolated on its own line so byte
+comparison of the remainder is meaningful.
 """
 
 from __future__ import annotations
@@ -111,7 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--center", required=True, help="rational center a,b")
         if point:
             p.add_argument("--point", required=True, help="rational point a,b")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         p.add_argument("--tol-cluster", type=_tolerance, default=None,
                        help="numeric clustering tolerance (default 1e-5)")
@@ -141,6 +140,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chk = sub.add_parser("check", help="run a theorem check")
     common(chk)
     chk.add_argument("--theorem", required=True, choices=CHECKS)
+    chk.add_argument("--seed", type=int, default=0, help="sample seed of equising and genus-constant")
     chk.add_argument("--samples", type=_positive_int, default=20)
     return parser
 
@@ -219,17 +219,17 @@ def _as_curve(obj) -> PlaneCurve:
 # theorem's runner applies its sample cap.  Each calls the check through this
 # module's globals, so a wrapper bound over a check name is the one that runs.
 CHECKS = {
-    "polar-degree": (_as_web, lambda w, s, n: polar_degree_check(w, s)),
-    "polar-equality": (_as_web, lambda w, s, n: _equality_check(w, s)),
-    "k2": (_as_web, lambda w, s, n: family_degree_check(w, s)),
-    "family-dim": (_as_web, lambda w, s, n: family_dimension_check(w, s)),
-    "base-points": (_as_web, lambda w, s, n: base_points_check(w, s)),
-    "sing-locus": (_as_web, lambda w, s, n: generic_polar_singularities_check(w, s)),
-    "branches": (_as_web, lambda w, s, n: branches_check(w, s)),
+    "polar-degree": (_as_web, lambda w, s, n: polar_degree_check(w)),
+    "polar-equality": (_as_web, lambda w, s, n: _equality_check(w)),
+    "k2": (_as_web, lambda w, s, n: family_degree_check(w)),
+    "family-dim": (_as_web, lambda w, s, n: family_dimension_check(w)),
+    "base-points": (_as_web, lambda w, s, n: base_points_check(w)),
+    "sing-locus": (_as_web, lambda w, s, n: generic_polar_singularities_check(w)),
+    "branches": (_as_web, lambda w, s, n: branches_check(w)),
     "irreducible": (_as_web, lambda w, s, n: generic_polar_irreducible(w)),
-    "inflexion-lemma": (_as_foliation, lambda f, s, n: inflexion_lemma_check(f, s)),
-    "sing-in-E": (_as_foliation, lambda f, s, n: polar_sing_in_inflexion_check(f, s)),
-    "qr-dichotomy": (_as_foliation, lambda f, s, n: _dichotomy_all_singularities(f, s)),
+    "inflexion-lemma": (_as_foliation, lambda f, s, n: inflexion_lemma_check(f)),
+    "sing-in-E": (_as_foliation, lambda f, s, n: polar_sing_in_inflexion_check(f)),
+    "qr-dichotomy": (_as_foliation, lambda f, s, n: _dichotomy_all_singularities(f)),
     "qr-bound": (_as_foliation, lambda f, s, n: quasi_radial_bound_check(f)),
     "equising": (_as_foliation, lambda f, s, n: equisingularity_check(f, s, min(n, 10))),
     "genus-constant": (_as_foliation, lambda f, s, n: genus_constancy_check(f, s, min(n, 5))),
@@ -323,11 +323,11 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         elif args.command == "family":
             web = _as_web(obj)
             if args.base_points:
-                report = base_points_check(web, args.seed)
+                report = base_points_check(web)
             elif args.degree:
-                report = family_degree_check(web, args.seed)
+                report = family_degree_check(web)
             else:
-                report = family_dimension_check(web, args.seed)
+                report = family_dimension_check(web)
             fam = polar_family(web)
             lines.append(f"parametric polar: {format_mpoly(fam.parametric)}")
         elif args.command == "class":

@@ -99,13 +99,13 @@ def inflexion_divisor(fol: FoliationData) -> PlaneCurve | None:
     return PlaneCurve(e)
 
 
-def polar_sing_in_inflexion_check(fol: FoliationData, seed: int = 0) -> CheckReport:
+def polar_sing_in_inflexion_check(fol: FoliationData) -> CheckReport:
     """Singular points of every polar lie on the inflexion divisor.
 
     One exact identity proves it at every center, so the check takes no
     sample: by `linear_identity`, q is singular on P_p only if
     M'(q)·(a, b, 1)^T = 0 for some center, so det M'(q) = -E(q) = 0."""
-    report = CheckReport("sing-in-inflexion", seed=seed)
+    report = CheckReport("sing-in-inflexion")
     if inflexion_polynomial(fol).is_zero():
         report.add("inflexion divisor", True, "identically zero: all leaves are lines; check skipped")
         return report
@@ -268,7 +268,7 @@ def _at_center(f: MPoly) -> MPoly:
     return f.substitute({"x": A_VAR, "y": B_VAR})
 
 
-def inflexion_lemma_check(fol: FoliationData, seed: int = 0) -> CheckReport:
+def inflexion_lemma_check(fol: FoliationData) -> CheckReport:
     """p is an inflexion point of its own polar P_p iff p lies on E(F).
 
     One exact identity proves it at every regular p.  Let P(a, b; x, y) be
@@ -278,7 +278,7 @@ def inflexion_lemma_check(fol: FoliationData, seed: int = 0) -> CheckReport:
     regular p, grad P_p(p) = s*(-B, A) != 0, with s the nonzero scale of the
     web's form, so p is a smooth point of P_p and inflects exactly where that
     form vanishes, that is, on E(F)."""
-    report = CheckReport("inflexion-lemma", seed=seed)
+    report = CheckReport("inflexion-lemma")
     e = inflexion_polynomial(fol)
     if e.is_zero():
         report.add("inflexion divisor", True, "identically zero (all leaves lines); check skipped")
@@ -413,9 +413,9 @@ def quasi_radial_bound_check(fol: FoliationData) -> CheckReport:
         report.note(f"special center {p}: class {cls} < #QR + 1")
 
 
-def tangent_cone_dichotomy_check(fol: FoliationData, seed: int) -> CheckReport:
+def tangent_cone_dichotomy_check(fol: FoliationData) -> CheckReport:
     """`tangent_cone_dichotomy` at every affine singular point; no sample."""
-    report = CheckReport("qr-dichotomy", seed=seed)
+    report = CheckReport("qr-dichotomy")
     linear_identity(report, fol.as_web, fol.A, fol.B)
     sing = singular_set(fol.as_web)
     if sing.is_empty():

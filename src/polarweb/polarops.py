@@ -123,7 +123,7 @@ def polar_top(web: SymWeb) -> tuple[int, list[MPoly]]:
     return degree, [c.substitute({"a": X, "b": Y}) for c in top]
 
 
-def polar_degree_check(web: SymWeb, seed: int = 0) -> CheckReport:
+def polar_degree_check(web: SymWeb) -> CheckReport:
     """deg P_p = d + k at every center off an exact locus, with no sample.
 
     P_p is P(a, b; x, y) at (a, b) = p, and the coefficients of P's top part
@@ -131,7 +131,7 @@ def polar_degree_check(web: SymWeb, seed: int = 0) -> CheckReport:
     degree wherever one of them is nonzero.  The check asserts that it is
     d + k, d of `web_degree`, and notes that the top part is free of (a, b)
     or lists the common zeros of its coefficients (`common_zeros`)."""
-    report = CheckReport("polar-degree", seed=seed)
+    report = CheckReport("polar-degree")
     d, (degree, coefficients) = web_degree(web), polar_top(web)
     report.add("deg_(x,y) P(a, b; x, y) = d + k", degree == d + web.k, f"degree {degree}, d={d}, k={web.k}")
     if all(c.is_constant() for c in coefficients):
@@ -183,7 +183,7 @@ def polar_equality_criterion(w1: SymWeb, w2: SymWeb, p: AffinePoint) -> Equality
     )
 
 
-def polar_equality_check(web: SymWeb, seed: int = 0) -> CheckReport:
+def polar_equality_check(web: SymWeb) -> CheckReport:
     """`polar_equality_criterion`, proved once for every pair of webs of the
     same k, with no sample.
 
@@ -197,7 +197,7 @@ def polar_equality_check(web: SymWeb, seed: int = 0) -> CheckReport:
     σ_p(R_p) = 0, so σ_p(F) = 0 exactly when R_p | F.  Applied to
     F = W2 - λ·W1, P_p(W2) = λ·P_p(W1) exactly when R_p | W2 - λ·W1: the two
     routes of the criterion agree for every center and every W2."""
-    report = CheckReport("polar-equality", seed=seed)
+    report = CheckReport("polar-equality")
     k = web.k
     sigma = {"dx": X - A_VAR, "dy": Y - B_VAR}
     radial = (X - A_VAR) * DY - (Y - B_VAR) * DX
@@ -228,14 +228,14 @@ def _proportionality(f: MPoly, g: MPoly) -> int | Fraction | None:
 # ---------------------------------------------------------------------------
 
 
-def base_points_check(web: SymWeb, seed: int = 0) -> CheckReport:
+def base_points_check(web: SymWeb) -> CheckReport:
     """Points on every polar lie in the singular set of the web.
 
     One exact identity proves it: at a = x + s, b = y + t, the polar
     P = sum a_i(x, y) (x - a)^(k-i) (y - b)^i is (-1)^k W(x, y; s, t).  So
     P's coefficient at a^(k-i) b^i is (-1)^k a_i, and the base locus is
     the common zero set of the a_i, Sing(W), which the report lists."""
-    report = CheckReport("base-points", seed=seed)
+    report = CheckReport("base-points")
     _base_identity(report, web)
     _note_points(report, "base point", *base_points(web), "base locus: empty")
     return report
@@ -299,7 +299,7 @@ def family_degree(web: SymWeb, p1: AffinePoint, p2: AffinePoint) -> tuple[int, i
     return web.k * web.k, poly_gcd(f1, f2).total_degree()
 
 
-def family_degree_check(web: SymWeb, seed: int = 0) -> CheckReport:
+def family_degree_check(web: SymWeb) -> CheckReport:
     """k^2 polars through two generic points, with no sample.
 
     The check asserts the identity of `base_points_check`, by which p lies on
@@ -309,7 +309,7 @@ def family_degree_check(web: SymWeb, seed: int = 0) -> CheckReport:
     W(p2; u), u = p2 - p1, are nonzero (for k = 1, not both 0): these are
     nonzero polynomials in (p1, p2), W(p; u) after an invertible linear change.
     A pencil of lines, k = 1 and d = 0, has one such center, noted instead."""
-    report = CheckReport("family-degree-k2", seed=seed)
+    report = CheckReport("family-degree-k2")
     _base_identity(report, web)
     if _assert_squarefree(report, web):
         report.note("k = 1, d = 0: the leaves are the lines through a point o, perhaps at infinity, the one center "
@@ -348,8 +348,8 @@ def family_dimension(web: SymWeb) -> int:
     return best - 1
 
 
-def family_dimension_check(web: SymWeb, seed: int = 0) -> CheckReport:
-    report = CheckReport("family-dimension", seed=seed)
+def family_dimension_check(web: SymWeb) -> CheckReport:
+    report = CheckReport("family-dimension")
     dim, pencil = family_dimension(web), web.k == 1 and web_degree(web) == 0
     expected = 1 if pencil else 2
     report.add("dim R(W)", dim == expected, f"rank computation gives {dim}, expected {expected}"
@@ -362,7 +362,7 @@ def family_dimension_check(web: SymWeb, seed: int = 0) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def generic_polar_singularities_check(web: SymWeb, seed: int = 0) -> CheckReport:
+def generic_polar_singularities_check(web: SymWeb) -> CheckReport:
     """Sing(P_p) inside Δ(W) ∪ Sing(W) ∪ {p} for generic p, with no sample.
 
     A foliation is decided on its polar family (`linear_identity`).  A web
@@ -371,8 +371,8 @@ def generic_polar_singularities_check(web: SymWeb, seed: int = 0) -> CheckReport
     (dx:dy)-discriminant contains the singular set of a web with k >= 2.
     """
     if web.k == 1:
-        return _foliation_polar_singularities(web, seed)
-    report = CheckReport("polar-singular-locus", seed=seed)
+        return _foliation_polar_singularities(web)
+    report = CheckReport("polar-singular-locus")
     _base_identity(report, web)
     _web_polar_singularities(report, web)
     return report
@@ -427,7 +427,7 @@ def _web_polar_singularities(report: CheckReport, web: SymWeb, split: bool = Tru
         return
     rest = SymWeb._trusted(exact_div(web.form, L), web.k - lines.k)
     if rest.k == 1:
-        sub = _foliation_polar_singularities(rest, report.seed)
+        sub = _foliation_polar_singularities(rest)
     else:
         sub = CheckReport(report.check)
         _web_polar_singularities(sub, rest, split=False)
@@ -504,7 +504,7 @@ def linear_identity(report: CheckReport, web: SymWeb, A: MPoly, B: MPoly) -> Non
                f"c = {c}" if c is not None else "the polar family is not linear in the center")
 
 
-def _foliation_polar_singularities(web: SymWeb, seed: int) -> CheckReport:
+def _foliation_polar_singularities(web: SymWeb) -> CheckReport:
     """The generic polar of a foliation is singular exactly on
     Z = V(A, B, A_x, A_y, B_x, B_y), a subset of Sing(W).
 
@@ -523,7 +523,7 @@ def _foliation_polar_singularities(web: SymWeb, seed: int) -> CheckReport:
     zero: Z is empty.  The notes list Z."""
     b, a = web.coefficients()  # the form is A*dy - B*dx
     A, B = a, -b
-    report = CheckReport("polar-singular-locus", seed=seed)
+    report = CheckReport("polar-singular-locus")
     linear_identity(report, web, A, B)
     if inflexion_of_field(A, B).is_zero():
         degree, _ = polar_top(web)
@@ -542,7 +542,7 @@ def _foliation_polar_singularities(web: SymWeb, seed: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def branches_check(web: SymWeb, seed: int = 0) -> CheckReport:
+def branches_check(web: SymWeb) -> CheckReport:
     """k transversal branches of P_p at p, for every p off Sing(W) ∪ Δ(W).
 
     In x = a + u, y = b + v, P = sum a_i(a + u, b + v) u^(k-i) v^i has no
@@ -550,7 +550,7 @@ def branches_check(web: SymWeb, seed: int = 0) -> CheckReport:
     W(a, b; u, v): at p off Sing(W) the tangent cone of P_p is the k leaf
     directions.  W is generically square-free (`generically_squarefree`),
     so Δ(W) is a curve, off which the k directions are distinct."""
-    report = CheckReport("branches-at-center", seed=seed)
+    report = CheckReport("branches-at-center")
     U, V = MPoly.variable("u"), MPoly.variable("v")
     at_center = polar_family(web).parametric.substitute({"x": A_VAR + U, "y": B_VAR + V})
     order, jet = lowest_jet(at_center, ("u", "v"))

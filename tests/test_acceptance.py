@@ -61,7 +61,7 @@ def test_criterion_01_polar_degree():
     start = time.monotonic()
     ok = True
     for entry in BATTERY:
-        report = polar_degree_check(entry.web, seed=SEED)
+        report = polar_degree_check(entry.web)
         ok = ok and report.passed
     elapsed = time.monotonic() - start
     verdict(1, "polar degree d+k", ok and elapsed < 10.0, f"{elapsed:.2f}s for {len(BATTERY)} webs")
@@ -130,7 +130,7 @@ def test_criterion_04_family_degree_k2():
     for entry in BATTERY:
         if entry.is_radial_pencil:
             continue
-        report = family_degree_check(entry.web, seed=SEED)
+        report = family_degree_check(entry.web)
         ok = ok and report.passed
         covered_k.add(entry.web.k)
     # pinned example: dx*dy with two intersections at infinity
@@ -152,7 +152,7 @@ def test_criterion_06_singular_locus():
     """Sing(P_p) inside Delta(W) ∪ Sing(W) ∪ {p} for generic p, on the polar family."""
     ok = True
     for entry in BATTERY:
-        report = generic_polar_singularities_check(entry.web, seed=SEED)
+        report = generic_polar_singularities_check(entry.web)
         ok = ok and report.passed and report.samples_used == 0
     verdict(6, "singular locus containment", ok, "an identity, a witness of R or the split of the lines")
 
@@ -161,7 +161,7 @@ def test_criterion_07_branches_at_center():
     """Tangent cone at the center: k distinct lines matching the web directions."""
     ok = True
     for entry in BATTERY:
-        report = branches_check(entry.web, seed=SEED)
+        report = branches_check(entry.web)
         ok = ok and report.passed
     verdict(7, "k branches at center", ok, "the jet identity and a square-free W per web")
 
@@ -189,7 +189,7 @@ def test_criterion_09_inflexion_divisor():
     e3 = inflexion_divisor(FoliationData(X, Y))
     ok = e1.defining == X.canonical() and e2.defining == Y.canonical() and e3 is None
     for entry in FOLIATIONS:
-        report = polar_sing_in_inflexion_check(entry.foliation, seed=SEED)
+        report = polar_sing_in_inflexion_check(entry.foliation)
         ok = ok and report.passed
     verdict(9, "inflexion divisor", ok, "fixed formulas + containment on the battery")
 
@@ -201,7 +201,7 @@ def test_criterion_10_quasi_radial_dichotomy():
     ok = True
     for entry in FOLIATIONS:
         ok = ok and dichotomy_mismatches(entry.foliation, seed=SEED, centers=20) == []
-        ok = ok and _dichotomy_all_singularities(entry.foliation, SEED).passed
+        ok = ok and _dichotomy_all_singularities(entry.foliation).passed
     verdict(10, "quasi-radial dichotomy", ok, "one identity, checked against the cones")
 
 
@@ -209,7 +209,7 @@ def test_criterion_11_inflexion_lemma():
     """The inflexion equivalence as one exact identity in the center."""
     ok = True
     for entry in FOLIATIONS:
-        report = inflexion_lemma_check(entry.foliation, seed=SEED)
+        report = inflexion_lemma_check(entry.foliation)
         ok = ok and report.passed
     verdict(11, "inflexion lemma", ok, "exact identity in the center")
 

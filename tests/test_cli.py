@@ -585,19 +585,19 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("argv", [["degree"], ["check", "--theorem", "family-dim"]])
     def test_exact_invariants_depend_on_no_seed(self, inputs, argv):
-        # the bodies differ only in the command line and the report's seed
+        # only check takes --seed; the bodies differ only in the command line,
+        # and the report records no seed
         bodies = []
-        for seed in ("0", "7"):
-            full = argv[:1] + ["--in", inputs["web3"]] + argv[1:] + ["--seed", seed, "--json"]
+        for seed in (["--seed", "0"], ["--seed", "7"]) if argv[0] == "check" else ([],):
+            full = argv[:1] + ["--in", inputs["web3"]] + argv[1:] + seed + ["--json"]
             code, text = run_command(full)
             assert code == 0, text
             doc = json.loads(text)
             assert doc.pop("command") == "polarweb " + " ".join(full)
             doc.pop("timestamp")
-            if doc["report"] is not None:
-                assert doc["report"].pop("seed") == int(seed)
+            assert doc["report"] is None or doc["report"]["seed"] is None
             bodies.append(doc)
-        assert bodies[0] == bodies[1]
+        assert bodies[0] == bodies[-1]
 
     def test_singular_set_depends_on_no_seed(self, tmp_path):
         # every pair of coefficients shares a factor in y, so eliminating y
@@ -605,13 +605,10 @@ class TestDeterminism:
         path = tmp_path / "pairwise.txt"
         path.write_text("type: web\nform: y*(y-1)*(x+1)*dx^2 + (y-1)*(y-2)*(x-1)*dx*dy"
                         " + (y-2)*y*(x+2)*dy^2\n")
-        bodies = []
-        for seed in ("0", "5"):
-            code, text = run_command(["singular", "--in", str(path), "--seed", seed])
-            assert code == 0, text
-            bodies.append([line for line in _body(text).splitlines() if not line.startswith("command")])
-        assert bodies[0] == bodies[1]
-        assert bodies[0][:3] == [f"singular point: {p} [exact]" for p in ("(-2, 1)", "(-1, 2)", "(1, 0)")]
+        code, text = run_command(["singular", "--in", str(path)])
+        assert code == 0, text
+        body = [line for line in _body(text).splitlines() if not line.startswith("command")]
+        assert body[:3] == [f"singular point: {p} [exact]" for p in ("(-2, 1)", "(-1, 2)", "(1, 0)")]
 
     def test_across_processes_and_hash_seeds(self, inputs):
         cmd = [
@@ -700,18 +697,26 @@ class TestCheckRegistry:
     @pytest.mark.parametrize("theorem, kind", [(t, "fol") for t in NO_SAMPLE]
                              + [(t, "web") for t in NO_SAMPLE if CHECKS[t][0] is _as_web])
     def test_a_check_without_samples_ignores_samples_and_seed(self, inputs, theorem, kind):
-        # the same report for --samples 1 and 20 and for two seeds, apart
-        # from the seed it echoes; the 2-web's sing-locus is the identity of
-        # its nonzero inflexion curve
+        # the same report for --samples 1 and 20 and for two seeds, which
+        # records no seed; the 2-web's sing-locus is the identity of its
+        # nonzero inflexion curve
         reports = []
         for samples, seed in (("1", "3"), ("20", "3"), ("1", "8")):
             code, text = run_command(["check", "--in", inputs[kind], "--theorem", theorem,
                                       "--seed", seed, "--samples", samples, "--json"])
             assert code == 0, text
             doc = json.loads(text)
-            doc["report"].pop("seed")
+            assert doc["report"]["seed"] is None
             reports.append((doc["output"], doc["report"]))
         assert reports[0] == reports[1] == reports[2]
+
+    @pytest.mark.parametrize("flag", ["--base-points", "--degree", "--dimension"])
+    def test_a_family_report_records_no_seed(self, inputs, flag):
+        code, text = run_command(["family", "--in", inputs["web"], flag, "--json"])
+        assert code == 0, text
+        report = json.loads(text)["report"]
+        assert report["seed"] is None
+        assert report["samples"] == {"requested": 0, "used": 0, "discarded": []}
 
     def test_a_check_without_samples_draws_nothing(self, inputs, tmp_path, monkeypatch):
         # every binding of GenericSampler in the package refuses to be built;
@@ -784,7 +789,8 @@ class TestToleranceOverrides:
 class TestOptionValidation:
     """--samples takes a positive int and --tol-* a finite positive float;
     anything else is a usage error that names the flag.  --tol-residual is
-    gone, and argparse names it as an unrecognized argument with any value."""
+    gone, and --seed is a flag of check alone: argparse names either one as
+    an unrecognized argument with any value."""
 
     @pytest.mark.parametrize("flag,value", [
         ("--samples", "0"), ("--samples", "-1"),
@@ -800,6 +806,17 @@ class TestOptionValidation:
         else:
             assert f"argument {flag}:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["polar", "--center", "1,2"], ["degree"], ["discriminant"], ["singular"], ["directions", "--point", "1,0"],
+        ["inflexion"], ["classify-sing", "--point", "0,0"], ["family", "--degree"], ["class"], ["genus"],
+        ["localsing", "--point", "0,0"],
+    ], ids=lambda argv: argv[0])
+    def test_only_check_takes_a_seed(self, inputs, capsys, argv):
+        code, text = run_command(argv[:1] + ["--in", inputs["web"]] + argv[1:] + ["--seed", "1"])
+        err = capsys.readouterr().err
+        assert (code, text) == (2, "")
+        assert "unrecognized arguments: --seed 1" in err
 
     def test_genus_constant_with_no_samples(self, inputs):
         # used to FAIL with `genera: []`
@@ -878,7 +895,7 @@ class TestFuzz:
             argv.append("--affine-only")
         if command == "check":
             argv += ["--theorem", theorem, "--samples", rng.choice(self.SAMPLES)]
-        if rng.random() < 0.5:
+        if rng.random() < 0.5 and command == "check":
             argv += ["--seed", str(rng.randint(-5, 50))]
         if rng.random() < 0.3:
             flag = rng.choice(["--tol-cluster", "--tol-root-residual"])
@@ -904,18 +921,20 @@ class TestFuzz:
         ["check", "--in", "f", "--theorem", "k2", "--seed", "-5"], ["degree", "--in", "-"],
         ["degree", "-in", "f"], ["degree", "--in", "--json"], ["polar", "--in", "f", "--center", "-1,2"],
         ["degree", "--in", "f", "--tol-root-residual", "-1e-9"],
-        # a removed flag
-        ["degree", "--in", "f", "--tol-residual", "1e-9"],
+        # a removed flag, and a flag of check only
+        ["degree", "--in", "f", "--tol-residual", "1e-9"], ["degree", "--in", "f", "--seed", "1"],
         # stray words and missing values
         ["degree", "--in", "f", "x", "y"], ["degree", "--in", "f", "--json", "true"],
-        ["degree", "--in", "f", "--seed", "1", "2"], ["degree", "--in"], ["x", "--in", "f"],
+        ["check", "--in", "f", "--theorem", "k2", "--seed", "1", "2"], ["degree", "--in"], ["x", "--in", "f"],
         # empty values
-        ["degree", "--in", ""], ["check", "--in", "f", "--theorem", ""], ["degree", "--in", "f", "--seed", ""],
+        ["degree", "--in", ""], ["check", "--in", "f", "--theorem", ""],
+        ["check", "--in", "f", "--theorem", "k2", "--seed", ""],
         ["polar", "--in", "f", "--center", ""], ["degree", "--in", "f", "--tol-cluster", ""],
         # type and choice rejections
         ["check", "--in", "f", "--theorem", "bogus"], ["check", "--in", "f", "--theorem", "K2"],
-        ["check", "--in", "f", "--theorem", "k2", "--samples", "0"], ["degree", "--in", "f", "--seed", "5.0"],
-        ["degree", "--in", "f", "--seed", " 7 "], ["degree", "--in", "f", "--tol-cluster", "nan"],
+        ["check", "--in", "f", "--theorem", "k2", "--samples", "0"],
+        ["check", "--in", "f", "--theorem", "k2", "--seed", "5.0"],
+        ["check", "--in", "f", "--theorem", "k2", "--seed", " 7 "], ["degree", "--in", "f", "--tol-cluster", "nan"],
         # a required flag missing
         ["degree"], ["check", "--theorem", "k2"], ["check", "--in", "f"], ["polar", "--in", "f"],
         ["localsing", "--point", "0,0"], ["directions", "--in", "f", "--json"],

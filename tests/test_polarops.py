@@ -155,7 +155,7 @@ class TestPolarDegree:
 
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
     def test_battery_degree(self, entry):
-        report = polar_degree_check(entry.web, seed=5)
+        report = polar_degree_check(entry.web)
         assert report.passed, report.render_text()
         assert [a.name for a in report.assertions] == [DEGREE_IDENTITY]
         assert report.samples_requested == report.samples_used == 0
@@ -219,7 +219,7 @@ class TestPolarEquality:
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
     def test_congruence_on_battery(self, entry):
         # one division per monomial dx^i·dy^(k-i), one for W; no sample
-        report = _equality_check(entry.web, seed=5)
+        report = _equality_check(entry.web)
         assert report.passed, report.render_text()
         k = entry.web.k
         assert [a.name.rsplit(" = ", 1)[1] for a in report.assertions] == [
@@ -308,7 +308,7 @@ class TestBasePoints:
 
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
     def test_contained_in_singular_set(self, entry):
-        report = base_points_check(entry.web, seed=2)
+        report = base_points_check(entry.web)
         assert report.passed, report.render_text()
         assert [a.name for a in report.assertions] == [BASE_IDENTITY]
 
@@ -389,7 +389,7 @@ class TestFamilyDegree:
     def test_k_squared_on_battery(self, entry):
         # the identity and square-freeness decide it with no sample; the
         # deleted sampling loop's count is the oracle
-        report = family_degree_check(entry.web, seed=9)
+        report = family_degree_check(entry.web)
         assert report.passed, report.render_text()
         assert [a.name for a in report.assertions] == [BASE_IDENTITY, SQUAREFREE]
         assert report.mode == "exact" and report.samples_requested == report.samples_used == 0
@@ -431,7 +431,7 @@ class TestFamilyDegree:
 
     def test_a_broken_family_fails(self, monkeypatch, tmp_path):
         break_family(monkeypatch)
-        report = family_degree_check(w_sqrt, seed=9)
+        report = family_degree_check(w_sqrt)
         assert [(a.passed, a.detail) for a in report.assertions if a.name == BASE_IDENTITY] == [
             (False, "not a constant multiple of the form")]
         assert not report.passed
@@ -496,7 +496,7 @@ class TestFamilyDimension:
 
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
     def test_battery(self, entry):
-        report = family_dimension_check(entry.web, seed=4)
+        report = family_dimension_check(entry.web)
         assert report.passed, report.render_text()
 
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
@@ -523,13 +523,13 @@ class TestFamilyDimension:
 class TestSingularLocus:
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
     def test_containment(self, entry):
-        report = generic_polar_singularities_check(entry.web, seed=6)
+        report = generic_polar_singularities_check(entry.web)
         assert report.passed, report.render_text()
 
     def test_foliation_is_an_identity(self):
         # the center of the circle pencil has a nonzero linear part, the
         # origin of x^2 d/dx + y^2 d/dy none
-        report = generic_polar_singularities_check(w_circles, seed=6)
+        report = generic_polar_singularities_check(w_circles)
         assert report.samples_used == 0
         assert [(a.name, a.passed) for a in report.assertions] == [(LINEAR_IDENTITY, True)]
         assert report.notes[-1].endswith(": empty, the generic polar is smooth")
@@ -541,7 +541,7 @@ class TestSingularLocus:
     def test_foliation_of_lines_is_an_identity(self, A, B):
         # E ≡ 0: the leaves are a pencil, every polar is a line through its
         # center or zero, and Z is empty; no sample
-        report = generic_polar_singularities_check(FoliationData(A, B).as_web, seed=6)
+        report = generic_polar_singularities_check(FoliationData(A, B).as_web)
         assert report.passed and report.samples_requested == report.samples_used == 0
         assert [a.name for a in report.assertions] == [LINEAR_IDENTITY, "E ≡ 0: deg_(x,y) P(a, b; x, y) = 1"]
         assert report.notes == ["generic Sing(P_p) = V(A, B, A_x, A_y, B_x, B_y) ⊆ Sing(W): empty, "
@@ -551,7 +551,7 @@ class TestSingularLocus:
         # R ≢ 0 on the sqrt web: no sample, the identity and a nonzero value of
         # R; after the shear dx -> dx + dy, R = 4x vanishes at (0, 0), (0, 1),
         # (0, -1) and w's dy-leading coefficient 1 - x at (1, 0), (1, 1), (1, -1)
-        report = generic_polar_singularities_check(w_sqrt, seed=6)
+        report = generic_polar_singularities_check(w_sqrt)
         assert [(a.name, a.passed) for a in report.assertions] == [(BASE_IDENTITY, True)]
         assert report.samples_used == 0
         assert report.notes == ["R = Res_(dx:dy)(W, W_x·W_dy - W_y·W_dx) ≢ 0, R(q) = -4 at q = (-1, 0): a point "
@@ -562,7 +562,7 @@ class TestSingularLocus:
     def test_web_of_lines_is_sampled(self):
         # R ≡ 0 for dx*dy, and E_W ≡ 0, so L = W: no sample in the check,
         # and the deleted sampled path, the oracle, finds only the centers
-        report = generic_polar_singularities_check(w_product, seed=6)
+        report = generic_polar_singularities_check(w_product)
         assert report.passed and report.samples_used == 0
         assert [(a.name, a.detail) for a in report.assertions] == [
             (BASE_IDENTITY, "c = 1"), (SPLIT, "L = dx*dy: every leaf of L is a line")]
@@ -770,7 +770,7 @@ class TestInflexionCurve:
     @pytest.mark.parametrize("entry", R_NONZERO, ids=lambda e: e.name)
     def test_sampled_path_agrees_on_the_battery(self, entry):
         # where R ≢ 0 decides the check, the sampled containment holds too
-        assert generic_polar_singularities_check(entry.web, seed=6).passed
+        assert generic_polar_singularities_check(entry.web).passed
         assert sampled_polar_singularities(entry.web, seed=6, samples=4) == (4, [])
 
     def test_sampled_path_agrees_on_benchmark_webs(self):
@@ -806,7 +806,7 @@ class TestInflexionCurve:
         monkeypatch.setattr(polarops, "inflexion_curve", refused)
         q, value = polarops.inflexion_witness(web)
         assert q.a != 0 and value == R.evaluate(q.as_dict()) != 0
-        report = generic_polar_singularities_check(web, seed=6)
+        report = generic_polar_singularities_check(web)
         assert report.passed and report.samples_used == 0
         assert report.notes[0].startswith(f"R = Res_(dx:dy)(W, W_x·W_dy - W_y·W_dx) ≢ 0, R(q) = {value} at q = {q}:")
 
@@ -825,7 +825,7 @@ class TestInflexionCurve:
     def test_webs_with_r_zero_are_sampled(self, entry):
         # every leaf is a line, so L = W; the deleted sampled path is the oracle
         assert polarops.inflexion_witness(entry.web) is None
-        report = generic_polar_singularities_check(entry.web, seed=6)
+        report = generic_polar_singularities_check(entry.web)
         assert report.passed and report.samples_used == 0, report.render_text()
         assert [a.name for a in report.assertions] == [BASE_IDENTITY, SPLIT]
         assert report.notes == [SPLIT_NOTE, "N is a constant: W = L"]
@@ -837,7 +837,7 @@ class TestInflexionCurve:
         # with R_N ≢ 0; the deleted sampled path, the oracle, agrees
         web = SymWeb(form)
         assert polarops.inflexion_witness(web) is None
-        report = generic_polar_singularities_check(web, seed=6)
+        report = generic_polar_singularities_check(web)
         assert report.passed and report.samples_used == 0, report.render_text()
         assert report.assertions[1].detail == f"L = {line.canonical()}: every leaf of L is a line"
         assert report.notes[:2] == [SPLIT_NOTE, f"N = {rest.canonical()}"]
@@ -846,19 +846,19 @@ class TestInflexionCurve:
 
     def test_the_report_carries_the_witness_of_n(self):
         # dx·(dy^2 - x·dx^2): N is the sqrt web, with R(-1, 0) = -4
-        report = generic_polar_singularities_check(SymWeb(DX * w_sqrt.form), seed=6)
+        report = generic_polar_singularities_check(SymWeb(DX * w_sqrt.form))
         assert [a.name for a in report.assertions] == [BASE_IDENTITY, SPLIT]
         assert report.notes[-1].startswith("N: R = Res_(dx:dy)(W, W_x·W_dy - W_y·W_dx) ≢ 0, "
                                            "R(q) = -4 at q = (-1, 0):")
 
     def test_a_foliation_n_carries_its_identity(self):
-        report = generic_polar_singularities_check(SymWeb((X * DY - Y * DX) * w_circles.form), seed=6)
+        report = generic_polar_singularities_check(SymWeb((X * DY - Y * DX) * w_circles.form))
         assert [(a.name, a.passed) for a in report.assertions] == [
             (BASE_IDENTITY, True), (SPLIT, True), (f"N: {LINEAR_IDENTITY}", True)]
 
     def test_a_repeated_factor_is_noted(self):
         # Δ(W) is the whole plane: the check passes, as the sampled path did
-        report = generic_polar_singularities_check(SymWeb(DX**2 * DY), seed=6)
+        report = generic_polar_singularities_check(SymWeb(DX**2 * DY))
         assert report.passed and [a.name for a in report.assertions] == [BASE_IDENTITY]
         assert report.notes == ["R ≡ 0 and W has a repeated factor: Δ(W) is the whole plane"]
 
@@ -908,7 +908,7 @@ class TestBranches:
 
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
     def test_battery(self, entry):
-        report = branches_check(entry.web, seed=8)
+        report = branches_check(entry.web)
         assert report.passed, report.render_text()
         assert [a.name for a in report.assertions] == [JET_IDENTITY, SQUAREFREE]
         assert report.samples_requested == report.samples_used == 0
@@ -951,7 +951,7 @@ class TestBranches:
 
     def test_a_broken_family_fails(self, monkeypatch, tmp_path):
         break_family(monkeypatch)
-        report = branches_check(w_sqrt, seed=8)
+        report = branches_check(w_sqrt)
         assert [(a.passed, a.detail) for a in report.assertions if a.name == JET_IDENTITY] == [
             (False, "lowest jet of degree 0, not a multiple of the form")]
         assert not report.passed
