@@ -12,11 +12,8 @@ import argparse
 import datetime
 import functools
 import json
-import math
 import sys
 
-from . import localsing as localsing_mod
-from . import numerics as numerics_mod
 from .errors import (
     DegenerateSampleError,
     NumericAbortError,
@@ -67,13 +64,6 @@ from .webmodel import (
     web_degree,
 )
 
-# --tol-* flag -> the module setting it overrides for one call.
-_TOLERANCE_FLAGS = (
-    ("tol_cluster", localsing_mod, "CLUSTER_TOL"),
-    ("tol_root_residual", numerics_mod, "RESIDUAL_TOL"),
-)
-
-
 def _positive_int(text: str) -> int:
     """argparse type of --samples: an int of at least 1."""
     try:
@@ -82,17 +72,6 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    """argparse type of the --tol-* flags: a finite float above 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
     return value
 
 
@@ -112,10 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if point:
             p.add_argument("--point", required=True, help="rational point a,b")
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--tol-cluster", type=_tolerance, default=None,
-                       help="numeric clustering tolerance (default 1e-5)")
-        p.add_argument("--tol-root-residual", type=_tolerance, default=None,
-                       help="root-finder residual tolerance (default 1e-9)")
 
     common(sub.add_parser("polar", help="polar curve with a given center"), center=True)
     common(sub.add_parser("degree", help="degree of the web"))
@@ -259,11 +234,7 @@ def run_command(argv: list[str]) -> tuple[int, str]:
     except SystemExit as e:
         return (0 if e.code in (0, None) else 2), ""
     command = "polarweb " + " ".join(argv)
-    saved = [(module, name, getattr(module, name)) for _, module, name in _TOLERANCE_FLAGS]
     try:
-        for flag, module, name in _TOLERANCE_FLAGS:
-            if getattr(args, flag) is not None:
-                setattr(module, name, getattr(args, flag))
         obj, warnings = parse_input(args.path)
         lines = [f"warning: {w}" for w in warnings]
         report: CheckReport | None = None
@@ -354,9 +325,6 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         return 3, f"numeric abort: {e}"
     except PolarwebError as e:
         return 3, f"error: {e}"
-    finally:
-        for module, name, value in saved:
-            setattr(module, name, value)
 
 
 def _run_check(obj, args) -> CheckReport:

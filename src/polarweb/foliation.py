@@ -28,11 +28,10 @@ from .mpoly import (
 )
 from .localsing import CLEAN_TOL, cp_clean, cp_from_mpoly, cp_norm, cp_translate
 from .polarops import (
-    A_VAR, B_VAR, RadialProduct, _full_polars, _proportionality, inflexion_of_field, linear_identity,
-    polar_curve, polar_family,
+    A_VAR, B_VAR, _full_polars, _proportionality, inflexion_of_field, linear_identity, polar_family,
 )
 from .reports import CheckReport
-from .webmodel import AffinePoint, PlaneCurve, SymWeb, singular_set, web_degree
+from .webmodel import AffinePoint, PlaneCurve, SymWeb, singular_set
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
@@ -67,12 +66,6 @@ class FoliationData:
         terms.update({(1, 0) + e: -b for e, b in _rekey(B, ("x", "y")).items()})
         form = MPoly._make(("dx", "dy", "x", "y"), terms)
         self.A, self.B, self.as_web = A, B, SymWeb._trusted(form, 1)
-
-    def degree(self) -> int:
-        return web_degree(self.as_web)
-
-    def polar(self, p: AffinePoint) -> PlaneCurve | RadialProduct:
-        return polar_curve(self.as_web, p)
 
     def __str__(self):
         return f"foliation[A={self.A}, B={self.B}]"

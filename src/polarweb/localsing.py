@@ -135,11 +135,6 @@ class CurveGerm:
         return min(i + j for i, j in self.terms)
 
 
-def local_multiplicity(germ: CurveGerm) -> int:
-    """Order of the lowest nonzero jet."""
-    return germ.multiplicity()
-
-
 # ---------------------------------------------------------------------------
 # intersection multiplicity and Milnor number (exact route)
 # ---------------------------------------------------------------------------
@@ -216,19 +211,6 @@ def _nonzero_at_origin(f: MPoly) -> bool:
 # ---------------------------------------------------------------------------
 # blow-ups and resolution
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class BlowUpPoint:
-    direction: Direction
-    germ: CurveGerm
-
-
-def blow_up_germ(germ: CurveGerm) -> list[BlowUpPoint]:
-    """One blow-up: the points of the exceptional line met by the strict
-    transform, each with the translated strict-transform germ."""
-    m = germ.multiplicity()
-    return [BlowUpPoint(d, child) for d, child in _children(germ, m, _tangents(germ, m))]
 
 
 def _tangents(germ: CurveGerm, m: int) -> list[tuple[Direction, int]]:
@@ -349,14 +331,6 @@ def _is_terminal(g: CurveGerm, has_x: bool, has_y: bool) -> bool:
     if has_y and abs(alpha) <= tol:  # tangent line y = 0
         return False
     return True
-
-
-def multiplicity_sequence(germ: CurveGerm) -> list[int]:
-    return resolve_germ(germ).mult_sequence
-
-
-def branch_count(germ: CurveGerm) -> int:
-    return resolve_germ(germ).branches
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from itertools import count, islice, product
 from operator import add
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InternalInvariantError, PolynomialError
+from .errors import PolynomialError
 from .zpoly import _CERT_PRIME, _coprime_mod_p, _int_gcd, _int_prs_resultant, _newton_interpolate
 
 MAX_EXPONENT = 2**31
@@ -180,12 +180,6 @@ class MPoly:
     @staticmethod
     def variable(name: str) -> "MPoly":
         return MPoly._make((name,), {(1,): 1})
-
-    @staticmethod
-    def monomial(coeff, powers: Mapping[str, int]) -> "MPoly":
-        names = tuple(sorted(powers))
-        exp = tuple(powers[n] for n in names)
-        return MPoly(names, {exp: _as_rational(coeff)})
 
     # -- basic queries -----------------------------------------------------
 
@@ -368,16 +362,6 @@ class MPoly:
                 c *= column[k]
             total += c
         return _div(total, den)
-
-    def evaluate_complex(self, point: Mapping[str, complex]) -> complex:
-        total = 0j
-        for e, c in self.terms.items():
-            t = complex(c)
-            for i, v in enumerate(self.variables):
-                if e[i]:
-                    t *= complex(point[v]) ** e[i]
-            total += t
-        return total
 
     # -- univariate views ---------------------------------------------------
 
@@ -674,23 +658,6 @@ def squarefree_part(f: MPoly) -> MPoly:
         if rep.is_constant():
             return f.canonical()
     return exact_div(f, rep).canonical() if not rep.is_constant() else f.canonical()
-
-
-def gcd_squarefree(f: MPoly, g: MPoly | None = None) -> tuple[MPoly, MPoly]:
-    """(gcd, square-free part of f).
-
-    With g omitted the gcd slot carries the repeated-factor multiplier of f
-    (so f = gcd * squarefree up to content in that case).
-    """
-    if f.is_zero() and (g is None or g.is_zero()):
-        raise PolynomialError("gcd_squarefree needs a nonzero input")
-    sf = squarefree_part(f) if not f.is_zero() else MPoly.constant(1)
-    if g is None:
-        rep = try_exact_div(f.canonical(), sf)
-        if rep is None:
-            raise InternalInvariantError("square-free part does not divide input")
-        return rep.canonical(), sf
-    return poly_gcd(f, g), sf
 
 
 # ---------------------------------------------------------------------------

@@ -264,19 +264,6 @@ def _divide_coefficients(form: MPoly, g: MPoly, k: int) -> MPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Superposition:
-    web: SymWeb
-    squarefree_warning: bool
-
-
-def superpose(w1: SymWeb, w2: SymWeb) -> Superposition:
-    """Product of symmetric forms; the (k1+k2)-web whose leaves are the union."""
-    product = w1.form * w2.form
-    web = SymWeb(product)
-    return Superposition(web, squarefree_warning=not web.generically_squarefree)
-
-
 def web_degree(web: SymWeb) -> int:
     """Degree of the tangency divisor with a generic line (x, y) = l t + m.
 

@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from math import comb, prod
 
-from polarweb import AffinePoint, FoliationData, MPoly, SymWeb, superpose
+from polarweb import AffinePoint, FoliationData, MPoly, SymWeb, polar_curve, web_degree
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
@@ -29,7 +29,9 @@ def vanishes_numerically(f: MPoly, point: dict[str, complex], tol: float = 1e-9)
     term magnitudes there, or tol when that sum is below 1."""
     scale = sum(abs(float(c)) * prod(abs(complex(point[v])) ** k for v, k in zip(f.variables, e))
                 for e, c in f.terms.items())
-    return abs(f.evaluate_complex(point)) <= tol * max(scale, 1.0)
+    value = sum((prod((complex(point[v]) ** k for v, k in zip(f.variables, e) if k), start=complex(c))
+                 for e, c in f.terms.items()), 0j)
+    return abs(value) <= tol * max(scale, 1.0)
 
 
 def nonzero_int(sampler) -> int:
@@ -65,7 +67,7 @@ def cone_multiplicity(fol: FoliationData, q: AffinePoint, p: AffinePoint) -> int
     time: the reference that the dichotomy's identity is checked against."""
     from polarweb.mpoly import jet_decompose
 
-    jets = jet_decompose(fol.polar(p).raw, ("x", "y"), (q.a, q.b))
+    jets = jet_decompose(polar_curve(fol.as_web, p).raw, ("x", "y"), (q.a, q.b))
     line = MPoly.constant(p.b - q.b) * X - MPoly.constant(p.a - q.a) * Y
     return divisibility_multiplicity(jets[min(jets)], line)
 
@@ -78,7 +80,7 @@ def numeric_cone_multiplicity(fol: FoliationData, q: tuple[complex, complex], p:
     the cone."""
     from polarweb.localsing import cp_clean, cp_from_mpoly, cp_translate
 
-    terms = cp_clean(cp_translate(cp_from_mpoly(fol.polar(p).raw), q[0], q[1]))
+    terms = cp_clean(cp_translate(cp_from_mpoly(polar_curve(fol.as_web, p).raw), q[0], q[1]))
     order = min(i + j for i, j in terms)
     v = (complex(p.a) - q[0], complex(p.b) - q[1])
     along_x = abs(v[1]) >= abs(v[0])  # w = (1, 0), else (0, 1)
@@ -152,7 +154,7 @@ def random_foliation(seed: int, max_degree: int = 3) -> FoliationData:
         for (i, j) in monos:
             c = rng.randint(-3, 3)
             if c and rng.random() < 0.5:
-                total = total + MPoly.monomial(c, {"x": i, "y": j})
+                total = total + MPoly(("x", "y"), {(i, j): c})
         return total
 
     while True:
@@ -161,7 +163,7 @@ def random_foliation(seed: int, max_degree: int = 3) -> FoliationData:
             continue
         fol = FoliationData(A, B)
         try:
-            d = fol.degree()
+            d = web_degree(fol.as_web)
         except Exception:
             continue
         if d >= 1:
@@ -173,9 +175,9 @@ def build_battery() -> list[Entry]:
     w_radial = SymWeb(X * DY - Y * DX)
     w_circles = SymWeb(X * DX + Y * DY)
     w_sqrt = SymWeb(DY**2 - X * DX**2)
-    sup1 = superpose(w_radial, SymWeb(DX)).web
-    sup2 = superpose(w_circles, w_sqrt).web
-    sup3 = superpose(SymWeb(DX), superpose(SymWeb(DY), w_radial).web).web
+    sup1 = SymWeb(w_radial.form * DX)
+    sup2 = SymWeb(w_circles.form * w_sqrt.form)
+    sup3 = SymWeb(DX * DY * w_radial.form)
     fol_squares = FoliationData(X**2, Y**2)
     fol_hamiltonian = FoliationData(2 * Y, 3 * X**2)
     fol_qr = FoliationData(X - Y**2, Y + X**2)

@@ -142,8 +142,8 @@ MUTANTS = [
     # the multiplicity capped at 2: Teissier's sum at an ordinary triple
     # point falls short by one
     ("localsing.py",
-     "return germ.multiplicity()",
-     "return min(germ.multiplicity(), 2)",
+     "return min(i + j for i, j in self.terms)",
+     "return min(min(i + j for i, j in self.terms), 2)",
      "tests/test_localsing.py::TestTeissier::test_class_of_a_curve_smooth_at_infinity"),
 ]
 

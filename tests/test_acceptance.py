@@ -26,7 +26,6 @@ from polarweb import (
     inflexion_divisor,
     polar_curve,
     polar_equality_criterion,
-    superpose,
     web_degree,
 )
 from polarweb.errors import PolynomialError
@@ -79,11 +78,11 @@ def test_criterion_02_product_rule():
         w1 = factors[sampler.rng.randrange(len(factors))]
         w2 = factors[sampler.rng.randrange(len(factors))]
         try:
-            product = superpose(w1, w2)
+            product = SymWeb(w1.form * w2.form)
         except Exception:
             continue
         p = AffinePoint(*sampler.point())
-        c = polar_curve(product.web, p)
+        c = polar_curve(product, p)
         c1 = polar_curve(w1, p)
         c2 = polar_curve(w2, p)
         if isinstance(c, RadialProduct) or isinstance(c1, RadialProduct) or isinstance(c2, RadialProduct):

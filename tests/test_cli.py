@@ -754,30 +754,12 @@ class TestCheckRegistry:
 
 
 class TestToleranceOverrides:
+    """No flag sets a tolerance: the module constants stay as they are."""
+
     def _settings(self):
         from polarweb import localsing, numerics
 
         return (localsing.CLUSTER_TOL, numerics.RESIDUAL_TOL)
-
-    def test_overrides_hold_for_one_call_only(self, inputs, monkeypatch):
-        from polarweb import cli as cli_mod
-        from polarweb.reports import CheckReport
-
-        defaults = self._settings()
-        seen = []
-
-        def record(obj, args):
-            seen.append(self._settings())
-            return CheckReport("recorded")
-
-        monkeypatch.setattr(cli_mod, "_run_check", record)
-        code, _ = run_command(
-            ["check", "--in", inputs["fol"], "--theorem", "polar-degree",
-             "--tol-cluster", "0.25", "--tol-root-residual", "0.125"]
-        )
-        assert code == 0
-        assert seen == [(0.25, 0.125)]
-        assert self._settings() == defaults
 
     def test_overrides_restored_after_an_error(self):
         defaults = self._settings()
@@ -787,10 +769,10 @@ class TestToleranceOverrides:
 
 
 class TestOptionValidation:
-    """--samples takes a positive int and --tol-* a finite positive float;
-    anything else is a usage error that names the flag.  --tol-residual is
-    gone, and --seed is a flag of check alone: argparse names either one as
-    an unrecognized argument with any value."""
+    """--samples takes a positive int; anything else is a usage error that
+    names the flag.  No --tol-* flag is left, and --seed is a flag of check
+    alone: argparse names either one as an unrecognized argument with any
+    value."""
 
     @pytest.mark.parametrize("flag,value", [
         ("--samples", "0"), ("--samples", "-1"),
@@ -801,22 +783,33 @@ class TestOptionValidation:
         code, text = run_command(["check", "--in", inputs["fol"], "--theorem", "polar-degree", flag, value])
         err = capsys.readouterr().err
         assert (code, text) == (2, "")
-        if flag == "--tol-residual":
+        if flag.startswith("--tol-"):
             assert f"unrecognized arguments: {flag} {value}" in err
         else:
             assert f"argument {flag}:" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("argv", [
+    # each subcommand but check, with the flags it requires besides --in
+    SUBCOMMANDS = [
         ["polar", "--center", "1,2"], ["degree"], ["discriminant"], ["singular"], ["directions", "--point", "1,0"],
         ["inflexion"], ["classify-sing", "--point", "0,0"], ["family", "--degree"], ["class"], ["genus"],
         ["localsing", "--point", "0,0"],
-    ], ids=lambda argv: argv[0])
+    ]
+
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: argv[0])
     def test_only_check_takes_a_seed(self, inputs, capsys, argv):
         code, text = run_command(argv[:1] + ["--in", inputs["web"]] + argv[1:] + ["--seed", "1"])
         err = capsys.readouterr().err
         assert (code, text) == (2, "")
         assert "unrecognized arguments: --seed 1" in err
+
+    @pytest.mark.parametrize("flag,value", [("--tol-cluster", "1e-5"), ("--tol-root-residual", "1e-9")])
+    @pytest.mark.parametrize("argv", SUBCOMMANDS + [["check", "--theorem", "polar-degree"]], ids=lambda argv: argv[0])
+    def test_no_subcommand_takes_a_tolerance(self, inputs, capsys, argv, flag, value):
+        code, text = run_command(argv[:1] + ["--in", inputs["fol"]] + argv[1:] + [flag, value])
+        err = capsys.readouterr().err
+        assert (code, text) == (2, "")
+        assert f"unrecognized arguments: {flag} {value}" in err
 
     def test_genus_constant_with_no_samples(self, inputs):
         # used to FAIL with `genera: []`
@@ -921,8 +914,9 @@ class TestFuzz:
         ["check", "--in", "f", "--theorem", "k2", "--seed", "-5"], ["degree", "--in", "-"],
         ["degree", "-in", "f"], ["degree", "--in", "--json"], ["polar", "--in", "f", "--center", "-1,2"],
         ["degree", "--in", "f", "--tol-root-residual", "-1e-9"],
-        # a removed flag, and a flag of check only
-        ["degree", "--in", "f", "--tol-residual", "1e-9"], ["degree", "--in", "f", "--seed", "1"],
+        # removed flags, and a flag of check only
+        ["degree", "--in", "f", "--tol-residual", "1e-9"], ["degree", "--in", "f", "--tol-cluster", "1e-5"],
+        ["degree", "--in", "f", "--seed", "1"],
         # stray words and missing values
         ["degree", "--in", "f", "x", "y"], ["degree", "--in", "f", "--json", "true"],
         ["check", "--in", "f", "--theorem", "k2", "--seed", "1", "2"], ["degree", "--in"], ["x", "--in", "f"],

@@ -27,6 +27,8 @@ from polarweb import (
     classify_singularity,
     inflexion_divisor,
     is_inflexion_point,
+    polar_curve,
+    web_degree,
 )
 from polarweb import foliation
 from polarweb.cli import _dichotomy_all_singularities, run_command
@@ -71,8 +73,8 @@ class TestFoliationData:
             FoliationData(MPoly.zero(), MPoly.zero())
 
     def test_degree(self):
-        assert FoliationData(X**2, Y**2).degree() == 2
-        assert FoliationData(2 * Y, 3 * X**2).degree() == 2
+        assert web_degree(FoliationData(X**2, Y**2).as_web) == 2
+        assert web_degree(FoliationData(2 * Y, 3 * X**2).as_web) == 2
 
     @pytest.mark.parametrize("A, B", [
         *[pytest.param(e.foliation.A, e.foliation.B, id=e.name) for e in BATTERY if e.foliation is not None],
@@ -237,7 +239,7 @@ class TestDichotomy:
         fol = FoliationData(X, Y)
         report = CheckReport("qr-dichotomy")
         assert tangent_cone_dichotomy(report, fol, ORIGIN) == (1, one)
-        jets = jet_decompose(fol.polar(AffinePoint.of(1, 2)).raw, ("x", "y"), (0, 0))
+        jets = jet_decompose(polar_curve(fol.as_web, AffinePoint.of(1, 2)).raw, ("x", "y"), (0, 0))
         assert jets[min(jets)].canonical() == (X * 2 - Y).canonical()
         assert cone_multiplicity(fol, ORIGIN, AffinePoint.of(1, 2)) == 1
         assert report.notes == ["singular point (0, 0): quasi-radial (first jet order 1): line pq is a simple "
@@ -336,13 +338,13 @@ class TestInflexionPoint:
 class TestInflexionLemma:
     def test_spec_example_on_divisor(self):
         fol = FoliationData(one, X**2)
-        curve = fol.polar(AffinePoint.of(0, 0))
+        curve = polar_curve(fol.as_web, AffinePoint.of(0, 0))
         assert is_inflexion_point(curve, AffinePoint.of(0, 0))
 
     def test_spec_example_off_divisor(self):
         fol = FoliationData(one, X**2)
         p = AffinePoint.of(1, 1)
-        assert not is_inflexion_point(fol.polar(p), p)
+        assert not is_inflexion_point(polar_curve(fol.as_web, p), p)
 
     def test_degenerate_all_lines(self):
         report = inflexion_lemma_check(FoliationData(X, Y))
@@ -366,14 +368,14 @@ class TestInflexionLemma:
         for p in centers:
             if fol.A.evaluate(p.as_dict()) == 0 and fol.B.evaluate(p.as_dict()) == 0:
                 continue
-            assert is_inflexion_point(fol.polar(p), p) == (e.evaluate(p.as_dict()) == 0), p
+            assert is_inflexion_point(polar_curve(fol.as_web, p), p) == (e.evaluate(p.as_dict()) == 0), p
 
     def test_a_planted_center_on_E_inflects(self):
         # E = -2x for d/dx + x^2 d/dy: (0, 5) is on E, (1, 5) is not
         fol = FoliationData(one, X**2)
         assert inflexion_polynomial(fol) == -2 * X
-        assert is_inflexion_point(fol.polar(AffinePoint.of(0, 5)), AffinePoint.of(0, 5))
-        assert not is_inflexion_point(fol.polar(AffinePoint.of(1, 5)), AffinePoint.of(1, 5))
+        assert is_inflexion_point(polar_curve(fol.as_web, AffinePoint.of(0, 5)), AffinePoint.of(0, 5))
+        assert not is_inflexion_point(polar_curve(fol.as_web, AffinePoint.of(1, 5)), AffinePoint.of(1, 5))
 
     @given(cubic_coefficients, cubic_coefficients)
     @settings(max_examples=30, deadline=None)
@@ -579,9 +581,9 @@ def sampled_classes(fol: FoliationData, seed: int, samples: int) -> list[int]:
     """The oracle of the deleted sampled `qr-bound` loop: the class of the
     polar at up to `samples` seeded centers whose polar is square-free of
     degree d + 1."""
-    sampler, classes, n = GenericSampler(seed), [], fol.degree() + 1
+    sampler, classes, n = GenericSampler(seed), [], web_degree(fol.as_web) + 1
     for _ in range(50 * samples):
-        curve = fol.polar(sampler.center())
+        curve = polar_curve(fol.as_web, sampler.center())
         if isinstance(curve, RadialProduct) or curve.raw.total_degree() < n or curve.raw != curve.defining:
             continue
         classes.append(class_of_curve(curve))

@@ -11,13 +11,10 @@ from polarweb import (
     CurveGerm,
     MPoly,
     PlaneCurve,
-    branch_count,
     fingerprint,
     genus_of_curve,
     intersection_multiplicity,
-    local_multiplicity,
     milnor_number,
-    multiplicity_sequence,
 )
 from polarweb.cli import run_command
 from polarweb.errors import NumericAbortError, PolynomialError
@@ -26,7 +23,8 @@ from polarweb.mpoly import _rekey, lowest_jet, proper_shears, shear
 from polarweb.solve import common_zeros
 from polarweb.zpoly import _distinct_binary_roots
 from polarweb.localsing import (
-    blow_up_germ,
+    _children,
+    _tangents,
     equisingularity_check,
     genus_constancy_check,
     resolve_germ,
@@ -39,6 +37,13 @@ def germ(poly: MPoly) -> CurveGerm:
     return CurveGerm.at_point(PlaneCurve(poly), ORIGIN)
 
 
+def blow_up(g: CurveGerm) -> list[CurveGerm]:
+    """The strict-transform germ at each point that one blow-up puts on the
+    exceptional line."""
+    m = g.multiplicity()
+    return [child for _, child in _children(g, m, _tangents(g, m))]
+
+
 CUSP = germ(Y**2 - X**3)
 NODE = germ(X * Y)
 TACNODE = germ(Y**2 - X**4)
@@ -47,13 +52,13 @@ SMOOTH = germ(Y - X**2)
 
 class TestMultiplicity:
     def test_cusp(self):
-        assert local_multiplicity(CUSP) == 2
+        assert CUSP.multiplicity() == 2
 
     def test_node(self):
-        assert local_multiplicity(NODE) == 2
+        assert NODE.multiplicity() == 2
 
     def test_smooth(self):
-        assert local_multiplicity(SMOOTH) == 1
+        assert SMOOTH.multiplicity() == 1
 
     def test_nonvanishing_rejected(self):
         with pytest.raises(PolynomialError):
@@ -250,7 +255,7 @@ class TestTeissier:
             mu = milnor_number(g)
         except PolynomialError:
             assume(False)  # not an isolated singularity
-        m = local_multiplicity(g)
+        m = g.multiplicity()
         assert intersection_multiplicity(f, X) == m
         assert intersection_multiplicity(f, f.derivative("y")) == mu + m - 1
 
@@ -270,59 +275,59 @@ class TestTeissier:
         assume(not zs.numeric)
         assert (0, 0) in zs.rational
         germs = [CurveGerm.at_point(curve, q) for q in zs.rational]
-        assert class_of_curve(curve) == n * (n - 1) - sum(milnor_number(g) + local_multiplicity(g) - 1 for g in germs)
+        assert class_of_curve(curve) == n * (n - 1) - sum(milnor_number(g) + g.multiplicity() - 1 for g in germs)
 
 
 class TestBlowUp:
     def test_cusp_single_point(self):
-        pts = blow_up_germ(CUSP)
+        pts = blow_up(CUSP)
         assert len(pts) == 1
-        strict = pts[0].germ
-        assert local_multiplicity(strict) == 1
+        strict = pts[0]
+        assert strict.multiplicity() == 1
         # strict transform is smooth but tangent to the exceptional line
-        seq = multiplicity_sequence(CUSP)
+        seq = resolve_germ(CUSP).mult_sequence
         assert seq == [2, 1, 1]
 
     def test_node_two_transverse_points(self):
-        pts = blow_up_germ(NODE)
+        pts = blow_up(NODE)
         assert len(pts) == 2
-        assert all(local_multiplicity(p.germ) == 1 for p in pts)
+        assert all(p.multiplicity() == 1 for p in pts)
 
     def test_smooth_terminates(self):
-        pts = blow_up_germ(SMOOTH)
+        pts = blow_up(SMOOTH)
         assert len(pts) == 1
-        assert multiplicity_sequence(SMOOTH) == []
+        assert resolve_germ(SMOOTH).mult_sequence == []
 
     def test_exceptional_budget(self):
         # total intersection of the strict transform with E equals m
         for g in (CUSP, NODE, TACNODE):
-            m = local_multiplicity(g)
-            pts = blow_up_germ(g)
+            m = g.multiplicity()
+            pts = blow_up(g)
             assert len(pts) <= m
 
 
 class TestSequences:
     def test_cusp(self):
-        assert multiplicity_sequence(CUSP) == [2, 1, 1]
+        assert resolve_germ(CUSP).mult_sequence == [2, 1, 1]
 
     def test_node(self):
-        assert multiplicity_sequence(NODE) == [2]
+        assert resolve_germ(NODE).mult_sequence == [2]
 
     def test_tacnode(self):
-        assert multiplicity_sequence(TACNODE) == [2, 2]
+        assert resolve_germ(TACNODE).mult_sequence == [2, 2]
 
     def test_branches(self):
-        assert branch_count(CUSP) == 1
-        assert branch_count(NODE) == 2
-        assert branch_count(TACNODE) == 2
+        assert resolve_germ(CUSP).branches == 1
+        assert resolve_germ(NODE).branches == 2
+        assert resolve_germ(TACNODE).branches == 2
 
     def test_first_entry_is_multiplicity(self):
         for g in (CUSP, NODE, TACNODE):
-            assert multiplicity_sequence(g)[0] == local_multiplicity(g)
+            assert resolve_germ(g).mult_sequence[0] == g.multiplicity()
 
     def test_ramphoid_like_deeper_cusp(self):
         g = germ(Y**2 - X**5)
-        assert multiplicity_sequence(g) == [2, 2, 1, 1]
+        assert resolve_germ(g).mult_sequence == [2, 2, 1, 1]
         fp = fingerprint(g)
         assert fp.mu == 4 and fp.delta == 2 and fp.r == 1
 
@@ -389,7 +394,7 @@ class TestOneBlowUpPath:
         assert str(fingerprint(g)) == "(m=5, mu=17, r=4, delta=10, seq=[5, 1, 1], cone=[1, 1, 1, 2])"
 
     def test_irrational_lines_give_numeric_children(self):
-        children = [p.germ for p in blow_up_germ(germ(Y**2 - 2 * X**2))]
+        children = blow_up(germ(Y**2 - 2 * X**2))
         assert len(children) == 2
         for child in children:
             assert not child.exact
@@ -397,7 +402,7 @@ class TestOneBlowUpPath:
             assert max(abs(c) for c in child.terms.values()) == 1
 
     def test_rational_lines_keep_children_exact(self):
-        children = [p.germ for p in blow_up_germ(germ(Y**2 - X**2))]
+        children = blow_up(germ(Y**2 - X**2))
         assert len(children) == 2
         for child in children:
             assert child.exact

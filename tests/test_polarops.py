@@ -23,7 +23,6 @@ from polarweb import (
     polar_curve,
     polar_equality_criterion,
     polar_family,
-    superpose,
     web_degree,
 )
 from polarweb import polarops
@@ -120,7 +119,7 @@ class TestPolarCurve:
         assert result.cofactor_form.is_constant()
 
     def test_whole_plane_cofactor_web(self):
-        web = superpose(w_radial, SymWeb(DX)).web
+        web = SymWeb(w_radial.form * DX)
         result = polar_curve(web, P0)
         assert isinstance(result, RadialProduct)
         assert result.cofactor_form.canonical() == DX.canonical()
@@ -140,7 +139,7 @@ class TestPolarCurve:
         sampler = GenericSampler(11)
         pairs = [(w_circles, w_sqrt), (w_product, w_circles), (w_radial, w_sqrt)]
         for w1, w2 in pairs:
-            web = superpose(w1, w2).web
+            web = SymWeb(w1.form * w2.form)
             p = AffinePoint(*sampler.point())
             c = polar_curve(web, p)
             c1 = polar_curve(w1, p)
@@ -505,7 +504,7 @@ class TestFamilyDimension:
 
     def test_scan_moves_past_a_vanishing_polar(self):
         # the polar of (x*dy - y*dx)*dx vanishes at the first grid point (0, 0)
-        web = superpose(SymWeb(X * DY - Y * DX), SymWeb(DX)).web
+        web = SymWeb((X * DY - Y * DX) * DX)
         assert isinstance(polar_curve(web, P0), RadialProduct)
         assert family_dimension(web) == 2
 
@@ -1045,7 +1044,7 @@ class TestIrreducibility:
     def test_web_decomposability(self):
         assert web_decomposable(w_product)[0]
         assert not web_decomposable(w_sqrt)[0]
-        assert web_decomposable(superpose(w_circles, w_sqrt).web)[0]
+        assert web_decomposable(SymWeb(w_circles.form * w_sqrt.form))[0]
 
     def test_web_vanishing_at_the_first_seven_slopes(self):
         # the direction search has to go past 0, 1, -1, 2, -2, 3, -3 to 4

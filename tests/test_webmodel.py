@@ -16,7 +16,6 @@ from polarweb import (
     discriminant_curve,
     is_smooth_point,
     singular_set,
-    superpose,
     tangent_directions,
     web_degree,
 )
@@ -52,30 +51,30 @@ class TestValidation:
 
 class TestSuperpose:
     def test_product_of_lines(self):
-        s = superpose(SymWeb(DX), SymWeb(DY))
-        assert s.web.k == 2 and s.web.form == (DX * DY).canonical()
-        assert not s.squarefree_warning
+        s = SymWeb(DX * DY)
+        assert s.k == 2 and s.form == (DX * DY).canonical()
+        assert s.generically_squarefree
 
     def test_radial_times_vertical(self):
-        s = superpose(w_radial, SymWeb(DX))
-        assert s.web.k == 2
-        assert s.web.form == ((X * DY - Y * DX) * DX).canonical()
+        s = SymWeb(w_radial.form * DX)
+        assert s.k == 2
+        assert s.form == ((X * DY - Y * DX) * DX).canonical()
 
     def test_repeated_factor_flagged(self):
-        s = superpose(w_sqrt, w_sqrt)
-        assert s.squarefree_warning
+        s = SymWeb(w_sqrt.form * w_sqrt.form)
+        assert not s.generically_squarefree
 
     def test_degree_additive_on_battery(self):
         # degree of the tangency divisor adds under superposition
         for e1 in BATTERY[:4]:
             for e2 in BATTERY[:4]:
                 try:
-                    s = superpose(e1.web, e2.web)
+                    s = SymWeb(e1.web.form * e2.web.form)
                 except WebValidationError:
                     continue
-                if s.squarefree_warning:
+                if not s.generically_squarefree:
                     continue
-                assert web_degree(s.web) == web_degree(e1.web) + web_degree(e2.web)
+                assert web_degree(s) == web_degree(e1.web) + web_degree(e2.web)
 
 
 class TestSquarefreeWitness:
@@ -104,10 +103,10 @@ class TestSquarefreeWitness:
         calls = self.counting_discriminants(monkeypatch)
         _, warnings = parse_input_text("type: web\nform: (dy - x*dx)^2*(dx + y*dy)\n")
         assert warnings == ["form is not generically square-free (repeated local factor)"]
-        assert superpose(w_sqrt, w_sqrt).squarefree_warning
+        assert not SymWeb(w_sqrt.form * w_sqrt.form).generically_squarefree
         # a double root at (dx : dy) = (0 : 1), at every point
         assert not SymWeb(DX**2 * (X * DX + DY)).generically_squarefree
-        assert superpose(w_circles, SymWeb((X * DX + Y * DY) * (2 * X * DX + 2 * Y * DY + DX))).squarefree_warning
+        assert not SymWeb(w_circles.form * SymWeb((X * DX + Y * DY) * (2 * X * DX + 2 * Y * DY + DX)).form).generically_squarefree
         assert calls == []
 
     @given(st.integers(2, 4), st.booleans(), st.data())
@@ -161,7 +160,7 @@ def random_webs(draw) -> SymWeb:
         for i, j in monomials:
             c = draw(st.integers(-3, 3)) if draw(st.booleans()) else 0
             if c:
-                form = form + MPoly.monomial(c, {"x": i, "y": j}) * DX ** (k - n) * DY**n
+                form = form + MPoly(("x", "y"), {(i, j): c}) * DX ** (k - n) * DY**n
     assume(not form.is_zero())
     try:
         web = SymWeb(form)
@@ -183,7 +182,7 @@ def symbolic_line_degree(web: SymWeb) -> int:
 
 def dense_poly(draw, degree: int, low: int = 0) -> MPoly:
     """Every monomial of degree low..degree in (x, y) with a nonzero coefficient."""
-    return sum((MPoly.monomial(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), {"x": i, "y": d - i})
+    return sum((MPoly(("x", "y"), {(i, d - i): draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))})
                 for d in range(low, degree + 1) for i in range(d + 1)), MPoly.zero())
 
 
@@ -235,7 +234,7 @@ class TestWebDegree:
         for i, e1 in enumerate(BATTERY):
             for e2 in BATTERY[i:]:
                 try:
-                    web = superpose(e1.web, e2.web).web
+                    web = SymWeb(e1.web.form * e2.web.form)
                 except WebValidationError:
                     continue
                 assert web_degree(web) == random_line_degree(web, 5), (e1.name, e2.name)
@@ -321,8 +320,8 @@ class TestDiscriminant:
     def test_superposition_contains_factors(self):
         # the discriminant of a product is divisible by each factor's one
         for e1 in (w_sqrt,):
-            s = superpose(e1, w_circles)
-            disc = s.web.discriminant_form
+            s = SymWeb(e1.form * w_circles.form)
+            disc = s.discriminant_form
             d1 = e1.discriminant_form
             if d1.is_constant():
                 continue
@@ -393,8 +392,8 @@ class TestSmoothPoint:
 
 class TestRootResidualTolerance:
     def test_the_setting_is_read_at_call_time(self, monkeypatch):
-        # so --tol-root-residual reaches the root split of a singular set;
-        # no root passes a residual bound of 0
+        # so the root split of a singular set applies it; no root passes a
+        # residual bound of 0
         from polarweb import numerics
 
         web = FoliationData(X**2 - 2, Y).as_web
