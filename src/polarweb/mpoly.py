@@ -40,11 +40,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import count, islice, product
-from operator import add
+from operator import add, mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PolynomialError
-from .zpoly import _CERT_PRIME, _coprime_mod_p, _int_gcd, _int_prs_resultant, _newton_interpolate
+from .zpoly import _CERT_PRIME, _coprime_mod_p, _digit_width, _int_gcd, _int_prs_resultant, _unpack
 
 MAX_EXPONENT = 2**31
 
@@ -666,21 +666,15 @@ def squarefree_part(f: MPoly) -> MPoly:
 
 
 def resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
-    """Sylvester resultant eliminating var, by evaluation and interpolation.
+    """Sylvester resultant eliminating var, by Kronecker substitution.
 
-    Collins' route ("The calculation of multivariate polynomial resultants",
-    J. ACM 18, 1971), exact on Python ints.  With f = c_f*F and g = c_g*G for
-    primitive integer F and G, Res(f, g) = c_f^n * c_g^m * Res(F, G), where
-    m = deg_var f and n = deg_var g.  Res(F, G) is the integer subresultant PRS
-    when var is the only variable; otherwise another variable z is set to 0,
-    1, -1, 2, -2, ..., skipping the points where a leading coefficient in var
-    vanishes, and the resultants of the images are Newton-interpolated in z;
-    each image is a Horner evaluation of terms grouped once per call.
-    The number of points is one more than a proven bound on deg_z Res(F, G),
-    the smaller of n*deg_z F + m*deg_z G (each term of the Sylvester
-    determinant takes n entries from F's rows and m from G's) and
-    tdeg_(var,z) F * tdeg_(var,z) G, the total degrees in var and z alone
-    (Bezout over the field of the remaining variables).
+    Exact on Python ints.  With f = c_f*F and g = c_g*G for primitive
+    integer F and G, Res(f, g) = c_f^n * c_g^m * Res(F, G), where
+    m = deg_var f and n = deg_var g.  Res(F, G) is one integer subresultant
+    PRS.  When var is the only variable, it runs on the coefficients of F and
+    G.  Otherwise every coefficient in var is first packed into one big
+    integer at a power of 2 past the Hadamard bound on the coefficients of
+    the resultant, whose digits are then read back (`_int_resultant`).
 
     Both inputs must have positive degree in var; degree-0 inputs are a
     reported degenerate case rather than silently extended.
@@ -719,38 +713,47 @@ def _integer_terms(f: MPoly, content: int | Fraction, order: list[str]) -> dict[
 
 def _int_resultant(F: dict, G: dict, m: int, n: int) -> dict[tuple, int]:
     """Res(F, G) in the first variable, of degrees m and n in it, as terms in
-    the remaining variables; the last of them is evaluated and interpolated.
-    Each input's terms are grouped once per call, by all exponents but the
-    last, and every group is evaluated at every node by Horner.  With two
-    variables the images are dense lists in the first one and go to the PRS
-    directly; with more they are term dicts for the next level."""
-    width = len(next(iter(F)))
-    if width == 1:
+    the remaining variables z_1, ..., z_k, by one PRS on big integers
+    (Kronecker substitution).  Each coefficient of F and G in the first
+    variable is packed into one integer at z_i = 2^(B*s_i), with B from
+    `zpoly._digit_width` and mixed-radix strides s_1 = 1,
+    s_(i+1) = s_i * (D_i + 1), where D_i bounds deg_(z_i) Res(F, G): the
+    smaller of n*deg_(z_i) F + m*deg_(z_i) G (each term of the Sylvester
+    determinant takes n entries from F's rows and m from G's) and
+    tdeg_(var,z_i) F * tdeg_(var,z_i) G, the total degrees in var and z_i
+    alone (Bezout over the field of the other variables).  D_i is at least
+    deg_(z_i) of F and G, so distinct monomials of a coefficient land on
+    distinct digits: the packed tops are nonzero, the resultant of the
+    packed lists is the packed resultant, and its balanced base-2^B digits
+    are the coefficients of Res(F, G)."""
+    k = len(next(iter(F))) - 1
+    if not k:
         r = _int_prs_resultant(_dense(F, m), _dense(G, n))
         return {(): r} if r else {}
-    bound = min(n * max(e[-1] for e in F) + m * max(e[-1] for e in G),
-                max(e[0] + e[-1] for e in F) * max(e[0] + e[-1] for e in G))
-    groups_f, groups_g = _by_last(F), _by_last(G)
-    nodes, images = [], []
-    for t in _small_integers():
-        if width == 2:
-            a, b = _at_node(groups_f, t, [0] * (m + 1)), _at_node(groups_g, t, [0] * (n + 1))
-            if not (a[m] and b[n]):
-                continue
-            r = _int_prs_resultant(a, b)
-            images.append({(): r} if r else {})
-        else:
-            Ft, Gt = _at_node(groups_f, t, {}), _at_node(groups_g, t, {})
-            if not any(e[0] == m for e in Ft) or not any(e[0] == n for e in Gt):
-                continue
-            images.append(_int_resultant(Ft, Gt, m, n))
-        nodes.append(t)
-        if len(nodes) > bound:
-            break
+    radices = [min(n * max(e[i] for e in F) + m * max(e[i] for e in G),
+                   max(e[0] + e[i] for e in F) * max(e[0] + e[i] for e in G)) + 1 for i in range(1, k)]
+    strides = [1]
+    for d in radices:
+        strides.append(strides[-1] * d)
+    norms_f, norms_g = [0] * (m + 1), [0] * (n + 1)
+    for terms, norms in ((F, norms_f), (G, norms_g)):
+        for e, c in terms.items():
+            norms[e[0]] += abs(c)
+    width = _digit_width(norms_f, norms_g)
+    packed = []
+    for terms, degree in ((F, m), (G, n)):
+        a = [0] * (degree + 1)
+        for e, c in terms.items():
+            a[e[0]] += c << width * sum(map(mul, e[1:], strides))
+        packed.append(a)
     out = {}
-    for key in set().union(*images):
-        coeffs = _newton_interpolate(nodes, [r.get(key, 0) for r in images])
-        out.update((key + (j,), c) for j, c in enumerate(coeffs) if c)
+    for d, c in enumerate(_unpack(_int_prs_resultant(*packed), width)):
+        if c:
+            e = []
+            for radix in radices:
+                d, r = divmod(d, radix)
+                e.append(r)
+            out[(*e, d)] = c
     return out
 
 
@@ -765,32 +768,6 @@ def _small_grid(size: int):
     `_small_integers`, in that order."""
     s = list(islice(_small_integers(), size))
     return product(s, s)
-
-
-def _by_last(F: dict) -> list[tuple[tuple | int, list[int]]]:
-    """F's terms grouped by all exponents but the last, in order of
-    appearance: (those exponents, or the first alone when it is the only
-    one, and the coefficients in the last variable, descending)."""
-    groups: dict = {}
-    for e, c in F.items():
-        coeffs = groups.setdefault(e[0] if len(e) == 2 else e[:-1], [])
-        if len(coeffs) <= e[-1]:
-            coeffs.extend([0] * (e[-1] + 1 - len(coeffs)))
-        coeffs[e[-1]] = c
-    return [(key, coeffs[::-1]) for key, coeffs in groups.items()]
-
-
-def _at_node(groups: list[tuple[tuple | int, list[int]]], t: int, out: dict | list):
-    """out with the grouped polynomial's nonzero values at last variable = t
-    (Horner) stored under their keys: a term dict, or a dense list in the
-    first variable when the keys are its exponents."""
-    for key, coeffs in groups:
-        v = 0
-        for c in coeffs:
-            v = v * t + c
-        if v:
-            out[key] = v
-    return out
 
 
 def _dense(F: dict, degree: int) -> list[int]:

@@ -41,15 +41,17 @@ from .numerics import univariate_roots
 from .zpoly import (
     _common_factor,
     _derivative,
+    _digit_width,
     _int_exact_quo,
     _int_gcd,
     _int_prem,
     _int_prs_resultant,
     _mul,
-    _newton_interpolate,
+    _pack,
     _sub,
     _subresultant_row,
     _trim,
+    _unpack,
     _vanishes_at,
     _yun,
 )
@@ -208,22 +210,6 @@ def _horner(coeffs: list, t):
     return acc
 
 
-def _subresultant(nodes: list[int], images: list[tuple[list[int], list[int]]], j: int) -> list[list[int]]:
-    """s_(j,j)(t), ..., s_(j,0)(t) for F and G given by their images at the
-    integer nodes, of y-degrees p >= q > j, where the coefficient of y^k has
-    t-degree at most its total degree minus k.  Each comes from
-    `_subresultant_row` at the first nodes, Newton-interpolated.  An entry of
-    the row y^k * F at the column of y^e has t-degree at most p + k - e, so
-    s_(j,i) has t-degree at most the sum of p + k (q + k for G) over the
-    rows minus the sum of the column exponents.  That bound falls as j rises
-    (by p + q - 2j - 2 >= 0), and at j = 0, where it is pq, it bounds the
-    resultant."""
-    p, q = len(images[0][0]) - 1, len(images[0][1]) - 1
-    count = 1 + sum(p + k for k in range(q - j)) + sum(q + k for k in range(p - j)) - sum(range(j + 1, p + q - j))
-    rows = [_subresultant_row(a, b, j) for a, b in images[:count]]
-    return [_trim(_newton_interpolate(nodes[:count], list(values))) for values in zip(*rows)]
-
-
 def _separated(part: list[int], s: list[list[int]], j: int) -> bool:
     """Whether S_j = s_(j,j) * (y - y0)^j at every root of part, with
     y0 = -s_(j,j-1) / (j * s_(j,j)): then the fiber gcd there, which S_j is,
@@ -277,13 +263,19 @@ def _shape(F: MPoly, G: MPoly, others: list[MPoly]) -> list[tuple[list[int], lis
     s_(j,j)(t), and S_j(t, y) is that gcd up to a factor (the fundamental
     theorem of subresultants; S_q is G).  So the part of m where s_(1,1) is
     nonzero has y = -s_(1,0)/s_(1,1), and each part where the degree is
-    j >= 2 must pass `_separated`."""
+    j >= 2 must pass `_separated`.
+
+    R and every s_(j,i) are read from one packed Sylvester pair: the
+    coefficients of F and G in y at t = 2^B, B past the Hadamard bound of
+    `zpoly._digit_width` on every Sylvester minor, so that R comes from one
+    `_int_prs_resultant` and each s_(j,.) from one `_subresultant_row`, and
+    `_unpack` reads their coefficients in t from base-2^B digits."""
     Fc, Gc = _y_coeffs(F), _y_coeffs(G)
     if len(Fc) < len(Gc):
         Fc, Gc = Gc, Fc
-    nodes = list(islice(_small_integers(), (len(Fc) - 1) * (len(Gc) - 1) + 1))
-    images = [([_horner(c, t) for c in Fc], [_horner(c, t) for c in Gc]) for t in nodes]
-    R = _trim(_newton_interpolate(nodes, [_int_prs_resultant(a, b) for a, b in images]))
+    width = _digit_width([sum(map(abs, c)) for c in Fc], [sum(map(abs, c)) for c in Gc])
+    a, b = [_pack(c, width) for c in Fc], [_pack(c, width) for c in Gc]
+    R = _unpack(_int_prs_resultant(a, b), width)
     if not R:
         raise InternalInvariantError("coprime generators have a zero resultant")
     if len(R) == 1:
@@ -292,7 +284,7 @@ def _shape(F: MPoly, G: MPoly, others: list[MPoly]) -> list[tuple[list[int], lis
     rest = [c // math.gcd(*rest) for c in rest]
     groups, j = [], 1
     while len(rest) > 1:
-        s = Gc[::-1] if j == len(Gc) - 1 else _subresultant(nodes, images, j)
+        s = Gc[::-1] if j == len(Gc) - 1 else [_unpack(v, width) for v in _subresultant_row(a, b, j)]
         g = _int_gcd(rest, s[0]) if s[0] else rest
         part = _int_exact_quo(rest, g)
         if len(part) > 1:

@@ -3,6 +3,10 @@
 Integer polynomials: term dicts {exponent tuple: nonzero int} for
 `mpoly.resultant`, the eliminated variable first, and ascending int lists for
 univariate work (the PRS, the gcd, Yun's decomposition, the exact root test).
+A polynomial in several variables enters the univariate PRS by Kronecker
+substitution: its coefficients in the eliminated variable are packed into
+integers at a power of 2 wide enough (`_digit_width`) that the balanced
+digits of the result are its coefficients (`_pack`, `_unpack`).
 Integer matrices are sparse rows {column: int}.  Work mod p uses the prime
 _CERT_PRIME = 2^30 - 35, the largest below 2^30: every residue is one 30-bit
 digit of a Python int, and a product of two is below 2^60.  Nothing here
@@ -184,27 +188,38 @@ def _subresultant_row(a: list[int], b: list[int], j: int) -> list[int]:
     return [sign * v for v in rows[-1][n - 1:]]
 
 
-def _newton_interpolate(nodes: list[int], values: list[int]) -> list[int]:
-    """Ascending coefficients of the integer polynomial of degree below
-    len(nodes) taking the values at the nodes.  Every divided difference of
-    an integer polynomial at integer nodes is an integer, so a remainder is
-    a broken degree bound or image, never rounding."""
-    c = list(values)
-    for j in range(1, len(nodes)):
-        for i in range(len(nodes) - 1, j - 1, -1):
-            q, rem = divmod(c[i] - c[i - 1], nodes[i] - nodes[i - j])
-            if rem:
-                raise InternalInvariantError("resultant: inexact divided difference")
-            c[i] = q
-    poly = [c[-1]]
-    for i in range(len(nodes) - 2, -1, -1):
-        # poly * (z - nodes[i]) + c[i]
-        shifted = [0] + poly
-        for k, p in enumerate(poly):
-            shifted[k] -= nodes[i] * p
-        shifted[0] += c[i]
-        poly = shifted
-    return poly
+def _digit_width(a: list[int], b: list[int]) -> int:
+    """A width B for Kronecker substitution of the eliminated variable's
+    coefficients F_0, ..., F_m and G_0, ..., G_n, given their 1-norms a and
+    b (sums of absolute coefficients).  On the torus |z| = 1 each |F_j(z)| is
+    at most a[j], so each row of the Sylvester matrix has Euclidean norm at
+    most N_F = sqrt(sum a[j]^2) (N_G for G), and Hadamard's inequality bounds
+    the resultant and every Sylvester minor there by N_F^n * N_G^m.  A
+    coefficient is a mean over the torus, so it has that bound too (L. J.
+    Goldstein and R. L. Graham, SIAM Rev. 16, 1974).  The bound is below
+    2^(B-2), inside the balanced digits [-2^(B-1), 2^(B-1)) that `_unpack`
+    reads back."""
+    m, n = len(a) - 1, len(b) - 1
+    norms = sum(c * c for c in a) ** n * sum(c * c for c in b) ** m
+    return (norms.bit_length() + 1) // 2 + 2
+
+
+def _pack(coeffs: list[int], width: int) -> int:
+    """The ascending coefficients at t = 2^width."""
+    return sum(c << (width * k) for k, c in enumerate(coeffs))
+
+
+def _unpack(v: int, width: int) -> list[int]:
+    """The balanced base-2^width digits of v, ascending and without top
+    zeros: the unique c_k in [-2^(width-1), 2^(width-1)) with
+    v = sum c_k 2^(width*k)."""
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    out = []
+    while v:
+        c = ((v + half) & mask) - half
+        out.append(c)
+        v = (v - c) >> width
+    return out
 
 
 def _yun(f: list[int]) -> list[tuple[list[int], int]]:

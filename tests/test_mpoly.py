@@ -642,6 +642,72 @@ class TestResultant:
         assert resultant(f, g, "x") == 0
 
 
+# the eliminated variable y first, then up to three others: widths 1 to 4
+WIDTHS = [("y",), ("y", "x"), ("y", "x", "z"), ("y", "x", "z", "w")]
+big = 10**40
+
+
+def big_polys(variables, max_terms=3, max_exp=2):
+    """Sparse polynomials of positive degree in y, the first variable, with
+    coefficients up to 10^40 in absolute value, about half of them negative."""
+    exponents = st.tuples(*[st.integers(0, max_exp) for _ in variables])
+    coeffs = st.integers(-big, big).filter(bool)
+    return st.dictionaries(exponents, coeffs, min_size=1, max_size=max_terms).map(
+        lambda terms: MPoly(variables, terms)).filter(lambda f: f.degree_in("y") > 0)
+
+
+class TestKroneckerPacking:
+    """`resultant` packs every variable but the eliminated one into one big
+    integer at 2^B and reads Res back from balanced base-2^B digits: the
+    reads checked against the Sylvester determinant and sympy's where the
+    digits are large, negative, zero in between, and in widths 1 to 4."""
+
+    @given(st.sampled_from(WIDTHS).flatmap(lambda v: st.tuples(big_polys(v), big_polys(v))))
+    @settings(max_examples=40, deadline=None)
+    def test_coefficients_up_to_10_to_the_40(self, pair):
+        f, g = pair
+        assert resultant(f, g, "y") == sylvester_resultant(f, g, "y")
+
+    @given(st.sampled_from(WIDTHS).flatmap(lambda v: st.tuples(big_polys(v), big_polys(v))))
+    @settings(max_examples=20, deadline=None)
+    def test_coefficients_up_to_10_to_the_40_against_sympy(self, sympy, pair):
+        from sympy.polys.subresultants_qq_zz import sylvester
+
+        f, g = pair
+        matrix = sylvester(to_sympy(sympy, f), to_sympy(sympy, g), sympy.Symbol("y"))
+        assert resultant(f, g, "y") == from_sympy(sympy, sympy.expand(matrix.det()))
+
+    @pytest.mark.parametrize("c", [10**12, -10**12, 2**64 - 1, -(2**64)])
+    def test_a_resultant_near_the_digit_width(self, c):
+        # Res_y(y - c*x - c, y^2 - c) = c^2 x^2 + 2c^2 x + c^2 - c: each
+        # coefficient takes about two thirds of the bits that B - 1 holds, and
+        # a width of half of B drops its top digits
+        f, g = y - c * x - c, y**2 - c
+        expected = c**2 * x**2 + 2 * c**2 * x + c**2 - c
+        assert resultant(f, g, "y") == expected == sylvester_resultant(f, g, "y")
+
+    def test_zero_interior_coefficients(self):
+        # F_1 = G_1 = 0 in y, and coefficients in x with gaps of six and
+        # more powers: zero digits between nonzero ones
+        z = MPoly.variable("z")
+        f = y**4 + (10**30 * x**6 - 1) * y**2 - x**3 + 7 * z**5
+        g = y**3 - 10**20 * x**4 * z**2 + 7 - x**9
+        assert resultant(f, g, "y") == sylvester_resultant(f, g, "y")
+        assert resultant(f.substitute({"z": 1}), g.substitute({"z": 1}), "y") == \
+            sylvester_resultant(f.substitute({"z": 1}), g.substitute({"z": 1}), "y")
+
+    @given(st.sampled_from(WIDTHS).flatmap(lambda v: st.tuples(big_polys(v), big_polys(v))))
+    @settings(max_examples=20, deadline=None)
+    def test_one_resultant_is_one_prs(self, pair):
+        # the work count: no PRS per evaluation node
+        f, g = pair
+        calls, real = [], mpoly._int_prs_resultant
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mpoly, "_int_prs_resultant", lambda a, b: calls.append(1) or real(a, b))
+            resultant(f, g, "y")
+        assert calls == [1]
+
+
 @pytest.fixture(scope="module")
 def sympy():
     return pytest.importorskip("sympy")

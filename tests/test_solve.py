@@ -15,7 +15,7 @@ from polarweb import solve
 from polarweb.errors import InternalInvariantError
 from polarweb.errors import InfiniteZeroSetError
 from battery import divisibility_multiplicity, vanishes_numerically
-from polarweb.mpoly import poly_gcd, resultant
+from polarweb.mpoly import poly_gcd, resultant, shear
 from polarweb.parsing import parse_polynomial
 from polarweb.webmodel import SingularSet
 from polarweb.solve import (
@@ -232,6 +232,28 @@ class TestSympyZeroSetOracle:
         assert set(zs.rational) == expected and (x0, y0) in expected
         assert not zs.numeric
 
+    @given(st.lists(coordinates, min_size=1, max_size=3, unique=True),
+           st.lists(coordinates, min_size=1, max_size=3, unique=True),
+           st.lists(st.integers(-10**30, 10**30).filter(bool), min_size=4, max_size=4))
+    @settings(max_examples=15, deadline=None)
+    def test_a_pair_with_coefficients_up_to_10_to_the_30(self, xs, ys, abst):
+        # A*P + s*Q = 0 = B*Q + t*P gives P*(A*B - s*t) = 0, so with
+        # A*B != s*t the zeros are the whole grid of the roots of P and Q
+        sympy = pytest.importorskip("sympy")
+        A, B, s, t = abst
+        if A * B == s * t:
+            return
+        P = prod((x - a for a in xs), start=MPoly.constant(1))
+        Q = prod((y - b for b in ys), start=MPoly.constant(1))
+        gens = [A * P + s * Q, B * Q + t * P]
+        zs = common_zeros(gens)
+        X, Y = sympy.symbols("x y")
+        system = [sympy.sympify(str(f).replace("^", "**"), locals={"x": X, "y": Y}) for f in gens]
+        expected = {(Fraction(str(a)), Fraction(str(b)))
+                    for a, b in sympy.solve_poly_system(system, X, Y)}
+        assert set(zs.rational) == expected == {(a, b) for a in xs for b in ys}
+        assert not zs.numeric
+
 
 
 def _close(p, q) -> bool:
@@ -392,6 +414,25 @@ class TestShapeLemma:
         assert not zs.rational and len(zs.numeric) == 2
         for (a, b), s in zip(zs.numeric, (-1, 1)):
             assert abs(a - s * 2**0.5) < 1e-12 and abs(b - (1 + s * 2**0.5)) < 1e-12
+
+    def test_one_prs_and_one_subresultant_row_per_degree(self, monkeypatch):
+        # the work count of a `_shape` call: R from one PRS, and s_(j,.) from
+        # one `_subresultant_row` for each j it reads below q = deg_y G (S_q
+        # is G itself).  On the sqrt 2 grid at lam = 1 two zeros share a t,
+        # where the fiber gcd has degree 2: it reads j = 1 and j = 2, and
+        # `_separated` fails; at lam = 3 it reads j = 1 alone
+        prs, rows = [], []
+        real_prs, real_row = solve._int_prs_resultant, solve._subresultant_row
+        monkeypatch.setattr(solve, "_int_prs_resultant", lambda a, b: prs.append(1) or real_prs(a, b))
+        monkeypatch.setattr(solve, "_subresultant_row", lambda a, b, j: rows.append(j) or real_row(a, b, j))
+        F, G = shear(x**3 - 2 * x, 1), shear(y**3 - 2 * y, 1)
+        assert solve._shape(F, G, []) is None
+        assert prs == [1] and rows == [1, 2]
+        prs.clear()
+        rows.clear()
+        F, G = shear(x**3 - 2 * x, 3), shear(y**3 - 2 * y, 3)
+        assert len(solve._shape(F, G, [])) == 1
+        assert prs == [1] and rows == [1]
 
     def test_both_generators_singular_at_a_zero(self, monkeypatch):
         # the foliation of TestOneRationalCoordinate: A and B are both

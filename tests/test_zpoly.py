@@ -1,7 +1,8 @@
 """The integer kernel: Yun's decomposition, the exact root test, the PRS
-resultant's refusals, subresultant coefficients, the certified gcd and the
-ranks of sparse integer matrices, all on `int` data; and the rule that `zpoly` imports nothing from the package but
-`.errors`."""
+resultant's refusals, subresultant coefficients, the digits of Kronecker
+substitution, the certified gcd and the ranks of sparse integer matrices,
+all on `int` data; and the rule that `zpoly` imports nothing from the
+package but `.errors`."""
 
 import ast
 from fractions import Fraction
@@ -210,6 +211,24 @@ class TestSubresultantRow:
         assert zpoly._subresultant_row(a, b, j) == expected
         if j == 0:
             assert expected == [_int_prs_resultant(a, b)]
+
+
+class TestKroneckerDigits:
+    """`_unpack` reads back what `_pack` packs, for every digit in
+    [-2^(B-1), 2^(B-1)): the two ends, -1, 1 and 0 are drawn often, so that
+    borrows run through negative digits and zero digits lie in between."""
+
+    @given(st.integers(2, 70).flatmap(lambda width: st.tuples(st.just(width), st.lists(st.one_of(
+        st.sampled_from([-(1 << (width - 1)), (1 << (width - 1)) - 1, -1, 0, 1]),
+        st.integers(-(1 << (width - 1)), (1 << (width - 1)) - 1)), max_size=8))))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, case):
+        width, digits = case
+        assert zpoly._unpack(zpoly._pack(digits, width), width) == zpoly._trim(digits)
+
+    def test_a_digit_past_the_width_is_read_as_another(self):
+        # 2^(B-1) is not a balanced digit: it reads as -2^(B-1) with a carry
+        assert zpoly._unpack(zpoly._pack([8], 4), 4) == [-8, 1]
 
 
 class TestCommonFactor:
