@@ -40,7 +40,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import count, islice, product
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PolynomialError
@@ -597,9 +597,18 @@ def _certified_coprime(f: MPoly, g: MPoly, active: list[str]) -> bool:
                 break
         else:
             return False
-        if not _coprime_mod_p(a, b):
+        if not _coprime_mod_p(a, b, _CERT_PRIME):
             return False
     return True
+
+
+def _monomial_split(f: MPoly) -> tuple[dict, MPoly]:
+    """({v: least exponent of v}, f1) with f = prod v^k * f1 and f1 divisible by no variable."""
+    low = tuple(map(min, zip(*f.terms)))
+    if not any(low):
+        return {}, f
+    terms = {tuple(map(sub, e, low)): c for e, c in f.terms.items()}
+    return dict(zip(f.variables, low)), MPoly._make(f.variables, terms)
 
 
 def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
@@ -607,8 +616,10 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
 
     A constant gcd is first sought by the modular coprimality certificate
     (`_certified_coprime`), which is exact: it returns 1 only when the gcd is
-    a constant.  Every other case runs the primitive PRS, recursing on the
-    contents.
+    a constant.  When it fails, f = x^a * f1 and g = x^b * g1 with f1 and g1
+    divisible by no variable, and gcd(f, g) = x^min(a, b) * gcd(f1, g1): the
+    certificate is tried on f1 and g1, and then the primitive PRS runs on
+    them, recursing on the contents.
     """
     if f.is_zero() and g.is_zero():
         raise PolynomialError("gcd(0, 0) is undefined")
@@ -618,12 +629,19 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
         return f.canonical()
     if f.is_constant() or g.is_constant():
         return MPoly.constant(1)
-    active = [v for v in f.variables if v in g.variables and f.degree_in(v) > 0 and g.degree_in(v) > 0]
+    active = [v for v in f.variables if v in g.variables]
     if not active or _certified_coprime(f, g, active):
         return MPoly.constant(1)
+    (low_f, f), (low_g, g) = _monomial_split(f), _monomial_split(g)
+    shared = [MPoly.variable(v) ** min(low_f[v], low_g[v]) for v in low_f if v in low_g]
+    mono = math.prod(shared, start=MPoly.constant(1))
+    if low_f or low_g:
+        active = [v for v in f.variables if v in g.variables]
+        if not active or _certified_coprime(f, g, active):
+            return mono
     var = min(active, key=lambda v: min(f.degree_in(v), g.degree_in(v)))
     if len(f.variables) == 1 and len(g.variables) == 1:
-        return _from_int_coeffs(var, _int_gcd(_int_coeffs(f, var), _int_coeffs(g, var)))
+        return mono * _from_int_coeffs(var, _int_gcd(_int_coeffs(f, var), _int_coeffs(g, var)))
     cf = _content_in(f, var)
     cg = _content_in(g, var)
     c = poly_gcd(cf, cg) if not (cf.is_constant() and cg.is_constant()) else MPoly.constant(1)
@@ -640,7 +658,7 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
             pp = exact_div(b, _content_in(b, var))
             break
         a, b = b, exact_div(r, _content_in(r, var))
-    return (c * pp).canonical()
+    return (mono * c * pp).canonical()
 
 
 def squarefree_part(f: MPoly) -> MPoly:

@@ -1,9 +1,10 @@
 """Roots of univariate polynomials, and finite zero sets of polynomial
 collections in two variables.
 
-A root split runs Yun's decomposition on the integer coefficient list and
-Aberth on each factor; a rounded approximation is a rational root only when
-the exact integer test (`zpoly._vanishes_at`) holds.
+A root split runs Yun's decomposition on the integer coefficient list.  The
+rational roots of each factor are found exactly, by p-adic lifting
+(`zpoly._rational_roots`), and divided out; Aberth then solves what is left
+once.  No rational root is read from an approximation.
 
 A zero set is read by the shape lemma (F. Rouillier, AAECC 9, 1999; for two
 variables, Y. Bouzidi, S. Lazard, M. Pouget and F. Rouillier, J. Symb. Comp.
@@ -42,17 +43,18 @@ from .zpoly import (
     _common_factor,
     _derivative,
     _digit_width,
+    _horner,
     _int_exact_quo,
     _int_gcd,
     _int_prem,
     _int_prs_resultant,
     _mul,
     _pack,
+    _rational_roots,
     _sub,
     _subresultant_row,
     _trim,
     _unpack,
-    _vanishes_at,
     _yun,
 )
 
@@ -70,25 +72,26 @@ def _candidates(approx: list[complex]):
 def int_root_split(coeffs: list[int]) -> tuple[list[tuple[Fraction, int]], list[tuple[complex, int]]]:
     """Roots of the polynomial with the ascending int coefficients (nonzero
     top; any content): (rational with exact multiplicity, non-rational
-    numeric with multiplicity).  Each square-free factor of Yun's
-    decomposition is solved by Aberth; a rounded real approximation that the
-    factor vanishes at exactly (`_vanishes_at`) is a rational root, divided
-    out before the next solve.  The numeric roots are the approximations of
-    the last solve, in which no rational root was verified."""
+    numeric with multiplicity), the rational ones factor by factor in Yun's
+    order and descending within a factor.  The rational roots of each
+    square-free factor are lifted p-adically (`zpoly._rational_roots`) at
+    the first prime p dividing neither its top coefficient nor its
+    discriminant; the search ends, as the factor is square-free.  Each is a
+    simple root mod p, as its denominator divides the top and the factor
+    stays square-free mod p.  Lifted past 2*|top * lowest nonzero
+    coefficient| and checked exactly, they are divided out, and Aberth runs
+    once on what is left."""
     rational: list[tuple[Fraction, int]] = []
     numeric: list[tuple[complex, int]] = []
     for work, mult in _yun(coeffs):
-        while len(work) > 1:
-            approx = univariate_roots(work)
-            root = next((r for r in _candidates(approx) if _vanishes_at(work, r)), None)
-            if root is None:
-                numeric += [(r, mult) for r in approx]
-                break
+        for root in _rational_roots(work):
             rational.append((root, mult))
             # work / (var - a/b) = b * (work / (b*var - a)): the quotient over
             # Q, whose float image fixes the approximations reported
             q = _int_exact_quo(work, [-root.numerator, root.denominator])
             work = [root.denominator * c for c in q]
+        if len(work) > 1:
+            numeric += [(r, mult) for r in univariate_roots(work)]
     return rational, numeric
 
 
@@ -201,13 +204,6 @@ def _y_coeffs(f: MPoly) -> list[list[int]]:
     for (i, k), c in _integer_terms(f, f.rational_content(), ["y", "x"]).items():
         out[i][k] = c
     return [_trim(c) for c in out]
-
-
-def _horner(coeffs: list, t):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
 
 
 def _separated(part: list[int], s: list[list[int]], j: int) -> bool:

@@ -12,6 +12,8 @@ _CERT_PRIME = 2^30 - 35, the largest below 2^30: every residue is one 30-bit
 digit of a Python int, and a product of two is below 2^60.  Nothing here
 depends on the prime's size: a minor nonzero mod any prime is nonzero over Z,
 so rank_p <= rank_Q, and coprime images mod any prime prove a constant gcd.
+The p-adic lifting of rational roots takes instead the first prime at which
+its polynomial keeps its degree and stays square-free.
 The bridges from `MPoly` live in `mpoly`.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import count, zip_longest
 
 from .errors import InternalInvariantError
 
@@ -258,6 +260,51 @@ def _vanishes_at(coeffs: list[int], root: Fraction) -> bool:
     return acc == 0
 
 
+def _horner(coeffs: list, t):
+    """The ascending coefficients at t; they and t may be any numbers."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def _rational_roots(f: list[int]) -> list[Fraction]:
+    """The rational roots of a square-free ascending int list of positive
+    degree, in descending order, by p-adic lifting (R. Loos, SIAM J. Comput.
+    12, 1983).
+
+    p is the first prime that divides neither lc(f) nor disc(f): f mod p
+    keeps its degree and is coprime to its derivative.  As f is square-free,
+    disc(f) != 0, so only the finitely many primes dividing lc(f) * disc(f)
+    are passed over.  A root a/b in lowest terms has b | lc(f) and a | c, the
+    lowest nonzero coefficient.  b is a unit mod p, so a/b is a root of f mod
+    p, and a simple one, as f mod p is square-free.  So Newton's iteration
+    lifts each root mod p to a unique root mod p^(2^k), and once p^(2^k)
+    exceeds 2*|lc(f)*c|, the symmetric residue of lc(f) times the lift of a/b
+    is the integer lc(f)*a/b, at most |lc(f)*c| in size.  A lift is kept as
+    a root when `_vanishes_at` holds."""
+    lc, low, fp = f[-1], next(c for c in f if c), _derivative(f)
+    bound = 2 * abs(lc * low)
+    for p in count(2):
+        if lc % p and all(p % q for q in range(2, math.isqrt(p) + 1)):
+            d = _trim([c % p for c in fp])
+            if d and _coprime_mod_p([c % p for c in f], d, p):
+                break
+    roots = []
+    for r in range(p):
+        if _horner(f, r) % p:
+            continue
+        q = p
+        while q <= bound:
+            q *= q
+            r = (r - _horner(f, r) * pow(_horner(fp, r), -1, q)) % q
+        a = r * lc % q
+        root = Fraction(a - q if 2 * a > q else a, lc)
+        if _vanishes_at(f, root):
+            roots.append(root)
+    return sorted(roots, reverse=True)
+
+
 def _common_factor(a: list[int], b: list[int]) -> list[int]:
     """gcd(a, b) of ascending int lists, a with a nonzero top; b = [] is
     zero.  Coprime images mod p prove a gcd of 1: a common factor over Q is
@@ -268,15 +315,14 @@ def _common_factor(a: list[int], b: list[int]) -> list[int]:
     if not b:
         return a
     ap, bp = [c % p for c in a], _trim([c % p for c in b])
-    if ap[-1] and bp and _coprime_mod_p(ap, bp):
+    if ap[-1] and bp and _coprime_mod_p(ap, bp, p):
         return [1]
     return _int_gcd(a, b)
 
 
-def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
+def _coprime_mod_p(a: list[int], b: list[int], p: int) -> bool:
     """Whether two polynomials over F_p, ascending with nonzero tops, have a
     constant gcd (Euclid; a and b are consumed)."""
-    p = _CERT_PRIME
     while len(b) > 1:
         inv = pow(b[-1], -1, p)
         while len(a) >= len(b):

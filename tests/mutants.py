@@ -151,6 +151,17 @@ MUTANTS = [
      "return min(i + j for i, j in self.terms)",
      "return min(min(i + j for i, j in self.terms), 2)",
      "tests/test_localsing.py::TestTeissier::test_class_of_a_curve_smooth_at_infinity"),
+    # the p-adic lift stops one squaring early: a root whose lc * root lies
+    # past half that modulus is read back as its residue minus the modulus
+    ("zpoly.py",
+     "while q <= bound:",
+     "while q * q <= bound:",
+     "tests/test_solve.py::TestRootSplit::test_a_root_just_past_half_the_modulus_one_squaring_short"),
+    # the greatest exponents of the shared variables in place of the least
+    ("mpoly.py",
+     "min(low_f[v], low_g[v])",
+     "max(low_f[v], low_g[v])",
+     "tests/test_mpoly.py::TestMonomialFactors::test_least_exponents_times_the_gcd_of_the_cofactors"),
 ]
 
 

@@ -534,7 +534,7 @@ class TestCoprimalityCertificate:
 
     def test_shared_factor_of_the_images_falls_back(self, prem_calls):
         # at x = 2 both images are y
-        assert poly_gcd(y, y + x - 2) == 1
+        assert poly_gcd(y - x + 2, y + x - 2) == 1
         assert prem_calls
 
     def test_vanishing_leading_coefficient_moves_to_the_next_point(self, prem_calls):
@@ -550,8 +550,8 @@ class TestCoprimalityCertificate:
 
     def test_denominator_divisible_by_the_prime_falls_back(self, prem_calls):
         f = y + x * Fraction(1, _CERT_PRIME)
-        assert not _certified_coprime(f, y, ["y"])
-        assert poly_gcd(f, y) == 1
+        assert not _certified_coprime(f, y + 1, ["y"])
+        assert poly_gcd(f, y + 1) == 1
         assert prem_calls
 
     @given(small_polys(), small_polys(), small_polys(max_terms=3, max_exp=2))
@@ -562,6 +562,21 @@ class TestCoprimalityCertificate:
         a, b = f * h, g * h
         active = [v for v in a.variables if v in b.variables]
         assert not _certified_coprime(a, b, active)
+
+
+class TestMonomialFactors:
+    # f1 and g1 share x + y + 1 and are divisible by no variable
+    f1 = (x + y + 1) * (x - 2 * y + 3)
+    g1 = (x + y + 1) * (y**2 + x + 5)
+
+    def test_least_exponents_times_the_gcd_of_the_cofactors(self):
+        assert poly_gcd(self.f1, self.g1) == x + y + 1
+        assert poly_gcd(x**2 * y * self.f1, x * y**3 * self.g1) == x * y * (x + y + 1)
+
+    def test_a_monomial_gcd_takes_no_prem(self, prem_calls):
+        assert poly_gcd(x**2 * y * (x - 2 * y + 3), x * y**3 * (y**2 + x + 5)) == x * y
+        assert poly_gcd(y, y + x - 2) == 1
+        assert prem_calls == []
 
 
 class TestResultant:

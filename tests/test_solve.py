@@ -5,15 +5,15 @@ combinations of the generators, and the lazy eliminants of a `SingularSet`
 against the gcd of every candidate."""
 
 from fractions import Fraction
-from math import prod
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polarweb import AffinePoint, MPoly
-from polarweb import solve
+from polarweb import solve, zpoly
 from polarweb.errors import InternalInvariantError
-from polarweb.errors import InfiniteZeroSetError
+from polarweb.errors import InfiniteZeroSetError, NumericAbortError
 from battery import divisibility_multiplicity, vanishes_numerically
 from polarweb.mpoly import poly_gcd, resultant, shear
 from polarweb.parsing import parse_polynomial
@@ -33,8 +33,16 @@ def from_list(coeffs) -> MPoly:
     return MPoly.from_coeffs_in("x", [MPoly.constant(c) for c in coeffs])
 
 
-# a rational root a/b in lowest terms, its linear factor b*x - a
-roots = st.tuples(st.integers(-30, 30), st.integers(1, 30)).map(lambda t: Fraction(*t))
+# a rational root a/b in lowest terms, its linear factor b*x - a; small ones
+# and ones with denominators up to 10^15, far past any rounding of a float
+roots = st.tuples(st.integers(-30, 30), st.integers(1, 30)).map(lambda t: Fraction(*t)) | st.tuples(
+    st.integers(-10**15, 10**15), st.integers(1, 10**15)).map(lambda t: Fraction(*t))
+# the ascending coefficients [c, b, a] of an irreducible quadratic: its
+# discriminant is no square.  Up to 10^3, a product of three stays inside the
+# 10^12 coefficient range that `numerics.univariate_roots` accepts
+quadratics = st.tuples(
+    st.integers(-10**3, 10**3).filter(bool), st.integers(-10**3, 10**3), st.integers(1, 10**3)
+).filter(lambda t: (d := t[1] ** 2 - 4 * t[0] * t[2]) < 0 or isqrt(d) ** 2 != d).map(list)
 # a primitive integer factor of degree 1 to 3, possibly reducible
 factors = st.lists(st.integers(-5, 5), min_size=1, max_size=3).flatmap(
     lambda low: st.integers(1, 5).map(lambda top: from_list(low + [top]))
@@ -47,7 +55,7 @@ def planted(draw):
     """(f, {root: multiplicity planted}): a rational unit times powers of
     rational linear factors, of x, and of other primitive integer factors."""
     linear = draw(st.dictionaries(roots, multiplicities, max_size=3))
-    others = draw(st.lists(st.tuples(factors, multiplicities), max_size=2))
+    others = draw(st.lists(st.tuples(factors | quadratics.map(from_list), multiplicities), max_size=2))
     x_power = draw(st.integers(0, 2))
     unit = draw(st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool))
     f = prod((((r.denominator * x - r.numerator) ** k) for r, k in linear.items()), start=MPoly.constant(unit))
@@ -88,28 +96,53 @@ class TestRootSplit:
     def test_one_aberth_solve_per_factor_state(self, solves):
         rational, numeric = univariate_root_split((x - 1) * (x**2 - 2), "x")
         assert rational == [(Fraction(1), 1)] and len(numeric) == 2
-        # one solve of the cubic, and one of the quadratic left after 1 is peeled
-        assert solves == [[2, -2, -1, 1], [-2, 0, 1]]
+        # 1 is found by lifting, so Aberth solves only the quadratic left
+        assert solves == [[-2, 0, 1]]
 
     def test_peeled_factor_keeps_the_scale_of_rational_division(self, solves):
         univariate_root_split((3 * x - 1) * (x**2 - 2), "x")
         # (3x^3 - x^2 - 6x + 2) / (x - 1/3) = 3x^2 - 6
-        assert solves == [[2, -6, -1, 3], [-6, 0, 3]]
+        assert solves == [[-6, 0, 3]]
 
-    # ROADMAP item 3: rational roots are found by rounding Aberth
-    # approximations with `limit_denominator`, which misses roots that are
-    # close together or have large denominators.  p-adic lifting fixes both.
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: close rational roots are missed")
     def test_close_rational_roots(self):
         r1, r2 = Fraction(1, 10**7), Fraction(1, 10**7) + Fraction(1, 10**13)
         rational, _ = univariate_root_split((x - r1) * (x - r2), "x")
         assert sorted(rational) == [(r1, 1), (r2, 1)]
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: large-denominator rational roots are missed")
     def test_large_denominator_rational_root(self):
         f = (3 * x - 1) * (30000000000 * x - 10000000003) * (x**2 - 2)
         rational, _ = univariate_root_split(f, "x")
         assert sorted(rational) == [(Fraction(1, 3), 1), (Fraction(10000000003, 30000000000), 1)]
+
+    def test_a_root_just_past_half_the_modulus_one_squaring_short(self):
+        # x^2 - 2 is square-free mod 3 but not mod 2, so p = 3, and the bound
+        # 2 * |1 * 2a| = 4a lies between 3^16 and 3^32: a lift to 3^16 would
+        # read a as a - 3^16
+        a = (3**16 + 1) // 2
+        rational, numeric = int_root_split(times([-a, 1], [-2, 0, 1]))
+        assert rational == [(Fraction(a), 1)] and len(numeric) == 2
+
+    def test_the_prime_search_passes_primes_dividing_the_discriminant(self, monkeypatch):
+        # 15015 = 3*5*7*11*13 and 15014 are root differences, so every prime
+        # below 17 divides the discriminant
+        primes, real = [], zpoly._coprime_mod_p
+        monkeypatch.setattr(zpoly, "_coprime_mod_p", lambda a, b, p: primes.append(p) or real(a, b, p))
+        f = x * (x - 1) * (x - 15015) * (x**2 - 2)
+        rational, numeric = univariate_root_split(f, "x")
+        assert primes == [2, 3, 5, 7, 11, 13, 17]
+        assert rational == [(Fraction(15015), 1), (Fraction(1), 1), (Fraction(0), 1)] and len(numeric) == 2
+
+    # `numerics.univariate_roots` refuses a top coefficient below 1e-12 of
+    # the largest one, though an integer top is exact and these roots are
+    # far apart
+    @pytest.mark.xfail(strict=True, raises=NumericAbortError, reason="Aberth's leading-coefficient guard on exact input")
+    def test_a_wide_coefficient_range_reaches_aberth(self):
+        coeffs = times(times([1, 1708, 1], [1, 1709, 1]), [1, 342587, 1])
+        rational, numeric = int_root_split(coeffs)
+        assert rational == [] and len(numeric) == 6
+
+    def test_rational_roots_of_a_factor_descend(self):
+        assert int_root_split([-1, 0, 1]) == ([(Fraction(1), 1), (Fraction(-1), 1)], [])
 
 
 def times(a: list[int], b: list[int]) -> list[int]:
@@ -138,7 +171,7 @@ class TestSympyRootOracle:
     `factor_list` finds, on products of random int lists and planted
     rational linear factors."""
 
-    @given(st.lists(int_lists, max_size=3), st.lists(st.tuples(roots, multiplicities), max_size=3))
+    @given(st.lists(int_lists | quadratics, max_size=3), st.lists(st.tuples(roots, multiplicities), max_size=3))
     @settings(max_examples=200, deadline=None)
     def test_rational_roots_match_sympy(self, others, linear):
         sympy = pytest.importorskip("sympy")
