@@ -44,7 +44,7 @@ from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PolynomialError
-from .zpoly import _CERT_PRIME, _coprime_mod_p, _digit_width, _int_gcd, _int_prs_resultant, _unpack
+from .zpoly import _CERT_PRIME, _coprime_mod_p, _digit_width, _int_gcd, _int_prs_resultant, _subresultants, _unpack
 
 MAX_EXPONENT = 2**31
 
@@ -509,23 +509,6 @@ def exact_div(f: MPoly, g: MPoly) -> MPoly:
     return q
 
 
-def _prem(a: MPoly, b: MPoly, var: str) -> MPoly:
-    """Pseudo-remainder of a by b in var: lc(b)^(da-db+1) * a mod b."""
-    db = b.degree_in(var)
-    lcb = b.coeffs_in(var)[db]
-    r = a
-    e = a.degree_in(var) - db + 1
-    while not r.is_zero() and r.degree_in(var) >= db:
-        dr = r.degree_in(var)
-        lcr = r.coeffs_in(var)[dr]
-        shift = MPoly.variable(var) ** (dr - db)
-        r = r * lcb - b * lcr * shift
-        e -= 1
-    if e > 0:
-        r = r * lcb**e
-    return r
-
-
 def gcd_fold(polys: Iterable[MPoly]) -> MPoly:
     """gcd of the polynomials, taken in order; it stops at the first constant
     and draws no further item, so a lazy iterable computes only the
@@ -618,8 +601,12 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
     (`_certified_coprime`), which is exact: it returns 1 only when the gcd is
     a constant.  When it fails, f = x^a * f1 and g = x^b * g1 with f1 and g1
     divisible by no variable, and gcd(f, g) = x^min(a, b) * gcd(f1, g1): the
-    certificate is tried on f1 and g1, and then the primitive PRS runs on
-    them, recursing on the contents.
+    certificate is tried on f1 and g1.  Then, in the variable var of least
+    degree, the gcd is gcd(cont f1, cont g1), by recursion, times the
+    primitive part of the last subresultant S_j (`zpoly._subresultants`) of
+    the primitive parts A and B, packed by `_kronecker` with the radix
+    n*deg_(z_i) A + m*deg_(z_i) B + 1 for each other variable z_i
+    (m = deg_var A >= n = deg_var B), past deg_(z_i) of every S_j.
     """
     if f.is_zero() and g.is_zero():
         raise PolynomialError("gcd(0, 0) is undefined")
@@ -649,15 +636,19 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
     b = exact_div(g, cg)
     if a.degree_in(var) < b.degree_in(var):
         a, b = b, a
-    while True:
-        if b.degree_in(var) == 0:
-            pp = MPoly.constant(1)
-            break
-        r = _prem(a, b, var)
-        if r.is_zero():
-            pp = exact_div(b, _content_in(b, var))
-            break
-        a, b = b, exact_div(r, _content_in(r, var))
+    names = sorted(set(a.variables) | set(b.variables))
+    others = [v for v in names if v != var]
+    m, n = a.degree_in(var), b.degree_in(var)
+    F, G = (_integer_terms(h, h.rational_content(), [var] + others) for h in (a, b))
+    radices = [n * max(e[i] for e in F) + m * max(e[i] for e in G) + 1 for i in range(1, len(others))]
+    packed_a, packed_b, read = _kronecker(F, G, m, n, radices)
+    *_, (j, last) = _subresultants(packed_a, packed_b)
+    pp = MPoly.constant(1)
+    if j:
+        i = names.index(var)
+        S = MPoly._make(tuple(names), {(*e[:i], k, *e[i:]): v for k, coeff in enumerate(last)
+                                       for e, v in read(coeff).items()})
+        pp = exact_div(S, _content_in(S, var))
     return (mono * c * pp).canonical()
 
 
@@ -689,10 +680,12 @@ def resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
     Exact on Python ints.  With f = c_f*F and g = c_g*G for primitive
     integer F and G, Res(f, g) = c_f^n * c_g^m * Res(F, G), where
     m = deg_var f and n = deg_var g.  Res(F, G) is one integer subresultant
-    PRS.  When var is the only variable, it runs on the coefficients of F and
-    G.  Otherwise every coefficient in var is first packed into one big
-    integer at a power of 2 past the Hadamard bound on the coefficients of
-    the resultant, whose digits are then read back (`_int_resultant`).
+    PRS on the pair packed by `_kronecker`.  The radix of each other
+    variable z_i exceeds deg_(z_i) Res(F, G), which is at most
+    n*deg_(z_i) F + m*deg_(z_i) G (each term of the Sylvester determinant
+    takes n entries from F's rows and m from G's) and at most
+    tdeg_(var,z_i) F * tdeg_(var,z_i) G, the total degrees in var and z_i
+    alone (Bezout over the field of the other variables).
 
     Both inputs must have positive degree in var; degree-0 inputs are a
     reported degenerate case rather than silently extended.
@@ -708,7 +701,10 @@ def resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
     order = [var] + others
     F, G = _integer_terms(f, cf, order), _integer_terms(g, cg, order)
     scale = cf**n * cg**m
-    return MPoly._make(tuple(others), {e: scale * c for e, c in _int_resultant(F, G, m, n).items()})
+    radices = [min(n * max(e[i] for e in F) + m * max(e[i] for e in G),
+                   max(e[0] + e[i] for e in F) * max(e[0] + e[i] for e in G)) + 1 for i in range(1, len(others))]
+    a, b, read = _kronecker(F, G, m, n, radices)
+    return MPoly._make(tuple(others), {e: scale * c for e, c in read(_int_prs_resultant(a, b)).items()})
 
 
 # Bridges between MPoly values and the integer formats of `zpoly`.
@@ -729,27 +725,18 @@ def _integer_terms(f: MPoly, content: int | Fraction, order: list[str]) -> dict[
     return out
 
 
-def _int_resultant(F: dict, G: dict, m: int, n: int) -> dict[tuple, int]:
-    """Res(F, G) in the first variable, of degrees m and n in it, as terms in
-    the remaining variables z_1, ..., z_k, by one PRS on big integers
-    (Kronecker substitution).  Each coefficient of F and G in the first
-    variable is packed into one integer at z_i = 2^(B*s_i), with B from
-    `zpoly._digit_width` and mixed-radix strides s_1 = 1,
-    s_(i+1) = s_i * (D_i + 1), where D_i bounds deg_(z_i) Res(F, G): the
-    smaller of n*deg_(z_i) F + m*deg_(z_i) G (each term of the Sylvester
-    determinant takes n entries from F's rows and m from G's) and
-    tdeg_(var,z_i) F * tdeg_(var,z_i) G, the total degrees in var and z_i
-    alone (Bezout over the field of the other variables).  D_i is at least
-    deg_(z_i) of F and G, so distinct monomials of a coefficient land on
-    distinct digits: the packed tops are nonzero, the resultant of the
-    packed lists is the packed resultant, and its balanced base-2^B digits
-    are the coefficients of Res(F, G)."""
+def _kronecker(F: dict, G: dict, m: int, n: int, radices: list[int]):
+    """(a, b, read): F and G, of degrees m and n in the first variable, as
+    ascending lists of their coefficients in it, each packed into one integer
+    at z_i = 2^(B*s_i) for the other variables z_1, ..., z_k (Kronecker
+    substitution), and the reader of a packed coefficient as terms in them.
+    B is from `zpoly._digit_width`, and the mixed-radix strides are s_1 = 1
+    and s_(i+1) = s_i * radices[i-1].  When each radix exceeds deg_(z_i) of a
+    subresultant S_j of F and G, whose coefficients are Sylvester minors,
+    distinct monomials land on distinct digits, the packed tops are nonzero,
+    S_j of the packed pair is S_j packed, and `read` gives its coefficients
+    back.  With k = 0 the lists are the coefficients themselves."""
     k = len(next(iter(F))) - 1
-    if not k:
-        r = _int_prs_resultant(_dense(F, m), _dense(G, n))
-        return {(): r} if r else {}
-    radices = [min(n * max(e[i] for e in F) + m * max(e[i] for e in G),
-                   max(e[0] + e[i] for e in F) * max(e[0] + e[i] for e in G)) + 1 for i in range(1, k)]
     strides = [1]
     for d in radices:
         strides.append(strides[-1] * d)
@@ -764,15 +751,21 @@ def _int_resultant(F: dict, G: dict, m: int, n: int) -> dict[tuple, int]:
         for e, c in terms.items():
             a[e[0]] += c << width * sum(map(mul, e[1:], strides))
         packed.append(a)
-    out = {}
-    for d, c in enumerate(_unpack(_int_prs_resultant(*packed), width)):
-        if c:
-            e = []
-            for radix in radices:
-                d, r = divmod(d, radix)
-                e.append(r)
-            out[(*e, d)] = c
-    return out
+
+    def read(v: int) -> dict[tuple, int]:
+        if not k:
+            return {(): v} if v else {}
+        out = {}
+        for d, c in enumerate(_unpack(v, width)):
+            if c:
+                e = []
+                for radix in radices:
+                    d, r = divmod(d, radix)
+                    e.append(r)
+                out[(*e, d)] = c
+        return out
+
+    return *packed, read
 
 
 def _small_integers():
@@ -788,20 +781,15 @@ def _small_grid(size: int):
     return product(s, s)
 
 
-def _dense(F: dict, degree: int) -> list[int]:
-    """Ascending coefficients of a univariate F."""
-    out = [0] * (degree + 1)
-    for (k,), c in F.items():
-        out[k] = c
-    return out
-
-
 def _int_coeffs(f: MPoly, var: str) -> list[int]:
     """Ascending coefficients of the integer polynomial f / content(f), for a
     nonzero f in var alone."""
     if f.variables not in ((), (var,)):
         raise PolynomialError(f"not univariate in {var!r}: involves {list(f.variables)}")
-    return _dense(_integer_terms(f, f.rational_content(), [var]), f.degree_in(var))
+    out = [0] * (f.degree_in(var) + 1)
+    for (k,), c in _integer_terms(f, f.rational_content(), [var]).items():
+        out[k] = c
+    return out
 
 
 def _from_int_coeffs(var: str, coeffs: list[int]) -> MPoly:

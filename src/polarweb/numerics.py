@@ -14,20 +14,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import NumericAbortError
-from .zpoly import _derivative
+from .zpoly import _derivative, _horner
 
 RESIDUAL_TOL = 1e-9
 LC_UNDERFLOW = 1e-12
 MAX_ABERTH_ITER = 500
 # a tracking step is accepted only if no root moved more than sep/STEP_GUARD
 STEP_GUARD = 3.0
-
-
-def poly_eval(coeffs: Sequence[complex], t: complex) -> complex:
-    acc = 0j
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
 
 
 def poly_norm(coeffs: Sequence[complex]) -> float:
@@ -37,7 +30,7 @@ def poly_norm(coeffs: Sequence[complex]) -> float:
 def relative_residual(coeffs: Sequence[complex], z: complex) -> float:
     """|p(z)| over sum |c_i| max(1, |z|)^i: a backward-error residual that is
     meaningful both for roots near zero and for large roots."""
-    num = abs(poly_eval(coeffs, z))
+    num = abs(_horner(coeffs, z))
     den = 0.0
     zp = 1.0
     az = max(1.0, abs(z))
@@ -50,9 +43,12 @@ def relative_residual(coeffs: Sequence[complex], z: complex) -> float:
 def univariate_roots(coeffs: Sequence[complex]) -> list[complex]:
     """All roots with multiplicity by simultaneous Aberth-Ehrlich iteration.
 
-    Requires degree >= 1 and a leading coefficient above the underflow guard;
-    every returned root r satisfies |p(r)| / max|c| < RESIDUAL_TOL.
+    Requires degree >= 1 and, unless every coefficient is an int, a leading
+    coefficient above the underflow guard: a float top that small may be
+    the rounding of a zero one, while a nonzero int top is exact.  Every
+    returned root r satisfies |p(r)| / max|c| < RESIDUAL_TOL.
     """
+    exact = all(type(c) is int for c in coeffs)
     coeffs = [complex(c) for c in coeffs]
     while coeffs and abs(coeffs[-1]) == 0.0:
         coeffs.pop()
@@ -60,7 +56,7 @@ def univariate_roots(coeffs: Sequence[complex]) -> list[complex]:
     if n < 1:
         raise NumericAbortError("univariate_roots: degree < 1")
     scale = poly_norm(coeffs)
-    if abs(coeffs[-1]) <= LC_UNDERFLOW * scale:
+    if not exact and abs(coeffs[-1]) <= LC_UNDERFLOW * scale:
         raise NumericAbortError("univariate_roots: leading coefficient underflow")
     monic = [c / coeffs[-1] for c in coeffs]
     deriv = _derivative(monic)
@@ -72,8 +68,8 @@ def univariate_roots(coeffs: Sequence[complex]) -> list[complex]:
         converged = True
         for i in range(n):
             z = roots[i]
-            pv = poly_eval(monic, z)
-            dv = poly_eval(deriv, z)
+            pv = _horner(monic, z)
+            dv = _horner(deriv, z)
             if pv == 0:
                 continue
             ratio = pv / dv if dv != 0 else pv / (dv + 1e-30)
@@ -107,10 +103,10 @@ def univariate_roots(coeffs: Sequence[complex]) -> list[complex]:
 def newton_polish(coeffs: Sequence[complex], z: complex, steps: int = 40) -> complex:
     deriv = _derivative(list(coeffs))
     for _ in range(steps):
-        pv = poly_eval(coeffs, z)
+        pv = _horner(coeffs, z)
         if pv == 0:
             return z
-        dv = poly_eval(deriv, z)
+        dv = _horner(deriv, z)
         if dv == 0:
             break
         dz = pv / dv

@@ -47,12 +47,11 @@ from .zpoly import (
     _int_exact_quo,
     _int_gcd,
     _int_prem,
-    _int_prs_resultant,
     _mul,
     _pack,
     _rational_roots,
     _sub,
-    _subresultant_row,
+    _subresultants,
     _trim,
     _unpack,
     _yun,
@@ -263,25 +262,28 @@ def _shape(F: MPoly, G: MPoly, others: list[MPoly]) -> list[tuple[list[int], lis
 
     R and every s_(j,i) are read from one packed Sylvester pair: the
     coefficients of F and G in y at t = 2^B, B past the Hadamard bound of
-    `zpoly._digit_width` on every Sylvester minor, so that R comes from one
-    `_int_prs_resultant` and each s_(j,.) from one `_subresultant_row`, and
-    `_unpack` reads their coefficients in t from base-2^B digits."""
+    `zpoly._digit_width` on every Sylvester minor, so that one run of
+    `_subresultants` gives R = S_0 and every S_j with s_(j,j) nonzero (an
+    S_j it does not yield has s_(j,j) = 0, and no root of m has degree j),
+    and `_unpack` reads their coefficients in t from base-2^B digits."""
     Fc, Gc = _y_coeffs(F), _y_coeffs(G)
     if len(Fc) < len(Gc):
         Fc, Gc = Gc, Fc
     width = _digit_width([sum(map(abs, c)) for c in Fc], [sum(map(abs, c)) for c in Gc])
-    a, b = [_pack(c, width) for c in Fc], [_pack(c, width) for c in Gc]
-    R = _unpack(_int_prs_resultant(a, b), width)
+    chain = dict(_subresultants([_pack(c, width) for c in Fc], [_pack(c, width) for c in Gc]))
+    R = _unpack(chain.get(0, [0])[0], width)
     if not R:
         raise InternalInvariantError("coprime generators have a zero resultant")
     if len(R) == 1:
         return []
     rest = _int_exact_quo(R, _int_gcd(R, _derivative(R)))
     rest = [c // math.gcd(*rest) for c in rest]
-    groups, j = [], 1
-    while len(rest) > 1:
-        s = Gc[::-1] if j == len(Gc) - 1 else [_unpack(v, width) for v in _subresultant_row(a, b, j)]
-        g = _int_gcd(rest, s[0]) if s[0] else rest
+    groups = []
+    for j in sorted(chain)[1:]:
+        if len(rest) == 1:
+            break
+        s = [_unpack(v, width) for v in reversed(chain[j])]
+        g = _int_gcd(rest, s[0])
         part = _int_exact_quo(rest, g)
         if len(part) > 1:
             if j > 1 and not _separated(part, s, j):
@@ -291,7 +293,7 @@ def _shape(F: MPoly, G: MPoly, others: list[MPoly]) -> list[tuple[list[int], lis
             num, den = s[1], [j * c for c in s[0]]
             common = _common_factor(den, num)
             groups.append((part, _int_exact_quo(num, common), _int_exact_quo(den, common)))
-        rest, j = g, j + 1
+        rest = g
     for H in map(_y_coeffs, others):
         groups = [(_cut(part, num, den, H), num, den) for part, num, den in groups]
         groups = [group for group in groups if len(group[0]) > 1]

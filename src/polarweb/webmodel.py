@@ -21,9 +21,9 @@ from .mpoly import (
     _small_grid,
     discriminant_binary,
     binary_form_degree,
+    exact_div,
     gcd_fold,
     squarefree_part,
-    try_exact_div,
 )
 from .solve import common_zeros, eliminant, univariate_root_split
 from .zpoly import _distinct_binary_roots
@@ -174,7 +174,8 @@ class SymWeb:
         if g.is_constant():
             g = None
         elif saturate:
-            form = _divide_coefficients(form, g, k)
+            # g divides every coefficient, so it divides the form
+            form = exact_div(form, g)
         else:
             raise WebValidationError(shared_factor_message(g))
         self._set_form(form, k, g)
@@ -244,19 +245,6 @@ def _dxdy_coefficients(form: MPoly, k: int) -> list[MPoly]:
     k in (dx, dy)."""
     by_dy = form.coeffs_in("dy")
     return [c.coeffs_in("dx")[-1] for c in by_dy] + [MPoly.zero()] * (k + 1 - len(by_dy))
-
-
-def _divide_coefficients(form: MPoly, g: MPoly, k: int) -> MPoly:
-    coeffs = _dxdy_coefficients(form, k)
-    total = MPoly.zero()
-    for i, c in enumerate(coeffs):
-        if c.is_zero():
-            continue
-        q = try_exact_div(c, g)
-        if q is None:
-            raise WebValidationError("saturation failed")
-        total = total + q * DX ** (k - i) * DY**i
-    return total
 
 
 # ---------------------------------------------------------------------------

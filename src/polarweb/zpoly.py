@@ -1,12 +1,14 @@
 """Exact arithmetic in Z[x] and F_p, the one home of the integer formats.
 
 Integer polynomials: term dicts {exponent tuple: nonzero int} for
-`mpoly.resultant`, the eliminated variable first, and ascending int lists for
-univariate work (the PRS, the gcd, Yun's decomposition, the exact root test).
-A polynomial in several variables enters the univariate PRS by Kronecker
-substitution: its coefficients in the eliminated variable are packed into
-integers at a power of 2 wide enough (`_digit_width`) that the balanced
-digits of the result are its coefficients (`_pack`, `_unpack`).
+`mpoly.resultant` and `mpoly.poly_gcd`, the eliminated variable first, and
+ascending int lists for univariate work (the PRS, the gcd, Yun's
+decomposition, the exact root test).  One subresultant PRS,
+`_subresultants`, gives every resultant, univariate gcd and subresultant.
+A polynomial in several variables enters it by Kronecker substitution: its
+coefficients in the eliminated variable are packed into integers at a power
+of 2 wide enough (`_digit_width`) that the balanced digits of the result are
+its coefficients (`_pack`, `_unpack`).
 Integer matrices are sparse rows {column: int}.  Work mod p uses the prime
 _CERT_PRIME = 2^30 - 35, the largest below 2^30: every residue is one 30-bit
 digit of a Python int, and a product of two is below 2^60.  Nothing here
@@ -80,15 +82,12 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
 
 
 def _int_gcd(a: list[int], b: list[int]) -> list[int]:
-    """gcd of two ascending int lists, a nonzero, by the primitive Euclidean
-    algorithm: each pseudo-remainder is divided by its content, so the
-    coefficients stay small.  Primitive, with a positive top."""
+    """gcd of two ascending int lists, a nonzero (b = [] is zero): the
+    primitive part, with a positive top, of the last subresultant."""
     if len(a) < len(b):
         a, b = b, a
-    while b:
-        r = _int_prem(a, b)
-        content = math.gcd(*r)
-        a, b = b, [c // content for c in r]
+    if b:
+        *_, (_, a) = _subresultants(a, b)
     content = math.gcd(*a) if a[-1] > 0 else -math.gcd(*a)
     return [c // content for c in a]
 
@@ -126,68 +125,54 @@ def _int_exact_quo(a: list[int], b: list[int]) -> list[int]:
     return q
 
 
+def _subresultants(a: list[int], b: list[int]) -> Iterator[tuple[int, list[int]]]:
+    """(j, S_j) for each signed subresultant S_j of ascending int lists a and
+    b with nonzero tops, p = deg a >= q = deg b, whose principal coefficient
+    s_(j,j) is nonzero, by descending j and starting with (q, b); from one
+    run of Brown's subresultant PRS (W. S. Brown, ACM TOMS 4, 1978; W. S.
+    Brown and J. F. Traub, J. ACM 18, 1971).
+
+    S_j = sum_i s_(j,i) y^i for j < q, where s_(j,i) is the determinant of the
+    rows y^k * a (k < q - j) and y^k * b (k < p - j) over the columns
+    y^(p+q-j-1), ..., y^(j+1) and y^i; so S_0 is Res(a, b).  Each remainder
+    prem(a, b) of the PRS is divided by beta = (-1)^(delta+1) at the first
+    step, delta = p - q, and by -lc(a) * psi^delta after it, where -psi is
+    the principal coefficient of the S_j before; every division is exact.
+    The quotient b' is S_(deg a - 1), and when its degree is d - 1 below
+    that, S_(deg b') is b' * (lc b' / -psi)^(d-1), and every S_j between is
+    zero.  The run ends at a zero remainder, where the last S_j is a gcd of
+    a and b up to a factor, or at degree 0."""
+    yield len(b) - 1, b
+    delta = len(a) - len(b)
+    beta, psi = (-1) ** (delta + 1), -b[-1] ** delta
+    while len(b) > 1:
+        r = _int_prem(a, b)
+        if not r:
+            return
+        a, b = b, [c // beta for c in r]
+        d, lc = len(a) - len(b), b[-1]
+        beta = -a[-1] * psi**d
+        if d > 1:
+            scale, div = lc ** (d - 1), (-psi) ** (d - 1)
+            yield len(b) - 1, [c * scale // div for c in b]
+            psi = (-lc) ** d // psi ** (d - 1)
+        else:
+            yield len(b) - 1, b
+            psi = -lc
+
+
 def _int_prs_resultant(a: list[int], b: list[int]) -> int:
     """Res(a, b) of ascending int lists with nonzero tops and positive
-    degrees, by the subresultant PRS; every division in it is exact.  A zero
-    top or a degree below 1 is a broken invariant of the caller: the PRS
-    would read other degrees and return a wrong value without an error."""
+    degrees: S_0 of `_subresultants`, times (-1)^(deg a * deg b) when a has
+    the lower degree and the arguments swap.  A zero top or a degree
+    below 1 is a broken invariant of the caller: the PRS would read other
+    degrees and return a wrong value without an error."""
     m, n = len(a) - 1, len(b) - 1
     if m < 1 or n < 1 or not (a[-1] and b[-1]):
         raise InternalInvariantError("resultant of integer lists needs nonzero tops and positive degrees")
-    sign = 1
     if m < n:
-        a, b = b, a
-        if m % 2 == 1 and n % 2 == 1:
-            sign = -sign
-    gg = h = 1
-    while len(b) > 1:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            sign = -sign
-        r = _int_prem(a, b)
-        if not r:
-            return 0
-        div = gg * h**delta
-        a, b = b, [c // div for c in r]
-        gg = a[-1]
-        if delta > 0:
-            h = gg**delta // h ** (delta - 1) if delta > 1 else gg
-    da = len(a) - 1
-    res = b[0] ** da // h ** (da - 1) if da > 1 else b[0]
-    return sign * res
-
-
-def _subresultant_row(a: list[int], b: list[int], j: int) -> list[int]:
-    """The coefficients s_(j,j), ..., s_(j,0) of the j-th subresultant of
-    ascending int lists a and b with nonzero tops, of degrees p >= q > j.
-
-    s_(j,i) is the determinant of the matrix of the rows y^k * a (k < q - j)
-    and y^k * b (k < p - j) over the columns y^(p+q-j-1), ..., y^(j+1) and
-    y^i.  Those rows share the first p + q - 2j - 1 columns, so one Bareiss
-    elimination of them, by rows, leaves each s_(j,i) in the last row, at
-    the column of y^i, with the sign of the row swaps.  When those columns
-    have no full rank, every s_(j,i) is 0."""
-    p, q = len(a) - 1, len(b) - 1
-    width = p + q - j
-    rows = [[0] * (width - p - 1 - k) + a[::-1] + [0] * k for k in range(q - j - 1, -1, -1)]
-    rows += [[0] * (width - q - 1 - k) + b[::-1] + [0] * k for k in range(p - j - 1, -1, -1)]
-    n = len(rows)
-    sign, prev = 1, 1
-    for c in range(n - 1):
-        pivot = next((r for r in range(c, n) if rows[r][c]), None)
-        if pivot is None:
-            return [0] * (j + 1)
-        if pivot != c:
-            rows[c], rows[pivot], sign = rows[pivot], rows[c], -sign
-        top = rows[c]
-        pc = top[c]
-        for r in range(c + 1, n):
-            rc = rows[r][c]
-            # Sylvester's identity: every quotient is exact
-            rows[r] = [(pc * u - rc * v) // prev for u, v in zip(rows[r], top)]
-        prev = pc
-    return [sign * v for v in rows[-1][n - 1:]]
+        return (-1) ** (m * n) * _int_prs_resultant(b, a)
+    return dict(_subresultants(a, b)).get(0, [0])[0]
 
 
 def _digit_width(a: list[int], b: list[int]) -> int:

@@ -162,6 +162,18 @@ MUTANTS = [
      "min(low_f[v], low_g[v])",
      "max(low_f[v], low_g[v])",
      "tests/test_mpoly.py::TestMonomialFactors::test_least_exponents_times_the_gcd_of_the_cofactors"),
+    # a defective step of the subresultant PRS scaled by one factor
+    # lc / -psi too many: S_1 of 2y^4 + 1 and -y^4 - 2y^3 changes sign
+    ("zpoly.py",
+     "scale, div = lc ** (d - 1), (-psi) ** (d - 1)",
+     "scale, div = lc ** d, (-psi) ** d",
+     "tests/test_zpoly.py::TestSubresultantRow::test_a_defective_chain"),
+    # the gcd radix of a packed variable without the degree that B's rows
+    # add: the digits of the last subresultant overlap and are read wrong
+    ("mpoly.py",
+     "radices = [n * max(e[i] for e in F) + m * max(e[i] for e in G) + 1 for",
+     "radices = [n * max(e[i] for e in F) + 1 for",
+     "tests/test_mpoly.py::TestPackedGcd"),
 ]
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from battery import to_sympy
 from polarweb import MPoly, discriminant_binary, jet_decompose, poly_gcd, resultant, squarefree_part
@@ -92,6 +92,20 @@ def sylvester_resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
     return det if sign == 1 else -det
 
 
+def prem(a: MPoly, b: MPoly, var: str) -> MPoly:
+    """Pseudo-remainder of a by b in var: lc(b)^(da-db+1) * a mod b, on
+    `MPoly`s."""
+    db = b.degree_in(var)
+    lcb = b.coeffs_in(var)[db]
+    r = a
+    e = a.degree_in(var) - db + 1
+    while not r.is_zero() and r.degree_in(var) >= db:
+        dr = r.degree_in(var)
+        r = r * lcb - b * r.coeffs_in(var)[dr] * MPoly.variable(var) ** (dr - db)
+        e -= 1
+    return r * lcb**e if e > 0 else r
+
+
 def subresultant_resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
     """Res(f, g) in var by the subresultant PRS over the rationals: the route
     `resultant` took before evaluation and interpolation, kept as a reference."""
@@ -109,7 +123,7 @@ def subresultant_resultant(f: MPoly, g: MPoly, var: str) -> MPoly:
         delta = da - db
         if da % 2 == 1 and db % 2 == 1:
             sign = -sign
-        r = mpoly._prem(a, b, var)
+        r = prem(a, b, var)
         if r.is_zero():
             return MPoly.zero()
         a = b
@@ -512,15 +526,10 @@ class TestGcdSquarefree:
 
 @pytest.fixture
 def prem_calls(monkeypatch):
-    """Counts the pseudo-remainders the PRS takes."""
-    calls = []
-    real = mpoly._prem
-
-    def counted(a, b, var):
-        calls.append(var)
-        return real(a, b, var)
-
-    monkeypatch.setattr(mpoly, "_prem", counted)
+    """Counts the runs of the subresultant PRS on the packed pairs of
+    `poly_gcd`."""
+    calls, real = [], mpoly._subresultants
+    monkeypatch.setattr(mpoly, "_subresultants", lambda a, b: calls.append(1) or real(a, b))
     return calls
 
 
@@ -721,6 +730,45 @@ class TestKroneckerPacking:
             patch.setattr(mpoly, "_int_prs_resultant", lambda a, b: calls.append(1) or real(a, b))
             resultant(f, g, "y")
         assert calls == [1]
+
+
+def gcd_polys(variables, max_terms=3, max_exp=2):
+    """Sparse polynomials with coefficients that are small fractions, or
+    integers up to 10^40, or 10^12 and 2^64 - 1 and their negatives, the
+    values of `TestKroneckerPacking.test_a_resultant_near_the_digit_width`."""
+    exponents = st.tuples(*[st.integers(0, max_exp) for _ in variables])
+    coeffs = st.one_of(st.fractions(-9, 9, max_denominator=6), st.integers(-big, big),
+                       st.sampled_from([10**12, -10**12, 2**64 - 1, -(2**64)])).filter(bool)
+    return st.dictionaries(exponents, coeffs, min_size=1, max_size=max_terms).map(lambda t: MPoly(variables, t))
+
+
+class TestPackedGcd:
+    """`poly_gcd` against sympy's gcd on 2 to 4 variables with a planted
+    common factor, where the certificate fails and the gcd comes from the
+    last subresultant of the packed pair: each other variable but the last
+    needs a radix past its degree in every S_j."""
+
+    # each of f, g and h may miss the last variable of its width, so that
+    # one of the pair can be free of a packed variable that the other has
+    @seed(20261020)
+    @given(st.sampled_from(WIDTHS[1:]).flatmap(lambda v: st.tuples(*[gcd_polys(v) | gcd_polys(v[:-1])] * 3)))
+    @settings(max_examples=60, deadline=None)
+    def test_planted_common_factor_against_sympy(self, sympy, polys):
+        f, g, h = polys
+        if h.is_constant():
+            return
+        a, b = f * h, g * h
+        got = poly_gcd(a, b)
+        assert got == from_sympy(sympy, sympy.gcd(to_sympy(sympy, a), to_sympy(sympy, b))).canonical()
+        assert try_exact_div(got, h.canonical()) is not None
+
+    def test_a_subresultant_past_n_times_the_degree_of_the_first(self):
+        # in w, A = (wx + 3y)(w^2 x + y^3) and B = (wx + 3y)(wx + y) have
+        # m = 3, n = 2 and degree 2 in x; their S_1 has degree 5 in x, past
+        # n * deg_x A = 4, so the radix of x needs the m * deg_x B of B's rows
+        w = MPoly.variable("w")
+        h = w * x + 3 * y
+        assert poly_gcd(h * (w**2 * x + y**3), h * (w**2 * x + w * y)) == h
 
 
 @pytest.fixture(scope="module")

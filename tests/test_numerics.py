@@ -9,11 +9,11 @@ from polarweb.numerics import (
     RESIDUAL_TOL,
     match_permutation,
     monodromy_partition,
-    poly_eval,
     poly_norm,
     track_roots,
     univariate_roots,
 )
+from polarweb.zpoly import _horner
 
 UNIT_CIRCLE = [cmath.exp(2j * cmath.pi * k / 24) for k in range(25)]
 
@@ -37,7 +37,7 @@ class TestRoots:
         coeffs = [3.5, -2, 0.25, 1, -4, 1]
         norm = poly_norm(coeffs)
         for r in univariate_roots(coeffs):
-            assert abs(poly_eval(coeffs, r)) / norm < RESIDUAL_TOL
+            assert abs(_horner(coeffs, r)) / norm < RESIDUAL_TOL
 
     def test_degree_zero_rejected(self):
         with pytest.raises(NumericAbortError):

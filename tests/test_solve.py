@@ -38,10 +38,11 @@ def from_list(coeffs) -> MPoly:
 roots = st.tuples(st.integers(-30, 30), st.integers(1, 30)).map(lambda t: Fraction(*t)) | st.tuples(
     st.integers(-10**15, 10**15), st.integers(1, 10**15)).map(lambda t: Fraction(*t))
 # the ascending coefficients [c, b, a] of an irreducible quadratic: its
-# discriminant is no square.  Up to 10^3, a product of three stays inside the
-# 10^12 coefficient range that `numerics.univariate_roots` accepts
+# discriminant is no square.  Up to 10^6, a product of three spans more than
+# the 10^12 coefficient range that `numerics.univariate_roots` accepts in
+# float input
 quadratics = st.tuples(
-    st.integers(-10**3, 10**3).filter(bool), st.integers(-10**3, 10**3), st.integers(1, 10**3)
+    st.integers(-10**6, 10**6).filter(bool), st.integers(-10**6, 10**6), st.integers(1, 10**6)
 ).filter(lambda t: (d := t[1] ** 2 - 4 * t[0] * t[2]) < 0 or isqrt(d) ** 2 != d).map(list)
 # a primitive integer factor of degree 1 to 3, possibly reducible
 factors = st.lists(st.integers(-5, 5), min_size=1, max_size=3).flatmap(
@@ -132,10 +133,9 @@ class TestRootSplit:
         assert primes == [2, 3, 5, 7, 11, 13, 17]
         assert rational == [(Fraction(15015), 1), (Fraction(1), 1), (Fraction(0), 1)] and len(numeric) == 2
 
-    # `numerics.univariate_roots` refuses a top coefficient below 1e-12 of
-    # the largest one, though an integer top is exact and these roots are
-    # far apart
-    @pytest.mark.xfail(strict=True, raises=NumericAbortError, reason="Aberth's leading-coefficient guard on exact input")
+    # the top coefficient is below 1e-12 of the largest one, which
+    # `numerics.univariate_roots` refuses in float input; an integer top is
+    # exact, and these roots are far apart
     def test_a_wide_coefficient_range_reaches_aberth(self):
         coeffs = times(times([1, 1708, 1], [1, 1709, 1]), [1, 342587, 1])
         rational, numeric = int_root_split(coeffs)
@@ -448,24 +448,23 @@ class TestShapeLemma:
         for (a, b), s in zip(zs.numeric, (-1, 1)):
             assert abs(a - s * 2**0.5) < 1e-12 and abs(b - (1 + s * 2**0.5)) < 1e-12
 
-    def test_one_prs_and_one_subresultant_row_per_degree(self, monkeypatch):
-        # the work count of a `_shape` call: R from one PRS, and s_(j,.) from
-        # one `_subresultant_row` for each j it reads below q = deg_y G (S_q
-        # is G itself).  On the sqrt 2 grid at lam = 1 two zeros share a t,
-        # where the fiber gcd has degree 2: it reads j = 1 and j = 2, and
-        # `_separated` fails; at lam = 3 it reads j = 1 alone
-        prs, rows = [], []
-        real_prs, real_row = solve._int_prs_resultant, solve._subresultant_row
-        monkeypatch.setattr(solve, "_int_prs_resultant", lambda a, b: prs.append(1) or real_prs(a, b))
-        monkeypatch.setattr(solve, "_subresultant_row", lambda a, b, j: rows.append(j) or real_row(a, b, j))
+    def test_one_subresultant_chain_per_call(self, monkeypatch):
+        # the work count of a `_shape` call: R and every s_(j,.) from one run
+        # of `_subresultants`.  On the sqrt 2 grid at lam = 1 two zeros share
+        # a t, where the fiber gcd has degree 2 and `_separated` fails; at
+        # lam = 3 every fiber gcd has degree 1 and one group is found
+        chains, tested = [], []
+        real_chain, real_separated = solve._subresultants, solve._separated
+        monkeypatch.setattr(solve, "_subresultants", lambda a, b: chains.append(1) or real_chain(a, b))
+        monkeypatch.setattr(solve, "_separated", lambda part, s, j: tested.append(j) or real_separated(part, s, j))
         F, G = shear(x**3 - 2 * x, 1), shear(y**3 - 2 * y, 1)
         assert solve._shape(F, G, []) is None
-        assert prs == [1] and rows == [1, 2]
-        prs.clear()
-        rows.clear()
+        assert chains == [1] and tested == [2]
+        chains.clear()
+        tested.clear()
         F, G = shear(x**3 - 2 * x, 3), shear(y**3 - 2 * y, 3)
         assert len(solve._shape(F, G, [])) == 1
-        assert prs == [1] and rows == [1]
+        assert chains == [1] and tested == []
 
     def test_both_generators_singular_at_a_zero(self, monkeypatch):
         # the foliation of TestOneRationalCoordinate: A and B are both

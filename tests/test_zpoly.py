@@ -1,5 +1,5 @@
 """The integer kernel: Yun's decomposition, the exact root test, the PRS
-resultant's refusals, subresultant coefficients, the digits of Kronecker
+resultant's refusals, the subresultant chain, the digits of Kronecker
 substitution, the certified gcd and the ranks of sparse integer matrices,
 all on `int` data; and the rule that `zpoly` imports nothing from the
 package but `.errors`."""
@@ -186,31 +186,51 @@ class TestPrsResultant:
 int_lists = st.lists(st.integers(-4, 4), min_size=2, max_size=6).filter(lambda c: c[-1])
 
 
-class TestSubresultantRow:
-    """`_subresultant_row` against the determinants that define s_(j,i),
-    taken by sympy on the explicit matrices; with j = 0 it is the
-    resultant."""
+def determinants(a: list[int], b: list[int], j: int, sympy) -> list[int]:
+    """s_(j,j), ..., s_(j,0) for ascending int lists a and b of degrees
+    p >= q > j, by sympy on the defining matrices: the rows
+    y^(q-j-1) * a, ..., a, y^(p-j-1) * b, ..., b, as their coefficients of
+    y^(p+q-j-1), ..., y^(j+1), then of y^i."""
+    p, q = len(a) - 1, len(b) - 1
+    shifts = [(a, k) for k in reversed(range(q - j))] + [(b, k) for k in reversed(range(p - j))]
 
-    @given(int_lists, int_lists, st.data())
+    def coefficient(f, k, e):
+        return f[e - k] if 0 <= e - k < len(f) else 0
+
+    return [int(sympy.Matrix([[coefficient(f, k, e) for e in [*range(p + q - j - 1, j, -1), i]]
+                              for f, k in shifts]).det()) for i in range(j, -1, -1)]
+
+
+class TestSubresultantRow:
+    """`_subresultants` against the determinants that define s_(j,i),
+    taken by sympy on the explicit matrices, sign included; with j = 0 it
+    is the resultant."""
+
+    @given(int_lists, int_lists)
     @settings(max_examples=80, deadline=None)
-    def test_matches_the_defining_determinants(self, a, b, data):
+    def test_matches_the_defining_determinants(self, a, b):
         sympy = pytest.importorskip("sympy")
         if len(a) < len(b):
             a, b = b, a
-        p, q = len(a) - 1, len(b) - 1
-        j = data.draw(st.integers(0, q - 1))
-        # the rows y^(q-j-1) * a, ..., a, y^(p-j-1) * b, ..., b, as their
-        # coefficients of y^(p+q-j-1), ..., y^(j+1), then of y^i
-        shifts = [(a, k) for k in reversed(range(q - j))] + [(b, k) for k in reversed(range(p - j))]
+        chain = dict(zpoly._subresultants(a, b))
+        assert chain[len(b) - 1] == b
+        for j in range(len(b) - 1):
+            expected = determinants(a, b, j, sympy)
+            if j in chain:
+                assert chain[j][::-1] == expected
+            else:
+                assert expected[0] == 0
+        assert chain.get(0, [0]) == [_int_prs_resultant(a, b)]
 
-        def coefficient(f, k, e):
-            return f[e - k] if 0 <= e - k < len(f) else 0
-
-        expected = [int(sympy.Matrix([[coefficient(f, k, e) for e in [*range(p + q - j - 1, j, -1), i]]
-                                      for f, k in shifts]).det()) for i in range(j, -1, -1)]
-        assert zpoly._subresultant_row(a, b, j) == expected
-        if j == 0:
-            assert expected == [_int_prs_resultant(a, b)]
+    def test_a_defective_chain(self):
+        # a = 2y^4 + 1 and b = -y^4 - 2y^3: the PRS term after S_3 is
+        # S_2 = 4y + 8, of degree 1, so s_(2,2) = 0 and S_1 is that term
+        # times (lc / -psi)^(2 - 1) = -1
+        sympy = pytest.importorskip("sympy")
+        a, b = [1, 0, 0, 0, 2], [0, 0, 0, -2, -1]
+        chain = list(zpoly._subresultants(a, b))
+        assert chain == [(4, b), (3, [1, 0, 0, -4]), (1, [-8, -4]), (0, [33])]
+        assert [determinants(a, b, j, sympy) for j in (3, 2, 1, 0)] == [[-4, 0, 0, 1], [0, 4, 8], [-4, -8], [33]]
 
 
 class TestKroneckerDigits:
