@@ -13,6 +13,7 @@ class (degree of the dual) of one polar, on `irreducible`'s walk: no sample.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import InternalInvariantError, PolynomialError, WebValidationError
 from .mpoly import (
@@ -26,18 +27,15 @@ from .mpoly import (
     resultant,
     shear,
 )
-from .localsing import CLEAN_TOL, cp_clean, cp_from_mpoly, cp_norm, cp_translate
 from .polarops import (
     A_VAR, B_VAR, _full_polars, _proportionality, inflexion_of_field, linear_identity, polar_family,
 )
 from .reports import CheckReport
+from .solve import Group, point_order, split
 from .webmodel import AffinePoint, PlaneCurve, SymWeb, singular_set
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
-
-# relative size of y*A_k - x*B_k below which a numeric point is quasi-radial
-QUASI_RADIAL_TOL = 1e-7
 
 
 @dataclass
@@ -67,9 +65,6 @@ class FoliationData:
         form = MPoly._make(("dx", "dy", "x", "y"), terms)
         self.A, self.B, self.as_web = A, B, SymWeb._trusted(form, 1)
 
-    def __str__(self):
-        return f"foliation[A={self.A}, B={self.B}]"
-
 
 # ---------------------------------------------------------------------------
 # inflexion divisor
@@ -87,8 +82,6 @@ def inflexion_divisor(fol: FoliationData) -> PlaneCurve | None:
     e = inflexion_polynomial(fol)
     if e.is_zero():
         return None
-    if e.is_constant():
-        return PlaneCurve(MPoly.constant(1))
     return PlaneCurve(e)
 
 
@@ -117,7 +110,6 @@ class SingularityClass:
     first_jet_order: int
     quasi_radial: bool
     radial_cofactor: MPoly | None
-    exact: bool
     criterion: MPoly | None = None  # y*A_k - x*B_k at a rational point
 
     def __str__(self):
@@ -138,46 +130,39 @@ def classify_singularity(fol: FoliationData, q: AffinePoint) -> SingularityClass
     bk = jb.get(k, MPoly.zero())
     crit = Y * ak - X * bk
     if not crit.is_zero():
-        return SingularityClass(q, k, False, None, True, crit)
+        return SingularityClass(q, k, False, None, crit)
     cofactor = exact_div(ak, X) if not ak.is_zero() else exact_div(bk, Y)
     if ak != X * cofactor or bk != Y * cofactor:
         raise InternalInvariantError("quasi-radial cofactor extraction failed")
-    return SingularityClass(q, k, True, cofactor, True, crit)
+    return SingularityClass(q, k, True, cofactor, crit)
 
 
-def certify_classification(report: CheckReport) -> None:
-    """Certify the tolerances `classify_singularity_numeric` reads."""
-    report.certify("jet_clean_tolerance", CLEAN_TOL)
-    report.certify("quasi_radial_tolerance", QUASI_RADIAL_TOL)
+def _next_order(jet: dict, k: int) -> dict:
+    """The Taylor coefficients d^(i,k-i) f/(i!(k-i)!) of order k, as
+    polynomials in (x, y), each from one of order k - 1 by one derivative."""
+    return {(i, k - i): jet[(i - 1, k - i)].derivative("x") * Fraction(1, i) if i
+            else jet[(0, k - 1)].derivative("y") * Fraction(1, k) for i in range(k + 1)}
 
 
-def classify_singularity_numeric(
-    fol: FoliationData, q: tuple[complex, complex]
-) -> SingularityClass:
-    """Jet-pair criterion at a non-rational singular point, with tolerances:
-    the jets are cleaned at CLEAN_TOL, and the point is quasi-radial when
-    y*A_k - x*B_k is within QUASI_RADIAL_TOL of zero relative to the jets.
-    A and B are scaled by one norm: the criterion compares their jets."""
-    ta = cp_translate(cp_from_mpoly(fol.A), q[0], q[1])
-    tb = cp_translate(cp_from_mpoly(fol.B), q[0], q[1])
-    norm = max(cp_norm(ta), cp_norm(tb))
-    ca, cb = cp_clean(ta, norm), cp_clean(tb, norm)
-    if not ca and not cb:
-        raise PolynomialError("vector field vanishes identically at the point")
-    orders = [i + j for i, j in ca] + [i + j for i, j in cb]
-    k = min(orders)
-    if k == 0:
-        raise PolynomialError("point is not singular (jet order 0)")
-    ak = {e: c for e, c in ca.items() if e[0] + e[1] == k}
-    bk = {e: c for e, c in cb.items() if e[0] + e[1] == k}
-    crit: dict = {}
-    for (i, j), c in ak.items():
-        crit[(i, j + 1)] = crit.get((i, j + 1), 0j) + c
-    for (i, j), c in bk.items():
-        crit[(i + 1, j)] = crit.get((i + 1, j), 0j) - c
-    scale = max(cp_norm(ak), cp_norm(bk))
-    qr = cp_norm(crit) <= QUASI_RADIAL_TOL * scale
-    return SingularityClass(q, k, qr, None, False)
+def classify_irrational(fol: FoliationData, groups: list[Group]) -> list[SingularityClass]:
+    """The exact classes of the irrational singular points, by `point_order`.
+    Each group is split by gcds (dynamic evaluation: Della Dora, Dicrescenzo
+    and Duval, EUROCAL '85) for k = 1, 2, ...: the Taylor coefficients of A
+    and B of order k vanish at the points of order above k, and among those
+    of order k, the coefficients of y*A_k - x*B_k at the quasi-radial ones."""
+    out = []
+    for group in groups:
+        ja, jb, k = {(0, 0): fol.A}, {(0, 0): fol.B}, 0
+        while group.points:
+            k += 1
+            ja, jb = _next_order(ja, k), _next_order(jb, k)
+            if all(f.is_zero() for f in (*ja.values(), *jb.values())):
+                raise InternalInvariantError("a point of the group is not an isolated zero of A and B")
+            group, order_k = split(group, [*ja.values(), *jb.values()])
+            crit = [ja.get((i, k - i), MPoly.zero()) - jb.get((i - 1, k + 1 - i), MPoly.zero()) for i in range(k + 2)]
+            for part, radial in zip(split(order_k, crit), (True, False)):
+                out += [SingularityClass(q, k, radial, None) for q in part.points]
+    return sorted(out, key=lambda c: point_order(c.point))
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +210,10 @@ def tangent_cone_dichotomy(report: CheckReport, fol: FoliationData, q: AffinePoi
     return _dichotomy_note(report, str(q), cls, f" = {format_mpoly(form)}"), form
 
 
-def tangent_cone_dichotomy_numeric(report: CheckReport, fol: FoliationData, q: tuple[complex, complex]) -> int:
-    """`tangent_cone_dichotomy` at an irrational singular point: the same
-    argument from a numeric classification, whose tolerances are certified."""
-    certify_classification(report)
-    cls = classify_singularity_numeric(fol, q)
-    return _dichotomy_note(report, f"({q[0]:.6g}, {q[1]:.6g})", cls, " [numeric]")
+def tangent_cone_dichotomy_numeric(report: CheckReport, cls: SingularityClass) -> int:
+    """`tangent_cone_dichotomy` at an irrational singular point, from its
+    exact class (`classify_irrational`), printed as an approximation."""
+    return _dichotomy_note(report, f"({cls.point[0]:.6g}, {cls.point[1]:.6g})", cls, " [numeric]")
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +351,12 @@ def class_of_curve(curve: PlaneCurve) -> int:
 # ---------------------------------------------------------------------------
 
 
-def count_quasi_radial(fol: FoliationData) -> tuple[int, list[str], bool]:
-    """(#quasi-radial singular points, descriptions, all-exact flag)."""
+def count_quasi_radial(fol: FoliationData) -> tuple[int, list[str]]:
+    """(#quasi-radial singular points, descriptions)."""
     sing = singular_set(fol.as_web)
     classes = [(str(q), classify_singularity(fol, q)) for q in sing.points]
-    classes += [(f"({q[0]:.5g},{q[1]:.5g})", classify_singularity_numeric(fol, q)) for q in sing.numeric_points]
-    return sum(c.quasi_radial for _, c in classes), [f"{w}: {c}" for w, c in classes], not sing.numeric_points
+    classes += [(f"({c.point[0]:.5g},{c.point[1]:.5g})", c) for c in classify_irrational(fol, sing.groups)]
+    return sum(c.quasi_radial for _, c in classes), [f"{w}: {c}" for w, c in classes]
 
 
 def quasi_radial_bound_check(fol: FoliationData) -> CheckReport:
@@ -393,15 +376,13 @@ def quasi_radial_bound_check(fol: FoliationData) -> CheckReport:
     if inflexion_divisor(fol) is None:
         report.add("inflexion divisor", True, "identically zero; bound check skipped (degenerate)")
         return report
-    qr, descriptions, exact = count_quasi_radial(fol)
+    qr, descriptions = count_quasi_radial(fol)
     report.notes.extend(descriptions)
-    if not exact:
-        certify_classification(report)
     # E ≢ 0, so d >= 1 and each polar of the walk is reduced of degree >= 2
     for p, curve in _full_polars(report, fol.as_web, "qr-bound", f"class >= #QR + 1 = {qr + 1}"):
         cls = class_of_curve(curve)
         if qr <= cls - 1:
-            report.add(f"#Sing_QR <= class(P_p) - 1 at p={p}", True, f"#QR = {qr}, class = {cls}", exact=exact)
+            report.add(f"#Sing_QR <= class(P_p) - 1 at p={p}", True, f"#QR = {qr}, class = {cls}")
             return report
         report.note(f"special center {p}: class {cls} < #QR + 1")
 
@@ -415,6 +396,6 @@ def tangent_cone_dichotomy_check(fol: FoliationData) -> CheckReport:
         report.note("the foliation has no affine singular points")
     for q in sing.points:
         tangent_cone_dichotomy(report, fol, q)
-    for q in sing.numeric_points:
-        tangent_cone_dichotomy_numeric(report, fol, q)
+    for cls in classify_irrational(fol, sing.groups):
+        tangent_cone_dichotomy_numeric(report, cls)
     return report

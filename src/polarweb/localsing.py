@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 from .errors import (
-    DegenerateSampleError,
     InfiniteZeroSetError,
     InternalInvariantError,
     NumericAbortError,
@@ -33,6 +33,7 @@ from .mpoly import (
     MPoly,
     _as_rational,
     _rekey,
+    _small_integers,
     exact_div,
     gcd_fold,
     poly_gcd,
@@ -67,14 +68,9 @@ def cp_from_mpoly(f: MPoly) -> CPoly:
     return {e: complex(c) for e, c in _rekey(f, ("x", "y")).items()}
 
 
-def cp_norm(cp: CPoly) -> float:
-    return max((abs(c) for c in cp.values()), default=0.0)
-
-
-def cp_clean(cp: CPoly, norm: float | None = None) -> CPoly:
-    """Scale to norm 1 and drop the terms below CLEAN_TOL; a given norm (of
-    several term dicts together) replaces cp's own, keeping their ratio."""
-    norm = cp_norm(cp) if norm is None else norm
+def cp_clean(cp: CPoly) -> CPoly:
+    """Scale to norm 1 and drop the terms below CLEAN_TOL."""
+    norm = max((abs(c) for c in cp.values()), default=0.0)
     if norm == 0.0:
         return {}
     cut = CLEAN_TOL * norm
@@ -139,20 +135,13 @@ class CurveGerm:
 # intersection multiplicity and Milnor number (exact route)
 # ---------------------------------------------------------------------------
 
-# Coprime germs meet at finitely many points, and each one off the origin
-# rules out the one shear that moves it onto x = 0.
-_SHEAR_CANDIDATES = [0, 1, -1, 2, -2, 3, -3, 5, -5, 7, -7, 11, -11, 13]
-
-
 def intersection_multiplicity(f: MPoly, g: MPoly) -> int:
     """Local intersection number of two germs at the origin.
 
     Shear to make both y-proper, then the order at x = 0 of Res_y, guarded by
     the requirement that the origin is the only common zero on the line x = 0.
     """
-    fv = f.evaluate({v: 0 for v in f.variables})
-    gv = g.evaluate({v: 0 for v in g.variables})
-    if fv != 0 or gv != 0:
+    if _nonzero_at_origin(f) or _nonzero_at_origin(g):
         return 0
     if f.is_zero() or g.is_zero():
         raise PolynomialError("intersection multiplicity with the zero germ")
@@ -164,29 +153,34 @@ def _meet_at_origin(f: MPoly, g: MPoly, shared: str) -> int:
     the error `shared` when they share a component through it.  A common
     factor that misses the origin is a unit of the local ring, which leaves
     I alone, so both germs are divided by it: kept, it would meet x = 0 again
-    after every shear."""
+    after every shear.
+
+    The shear (x, y) -> (x + lam*y, y) keeps the origin, and lam serves when
+    f and g are y-proper and the origin is their only common zero on x = 0.
+    A lam fails only at a zero (lam, 1) of a top form, at most deg f + deg g
+    of them (a line component x = lam*y is one), or at the slope x/y of one
+    of the at most deg f * deg g other common zeros (Bezout).  So one of the
+    first deg f * deg g + deg f + deg g + 1 values serves."""
     common = poly_gcd(f, g)
     if not common.is_constant():
         if not _nonzero_at_origin(common):
             raise PolynomialError(shared)
         f, g = exact_div(f, common), exact_div(g, common)
-    for lam in proper_shears([f, g], _SHEAR_CANDIDATES):
-        # (x, y) -> (x + lam*y, y) keeps the origin and makes both y-proper
+    m, n = f.total_degree(), g.total_degree()
+    for lam in proper_shears([f, g], islice(_small_integers(), m * n + m + n + 1)):
         fs, gs = shear(f, lam), shear(g, lam)
+        # y-proper, so neither is zero on x = 0
         f0, g0 = fs.substitute({"x": 0}), gs.substitute({"x": 0})
-        if f0.is_zero() or g0.is_zero():
-            continue
         u = poly_gcd(f0, g0)
         if len(u.terms) != 1:
             continue  # another common zero sits on x = 0; shear again
         r = resultant(fs, gs, "y")
         if r.is_zero():
             raise InternalInvariantError("resultant vanished for coprime germs")
-        ix = r.variables.index("x") if "x" in r.variables else None
-        if ix is None:
-            return 0
+        # r(0) = Res(fs(0, y), gs(0, y)) = 0, as both vanish at y = 0
+        ix = r.variables.index("x")
         return min(e[ix] for e in r.terms)
-    raise DegenerateSampleError("no admissible shear for intersection multiplicity")
+    raise InternalInvariantError("no shear of coprime germs leaves the origin alone on x = 0")
 
 
 def milnor_number(germ: CurveGerm) -> int:

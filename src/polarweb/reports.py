@@ -45,11 +45,8 @@ class CheckReport:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
-    def certify(self, key: str, value) -> None:
-        if isinstance(value, float):
-            self.certificates[key] = f"{value:.6e}"
-        else:
-            self.certificates[key] = str(value)
+    def certify(self, key: str, tolerance: float) -> None:
+        self.certificates[key] = f"{tolerance:.6e}"
 
     @property
     def passed(self) -> bool:

@@ -104,16 +104,26 @@ def univariate_root_split(f: MPoly, var: str) -> tuple[list[tuple[Fraction, int]
 
 
 @dataclass
+class Group:
+    """Irrational zeros of one `_shape` group: each root t of w (an int list
+    with no rational root) is (t + lam*y, y) at y = -num(t)/den(t)."""
+
+    w: list[int]
+    num: list[int]
+    den: list[int]
+    lam: int
+    points: list[tuple[complex, complex]]
+
+
+@dataclass
 class ZeroSet:
     """Common zeros of a polynomial family in two variables: the rational
-    points, and the others as approximations, where a rational coordinate is
-    exact."""
+    points, and the others as approximations (`point_order`), where a
+    rational coordinate is exact, with the exact groups they come from."""
 
     rational: list[tuple[Fraction, Fraction]] = field(default_factory=list)
     numeric: list[tuple[complex, complex]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.rational) + len(self.numeric)
+    groups: list[Group] = field(default_factory=list)
 
 
 def _combinations(polys: list[MPoly]):
@@ -326,11 +336,33 @@ def _exact_coordinates(w: list[int], approx: list[complex], vanishing) -> list[F
     return out
 
 
-def _points(groups, lam: int) -> ZeroSet:
-    """The zeros of the groups of `_shape`, with x = t + lam*y.  A rational
-    root t gives a rational point.  At an irrational one, a coordinate that
+def _approximate(w: list[int], num: list[int], den: list[int], lam: int, ts: list[complex]) -> Group:
+    """The group of the roots of w, approximated by ts.  A coordinate that
     rounds to a rational value is kept exact when one gcd proves it (both
     cannot be rational, and x = t is not when lam = 0)."""
+    # one power of two brings every coefficient into float range
+    scale = 2 ** max(0, max(abs(c).bit_length() for c in num + den) - 1000)
+    num_f, den_f = [c / scale for c in num], [c / scale for c in den]
+    ys = [-_horner(num_f, t) / _horner(den_f, t) for t in ts]
+    xs = [t + lam * y for t, y in zip(ts, ys)]
+    # y = a/b where b*num + a*den = 0, x = a/b where b*(t*den - lam*num) = a*den
+    exact_y = _exact_coordinates(w, ys, lambda a, b: _sub(_mul([b], num), [-a * c for c in den]))
+    exact_x = _exact_coordinates(w, xs, lambda a, b: _sub(
+        _mul([b], _sub([0] + den, [lam * c for c in num])), [a * c for c in den])) if lam else [None] * len(ts)
+    return Group(w, num, den, lam, [(complex(x if x0 is None else x0), complex(y if y0 is None else y0))
+                                    for x, y, x0, y0 in zip(xs, ys, exact_x, exact_y)])
+
+
+def point_order(q: tuple[complex, complex]) -> tuple:
+    """The order of approximate points: each coordinate carries its own
+    round-off, so points that share one (to 9 places) go by the other."""
+    return tuple(round(v, 9) for z in q for v in (z.real, z.imag))
+
+
+def _points(groups, lam: int) -> ZeroSet:
+    """The zeros of the groups of `_shape`, with x = t + lam*y.  A rational
+    root t gives a rational point; the irrational roots of each part form
+    one `Group` (`_approximate`)."""
     zs = ZeroSet()
     for part, num, den in groups:
         rational, numeric = univariate_root_split(_from_int_coeffs("x", part), "x")
@@ -339,26 +371,24 @@ def _points(groups, lam: int) -> ZeroSet:
             y = -_horner(num, t) / _horner(den, t)
             zs.rational.append((t + lam * y, y))
             w = _int_exact_quo(w, [-t.numerator, t.denominator])
-        if not numeric:
-            continue
-        num, den = _same_scale_rem(num, den, w)
-        # one power of two brings every coefficient into float range
-        scale = 2 ** max(0, max(abs(c).bit_length() for c in num + den) - 1000)
-        num_f, den_f = [c / scale for c in num], [c / scale for c in den]
-        ts = [t for t, _ in numeric]
-        ys = [-_horner(num_f, t) / _horner(den_f, t) for t in ts]
-        xs = [t + lam * y for t, y in zip(ts, ys)]
-        # y = a/b where b*num + a*den = 0, x = a/b where b*(t*den - lam*num) = a*den
-        exact_y = _exact_coordinates(w, ys, lambda a, b: _sub(_mul([b], num), [-a * c for c in den]))
-        exact_x = _exact_coordinates(w, xs, lambda a, b: _sub(
-            _mul([b], _sub([0] + den, [lam * c for c in num])), [a * c for c in den])) if lam else [None] * len(ts)
-        zs.numeric += [(complex(x if x0 is None else x0), complex(y if y0 is None else y0))
-                       for x, y, x0, y0 in zip(xs, ys, exact_x, exact_y)]
+        if numeric:
+            zs.groups.append(_approximate(w, *_same_scale_rem(num, den, w), lam, [t for t, _ in numeric]))
     zs.rational.sort()
-    # each coordinate carries its own round-off, so points that share one
-    # (to 9 places) are ordered by the other
-    zs.numeric.sort(key=lambda q: tuple(round(v, 9) for z in q for v in (z.real, z.imag)))
+    zs.numeric = sorted((q for g in zs.groups for q in g.points), key=point_order)
     return zs
+
+
+def split(group: Group, polys: list[MPoly]) -> tuple[Group, Group]:
+    """The zeros of the group where all the polys in (x, y) vanish, and the
+    rest: `_cut` by each sheared poly, as `_shape` cuts by a third generator,
+    and the cofactor; only a part smaller than w takes new approximations."""
+    part = group.w
+    for h in polys:
+        if len(part) > 1 and not h.is_zero():
+            part = _cut(part, group.num, group.den, _y_coeffs(shear(h, group.lam)))
+    return tuple(group if len(f) == len(group.w) else _approximate(
+        f, group.num, group.den, group.lam, univariate_roots(f) if len(f) > 1 else [])
+        for f in (part, _int_exact_quo(group.w, part)))
 
 
 def common_zeros(polys: list[MPoly]) -> ZeroSet:

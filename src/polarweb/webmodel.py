@@ -25,7 +25,7 @@ from .mpoly import (
     gcd_fold,
     squarefree_part,
 )
-from .solve import common_zeros, eliminant, univariate_root_split
+from .solve import Group, common_zeros, eliminant, univariate_root_split
 from .zpoly import _distinct_binary_roots
 
 X = MPoly.variable("x")
@@ -126,12 +126,13 @@ class PlaneCurve:
 
 @dataclass
 class SingularSet:
-    """Zero set of the web coefficients, with its exact eliminants, which
-    are computed on first use (`solve.eliminant`); None when a generator is
-    a constant."""
+    """Zero set of the web coefficients, the irrational points also as exact
+    groups (`solve.Group`), with its exact eliminants, computed on first use
+    (`solve.eliminant`); None when a generator is a constant."""
 
     points: list[AffinePoint]
     numeric_points: list[tuple[complex, complex]]
+    groups: list[Group]
     generators: list[MPoly]
 
     @cached_property
@@ -282,10 +283,8 @@ def web_degree(web: SymWeb) -> int:
 def singular_set(web: SymWeb) -> SingularSet:
     """Common zeros of the coefficients a_i(x, y); finite for a valid web."""
     gens = [c for c in web.coefficients() if not c.is_zero()]
-    if any(c.is_constant() for c in gens):
-        return SingularSet([], [], gens)
     zs = common_zeros(gens)
-    return SingularSet([AffinePoint(a, b) for a, b in zs.rational], zs.numeric, gens)
+    return SingularSet([AffinePoint(a, b) for a, b in zs.rational], zs.numeric, zs.groups, gens)
 
 
 def discriminant_curve(web: SymWeb) -> PlaneCurve:
@@ -293,8 +292,6 @@ def discriminant_curve(web: SymWeb) -> PlaneCurve:
     disc = web.discriminant_form
     if disc.is_zero():
         raise WebValidationError("web is not generically square-free; discriminant vanishes")
-    if disc.is_constant():
-        return PlaneCurve(MPoly.constant(1))
     return PlaneCurve(disc)
 
 

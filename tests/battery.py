@@ -114,17 +114,18 @@ def rational_dichotomy_mismatches(fol: FoliationData, q: AffinePoint, seed: int,
 
 def dichotomy_mismatches(fol: FoliationData, seed: int, centers: int) -> list[tuple]:
     """`rational_dichotomy_mismatches` at every affine singular point; at an
-    irrational one, the first `centers` seeded centers against the cone in
-    floats."""
-    from polarweb.foliation import tangent_cone_dichotomy_numeric
+    irrational one, classified exactly on its group, the first `centers`
+    seeded centers against the cone in floats."""
+    from polarweb.foliation import classify_irrational, tangent_cone_dichotomy_numeric
     from polarweb.reports import CheckReport
     from polarweb.sampling import GenericSampler
     from polarweb.webmodel import singular_set
 
     sing = singular_set(fol.as_web)
     out = [m for q in sing.points for m in rational_dichotomy_mismatches(fol, q, seed, centers)]
-    for q in sing.numeric_points:
-        mult = tangent_cone_dichotomy_numeric(CheckReport("qr-dichotomy"), fol, q)
+    for cls in classify_irrational(fol, sing.groups):
+        q = cls.point
+        mult = tangent_cone_dichotomy_numeric(CheckReport("qr-dichotomy"), cls)
         sampler = GenericSampler(seed)
         out += [(q, p, mult, cone) for p in (sampler.center() for _ in range(centers))
                 if (cone := numeric_cone_multiplicity(fol, q, p)) != mult]

@@ -174,6 +174,25 @@ MUTANTS = [
      "radices = [n * max(e[i] for e in F) + m * max(e[i] for e in G) + 1 for",
      "radices = [n * max(e[i] for e in F) + 1 for",
      "tests/test_mpoly.py::TestPackedGcd"),
+    # the same mutant, caught by the property test alone: `radix_triples`
+    # draws pairs whose last subresultant passes the narrower radix
+    ("mpoly.py",
+     "radices = [n * max(e[i] for e in F) + m * max(e[i] for e in G) + 1 for",
+     "radices = [n * max(e[i] for e in F) + 1 for",
+     "tests/test_mpoly.py::TestPackedGcd::test_planted_common_factor_against_sympy"),
+    # the quasi-radial criterion without its B term: y*A_k in place of
+    # y*A_k - x*B_k, so (+-sqrt 2, 0) of (x^2 - 2)(x^2 - 3), -2xy is not
+    # quasi-radial
+    ("foliation.py",
+     "crit = [ja.get((i, k - i), MPoly.zero()) - jb.get((i - 1, k + 1 - i), MPoly.zero()) for i in range(k + 2)]",
+     "crit = [ja.get((i, k - i), MPoly.zero()) for i in range(k + 2)]",
+     "tests/test_foliation.py::TestClassification::test_one_group_splits_into_both_classes"),
+    # the jet-order walk stopped after k = 1: the points of order 2 get no
+    # class and no note
+    ("foliation.py",
+     "while group.points:",
+     "while group.points and not k:",
+     "tests/test_foliation.py::TestClassification::test_a_group_of_jet_order_2"),
 ]
 
 

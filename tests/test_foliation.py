@@ -17,6 +17,7 @@ from battery import (
     cone_multiplicity,
     dichotomy_mismatches,
     rational_dichotomy_mismatches,
+    to_sympy,
 )
 from polarweb import (
     AffinePoint,
@@ -35,7 +36,7 @@ from polarweb.cli import _dichotomy_all_singularities, run_command
 from polarweb.errors import DegenerateSampleError, PolynomialError, WebValidationError
 from polarweb.parsing import parse_polynomial
 from polarweb.foliation import (
-    classify_singularity_numeric,
+    classify_irrational,
     count_quasi_radial,
     inflexion_lemma_check,
     inflexion_polynomial,
@@ -47,10 +48,10 @@ from polarweb.mpoly import gcd_fold, jet_decompose, proper_shears, resultant, sh
 from polarweb.reports import CheckReport
 from polarweb.sampling import GenericSampler
 from polarweb.polarops import A_VAR, B_VAR, RadialProduct
+from polarweb.webmodel import singular_set
 
 one = MPoly.constant(1)
 ORIGIN = AffinePoint.of(0, 0)
-SQRT2 = (2**0.5 + 0j, 0j)
 IDENTITY = "Hessian of P_p at p on its tangent = c·E(p)"
 LINEAR_IDENTITY = "P = c·(aB - bA + Ay - Bx)"
 CUBIC_MONOMIALS = [(i, j) for i in range(4) for j in range(4 - i)]
@@ -207,16 +208,120 @@ class TestClassification:
         assert not cls.quasi_radial
 
     def test_numeric_matches_exact(self):
+        # x - y^2, y + x^2: the origin and (1, -1) are rational, and the
+        # points (w, -w^2) with w^2 + w + 1 = 0 are one group, classified on
+        # it; every class against sympy's jets at sympy's solutions
+        sympy = pytest.importorskip("sympy")
         fol = FoliationData(X - Y**2, Y + X**2)
-        exact = classify_singularity(fol, AffinePoint.of(0, 0))
-        numeric = classify_singularity_numeric(fol, (0j, 0j))
-        assert exact.quasi_radial == numeric.quasi_radial == True
+        sing = singular_set(fol.as_web)
+        ours = [((complex(q.a), complex(q.b)), classify_singularity(fol, q)) for q in sing.points]
+        ours += [(c.point, c) for c in classify_irrational(fol, sing.groups)]
+        assert [c.quasi_radial for _, c in ours] == [True, False, False, False]
+        x, y = sympy.symbols("x y")
+        solutions = sympy.solve([to_sympy(sympy, fol.A), to_sympy(sympy, fol.B)], [x, y])
+        assert len(solutions) == len(ours)
+        for q in solutions:
+            point, cls = min(ours, key=lambda o: distance(o[0], q))
+            assert distance(point, q) < 1e-9
+            assert (cls.first_jet_order, cls.quasi_radial) == sympy_class(sympy, fol, q)
 
     def test_numeric_jets_keep_their_relative_scale(self):
-        # at (sqrt 2, 0): A_1 = 2 sqrt(2) u with B_1 = v is not a multiple of
-        # (u, v); with B_1 = 2 sqrt(2) v it is
-        assert not classify_singularity_numeric(FoliationData(X**2 - 2, Y), SQRT2).quasi_radial
-        assert classify_singularity_numeric(FoliationData(X**2 - 2, 2 * X * Y), SQRT2).quasi_radial
+        # at (+-sqrt 2, 0): A_1 = +-2 sqrt(2) u with B_1 = v is not a multiple
+        # of (u, v); with B_1 = +-2 sqrt(2) v it is
+        for B, radial in ((Y, False), (2 * X * Y, True)):
+            fol = FoliationData(X**2 - 2, B)
+            classes = classify_irrational(fol, singular_set(fol.as_web).groups)
+            assert [(c.first_jet_order, c.quasi_radial) for c in classes] == [(1, radial)] * 2
+
+    def test_one_group_splits_into_both_classes(self):
+        # one group of four points (+-sqrt 2, 0), (+-sqrt 3, 0): at x = +-sqrt 2,
+        # A_1 = -+2 sqrt(2) u and B_1 = -+2 sqrt(2) v; at x = +-sqrt 3,
+        # A_1 = +-2 sqrt(3) u and B_1 = -+2 sqrt(3) v
+        fol = FoliationData((X**2 - 2) * (X**2 - 3), -2 * X * Y)
+        sing = singular_set(fol.as_web)
+        assert [len(group.w) - 1 for group in sing.groups] == [4]
+        classes = classify_irrational(fol, sing.groups)
+        roots = [-(3**0.5), -(2**0.5), 2**0.5, 3**0.5]
+        assert [(c.first_jet_order, c.quasi_radial) for c in classes] == [(1, False), (1, True), (1, True), (1, False)]
+        assert all(distance(c.point, (r, 0)) < 1e-12 for c, r in zip(classes, roots))
+
+    @pytest.mark.parametrize("A, B, radial", [
+        ((X**2 - 2) ** 2 + Y**3, 2 * X * Y * (X**2 - 2) + Y**3, True),
+        ((X**2 - 2) ** 2, Y * (X**2 - 2) + Y**2, False),
+    ], ids=["quasi-radial", "not quasi-radial"])
+    def test_a_group_of_jet_order_2(self, A, B, radial):
+        # at (+-sqrt 2, 0): A_2 = 8u^2 with B_2 = 8uv, or with 2 sqrt(2) uv + v^2
+        fol = FoliationData(A, B)
+        classes = classify_irrational(fol, singular_set(fol.as_web).groups)
+        pair = [c for c in classes if distance(c.point, (2**0.5, 0)) < 1e-12 or distance(c.point, (-(2**0.5), 0)) < 1e-12]
+        assert [(c.first_jet_order, c.quasi_radial) for c in pair] == [(2, radial)] * 2
+        assert all(c.first_jet_order == 1 and not c.quasi_radial for c in classes if c not in pair)
+
+    @given(st.integers(1, 2), st.booleans(), st.sampled_from([2, 3, 5, -1, -3]), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_a_planted_conjugate_pair_against_sympy(self, k, radial, c, data):
+        """Two conjugate points q = (r1 + s1*e, r2 + s2*e), e = +-sqrt(c),
+        of jet order k, quasi-radial or not.  They are the zeros of
+        m = (x - r1)^2 - s1^2*c and l = s1*(y - r2) - s2*(x - r1), and in
+        u = x - q_x, v = y - q_y their jets are m ~ 2*s1*e*u,
+        l = s1*v - s2*u, so 2*(x - r1)*l + s2*m ~ 2*s1^2*e*v.  A
+        coefficient p + t*(x - r1) is p + t*s1*e at q."""
+        sympy = pytest.importorskip("sympy")
+        small = st.fractions(-2, 2, max_denominator=2)
+        r1, r2, s2 = (data.draw(small) for _ in range(3))
+        s1 = data.draw(small.filter(bool))
+        xr = X - r1
+        m, line = xr**2 - s1**2 * c, s1 * (Y - r2) - s2 * xr
+
+        def unit():
+            p, t = data.draw(small), data.draw(small)
+            assume(p or t)
+            return p + t * xr
+
+        def form(degree):
+            return sum((unit() * m**i * line ** (degree - i) for i in range(degree + 1)), MPoly.zero())
+
+        if radial:
+            # A_k = 2*s1^2*e*u*Q_(k-1) and B_k = 2*s1^2*e*v*Q_(k-1)
+            cofactor = form(k - 1)
+            A, B = s1 * m * cofactor, (2 * xr * line + s2 * m) * cofactor
+        else:
+            A, B = form(k), form(k)
+        fol = FoliationData(A + data.draw(small) * line ** (k + 1), B + data.draw(small) * m * line**k)
+        assume(not fol.saturated)
+        e = sympy.sqrt(c)
+        pair = [tuple(sympy.Rational(r.numerator, r.denominator) + sympy.Rational(s.numerator, s.denominator) * sign * e
+                      for r, s in ((r1, s1), (r2, s2))) for sign in (1, -1)]
+        expected = sympy_class(sympy, fol, pair[0])
+        assume(radial or not expected[1])
+        assert expected == (k, radial) == sympy_class(sympy, fol, pair[1])
+        sing = singular_set(fol.as_web)
+        classes = classify_irrational(fol, sing.groups)
+        assert len(classes) == len(sing.numeric_points)
+        for q in pair:
+            cls = min(classes, key=lambda cl: distance(cl.point, q))
+            assert distance(cls.point, q) < 1e-6
+            assert (cls.first_jet_order, cls.quasi_radial) == expected
+
+
+def distance(p: tuple[complex, complex], q) -> float:
+    """The distance of two points, the second one possibly sympy's."""
+    return max(abs(complex(a) - complex(b)) for a, b in zip(p, q))
+
+
+def sympy_class(sympy, fol: FoliationData, q) -> tuple[int, bool]:
+    """(first jet order, quasi-radial) at a singular point q given exactly in
+    sympy, from the Taylor expansion of A and B at q in sympy's arithmetic:
+    in Q(sqrt c), an expanded value is 0 only when it is."""
+    x, y, u, v = sympy.symbols("x y u v")
+    shifted = [sympy.Poly(sympy.expand(to_sympy(sympy, f).subs({x: q[0] + u, y: q[1] + v}, simultaneous=True)), u, v)
+               for f in (fol.A, fol.B)]
+    for k in range(1, max(p.total_degree() for p in shifted) + 1):
+        ak, bk = (sympy.expand(sum((c * u**i * v**j for (i, j), c in p.terms() if i + j == k), sympy.S.Zero))
+                  for p in shifted)
+        if ak != 0 or bk != 0:
+            return k, sympy.expand(v * ak - u * bk) == 0
+    raise AssertionError(f"A and B vanish to every order at {q}")
 
 
 def planted_foliation(q: AffinePoint, ak: MPoly, bk: MPoly, a_next: MPoly, b_next: MPoly) -> FoliationData:
@@ -313,8 +418,7 @@ class TestDichotomy:
                                   "--samples", "4", "--json"])
         assert code == 0, text
         report = json.loads(text)["report"]
-        assert report["certificates"] == {"jet_clean_tolerance": "1.000000e-08",
-                                          "quasi_radial_tolerance": "1.000000e-07"}
+        assert report["certificates"] == {}
         assert [a["name"] for a in report["assertions"]] == [LINEAR_IDENTITY]
         assert report["samples"] == {"requested": 0, "used": 0, "discarded": []}
         assert all(n.endswith("[numeric]") for n in report["notes"] if "j," in n)
@@ -612,7 +716,7 @@ class TestQuasiRadialBound:
         assert report.passed
 
     def test_qr_count_perturbed_radial(self):
-        count, _, _ = count_quasi_radial(FoliationData(X - Y**2, Y + X**2))
+        count, _ = count_quasi_radial(FoliationData(X - Y**2, Y + X**2))
         assert count >= 1
 
     def test_the_circle_pencil_passes_its_center(self):
@@ -650,7 +754,6 @@ class TestQuasiRadialBound:
 
     def test_numeric_points_certify_the_classification(self):
         report = quasi_radial_bound_check(FoliationData(X**3 - 2 * X, Y**3 - 2 * Y))
-        assert report.passed and report.mode == "numeric"
-        assert report.certificates == {"jet_clean_tolerance": "1.000000e-08",
-                                       "quasi_radial_tolerance": "1.000000e-07"}
+        assert report.passed and report.mode == "exact"
+        assert report.certificates == {}
         assert quasi_radial_bound_check(FoliationData(X, -Y + X**2)).certificates == {}

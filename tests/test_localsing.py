@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -102,6 +103,15 @@ class TestIntersectionMultiplicity:
         code, text = run_command(["localsing", "--in", str(path), "--point", "0,0"])
         assert code == 0, text
         assert "(m=2, mu=1, r=2, delta=1, seq=[2], cone=[1, 1])" in text
+
+    def test_a_common_zero_on_every_line_of_a_short_shear_list(self):
+        # y*(y - 1) and g meet at the origin (g = -x on y = 0) and at
+        # (lam, 1) for each of the 14 shears a fixed list once tried, so each
+        # of them put a second common zero on x = 0; the first
+        # 2*15 + 2 + 15 + 1 values of 0, 1, -1, ... reach lam = 4
+        shears = [0, 1, -1, 2, -2, 3, -3, 5, -5, 7, -7, 11, -11, 13]
+        g = Y * prod((X - lam for lam in shears), start=MPoly.constant(1)) + (Y - 1) * X
+        assert intersection_multiplicity(Y * (Y - 1), g) == 1
 
     @given(st.lists(st.integers(-3, 3), min_size=10, max_size=10), st.integers(-3, 3).filter(bool),
            st.lists(st.integers(-2, 2), min_size=5, max_size=5))

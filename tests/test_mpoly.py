@@ -742,6 +742,21 @@ def gcd_polys(variables, max_terms=3, max_exp=2):
     return st.dictionaries(exponents, coeffs, min_size=1, max_size=max_terms).map(lambda t: MPoly(variables, t))
 
 
+def radix_triples():
+    """(f, g, h) for the pair f*h, g*h in w, x and y, where f lacks x and g
+    has x^p, p from 2 to 4: f = w^2*y^2 + f0, g = w*x^p*y^2 + g0 and
+    h = w*(x + h1) + x^2 + h0, with f0 free of x, and g0, h1 and h0 in y of
+    degree at most 1.  Each variable has degree at least 2 in both, w has 2
+    in g*h, and w sorts first, so the PRS runs in w, and x is packed but not
+    last.  The last subresultant S_1 has one row of f*h and two of g*h, so
+    its degree in x may reach 2 + 2*(p + 2), past the radix
+    deg_w(g*h) * deg_x(f*h) + 1 = 5 of the rows of f*h alone."""
+    w = MPoly.variable("w")
+    low = gcd_polys(("y",), max_exp=1)
+    return st.tuples(gcd_polys(("w", "y")), st.integers(2, 4), low, low, low).map(
+        lambda t: (w**2 * y**2 + t[0], w * x ** t[1] * y**2 + t[2], w * (x + t[3]) + x**2 + t[4]))
+
+
 class TestPackedGcd:
     """`poly_gcd` against sympy's gcd on 2 to 4 variables with a planted
     common factor, where the certificate fails and the gcd comes from the
@@ -749,9 +764,11 @@ class TestPackedGcd:
     needs a radix past its degree in every S_j."""
 
     # each of f, g and h may miss the last variable of its width, so that
-    # one of the pair can be free of a packed variable that the other has
+    # one of the pair can be free of a packed variable that the other has;
+    # `radix_triples` draws that case with a high power of the variable
     @seed(20261020)
-    @given(st.sampled_from(WIDTHS[1:]).flatmap(lambda v: st.tuples(*[gcd_polys(v) | gcd_polys(v[:-1])] * 3)))
+    @given(radix_triples()
+           | st.sampled_from(WIDTHS[1:]).flatmap(lambda v: st.tuples(*[gcd_polys(v) | gcd_polys(v[:-1])] * 3)))
     @settings(max_examples=60, deadline=None)
     def test_planted_common_factor_against_sympy(self, sympy, polys):
         f, g, h = polys

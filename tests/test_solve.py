@@ -368,7 +368,7 @@ class TestLazyEliminant:
             zs = common_zeros(gens)
         except InfiniteZeroSetError:
             return
-        sing = SingularSet([AffinePoint(*q) for q in zs.rational], zs.numeric, gens)
+        sing = SingularSet([AffinePoint(*q) for q in zs.rational], zs.numeric, zs.groups, gens)
         assert sing.elim_x == eager_eliminant(gens, "y")
         assert sing.elim_y == eager_eliminant(gens, "x")
         for a, b in zs.rational + ([(x0, y0)] if planted else []):
