@@ -1,14 +1,15 @@
-"""Local invariants of plane curve germs.
+"""Local invariants of plane curve germs (E. Casas-Alvero, Singularities of
+Plane Curves, LMS LN 276, 2000).
 
 A germ is a curve equation translated so the point of interest is the origin,
-held as one term dict {(i, j): c}.  Germs at rational points stay exact with
-`int | Fraction` coefficients; germs at irrational points, and the strict
-transforms at irrational infinitely-near points, carry `complex` coefficients
-scaled to norm 1 and cleaned at every step.  Both coefficient fields go
-through the same blow-up recursion (exponent remaps for the charts, one
-binomial expansion for the shift to each tangent line), so the integer
-invariants (multiplicity sequence, branch count, delta) and the fingerprints
-built from them are comparable across modes.
+held as one term dict {(i, j): c}.  At a rational point the coefficients are
+`int | Fraction`; at a group of conjugate algebraic points or irrational
+tangent lines (`solve.Group`), polynomials over Q in the coordinates (x, y)
+of the group's points.  Every zero test there is a `solve.split`, so a
+coefficient that vanishes at only part of the group splits the germ in two
+(dynamic evaluation: Della Dora, Dicrescenzo and Duval, EUROCAL '85).  Both
+fields take the same blow-ups, and every invariant is exact; approximations
+only tell which point a child lies over and order the lines at a point.
 
 Resolution convention: blow up until every strict transform is smooth,
 meets at most one exceptional component, and is transverse to it.  This gives
@@ -23,71 +24,22 @@ from fractions import Fraction
 from itertools import islice
 from math import comb
 
-from .errors import (
-    InfiniteZeroSetError,
-    InternalInvariantError,
-    NumericAbortError,
-    PolynomialError,
-)
-from .mpoly import (
-    MPoly,
-    _as_rational,
-    _rekey,
-    _small_integers,
-    exact_div,
-    gcd_fold,
-    poly_gcd,
-    proper_shears,
-    resultant,
-    shear,
-    translate,
-)
-from .numerics import cluster_points, univariate_roots
+from .errors import InfiniteZeroSetError, InternalInvariantError, NumericAbortError, PolynomialError
+from .mpoly import (MPoly, _as_rational, _from_int_coeffs, _int_coeffs, _rekey, _small_integers, exact_div,
+                    gcd_fold, poly_gcd, proper_shears, resultant, shear, translate)
 from .polarops import RadialProduct, curve_component_count, polar_curve
 from .reports import CheckReport
 from .sampling import GenericSampler, sample_centers
-from .solve import common_zeros, univariate_root_split
-from .webmodel import Direction, PlaneCurve, singular_set
+from .solve import Group, common_zeros, rational_split, split
+from .webmodel import PlaneCurve, singular_set
+from .zpoly import _int_prem, _mul, _sub
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
-
-CLEAN_TOL = 1e-8
-CLUSTER_TOL = 1e-5
+ZERO = MPoly.zero()
 MAX_BLOWUPS = 50
 
-CPoly = dict  # {(i, j): c}, c an int | Fraction (exact) or a complex (numeric)
-
-
-# ---------------------------------------------------------------------------
-# bivariate term dicts
-# ---------------------------------------------------------------------------
-
-
-def cp_from_mpoly(f: MPoly) -> CPoly:
-    return {e: complex(c) for e, c in _rekey(f, ("x", "y")).items()}
-
-
-def cp_clean(cp: CPoly) -> CPoly:
-    """Scale to norm 1 and drop the terms below CLEAN_TOL."""
-    norm = max((abs(c) for c in cp.values()), default=0.0)
-    if norm == 0.0:
-        return {}
-    cut = CLEAN_TOL * norm
-    return {e: c / norm for e, c in cp.items() if abs(c) > cut}
-
-
-def cp_translate(cp: CPoly, zx, zy) -> CPoly:
-    """f(x + zx, y + zy) by binomial expansion; exact when the coefficients
-    and the shift are."""
-    out: CPoly = {}
-    for (i, j), c in cp.items():
-        for a in range(i + 1) if zx else (i,):
-            xa = comb(i, a) * zx ** (i - a) if i - a else 1
-            for b in range(j + 1) if zy else (j,):
-                yb = comb(j, b) * zy ** (j - b) if j - b else 1
-                out[(a, b)] = out.get((a, b), 0) + c * xa * yb
-    return {e: c for e, c in out.items() if c != 0}
+CPoly = dict  # {(i, j): c}, c an int | Fraction, or at a group an MPoly in (x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +49,11 @@ def cp_translate(cp: CPoly, zx, zy) -> CPoly:
 
 @dataclass
 class CurveGerm:
-    """A reduced plane curve germ at the origin (exact or numeric)."""
+    """A reduced plane curve germ at the origin: at a rational point, or at
+    each point of a group of conjugate points (`group`)."""
 
     terms: CPoly
-    exact: bool
+    group: Group | None = None
 
     @staticmethod
     def at_point(curve: PlaneCurve, point: tuple[Fraction, Fraction]) -> "CurveGerm":
@@ -109,25 +62,26 @@ class CurveGerm:
         g = translate(curve.defining, point).canonical()
         if g.evaluate({v: 0 for v in g.variables}) != 0:
             raise PolynomialError(f"curve does not pass through {point}")
-        return CurveGerm(_rekey(g, ("x", "y")), True)
+        return CurveGerm(_rekey(g, ("x", "y")))
 
     @staticmethod
-    def at_numeric_point(curve: MPoly, point: tuple[complex, complex]) -> "CurveGerm":
-        cp = cp_clean(cp_translate(cp_from_mpoly(curve), point[0], point[1]))
-        if not cp or (0, 0) in cp:
-            raise PolynomialError("curve does not pass through the numeric point (residual constant term)")
-        return CurveGerm(cp, False)
+    def at_group(curve: MPoly, group: Group) -> "CurveGerm":
+        """The germ of the curve, reduced at the group's points, at each of
+        them: the Taylor coefficients of curve(x + X, y + Y), polynomials in
+        the point (x, y)."""
+        shifted = curve.substitute({"x": X + MPoly.variable("u"), "y": Y + MPoly.variable("v")})
+        rows: dict = {}
+        for (i, j, a, b), c in _rekey(shifted, ("u", "v", "x", "y")).items():
+            rows.setdefault((i, j), {})[(a, b)] = c
+        return CurveGerm({e: MPoly._make(("x", "y"), t) for e, t in rows.items()}, group)
 
     @property
-    def poly(self) -> MPoly | None:
-        """The exact germ as a polynomial in x and y (None when numeric)."""
-        return MPoly._make(("x", "y"), dict(self.terms)) if self.exact else None
+    def poly(self) -> MPoly:
+        return MPoly._make(("x", "y"), dict(self.terms))
 
     def multiplicity(self) -> int:
         if not self.terms:
-            if self.exact:
-                raise PolynomialError("zero polynomial has no initial form")
-            raise NumericAbortError("numeric germ vanished entirely")
+            raise PolynomialError("zero polynomial has no initial form")
         return min(i + j for i, j in self.terms)
 
 
@@ -185,7 +139,7 @@ def _meet_at_origin(f: MPoly, g: MPoly, shared: str) -> int:
 
 def milnor_number(germ: CurveGerm) -> int:
     """mu = I(f_x, f_y) at the origin; requires an isolated singularity."""
-    if not germ.exact:
+    if germ.group is not None:
         raise PolynomialError("exact Milnor number needs a rational base point")
     f = germ.poly
     fx, fy = f.derivative("x"), f.derivative("y")
@@ -207,30 +161,19 @@ def _nonzero_at_origin(f: MPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _tangents(germ: CurveGerm, m: int) -> list[tuple[Direction, int]]:
-    """The lines of the tangent cone with their multiplicities: the vertical
-    line first, then rational slopes ascending, then the others by (re, im).
-
-    The slopes are the roots of init(1, t); the vertical line's multiplicity
-    is the drop of its degree below m."""
+def _tangents(germ: CurveGerm, m: int) -> tuple[list[tuple[Fraction | None, int]], list[tuple[Group, int]]]:
+    """The lines (slope, multiplicity) of the tangent cone at a rational
+    point: the vertical line (None) first, with the drop of the degree of
+    init(1, t) below m, then the rational slopes ascending; and the others,
+    the roots of each Yun factor of init(1, t) left by its rational roots, as
+    a group with y = 0."""
     init = {j: c for (i, j), c in germ.terms.items() if i + j == m}
     top = max(init)
-    lines = [(Direction.exact(0, 1), m - top)] if top < m else []
+    lines = [(None, m - top)] if top < m else []
     if top == 0:
-        return lines
-    if germ.exact:
-        u = MPoly._make(("t",), {(j,): c for j, c in init.items()})
-        rational, numeric = univariate_root_split(u, "t")
-    else:
-        roots = univariate_roots([init.get(j, 0j) for j in range(top + 1)])
-        scale = 1.0 + max(abs(r) for r in roots)
-        rational, numeric = [], cluster_points(roots, CLUSTER_TOL * scale)
-    lines += [(Direction.exact(1, r), k) for r, k in sorted(rational)]
-    lines += [
-        (Direction.numeric(1.0 + 0j, z), k)
-        for z, k in sorted(numeric, key=lambda t: (t[0].real, t[0].imag))
-    ]
-    return lines
+        return lines, []
+    rational, rest = rational_split(_int_coeffs(MPoly._make(("t",), {(j,): c for j, c in init.items()}), "t"))
+    return lines + sorted(rational), [(Group(w, [0], [1], 0), k) for w, k in rest]
 
 
 def _chart(terms: CPoly, m: int, vertical: bool) -> CPoly:
@@ -242,89 +185,183 @@ def _chart(terms: CPoly, m: int, vertical: bool) -> CPoly:
     return out
 
 
-def _children(germ: CurveGerm, m: int, lines: list[tuple[Direction, int]]):
-    """The strict-transform germ at each line of the tangent cone.  A child
-    is exact when its parent and its line are; otherwise its coefficients
-    become complex and are cleaned."""
-    chart = None
-    for direction, _mult in lines:
-        if direction.is_exact and direction.u == 0:
-            child = _chart(germ.terms, m, vertical=True)
-        else:
-            if chart is None:
-                chart = _chart(germ.terms, m, vertical=False)
-            child = cp_translate(chart, 0, _as_rational(direction.v) if direction.is_exact else _slope(direction))
-        exact = germ.exact and direction.is_exact
-        if not exact:
-            child = cp_clean({e: complex(c) for e, c in child.items()})
-        yield direction, CurveGerm(child, exact)
+def _children(germ: CurveGerm, m: int, lines: list[tuple[Fraction | None, int]]):
+    """(slope, multiplicity, strict-transform germ) at each rational line:
+    the vertical chart, or chart(x, y + slope) of the other one."""
+    chart = _chart(germ.terms, m, vertical=False)
+    for slope, k in lines:
+        child: CPoly = {} if slope is not None else _chart(germ.terms, m, vertical=True)
+        for (i, j), c in chart.items() if slope is not None else ():
+            for b in range(j + 1) if slope else (j,):
+                child[(i, b)] = child.get((i, b), 0) + c * (comb(j, b) * _as_rational(slope) ** (j - b) if j - b else 1)
+        yield slope, k, CurveGerm({e: c for e, c in child.items() if c != 0})
 
 
-def _slope(d: Direction) -> complex:
-    u, v = d.approx
-    return v / u
+def _shift(chart: CPoly, slope: int | None) -> CPoly:
+    """chart(x, y + s), s the coordinate `slope` (0: x, 1: y) of a group's
+    points, or None for no shift; the chart's coefficients are numbers or
+    ascending lists in x, the result's polynomials in the coordinates."""
+    rows: dict = {}
+    for (a, j), c in chart.items():
+        for i, ci in enumerate(c if isinstance(c, list) else [c]):
+            for b in (range(j + 1) if slope is not None else (j,)) if ci else ():
+                row = rows.setdefault((a, b), {})
+                e = (i, j - b) if slope else (i + j - b, 0)
+                row[e] = row.get(e, 0) + ci * comb(j, b)
+    polys = {ab: MPoly._make(("x", "y"), {e: _as_rational(c) for e, c in row.items() if c}) for ab, row in rows.items()}
+    return {ab: p for ab, p in polys.items() if not p.is_zero()}
+
+
+def _rem(a: list, w: list[int]) -> list:
+    """a mod w over Q, for ascending lists."""
+    return [Fraction(c, w[-1] ** max(0, len(a) - len(w) + 1)) for c in _int_prem(a, w)] if a else []
+
+
+def _in_generator(group: Group, polys: list[MPoly]) -> list[list]:
+    """The polys in (x, y), read at the points of the group, as ascending
+    lists in its generator t of degree below deg w: y = -num/den and
+    x = t + lam*y mod w, with the inverse of den, which no root of w zeroes,
+    by extended Euclid over Q."""
+    r0, r1, s0, s1 = group.w, _rem(group.den, group.w), [], [1]
+    while len(r1) > 1:
+        q, r = [], r0
+        while len(r) >= len(r1):
+            shift, c = [0] * (len(r) - len(r1)), Fraction(r[-1]) / r1[-1]
+            q, r = _sub(q, shift + [-c]), _sub(r, shift + [c * v for v in r1])
+        r0, r1, s0, s1 = r1, r, s1, _sub(s0, _mul(q, s1))
+    y = _rem(_mul([Fraction(-c) / r1[0] for c in group.num], s1), group.w)
+    powers = [[[1]], [[1]]]
+    for base, row in zip((_sub([0, 1], [-group.lam * c for c in y]), y), powers):
+        for _ in range(max(p.total_degree() for p in polys)):
+            row.append(_rem(_mul(row[-1], base), group.w))
+    out = []
+    for p in polys:
+        acc: list = []
+        for (a, b), coeff in _rekey(p, ("x", "y")).items():
+            acc = _sub(acc, [-coeff * v for v in _mul(powers[0][a], powers[1][b])])
+        out.append(_rem(acc, group.w))
+    return out
 
 
 @dataclass
 class Resolution:
     mult_sequence: list[int]
     branches: int
-    exact_mode: bool
     tangent_pattern: tuple[int, ...]
 
 
+SMOOTH = Resolution([], 1, (1,))
+CAP = "resolution exceeded the blow-up cap (is the germ reduced?)"
+
+
+def _assemble(m: int, lines: list[tuple]) -> Resolution:
+    """The resolution at a point of multiplicity m from its lines (order
+    key, multiplicity, resolution or None when terminal), by key."""
+    seq, leaves = [m], 0
+    for _, _, res in sorted(lines, key=lambda line: line[0]):
+        seq += res.mult_sequence if res else []
+        leaves += res.branches if res else 1
+    return Resolution(seq, leaves, tuple(sorted(k for _, k, _ in lines)))
+
+
 def resolve_germ(germ: CurveGerm) -> Resolution:
-    """Full embedded resolution bookkeeping: multiplicities of the strict
-    transforms at all infinitely-near points, and the leaf (branch) count."""
-    root_lines = _tangents(germ, germ.multiplicity())
-    seq: list[int] = []
-    leaves = 0
-    all_exact = True
+    """Full embedded resolution bookkeeping at a rational point:
+    multiplicities of the strict transforms at all infinitely-near points,
+    in depth-first order, and the leaf (branch) count."""
+    return _resolve_at(germ, False, False, 0) or SMOOTH
 
-    def recurse(g: CurveGerm, has_x: bool, has_y: bool, depth: int):
-        nonlocal leaves, all_exact
-        if depth > MAX_BLOWUPS:
-            if not g.exact:
-                raise NumericAbortError(
-                    "numeric germ exceeded the blow-up cap (tangent lines not separated numerically)"
-                )
-            raise PolynomialError(
-                "resolution exceeded the blow-up cap (is the germ reduced?)"
-            )
-        all_exact = all_exact and g.exact
-        m = g.multiplicity()
-        if m == 0:
+
+def _resolve_at(g: CurveGerm, has_x: bool, has_y: bool, depth: int) -> Resolution | None:
+    """`resolve_germ` below the root, None at a terminal germ.  The lines at
+    a point go vertical, rational slopes ascending, then the points of each
+    group of irrational slopes (`_resolve_group`) by (re, im)."""
+    if depth > MAX_BLOWUPS:
+        raise PolynomialError(CAP)
+    m = g.multiplicity()
+    if m == 0:
+        raise InternalInvariantError("strict transform does not vanish at its point")
+    # terminal: smooth, through at most one exceptional component, and
+    # transverse to it (x = 0 meets it where y has a term, y = 0 where x has)
+    if m == 1 and not (has_x and has_y) and (g.terms.get((0, 1)) or not has_x) and (g.terms.get((1, 0)) or not has_y):
+        return None
+    lines, groups = _tangents(g, m)
+    entries = [((0,) if s is None else (1, s), k,
+                _resolve_at(child, has_x or s is not None, s is None or (s == 0 and has_y), depth + 1))
+               for s, k, child in _children(g, m, lines)]
+    shifted = _shift(_chart(g.terms, m, vertical=False), 0) if any(k > 1 for _, k in groups) else {}
+    for group, k in groups:
+        # an irrational slope is not 0; at a simple line the strict transform
+        # is terminal, as its coefficient of y is init'(1, s) != 0
+        for part, records in _resolve_group(group, shifted, True, False, depth + 1) if k > 1 else [(group, None)]:
+            keys = [(2, s.real, s.imag) for s, _ in part.points] if records else [(2,)] * part.size
+            entries += zip(keys, [k] * part.size, records or [None] * part.size)
+    return _assemble(m, entries)
+
+
+def _resolve_group(group: Group, terms: CPoly, has_x: bool, has_y: bool, depth: int):
+    """The resolution at each point of a germ at a group: (part, records)
+    for parts that partition the group, records a `Resolution` for each of
+    part.points, or None where all are terminal.  The group is split by the
+    coefficients of order m = 0, 1, ..., the part of order m by the terminal
+    test (m = 1) and by the coefficients of order m from the top one down."""
+    if depth > MAX_BLOWUPS:
+        raise PolynomialError(CAP)
+    out, rest = [], group
+    for m in range(max(map(sum, terms), default=-1) + 1):
+        if not rest.size:
+            break
+        rest, part = split(rest, [c for e, c in terms.items() if sum(e) == m])
+        if part.size and m == 0:
             raise InternalInvariantError("strict transform does not vanish at its point")
-        if m == 1 and _is_terminal(g, has_x, has_y):
-            leaves += 1
-            return
-        seq.append(m)
-        lines = root_lines if g is germ else _tangents(g, m)
-        for direction, child in _children(g, m, lines):
-            if direction.is_exact and direction.u != 0:
-                new_has_x, new_has_y = True, (direction.v == 0 and has_y)
-            elif direction.is_exact:
-                new_has_x, new_has_y = has_x, True
-            else:
-                new_has_x, new_has_y = True, (abs(_slope(direction)) < 1e-9 and has_y)
-            recurse(child, new_has_x, new_has_y, depth + 1)
-
-    recurse(germ, False, False, 0)
-    return Resolution(seq, leaves, all_exact, tuple(sorted(k for _, k in root_lines)))
+        if m == 1 and not (has_x and has_y):
+            # a constant vanishes nowhere
+            tangent = terms.get((0, 1) if has_x else (1, 0), ZERO) if has_x or has_y else MPoly.constant(1)
+            part, smooth = split(part, [tangent])
+            out += [(smooth, None)] if smooth.size else []
+        for top in range(m, -1, -1):
+            if not part.size:
+                break
+            part, at = split(part, [terms.get((m - top, top), ZERO)])
+            out += [(at, _blow_up(at, terms, m, top, has_x, has_y, depth))] if at.size else []
+    if rest.size:
+        raise InternalInvariantError("a germ vanishes identically at a point of its group")
+    return out
 
 
-def _is_terminal(g: CurveGerm, has_x: bool, has_y: bool) -> bool:
-    """Smooth, through at most one exceptional component, and transverse to it."""
-    if has_x and has_y:
-        return False
-    alpha = g.terms.get((1, 0), 0)
-    beta = g.terms.get((0, 1), 0)
-    tol = 0 if g.exact else 1e-7 * max(abs(alpha), abs(beta))
-    if has_x and abs(beta) <= tol:  # tangent line x = 0
-        return False
-    if has_y and abs(alpha) <= tol:  # tangent line y = 0
-        return False
-    return True
+def _blow_up(part: Group, terms: CPoly, m: int, top: int, has_x: bool, has_y: bool,
+             depth: int) -> list[Resolution]:
+    """The resolution at each point of a part of order m of a group germ,
+    with the vertical line of multiplicity m - top, in the part's generator
+    t (`_in_generator`): the vertical strict transform on (t, 0), the others
+    on the zeros (t, s) of w and init (`common_zeros`), split by the
+    s-derivatives of init.  A child goes to the point nearest its t, whose
+    lines must have multiplicities summing to m, vertical first, then by s."""
+    c = {e: v for e, v in zip(terms, _in_generator(part, list(terms.values()))) if v}
+    lines = []  # (t, order key, multiplicity, Resolution or None)
+
+    def add(group: Group, child: CPoly, key, k: int, flags: tuple[bool, bool]):
+        for sub, records in _resolve_group(group, child, *flags, depth + 1):
+            lines.extend((q[0], key(q[1]), k, res) for q, res in zip(sub.points, records or [None] * sub.size))
+
+    if top < m:
+        add(Group(part.w, [0], [1], 0, part.ts), _shift(_chart(c, m, vertical=True), None),
+            lambda s: (0,), m - top, (has_x, True))
+    init = MPoly._make(("x", "y"), {(i, j): _as_rational(ci) for j in range(top + 1)
+                                    for i, ci in enumerate(c.get((m - j, j), [])) if ci})
+    child = _shift(_chart(c, m, vertical=False), 1) if top else {}
+    for group in common_zeros([_from_int_coeffs("x", part.w), init]).groups if top else []:
+        d = init
+        for k in range(1, top + 1):
+            d = d.derivative("y")
+            group, simple = split(group, [d])
+            for flat, sub in zip((True, False), split(simple, [Y])) if has_y else [(False, simple)]:
+                add(sub, child, lambda s: (1, s.real, s.imag), k, (True, flat))
+    per: list[list] = [[] for _ in part.ts]
+    for t, *line in lines:
+        per[min(range(len(part.ts)), key=lambda i: abs(part.ts[i] - t))].append(line)
+    if any(sum(k for _, k, _ in point_lines) != m for point_lines in per):
+        raise NumericAbortError("approximations do not tell the conjugate points of a germ apart")
+    return [_assemble(m, point_lines) for point_lines in per]
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +377,6 @@ class GermFingerprint:
     delta: int
     mult_sequence: tuple[int, ...]
     tangent_pattern: tuple[int, ...]
-    exact: bool
 
     def key(self) -> tuple:
         return (self.m, self.mu, self.r, self.delta, self.mult_sequence, self.tangent_pattern)
@@ -351,40 +387,36 @@ class GermFingerprint:
             f"seq={list(self.mult_sequence)}, cone={list(self.tangent_pattern)})"
         )
 
+    @staticmethod
+    def of(res: Resolution) -> "GermFingerprint":
+        """The fingerprint of a resolution, with mu = 2*delta - r + 1."""
+        delta = sum(mi * (mi - 1) // 2 for mi in res.mult_sequence)
+        return GermFingerprint(res.mult_sequence[0] if res.mult_sequence else 1, 2 * delta - res.branches + 1,
+                               res.branches, delta, tuple(res.mult_sequence), res.tangent_pattern)
+
 
 def fingerprint(germ: CurveGerm) -> GermFingerprint:
-    """Equisingularity invariants of the germ.
+    """Equisingularity invariants of a germ at a rational point.
 
-    delta always comes from the multiplicity sequence; for exact germs mu is
-    computed independently as I(f_x, f_y) and the Milnor relation
-    mu = 2*delta - r + 1 is asserted, never assumed.
+    delta comes from the multiplicity sequence; mu is computed independently
+    as I(f_x, f_y) and the Milnor relation mu = 2*delta - r + 1 is asserted,
+    never assumed.
     """
-    res = resolve_germ(germ)
-    m = germ.multiplicity()
-    delta_seq = sum(mi * (mi - 1) // 2 for mi in res.mult_sequence)
-    r = res.branches
-    if germ.exact:
-        mu = milnor_number(germ)
-        if (mu + r - 1) % 2 != 0:
-            raise InternalInvariantError(f"mu + r - 1 odd: mu={mu}, r={r}")
-        delta_mu = (mu + r - 1) // 2
-        if delta_mu != delta_seq:
-            raise InternalInvariantError(
-                f"delta mismatch: (mu+r-1)/2 = {delta_mu} vs blow-up count {delta_seq}"
-            )
-    else:
-        mu = 2 * delta_seq - r + 1
-    if res.mult_sequence and res.mult_sequence[0] != m:
+    fp, mu = GermFingerprint.of(resolve_germ(germ)), milnor_number(germ)
+    if mu != fp.mu:
+        raise InternalInvariantError(f"Milnor relation fails: mu = {mu}, 2*delta - r + 1 = {fp.mu} by blow-ups")
+    if fp.m != germ.multiplicity():
         raise InternalInvariantError("multiplicity sequence does not start at m")
-    return GermFingerprint(
-        m=m,
-        mu=mu,
-        r=r,
-        delta=delta_seq,
-        mult_sequence=tuple(res.mult_sequence),
-        tangent_pattern=res.tangent_pattern,
-        exact=res.exact_mode and germ.exact,
-    )
+    return fp
+
+
+def fingerprints(germ: CurveGerm) -> list[GermFingerprint]:
+    """The fingerprint at each point of the germ's group, part by part of
+    the group's splits, or the one `fingerprint` at a rational point."""
+    if germ.group is None:
+        return [fingerprint(germ)]
+    return [GermFingerprint.of(res) for part, records in _resolve_group(germ.group, germ.terms, False, False, 0)
+            for res in records or [SMOOTH] * part.size]
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +425,10 @@ def fingerprint(germ: CurveGerm) -> GermFingerprint:
 
 
 def homogenize(f: MPoly) -> MPoly:
-    """Homogenization with the variable z, of degree the total degree of f."""
+    """Homogenization with the variable z, of degree the total degree of f
+    (in x and y)."""
     n = f.total_degree()
-    z = MPoly.variable("z")
-    total = MPoly.zero()
-    for e, c in f.terms.items():
-        mono = MPoly._make(f.variables, {e: c})
-        total = total + mono * z ** (n - sum(e))
-    return total
+    return MPoly._make(f.variables + ("z",), {e + (n - sum(e),): c for e, c in f.terms.items()})
 
 
 def _delta_sum_at_infinity(F: MPoly) -> int:
@@ -409,26 +437,28 @@ def _delta_sum_at_infinity(F: MPoly) -> int:
     total = 0
     # chart y = 1: coordinates (x, z); points [x0 : 1 : 0]
     G = H.substitute({"y": 1})
-    line = [g.substitute({"z": 0}) for g in (G, G.derivative("x"), G.derivative("z"))]
-    line = [g for g in line if not g.is_zero()]
-    rational, numeric = [], []
+    line = [h for g in (G, G.derivative("x"), G.derivative("z")) if not (h := g.substitute({"z": 0})).is_zero()]
+    rational, rest = [], []
     if line and all(not g.is_constant() for g in line):
         elim = gcd_fold(line)
         if not elim.is_constant():
-            rational, numeric = univariate_root_split(elim, "x")
-    for x0, _ in rational:
-        if G.evaluate({"x": x0, "z": 0}) == 0:
-            germ = CurveGerm.at_point(PlaneCurve(G.substitute({"z": Y})), (x0, Fraction(0)))
-            total += fingerprint(germ).delta
-    for x0, _ in numeric:
-        germ = CurveGerm.at_numeric_point(G.substitute({"z": Y}), (x0, 0j))
-        total += fingerprint(germ).delta
+            rational, rest = rational_split(_int_coeffs(elim, "x"))
+    curve = G.substitute({"z": Y})
+    germs = [CurveGerm.at_point(PlaneCurve(curve), (x0, Fraction(0)))
+             for x0, _ in rational if G.evaluate({"x": x0, "z": 0}) == 0]
+    # the irrational roots x0 of each Yun factor w are the points (x0, 0)
+    germs += [CurveGerm.at_group(curve, Group(w, [0], [1], 0)) for w, _ in rest]
     # the point [1 : 0 : 0] lives in the chart x = 1, with (y, z) renamed (x, y)
     K = H.substitute({"x": 1, "y": X, "z": Y})
     if not any(_nonzero_at_origin(g) for g in (K, K.derivative("x"), K.derivative("y"))):
-        germ = CurveGerm.at_point(PlaneCurve(K), (Fraction(0), Fraction(0)))
-        total += fingerprint(germ).delta
-    return total
+        germs.append(CurveGerm.at_point(PlaneCurve(K), (Fraction(0), Fraction(0))))
+    return sum(fp.delta for germ in germs for fp in fingerprints(germ))
+
+
+def _germs(curve: PlaneCurve, zs) -> list[CurveGerm]:
+    """The germ of the curve at each rational point and each group of zs."""
+    return ([CurveGerm.at_point(curve, q) for q in zs.rational]
+            + [CurveGerm.at_group(curve.defining, group) for group in zs.groups])
 
 
 def genus_of_curve(curve: PlaneCurve, include_infinity: bool = True) -> int:
@@ -443,12 +473,8 @@ def genus_of_curve(curve: PlaneCurve, include_infinity: bool = True) -> int:
     count = curve_component_count(curve)
     if count != 1:
         raise PolynomialError(f"genus_of_curve: curve has {count} components; not irreducible")
-    delta_total = 0
     zs = common_zeros([F, F.derivative("x"), F.derivative("y")])
-    for q in zs.rational:
-        delta_total += fingerprint(CurveGerm.at_point(curve, q)).delta
-    for q in zs.numeric:
-        delta_total += fingerprint(CurveGerm.at_numeric_point(F, q)).delta
+    delta_total = sum(fp.delta for germ in _germs(curve, zs) for fp in fingerprints(germ))
     if include_infinity:
         delta_total += _delta_sum_at_infinity(F)
     g = (n - 1) * (n - 2) // 2 - delta_total
@@ -488,20 +514,13 @@ def equisingularity_check(fol, seed: int = 0, samples: int = 10) -> CheckReport:
         F = curve.defining
         if curve.raw != curve.defining:
             return None, "polar not reduced"
-        fx, fy = F.derivative("x"), F.derivative("y")
         try:
-            zs = common_zeros([F, fx, fy])
+            zs = common_zeros([F, F.derivative("x"), F.derivative("y")])
         except (InfiniteZeroSetError, NumericAbortError) as e:
             return None, f"singular locus solve failed: {e}"
-        table = [fingerprint(CurveGerm.at_point(curve, q)).key() for q in zs.rational]
-        for q in zs.numeric:
-            try:
-                table.append(fingerprint(CurveGerm.at_numeric_point(F, q)).key())
-            except (NumericAbortError, PolynomialError) as e:
-                return None, f"numeric germ failed: {e}"
-        return (curve, zs, sorted(table)), None
+        return (curve, sorted(fp.key() for germ in _germs(curve, zs) for fp in fingerprints(germ))), None
 
-    for _, p, (curve, zs, table) in sample_centers(report, GenericSampler(seed), samples, admissible):
+    for _, p, (curve, table) in sample_centers(report, GenericSampler(seed), samples, admissible):
         if reference is None:
             reference = table
             ref_degree = curve.degree
@@ -509,16 +528,11 @@ def equisingularity_check(fol, seed: int = 0, samples: int = 10) -> CheckReport:
                 f"reference table at p={p}: "
                 + ("; ".join(_fmt_fp(k) for k in table) if table else "no singular points")
             )
-        exact_entry = not zs.numeric
         report.add(
             f"fingerprint table at p={p}",
             table == reference and curve.degree == ref_degree,
             f"{len(table)} singular point(s), degree {curve.degree}",
-            exact=exact_entry,
         )
-    if any(not a.exact for a in report.assertions):
-        report.certify("germ_clean_tolerance", CLEAN_TOL)
-        report.certify("cluster_tolerance", CLUSTER_TOL)
     return report
 
 
@@ -544,13 +558,9 @@ def genus_constancy_check(fol, seed: int = 0, samples: int = 5) -> CheckReport:
             return None, f"genus unavailable: {e}"
 
     genera = [(str(p), g) for _, p, g in sample_centers(report, GenericSampler(seed), samples, admissible)]
-    values = {g for _, g in genera}
     report.add(
         "genus constant across centers",
-        len(values) == 1 and report.samples_used == samples,
+        len({g for _, g in genera}) == 1 and report.samples_used == samples,
         f"genera: {genera}",
-        exact=False,
     )
-    report.certify("germ_clean_tolerance", CLEAN_TOL)
-    report.certify("cluster_tolerance", CLUSTER_TOL)
     return report

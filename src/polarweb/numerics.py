@@ -307,20 +307,3 @@ def monodromy_partition(
         min_separation=cert.min_separation,
         max_step=cert.max_step,
     )
-
-
-def cluster_points(points: Sequence[complex], tol: float) -> list[tuple[complex, int]]:
-    """Greedy clustering of numerically repeated values: (center, count) pairs."""
-    clusters: list[list[complex]] = []
-    for p in points:
-        for cl in clusters:
-            if abs(p - cl[0]) <= tol:
-                cl.append(p)
-                break
-        else:
-            clusters.append([p])
-    out = []
-    for cl in clusters:
-        center = sum(cl) / len(cl)
-        out.append((center, len(cl)))
-    return out

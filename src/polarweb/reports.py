@@ -45,9 +45,6 @@ class CheckReport:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
-    def certify(self, key: str, tolerance: float) -> None:
-        self.certificates[key] = f"{tolerance:.6e}"
-
     @property
     def passed(self) -> bool:
         return all(a.passed for a in self.assertions)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import chain, count, islice
 
@@ -68,20 +69,19 @@ def _candidates(approx: list[complex]):
                 yield Fraction(r.real).limit_denominator(cap)
 
 
-def int_root_split(coeffs: list[int]) -> tuple[list[tuple[Fraction, int]], list[tuple[complex, int]]]:
+def rational_split(coeffs: list[int]) -> tuple[list[tuple[Fraction, int]], list[tuple[list[int], int]]]:
     """Roots of the polynomial with the ascending int coefficients (nonzero
-    top; any content): (rational with exact multiplicity, non-rational
-    numeric with multiplicity), the rational ones factor by factor in Yun's
-    order and descending within a factor.  The rational roots of each
-    square-free factor are lifted p-adically (`zpoly._rational_roots`) at
+    top; any content): the rational ones with exact multiplicity, factor by
+    factor in Yun's order and descending within a factor, and each Yun factor
+    left once they are divided out, with its multiplicity, when it has a
+    root.  The rational roots of each square-free factor are lifted p-adically (`zpoly._rational_roots`) at
     the first prime p dividing neither its top coefficient nor its
     discriminant; the search ends, as the factor is square-free.  Each is a
     simple root mod p, as its denominator divides the top and the factor
     stays square-free mod p.  Lifted past 2*|top * lowest nonzero
-    coefficient| and checked exactly, they are divided out, and Aberth runs
-    once on what is left."""
+    coefficient|, they are checked exactly."""
     rational: list[tuple[Fraction, int]] = []
-    numeric: list[tuple[complex, int]] = []
+    rest: list[tuple[list[int], int]] = []
     for work, mult in _yun(coeffs):
         for root in _rational_roots(work):
             rational.append((root, mult))
@@ -90,8 +90,14 @@ def int_root_split(coeffs: list[int]) -> tuple[list[tuple[Fraction, int]], list[
             q = _int_exact_quo(work, [-root.numerator, root.denominator])
             work = [root.denominator * c for c in q]
         if len(work) > 1:
-            numeric += [(r, mult) for r in univariate_roots(work)]
-    return rational, numeric
+            rest.append((work, mult))
+    return rational, rest
+
+
+def int_root_split(coeffs: list[int]) -> tuple[list[tuple[Fraction, int]], list[tuple[complex, int]]]:
+    """`rational_split`, with Aberth run once on each factor left."""
+    rational, rest = rational_split(coeffs)
+    return rational, [(r, mult) for work, mult in rest for r in univariate_roots(work)]
 
 
 def univariate_root_split(f: MPoly, var: str) -> tuple[list[tuple[Fraction, int]], list[tuple[complex, int]]]:
@@ -106,13 +112,41 @@ def univariate_root_split(f: MPoly, var: str) -> tuple[list[tuple[Fraction, int]
 @dataclass
 class Group:
     """Irrational zeros of one `_shape` group: each root t of w (an int list
-    with no rational root) is (t + lam*y, y) at y = -num(t)/den(t)."""
+    with no rational root) is (t + lam*y, y) at y = -num(t)/den(t).  The
+    approximations `ts` of the roots of w, and the `points` they give, are
+    computed on first use unless they are given."""
 
     w: list[int]
     num: list[int]
     den: list[int]
     lam: int
-    points: list[tuple[complex, complex]]
+    given_ts: list[complex] | None = field(default=None, repr=False)
+
+    @cached_property
+    def ts(self) -> list[complex]:
+        return self.given_ts if self.given_ts is not None else univariate_roots(self.w) if self.size else []
+
+    @cached_property
+    def points(self) -> list[tuple[complex, complex]]:
+        """The points of the roots of w, approximated by ts.  A coordinate
+        that rounds to a rational value is kept exact when one gcd proves it
+        (both cannot be rational, and x = t is not when lam = 0)."""
+        w, num, den, lam, ts = self.w, self.num, self.den, self.lam, self.ts
+        # one power of two brings every coefficient into float range
+        scale = 2 ** max(0, max(abs(c).bit_length() for c in num + den) - 1000)
+        num_f, den_f = [c / scale for c in num], [c / scale for c in den]
+        ys = [-_horner(num_f, t) / _horner(den_f, t) for t in ts]
+        xs = [t + lam * y for t, y in zip(ts, ys)]
+        # y = a/b where b*num + a*den = 0, x = a/b where b*(t*den - lam*num) = a*den
+        exact_y = _exact_coordinates(w, ys, lambda a, b: _sub(_mul([b], num), [-a * c for c in den]))
+        exact_x = _exact_coordinates(w, xs, lambda a, b: _sub(
+            _mul([b], _sub([0] + den, [lam * c for c in num])), [a * c for c in den])) if lam else [None] * len(ts)
+        return [(complex(x if x0 is None else x0), complex(y if y0 is None else y0))
+                for x, y, x0, y0 in zip(xs, ys, exact_x, exact_y)]
+
+    @property
+    def size(self) -> int:
+        return len(self.w) - 1
 
 
 @dataclass
@@ -336,23 +370,6 @@ def _exact_coordinates(w: list[int], approx: list[complex], vanishing) -> list[F
     return out
 
 
-def _approximate(w: list[int], num: list[int], den: list[int], lam: int, ts: list[complex]) -> Group:
-    """The group of the roots of w, approximated by ts.  A coordinate that
-    rounds to a rational value is kept exact when one gcd proves it (both
-    cannot be rational, and x = t is not when lam = 0)."""
-    # one power of two brings every coefficient into float range
-    scale = 2 ** max(0, max(abs(c).bit_length() for c in num + den) - 1000)
-    num_f, den_f = [c / scale for c in num], [c / scale for c in den]
-    ys = [-_horner(num_f, t) / _horner(den_f, t) for t in ts]
-    xs = [t + lam * y for t, y in zip(ts, ys)]
-    # y = a/b where b*num + a*den = 0, x = a/b where b*(t*den - lam*num) = a*den
-    exact_y = _exact_coordinates(w, ys, lambda a, b: _sub(_mul([b], num), [-a * c for c in den]))
-    exact_x = _exact_coordinates(w, xs, lambda a, b: _sub(
-        _mul([b], _sub([0] + den, [lam * c for c in num])), [a * c for c in den])) if lam else [None] * len(ts)
-    return Group(w, num, den, lam, [(complex(x if x0 is None else x0), complex(y if y0 is None else y0))
-                                    for x, y, x0, y0 in zip(xs, ys, exact_x, exact_y)])
-
-
 def point_order(q: tuple[complex, complex]) -> tuple:
     """The order of approximate points: each coordinate carries its own
     round-off, so points that share one (to 9 places) go by the other."""
@@ -362,7 +379,7 @@ def point_order(q: tuple[complex, complex]) -> tuple:
 def _points(groups, lam: int) -> ZeroSet:
     """The zeros of the groups of `_shape`, with x = t + lam*y.  A rational
     root t gives a rational point; the irrational roots of each part form
-    one `Group` (`_approximate`)."""
+    one `Group`."""
     zs = ZeroSet()
     for part, num, den in groups:
         rational, numeric = univariate_root_split(_from_int_coeffs("x", part), "x")
@@ -372,7 +389,7 @@ def _points(groups, lam: int) -> ZeroSet:
             zs.rational.append((t + lam * y, y))
             w = _int_exact_quo(w, [-t.numerator, t.denominator])
         if numeric:
-            zs.groups.append(_approximate(w, *_same_scale_rem(num, den, w), lam, [t for t, _ in numeric]))
+            zs.groups.append(Group(w, *_same_scale_rem(num, den, w), lam, [t for t, _ in numeric]))
     zs.rational.sort()
     zs.numeric = sorted((q for g in zs.groups for q in g.points), key=point_order)
     return zs
@@ -381,14 +398,14 @@ def _points(groups, lam: int) -> ZeroSet:
 def split(group: Group, polys: list[MPoly]) -> tuple[Group, Group]:
     """The zeros of the group where all the polys in (x, y) vanish, and the
     rest: `_cut` by each sheared poly, as `_shape` cuts by a third generator,
-    and the cofactor; only a part smaller than w takes new approximations."""
+    and the cofactor.  A part as large as the group is the group itself; a
+    smaller one approximates its roots afresh, on first use."""
     part = group.w
     for h in polys:
         if len(part) > 1 and not h.is_zero():
             part = _cut(part, group.num, group.den, _y_coeffs(shear(h, group.lam)))
-    return tuple(group if len(f) == len(group.w) else _approximate(
-        f, group.num, group.den, group.lam, univariate_roots(f) if len(f) > 1 else [])
-        for f in (part, _int_exact_quo(group.w, part)))
+    return tuple(group if len(f) == len(group.w) else Group(f, group.num, group.den, group.lam)
+                 for f in (part, _int_exact_quo(group.w, part)))
 
 
 def common_zeros(polys: list[MPoly]) -> ZeroSet:

@@ -84,7 +84,7 @@ class Direction:
         return f"({u:.6g}:{v:.6g})"
 
 
-@dataclass
+@dataclass(eq=False)
 class PlaneCurve:
     """Reduced affine plane curve; `raw` keeps multiplicities when an operation
     produces a non-reduced equation."""
@@ -116,9 +116,6 @@ class PlaneCurve:
     @property
     def is_empty(self) -> bool:
         return self.defining.is_constant()
-
-    def __eq__(self, other):
-        return isinstance(other, PlaneCurve) and self.defining == other.defining
 
     def __str__(self):
         return str(self.defining)
@@ -230,11 +227,6 @@ class SymWeb:
         return any(_distinct_binary_roots([a.evaluate({"x": i, "y": j}) for a in coeffs])
                    for i, j in _small_grid(size))
 
-    def __eq__(self, other):
-        return isinstance(other, SymWeb) and self.form == other.form
-
-    def __str__(self):
-        return f"{self.k}-web[{self.form}]"
 
 
 def shared_factor_message(g: MPoly) -> str:

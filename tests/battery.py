@@ -72,15 +72,33 @@ def cone_multiplicity(fol: FoliationData, q: AffinePoint, p: AffinePoint) -> int
     return divisibility_multiplicity(jets[min(jets)], line)
 
 
+def _float_shift(f: MPoly, q: tuple[complex, complex]) -> dict:
+    """f(x + q_x, y + q_y) in complex floats, as a term dict {(i, j): c}, by
+    binomial expansion: the reference's own shift, apart from the program's
+    exact germs."""
+    out: dict = {}
+    ix, iy = (f.variables.index(v) if v in f.variables else None for v in ("x", "y"))
+    for e, c in f.terms.items():
+        i, j = (e[k] if k is not None else 0 for k in (ix, iy))
+        for a in range(i + 1):
+            for b in range(j + 1):
+                out[(a, b)] = out.get((a, b), 0j) + complex(c) * comb(i, a) * q[0] ** (i - a) * comb(j, b) * q[1] ** (j - b)
+    return out
+
+
+def _float_clean(terms: dict, tol: float = 1e-8) -> dict:
+    """terms scaled to norm 1, without those below tol."""
+    norm = max(abs(c) for c in terms.values())
+    return {e: c / norm for e, c in terms.items() if abs(c) > tol * norm}
+
+
 def numeric_cone_multiplicity(fol: FoliationData, q: tuple[complex, complex], p: AffinePoint,
                               tol: float = 1e-6) -> int:
     """The same multiplicity at an irrational q, in floats: the order at
     tau = 0 of C(v + tau*w), C the cone of P_p at q, v = p - q and w a unit
     vector off v, counted as the Taylor coefficients below tol relative to
     the cone."""
-    from polarweb.localsing import cp_clean, cp_from_mpoly, cp_translate
-
-    terms = cp_clean(cp_translate(cp_from_mpoly(polar_curve(fol.as_web, p).raw), q[0], q[1]))
+    terms = _float_clean(_float_shift(polar_curve(fol.as_web, p).raw, q))
     order = min(i + j for i, j in terms)
     v = (complex(p.a) - q[0], complex(p.b) - q[1])
     along_x = abs(v[1]) >= abs(v[0])  # w = (1, 0), else (0, 1)

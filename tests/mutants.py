@@ -193,6 +193,14 @@ MUTANTS = [
      "while group.points:",
      "while group.points and not k:",
      "tests/test_foliation.py::TestClassification::test_a_group_of_jet_order_2"),
+    # a coefficient that vanishes at part of a group taken as nonzero at all
+    # of it: at (+-sqrt 2, 0), the s-derivative of the cone of
+    # ((y - x)^2 - x^3)(y + x) vanishes on the double line alone, which then
+    # counts as simple
+    ("solve.py",
+     "for f in (part, _int_exact_quo(group.w, part)))",
+     "for f in (part if len(part) == len(group.w) else [1], group.w))",
+     "tests/test_localsing.py::TestFingerprint::test_every_conjugate_point_has_the_exact_fingerprint"),
 ]
 
 

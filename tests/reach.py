@@ -58,6 +58,8 @@ EXTRA = [
     ("type: web\nform: dy^2 - x*dx^2\n", ["discriminant", "--json"]),
     ("type: foliation\nA: x^2 - 2\nB: y\n", ["singular", "--json"]),
     ("type: web\nform: dy^2 - x*dx^2\n", ["directions", "--point", "2,0", "--json"]),
+    # rational directions (+-1 at (1, 0)), which no benchmark job asks for
+    ("type: web\nform: dy^2 - x*dx^2\n", ["directions", "--point", "1,0"]),
     ("type: foliation\nA: x^2\nB: y^2\n", ["inflexion", "--json"]),
     ("type: foliation\nA: x - y^2\nB: y + x^2\n", ["classify-sing", "--point", "0,0", "--json"]),
     ("type: web\nform: dy^2 - x*dx^2\n", ["family", "--base-points", "--json"]),

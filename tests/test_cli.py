@@ -425,13 +425,13 @@ class TestExitCodes:
         code, _ = run_command(["inflexion", "--in", inputs["web"]])
         assert code == 2
 
-    def test_unseparated_numeric_germ_is_3(self, tmp_path):
+    def test_e6_points_resolve_with_exit_0(self, tmp_path):
         # reduced, with E6 points at (+-sqrt 2, 0) whose triple tangent line
-        # the numeric germs cannot separate
+        # the exact germs at the group resolve; birational to x^2 = r^3 + 2
         path = tmp_path / "e6.txt"
         path.write_text("type: curve\nf: (y - x^2 + 2)^3 - (x^2 - 2)^4\n")
         code, text = run_command(["genus", "--in", str(path)])
-        assert code == 3 and text.startswith("numeric abort:")
+        assert code == 0 and text.endswith("\ngenus: 1")
 
     @pytest.mark.parametrize("text", [
         "type: curve\nf: x^2147483648 - y\n",
@@ -757,9 +757,9 @@ class TestToleranceOverrides:
     """No flag sets a tolerance: the module constants stay as they are."""
 
     def _settings(self):
-        from polarweb import localsing, numerics
+        from polarweb import numerics
 
-        return (localsing.CLUSTER_TOL, numerics.RESIDUAL_TOL)
+        return numerics.RESIDUAL_TOL
 
     def test_overrides_restored_after_an_error(self):
         defaults = self._settings()

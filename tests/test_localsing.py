@@ -19,9 +19,10 @@ from polarweb import (
 )
 from polarweb.cli import run_command
 from polarweb.errors import NumericAbortError, PolynomialError
+from polarweb.localsing import fingerprints
 from polarweb.foliation import class_of_curve
 from polarweb.mpoly import _rekey, lowest_jet, proper_shears, shear
-from polarweb.solve import common_zeros
+from polarweb.solve import Group, common_zeros
 from polarweb.zpoly import _distinct_binary_roots
 from polarweb.localsing import (
     _children,
@@ -42,7 +43,42 @@ def blow_up(g: CurveGerm) -> list[CurveGerm]:
     """The strict-transform germ at each point that one blow-up puts on the
     exceptional line."""
     m = g.multiplicity()
-    return [child for _, child in _children(g, m, _tangents(g, m))]
+    lines, groups = _tangents(g, m)
+    assert not groups
+    return [child for _, _, child in _children(g, m, lines)]
+
+
+def conjugate_pair(f: MPoly, c: int) -> MPoly:
+    """f(x - sqrt c, y) * f(x + sqrt c, y), a polynomial over Q."""
+    r = MPoly.variable("r")
+    F = f.substitute({"x": X - r}) * f.substitute({"x": X + r})
+    terms: dict = {}
+    for e, coeff in F.terms.items():
+        powers = dict(zip(F.variables, e))
+        key = (powers.get("x", 0), powers.get("y", 0))
+        terms[key] = terms.get(key, 0) + coeff * Fraction(c) ** (powers.get("r", 0) // 2)
+    return MPoly(("x", "y"), terms)
+
+
+def conjugate_germ(f: MPoly, c: int) -> CurveGerm:
+    """The germ of `conjugate_pair` at the group (+-sqrt c, 0)."""
+    return CurveGerm.at_group(conjugate_pair(f, c), Group([-c, 0, 1], [0], [1], 0))
+
+
+def _vanishes_at_twice_root(u: MPoly, c: int) -> bool:
+    """Whether u(x) vanishes at 2 sqrt c, for c not a square: its even and
+    odd parts at x^2 = 4c both vanish."""
+    parts = [0, 0]
+    for (k,), a in _rekey(u, ("x",)).items():
+        parts[k % 2] += a * (4 * c) ** (k // 2)
+    return parts == [0, 0]
+
+
+@st.composite
+def planted_germs(draw):
+    """`random_rational_germ` shapes times a planted steep or repeated line."""
+    f = random_rational_germ(random.Random(draw(st.integers(0, 2**32))))
+    return f * draw(st.sampled_from([MPoly.constant(1), Y - 1000 * X + Y**3, (Y - X) ** 3 - X**5, X + Y**2]))
 
 
 CUSP = germ(Y**2 - X**3)
@@ -165,7 +201,7 @@ class TestMilnor:
     def test_non_isolated_rejected(self):
         # x^2*y is not reduced: f_x = 2xy and f_y = x^2 share x through the origin
         with pytest.raises(PolynomialError, match="non-isolated singularity at the origin"):
-            milnor_number(CurveGerm({(2, 1): 1}, True))
+            milnor_number(CurveGerm({(2, 1): 1}))
 
     @given(isolated_germs())
     @example((Y - X) ** 3 - X**4)  # E6: mu = 6
@@ -260,7 +296,7 @@ class TestTeissier:
         f, _ = case
         assume(not f.is_zero())
         f = shear(f, next(proper_shears([lowest_jet(f)[1]])))
-        g = CurveGerm(_rekey(f, ("x", "y")), True)
+        g = CurveGerm(_rekey(f, ("x", "y")))
         try:
             mu = milnor_number(g)
         except PolynomialError:
@@ -360,22 +396,44 @@ class TestFingerprint:
             assert fp.mu == 2 * fp.delta - fp.r + 1
 
     def test_numeric_node_matches_exact(self):
+        # the node with irrational lines, moved to the conjugate points (+-sqrt 3, 0)
         exact = fingerprint(germ(Y**2 - 2 * X**2))
-        numeric = fingerprint(CurveGerm.at_numeric_point(Y**2 - 2 * X**2, (0j, 0j)))
-        assert exact.key() == numeric.key()
+        at_group = fingerprints(conjugate_germ(Y**2 - 2 * X**2, 3))
+        assert [fp.key() for fp in at_group] == [exact.key()] * 2
 
     def test_numeric_cusp_at_shifted_point(self):
-        poly = (Y - 1) ** 2 - (X - 2) ** 3
-        numeric = fingerprint(CurveGerm.at_numeric_point(poly, (2 + 0j, 1 + 0j)))
-        assert numeric.key() == fingerprint(CUSP).key()
+        # a cusp at (+-sqrt 2, 1): a group whose y is the constant 1
+        group = Group([-2, 0, 1], [-1], [1], 0)
+        poly = conjugate_pair((Y - 1) ** 2 - X**3, 2)
+        assert [fp.key() for fp in fingerprints(CurveGerm.at_group(poly, group))] == [fingerprint(CUSP).key()] * 2
 
-    def test_numeric_triple_tangent_is_a_numeric_abort(self):
-        # the cone line y = x has multiplicity 3 and does not separate
-        # numerically; the exact germ resolves
+    def test_numeric_triple_tangent_resolves_exactly(self):
+        # the cone line y = x has multiplicity 3 at both points (+-sqrt 2, 0)
         poly = (Y - X) ** 3 - X**4
-        with pytest.raises(NumericAbortError):
-            fingerprint(CurveGerm.at_numeric_point(poly, (0j, 0j)))
-        assert fingerprint(germ(poly)).key() == (3, 6, 1, 3, (3, 1, 1, 1), (3,))
+        expected = (3, 6, 1, 3, (3, 1, 1, 1), (3,))
+        assert fingerprint(germ(poly)).key() == expected
+        assert [fp.key() for fp in fingerprints(conjugate_germ(poly, 2))] == [expected] * 2
+
+    # three germs whose numeric copies at (+-sqrt 2, 0) could not be resolved
+    # in floats: a triple line, and two steep lines with a high-order tail
+    @pytest.mark.parametrize("poly", [
+        (Y - X) ** 3 - X**4, (Y - 1000 * X) * (Y + X) + Y**4, (Y - 100 * X) * (Y + X) + Y**6,
+    ], ids=["triple line", "slope 1000", "slope 100"])
+    def test_conjugate_points_match_the_origin(self, poly):
+        expected = fingerprint(germ(poly)).key()
+        assert [fp.key() for fp in fingerprints(conjugate_germ(poly, 2))] == [expected] * 2
+
+    @given(planted_germs(), st.sampled_from([2, 3, 5, -1]))
+    @example(((Y - X) ** 2 - X**3) * (Y + X), 2)  # a double and a simple line in one group
+    @settings(max_examples=25, deadline=None)
+    def test_every_conjugate_point_has_the_exact_fingerprint(self, f, c):
+        # f at both points of (+-sqrt c, 0) of f(x - sqrt c, y) * f(x + sqrt c, y),
+        # where f(x + 2 sqrt c, y) is a unit
+        g = germ(f)
+        assume(g.poly == f.canonical())  # reduced
+        assume(not _vanishes_at_twice_root(f.substitute({"y": 0}), c))
+        expected = fingerprint(g).key()
+        assert [fp.key() for fp in fingerprints(conjugate_germ(f, c))] == [expected] * 2
 
     def test_exact_germ_past_the_cap_is_a_polynomial_error(self, monkeypatch):
         from polarweb import localsing
@@ -403,19 +461,28 @@ class TestOneBlowUpPath:
         assert len(calls) == 0
         assert str(fingerprint(g)) == "(m=5, mu=17, r=4, delta=10, seq=[5, 1, 1], cone=[1, 1, 1, 2])"
 
-    def test_irrational_lines_give_numeric_children(self):
-        children = blow_up(germ(Y**2 - 2 * X**2))
-        assert len(children) == 2
-        for child in children:
-            assert not child.exact
-            assert all(isinstance(c, complex) for c in child.terms.values())
-            assert max(abs(c) for c in child.terms.values()) == 1
+    def test_irrational_lines_give_group_children(self, monkeypatch):
+        # the lines y = +-sqrt(2) x are the group of roots of t^2 - 2, found
+        # and resolved without an approximation
+        g = germ(Y**2 - 2 * X**2)
+        lines, groups = _tangents(g, 2)
+        assert lines == [] and [(group.w, group.num, group.den, group.lam, k) for group, k in groups] == [
+            ([-2, 0, 1], [0], [1], 0, 1)]
+        from polarweb import numerics
+
+        def no_roots(*args):
+            raise AssertionError("an Aberth call")
+
+        monkeypatch.setattr(numerics, "univariate_roots", no_roots)
+        monkeypatch.setattr(Group, "ts", property(no_roots))
+        res = resolve_germ(g)
+        assert (res.mult_sequence, res.branches, res.tangent_pattern) == ([2], 2, (1, 1))
 
     def test_rational_lines_keep_children_exact(self):
         children = blow_up(germ(Y**2 - X**2))
         assert len(children) == 2
         for child in children:
-            assert child.exact
+            assert child.group is None
             assert all(type(c) in (int, Fraction) for c in child.terms.values())
 
 
@@ -487,10 +554,10 @@ class TestGenus:
         with pytest.raises(PolynomialError):
             genus_of_curve(PlaneCurve((X + Y) * (X - Y + 1)))
 
-    # (F, genus, delta at infinity, [(chart point, exact, m, mu, delta)]):
+    # (F, genus, delta at infinity, [(chart point, rational, m, mu, delta)]):
     # a cusp and an E6 point at [1:0:0] (chart x = 1, point (0, 0) in the
-    # coordinates (y, z)), and two numeric cusps at [+-sqrt(2) : 1 : 0] (chart
-    # y = 1, points (x0, 0) in the coordinates (x, z)).
+    # coordinates (y, z)), and two conjugate cusps at [+-sqrt(2) : 1 : 0]
+    # (chart y = 1, the group of points (x0, 0) in the coordinates (x, z)).
     @pytest.mark.parametrize("F, genus, delta, points", [
         (X - Y**3, 0, 1, [((0, 0), True, 2, 2, 1)]),
         (X * Y**3 - 1, 0, 3, [((0, 0), True, 3, 6, 3)]),
@@ -502,17 +569,23 @@ class TestGenus:
 
         seen = []
 
-        def recording(make):
-            def at(curve, point):
-                g = make(curve, point)
-                fp = localsing.fingerprint(g)
-                seen.append((tuple(complex(c) for c in point), fp.exact, fp.m, fp.mu, fp.delta))
-                return g
-            return staticmethod(at)
+        def at_point(curve, point):
+            g = make_at_point(curve, point)
+            fp = localsing.fingerprint(g)
+            seen.append((tuple(complex(c) for c in point), True, fp.m, fp.mu, fp.delta))
+            return g
 
+        def at_group(curve, group):
+            # the points of a group in one part share a fingerprint
+            g = make_at_group(curve, group)
+            (fp,) = set(localsing.fingerprints(g))
+            seen.extend((q, False, fp.m, fp.mu, fp.delta) for q in group.points)
+            return g
+
+        make_at_point, make_at_group = CurveGerm.at_point, CurveGerm.at_group
         assert genus_of_curve(PlaneCurve(F)) == genus
-        monkeypatch.setattr(CurveGerm, "at_point", recording(CurveGerm.at_point))
-        monkeypatch.setattr(CurveGerm, "at_numeric_point", recording(CurveGerm.at_numeric_point))
+        monkeypatch.setattr(CurveGerm, "at_point", staticmethod(at_point))
+        monkeypatch.setattr(CurveGerm, "at_group", staticmethod(at_group))
         assert localsing._delta_sum_at_infinity(F) == delta
         assert len(seen) == len(points)
         for (p, *fp), (q, *expected) in zip(sorted(seen, key=lambda s: -s[0][0].real), points):
@@ -537,6 +610,15 @@ class TestEquisingularity:
         fol = [e for e in FOLIATIONS if e.name == "A=x^2 B=y^2"][0].foliation
         report = genus_constancy_check(fol, seed=6, samples=3)
         assert report.passed, report.render_text()
+
+    def test_irrational_singular_points_are_exact(self):
+        # every generic polar is singular at the conjugate points (+-sqrt 2, 0)
+        from polarweb import FoliationData
+
+        fol = FoliationData((X**2 - 2) ** 2 + Y**2, (X**2 - 2) * Y + Y**2)
+        for report in (equisingularity_check(fol, seed=1, samples=3), genus_constancy_check(fol, seed=1, samples=3)):
+            assert report.passed, report.render_text()
+            assert report.mode == "exact" and report.to_dict()["certificates"] == {}
 
     def test_numeric_abort_in_one_genus_is_a_discard(self, monkeypatch):
         from polarweb import localsing
