@@ -26,7 +26,7 @@ from math import comb
 
 from .errors import InfiniteZeroSetError, InternalInvariantError, NumericAbortError, PolynomialError
 from .mpoly import (MPoly, _as_rational, _from_int_coeffs, _int_coeffs, _rekey, _small_integers, exact_div,
-                    gcd_fold, poly_gcd, proper_shears, resultant, shear, translate)
+                    gcd_fold, poly_gcd, resultant, shear, translate)
 from .polarops import RadialProduct, curve_component_count, polar_curve
 from .reports import CheckReport
 from .sampling import GenericSampler, sample_centers
@@ -92,8 +92,9 @@ class CurveGerm:
 def intersection_multiplicity(f: MPoly, g: MPoly) -> int:
     """Local intersection number of two germs at the origin.
 
-    Shear to make both y-proper, then the order at x = 0 of Res_y, guarded by
-    the requirement that the origin is the only common zero on the line x = 0.
+    The order at x = 0 of Res_y, after a shear only when one of the germs
+    needs it to have a y-leading coefficient nonzero at x = 0, or to leave
+    the origin the only common zero on the line x = 0 (`_meet_at_origin`).
     """
     if _nonzero_at_origin(f) or _nonzero_at_origin(g):
         return 0
@@ -106,35 +107,54 @@ def _meet_at_origin(f: MPoly, g: MPoly, shared: str) -> int:
     """I(f, g) at the origin, for nonzero f and g that both vanish there;
     the error `shared` when they share a component through it.  A common
     factor that misses the origin is a unit of the local ring, which leaves
-    I alone, so both germs are divided by it: kept, it would meet x = 0 again
-    after every shear.
+    I alone, so both germs are divided by it: kept, one such as 1 + y would
+    meet x = 0 again after every shear.
 
-    The shear (x, y) -> (x + lam*y, y) keeps the origin, and lam serves when
-    f and g are y-proper and the origin is their only common zero on x = 0.
-    A lam fails only at a zero (lam, 1) of a top form, at most deg f + deg g
-    of them (a line component x = lam*y is one), or at the slope x/y of one
-    of the at most deg f * deg g other common zeros (Bezout).  So one of the
-    first deg f * deg g + deg f + deg g + 1 values serves."""
+    I is the order at x = 0 of Res_y(f, g) after the first shear
+    (x, y) -> (x + lam*y, y), lam = 0, 1, -1, 2, ..., which keeps the origin,
+    after which f and g have positive y-degree, one of them, say f, has a
+    y-leading coefficient a with a(0) != 0, and gcd(f(0, y), g(0, y)) is a
+    power of y.  Then:
+    - Res_y(f, g) = a^n * prod g(x, eta_i), n = deg_y g, over the roots
+      eta_i of f in y, Puiseux series in x (Poisson);
+    - a(0) != 0 makes every eta_i a power series in a root of x, and the
+      eta_i(0) are the roots of f(0, y);
+    - the eta_i through the origin are the branches of f there, and their
+      ord_x g(x, eta_i) sum to I(f, g); every other eta_i(0) is a root of
+      f(0, y) that g(0, y) lacks, so g(x, eta_i) is a unit and adds 0.
+    A lam at which the top forms of f and g are nonzero at (lam, 1) passes
+    (the y-leading coefficients are then constants).  A lam fails that only
+    at a zero (lam, 1) of a top form, at most deg f + deg g of them (a line
+    component x = lam*y is one), or at the slope x/y of one of the at most
+    deg f * deg g other common zeros (Bezout).  So one of the first
+    deg f * deg g + deg f + deg g + 1 values serves, and most germs take
+    lam = 0: no shear, and a resultant in their own y-degree."""
     common = poly_gcd(f, g)
     if not common.is_constant():
         if not _nonzero_at_origin(common):
             raise PolynomialError(shared)
         f, g = exact_div(f, common), exact_div(g, common)
     m, n = f.total_degree(), g.total_degree()
-    for lam in proper_shears([f, g], islice(_small_integers(), m * n + m + n + 1)):
+    for lam in islice(_small_integers(), m * n + m + n + 1):
         fs, gs = shear(f, lam), shear(g, lam)
-        # y-proper, so neither is zero on x = 0
-        f0, g0 = fs.substitute({"x": 0}), gs.substitute({"x": 0})
-        u = poly_gcd(f0, g0)
-        if len(u.terms) != 1:
+        p, q = fs.degree_in("y"), gs.degree_in("y")
+        f0, g0 = _on_x_zero(fs), _on_x_zero(gs)
+        if not (p and q) or p != f0.degree_in("y") and q != g0.degree_in("y"):
+            continue  # a Puiseux root of each may run off to infinity at x = 0
+        if len(poly_gcd(f0, g0).terms) != 1:
             continue  # another common zero sits on x = 0; shear again
         r = resultant(fs, gs, "y")
         if r.is_zero():
             raise InternalInvariantError("resultant vanished for coprime germs")
-        # r(0) = Res(fs(0, y), gs(0, y)) = 0, as both vanish at y = 0
+        # r(0) = 0: f(0, y) and g(0, y) both vanish at y = 0
         ix = r.variables.index("x")
         return min(e[ix] for e in r.terms)
     raise InternalInvariantError("no shear of coprime germs leaves the origin alone on x = 0")
+
+
+def _on_x_zero(f: MPoly) -> MPoly:
+    """f(0, y), read off the terms of f free of x."""
+    return MPoly._make(("y",), {(j,): c for (i, j), c in _rekey(f, ("x", "y")).items() if not i})
 
 
 def milnor_number(germ: CurveGerm) -> int:

@@ -133,6 +133,13 @@ MUTANTS = [
      "f, g = exact_div(f, common), exact_div(g, common)",
      "f, g = f, g",
      "tests/test_localsing.py::TestIntersectionMultiplicity::test_a_common_factor_off_the_origin"),
+    # a shear taken when neither y-leading coefficient is nonzero at x = 0:
+    # x*y^2 + y and x*y^2 + 2y + x also meet at (0 : 1 : 0), which Res_y at
+    # lam = 0 counts
+    ("localsing.py",
+     "if not (p and q) or p != f0.degree_in(\"y\") and q != g0.degree_in(\"y\"):",
+     "if not (p and q):",
+     "tests/test_localsing.py::TestIntersectionMultiplicity::test_two_curves_through_the_point_at_infinity_of_x_0"),
     # the class of a smooth curve taken for every curve whose node value
     # reaches n(n - 1)
     ("foliation.py",
@@ -173,7 +180,7 @@ MUTANTS = [
     ("mpoly.py",
      "radices = [n * max(e[i] for e in F) + m * max(e[i] for e in G) + 1 for",
      "radices = [n * max(e[i] for e in F) + 1 for",
-     "tests/test_mpoly.py::TestPackedGcd"),
+     "tests/test_mpoly.py::TestPackedGcd::test_a_subresultant_past_n_times_the_degree_of_the_first"),
     # the same mutant, caught by the property test alone: `radix_triples`
     # draws pairs whose last subresultant passes the narrower radix
     ("mpoly.py",

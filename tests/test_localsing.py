@@ -81,6 +81,52 @@ def planted_germs(draw):
     return f * draw(st.sampled_from([MPoly.constant(1), Y - 1000 * X + Y**3, (Y - X) ** 3 - X**5, X + Y**2]))
 
 
+def standard_monomials(sympy, basis) -> int:
+    """The number of monomials in x and y outside the leading terms of a
+    grevlex basis that holds a power of x and a power of y: the dimension of
+    the quotient ring."""
+    leads = [sympy.Poly(b, *basis.gens).monoms(order="grevlex")[0] for b in basis.exprs]
+    top_x = min(i for i, j in leads if j == 0)
+    top_y = min(j for i, j in leads if i == 0)
+    return sum(1 for i in range(top_x) for j in range(top_y) if not any(i >= a and j >= b for a, b in leads))
+
+
+def local_colength(sympy, f: MPoly, g: MPoly) -> int:
+    """dim O/(f, g), O the local ring at the origin, by Groebner bases alone.
+
+    c(N), the colength of (f, g) + (x, y)^N, gains one or more with each
+    j < N until (x, y)^j lies in (f, g)O (Nakayama) and is dim O/(f, g)
+    from then on, so the first c(N) < N is that number."""
+    x, y = sympy.symbols("x y")
+    polys = [to_sympy(sympy, f), to_sympy(sympy, g)]
+    n = 2
+    while n <= 64:
+        c = standard_monomials(sympy, sympy.groebner(polys + [x**i * y ** (n - i) for i in range(n + 1)],
+                                                     x, y, order="grevlex"))
+        if c < n:
+            return c
+        n *= 2
+    raise AssertionError("the colength grows past 64: the germs share a component")
+
+
+@st.composite
+def leading_coefficient_pairs(draw):
+    """(f, g) through the origin, each lead(x)*y^k plus terms x^i*y^j with
+    j < k and 1 <= i + j <= 3.  f's lead is 1 + u*x, not constant but
+    nonzero at x = 0; g's is another such lead or u*x, which vanishes there.
+    The pair comes in either order."""
+    unit = st.sampled_from([-2, -1, 1, 2])
+
+    def draw_germ(lead):
+        k = draw(st.integers(1, 3))
+        return sum((draw(st.integers(-2, 2)) * X**i * Y**j
+                    for j in range(k) for i in range(4) if 1 <= i + j <= 3), lead * Y**k)
+
+    f = draw_germ(1 + draw(unit) * X)
+    g = draw_germ(draw(st.sampled_from([1, 0])) + draw(unit) * X)
+    return (f, g) if draw(st.booleans()) else (g, f)
+
+
 CUSP = germ(Y**2 - X**3)
 NODE = germ(X * Y)
 TACNODE = germ(Y**2 - X**4)
@@ -131,7 +177,9 @@ class TestIntersectionMultiplicity:
         ) + intersection_multiplicity(f, h)
 
     def test_a_common_factor_off_the_origin(self, tmp_path):
-        # 1 + x, a unit at the origin, kept every shear from isolating it
+        # 1 + y, a unit at the origin, would keep every shear from isolating
+        # it: 1 + y stays a factor on x = 0
+        assert intersection_multiplicity((1 + Y) * (Y - X**2), (1 + Y) * (Y + X**2)) == 2
         assert intersection_multiplicity((1 + X) * (Y - X**2), (1 + X) * (Y + X**2)) == 2
         # f_x and f_y of this node share 1 + x
         path = tmp_path / "node.txt"
@@ -148,6 +196,23 @@ class TestIntersectionMultiplicity:
         shears = [0, 1, -1, 2, -2, 3, -3, 5, -5, 7, -7, 11, -11, 13]
         g = Y * prod((X - lam for lam in shears), start=MPoly.constant(1)) + (Y - 1) * X
         assert intersection_multiplicity(Y * (Y - 1), g) == 1
+
+    def test_two_curves_through_the_point_at_infinity_of_x_0(self):
+        # both pass through (0 : 1 : 0), on the line x = 0, so Res_y has
+        # order 2 at x = 0; the y-leading coefficient x of each vanishes
+        # there, and a shear takes that point off the line
+        assert intersection_multiplicity(X * Y**2 + Y, X * Y**2 + 2 * Y + X) == 1
+
+    @given(leading_coefficient_pairs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_local_colength_of_a_groebner_basis(self, pair):
+        sympy = pytest.importorskip("sympy")
+        f, g = pair
+        try:
+            got = intersection_multiplicity(f, g)
+        except PolynomialError:
+            assume(False)  # a common component through the origin
+        assert got == local_colength(sympy, f, g)
 
     @given(st.lists(st.integers(-3, 3), min_size=10, max_size=10), st.integers(-3, 3).filter(bool),
            st.lists(st.integers(-2, 2), min_size=5, max_size=5))
@@ -215,13 +280,35 @@ class TestMilnor:
         g = to_sympy(sympy, f)
         basis = sympy.groebner([sympy.diff(g, x), sympy.diff(g, y)], x, y, order="grevlex")
         assume(basis.is_zero_dimensional)
-        leads = [sympy.Poly(b, x, y).monoms(order="grevlex")[0] for b in basis.exprs]
-        top_x = min(i for i, j in leads if j == 0)
-        top_y = min(j for i, j in leads if i == 0)
-        standard = sum(1 for i in range(top_x) for j in range(top_y)
-                       if not any(i >= a and j >= b for a, b in leads))
+        standard = standard_monomials(sympy, basis)
         assume(basis.contains(x**standard) and basis.contains(y**standard))
         assert milnor_number(germ(f)) == standard
+
+    def test_a_three_branch_germ_takes_no_shear(self, monkeypatch):
+        # a germ shaped like the benchmark's: the y-leading coefficients of
+        # f_x and f_y are constants, though their top forms vanish at (0, 1),
+        # so the resultant runs at lam = 0 in their own y-degrees
+        from polarweb import localsing
+
+        g = germ(((Y + X) ** 2 + 2 * X**4) * (Y - 2 * X - 2 * X) * (Y + X + X))
+        fx, fy = g.poly.derivative("x"), g.poly.derivative("y")
+        lams, degrees = [], []
+
+        def spy_shear(f, lam, *args):
+            lams.append(lam)
+            return shear(f, lam, *args)
+
+        def spy_resultant(f, h, var, real=localsing.resultant):
+            degrees.append((f.degree_in(var), h.degree_in(var)))
+            return real(f, h, var)
+
+        monkeypatch.setattr(localsing, "shear", spy_shear)
+        monkeypatch.setattr(localsing, "resultant", spy_resultant)
+        assert milnor_number(g) == 11  # 2 delta - r + 1, delta = 7 over r = 4 branches
+        assert lams and set(lams) == {0}
+        # a shear that keeps the top forms nonzero would make both 5
+        assert degrees == [(fx.degree_in("y"), fy.degree_in("y"))] == [(2, 3)]
+        assert (fx.total_degree(), fy.total_degree()) == (5, 5)
 
     def test_a_localsing_job_takes_one_square_free_part(self, tmp_path, monkeypatch):
         # the curve is reduced once, when it is parsed, and the germ is its
