@@ -17,15 +17,9 @@ class Assertion:
     name: str
     passed: bool
     detail: str = ""
-    exact: bool = True
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "detail": self.detail,
-            "mode": "exact" if self.exact else "numeric",
-        }
+        return {"name": self.name, "passed": self.passed, "detail": self.detail, "mode": "exact"}
 
 
 @dataclass
@@ -39,8 +33,8 @@ class CheckReport:
     notes: list[str] = field(default_factory=list)
     certificates: dict[str, str] = field(default_factory=dict)
 
-    def add(self, name: str, passed: bool, detail: str = "", exact: bool = True) -> None:
-        self.assertions.append(Assertion(name, passed, detail, exact))
+    def add(self, name: str, passed: bool, detail: str = "") -> None:
+        self.assertions.append(Assertion(name, passed, detail))
 
     def note(self, text: str) -> None:
         self.notes.append(text)
@@ -51,11 +45,8 @@ class CheckReport:
 
     @property
     def mode(self) -> str:
-        if not self.assertions or all(a.exact for a in self.assertions):
-            return "exact"
-        if all(not a.exact for a in self.assertions):
-            return "numeric"
-        return "mixed"
+        """Every assertion is decided in exact arithmetic."""
+        return "exact"
 
     def to_dict(self) -> dict:
         return {
@@ -86,9 +77,8 @@ class CheckReport:
             lines.append(f"  discard {witness}: {reason}")
         for a in self.assertions:
             flag = "PASS" if a.passed else "FAIL"
-            mode = "exact" if a.exact else "numeric"
             detail = f" -- {a.detail}" if a.detail else ""
-            lines.append(f"{flag} {a.name}{detail} [{mode}]")
+            lines.append(f"{flag} {a.name}{detail} [exact]")
         for n in self.notes:
             lines.append(f"note: {n}")
         for k in sorted(self.certificates):

@@ -14,8 +14,11 @@ zero, and a subresultant gives y as a rational function of t on each part of
 m, once an exact test has shown that lam separates the zeros.  Each further
 generator cuts m by one exact gcd.  So every zero is one root of m: a
 rational root is a rational point, an irrational one gives both coordinates
-at once, and nothing is decided by a residual.  The eliminants in x and y
-that `singular` prints are computed only on request (`eliminant`).
+at once, and nothing is decided by a residual.  A coordinate of an irrational
+zero is rational exactly where it is a rational root of that coordinate's
+characteristic polynomial (`_exact_coordinates`); no approximation is
+rounded.  The eliminants in x and y that `singular` prints are computed only
+on request (`eliminant`).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, count, islice
+from itertools import chain, count, islice, zip_longest
 
 from .errors import InfiniteZeroSetError, InternalInvariantError, PolynomialError
 from .mpoly import (
@@ -48,6 +51,7 @@ from .zpoly import (
     _int_exact_quo,
     _int_gcd,
     _int_prem,
+    _int_prs_resultant,
     _mul,
     _pack,
     _rational_roots,
@@ -57,17 +61,6 @@ from .zpoly import (
     _unpack,
     _yun,
 )
-
-RECONSTRUCT_DENOMS = (10**6, 10**12)
-
-
-def _candidates(approx: list[complex]):
-    """Rational guesses for the real-looking approximations, in order."""
-    for r in approx:
-        if abs(r.imag) <= 1e-7 * max(1.0, abs(r)):
-            for cap in RECONSTRUCT_DENOMS:
-                yield Fraction(r.real).limit_denominator(cap)
-
 
 def rational_split(coeffs: list[int]) -> tuple[list[tuple[Fraction, int]], list[tuple[list[int], int]]]:
     """Roots of the polynomial with the ascending int coefficients (nonzero
@@ -128,19 +121,20 @@ class Group:
 
     @cached_property
     def points(self) -> list[tuple[complex, complex]]:
-        """The points of the roots of w, approximated by ts.  A coordinate
-        that rounds to a rational value is kept exact when one gcd proves it
-        (both cannot be rational, and x = t is not when lam = 0)."""
+        """The points of the roots of w, approximated by ts, with each
+        coordinate that `_exact_coordinates` proves rational kept exact
+        (x = t is not when lam = 0, as w has no rational root)."""
         w, num, den, lam, ts = self.w, self.num, self.den, self.lam, self.ts
+        if not ts:
+            return []
         # one power of two brings every coefficient into float range
         scale = 2 ** max(0, max(abs(c).bit_length() for c in num + den) - 1000)
         num_f, den_f = [c / scale for c in num], [c / scale for c in den]
         ys = [-_horner(num_f, t) / _horner(den_f, t) for t in ts]
         xs = [t + lam * y for t, y in zip(ts, ys)]
-        # y = a/b where b*num + a*den = 0, x = a/b where b*(t*den - lam*num) = a*den
-        exact_y = _exact_coordinates(w, ys, lambda a, b: _sub(_mul([b], num), [-a * c for c in den]))
-        exact_x = _exact_coordinates(w, xs, lambda a, b: _sub(
-            _mul([b], _sub([0] + den, [lam * c for c in num])), [a * c for c in den])) if lam else [None] * len(ts)
+        # y = -num/den, and x = t - lam*num/den = -(lam*num - t*den)/den
+        exact_y = _exact_coordinates(w, ys, num, den)
+        exact_x = _exact_coordinates(w, xs, _sub([lam * c for c in num], [0] + den), den) if lam else [None] * len(ts)
         return [(complex(x if x0 is None else x0), complex(y if y0 is None else y0))
                 for x, y, x0, y0 in zip(xs, ys, exact_x, exact_y)]
 
@@ -344,29 +338,34 @@ def _shape(F: MPoly, G: MPoly, others: list[MPoly]) -> list[tuple[list[int], lis
     return groups
 
 
-def _exact_coordinates(w: list[int], approx: list[complex], vanishing) -> list[Fraction | None]:
-    """For the approximations of one coordinate at the roots of w, the
-    rational value that each one is proved to have, or None.  vanishing(a, b)
-    is an int list whose gcd with w has for roots the roots of w where the
-    coordinate is a/b, so its degree k counts them: a guess (`_candidates`)
-    with k > 0 goes to the k approximations nearest to it among those that
-    round to it.  w has no rational root, so a rational coordinate is shared
-    by all the roots of an irreducible factor of degree >= 2: only a value
-    that two approximations share is tried."""
-    counts: dict[Fraction, int] = {}
-    rounding: dict[Fraction, list[int]] = {}
-    for i, z in enumerate(approx):
-        if sum(abs(v - z) <= 1e-6 * max(1.0, abs(z)) for v in approx) > 1:
-            for r in _candidates([z]):
-                if r not in counts:
-                    counts[r] = len(_common_factor(w, vanishing(r.numerator, r.denominator))) - 1
-                if counts[r]:
-                    rounding.setdefault(r, []).append(i)
-                    break
+def _exact_coordinates(w: list[int], approx: list[complex], p: list[int], q: list[int]) -> list[Fraction | None]:
+    """For the approximations of the coordinate -p(t)/q(t) at the roots of w,
+    the rational value that each one has, or None; q is nonzero there.
+
+    The coordinate's values are the roots of its characteristic polynomial
+    P(s) = Res_t(w, h) = lc(w)^n * prod_i h(t_i), h = p + s*q of degree n in
+    t (Poisson), read from the balanced digits of one packed PRS at s = 2^B,
+    B from `_digit_width`; p and q are first reduced mod w, and a constant h
+    has P = h^deg w.  w has no rational root, so a rational value a/b taken
+    at a root is taken at every root of its irreducible factor, of degree
+    >= 2: it is a repeated root of P.  So a coprime P and P' (the usual case,
+    proved mod p) leave nothing rational; otherwise the rational roots of
+    gcd(P, P') are the candidates, the degree k of gcd(w, b*p + a*q) counts
+    the roots where the coordinate is a/b, and the k approximations nearest
+    to a/b take it.  A coordinate constant on the group is so exact at every
+    root.
+    """
+    p, q = _same_scale_rem(p, q, w)
+    pairs = list(zip_longest(p, q, fillvalue=0))
+    width = _digit_width(list(map(abs, w)), [abs(u) + abs(v) for u, v in pairs])
+    h = [_pack(pair, width) for pair in pairs]
+    P = _unpack(_int_prs_resultant(w, h) if len(h) > 1 else h[0] ** (len(w) - 1), width)
+    common = _common_factor(P, _derivative(P))
     out: list[Fraction | None] = [None] * len(approx)
-    for r, indices in rounding.items():
-        for i in sorted(indices, key=lambda i: abs(approx[i] - r))[:counts[r]]:
-            out[i] = r
+    for c, _ in rational_split(common)[0] if len(common) > 1 else []:
+        k = len(_common_factor(w, _sub([c.denominator * u for u in p], [-c.numerator * v for v in q]))) - 1
+        for i in sorted(range(len(approx)), key=lambda i: abs(approx[i] - c))[:k]:
+            out[i] = c
     return out
 
 

@@ -208,6 +208,19 @@ MUTANTS = [
      "for f in (part, _int_exact_quo(group.w, part)))",
      "for f in (part if len(part) == len(group.w) else [1], group.w))",
      "tests/test_localsing.py::TestFingerprint::test_every_conjugate_point_has_the_exact_fingerprint"),
+    # the repeated roots of a coordinate's characteristic polynomial never
+    # tried: x = a/(10^13 + 7) at two conjugate zeros prints approximately
+    ("solve.py",
+     "common = _common_factor(P, _derivative(P))",
+     "common = [1]",
+     "tests/test_solve.py::TestOneRationalCoordinate::test_a_denominator_past_the_old_caps"),
+    # a proved rational value given to every approximation of the
+    # coordinate, not to the k nearest: y = 0 on x^2 = 2 spreads to the
+    # zeros on x^2 = 3, where y = (x - 2)/10^7
+    ("solve.py",
+     "key=lambda i: abs(approx[i] - c))[:k]:",
+     "key=lambda i: abs(approx[i] - c)):",
+     "tests/test_solve.py::TestShapeLemma::test_only_the_zeros_proved_rational_print_exactly"),
 ]
 
 

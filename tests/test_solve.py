@@ -49,6 +49,12 @@ factors = st.lists(st.integers(-5, 5), min_size=1, max_size=3).flatmap(
     lambda low: st.integers(1, 5).map(lambda top: from_list(low + [top]))
 ).filter(lambda f: f.degree_in("x") > 0).map(MPoly.canonical)
 multiplicities = st.integers(1, 3)
+# the ascending coefficients of a cubic with no rational root, so irreducible:
+# no d/e with d | c_0 and e | c_3 is a root
+cubics = st.tuples(st.integers(-20, 20).filter(bool), st.integers(-20, 20), st.integers(-20, 20),
+                   st.integers(1, 20)).map(list).filter(lambda c: not any(
+                       zpoly._vanishes_at(c, Fraction(s * d, e))
+                       for d in range(1, abs(c[0]) + 1) for e in range(1, c[-1] + 1) for s in (1, -1)))
 
 
 @st.composite
@@ -405,6 +411,34 @@ class TestOneRationalCoordinate:
         for theorem in ("qr-dichotomy", "qr-bound"):
             code, text = run_command(["check", "--in", str(path), "--theorem", theorem, "--samples", "2"])
             assert code == 0, text
+
+    def test_a_denominator_past_the_old_caps(self):
+        # x = a/D, D = 10^13 + 7, with an irrational y: no rounding of the
+        # float x to a denominator up to 10^12 reaches it
+        D, a = 10**13 + 7, 3 * 10**12 + 1
+        for gens in ([y**2 - 2, D * x - a], [(x + y) ** 2 - 3, D * x - a]):
+            zs = common_zeros(gens)
+            assert not zs.rational and len(zs.numeric) == 2
+            assert all(p == complex(Fraction(a, D)) for p, _ in zs.numeric)
+
+    @given(quadratics | cubics, st.integers(-10**15, 10**15), st.integers(1, 10**15), st.booleans())
+    @settings(max_examples=30, deadline=None)
+    def test_a_planted_rational_coordinate_is_exact(self, q, a, b, on_x):
+        # on the roots of an irreducible q, y = a/b read at lam = 0, or
+        # x = a/b read at lam = 1, where y is irrational and never exact
+        c = Fraction(a, b)
+        u, v = (x, y) if on_x else (y, x)
+        line = c.denominator * u - c.numerator
+        gens = [line, sum((k * v**i for i, k in enumerate(q)), line ** (len(q) - 1))]
+        found, real = [], solve._exact_coordinates
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solve, "_exact_coordinates", lambda *args: found.append(real(*args)) or found[-1])
+            zs = common_zeros(gens)
+        assert not zs.rational and len(zs.numeric) == len(q) - 1
+        assert [g.lam for g in zs.groups] == [1 if on_x else 0]
+        # y is read first, and x after it when lam != 0
+        assert found == ([[None] * (len(q) - 1)] if on_x else []) + [[c] * (len(q) - 1)]
+        assert all(p[not on_x] == complex(c) for p in zs.numeric)
 
 
 class TestShapeLemma:
