@@ -14,11 +14,10 @@ zero, and a subresultant gives y as a rational function of t on each part of
 m, once an exact test has shown that lam separates the zeros.  Each further
 generator cuts m by one exact gcd.  So every zero is one root of m: a
 rational root is a rational point, an irrational one gives both coordinates
-at once, and nothing is decided by a residual.  A coordinate of an irrational
-zero is rational exactly where it is a rational root of that coordinate's
-characteristic polynomial (`_exact_coordinates`); no approximation is
-rounded.  The eliminants in x and y that `singular` prints are computed only
-on request (`eliminant`).
+at once, and nothing is decided by a residual.  A rational coordinate of an
+irrational zero is a rational root of the zero set's eliminant in that
+coordinate (`eliminant`), proved by one gcd with the group's polynomial
+(`_exact_coordinates`); no approximation is rounded.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from itertools import chain, count, islice, zip_longest
+from itertools import chain, count, islice
 
 from .errors import InfiniteZeroSetError, InternalInvariantError, PolynomialError
 from .mpoly import (
@@ -51,7 +50,6 @@ from .zpoly import (
     _int_exact_quo,
     _int_gcd,
     _int_prem,
-    _int_prs_resultant,
     _mul,
     _pack,
     _rational_roots,
@@ -107,13 +105,16 @@ class Group:
     """Irrational zeros of one `_shape` group: each root t of w (an int list
     with no rational root) is (t + lam*y, y) at y = -num(t)/den(t).  The
     approximations `ts` of the roots of w, and the `points` they give, are
-    computed on first use unless they are given."""
+    computed on first use unless they are given.  eliminant_roots holds the
+    rational values that y and x can take on the zero set the group comes
+    from (`_points`); a group built by hand has none."""
 
     w: list[int]
     num: list[int]
     den: list[int]
     lam: int
     given_ts: list[complex] | None = field(default=None, repr=False)
+    eliminant_roots: tuple[list[Fraction], list[Fraction]] = field(default_factory=lambda: ([], []), repr=False)
 
     @cached_property
     def ts(self) -> list[complex]:
@@ -133,8 +134,10 @@ class Group:
         ys = [-_horner(num_f, t) / _horner(den_f, t) for t in ts]
         xs = [t + lam * y for t, y in zip(ts, ys)]
         # y = -num/den, and x = t - lam*num/den = -(lam*num - t*den)/den
-        exact_y = _exact_coordinates(w, ys, num, den)
-        exact_x = _exact_coordinates(w, xs, _sub([lam * c for c in num], [0] + den), den) if lam else [None] * len(ts)
+        values_y, values_x = self.eliminant_roots
+        exact_y = _exact_coordinates(w, ys, num, den, values_y)
+        exact_x = (_exact_coordinates(w, xs, _sub([lam * c for c in num], [0] + den), den, values_x) if lam
+                   else [None] * len(ts))
         return [(complex(x if x0 is None else x0), complex(y if y0 is None else y0))
                 for x, y, x0, y0 in zip(xs, ys, exact_x, exact_y)]
 
@@ -338,31 +341,19 @@ def _shape(F: MPoly, G: MPoly, others: list[MPoly]) -> list[tuple[list[int], lis
     return groups
 
 
-def _exact_coordinates(w: list[int], approx: list[complex], p: list[int], q: list[int]) -> list[Fraction | None]:
+def _exact_coordinates(w: list[int], approx: list[complex], p: list[int], q: list[int],
+                       values: list[Fraction]) -> list[Fraction | None]:
     """For the approximations of the coordinate -p(t)/q(t) at the roots of w,
     the rational value that each one has, or None; q is nonzero there.
 
-    The coordinate's values are the roots of its characteristic polynomial
-    P(s) = Res_t(w, h) = lc(w)^n * prod_i h(t_i), h = p + s*q of degree n in
-    t (Poisson), read from the balanced digits of one packed PRS at s = 2^B,
-    B from `_digit_width`; p and q are first reduced mod w, and a constant h
-    has P = h^deg w.  w has no rational root, so a rational value a/b taken
-    at a root is taken at every root of its irreducible factor, of degree
-    >= 2: it is a repeated root of P.  So a coprime P and P' (the usual case,
-    proved mod p) leave nothing rational; otherwise the rational roots of
-    gcd(P, P') are the candidates, the degree k of gcd(w, b*p + a*q) counts
-    the roots where the coordinate is a/b, and the k approximations nearest
-    to a/b take it.  A coordinate constant on the group is so exact at every
-    root.
+    values holds the rational roots of the zero set's eliminant in this
+    coordinate, and a rational coordinate of a common zero is one of them.
+    For each value a/b, the degree k of gcd(w, b*p + a*q) counts the roots
+    where the coordinate is a/b, and the k approximations nearest to a/b
+    take it.  A coordinate constant on the group is so exact at every root.
     """
-    p, q = _same_scale_rem(p, q, w)
-    pairs = list(zip_longest(p, q, fillvalue=0))
-    width = _digit_width(list(map(abs, w)), [abs(u) + abs(v) for u, v in pairs])
-    h = [_pack(pair, width) for pair in pairs]
-    P = _unpack(_int_prs_resultant(w, h) if len(h) > 1 else h[0] ** (len(w) - 1), width)
-    common = _common_factor(P, _derivative(P))
     out: list[Fraction | None] = [None] * len(approx)
-    for c, _ in rational_split(common)[0] if len(common) > 1 else []:
+    for c in values:
         k = len(_common_factor(w, _sub([c.denominator * u for u in p], [-c.numerator * v for v in q]))) - 1
         for i in sorted(range(len(approx)), key=lambda i: abs(approx[i] - c))[:k]:
             out[i] = c
@@ -375,11 +366,14 @@ def point_order(q: tuple[complex, complex]) -> tuple:
     return tuple(round(v, 9) for z in q for v in (z.real, z.imag))
 
 
-def _points(groups, lam: int) -> ZeroSet:
+def _points(groups, lam: int, pair: list[MPoly]) -> ZeroSet:
     """The zeros of the groups of `_shape`, with x = t + lam*y.  A rational
     root t gives a rational point; the irrational roots of each part form
-    one `Group`."""
-    zs = ZeroSet()
+    one `Group`.  Every common zero is a zero of the coprime pair, so when a
+    group is formed, the rational roots of the pair's eliminants in x and,
+    when lam != 0, in y are every rational value that y and x can take; when
+    lam = 0, x = t is irrational."""
+    zs, roots = ZeroSet(), None
     for part, num, den in groups:
         rational, numeric = univariate_root_split(_from_int_coeffs("x", part), "x")
         w = part
@@ -388,7 +382,9 @@ def _points(groups, lam: int) -> ZeroSet:
             zs.rational.append((t + lam * y, y))
             w = _int_exact_quo(w, [-t.numerator, t.denominator])
         if numeric:
-            zs.groups.append(Group(w, *_same_scale_rem(num, den, w), lam, [t for t, _ in numeric]))
+            roots = roots or tuple([c for c, _ in rational_split(_int_coeffs(eliminant(pair, e), v))[0]]
+                                   if lam or v == "y" else [] for e, v in (("x", "y"), ("y", "x")))
+            zs.groups.append(Group(w, *_same_scale_rem(num, den, w), lam, [t for t, _ in numeric], roots))
     zs.rational.sort()
     zs.numeric = sorted((q for g in zs.groups for q in g.points), key=point_order)
     return zs
@@ -403,7 +399,8 @@ def split(group: Group, polys: list[MPoly]) -> tuple[Group, Group]:
     for h in polys:
         if len(part) > 1 and not h.is_zero():
             part = _cut(part, group.num, group.den, _y_coeffs(shear(h, group.lam)))
-    return tuple(group if len(f) == len(group.w) else Group(f, group.num, group.den, group.lam)
+    return tuple(group if len(f) == len(group.w) else
+                 Group(f, group.num, group.den, group.lam, eliminant_roots=group.eliminant_roots)
                  for f in (part, _int_exact_quo(group.w, part)))
 
 
@@ -427,5 +424,5 @@ def common_zeros(polys: list[MPoly]) -> ZeroSet:
     for lam in proper_shears([f, g], islice(_small_integers(), math.comb(m * n, 2) + m + n + 1)):
         groups = _shape(shear(f, lam), shear(g, lam), [shear(h, lam) for h in others])
         if groups is not None:
-            return _points(groups, lam)
+            return _points(groups, lam, [f, g])
     raise InternalInvariantError("no shear separates the zeros of two coprime generators")

@@ -214,9 +214,10 @@ def _yun(f: list[int]) -> list[tuple[list[int], int]]:
     of positive degree: the pairs (g_i, i) with deg g_i > 0, where
     f = unit * prod g_i^i and each g_i is square-free, primitive and has a
     positive top.  Every quotient is exact in Z[x]: each divisor is a
-    primitive factor of an integer dividend (Gauss's lemma)."""
+    primitive factor of an integer dividend (Gauss's lemma).  The first gcd
+    goes through `_common_factor`, so a square-free f takes no PRS."""
     fp = _derivative(f)
-    a = _int_gcd(f, fp)
+    a = _common_factor(f, fp)
     b = _int_exact_quo(f, a)
     d = _sub(_int_exact_quo(fp, a), _derivative(b))
     out = []

@@ -208,12 +208,18 @@ MUTANTS = [
      "for f in (part, _int_exact_quo(group.w, part)))",
      "for f in (part if len(part) == len(group.w) else [1], group.w))",
      "tests/test_localsing.py::TestFingerprint::test_every_conjugate_point_has_the_exact_fingerprint"),
-    # the repeated roots of a coordinate's characteristic polynomial never
-    # tried: x = a/(10^13 + 7) at two conjugate zeros prints approximately
+    # the rational roots of the zero set's eliminant never tried: x =
+    # a/(10^13 + 7) at two conjugate zeros prints approximately
     ("solve.py",
-     "common = _common_factor(P, _derivative(P))",
-     "common = [1]",
+     "for c in values:",
+     "for c in []:",
      "tests/test_solve.py::TestOneRationalCoordinate::test_a_denominator_past_the_old_caps"),
+    # a part of a group split off without the eliminant's roots: the
+    # singular points (0, +-sqrt 2) print x = 0 as an approximation
+    ("solve.py",
+     "Group(f, group.num, group.den, group.lam, eliminant_roots=group.eliminant_roots)",
+     "Group(f, group.num, group.den, group.lam)",
+     "tests/test_cli.py::TestGoldenReports::test_matches_golden[check-qr-dichotomy-argv13]"),
     # a proved rational value given to every approximation of the
     # coordinate, not to the k nearest: y = 0 on x^2 = 2 spreads to the
     # zeros on x^2 = 3, where y = (x - 2)/10^7

@@ -136,7 +136,8 @@ class TestRootSplit:
         monkeypatch.setattr(zpoly, "_coprime_mod_p", lambda a, b, p: primes.append(p) or real(a, b, p))
         f = x * (x - 1) * (x - 15015) * (x**2 - 2)
         rational, numeric = univariate_root_split(f, "x")
-        assert primes == [2, 3, 5, 7, 11, 13, 17]
+        # Yun's first gcd is certified at _CERT_PRIME before the search
+        assert primes == [zpoly._CERT_PRIME, 2, 3, 5, 7, 11, 13, 17]
         assert rational == [(Fraction(15015), 1), (Fraction(1), 1), (Fraction(0), 1)] and len(numeric) == 2
 
     # the top coefficient is below 1e-12 of the largest one, which
@@ -450,7 +451,7 @@ class TestShapeLemma:
         # the nine zeros have coordinates 0 and +-sqrt 2; lam = 0 is not
         # proper for x^3 - 2x, and 1, -1, 2, -2 put two zeros on one t
         lams, real = [], solve._points
-        monkeypatch.setattr(solve, "_points", lambda groups, lam: lams.append(lam) or real(groups, lam))
+        monkeypatch.setattr(solve, "_points", lambda groups, lam, pair: lams.append(lam) or real(groups, lam, pair))
         zs = common_zeros([x**3 - 2 * x, y**3 - 2 * y])
         assert lams == [3]
         assert zs.rational == [(0, 0)] and len(zs.numeric) == 8
@@ -499,6 +500,37 @@ class TestShapeLemma:
         F, G = shear(x**3 - 2 * x, 3), shear(y**3 - 2 * y, 3)
         assert len(solve._shape(F, G, [])) == 1
         assert chains == [1] and tested == []
+
+    def test_no_prs_wider_than_the_packed_pair(self, monkeypatch):
+        # the work count of a zero set on a dense degree-6 foliation with
+        # irrational zeros (`perfbench/gen.foliation_text(random.Random(1),
+        # 6)`): no PRS, in zpoly or in `_shape`, takes an operand wider than
+        # `_shape`'s packed Sylvester pair (350 bits, a (6, 6) pair).  A
+        # characteristic polynomial per coordinate would run a 35 x 26 packed
+        # PRS on operands of 1,916 bits, for seconds
+        widths = {"zpoly": [], "solve": []}
+
+        def spy(module):
+            real = module._subresultants
+
+            def counted(a, b):
+                widths[module.__name__.split(".")[-1]].append(max(abs(c).bit_length() for c in a + b))
+                return real(a, b)
+            monkeypatch.setattr(module, "_subresultants", counted)
+
+        spy(zpoly)
+        spy(solve)
+        A = parse_polynomial(
+            "-3*x^6 - 3*x^5*y - x^4*y^2 - 3*x^3*y^3 + 2*x^2*y^4 - 2*x*y^5 + 3*y^6 - x^5 + x^4*y + 3*x^3*y^2"
+            " - 3*x^2*y^3 + 2*x*y^4 + y^5 + x^4 - 3*x^3*y + x^2*y^2 - 3*x*y^3 - 2*y^4 + x^3 + 3*x^2*y + x*y^2"
+            " + y^3 + x^2 - 3*x*y - y^2 - 3*x + 2*y - 2")
+        B = parse_polynomial(
+            "-2*x^6 - 3*x^5*y + 3*x^4*y^2 + 2*x^3*y^3 + x^2*y^4 - 3*x*y^5 - y^6 + x^5 - 2*x^4*y + 3*x^3*y^2"
+            " - 2*x^2*y^3 - x*y^4 - 2*y^5 + 2*x^4 + x^3*y + x^2*y^2 - 2*x*y^3 + 2*y^4 - 3*x^3 + 3*x^2*y + x*y^2"
+            " - 2*y^3 + 3*x^2 + x*y - 3*y^2 + 2*x + 3*y - 3")
+        zs = common_zeros([A, B])
+        assert len(zs.rational) + len(zs.numeric) == 36 and zs.groups
+        assert widths["solve"] and max(widths["zpoly"], default=0) <= max(widths["solve"])
 
     def test_both_generators_singular_at_a_zero(self, monkeypatch):
         # the foliation of TestOneRationalCoordinate: A and B are both
