@@ -25,14 +25,14 @@ from itertools import islice
 from math import comb
 
 from .errors import InfiniteZeroSetError, InternalInvariantError, NumericAbortError, PolynomialError
-from .mpoly import (MPoly, _as_rational, _from_int_coeffs, _int_coeffs, _rekey, _small_integers, exact_div,
-                    gcd_fold, poly_gcd, resultant, shear, translate)
+from .mpoly import (MPoly, _as_rational, _from_int_coeffs, _int_coeffs, _monomial_split, _rekey, _small_integers,
+                    exact_div, gcd_fold, poly_gcd, resultant, shear, translate)
 from .polarops import RadialProduct, curve_component_count, polar_curve
 from .reports import CheckReport
 from .sampling import GenericSampler, sample_centers
 from .solve import Group, common_zeros, rational_split, split
 from .webmodel import PlaneCurve, singular_set
-from .zpoly import _int_prem, _mul, _sub
+from .zpoly import _common_factor, _int_prem, _mul, _sub
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
@@ -105,16 +105,13 @@ def intersection_multiplicity(f: MPoly, g: MPoly) -> int:
 
 def _meet_at_origin(f: MPoly, g: MPoly, shared: str) -> int:
     """I(f, g) at the origin, for nonzero f and g that both vanish there;
-    the error `shared` when they share a component through it.  A common
-    factor that misses the origin is a unit of the local ring, which leaves
-    I alone, so both germs are divided by it: kept, one such as 1 + y would
-    meet x = 0 again after every shear.
+    the error `shared` when they share a component through it.
 
     I is the order at x = 0 of Res_y(f, g) after the first shear
     (x, y) -> (x + lam*y, y), lam = 0, 1, -1, 2, ..., which keeps the origin,
     after which f and g have positive y-degree, one of them, say f, has a
     y-leading coefficient a with a(0) != 0, and gcd(f(0, y), g(0, y)) is a
-    power of y.  Then:
+    power of y (`_meets_x_zero_at_origin_only`).  Then:
     - Res_y(f, g) = a^n * prod g(x, eta_i), n = deg_y g, over the roots
       eta_i of f in y, Puiseux series in x (Poisson);
     - a(0) != 0 makes every eta_i a power series in a root of x, and the
@@ -122,34 +119,53 @@ def _meet_at_origin(f: MPoly, g: MPoly, shared: str) -> int:
     - the eta_i through the origin are the branches of f there, and their
       ord_x g(x, eta_i) sum to I(f, g); every other eta_i(0) is a root of
       f(0, y) that g(0, y) lacks, so g(x, eta_i) is a unit and adds 0.
+    The resultant is taken before any gcd.  When it is nonzero, a common
+    factor of f and g is free of y, so it divides a and is nonzero at the
+    origin: a unit of the local ring, which changes neither I nor the order
+    of Res_y.  Only a vanished resultant or a fibre test that fails takes
+    gcd(f, g).  A common factor through the origin is the error `shared`;
+    one that misses it is a unit, so f and g are divided by it and the
+    shears start again, once: kept, one such as 1 + y would meet x = 0
+    again after every shear.
     A lam at which the top forms of f and g are nonzero at (lam, 1) passes
     (the y-leading coefficients are then constants).  A lam fails that only
     at a zero (lam, 1) of a top form, at most deg f + deg g of them (a line
     component x = lam*y is one), or at the slope x/y of one of the at most
-    deg f * deg g other common zeros (Bezout).  So one of the first
-    deg f * deg g + deg f + deg g + 1 values serves, and most germs take
-    lam = 0: no shear, and a resultant in their own y-degree."""
-    common = poly_gcd(f, g)
-    if not common.is_constant():
-        if not _nonzero_at_origin(common):
-            raise PolynomialError(shared)
-        f, g = exact_div(f, common), exact_div(g, common)
-    m, n = f.total_degree(), g.total_degree()
-    for lam in islice(_small_integers(), m * n + m + n + 1):
-        fs, gs = shear(f, lam), shear(g, lam)
-        p, q = fs.degree_in("y"), gs.degree_in("y")
-        f0, g0 = _on_x_zero(fs), _on_x_zero(gs)
-        if not (p and q) or p != f0.degree_in("y") and q != g0.degree_in("y"):
-            continue  # a Puiseux root of each may run off to infinity at x = 0
-        if len(poly_gcd(f0, g0).terms) != 1:
-            continue  # another common zero sits on x = 0; shear again
-        r = resultant(fs, gs, "y")
-        if r.is_zero():
-            raise InternalInvariantError("resultant vanished for coprime germs")
-        # r(0) = 0: f(0, y) and g(0, y) both vanish at y = 0
-        ix = r.variables.index("x")
-        return min(e[ix] for e in r.terms)
-    raise InternalInvariantError("no shear of coprime germs leaves the origin alone on x = 0")
+    deg f * deg g other common zeros (Bezout).  So for coprime f and g one
+    of the first deg f * deg g + deg f + deg g + 1 values serves, and most
+    germs take lam = 0: no shear, and a resultant in their own y-degree."""
+    coprime = False
+    while True:
+        m, n = f.total_degree(), g.total_degree()
+        for lam in islice(_small_integers(), m * n + m + n + 1):
+            fs, gs = shear(f, lam), shear(g, lam)
+            p, q = fs.degree_in("y"), gs.degree_in("y")
+            f0, g0 = _on_x_zero(fs), _on_x_zero(gs)
+            if not (p and q) or p != f0.degree_in("y") and q != g0.degree_in("y"):
+                continue  # a Puiseux root of each may run off to infinity at x = 0
+            r = resultant(fs, gs, "y") if _meets_x_zero_at_origin_only(f0, g0) else None
+            if r:
+                # r(0) = 0: f(0, y) and g(0, y) both vanish at y = 0
+                ix = r.variables.index("x")
+                return min(e[ix] for e in r.terms)
+            if not coprime:
+                common, coprime = poly_gcd(f, g), True
+                if not common.is_constant():
+                    if not _nonzero_at_origin(common):
+                        raise PolynomialError(shared)
+                    f, g = exact_div(f, common), exact_div(g, common)
+                    break  # shear the coprime cofactors from lam = 0 again
+            if r is not None:
+                raise InternalInvariantError("resultant vanished for coprime germs")
+        else:
+            raise InternalInvariantError("no shear of coprime germs leaves the origin alone on x = 0")
+
+
+def _meets_x_zero_at_origin_only(f0: MPoly, g0: MPoly) -> bool:
+    """Whether gcd(f0, g0) is a power of y, for f0 and g0 in y alone, not
+    both zero: their int lists without their factors y are coprime."""
+    a, b = (_int_coeffs(_monomial_split(h)[1], "y") if h else [] for h in (f0, g0))
+    return len(_common_factor(a, b) if a else b) == 1
 
 
 def _on_x_zero(f: MPoly) -> MPoly:

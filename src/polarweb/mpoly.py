@@ -44,7 +44,8 @@ from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PolynomialError
-from .zpoly import _CERT_PRIME, _coprime_mod_p, _digit_width, _int_gcd, _int_prs_resultant, _subresultants, _unpack
+from .zpoly import (_CERT_PRIME, _coprime_mod_p, _digit_width, _int_gcd, _int_prs_resultant, _subresultants, _trim,
+                    _unpack)
 
 MAX_EXPONENT = 2**31
 
@@ -529,10 +530,14 @@ def _content_in(f: MPoly, var: str) -> MPoly:
 
 
 # Coprimality certificate.  Reduce mod a prime p and set every variable but v
-# to an integer, at a point where neither leading coefficient in v vanishes.
-# The image of gcd(f, g) then divides the gcd of the images and keeps its
-# degree in v (W. S. Brown, J. ACM 18, 1971), so coprime images prove that
-# gcd(f, g) is free of v.  The prime and the points are fixed: no draws.
+# to an integer.  A common factor h of f and g divides their images in F_p[v],
+# and when it keeps its degree in v there (W. S. Brown, J. ACM 18, 1971),
+# coprime images prove h constant.  When f or g is proper in v (it holds v^D,
+# D its total degree, with a nonzero residue), so is h, as top forms multiply
+# mod p too: h holds v^(deg h), so its image keeps that degree at any point,
+# and one image pair decides.  Otherwise every shared variable needs coprime
+# images at a point where both leading coefficients in v survive, which
+# proves gcd(f, g) free of v.  The prime and the points are fixed: no draws.
 _CERT_TRIES = 3
 
 
@@ -563,15 +568,29 @@ def _image_in(res: list[tuple[tuple, int]], variables: tuple, v: str, point: dic
     return out
 
 
+def _proper_in(res: list[tuple[tuple, int]], f: MPoly, v: str) -> bool:
+    """Whether the residues of f hold v^D, D the total degree of f, with a
+    nonzero coefficient."""
+    i, top = f.variables.index(v), f.total_degree()
+    return any(c and e[i] == top for e, c in res)
+
+
 def _certified_coprime(f: MPoly, g: MPoly, active: list[str]) -> bool:
-    """True only if gcd(f, g) is a constant: every active variable has coprime
-    images at one of the first _CERT_TRIES points 2 + 3k + 7j (j the index of
-    the variable among those of f and g)."""
+    """True only if gcd(f, g) is a constant: for the first active variable
+    in which f or g is proper, the images at the point 2 + 7j (j the index
+    of the variable among those of f and g) are coprime; if there is none,
+    every active variable has coprime images at one of the first
+    _CERT_TRIES points 2 + 3k + 7j."""
     fr, gr = _residues(f), _residues(g)
     if fr is None or gr is None:
         return False
     names = sorted(set(f.variables) | set(g.variables))
     points = [{w: 2 + 3 * k + 7 * j for j, w in enumerate(names)} for k in range(_CERT_TRIES)]
+    for v in active:
+        if _proper_in(fr, f, v) or _proper_in(gr, g, v):
+            a = _trim(_image_in(fr, f.variables, v, points[0]))
+            b = _trim(_image_in(gr, g.variables, v, points[0]))
+            return bool(a and b) and _coprime_mod_p(a, b, _CERT_PRIME)
     for v in active:
         for point in points:
             a = _image_in(fr, f.variables, v, point)
@@ -599,12 +618,15 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
 
     A constant gcd is first sought by the modular coprimality certificate
     (`_certified_coprime`), which is exact: it returns 1 only when the gcd is
-    a constant.  When it fails, f = x^a * f1 and g = x^b * g1 with f1 and g1
-    divisible by no variable, and gcd(f, g) = x^min(a, b) * gcd(f1, g1): the
-    certificate is tried on f1 and g1.  Then, in the variable var of least
-    degree, the gcd is gcd(cont f1, cont g1), by recursion, times the
-    primitive part of the last subresultant S_j (`zpoly._subresultants`) of
-    the primitive parts A and B, packed by `_kronecker` with the radix
+    a constant.  It takes one image pair when f or g is proper in a shared
+    variable (it holds that variable to its total degree), and else one
+    pair per shared variable.  When it fails, f = x^a * f1 and
+    g = x^b * g1 with f1 and g1 divisible by no variable, and gcd(f, g) =
+    x^min(a, b) * gcd(f1, g1): the certificate is tried on f1 and g1.
+    Then, in the variable var of least degree, the gcd is
+    gcd(cont f1, cont g1), by recursion, times the primitive part of the
+    last subresultant S_j (`zpoly._subresultants`) of the primitive parts
+    A and B, packed by `_kronecker` with the radix
     n*deg_(z_i) A + m*deg_(z_i) B + 1 for each other variable z_i
     (m = deg_var A >= n = deg_var B), past deg_(z_i) of every S_j.
     """

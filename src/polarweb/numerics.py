@@ -45,10 +45,20 @@ def univariate_roots(coeffs: Sequence[complex]) -> list[complex]:
 
     Requires degree >= 1 and, unless every coefficient is an int, a leading
     coefficient above the underflow guard: a float top that small may be
-    the rounding of a zero one, while a nonzero int top is exact.  Every
-    returned root r satisfies |p(r)| / max|c| < RESIDUAL_TOL.
+    the rounding of a zero one, while a nonzero int top is exact.  Int
+    coefficients of more than 1000 bits are first divided by one power of
+    two, as in `solve.Group.points`; a nonzero one that then underflows is a
+    NumericAbortError.  Every returned root r satisfies
+    |p(r)| / max|c| < RESIDUAL_TOL.
     """
     exact = all(type(c) is int for c in coeffs)
+    top = max((abs(c).bit_length() for c in coeffs), default=0) if exact else 0
+    if top > 1000:
+        # true division keeps the roots; a right shift would zero small ones
+        scaled = [c / 2 ** (top - 1000) for c in coeffs]
+        if any(c and not s for c, s in zip(coeffs, scaled)):
+            raise NumericAbortError("univariate_roots: coefficients span more than the float range")
+        coeffs = scaled
     coeffs = [complex(c) for c in coeffs]
     while coeffs and abs(coeffs[-1]) == 0.0:
         coeffs.pop()

@@ -133,6 +133,12 @@ MUTANTS = [
      "f, g = exact_div(f, common), exact_div(g, common)",
      "f, g = f, g",
      "tests/test_localsing.py::TestIntersectionMultiplicity::test_a_common_factor_off_the_origin"),
+    # a vanished resultant or a failed fibre test never takes the gcd: 1 + y
+    # meets x = 0 after every shear, and no shear is left
+    ("localsing.py",
+     "if not coprime:",
+     "if False:",
+     "tests/test_localsing.py::TestIntersectionMultiplicity::test_a_common_factor_off_the_origin"),
     # a shear taken when neither y-leading coefficient is nonzero at x = 0:
     # x*y^2 + y and x*y^2 + 2y + x also meet at (0 : 1 : 0), which Res_y at
     # lam = 0 counts
@@ -164,6 +170,12 @@ MUTANTS = [
      "while q <= bound:",
      "while q * q <= bound:",
      "tests/test_solve.py::TestRootSplit::test_a_root_just_past_half_the_modulus_one_squaring_short"),
+    # every input counts as proper: one coprime image pair in x would clear
+    # (y + 1)(x + 1) and (y + 1)(x + 2), whose gcd y + 1 is free of x
+    ("mpoly.py",
+     "return any(c and e[i] == top for e, c in res)",
+     "return True",
+     "tests/test_mpoly.py::TestCoprimalityCertificate::test_a_pair_proper_in_no_variable_falls_back"),
     # the greatest exponents of the shared variables in place of the least
     ("mpoly.py",
      "min(low_f[v], low_g[v])",

@@ -455,6 +455,25 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stdout + proc.stderr
 
+    @pytest.mark.parametrize("theorem", ["base-points", "qr-bound", "qr-dichotomy"])
+    def test_wide_coefficients_exit_0_or_3(self, tmp_path, theorem):
+        # a dense cubic foliation with 60-digit coefficients: the eliminants
+        # of its singular set have coefficients past float range
+        rng = random.Random(7)
+
+        def dense() -> str:
+            return " + ".join(f"({rng.choice([1, -1]) * rng.randrange(10**59, 10**60)})*x^{i}*y^{j}"
+                              for i in range(4) for j in range(4 - i))
+
+        path = tmp_path / "wide.txt"
+        path.write_text(f"type: foliation\nA: {dense()}\nB: {dense()}\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "polarweb.cli", "check", "--theorem", theorem, "--in", str(path)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode in (0, 3), proc.stdout + proc.stderr
+        assert "Traceback" not in proc.stdout + proc.stderr
+
     @pytest.mark.parametrize("flag", ["--center", "--point"])
     def test_a_huge_coordinate_exponent_is_2_at_once(self, inputs, flag):
         command = {"--center": ["polar", "--in", inputs["web"]],

@@ -188,6 +188,18 @@ class TestIntersectionMultiplicity:
         assert code == 0, text
         assert "(m=2, mu=1, r=2, delta=1, seq=[2], cone=[1, 1])" in text
 
+    def test_only_a_factor_off_the_origin_takes_a_gcd(self, monkeypatch):
+        # the resultant comes first: a coprime pair takes no gcd, and a pair
+        # sharing 1 + y, which meets x = 0 at y = -1, takes exactly one
+        from polarweb import localsing
+
+        calls = []
+        monkeypatch.setattr(localsing, "poly_gcd", lambda f, g, real=localsing.poly_gcd: calls.append(1) or real(f, g))
+        assert intersection_multiplicity(Y - X**2, Y + X**2) == 2
+        assert calls == []
+        assert intersection_multiplicity((1 + Y) * (Y - X**2), (1 + Y) * (Y + X**2)) == 2
+        assert calls == [1]
+
     def test_a_common_zero_on_every_line_of_a_short_shear_list(self):
         # y*(y - 1) and g meet at the origin (g = -x on y = 0) and at
         # (lam, 1) for each of the 14 shears a fixed list once tried, so each
@@ -312,7 +324,8 @@ class TestMilnor:
 
     def test_a_localsing_job_takes_one_square_free_part(self, tmp_path, monkeypatch):
         # the curve is reduced once, when it is parsed, and the germ is its
-        # translate; gcd(f_x, f_y) is taken once, for the Milnor number
+        # translate; the Milnor number takes no gcd(f_x, f_y), as its
+        # resultant is nonzero and f_x, f_y meet x = 0 only at the origin
         import sys
 
         from polarweb import mpoly
@@ -338,7 +351,7 @@ class TestMilnor:
         assert len(calls["squarefree_part"]) == 1
         germ = CurveGerm.at_point(PlaneCurve(((Y - 2 * X) ** 2 - 3 * X**4) * (Y + X - X**2)), ORIGIN).poly
         fx, fy = germ.derivative("x"), germ.derivative("y")
-        assert sum(1 for f, g in calls["poly_gcd"] if (f, g) == (fx, fy)) == 1
+        assert sum(1 for f, g in calls["poly_gcd"] if (f, g) == (fx, fy)) == 0
 
     @given(st.integers(-2, 2), st.integers(-2, 2), st.lists(st.integers(-3, 3), min_size=6, max_size=6))
     @settings(max_examples=20, deadline=None)

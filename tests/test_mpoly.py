@@ -542,19 +542,20 @@ class TestCoprimalityCertificate:
         assert prem_calls == []
 
     def test_shared_factor_of_the_images_falls_back(self, prem_calls):
-        # at x = 2 both images are y
-        assert poly_gcd(y - x + 2, y + x - 2) == 1
+        # both are proper in x, and at y = 9 both images are x
+        assert poly_gcd(x - y + 9, x + y - 9) == 1
         assert prem_calls
 
     def test_vanishing_leading_coefficient_moves_to_the_next_point(self, prem_calls):
-        f = (x - 2) * y + 1  # leading coefficient in y vanishes at x = 2
-        assert poly_gcd(f, y + x) == 1
+        # neither is proper in x or y; lc_y f vanishes at x = 2
+        f = (x - 2) * y + 1
+        assert poly_gcd(f, x * y + 1) == 1
         assert prem_calls == []
 
     def test_leading_coefficient_vanishing_at_every_point_falls_back(self, prem_calls):
         f = (x - 2) * (x - 5) * (x - 8) * y + 1
-        assert not _certified_coprime(f, y + x, ["x", "y"])
-        assert poly_gcd(f, y + x) == 1
+        assert not _certified_coprime(f, x * y + 1, ["x", "y"])
+        assert poly_gcd(f, x * y + 1) == 1
         assert prem_calls
 
     def test_denominator_divisible_by_the_prime_falls_back(self, prem_calls):
@@ -563,11 +564,31 @@ class TestCoprimalityCertificate:
         assert poly_gcd(f, y + 1) == 1
         assert prem_calls
 
-    @given(small_polys(), small_polys(), small_polys(max_terms=3, max_exp=2))
-    @settings(max_examples=60, deadline=None)
-    def test_never_certifies_a_planted_factor(self, f, g, h):
+    def test_a_pair_proper_in_no_variable_falls_back(self, prem_calls):
+        # neither holds x^2 or y^2; the images in x at y = 9 are 10(x + 1)
+        # and 10(x + 2), coprime, but the common factor y + 1 is free of x
+        f, g = (y + 1) * (x + 1), (y + 1) * (x + 2)
+        assert not _certified_coprime(f, g, ["x", "y"])
+        assert poly_gcd(f, g) == y + 1
+        assert prem_calls
+
+    def test_a_proper_pair_takes_one_image_pair(self, monkeypatch):
+        calls, real = [], mpoly._coprime_mod_p
+        monkeypatch.setattr(mpoly, "_coprime_mod_p", lambda a, b, p: calls.append(1) or real(a, b, p))
+        f = 3 * x**2 - 2 * x * y + y**2 + 5 * x - y + 7
+        g = x**2 + 4 * x * y - 3 * y**2 - x + 2 * y - 6
+        assert poly_gcd(f, g) == 1
+        assert len(calls) == 1
+
+    @given(small_polys(), small_polys(), small_polys(max_terms=3, max_exp=2), st.sampled_from([None, "x", "y"]))
+    @settings(max_examples=80, deadline=None)
+    def test_never_certifies_a_planted_factor(self, f, g, h, proper):
         if f.is_zero() or g.is_zero() or h.is_constant():
             return
+        if proper:
+            # f and h proper in the variable, so f * h is too
+            v = MPoly.variable(proper)
+            f, h = f + v ** (f.total_degree() + 1), h + v ** (h.total_degree() + 1)
         a, b = f * h, g * h
         active = [v for v in a.variables if v in b.variables]
         assert not _certified_coprime(a, b, active)

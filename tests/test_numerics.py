@@ -47,6 +47,17 @@ class TestRoots:
         with pytest.raises(NumericAbortError):
             univariate_roots([1, 1e-15])
 
+    def test_int_coefficients_past_float_range_are_scaled(self):
+        # 10^400 * (t - 1)(t - 2): one power of two brings it into range
+        big = 10**400
+        roots = sorted(univariate_roots([2 * big, -3 * big, big]), key=lambda z: z.real)
+        assert abs(roots[0] - 1) < 1e-9 and abs(roots[1] - 2) < 1e-9
+
+    def test_int_coefficients_wider_than_the_float_range_are_rejected(self):
+        # after the scaling, 1 / 2^2000 underflows to 0
+        with pytest.raises(NumericAbortError, match="span more than the float range"):
+            univariate_roots([1, 0, 2**3000])
+
 
 class TestTracking:
     def test_square_root_monodromy_swaps(self):
