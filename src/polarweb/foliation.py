@@ -379,7 +379,7 @@ def quasi_radial_bound_check(fol: FoliationData) -> CheckReport:
     qr, descriptions = count_quasi_radial(fol)
     report.notes.extend(descriptions)
     # E ≢ 0, so d >= 1 and each polar of the walk is reduced of degree >= 2
-    for p, curve in _full_polars(report, fol.as_web, "qr-bound", f"class >= #QR + 1 = {qr + 1}"):
+    for p, curve, _ in _full_polars(report, fol.as_web, "qr-bound", f"class >= #QR + 1 = {qr + 1}"):
         cls = class_of_curve(curve)
         if qr <= cls - 1:
             report.add(f"#Sing_QR <= class(P_p) - 1 at p={p}", True, f"#QR = {qr}, class = {cls}")

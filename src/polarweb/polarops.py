@@ -636,22 +636,38 @@ def _gao_count(fs: MPoly) -> int:
     of unknowns minus the rank over Q of that integer matrix, so the count is
     exact.
 
-    The rank is read mod p = 2^30 - 35 first, the largest prime below 2^30,
-    so every residue is one digit of a Python int.  A minor that is nonzero
-    mod p is nonzero over Z, so rank_p <= rank_Q and unknowns - rank_p is at
-    least the count, which is at least 1, whatever the prime.  So
-    unknowns - rank_p = 1 proves a count of 1, the common case; any other
-    value is settled by the rank over Q.  Once a second row is dependent mod
-    p, unknowns - rank_p is at least 2, so the elimination mod p stops there.
-    The columns are in graded order, which the elimination pivots on at the
-    greatest column.
+    A count of 1, the common case, is proved by `_one_component_mod_p` with
+    no rank over Q; any other count is settled by the rank over Q.
     """
-    rows = _gao_rows(fs)
-    # N - rank_p rows are dependent mod p: looking for two of them is enough
-    dependent = islice((new for new in _independent_mod_p(rows) if not new), 2)
-    if len(list(dependent)) == 1:
+    if _one_component_mod_p(fs):
         return 1
+    rows = _gao_rows(fs)
     return len(rows) - _integer_rank(rows)
+
+
+def _one_component_mod_p(f: MPoly) -> bool:
+    """Whether exactly one row of the Gao-Ruppert matrix of a nonconstant
+    integer f in (x, y) (`_gao_rows`) is dependent mod p = 2^30 - 35, the
+    largest prime below 2^30, so that every residue is one digit of a Python
+    int.  True proves f square-free with one component over C, whatever the
+    multiplicities of f, with no square-free part and no shear.
+
+    Each factor f_i over C of f gives the solution (f/f_i)*grad f_i of
+    f*g_y - g*f_y - f*h_x + h*f_x = 0, and each repeated factor the further
+    solution (f/f_i^2)*grad f_i: (g, h)/f is d log f_i and -d(1/f_i), both
+    closed.  Each lies in the degree box of `_gao_rows`, total degree at most
+    N - 1, and they are independent, as no combination of the log f_i and
+    1/f_i is a constant.  So the kernel over Q has dimension at least the
+    number of components plus the number of repeated ones, and one dimension
+    means one square-free component.  A minor that is nonzero mod p is
+    nonzero over Z, so rank_p <= rank_Q and the dependent rows mod p are at
+    least that dimension, at least 1 since (f_x, f_y) is a solution: one
+    dependent row mod p proves one dimension, whatever the prime.  Once a
+    second row is dependent the answer is False, so the elimination mod p
+    stops there.  The columns are in graded order, which the elimination
+    pivots on at the greatest column."""
+    dependent = (new for new in _independent_mod_p(_gao_rows(f)) if not new)
+    return len(list(islice(dependent, 2))) == 1
 
 
 def curve_component_count(curve: PlaneCurve) -> int:
@@ -721,7 +737,14 @@ def generic_polar_irreducible(web: SymWeb) -> CheckReport:
     square-free polar of degree d + k with one component over C proves the
     generic polar irreducible.  It stops the walk of `_full_polars` at the
     first such witness; a walk with none proves nothing about a closed set
-    of unknown degree, and raises `DegenerateSampleError`."""
+    of unknown degree, and raises `DegenerateSampleError`.  The walk first
+    tries `_one_component_mod_p` on the raw polar, which proves both facts
+    at once from the Gao-Ruppert kernel mod p: each component f_i of f adds
+    the solution (f/f_i)*grad f_i and each repeated one (f/f_i^2)*grad f_i,
+    so one dependent row mod p, at least the kernel's dimension over Q,
+    leaves room for one square-free component only.  Such a witness takes no
+    square-free part, no shear and no content gcd; any other polar goes down
+    the exact path, so the report is the same either way."""
     report = CheckReport("polar-irreducible")
     if not _assert_squarefree(report, web):
         return report
@@ -733,8 +756,9 @@ def generic_polar_irreducible(web: SymWeb) -> CheckReport:
     if expect_reducible:
         report.add("W decomposable over C" if decomposable else "d = 0 and k >= 2", True,
                    f"{count} components over C" if decomposable else "P_p(p + v) = W(p; v), k lines through p")
-    for p, curve in _full_polars(report, web, None if expect_reducible else "irreducible", "one component"):
-        count = curve_component_count(curve)
+    check = None if expect_reducible else "irreducible"
+    for p, curve, proven in _full_polars(report, web, check, "one component", certify=not expect_reducible):
+        count = 1 if proven else curve_component_count(curve)
         if expect_reducible:
             report.note(f"components at p={p}: {count}")
             return report
@@ -746,11 +770,15 @@ def generic_polar_irreducible(web: SymWeb) -> CheckReport:
     return report
 
 
-def _full_polars(report: CheckReport, web: SymWeb, check: str | None, witness: str):
-    """Yield (p, P_p) at the centers of the small integer grid, side d + k + 2
-    in `_small_grid` order, whose polar is square-free of degree d + k; note
-    the others as special.  At the end, raise `DegenerateSampleError` for
-    `check`, naming the `witness` it lacked, unless `check` is None."""
+def _full_polars(report: CheckReport, web: SymWeb, check: str | None, witness: str, certify: bool = False):
+    """Yield (p, P_p, proven) at the centers of the small integer grid, side
+    d + k + 2 in `_small_grid` order, whose polar has degree d + k and is
+    square-free; note the others as special.  With `certify`, a polar of
+    degree d + k that `_one_component_mod_p` proves square-free with one
+    component is yielded at once with proven True, before any square-free
+    test; proven is False otherwise.  At the end, raise
+    `DegenerateSampleError` for `check`, naming the `witness` it lacked,
+    unless `check` is None."""
     n = web_degree(web) + web.k
     side = n + 2
     for i, j in _small_grid(side):
@@ -760,10 +788,12 @@ def _full_polars(report: CheckReport, web: SymWeb, check: str | None, witness: s
             report.note(f"special center {p}: the polar is all of the plane")
         elif curve.raw.total_degree() < n:
             report.note(f"special center {p}: the polar has degree {curve.raw.total_degree()} < d + k")
+        elif certify and _one_component_mod_p(curve.raw):
+            yield p, curve, True
         elif curve.raw != curve.defining:
             report.note(f"special center {p}: the polar is not square-free")
         else:
-            yield p, curve
+            yield p, curve, False
     if check is not None:
         raise DegenerateSampleError(f"{check}: no center of the {side} x {side} grid has a square-free "
                                     f"polar of degree {n} with {witness}")

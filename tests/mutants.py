@@ -92,6 +92,18 @@ MUTANTS = [
      "elif curve.raw != curve.defining:",
      "elif False:",
      "tests/test_polarops.py::TestIrreducibility::test_a_special_center_is_passed[non-reduced]"),
+    # two dependent rows mod p taken for one square-free component: x^2 + y^2
+    # has two, d log(x + iy) and d log(x - iy) (a squared conic has six)
+    ("polarops.py",
+     "return len(list(islice(dependent, 2))) == 1",
+     "return len(list(islice(dependent, 3))) <= 2",
+     "tests/test_polarops.py::TestOneComponentModP::test_not_certified[conjugate-lines]"),
+    # the witness of irreducibility never proved on the raw polar: the same
+    # report, but each witness pays a square-free part and a shear again
+    ("polarops.py",
+     "elif certify and _one_component_mod_p(curve.raw):",
+     "elif False:",
+     "tests/test_polarops.py::TestIrreducibilityWork::test_a_certified_witness_takes_no_square_free_part_and_no_shear[2]"),
     # a polar of short degree taken for a witness
     ("polarops.py",
      "elif curve.raw.total_degree() < n:",

@@ -29,11 +29,13 @@ from polarweb import polarops
 from polarweb.cli import _equality_check, run_command
 from polarweb.errors import DegenerateSampleError, InternalInvariantError, WebValidationError
 from polarweb.mpoly import _content_in, _rekey, _small_integers, dehomogenize, jet_decompose, shear, squarefree_part
+from polarweb.parsing import parse_polynomial
 from polarweb.polarops import (
     _absolute_factor_count,
     _gao_rows,
     _independent_mod_p,
     _integer_rank,
+    _one_component_mod_p,
     base_points,
     base_points_check,
     branches_check,
@@ -1138,6 +1140,7 @@ class TestIrreducibility:
 
     def test_a_walk_without_a_witness_aborts(self, monkeypatch, tmp_path):
         # a walk that finds no witness proves nothing: exit 3, not a FAIL
+        monkeypatch.setattr(polarops, "_one_component_mod_p", lambda f: False)
         monkeypatch.setattr(polarops, "curve_component_count", lambda curve: 2)
         with pytest.raises(DegenerateSampleError, match=r"^irreducible: no center of the 4 x 4 grid "):
             generic_polar_irreducible(w_circles)
@@ -1195,6 +1198,15 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+# A, B of the dense foliations of `perfbench/gen.py`,
+# foliation_text(random.Random(1), d) for d = 2 and 3
+DENSE_FOLIATIONS = {
+    2: ("x^2 - 3*x*y - y^2 - 3*x + 2*y - 2", "-3*x^2 - 2*x*y + y^2 + 3*x + y + 1"),
+    3: ("x^3 + 3*x^2*y + x*y^2 + y^3 + x^2 - 3*x*y - y^2 - 3*x + 2*y - 2",
+        "x^3 + 3*x^2*y - 3*x*y^2 + 2*y^3 + x^2 + x*y - 3*y^2 + x - 3*y - 2"),
+}
+
+
 class TestIrreducibilityWork:
     """What the irreducibility check computes, counted call by call."""
 
@@ -1223,6 +1235,18 @@ class TestIrreducibilityWork:
         assert report.notes[1:] == ["special center (0, 0): 2 components"]
         assert report.assertions[-1].name == "components at p=(0, 1)"
         assert report.passed, report.render_text()
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_certified_witness_takes_no_square_free_part_and_no_shear(self, d, monkeypatch):
+        # the kernel mod p of the raw polar at (0, 0) proves it square-free
+        # with one component: no gcd for its square-free part, no shear and
+        # no rank over Q
+        web = FoliationData(*(parse_polynomial(t) for t in DENSE_FOLIATIONS[d])).as_web
+        calls = {name: _count_calls(monkeypatch, name) for name in ("squarefree_part", "shear", "_integer_rank")}
+        report = generic_polar_irreducible(web)
+        assert report.passed, report.render_text()
+        assert report.assertions[-1].name == "components at p=(0, 0)"
+        assert {name: len(c) for name, c in calls.items()} == {"squarefree_part": 0, "shear": 0, "_integer_rank": 0}
 
 
 def _box_rows(fs: MPoly) -> list[dict]:
@@ -1270,6 +1294,40 @@ def _line(a, b, c):
     g = math.gcd(a, b, c)
     a, b, c = a // g, b // g, c // g
     return (a, b, c) if (a, b) > (0, 0) else (-a, -b, -c)
+
+
+class TestOneComponentModP:
+    """One dependent row of the Gao-Ruppert matrix mod p proves a curve
+    square-free with one component over C."""
+
+    def test_a_dense_cubic_polar(self):
+        f = polar_curve(FoliationData(*(parse_polynomial(t) for t in DENSE_FOLIATIONS[2])).as_web,
+                        AffinePoint.of(0, 0)).raw
+        # every monomial of degree 1 to 3: the polar passes through its center
+        assert f.total_degree() == 3 and len(f.terms) == 9
+        assert _one_component_mod_p(f)
+
+    @pytest.mark.parametrize("f", [Y**2 - X**3, X**2 + Y**2 - 1], ids=str)
+    def test_certified(self, f):
+        assert _one_component_mod_p(f)
+
+    @pytest.mark.parametrize("f", [(X**2 + Y**2 - 1) ** 2, (Y - X**2) ** 2 * (X + Y + 1), X**2 + Y**2,
+                                   (X - 1) * (Y - X**2)],
+                             ids=["squared-conic", "squared-parabola-times-a-line", "conjugate-lines",
+                                  "line-times-parabola"])
+    def test_not_certified(self, f):
+        assert not _one_component_mod_p(f)
+
+    @given(st.lists(st.tuples(plane_factors(), st.integers(1, 3)), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_a_certified_product_is_one_square_free_component(self, factors):
+        f = MPoly.constant(1)
+        for factor, multiplicity in factors:
+            f = f * factor**multiplicity
+        assume(not f.is_zero() and f.total_degree() >= 1)
+        if _one_component_mod_p(f):
+            assert squarefree_part(f) == f.canonical()
+            assert _absolute_factor_count(f) == 1
 
 
 class TestAbsoluteFactorCount:
