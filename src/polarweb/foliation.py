@@ -28,7 +28,8 @@ from .mpoly import (
     shear,
 )
 from .polarops import (
-    A_VAR, B_VAR, _full_polars, _proportionality, inflexion_of_field, linear_identity, polar_family,
+    A_VAR, B_VAR, _full_polars, _proportionality, inflexion_of_field, inflexion_vanishes, linear_identity,
+    polar_family,
 )
 from .reports import CheckReport
 from .solve import Group, point_order, split
@@ -92,7 +93,7 @@ def polar_sing_in_inflexion_check(fol: FoliationData) -> CheckReport:
     sample: by `linear_identity`, q is singular on P_p only if
     M'(q)·(a, b, 1)^T = 0 for some center, so det M'(q) = -E(q) = 0."""
     report = CheckReport("sing-in-inflexion")
-    if inflexion_polynomial(fol).is_zero():
+    if inflexion_vanishes(fol.A, fol.B):
         report.add("inflexion divisor", True, "identically zero: all leaves are lines; check skipped")
         return report
     linear_identity(report, fol.as_web, fol.A, fol.B)
@@ -373,7 +374,7 @@ def quasi_radial_bound_check(fol: FoliationData) -> CheckReport:
     tangents of the P_t.  So class(P_0) <= c, and one center with
     #QR <= class - 1 proves the bound; any other center is special."""
     report = CheckReport("qr-bound")
-    if inflexion_divisor(fol) is None:
+    if inflexion_vanishes(fol.A, fol.B):
         report.add("inflexion divisor", True, "identically zero; bound check skipped (degenerate)")
         return report
     qr, descriptions = count_quasi_radial(fol)

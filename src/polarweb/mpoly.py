@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import count, islice, product
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PolynomialError
@@ -469,8 +470,22 @@ def _decimal_text(k: int) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _heap_key(e: tuple) -> tuple:
+    """A key whose least value is the greatest exponent in graded-lex order."""
+    return -sum(e), tuple(map(neg, e))
+
+
 def try_exact_div(f: MPoly, g: MPoly) -> MPoly | None:
-    """Quotient f/g when g divides f exactly, else None."""
+    """Quotient f/g when g divides f exactly, else None.
+
+    The leading term of the remainder comes from a heap of its exponents
+    (M. Monagan and R. Pearce, "Sparse polynomial division using a heap",
+    J. Symb. Comp. 46, 2011), with lazy deletion: an exponent whose term
+    cancelled stays in the heap and is skipped when it comes up.  Each
+    step removes the leading term and adds terms below it only, so no
+    exponent comes up twice while present, and the quotient's terms come
+    in the order of falling leading exponents, as by a scan of the
+    remainder at each step."""
     if g.is_zero():
         raise PolynomialError("division by zero polynomial")
     if f.is_zero():
@@ -480,12 +495,16 @@ def try_exact_div(f: MPoly, g: MPoly) -> MPoly | None:
         return MPoly._make(f.variables, {e: _div(c, k) for e, c in f.terms.items()})
     names, a, b = f._aligned(g)
     rem = dict(a)
+    heap = [(_heap_key(e), e) for e in rem]
+    heapify(heap)
     ge = max(b, key=lambda t: (sum(t), t))
     gc = b[ge]
     q: dict = {}
-    while rem:
-        fe = max(rem, key=lambda t: (sum(t), t))
-        fc = rem[fe]
+    while heap:
+        fe = heappop(heap)[1]
+        fc = rem.get(fe)
+        if fc is None:
+            continue
         de = tuple(x - y for x, y in zip(fe, ge))
         if any(k < 0 for k in de):
             return None
@@ -495,9 +514,11 @@ def try_exact_div(f: MPoly, g: MPoly) -> MPoly | None:
         for eb, cb in b.items():
             e = tuple(map(add, de, eb))
             s = rem.get(e)
-            nc = -qc * cb if s is None else s - qc * cb
-            if nc:
-                rem[e] = nc
+            if s is None:
+                rem[e] = -qc * cb
+                heappush(heap, (_heap_key(e), e))
+            elif s := s - qc * cb:
+                rem[e] = s
             else:
                 del rem[e]
     return MPoly._make(names, q)

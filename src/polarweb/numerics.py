@@ -10,6 +10,7 @@ Polynomials are coefficient lists in ascending order: p(t) = sum c[k] t^k.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -40,18 +41,52 @@ def relative_residual(coeffs: Sequence[complex], z: complex) -> float:
     return num / max(den, 1e-300)
 
 
+def _balance_shift(coeffs: list[int]) -> int:
+    """k for the balancing t -> 2^k·t of an int polynomial with a nonzero
+    top: 0 while Fujiwara's bound B on the modulus of its roots lies in
+    [2^-256, 2^256], else floor(log2 B), so that the balanced roots have
+    modulus below 2.  B = 2·max(|c_(n-i)/c_n|^(1/i), |c_0/(2c_n)|^(1/n))
+    over the nonzero lower coefficients (M. Fujiwara, Tohoku Math. J. 10,
+    1916), read in logarithms, as the ints may lie past the float range.  A
+    bound outside the normal float range is a NumericAbortError."""
+    n = len(coeffs) - 1
+    top = math.log2(abs(coeffs[n]))
+    logs = [(math.log2(abs(c)) - top - (i == 0)) / (n - i) for i, c in enumerate(coeffs[:n]) if c]
+    if not logs:
+        return 0
+    bound = 1 + max(logs)
+    if -256 <= bound <= 256:
+        return 0
+    if not -1022 <= bound <= 1022:
+        raise NumericAbortError("univariate_roots: coefficients span more than the float range")
+    return math.floor(bound)
+
+
 def univariate_roots(coeffs: Sequence[complex]) -> list[complex]:
     """All roots with multiplicity by simultaneous Aberth-Ehrlich iteration.
 
     Requires degree >= 1 and, unless every coefficient is an int, a leading
     coefficient above the underflow guard: a float top that small may be
     the rounding of a zero one, while a nonzero int top is exact.  Int
-    coefficients of more than 1000 bits are first divided by one power of
-    two, as in `solve.Group.points`; a nonzero one that then underflows is a
-    NumericAbortError.  Every returned root r satisfies
-    |p(r)| / max|c| < RESIDUAL_TOL.
+    coefficients whose roots are tiny or huge are first balanced by
+    t -> 2^k·t (`_balance_shift`), exactly on the ints, and the roots are
+    scaled back at the end; k is 0, and nothing changes, for roots of
+    moderate size.  Int coefficients of more than 1000 bits are then
+    divided by one power of two, as in `solve.Group.points`; a nonzero one
+    that then underflows is a NumericAbortError.  Every returned root r
+    satisfies |p(r)| / max|c| < RESIDUAL_TOL for the balanced polynomial p
+    at r / 2^k.
     """
     exact = all(type(c) is int for c in coeffs)
+    shift = 0
+    if exact:
+        coeffs = list(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        shift = _balance_shift(coeffs) if len(coeffs) > 1 else 0
+        if shift:
+            n = len(coeffs) - 1
+            coeffs = [c << (shift * i if shift > 0 else -shift * (n - i)) for i, c in enumerate(coeffs)]
     top = max((abs(c).bit_length() for c in coeffs), default=0) if exact else 0
     if top > 1000:
         # true division keeps the roots; a right shift would zero small ones
@@ -107,6 +142,8 @@ def univariate_roots(coeffs: Sequence[complex]) -> list[complex]:
         raise NumericAbortError(
             f"univariate_roots: relative residual above {RESIDUAL_TOL} at {bad[0]:.6g}"
         )
+    if shift:
+        roots = [complex(math.ldexp(r.real, shift), math.ldexp(r.imag, shift)) for r in roots]
     return roots
 
 

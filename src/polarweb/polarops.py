@@ -2,7 +2,10 @@
 
 The polar with center p = (a, b) is the substitution dx -> x - a, dy -> y - b
 in the symmetric form: the locus of points whose leaf direction points at the
-center.  This module houses the degree count d + k, the polar-equality
+center.  Every polar, at a rational center or at the symbolic one, is one
+binomial expansion of the form's terms (`_substitute_center`), and so are
+σ(F) of `polar-equality` and the rows of `family_dimension`, from W, W_dx
+and W_dy.  This module houses the degree count d + k, the polar-equality
 criterion, the two-dimensionality and degree k^2 of the family, base points,
 the singular-locus containment of the generic polar, the k-branch structure at
 the center, and the irreducibility verdict, from exact component counts by
@@ -20,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice, product
+from math import comb
 
 from .errors import DegenerateSampleError, InternalInvariantError, PolynomialError, WebValidationError
 from .mpoly import (
@@ -75,19 +79,54 @@ class RadialProduct:
     cofactor_form: MPoly  # the (k-1)-form W', a constant when k = 1
 
 
-def _substitute_center(form: MPoly, a, b) -> MPoly:
-    """dx -> x - a, dy -> y - b; the center is rational or the symbols (a, b).
+def _binomial_rows(x: int, z: int, symbolic: bool, k: int) -> list[list[tuple[int, int, int]]]:
+    """Row u lists the terms of (x·X + z·Z)^u as (s, exponent of Z, C(u, s)·x^s·z^(u-s)),
+    s from u down to 0, zero terms left out: Z is the symbol of the center
+    (exponent u - s), or 1 (exponent 0)."""
+    return [[(s, u - s if symbolic else 0, c) for s in range(u, -1, -1) if (c := comb(u, s) * x**s * z ** (u - s))]
+            for u in range(k + 1)]
 
-    A rational center (p/d, q/e) is put over the common denominator d*e: the
-    substitution dx -> e*(d*x - p), dy -> d*(e*y - q) runs on ints, and the
-    form, homogeneous of degree k, is divided by (d*e)^k once."""
-    if isinstance(a, MPoly):
-        return form.substitute({"dx": X - a, "dy": Y - b})
-    p, d, q, e = a.numerator, a.denominator, b.numerator, b.denominator
-    raw = form.substitute({"dx": MPoly._make(("x",), {(1,): e * d, (0,): -e * p}),
-                           "dy": MPoly._make(("y",), {(1,): d * e, (0,): -d * q})})
-    scale = (d * e) ** binary_form_degree(form)
-    return raw if scale == 1 else MPoly._make(raw.variables, {m: _div(c, scale) for m, c in raw.terms.items()})
+
+def _substitute_center(form: MPoly, a, b) -> MPoly:
+    """dx -> x - a, dy -> y - b in a binary form; the center is rational or
+    the symbols (a, b).
+
+    Each term c·dx^u·dy^v·x^i·y^j is expanded by the binomial theorem
+    straight into one term dict over (a, b, x, y), with s and t, the powers
+    of x and y taken from (x - a)^u and (y - b)^v, running downward and a sum
+    that cancels deleted, so the terms come out in the order of
+    `MPoly.substitute`.  A rational center (p/d, q/e) is put over the common
+    denominator d*e: its rows are those of dx -> e*d*x - e*p and
+    dy -> d*e*y - d*q on ints, and the form, homogeneous of degree k, is
+    divided by (d*e)^k once."""
+    terms = _rekey(form, ("dx", "dy", "x", "y"))
+    if not terms:
+        return form
+    symbolic = isinstance(a, MPoly)
+    if symbolic:
+        (cx, zx), (cy, zy), scale = (1, -1), (1, -1), 1
+    else:
+        p, d, q, e = a.numerator, a.denominator, b.numerator, b.denominator
+        (cx, zx), (cy, zy), scale = (e * d, -e * p), (d * e, -d * q), d * e
+    k = sum(next(iter(terms))[:2])
+    rows_x, rows_y = _binomial_rows(cx, zx, symbolic, k), _binomial_rows(cy, zy, symbolic, k)
+    out: dict = {}
+    for (u, v, i, j), c in terms.items():
+        for s, ea, cs in rows_x[u]:
+            cs *= c
+            for t, eb, ct in rows_y[v]:
+                m = (ea, eb, i + s, j + t)
+                old = out.get(m)
+                if old is None:
+                    out[m] = cs * ct
+                elif new := old + cs * ct:
+                    out[m] = new
+                else:
+                    del out[m]
+    if scale != 1:
+        scale **= k
+        out = {m: _div(c, scale) for m, c in out.items()}
+    return MPoly._make(("a", "b", "x", "y"), out)
 
 
 def polar_curve(web: SymWeb, p: AffinePoint) -> PlaneCurve | RadialProduct:
@@ -199,11 +238,11 @@ def polar_equality_check(web: SymWeb) -> CheckReport:
     routes of the criterion agree for every center and every W2."""
     report = CheckReport("polar-equality")
     k = web.k
-    sigma = {"dx": X - A_VAR, "dy": Y - B_VAR}
     radial = (X - A_VAR) * DY - (Y - B_VAR) * DX
     monomials = [DX ** i * DY ** (k - i) for i in range(k, -1, -1)]
+    lift, dx_k = (X - A_VAR) ** k, DX**k
     for name, form in [(str(m), m) for m in monomials] + [("W", web.form)]:
-        difference = (X - A_VAR) ** k * form - DX**k * form.substitute(sigma)
+        difference = lift * form - dx_k * _substitute_center(form, A_VAR, B_VAR)
         divisible = try_exact_div(difference, radial) is not None
         report.add(f"(x - a)^k·F ≡ dx^k·σ(F) (mod R) for F = {name}", divisible,
                    "R = (x - a)·dy - (y - b)·dx divides the difference" if divisible else "R does not divide it")
@@ -331,17 +370,20 @@ def family_dimension(web: SymWeb) -> int:
     not vanish on all of S^2 when |S| > D (J. T. Schwartz, J. ACM 27, 1980;
     N. Alon, Combinatorial Nullstellensatz, 1999), so the largest rank on the
     grid is the rank over Q(a, b), and the value is exact.
+
+    The rows are read off W, with no polynomial in (a, b, x, y): P is
+    W(x, y; x - a, y - b), so P_a = -W_dx(x, y; x - a, y - b) and
+    P_b = -W_dy(x, y; x - a, y - b), and `_substitute_center` gives each of
+    the three at an integer center.  Signs aside, these are the rows of the
+    canonical P: P's coefficients at a^(k-i)·b^i are ±W's a_i, and W is
+    primitive, so the canonical P is ±P.  Signs keep the rank, and as W has
+    integer coefficients, so do the rows.
     """
-    P = polar_family(web).parametric
-    maps = [P, P.derivative("a"), P.derivative("b")]
+    W = web.form
+    maps = [W, W.derivative("dx"), W.derivative("dy")]
     best = 0
     for a0, b0 in product(range(3 * web.k - 1), repeat=2):
-        rows = []
-        for f in maps:
-            row = _rekey(f.substitute({"a": a0, "b": b0}), ("x", "y"))
-            # P is canonical, so it has integer coefficients, and so does the
-            # row at an integer center
-            rows.append({j: v.numerator for j, v in row.items()})
+        rows = [_rekey(_substitute_center(f, a0, b0), ("x", "y")) for f in maps]
         best = max(best, _integer_rank(rows))
         if best == 3:
             break
@@ -491,6 +533,19 @@ def inflexion_of_field(A: MPoly, B: MPoly) -> MPoly:
             - A * (A * B.derivative("x") + B * B.derivative("y")))
 
 
+def inflexion_vanishes(A: MPoly, B: MPoly) -> bool:
+    """Whether E of `inflexion_of_field` is zero, with E expanded only when
+    it vanishes at every point of {0, 1, -1}^2: at each point in turn, E is
+    B(B·A_y + A·A_x) - A(A·B_x + B·B_y) of the six exact values there, and
+    one nonzero value proves E ≢ 0."""
+    fields = [A, B, A.derivative("x"), A.derivative("y"), B.derivative("x"), B.derivative("y")]
+    for i, j in _small_grid(3):
+        a, b, ax, ay, bx, by = (f.evaluate({"x": i, "y": j}) for f in fields)
+        if b * (b * ay + a * ax) - a * (a * bx + b * by):
+            return False
+    return inflexion_of_field(A, B).is_zero()
+
+
 def linear_identity(report: CheckReport, web: SymWeb, A: MPoly, B: MPoly) -> None:
     """Assert that the polar family of the 1-web A*dy - B*dx is linear in
     the center, P = c·(aB - bA + Ay - Bx) with c a nonzero rational.
@@ -525,7 +580,7 @@ def _foliation_polar_singularities(web: SymWeb) -> CheckReport:
     A, B = a, -b
     report = CheckReport("polar-singular-locus")
     linear_identity(report, web, A, B)
-    if inflexion_of_field(A, B).is_zero():
+    if inflexion_vanishes(A, B):
         degree, _ = polar_top(web)
         report.add("E ≡ 0: deg_(x,y) P(a, b; x, y) = 1", degree == 1, f"degree {degree}: every polar is a line or 0")
     else:

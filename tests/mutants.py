@@ -251,6 +251,24 @@ MUTANTS = [
      "key=lambda i: abs(approx[i] - c))[:k]:",
      "key=lambda i: abs(approx[i] - c)):",
      "tests/test_solve.py::TestShapeLemma::test_only_the_zeros_proved_rational_print_exactly"),
+    # E taken for nonzero whatever its values: the radial pencil x, y, whose
+    # E vanishes, would pass as a field with curved leaves
+    ("polarops.py",
+     "    return inflexion_of_field(A, B).is_zero()\n",
+     "    return False\n",
+     "tests/test_polarops.py::TestInflexionVanishes::test_the_radial_pencil"),
+    # the polar at a rational center left over the common denominator: the
+    # binomial kernel's ints are (d*e)^k times the polar
+    ("polarops.py",
+     "    if scale != 1:\n        scale **= k",
+     "    if False:\n        scale **= k",
+     "tests/test_polarops.py::TestPolarCurve::test_the_binomial_kernel_is_substitute_term_for_term"),
+    # no balancing: the roots of 10^300 t^2 + t - 3 come out of Aberth at
+    # about 2e-14, passing the backward-error gate
+    ("numerics.py",
+     "shift = _balance_shift(coeffs) if len(coeffs) > 1 else 0",
+     "shift = 0",
+     "tests/test_numerics.py::TestRoots::test_tiny_or_huge_roots_are_balanced[tiny]"),
 ]
 
 

@@ -484,6 +484,63 @@ class TestWorkCount:
         assert code == 0, text
         assert len(calls) <= 4
 
+
+def scan_exact_div(f: MPoly, g: MPoly) -> MPoly | None:
+    """Division by a nonconstant g with a scan of the whole remainder for
+    its leading term at every step: the reference for `try_exact_div`'s
+    heap."""
+    names, a, b = f._aligned(g)
+    rem = dict(a)
+    ge = max(b, key=lambda t: (sum(t), t))
+    q: dict = {}
+    while rem:
+        fe = max(rem, key=lambda t: (sum(t), t))
+        de = tuple(u - v for u, v in zip(fe, ge))
+        if any(k < 0 for k in de):
+            return None
+        qc = mpoly._div(rem[fe], b[ge])
+        q[de] = qc
+        for eb, cb in b.items():
+            e = tuple(u + v for u, v in zip(de, eb))
+            nc = rem.get(e, 0) - qc * cb
+            if nc:
+                rem[e] = nc
+            else:
+                del rem[e]
+    return MPoly._make(names, q)
+
+
+class TestHeapDivision:
+    """`try_exact_div` takes the leading remainder term from a heap; the
+    quotient and its term order are those of a scan at every step."""
+
+    @given(rational_polys(), rational_polys(), small_polys(("x", "y", "z"), max_terms=2))
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_a_scan_on_products_and_non_multiples(self, f, g, r):
+        if g.is_constant():
+            return  # no leading term to divide by, and no heap
+        for numerator in (f * g, f * g + r, f + r):
+            got, ref = try_exact_div(numerator, g), scan_exact_div(numerator, g)
+            assert (got is None) == (ref is None)
+            if got is not None:
+                assert got == ref and list(got.terms) == list(ref.terms)
+                assert got * g == numerator
+
+    @pytest.mark.parametrize("g, q", [(x - y, x + y), (x + y + 2, x * y**2 + x * y - y**2)],
+                             ids=["a stale exponent", "an exponent pushed twice"])
+    def test_a_term_that_cancels_below_the_lead(self, g, q):
+        # x^2 - y^2 over x - y: y^2 cancels at the second step and its entry
+        # comes up after that; in the second product a remainder term cancels
+        # and comes back, so its exponent is in the heap twice
+        got = try_exact_div(g * q, g)
+        assert got == q
+        assert list(got.terms) == list(scan_exact_div(g * q, g).terms)
+
+    def test_a_non_multiple_past_the_first_step(self):
+        assert try_exact_div(x**3 + y, x - 1) is None
+        assert try_exact_div(x**2 * y + x + 1, x * y) is None
+
+
 class TestGcdSquarefree:
     def test_monomials(self):
         assert poly_gcd(x**2 * y, x * y**2) == x * y

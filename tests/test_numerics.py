@@ -4,6 +4,7 @@ import cmath
 
 import pytest
 
+from polarweb import numerics
 from polarweb.errors import NumericAbortError
 from polarweb.numerics import (
     RESIDUAL_TOL,
@@ -54,9 +55,29 @@ class TestRoots:
         assert abs(roots[0] - 1) < 1e-9 and abs(roots[1] - 2) < 1e-9
 
     def test_int_coefficients_wider_than_the_float_range_are_rejected(self):
-        # after the scaling, 1 / 2^2000 underflows to 0
+        # the roots, +-i*2^-1500, lie below the float range
         with pytest.raises(NumericAbortError, match="span more than the float range"):
             univariate_roots([1, 0, 2**3000])
+
+    @pytest.mark.parametrize("coeffs, modulus", [
+        ([-3, 1, 10**300], 3**0.5 * 1e-150),  # far below the old backward-error gate
+        ([-3, 1, 10**330], 3**0.5 * 1e-165),
+        ([-3 * 10**300, 1, 1], 3**0.5 * 1e150),
+    ], ids=["tiny", "tiny past 1000 bits", "huge"])
+    def test_tiny_or_huge_roots_are_balanced(self, coeffs, modulus):
+        roots = sorted(univariate_roots(coeffs), key=lambda z: z.real)
+        assert abs(roots[0] + modulus) <= 1e-9 * modulus
+        assert abs(roots[1] - modulus) <= 1e-9 * modulus
+
+    @pytest.mark.parametrize("coeffs", [[-1, 0, 1], [2, -3, 1], [1, 2**200], [2**250, 0, 1], [5, 0, 0, 7]])
+    def test_moderate_roots_are_not_balanced(self, coeffs):
+        # Fujiwara's bound inside [2^-256, 2^256]: no shift, the same floats
+        assert numerics._balance_shift(coeffs) == 0
+
+    def test_the_shift_puts_the_roots_below_two(self):
+        k = numerics._balance_shift([-3, 1, 10**300])
+        assert k < -256
+        assert all(abs(r) / 2.0**k < 2 for r in univariate_roots([-3, 1, 10**300]))
 
 
 class TestTracking:

@@ -136,6 +136,42 @@ class TestPolarCurve:
         ref = entry.web.form.substitute({"dx": X - a, "dy": Y - b})
         assert got == ref and list(got.terms) == list(ref.terms)
 
+    @given(st.sampled_from(BATTERY), st.sampled_from([None, "dx", "dy"]),
+           st.one_of(st.none(), st.tuples(st.fractions(-9, 9, max_denominator=12),
+                                          st.fractions(-9, 9, max_denominator=12))))
+    @settings(max_examples=120, deadline=None)
+    def test_the_binomial_kernel_is_substitute_term_for_term(self, entry, derivative, center):
+        # for W, W_dx and W_dy, at the symbolic center and at rational ones
+        form = entry.web.form.derivative(derivative) if derivative else entry.web.form
+        a, b = center if center is not None else (polarops.A_VAR, polarops.B_VAR)
+        got = polarops._substitute_center(form, a, b)
+        ref = form.substitute({"dx": X - a, "dy": Y - b})
+        assert got == ref and list(got.terms) == list(ref.terms)
+
+    @pytest.mark.parametrize("center", [None, (Fraction(1, 2), Fraction(-2, 3)), (0, 1)])
+    def test_a_sum_that_cancels_comes_back_last(self, center):
+        # x^2*y^2 gets +1, -1, +1 from the three terms: deleted, then added
+        # again after every other monomial
+        form = Y**2 * DX**2 - X * Y * DX * DY + X**2 * DY**2
+        a, b = center if center is not None else (polarops.A_VAR, polarops.B_VAR)
+        got = polarops._substitute_center(form, a, b)
+        ref = form.substitute({"dx": X - a, "dy": Y - b})
+        assert got == ref and list(got.terms) == list(ref.terms)
+        if center is None:
+            assert list(got.terms)[-2] == (0, 0, 2, 2)
+
+    def test_no_polar_takes_substitute(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("MPoly.substitute called")
+
+        monkeypatch.setattr(MPoly, "substitute", refuse)
+        p = AffinePoint.of(Fraction(1, 2), Fraction(-2, 3))
+        for entry in BATTERY:
+            polar_family(entry.web)
+            polar_curve(entry.web, p)
+            assert polarops.polar_equality_check(entry.web).passed
+            assert family_dimension(entry.web) in (1, 2)
+
     def test_product_rule_exact(self):
         # P_p(W1 x W2) = P_p(W1) * P_p(W2), exact identity up to normalization
         sampler = GenericSampler(11)
@@ -697,6 +733,52 @@ def sampled_polar_singularities(web: SymWeb, seed: int, samples: int) -> tuple[i
         if used == samples:
             break
     return used, bad
+
+
+def cubic_fields(draw_coefficients):
+    """(A, B) of cubic degree from 2·len(CUBIC_MONOMIALS) drawn coefficients."""
+    n = len(CUBIC_MONOMIALS)
+    return tuple(sum((c * X**i * Y**j for (i, j), c in zip(CUBIC_MONOMIALS, cs)), MPoly.zero())
+                 for cs in (draw_coefficients[:n], draw_coefficients[n:]))
+
+
+class TestInflexionVanishes:
+    """E ≢ 0 is read from one nonzero value on {0, 1, -1}^2; E is expanded
+    only when all nine values vanish."""
+
+    @pytest.mark.parametrize("entry", [e for e in BATTERY if e.foliation is not None], ids=lambda e: e.name)
+    def test_battery(self, entry):
+        A, B = entry.foliation.A, entry.foliation.B
+        assert polarops.inflexion_vanishes(A, B) == polarops.inflexion_of_field(A, B).is_zero()
+
+    @given(st.lists(st.integers(-2, 2), min_size=2 * len(CUBIC_MONOMIALS), max_size=2 * len(CUBIC_MONOMIALS)),
+           st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_expanded_E(self, drawn, c, x0, y0, pencil):
+        # a pencil, c·(x - x0, y - y0) or the constant (c, x0), has E ≡ 0
+        if pencil:
+            A, B = (c * (X - x0), c * (Y - y0)) if c else (MPoly.constant(x0), MPoly.constant(y0))
+        else:
+            A, B = cubic_fields(drawn)
+        assert polarops.inflexion_vanishes(A, B) == polarops.inflexion_of_field(A, B).is_zero()
+
+    def test_the_radial_pencil(self):
+        assert polarops.inflexion_vanishes(X, Y)
+
+    def test_a_planted_E_that_vanishes_on_the_grid(self, monkeypatch):
+        # A = 1, B = y^3 - y: E = -B·B_y, zero at y = 0, 1, -1 but not zero
+        calls = _count_calls(monkeypatch, "inflexion_of_field")
+        A, B = MPoly.constant(1), Y**3 - Y
+        assert not polarops.inflexion_of_field(A, B).is_zero()
+        calls.clear()
+        assert not polarops.inflexion_vanishes(A, B)
+        assert len(calls) == 1
+
+    def test_one_nonzero_value_expands_nothing(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "inflexion_of_field")
+        A, B = parse_polynomial(DENSE_FOLIATIONS[3][0]), parse_polynomial(DENSE_FOLIATIONS[3][1])
+        assert not polarops.inflexion_vanishes(A, B)
+        assert calls == []
 
 
 class TestInflexionCurve:
