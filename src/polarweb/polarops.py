@@ -11,8 +11,9 @@ the singular-locus containment of the generic polar, the k-branch structure at
 the center, and the irreducibility verdict, from exact component counts by
 the Gao-Ruppert kernel.  No check samples: irreducibility is decided by one
 polar, at the first small integer center that proves it (`qr-bound` shares
-that walk), and the rest on the polar family; `family_degree` counts the
-incidences of leaf lines at one pair of points.  On a web with k >= 2 the
+that walk) and proves a foliation's witness from one line mod a small prime
+(`_one_component_at`), and the rest on the polar family; `family_degree`
+counts the incidences of leaf lines at one pair of points.  On a web with k >= 2 the
 singular locus is decided by one nonzero value of the inflexion curve of
 the web, or, where that curve is the whole plane, by splitting off the
 factor whose leaves are lines.
@@ -28,6 +29,7 @@ from math import comb
 from .errors import DegenerateSampleError, InternalInvariantError, PolynomialError, WebValidationError
 from .mpoly import (
     MPoly,
+    _as_rational,
     _content_in,
     _div,
     _rekey,
@@ -60,7 +62,7 @@ from .webmodel import (
     singular_set,
     web_degree,
 )
-from .zpoly import _independent_mod_p, _int_prs_resultant, _integer_rank
+from .zpoly import _independent_mod_p, _int_prs_resultant, _integer_rank, _irreducible_mod_p, _trim
 
 A_VAR = MPoly.variable("a")
 B_VAR = MPoly.variable("b")
@@ -159,7 +161,9 @@ def polar_top(web: SymWeb) -> tuple[int, list[MPoly]]:
     jets = jet_decompose(polar_family(web).parametric, ("x", "y"))
     degree = max(jets)
     top = [c for cx in jets[degree].coeffs_in("x") for c in cx.coeffs_in("y") if c]
-    return degree, [c.substitute({"a": X, "b": Y}) for c in top]
+    # each lies in (a, b), and a < b as x < y: renaming keeps the layout sorted
+    rename = {"a": "x", "b": "y"}
+    return degree, [MPoly._make(tuple(rename[v] for v in c.variables), dict(c.terms)) for c in top]
 
 
 def polar_degree_check(web: SymWeb) -> CheckReport:
@@ -725,6 +729,52 @@ def _one_component_mod_p(f: MPoly) -> bool:
     return len(list(islice(dependent, 2))) == 1
 
 
+# the trials (line i, prime j) of `_one_component_at`, diagonal by
+# diagonal; 2 and 3 are left out, as on the benchmark's polars their images
+# were irreducible less often than the 1/n of larger primes
+_TRIALS = [(i, s - i) for s in range(7) for i in range(s + 1)]
+_SMALL_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+
+
+def _one_component_at(f: MPoly, p: AffinePoint) -> bool:
+    """Whether f in (x, y), of degree n, proves itself square-free with one
+    component over C, as `_one_component_mod_p` does, from the point p and
+    one line: f(p) = 0 and grad f(p) != 0, f holds v^n (v = x or y) with a
+    coefficient lc, and f(v, c) is irreducible mod q (`_irreducible_mod_p`)
+    for a line u = c off p and a small prime q that does not divide lc.
+
+    Then f(v, c), of degree n mod q, is irreducible over Q (Gauss), so f is:
+    top forms multiply, so each factor g of f holds v^(deg g) and keeps its
+    degree on u = c.  And over C the components of f are conjugate and
+    simple, so all pass through p if one does, and two would make p
+    singular.  A web with k >= 2 has multiplicity k at its center."""
+    terms, n = _rekey(f.canonical(), ("x", "y")), f.total_degree()
+    a, b = _as_rational(p.a), _as_rational(p.b)
+    value = gx = gy = 0
+    for (i, j), c in terms.items():
+        value += c * a**i * b**j
+        gx += i and c * i * a ** (i - 1) * b**j
+        gy += j and c * j * a**i * b ** (j - 1)
+    lc, v = terms.get((n, 0)), 0
+    if not lc:
+        lc, v = terms.get((0, n)), 1
+    if n < 1 or not lc or value or not (gx or gy):
+        return False
+    primes = [q for q in _SMALL_PRIMES if lc % q]
+    lines = (c for c in _small_integers() if c != (b, a)[v])
+    images: list[list[int]] = []
+    for i, j in _TRIALS:
+        if j < len(primes):
+            if i == len(images):
+                c, image = next(lines), [0] * (n + 1)
+                for e, coeff in terms.items():
+                    image[e[v]] += coeff * c ** e[1 - v]
+                images.append(image)
+            if _irreducible_mod_p(_trim([t % primes[j] for t in images[i]]), primes[j]):
+                return True
+    return False
+
+
 def curve_component_count(curve: PlaneCurve) -> int:
     """Number of irreducible components over C of a reduced plane curve."""
     F = curve.defining
@@ -793,13 +843,14 @@ def generic_polar_irreducible(web: SymWeb) -> CheckReport:
     generic polar irreducible.  It stops the walk of `_full_polars` at the
     first such witness; a walk with none proves nothing about a closed set
     of unknown degree, and raises `DegenerateSampleError`.  The walk first
-    tries `_one_component_mod_p` on the raw polar, which proves both facts
-    at once from the Gao-Ruppert kernel mod p: each component f_i of f adds
-    the solution (f/f_i)*grad f_i and each repeated one (f/f_i^2)*grad f_i,
-    so one dependent row mod p, at least the kernel's dimension over Q,
-    leaves room for one square-free component only.  Such a witness takes no
-    square-free part, no shear and no content gcd; any other polar goes down
-    the exact path, so the report is the same either way."""
+    proves both facts at once on the raw polar, from one line mod a small
+    prime and the smooth center (`_one_component_at`), or else from the
+    Gao-Ruppert kernel mod p (`_one_component_mod_p`): each component f_i
+    of f adds the solution (f/f_i)*grad f_i and each repeated one
+    (f/f_i^2)*grad f_i, so one dependent row mod p, at least the kernel's
+    dimension over Q, leaves room for one square-free component only.  Such
+    a witness takes no square-free part, no shear and no content gcd; any
+    other polar goes down the exact path, so the report is the same."""
     report = CheckReport("polar-irreducible")
     if not _assert_squarefree(report, web):
         return report
@@ -829,9 +880,9 @@ def _full_polars(report: CheckReport, web: SymWeb, check: str | None, witness: s
     """Yield (p, P_p, proven) at the centers of the small integer grid, side
     d + k + 2 in `_small_grid` order, whose polar has degree d + k and is
     square-free; note the others as special.  With `certify`, a polar of
-    degree d + k that `_one_component_mod_p` proves square-free with one
-    component is yielded at once with proven True, before any square-free
-    test; proven is False otherwise.  At the end, raise
+    degree d + k that `_one_component_at` or `_one_component_mod_p` proves
+    square-free with one component is yielded at once with proven True,
+    before any square-free test; proven is False otherwise.  At the end, raise
     `DegenerateSampleError` for `check`, naming the `witness` it lacked,
     unless `check` is None."""
     n = web_degree(web) + web.k
@@ -843,7 +894,7 @@ def _full_polars(report: CheckReport, web: SymWeb, check: str | None, witness: s
             report.note(f"special center {p}: the polar is all of the plane")
         elif curve.raw.total_degree() < n:
             report.note(f"special center {p}: the polar has degree {curve.raw.total_degree()} < d + k")
-        elif certify and _one_component_mod_p(curve.raw):
+        elif certify and (_one_component_at(curve.raw, p) or _one_component_mod_p(curve.raw)):
             yield p, curve, True
         elif curve.raw != curve.defining:
             report.note(f"special center {p}: the polar is not square-free")

@@ -324,6 +324,34 @@ def _coprime_mod_p(a: list[int], b: list[int], p: int) -> bool:
     return True
 
 
+def _irreducible_mod_p(f: list[int], p: int) -> bool:
+    """Whether f, ascending over F_p with a nonzero top and degree n >= 1,
+    is irreducible, by Ben-Or's test (M. Ben-Or, FOCS 1981): a reducible f
+    has a factor of degree i <= n // 2, which divides x^(p^i) - x, the
+    product of the monic irreducibles of degree dividing i."""
+    n = len(f) - 1
+    inv = pow(f[-1], -1, p)
+    monic = [c * inv % p for c in f]
+
+    def reduced(r: list[int]) -> list[int]:
+        while len(r) > n:
+            c = r.pop() % p
+            r[-n:] = [a - c * b for a, b in zip(r[-n:], monic)]
+        return [a % p for a in r]
+
+    h = [0, 1]
+    for _ in range(n // 2):
+        base = h
+        for bit in bin(p)[3:]:
+            h = reduced(_mul(h, h))
+            if bit == "1":
+                h = reduced(_mul(h, base))
+        g = _trim([c % p for c in _sub(h, [0, 1])])
+        if not g or not _coprime_mod_p(list(monic), g, p):
+            return False
+    return True
+
+
 def _independent_mod_p(rows: list[dict]) -> Iterator[bool]:
     """For each row of an integer matrix given by sparse rows {column: int},
     in turn, whether it is independent mod p = 2^30 - 35 of the rows before

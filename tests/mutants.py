@@ -101,9 +101,21 @@ MUTANTS = [
     # the witness of irreducibility never proved on the raw polar: the same
     # report, but each witness pays a square-free part and a shear again
     ("polarops.py",
-     "elif certify and _one_component_mod_p(curve.raw):",
+     "elif certify and (_one_component_at(curve.raw, p) or _one_component_mod_p(curve.raw)):",
      "elif False:",
      "tests/test_polarops.py::TestIrreducibilityWork::test_a_certified_witness_takes_no_square_free_part_and_no_shear[2]"),
+    # the line certificate without its smooth point: x^2 - 2y^2, two lines
+    # over C through the origin, has irreducible images x^2 - 2c^2 mod 5
+    ("polarops.py",
+     "or value or not (gx or gy):",
+     "or value:",
+     "tests/test_polarops.py::TestOneComponentAt::test_refused[conjugate-lines-through-the-center]"),
+    # a trial prime that divides lc: the image of (5x + y)(x + 2y + 1) on
+    # y = 1 drops to the line x + 3 mod 5, irreducible
+    ("polarops.py",
+     "primes = [q for q in _SMALL_PRIMES if lc % q]",
+     "primes = list(_SMALL_PRIMES)",
+     "tests/test_polarops.py::TestOneComponentAt::test_refused[a-prime-dividing-lc]"),
     # a polar of short degree taken for a witness
     ("polarops.py",
      "elif curve.raw.total_degree() < n:",

@@ -1222,6 +1222,7 @@ class TestIrreducibility:
 
     def test_a_walk_without_a_witness_aborts(self, monkeypatch, tmp_path):
         # a walk that finds no witness proves nothing: exit 3, not a FAIL
+        monkeypatch.setattr(polarops, "_one_component_at", lambda f, p: False)
         monkeypatch.setattr(polarops, "_one_component_mod_p", lambda f: False)
         monkeypatch.setattr(polarops, "curve_component_count", lambda curve: 2)
         with pytest.raises(DegenerateSampleError, match=r"^irreducible: no center of the 4 x 4 grid "):
@@ -1258,8 +1259,8 @@ class TestComponentCountErrors:
         def broken(rows):
             raise InternalInvariantError("broken elimination")
 
-        # the irreducible polars of the circle pencil are counted by the
-        # rank mod p alone
+        # the polar at the pencil's singular point (0, 0), where no line
+        # proves it, is counted by the rank mod p
         monkeypatch.setattr(polarops, "_independent_mod_p", broken)
         with pytest.raises(InternalInvariantError):
             generic_polar_irreducible(w_circles)
@@ -1329,6 +1330,17 @@ class TestIrreducibilityWork:
         assert report.passed, report.render_text()
         assert report.assertions[-1].name == "components at p=(0, 0)"
         assert {name: len(c) for name, c in calls.items()} == {"squarefree_part": 0, "shear": 0, "_integer_rank": 0}
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_witness_proved_on_a_line_takes_no_gao_kernel(self, d, monkeypatch):
+        # one irreducible image of the polar at (0, 0) on a line mod a small
+        # prime proves it: no row of the Gao-Ruppert matrix is eliminated
+        web = FoliationData(*(parse_polynomial(t) for t in DENSE_FOLIATIONS[d])).as_web
+        calls = _count_calls(monkeypatch, "_independent_mod_p")
+        report = generic_polar_irreducible(web)
+        assert report.passed, report.render_text()
+        assert report.assertions[-1].name == "components at p=(0, 0)"
+        assert calls == []
 
 
 def _box_rows(fs: MPoly) -> list[dict]:
@@ -1408,6 +1420,69 @@ class TestOneComponentModP:
             f = f * factor**multiplicity
         assume(not f.is_zero() and f.total_degree() >= 1)
         if _one_component_mod_p(f):
+            assert squarefree_part(f) == f.canonical()
+            assert _absolute_factor_count(f) == 1
+
+
+@st.composite
+def curves_through_the_origin(draw):
+    """A product of one to three factors with multiplicities 1 or 2, the
+    first through the origin: lines, dense conics and norms u^2 - 2v^2 of
+    lines u, v, most of them irreducible over Q and two lines over C;
+    coefficients in [-3, 3]."""
+    small = st.integers(-3, 3)
+
+    def factor(through):
+        def linear():
+            return draw(small) * X + draw(small) * Y + (0 if through else draw(small))
+
+        kind = draw(st.sampled_from(["line", "norm", "conic"]))
+        if kind == "line":
+            return linear()
+        if kind == "norm":
+            return linear() ** 2 - 2 * linear() ** 2
+        return sum((draw(small) * X**i * Y**j for i, j in QUADRATIC_MONOMIALS if i + j or not through), MPoly.zero())
+
+    f = MPoly.constant(1)
+    for through in [True] + draw(st.lists(st.booleans(), max_size=2)):
+        f = f * factor(through) ** draw(st.integers(1, 2))
+    return f
+
+
+class TestOneComponentAt:
+    """One irreducible image on a line mod a small prime, and a smooth
+    rational point, prove a curve square-free with one component over C."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_dense_foliation_polar_at_its_center(self, d):
+        f = polar_curve(FoliationData(*(parse_polynomial(t) for t in DENSE_FOLIATIONS[d])).as_web, P0).raw
+        assert f.total_degree() == d + 1
+        assert polarops._one_component_at(f, P0)
+
+    def test_a_conic_at_a_rational_point(self):
+        assert polarops._one_component_at(X**2 - 2 * Y**2 - 1, AffinePoint.of(1, 0))
+
+    @pytest.mark.parametrize("f", [
+        X**2 - 2 * Y**2,  # irreducible over Q, two lines over C through the singular center
+        (X - Y) * (X + Y - 1),  # smooth at the center, two components over Q
+        (5 * X + Y) * (X + 2 * Y + 1),  # lc 5: its image mod 5 drops to a line
+    ], ids=["conjugate-lines-through-the-center", "two-lines", "a-prime-dividing-lc"])
+    def test_refused(self, f):
+        assert not polarops._one_component_at(f, P0)
+
+    def test_a_two_web_polar_is_refused_before_any_trial(self, monkeypatch):
+        # a polar of a k-web has multiplicity k at its center
+        p = AffinePoint.of(1, 2)
+        f = polar_curve(w_sqrt, p).raw
+        trials = _count_calls(monkeypatch, "_irreducible_mod_p")
+        assert f.total_degree() == 3 and not polarops._one_component_at(f, p)
+        assert trials == []
+
+    @given(curves_through_the_origin())
+    @settings(max_examples=150, deadline=None)
+    def test_a_certified_curve_is_one_square_free_component(self, f):
+        assume(f.total_degree() >= 1)
+        if polarops._one_component_at(f, P0):
             assert squarefree_part(f) == f.canonical()
             assert _absolute_factor_count(f) == 1
 

@@ -14,6 +14,7 @@ from polarweb import MPoly
 from polarweb import zpoly
 from polarweb.mpoly import _from_int_coeffs, _int_coeffs, exact_div, poly_gcd
 from polarweb.errors import InternalInvariantError
+from polarweb.polarops import _SMALL_PRIMES
 from polarweb.zpoly import _CERT_PRIME, _independent_mod_p, _int_prs_resultant, _integer_rank, _vanishes_at, _yun
 from test_solve import from_list, planted, roots
 
@@ -260,6 +261,27 @@ class TestCommonFactor:
         a, b = zpoly._mul(a, c), zpoly._mul(b, c)
         assert zpoly._common_factor(a, b) == zpoly._int_gcd(a, b)
         assert zpoly._common_factor(a, []) == a
+
+
+class TestIrreducibleModP:
+    """Ben-Or's test against sympy's factoring over F_q."""
+
+    @given(st.sampled_from(_SMALL_PRIMES), st.integers(1, 8), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_sympy_over_the_trial_primes(self, q, n, data):
+        sympy = pytest.importorskip("sympy")
+        f = data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)) + [data.draw(st.integers(1, q - 1))]
+        expected = sympy.Poly(f[::-1], sympy.Symbol("t"), modulus=q).is_irreducible
+        assert zpoly._irreducible_mod_p(list(f), q) == expected
+
+    @pytest.mark.parametrize("f, q, irreducible", [
+        ([2, 0, 1], 5, True),  # t^2 + 2: -2 is no square mod 5
+        ([1, 0, 1], 5, False),  # t^2 + 1 = (t - 2)(t + 2)
+        ([2, 0, 3, 0, 1], 7, False),  # (t^2 + 1)(t^2 + 2): no root mod 7, two quadratic factors
+        ([3, 5], 7, True),
+    ], ids=["quadratic-irreducible", "quadratic-split", "quartic-of-two-quadratics", "linear"])
+    def test_small_cases(self, f, q, irreducible):
+        assert zpoly._irreducible_mod_p(f, q) is irreducible
 
 
 def test_imports_nothing_from_the_package_but_errors():
