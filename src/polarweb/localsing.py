@@ -26,7 +26,7 @@ from math import comb
 
 from .errors import InfiniteZeroSetError, InternalInvariantError, NumericAbortError, PolynomialError
 from .mpoly import (MPoly, _as_rational, _from_int_coeffs, _int_coeffs, _monomial_split, _rekey, _small_integers,
-                    exact_div, gcd_fold, poly_gcd, resultant, shear, translate)
+                    exact_div, poly_gcd, resultant, shear, translate)
 from .polarops import RadialProduct, curve_component_count, polar_curve
 from .reports import CheckReport
 from .sampling import GenericSampler, sample_centers
@@ -61,7 +61,7 @@ class CurveGerm:
         equation, already square-free, moved to the origin."""
         g = translate(curve.defining, point).canonical()
         if g.evaluate({v: 0 for v in g.variables}) != 0:
-            raise PolynomialError(f"curve does not pass through {point}")
+            raise PolynomialError(f"curve does not pass through ({point[0]}, {point[1]})")
         return CurveGerm(_rekey(g, ("x", "y")))
 
     @staticmethod
@@ -468,23 +468,13 @@ def homogenize(f: MPoly) -> MPoly:
 
 
 def _delta_sum_at_infinity(F: MPoly) -> int:
-    """Sum of delta invariants of the projective curve along the line z = 0."""
+    """Sum of delta invariants of the projective curve along the line z = 0.
+    Its singular points [x0 : 1 : 0] are the common zeros of G, G_x, G_y and
+    y in the chart y = 1, with z renamed y, and [1 : 0 : 0] is the origin of
+    the chart x = 1, with (y, z) renamed (x, y)."""
     H = homogenize(F)
-    total = 0
-    # chart y = 1: coordinates (x, z); points [x0 : 1 : 0]
-    G = H.substitute({"y": 1})
-    line = [h for g in (G, G.derivative("x"), G.derivative("z")) if not (h := g.substitute({"z": 0})).is_zero()]
-    rational, rest = [], []
-    if line and all(not g.is_constant() for g in line):
-        elim = gcd_fold(line)
-        if not elim.is_constant():
-            rational, rest = rational_split(_int_coeffs(elim, "x"))
-    curve = G.substitute({"z": Y})
-    germs = [CurveGerm.at_point(PlaneCurve(curve), (x0, Fraction(0)))
-             for x0, _ in rational if G.evaluate({"x": x0, "z": 0}) == 0]
-    # the irrational roots x0 of each Yun factor w are the points (x0, 0)
-    germs += [CurveGerm.at_group(curve, Group(w, [0], [1], 0)) for w, _ in rest]
-    # the point [1 : 0 : 0] lives in the chart x = 1, with (y, z) renamed (x, y)
+    G = H.substitute({"y": 1, "z": Y})
+    germs = _germs(PlaneCurve(G), common_zeros([G, G.derivative("x"), G.derivative("y"), Y]))
     K = H.substitute({"x": 1, "y": X, "z": Y})
     if not any(_nonzero_at_origin(g) for g in (K, K.derivative("x"), K.derivative("y"))):
         germs.append(CurveGerm.at_point(PlaneCurve(K), (Fraction(0), Fraction(0))))

@@ -556,10 +556,9 @@ def _content_in(f: MPoly, var: str) -> MPoly:
 # coprime images prove h constant.  When f or g is proper in v (it holds v^D,
 # D its total degree, with a nonzero residue), so is h, as top forms multiply
 # mod p too: h holds v^(deg h), so its image keeps that degree at any point,
-# and one image pair decides.  Otherwise every shared variable needs coprime
-# images at a point where both leading coefficients in v survive, which
-# proves gcd(f, g) free of v.  The prime and the points are fixed: no draws.
-_CERT_TRIES = 3
+# and one image pair decides.  A pair proper in no shared variable is not
+# certified and goes to the gcd itself.  The prime and the point are fixed:
+# no draws.
 
 
 def _residues(f: MPoly) -> list[tuple[tuple, int]] | None:
@@ -599,30 +598,18 @@ def _proper_in(res: list[tuple[tuple, int]], f: MPoly, v: str) -> bool:
 def _certified_coprime(f: MPoly, g: MPoly, active: list[str]) -> bool:
     """True only if gcd(f, g) is a constant: for the first active variable
     in which f or g is proper, the images at the point 2 + 7j (j the index
-    of the variable among those of f and g) are coprime; if there is none,
-    every active variable has coprime images at one of the first
-    _CERT_TRIES points 2 + 3k + 7j."""
+    of the variable among those of f and g) are coprime.  False when there
+    is no such variable."""
     fr, gr = _residues(f), _residues(g)
     if fr is None or gr is None:
         return False
-    names = sorted(set(f.variables) | set(g.variables))
-    points = [{w: 2 + 3 * k + 7 * j for j, w in enumerate(names)} for k in range(_CERT_TRIES)]
-    for v in active:
-        if _proper_in(fr, f, v) or _proper_in(gr, g, v):
-            a = _trim(_image_in(fr, f.variables, v, points[0]))
-            b = _trim(_image_in(gr, g.variables, v, points[0]))
-            return bool(a and b) and _coprime_mod_p(a, b, _CERT_PRIME)
-    for v in active:
-        for point in points:
-            a = _image_in(fr, f.variables, v, point)
-            b = _image_in(gr, g.variables, v, point)
-            if a[-1] and b[-1]:
-                break
-        else:
-            return False
-        if not _coprime_mod_p(a, b, _CERT_PRIME):
-            return False
-    return True
+    v = next((v for v in active if _proper_in(fr, f, v) or _proper_in(gr, g, v)), None)
+    if v is None:
+        return False
+    point = {w: 2 + 7 * j for j, w in enumerate(sorted(set(f.variables) | set(g.variables)))}
+    a = _trim(_image_in(fr, f.variables, v, point))
+    b = _trim(_image_in(gr, g.variables, v, point))
+    return bool(a and b) and _coprime_mod_p(a, b, _CERT_PRIME)
 
 
 def _monomial_split(f: MPoly) -> tuple[dict, MPoly]:
@@ -640,10 +627,10 @@ def poly_gcd(f: MPoly, g: MPoly) -> MPoly:
     A constant gcd is first sought by the modular coprimality certificate
     (`_certified_coprime`), which is exact: it returns 1 only when the gcd is
     a constant.  It takes one image pair when f or g is proper in a shared
-    variable (it holds that variable to its total degree), and else one
-    pair per shared variable.  When it fails, f = x^a * f1 and
-    g = x^b * g1 with f1 and g1 divisible by no variable, and gcd(f, g) =
-    x^min(a, b) * gcd(f1, g1): the certificate is tried on f1 and g1.
+    variable (it holds that variable to its total degree), and certifies
+    no other pair.  When it fails, f = x^a * f1 and g = x^b * g1 with f1
+    and g1 divisible by no variable, and gcd(f, g) = x^min(a, b) *
+    gcd(f1, g1): the certificate is tried on f1 and g1.
     Then, in the variable var of least degree, the gcd is
     gcd(cont f1, cont g1), by recursion, times the primitive part of the
     last subresultant S_j (`zpoly._subresultants`) of the primitive parts

@@ -162,38 +162,16 @@ def _combinations(polys: list[MPoly]):
     return (sum((MPoly.constant(t**i) * p for i, p in enumerate(polys)), MPoly.zero()) for t in count(1))
 
 
-def _combination_resultant(polys: list[MPoly], v: str) -> MPoly:
-    """A nonzero Res_v(G(t1), G(t2)) for G(t) = sum_i t^i p_i, where the n >= 2
-    polynomials p_i all involve v and have gcd 1.
-
-    An irreducible h dividing G(t) for n distinct t divides every p_i (the
-    Vandermonde matrix is invertible), so it divides G(t) for at most n - 1
-    values of t; and deg_v G(t) drops below its maximum for at most n - 1
-    values (the top coefficient has degree < n in t).  So the first t1 with
-    deg_v G(t1) > 0 is at most n, and within the next
-    (deg_v G(t1) + 1)(n - 1) + 1 values some G(t2) involves v and shares no
-    factor with G(t1).
-    """
-    n = len(polys)
-    combos = _combinations(polys)
-    c1 = next((c for c in islice(combos, n) if c.degree_in(v) > 0), None)
-    if c1 is not None:
-        for c2 in islice(combos, (c1.degree_in(v) + 1) * (n - 1) + 1):
-            if c2.degree_in(v) > 0:
-                r = resultant(c1, c2, v)
-                if not r.is_zero():
-                    return r
-    raise InternalInvariantError(f"no combination of coprime generators eliminates {v}")
-
-
 def _coprime_combinations(polys: list[MPoly]) -> tuple[MPoly, MPoly]:
     """Two coprime G(t1), G(t2) for G(t) = sum_i t^i p_i, where the n >= 2
-    nonconstant polynomials p_i have gcd 1.  As for `_combination_resultant`,
-    an irreducible factor divides G(t), zero or not, for at most n - 1 values
-    of t, and G(t) is constant for at most n - 1 of them.  So the first
-    nonconstant G(t1) has t1 <= n, and as it has at most deg G(t1)
-    irreducible factors, one of the next deg G(t1) * (n - 1) + 1 values is
-    coprime to it."""
+    nonconstant polynomials p_i have gcd 1.  An irreducible h dividing G(t)
+    for n distinct t divides every p_i (the Vandermonde matrix is
+    invertible), so it divides G(t), zero or not, for at most n - 1 values
+    of t; and G(t) is constant for at most n - 1 of them (the coefficient
+    of a nonconstant monomial is a nonzero polynomial of degree < n in t).
+    So the first nonconstant G(t1) has t1 <= n, and as it has at most
+    deg G(t1) irreducible factors, one of the next deg G(t1) * (n - 1) + 1
+    values is coprime to it."""
     n = len(polys)
     combos = _combinations(polys)
     c1 = next(c for c in islice(combos, n) if not c.is_constant())
@@ -207,18 +185,20 @@ def eliminant(polys: list[MPoly], elim_var: str) -> MPoly:
     """A nonzero polynomial in the other variable vanishing at every common
     zero's coordinate, for nonconstant generators with gcd 1: the gcd of the
     generators free of elim_var and of the nonzero pairwise resultants, or,
-    when there are none, the resultant of two combinations
-    (`_combination_resultant`).  The candidates are drawn lazily, so no
-    resultant is taken after the gcd has become a constant; that gcd is the
-    one of all the candidates."""
+    when there are none, the two coprime combinations that `_coprime_pair`
+    takes (`_coprime_combinations`): the first of them free of elim_var, or
+    else their resultant, nonzero as they are coprime.  The candidates are
+    drawn lazily, so no resultant is taken after the gcd has become a
+    constant; that gcd is the one of all the candidates."""
     free = [p for p in polys if p.degree_in(elim_var) == 0]
     positive = [p for p in polys if p.degree_in(elim_var) > 0]
     nonzero = (r for i, p in enumerate(positive) for q in positive[i + 1:]
                if not (r := resultant(p, q, elim_var)).is_zero())
     first = free[0] if free else next(nonzero, None)
     if first is None:
-        # every generator involves elim_var, and there are >= 2 of them
-        first = _combination_resultant(positive, elim_var)
+        # every generator involves elim_var, and no two are coprime
+        pair = _coprime_combinations(positive)
+        first = next((c for c in pair if c.degree_in(elim_var) == 0), None) or resultant(*pair, elim_var)
     return gcd_fold(chain([first], free[1:], nonzero)).canonical()
 
 

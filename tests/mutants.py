@@ -275,6 +275,20 @@ MUTANTS = [
      "    if scale != 1:\n        scale **= k",
      "    if False:\n        scale **= k",
      "tests/test_polarops.py::TestPolarCurve::test_the_binomial_kernel_is_substitute_term_for_term"),
+    # the eliminant's fallback always takes the resultant of the two coprime
+    # combinations: on the planted 2-web G(1) = 2x^2 has degree 0 in y, and
+    # the resultant refuses it
+    ("solve.py",
+     "first = next((c for c in pair if c.degree_in(elim_var) == 0), None) or resultant(*pair, elim_var)",
+     "first = resultant(*pair, elim_var)",
+     "tests/test_solve.py::TestCombinationFallback::test_a_combination_free_of_the_variable"),
+    # the singular points at infinity sought off the line at infinity too:
+    # the node (0, 1) of (y - 1)^2 - x^2(x + 1) is also the point (0, 1) of
+    # the chart y = 1, and would add its delta 1
+    ("localsing.py",
+     "common_zeros([G, G.derivative(\"x\"), G.derivative(\"y\"), Y])",
+     "common_zeros([G, G.derivative(\"x\"), G.derivative(\"y\")])",
+     "tests/test_localsing.py::TestGenus::test_charts_at_infinity[(y-1)^2-x^2(x+1)]"),
     # no balancing: the roots of 10^300 t^2 + t - 3 come out of Aberth at
     # about 2e-14, passing the backward-error gate
     ("numerics.py",

@@ -374,6 +374,15 @@ class TestSubcommands:
         code, text = run_command(["localsing", "--in", inputs["curve"], "--point", "0,0"])
         assert code == 0 and "seq=[2, 1, 1]" in text
 
+    def test_localsing_off_the_curve(self, tmp_path):
+        # the point prints as every other message prints one, not as Fractions
+        circle = tmp_path / "circle.txt"
+        circle.write_text("type: curve\nf: x^2 + y^2 - 1\n")
+        code, text = run_command(["localsing", "--in", str(circle), "--point", "0,0"])
+        assert (code, text) == (2, "error: curve does not pass through (0, 0)")
+        code, text = run_command(["localsing", "--in", str(circle), "--point", "1/2,0"])
+        assert (code, text) == (2, "error: curve does not pass through (1/2, 0)")
+
     def test_check_passes(self, inputs):
         code, text = run_command(
             ["check", "--in", inputs["web"], "--theorem", "polar-degree", "--seed", "7", "--samples", "5"]

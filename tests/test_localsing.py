@@ -21,14 +21,16 @@ from polarweb.cli import run_command
 from polarweb.errors import NumericAbortError, PolynomialError
 from polarweb.localsing import fingerprints
 from polarweb.foliation import class_of_curve
-from polarweb.mpoly import _rekey, lowest_jet, proper_shears, shear
-from polarweb.solve import Group, common_zeros
+from polarweb.mpoly import _int_coeffs, _rekey, gcd_fold, lowest_jet, proper_shears, shear, squarefree_part
+from polarweb.solve import Group, common_zeros, rational_split
 from polarweb.zpoly import _distinct_binary_roots
 from polarweb.localsing import (
     _children,
+    _nonzero_at_origin,
     _tangents,
     equisingularity_check,
     genus_constancy_check,
+    homogenize,
     resolve_germ,
 )
 
@@ -628,6 +630,36 @@ class TestDeltaAgreement:
         assert seen == 100
 
 
+def reference_delta_sum_at_infinity(F: MPoly) -> int:
+    """`localsing._delta_sum_at_infinity` with its own zero set on the line
+    z = 0 of the chart y = 1: the rational roots and the irrational Yun
+    factors of the gcd of G, G_x and G_z at z = 0, each factor one group of
+    points (x0, 0)."""
+    H = homogenize(F)
+    G = H.substitute({"y": 1})
+    line = [h for g in (G, G.derivative("x"), G.derivative("z")) if not (h := g.substitute({"z": 0})).is_zero()]
+    rational, rest = [], []
+    if line and all(not g.is_constant() for g in line):
+        elim = gcd_fold(line)
+        if not elim.is_constant():
+            rational, rest = rational_split(_int_coeffs(elim, "x"))
+    curve = G.substitute({"z": Y})
+    germs = [CurveGerm.at_point(PlaneCurve(curve), (x0, Fraction(0)))
+             for x0, _ in rational if G.evaluate({"x": x0, "z": 0}) == 0]
+    germs += [CurveGerm.at_group(curve, Group(w, [0], [1], 0)) for w, _ in rest]
+    K = H.substitute({"x": 1, "y": X, "z": Y})
+    if not any(_nonzero_at_origin(g) for g in (K, K.derivative("x"), K.derivative("y"))):
+        germs.append(CurveGerm.at_point(PlaneCurve(K), ORIGIN))
+    return sum(fp.delta for germ in germs for fp in fingerprints(germ))
+
+
+# (top form, its radical): top forms with repeated irrational, rational and
+# axis factors, so that the curve can meet the line at infinity in singular
+# points of each kind
+TOP_FORMS = [((X**2 - 2 * Y**2) ** 2, X**2 - 2 * Y**2), ((X - Y) ** 2 * (X + Y), (X - Y) * (X + Y)),
+             (X**2 * Y, X * Y), ((X * Y) ** 2, X * Y)]
+
+
 class TestGenus:
     def test_smooth_conic(self):
         assert genus_of_curve(PlaneCurve(X**2 + Y**2 - 1)) == 0
@@ -663,7 +695,10 @@ class TestGenus:
         (X * Y**3 - 1, 0, 3, [((0, 0), True, 3, 6, 3)]),
         ((X**2 - 2 * Y**2)**2 + X, 1, 2,
          [((2**0.5, 0), False, 2, 2, 1), ((-(2**0.5), 0), False, 2, 2, 1)]),
-    ], ids=["x-y^3", "xy^3-1", "(x^2-2y^2)^2+x"])
+        # a node at (0, 1), which is the point (0, 1) of the chart y = 1 too,
+        # but not on its line y = 0
+        ((Y - 1)**2 - X**2 * (X + 1), 0, 0, []),
+    ], ids=["x-y^3", "xy^3-1", "(x^2-2y^2)^2+x", "(y-1)^2-x^2(x+1)"])
     def test_charts_at_infinity(self, monkeypatch, F, genus, delta, points):
         from polarweb import localsing
 
@@ -691,6 +726,24 @@ class TestGenus:
         for (p, *fp), (q, *expected) in zip(sorted(seen, key=lambda s: -s[0][0].real), points):
             assert fp == expected
             assert all(abs(a - b) < 1e-9 for a, b in zip(p, q))
+
+    @given(st.sampled_from(TOP_FORMS), st.integers(-2, 2), st.integers(-2, 2), st.sampled_from([0, 0, 1, -2]),
+           st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, -3]), min_size=6, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_delta_at_infinity_agrees_with_the_gcd_on_the_line(self, top_radical, a, b, e, cs):
+        from polarweb import localsing
+
+        top, radical = top_radical
+        n = top.total_degree()
+        # the part of degree n - 1 vanishes at the multiple points of the top
+        # form on the line z = 0, which makes them singular, unless e != 0
+        # moves it off the points [x0 : 1 : 0]; sparse terms of degree < n - 1
+        near = (a * X + b * Y if radical.total_degree() < n - 1 else MPoly.constant(a)) * radical + e * Y ** (n - 1)
+        lower = [X**i * Y**j for i in range(n - 1) for j in range(n - 1 - i)]
+        F = top + near + sum((c * m for c, m in zip(cs, lower)), MPoly.zero())
+        # a germ of a repeated component never resolves
+        assume(squarefree_part(F) == F.canonical())
+        assert localsing._delta_sum_at_infinity(F) == reference_delta_sum_at_infinity(F)
 
 
 class TestEquisingularity:

@@ -591,7 +591,7 @@ def prem_calls(monkeypatch):
 
 
 class TestCoprimalityCertificate:
-    # the points are 2 + 3k + 7j: x (j = 0) is 2, 5, 8 and y (j = 1) is 9, 12, 15
+    # the point is 2 + 7j: x (j = 0) is 2 and y (j = 1) is 9
 
     def test_coprime_pair_needs_no_prem(self, prem_calls):
         assert poly_gcd(x**2 + y**2 - 1, x * y - 2) == 1
@@ -603,11 +603,13 @@ class TestCoprimalityCertificate:
         assert poly_gcd(x - y + 9, x + y - 9) == 1
         assert prem_calls
 
-    def test_vanishing_leading_coefficient_moves_to_the_next_point(self, prem_calls):
-        # neither is proper in x or y; lc_y f vanishes at x = 2
+    def test_a_pair_proper_in_no_variable_takes_the_prem(self, prem_calls):
+        # neither is proper in x or y, so no image pair is tried, though the
+        # gcd is 1
         f = (x - 2) * y + 1
+        assert not _certified_coprime(f, x * y + 1, ["x", "y"])
         assert poly_gcd(f, x * y + 1) == 1
-        assert prem_calls == []
+        assert prem_calls
 
     def test_leading_coefficient_vanishing_at_every_point_falls_back(self, prem_calls):
         f = (x - 2) * (x - 5) * (x - 8) * y + 1

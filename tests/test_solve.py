@@ -19,7 +19,7 @@ from polarweb.mpoly import poly_gcd, resultant, shear
 from polarweb.parsing import parse_polynomial
 from polarweb.webmodel import SingularSet
 from polarweb.solve import (
-    _combination_resultant,
+    _coprime_combinations,
     common_zeros,
     int_root_split,
     univariate_root_split,
@@ -212,16 +212,22 @@ class TestCombinationFallback:
     def test_web_with_pairwise_common_factors(self, monkeypatch):
         pairs, real_pair = [], solve._coprime_combinations
         monkeypatch.setattr(solve, "_coprime_combinations", lambda polys: pairs.append(len(polys)) or real_pair(polys))
-        calls, real = [], solve._combination_resultant
-        monkeypatch.setattr(solve, "_combination_resultant", lambda polys, v: calls.append(v) or real(polys, v))
         # the coefficients of the 2-web in tests/test_cli.py::TestDeterminism
         gens = [y * (y - 1) * (x + 1), (y - 1) * (y - 2) * (x - 1), (y - 2) * y * (x + 2)]
         zs = common_zeros(gens)
         assert zs.rational == [(-2, 1), (-1, 2), (1, 0)] and not zs.numeric
         # no two generators are coprime, so the zero set takes two combinations
-        assert pairs == [3] and calls == []
+        assert pairs == [3]
         # and of the eliminants, only the elimination of y needs them
-        assert [solve.eliminant(gens, v) for v in "yx"] and calls == ["y"]
+        assert [solve.eliminant(gens, v) for v in "yx"] and pairs == [3, 3]
+
+    def test_a_combination_free_of_the_variable(self):
+        # the coefficients of the 2-web y(y - x)dx^2 - 2(y - x)(y + x)dx dy +
+        # y(y + x)dy^2: every pair shares a factor in y, and G(1) = 2x^2 is
+        # free of y, so it is the eliminant, with no resultant taken
+        gens = [y * (y - x), -2 * (y - x) * (y + x), y * (y + x)]
+        assert _coprime_combinations(gens)[0] == 2 * x**2
+        assert solve.eliminant(gens, "y") == x**2
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(3, 4).flatmap(lambda n: st.tuples(
@@ -235,7 +241,7 @@ class TestCombinationFallback:
     def test_common_factor_exhausts_the_bound(self):
         # outside its precondition (gcd 1) every combination keeps the factor y
         with pytest.raises(InternalInvariantError):
-            _combination_resultant([y * (x + 1), y * (x - 1)], "y")
+            solve.eliminant([y * (x + 1), y * (x - 1)], "y")
 
 
 # small polynomials in (x, y): integer coefficients on monomials of degree <= 2
@@ -332,8 +338,9 @@ class TestSympyIrrationalZeroOracle:
 
 def eager_eliminant(polys: list[MPoly], elim_var: str) -> MPoly:
     """The gcd of every candidate: the generators free of elim_var and every
-    nonzero pairwise resultant, or the combination resultant when there are
-    none; no candidate is skipped."""
+    nonzero pairwise resultant, or, when there are none, the first of two
+    coprime combinations free of elim_var, or else their resultant; no
+    candidate is skipped."""
     positive = [p for p in polys if p.degree_in(elim_var) > 0]
     candidates = [p for p in polys if p.degree_in(elim_var) == 0]
     for i in range(len(positive)):
@@ -342,7 +349,9 @@ def eager_eliminant(polys: list[MPoly], elim_var: str) -> MPoly:
             if not r.is_zero():
                 candidates.append(r)
     if not candidates:
-        candidates.append(_combination_resultant(positive, elim_var))
+        c1, c2 = _coprime_combinations(positive)
+        candidates.append(c1 if c1.degree_in(elim_var) == 0 else c2 if c2.degree_in(elim_var) == 0
+                          else resultant(c1, c2, elim_var))
     g = candidates[0]
     for c in candidates[1:]:
         g = poly_gcd(g, c)
