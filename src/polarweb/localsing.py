@@ -9,7 +9,7 @@ of the group's points.  Every zero test there is a `solve.split`, so a
 coefficient that vanishes at only part of the group splits the germ in two
 (dynamic evaluation: Della Dora, Dicrescenzo and Duval, EUROCAL '85).  Both
 fields take the same blow-ups, and every invariant is exact; approximations
-only tell which point a child lies over and order the lines at a point.
+only tell which point a child lies over.
 
 Resolution convention: blow up until every strict transform is smooth,
 meets at most one exceptional component, and is transverse to it.  This gives
@@ -199,17 +199,17 @@ def _nonzero_at_origin(f: MPoly) -> bool:
 
 def _tangents(germ: CurveGerm, m: int) -> tuple[list[tuple[Fraction | None, int]], list[tuple[Group, int]]]:
     """The lines (slope, multiplicity) of the tangent cone at a rational
-    point: the vertical line (None) first, with the drop of the degree of
-    init(1, t) below m, then the rational slopes ascending; and the others,
-    the roots of each Yun factor of init(1, t) left by its rational roots, as
-    a group with y = 0."""
+    point: the vertical line (None), with the drop of the degree of
+    init(1, t) below m, and the rational slopes; and the others, the roots
+    of each Yun factor of init(1, t) left by its rational roots, as a group
+    with y = 0."""
     init = {j: c for (i, j), c in germ.terms.items() if i + j == m}
     top = max(init)
     lines = [(None, m - top)] if top < m else []
     if top == 0:
         return lines, []
     rational, rest = rational_split(_int_coeffs(MPoly._make(("t",), {(j,): c for j, c in init.items()}), "t"))
-    return lines + sorted(rational), [(Group(w, [0], [1], 0), k) for w, k in rest]
+    return lines + rational, [(Group(w, [0], [1], 0), k) for w, k in rest]
 
 
 def _chart(terms: CPoly, m: int, vertical: bool) -> CPoly:
@@ -279,38 +279,56 @@ def _in_generator(group: Group, polys: list[MPoly]) -> list[list]:
     return out
 
 
-@dataclass
-class Resolution:
-    mult_sequence: list[int]
-    branches: int
+@dataclass(frozen=True)
+class GermFingerprint:
+    """The resolution tree of a germ, flattened: the multiplicities of the
+    strict transforms at its infinitely near points in depth-first order,
+    with the subtrees at each point in the order of their own sequences, so
+    the sequence does not depend on coordinates; the leaf (branch) count r,
+    delta = sum m_i(m_i - 1)/2, mu = 2*delta - r + 1, and the multiplicities
+    of the lines of the tangent cone."""
+
+    m: int
+    mu: int
+    r: int
+    delta: int
+    mult_sequence: tuple[int, ...]
     tangent_pattern: tuple[int, ...]
 
+    def key(self) -> tuple:
+        return (self.m, self.mu, self.r, self.delta, self.mult_sequence, self.tangent_pattern)
 
-SMOOTH = Resolution([], 1, (1,))
+    def __str__(self):
+        return (
+            f"(m={self.m}, mu={self.mu}, r={self.r}, delta={self.delta}, "
+            f"seq={list(self.mult_sequence)}, cone={list(self.tangent_pattern)})"
+        )
+
+
+SMOOTH = GermFingerprint(1, 0, 1, 0, (), (1,))
 CAP = "resolution exceeded the blow-up cap (is the germ reduced?)"
 
 
-def _assemble(m: int, lines: list[tuple]) -> Resolution:
-    """The resolution at a point of multiplicity m from its lines (order
-    key, multiplicity, resolution or None when terminal), by key."""
-    seq, leaves = [m], 0
-    for _, _, res in sorted(lines, key=lambda line: line[0]):
-        seq += res.mult_sequence if res else []
-        leaves += res.branches if res else 1
-    return Resolution(seq, leaves, tuple(sorted(k for _, k, _ in lines)))
+def _assemble(m: int, lines: list[tuple]) -> GermFingerprint:
+    """The fingerprint at a point of multiplicity m from its lines
+    (multiplicity, fingerprint or None when terminal): m, then the
+    children's sequences in ascending order."""
+    seq = sum(sorted(fp.mult_sequence for _, fp in lines if fp), (m,))
+    r = sum(fp.r if fp else 1 for _, fp in lines)
+    delta = sum(mi * (mi - 1) // 2 for mi in seq)
+    return GermFingerprint(m, 2 * delta - r + 1, r, delta, seq, tuple(sorted(k for k, _ in lines)))
 
 
-def resolve_germ(germ: CurveGerm) -> Resolution:
-    """Full embedded resolution bookkeeping at a rational point:
-    multiplicities of the strict transforms at all infinitely-near points,
-    in depth-first order, and the leaf (branch) count."""
+def resolve_germ(germ: CurveGerm) -> GermFingerprint:
+    """The fingerprint of a germ at a rational point by its embedded
+    resolution, with mu = 2*delta - r + 1 read from the tree."""
     return _resolve_at(germ, False, False, 0) or SMOOTH
 
 
-def _resolve_at(g: CurveGerm, has_x: bool, has_y: bool, depth: int) -> Resolution | None:
-    """`resolve_germ` below the root, None at a terminal germ.  The lines at
-    a point go vertical, rational slopes ascending, then the points of each
-    group of irrational slopes (`_resolve_group`) by (re, im)."""
+def _resolve_at(g: CurveGerm, has_x: bool, has_y: bool, depth: int) -> GermFingerprint | None:
+    """`resolve_germ` below the root, None at a terminal germ: the children
+    on the rational lines, then at the points of each group of irrational
+    slopes (`_resolve_group`)."""
     if depth > MAX_BLOWUPS:
         raise PolynomialError(CAP)
     m = g.multiplicity()
@@ -321,23 +339,21 @@ def _resolve_at(g: CurveGerm, has_x: bool, has_y: bool, depth: int) -> Resolutio
     if m == 1 and not (has_x and has_y) and (g.terms.get((0, 1)) or not has_x) and (g.terms.get((1, 0)) or not has_y):
         return None
     lines, groups = _tangents(g, m)
-    entries = [((0,) if s is None else (1, s), k,
-                _resolve_at(child, has_x or s is not None, s is None or (s == 0 and has_y), depth + 1))
+    entries = [(k, _resolve_at(child, has_x or s is not None, s is None or (s == 0 and has_y), depth + 1))
                for s, k, child in _children(g, m, lines)]
     shifted = _shift(_chart(g.terms, m, vertical=False), 0) if any(k > 1 for _, k in groups) else {}
     for group, k in groups:
         # an irrational slope is not 0; at a simple line the strict transform
         # is terminal, as its coefficient of y is init'(1, s) != 0
         for part, records in _resolve_group(group, shifted, True, False, depth + 1) if k > 1 else [(group, None)]:
-            keys = [(2, s.real, s.imag) for s, _ in part.points] if records else [(2,)] * part.size
-            entries += zip(keys, [k] * part.size, records or [None] * part.size)
+            entries += [(k, fp) for fp in records or [None] * part.size]
     return _assemble(m, entries)
 
 
 def _resolve_group(group: Group, terms: CPoly, has_x: bool, has_y: bool, depth: int):
-    """The resolution at each point of a germ at a group: (part, records)
-    for parts that partition the group, records a `Resolution` for each of
-    part.points, or None where all are terminal.  The group is split by the
+    """The fingerprint at each point of a germ at a group: (part, records)
+    for parts that partition the group, records a `GermFingerprint` for each
+    of part.points, or None where all are terminal.  The group is split by the
     coefficients of order m = 0, 1, ..., the part of order m by the terminal
     test (m = 1) and by the coefficients of order m from the top one down."""
     if depth > MAX_BLOWUPS:
@@ -365,23 +381,22 @@ def _resolve_group(group: Group, terms: CPoly, has_x: bool, has_y: bool, depth: 
 
 
 def _blow_up(part: Group, terms: CPoly, m: int, top: int, has_x: bool, has_y: bool,
-             depth: int) -> list[Resolution]:
-    """The resolution at each point of a part of order m of a group germ,
+             depth: int) -> list[GermFingerprint]:
+    """The fingerprint at each point of a part of order m of a group germ,
     with the vertical line of multiplicity m - top, in the part's generator
     t (`_in_generator`): the vertical strict transform on (t, 0), the others
     on the zeros (t, s) of w and init (`common_zeros`), split by the
     s-derivatives of init.  A child goes to the point nearest its t, whose
-    lines must have multiplicities summing to m, vertical first, then by s."""
+    lines must have multiplicities summing to m."""
     c = {e: v for e, v in zip(terms, _in_generator(part, list(terms.values()))) if v}
-    lines = []  # (t, order key, multiplicity, Resolution or None)
+    lines = []  # (t, multiplicity, fingerprint or None)
 
-    def add(group: Group, child: CPoly, key, k: int, flags: tuple[bool, bool]):
+    def add(group: Group, child: CPoly, k: int, flags: tuple[bool, bool]):
         for sub, records in _resolve_group(group, child, *flags, depth + 1):
-            lines.extend((q[0], key(q[1]), k, res) for q, res in zip(sub.points, records or [None] * sub.size))
+            lines.extend((q[0], k, fp) for q, fp in zip(sub.points, records or [None] * sub.size))
 
     if top < m:
-        add(Group(part.w, [0], [1], 0, part.ts), _shift(_chart(c, m, vertical=True), None),
-            lambda s: (0,), m - top, (has_x, True))
+        add(Group(part.w, [0], [1], 0, part.ts), _shift(_chart(c, m, vertical=True), None), m - top, (has_x, True))
     init = MPoly._make(("x", "y"), {(i, j): _as_rational(ci) for j in range(top + 1)
                                     for i, ci in enumerate(c.get((m - j, j), [])) if ci})
     child = _shift(_chart(c, m, vertical=False), 1) if top else {}
@@ -391,11 +406,11 @@ def _blow_up(part: Group, terms: CPoly, m: int, top: int, has_x: bool, has_y: bo
             d = d.derivative("y")
             group, simple = split(group, [d])
             for flat, sub in zip((True, False), split(simple, [Y])) if has_y else [(False, simple)]:
-                add(sub, child, lambda s: (1, s.real, s.imag), k, (True, flat))
+                add(sub, child, k, (True, flat))
     per: list[list] = [[] for _ in part.ts]
     for t, *line in lines:
         per[min(range(len(part.ts)), key=lambda i: abs(part.ts[i] - t))].append(line)
-    if any(sum(k for _, k, _ in point_lines) != m for point_lines in per):
+    if any(sum(k for k, _ in point_lines) != m for point_lines in per):
         raise NumericAbortError("approximations do not tell the conjugate points of a germ apart")
     return [_assemble(m, point_lines) for point_lines in per]
 
@@ -405,32 +420,6 @@ def _blow_up(part: Group, terms: CPoly, m: int, top: int, has_x: bool, has_y: bo
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GermFingerprint:
-    m: int
-    mu: int
-    r: int
-    delta: int
-    mult_sequence: tuple[int, ...]
-    tangent_pattern: tuple[int, ...]
-
-    def key(self) -> tuple:
-        return (self.m, self.mu, self.r, self.delta, self.mult_sequence, self.tangent_pattern)
-
-    def __str__(self):
-        return (
-            f"(m={self.m}, mu={self.mu}, r={self.r}, delta={self.delta}, "
-            f"seq={list(self.mult_sequence)}, cone={list(self.tangent_pattern)})"
-        )
-
-    @staticmethod
-    def of(res: Resolution) -> "GermFingerprint":
-        """The fingerprint of a resolution, with mu = 2*delta - r + 1."""
-        delta = sum(mi * (mi - 1) // 2 for mi in res.mult_sequence)
-        return GermFingerprint(res.mult_sequence[0] if res.mult_sequence else 1, 2 * delta - res.branches + 1,
-                               res.branches, delta, tuple(res.mult_sequence), res.tangent_pattern)
-
-
 def fingerprint(germ: CurveGerm) -> GermFingerprint:
     """Equisingularity invariants of a germ at a rational point.
 
@@ -438,7 +427,7 @@ def fingerprint(germ: CurveGerm) -> GermFingerprint:
     as I(f_x, f_y) and the Milnor relation mu = 2*delta - r + 1 is asserted,
     never assumed.
     """
-    fp, mu = GermFingerprint.of(resolve_germ(germ)), milnor_number(germ)
+    fp, mu = resolve_germ(germ), milnor_number(germ)
     if mu != fp.mu:
         raise InternalInvariantError(f"Milnor relation fails: mu = {mu}, 2*delta - r + 1 = {fp.mu} by blow-ups")
     if fp.m != germ.multiplicity():
@@ -451,8 +440,8 @@ def fingerprints(germ: CurveGerm) -> list[GermFingerprint]:
     the group's splits, or the one `fingerprint` at a rational point."""
     if germ.group is None:
         return [fingerprint(germ)]
-    return [GermFingerprint.of(res) for part, records in _resolve_group(germ.group, germ.terms, False, False, 0)
-            for res in records or [SMOOTH] * part.size]
+    return [fp for part, records in _resolve_group(germ.group, germ.terms, False, False, 0)
+            for fp in records or [SMOOTH] * part.size]
 
 
 # ---------------------------------------------------------------------------
@@ -516,11 +505,8 @@ def genus_of_curve(curve: PlaneCurve, include_infinity: bool = True) -> int:
 
 def equisingularity_check(fol, seed: int = 0, samples: int = 10) -> CheckReport:
     """Constancy of the embedded-topology fingerprints of the generic polar
-    at each of its singular points, across seeded generic centers.
-
-    `fol` is any object with an `as_web` SymWeb attribute (a foliation).
-    """
-    web = fol.as_web if hasattr(fol, "as_web") else fol
+    at each of its singular points, across seeded generic centers."""
+    web = fol.as_web
     report = CheckReport("equisingularity", seed=seed, samples_requested=samples)
     report.note(
         "equisingularity proxy: (m, mu, r, delta, multiplicity sequence, tangent cone pattern)"
@@ -528,7 +514,7 @@ def equisingularity_check(fol, seed: int = 0, samples: int = 10) -> CheckReport:
     sing = singular_set(web)
     if sing.is_empty():
         report.note("foliation has no affine singular points; polars are checked for smoothness")
-    reference: list[tuple] | None = None
+    reference: list[GermFingerprint] | None = None
     ref_degree: int | None = None
 
     def admissible(p):
@@ -544,7 +530,8 @@ def equisingularity_check(fol, seed: int = 0, samples: int = 10) -> CheckReport:
             zs = common_zeros([F, F.derivative("x"), F.derivative("y")])
         except (InfiniteZeroSetError, NumericAbortError) as e:
             return None, f"singular locus solve failed: {e}"
-        return (curve, sorted(fp.key() for germ in _germs(curve, zs) for fp in fingerprints(germ))), None
+        table = sorted((fp for germ in _germs(curve, zs) for fp in fingerprints(germ)), key=GermFingerprint.key)
+        return (curve, table), None
 
     for _, p, (curve, table) in sample_centers(report, GenericSampler(seed), samples, admissible):
         if reference is None:
@@ -552,7 +539,7 @@ def equisingularity_check(fol, seed: int = 0, samples: int = 10) -> CheckReport:
             ref_degree = curve.degree
             report.note(
                 f"reference table at p={p}: "
-                + ("; ".join(_fmt_fp(k) for k in table) if table else "no singular points")
+                + ("; ".join(map(str, table)) if table else "no singular points")
             )
         report.add(
             f"fingerprint table at p={p}",
@@ -562,14 +549,9 @@ def equisingularity_check(fol, seed: int = 0, samples: int = 10) -> CheckReport:
     return report
 
 
-def _fmt_fp(key: tuple) -> str:
-    m, mu, r, delta, seq, pattern = key
-    return f"m={m},mu={mu},r={r},delta={delta},seq={list(seq)},cone={list(pattern)}"
-
-
 def genus_constancy_check(fol, seed: int = 0, samples: int = 5) -> CheckReport:
     """Genus of the generic polar is the same for every generic center."""
-    web = fol.as_web if hasattr(fol, "as_web") else fol
+    web = fol.as_web
     report = CheckReport("genus-constancy", seed=seed, samples_requested=samples)
 
     def admissible(p):

@@ -300,9 +300,7 @@ def tangent_directions(web: SymWeb, p: AffinePoint) -> list[Direction]:
     """The k leaf directions (u:v) at a smooth point, roots of form(p; u, v)."""
     smooth, reason = is_smooth_point(web, p)
     if not smooth:
-        if "singular" in reason:
-            raise DegenerateSampleError(f"tangent directions undefined: {reason}")
-        raise DegenerateSampleError(f"repeated direction: {reason}")
+        raise PolynomialError(f"tangent directions undefined: {reason}")
     dirs = [d for d, _ in binary_form_factors(form_at(web, p))]
     if len(dirs) != web.k:
         raise DegenerateSampleError(

@@ -289,6 +289,13 @@ MUTANTS = [
      "common_zeros([G, G.derivative(\"x\"), G.derivative(\"y\"), Y])",
      "common_zeros([G, G.derivative(\"x\"), G.derivative(\"y\")])",
      "tests/test_localsing.py::TestGenus::test_charts_at_infinity[(y-1)^2-x^2(x+1)]"),
+    # the children of a point kept in the order of their lines: y -> -y
+    # swaps the slopes of the cusp's line and the other branch's, and with
+    # them the halves of the sequence
+    ("localsing.py",
+     "seq = sum(sorted(fp.mult_sequence for _, fp in lines if fp), (m,))",
+     "seq = sum((fp.mult_sequence for _, fp in lines if fp), (m,))",
+     "tests/test_localsing.py::TestCoordinateFreeKey::test_a_reflection_keeps_the_key"),
     # no balancing: the roots of 10^300 t^2 + t - 3 come out of Aberth at
     # about 2e-14, passing the backward-error gate
     ("numerics.py",

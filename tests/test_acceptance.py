@@ -266,7 +266,7 @@ def test_criterion_14_equisingularity():
         report = equisingularity_check(entry.foliation, seed=SEED, samples=10)
         ok = ok and report.passed
         if entry.name == "A=x^2 B=y^2":
-            ok = ok and any("m=2,mu=1,r=2,delta=1" in n for n in report.notes)
+            ok = ok and any("(m=2, mu=1, r=2, delta=1," in n for n in report.notes)
         genus_rep = genus_constancy_check(entry.foliation, seed=SEED, samples=5)
         ok = ok and genus_rep.passed
         elapsed = time.monotonic() - start

@@ -352,6 +352,16 @@ class TestSubcommands:
         code, text = run_command(["directions", "--in", inputs["web"], "--point", "1,0"])
         assert code == 0 and "(1:1)" in text and "(1:-1)" in text
 
+    def test_directions_off_the_smooth_locus(self, tmp_path):
+        # the origin lies on the discriminant of the first web and is a
+        # singular point of the second: exit 2, as localsing off the curve
+        for form, reason in (("dy^2 - x*dx^2", "lies on the discriminant"),
+                             ("x*dy^2 - y*dx^2", "is a singular point of the web")):
+            path = tmp_path / "web.txt"
+            path.write_text(f"type: web\nform: {form}\n")
+            code, text = run_command(["directions", "--in", str(path), "--point", "0,0"])
+            assert (code, text) == (2, f"error: tangent directions undefined: (0, 0) {reason}")
+
     def test_inflexion(self, inputs):
         code, text = run_command(["inflexion", "--in", inputs["fol"]])
         assert code == 0 and "inflexion divisor:" in text

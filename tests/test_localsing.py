@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from battery import FOLIATIONS, X, Y, to_sympy
+from body_digests import SEEDS, jobs
 from polarweb import (
     CurveGerm,
     MPoly,
@@ -22,6 +23,7 @@ from polarweb.errors import NumericAbortError, PolynomialError
 from polarweb.localsing import fingerprints
 from polarweb.foliation import class_of_curve
 from polarweb.mpoly import _int_coeffs, _rekey, gcd_fold, lowest_jet, proper_shears, shear, squarefree_part
+from polarweb.parsing import parse_input_text
 from polarweb.solve import Group, common_zeros, rational_split
 from polarweb.zpoly import _distinct_binary_roots
 from polarweb.localsing import (
@@ -434,7 +436,7 @@ class TestBlowUp:
         assert strict.multiplicity() == 1
         # strict transform is smooth but tangent to the exceptional line
         seq = resolve_germ(CUSP).mult_sequence
-        assert seq == [2, 1, 1]
+        assert seq == (2, 1, 1)
 
     def test_node_two_transverse_points(self):
         pts = blow_up(NODE)
@@ -444,7 +446,7 @@ class TestBlowUp:
     def test_smooth_terminates(self):
         pts = blow_up(SMOOTH)
         assert len(pts) == 1
-        assert resolve_germ(SMOOTH).mult_sequence == []
+        assert resolve_germ(SMOOTH).mult_sequence == ()
 
     def test_exceptional_budget(self):
         # total intersection of the strict transform with E equals m
@@ -456,18 +458,18 @@ class TestBlowUp:
 
 class TestSequences:
     def test_cusp(self):
-        assert resolve_germ(CUSP).mult_sequence == [2, 1, 1]
+        assert resolve_germ(CUSP).mult_sequence == (2, 1, 1)
 
     def test_node(self):
-        assert resolve_germ(NODE).mult_sequence == [2]
+        assert resolve_germ(NODE).mult_sequence == (2,)
 
     def test_tacnode(self):
-        assert resolve_germ(TACNODE).mult_sequence == [2, 2]
+        assert resolve_germ(TACNODE).mult_sequence == (2, 2)
 
     def test_branches(self):
-        assert resolve_germ(CUSP).branches == 1
-        assert resolve_germ(NODE).branches == 2
-        assert resolve_germ(TACNODE).branches == 2
+        assert resolve_germ(CUSP).r == 1
+        assert resolve_germ(NODE).r == 2
+        assert resolve_germ(TACNODE).r == 2
 
     def test_first_entry_is_multiplicity(self):
         for g in (CUSP, NODE, TACNODE):
@@ -475,7 +477,7 @@ class TestSequences:
 
     def test_ramphoid_like_deeper_cusp(self):
         g = germ(Y**2 - X**5)
-        assert resolve_germ(g).mult_sequence == [2, 2, 1, 1]
+        assert resolve_germ(g).mult_sequence == (2, 2, 1, 1)
         fp = fingerprint(g)
         assert fp.mu == 4 and fp.delta == 2 and fp.r == 1
 
@@ -578,7 +580,7 @@ class TestOneBlowUpPath:
         monkeypatch.setattr(numerics, "univariate_roots", no_roots)
         monkeypatch.setattr(Group, "ts", property(no_roots))
         res = resolve_germ(g)
-        assert (res.mult_sequence, res.branches, res.tangent_pattern) == ([2], 2, (1, 1))
+        assert (res.mult_sequence, res.r, res.tangent_pattern) == ((2,), 2, (1, 1))
 
     def test_rational_lines_keep_children_exact(self):
         children = blow_up(germ(Y**2 - X**2))
@@ -586,6 +588,55 @@ class TestOneBlowUpPath:
         for child in children:
             assert child.group is None
             assert all(type(c) in (int, Fraction) for c in child.terms.values())
+
+
+# the benchmark's germs at the origin, by seed and job index
+BENCHMARK_GERMS = {seed: [text for _, text, _ in jobs("germs", seed, 384)] for seed in SEEDS}
+
+# (x, y) -> (a, b): the unimodular integer linear maps with entries in
+# [-2, 2], a reflection and two analytic maps that keep the origin
+COORDINATE_CHANGES = st.one_of(
+    st.tuples(*[st.integers(-2, 2)] * 4).filter(lambda m: abs(m[0] * m[3] - m[1] * m[2]) == 1).map(
+        lambda m: (m[0] * X + m[1] * Y, m[2] * X + m[3] * Y)),
+    st.sampled_from([(X, -Y), (X + Y**2, Y), (X, Y + X**2 - X * Y)]))
+
+
+class TestCoordinateFreeKey:
+    """The key follows the resolution tree, whose subtrees at each point go
+    in the order of their own sequences, not in the order of the slopes."""
+
+    def test_a_reflection_keeps_the_key(self):
+        # y -> -y moves the second branch's line from slope 1 to slope -1,
+        # past the cusp's line y = 0, and so flips the slope order
+        keys = [fingerprint(germ((Y**2 - X**3) * ((Y - s * X) ** 2 - X**5))).key() for s in (1, -1)]
+        assert keys == [(4, 13, 2, 7, (4, 1, 1, 2, 1, 1), (2, 2))] * 2
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_conjugate_points_of_one_group_share_a_key(self, sign):
+        # the same germ at (+-sqrt 2, 0), x replaced by u = +-(x^2 - 2): the
+        # second branch's line has slope 2*sqrt(2) at one point and
+        # -2*sqrt(2) at the other
+        u = sign * (X**2 - 2)
+        poly = (Y**2 - u**3) * ((Y - u) ** 2 - u**5)
+        keys = [fp.key() for fp in fingerprints(CurveGerm.at_group(poly, Group([-2, 0, 1], [0], [1], 0)))]
+        assert keys == [(4, 13, 2, 7, (4, 1, 1, 2, 1, 1), (2, 2))] * 2
+
+    # the benchmark germs whose key followed the slope order
+    @given(st.sampled_from(SEEDS), st.integers(0, 383), COORDINATE_CHANGES)
+    @example(1, 143, (X, -Y))
+    @example(1, 191, (X, -Y))
+    @example(1, 335, (X, -Y))
+    @example(20261017, 47, (X, -Y))
+    @example(20261017, 155, (X, -Y))
+    @example(20261017, 179, (X, -Y))
+    @example(20261017, 335, (X, -Y))
+    @example(20261017, 374, (X, -Y))
+    @example(20261017, 383, (X, -Y))
+    @settings(max_examples=100, deadline=None)
+    def test_a_change_of_coordinates_keeps_the_key(self, seed, index, xy):
+        f = parse_input_text(BENCHMARK_GERMS[seed][index])[0].defining
+        moved = f.substitute({"x": xy[0], "y": xy[1]})
+        assert fingerprint(germ(moved)).key() == fingerprint(germ(f)).key()
 
 
 def random_rational_germ(rng: random.Random) -> MPoly:
@@ -751,7 +802,7 @@ class TestEquisingularity:
         fol = [e for e in FOLIATIONS if e.name == "A=x^2 B=y^2"][0].foliation
         report = equisingularity_check(fol, seed=5, samples=4)
         assert report.passed, report.render_text()
-        assert any("m=2,mu=1,r=2,delta=1" in n for n in report.notes)
+        assert any("(m=2, mu=1, r=2, delta=1," in n for n in report.notes)
 
     def test_smooth_polar_family(self):
         fol = [e for e in FOLIATIONS if e.name == "A=2y B=3x^2"][0].foliation
