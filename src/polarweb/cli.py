@@ -260,9 +260,9 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         elif args.command == "singular":
             web = _as_web(obj)
             sing = singular_set(web)
-            for p in sing.points:
+            for p in sing.rational:
                 lines.append(f"singular point: {p} [exact]")
-            for q in sing.numeric_points:
+            for q in sing.numeric:
                 lines.append(f"singular point: ({q[0]:.9g}, {q[1]:.9g}) [numeric]")
             if sing.is_empty():
                 lines.append("singular set: empty")
@@ -311,7 +311,7 @@ def run_command(argv: list[str]) -> tuple[int, str]:
         elif args.command == "localsing":
             curve = _as_curve(obj)
             p = parse_point(args.point)
-            fp = fingerprint(CurveGerm.at_point(curve, (p.a, p.b)))
+            fp = fingerprint(CurveGerm.at_point(curve, p))
             lines.append(f"fingerprint at {p}: {fp}")
         elif args.command == "check":
             report = _run_check(obj, args)

@@ -355,7 +355,7 @@ def class_of_curve(curve: PlaneCurve) -> int:
 def count_quasi_radial(fol: FoliationData) -> tuple[int, list[str]]:
     """(#quasi-radial singular points, descriptions)."""
     sing = singular_set(fol.as_web)
-    classes = [(str(q), classify_singularity(fol, q)) for q in sing.points]
+    classes = [(str(q), classify_singularity(fol, q)) for q in sing.rational]
     classes += [(f"({c.point[0]:.5g},{c.point[1]:.5g})", c) for c in classify_irrational(fol, sing.groups)]
     return sum(c.quasi_radial for _, c in classes), [f"{w}: {c}" for w, c in classes]
 
@@ -395,7 +395,7 @@ def tangent_cone_dichotomy_check(fol: FoliationData) -> CheckReport:
     sing = singular_set(fol.as_web)
     if sing.is_empty():
         report.note("the foliation has no affine singular points")
-    for q in sing.points:
+    for q in sing.rational:
         tangent_cone_dichotomy(report, fol, q)
     for cls in classify_irrational(fol, sing.groups):
         tangent_cone_dichotomy_numeric(report, cls)

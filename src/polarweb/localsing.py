@@ -30,7 +30,7 @@ from .mpoly import (MPoly, _as_rational, _from_int_coeffs, _int_coeffs, _monomia
 from .polarops import RadialProduct, curve_component_count, polar_curve
 from .reports import CheckReport
 from .sampling import GenericSampler, sample_centers
-from .solve import Group, common_zeros, rational_split, split
+from .solve import AffinePoint, Group, common_zeros, rational_split, split
 from .webmodel import PlaneCurve, singular_set
 from .zpoly import _common_factor, _int_prem, _mul, _sub
 
@@ -56,7 +56,7 @@ class CurveGerm:
     group: Group | None = None
 
     @staticmethod
-    def at_point(curve: PlaneCurve, point: tuple[Fraction, Fraction]) -> "CurveGerm":
+    def at_point(curve: PlaneCurve, point: AffinePoint) -> "CurveGerm":
         """The germ of the reduced curve at a rational point: its defining
         equation, already square-free, moved to the origin."""
         g = translate(curve.defining, point).canonical()
@@ -466,7 +466,7 @@ def _delta_sum_at_infinity(F: MPoly) -> int:
     germs = _germs(PlaneCurve(G), common_zeros([G, G.derivative("x"), G.derivative("y"), Y]))
     K = H.substitute({"x": 1, "y": X, "z": Y})
     if not any(_nonzero_at_origin(g) for g in (K, K.derivative("x"), K.derivative("y"))):
-        germs.append(CurveGerm.at_point(PlaneCurve(K), (Fraction(0), Fraction(0))))
+        germs.append(CurveGerm.at_point(PlaneCurve(K), AffinePoint.of(0, 0)))
     return sum(fp.delta for germ in germs for fp in fingerprints(germ))
 
 
@@ -521,7 +521,7 @@ def equisingularity_check(fol, seed: int = 0, samples: int = 10) -> CheckReport:
         curve = polar_curve(web, p)
         if isinstance(curve, RadialProduct):
             return None, "center of a radial factor"
-        if sing.contains(p):
+        if p in sing.rational:
             return None, "center is singular on the foliation"
         F = curve.defining
         if curve.raw != curve.defining:

@@ -827,35 +827,35 @@ def _from_int_coeffs(var: str, coeffs: list[int]) -> MPoly:
     return MPoly._make((var,), {(k,): c for k, c in enumerate(coeffs) if c})
 
 
-def binary_form_degree(f: MPoly, u: str = "dx", v: str = "dy") -> int:
-    """Common total degree in (u, v) of a homogeneous binary form; errors if mixed."""
+def binary_form_degree(f: MPoly) -> int:
+    """Common total degree in (dx, dy) of a homogeneous binary form; errors if mixed."""
     if f.is_zero():
         raise PolynomialError("zero form")
-    iu = f.variables.index(u) if u in f.variables else None
-    iv = f.variables.index(v) if v in f.variables else None
+    iu = f.variables.index("dx") if "dx" in f.variables else None
+    iv = f.variables.index("dy") if "dy" in f.variables else None
     degs = set()
     for e in f.terms:
         d = (e[iu] if iu is not None else 0) + (e[iv] if iv is not None else 0)
         degs.add(d)
     if len(degs) != 1:
-        raise PolynomialError(f"form is not homogeneous in ({u}, {v}): degrees {sorted(degs)}")
+        raise PolynomialError(f"form is not homogeneous in (dx, dy): degrees {sorted(degs)}")
     return degs.pop()
 
 
-def discriminant_binary(f: MPoly, u: str = "dx", v: str = "dy") -> MPoly:
-    """Discriminant in (u:v) of a homogeneous binary form with MPoly coefficients.
+def discriminant_binary(f: MPoly) -> MPoly:
+    """Discriminant in (dx:dy) of a homogeneous binary form with MPoly coefficients.
 
     Normalization: Res_t(g, g') / lc with g the (shear-adjusted) dehomogenized
     form, returned primitive with canonical sign; degree-1 forms give 1.
     """
-    k = binary_form_degree(f, u, v)
+    k = binary_form_degree(f)
     if k == 0:
         raise PolynomialError("discriminant of a constant form")
     if k == 1:
         return MPoly.constant(1)
-    gt, = dehomogenize([f], u, v)
-    lead = gt.coeffs_in(v)[k]
-    res = resultant(gt, gt.derivative(v), v)
+    gt, = dehomogenize([f])
+    lead = gt.coeffs_in("dy")[k]
+    res = resultant(gt, gt.derivative("dy"), "dy")
     return exact_div(res, lead).canonical()
 
 
@@ -871,13 +871,13 @@ def shear(f: MPoly, lam, u: str = "x", v: str = "y") -> MPoly:
     return f.substitute({u: MPoly.variable(u) + MPoly.constant(lam) * MPoly.variable(v)})
 
 
-def dehomogenize(forms: Sequence[MPoly], u: str = "dx", v: str = "dy") -> list[MPoly]:
-    """Nonzero binary forms in (u, v) after one shear u -> u + lam*v from
-    `proper_shears`, at u = 1: each has v-degree its form's degree, so no
-    root of a form is lost at infinity, and a resultant in v of two of them
-    vanishes at a point exactly where the two forms share a root (u:v)."""
-    lam = next(proper_shears(forms, u=u, v=v))
-    return [shear(f, lam, u, v).substitute({u: 1}) for f in forms]
+def dehomogenize(forms: Sequence[MPoly]) -> list[MPoly]:
+    """Nonzero binary forms in (dx, dy) after one shear dx -> dx + lam*dy from
+    `proper_shears`, at dx = 1: each has dy-degree its form's degree, so no
+    root of a form is lost at infinity, and a resultant in dy of two of them
+    vanishes at a point exactly where the two forms share a root (dx:dy)."""
+    lam = next(proper_shears(forms, u="dx", v="dy"))
+    return [shear(f, lam, "dx", "dy").substitute({"dx": 1}) for f in forms]
 
 
 def proper_shears(polys: Sequence[MPoly], candidates: Iterable[int] | None = None,

@@ -42,7 +42,7 @@ from fractions import Fraction
 from .errors import ParseError, WebValidationError
 from .foliation import FoliationData
 from .mpoly import MPoly, _add_into, _as_rational, _mul_terms, _nonzero
-from .webmodel import AffinePoint, PlaneCurve, SymWeb, shared_factor_message
+from .webmodel import AffinePoint, PlaneCurve, SymWeb
 
 VARIABLES = ("x", "y", "a", "b", "dx", "dy", "t")
 MAX_DEGREE = 32
@@ -326,17 +326,14 @@ def parse_input_text(text: str) -> tuple[SymWeb | FoliationData | PlaneCurve, li
     value, lineno = fields["form"]
     poly = parse_polynomial(value, lineno)
     try:
-        web = SymWeb(poly, saturate=True)
+        web = SymWeb(poly)
     except WebValidationError as e:
         raise ParseError(str(e), line=lineno)
     if web.common_factor is not None:
-        warnings.append(f"form coefficients were not coprime; saturated "
-                        f"({shared_factor_message(web.common_factor)})")
-    if declared == "foliation":
-        if web.k != 1:
-            raise ParseError(f"type foliation requires a degree-1 form, got k={web.k}", line=lineno)
-        coeffs = web.coefficients()
-        return FoliationData(coeffs[1], -coeffs[0]), warnings
+        warnings.append(f"form coefficients were not coprime; saturated (coefficients share the factor "
+                        f"{web.common_factor}; the singular set is a curve)")
+    if declared == "foliation" and web.k != 1:
+        raise ParseError(f"type foliation requires a degree-1 form, got k={web.k}", line=lineno)
     if not web.generically_squarefree:
         warnings.append("form is not generically square-free (repeated local factor)")
     return web, warnings

@@ -48,7 +48,7 @@ from .mpoly import (
     try_exact_div,
 )
 from .reports import CheckReport
-from .solve import common_zeros
+from .solve import ZeroSet, common_zeros
 from .webmodel import (
     DX,
     DY,
@@ -180,8 +180,7 @@ def polar_degree_check(web: SymWeb) -> CheckReport:
     if all(c.is_constant() for c in coefficients):
         report.note("the top part of P in (x, y) is free of (a, b): deg P_p = d + k at every center")
     else:
-        zs = common_zeros(coefficients)
-        _note_points(report, "deg P_p < d + k at center", [AffinePoint(*q) for q in zs.rational], zs.numeric,
+        _note_points(report, "deg P_p < d + k at center", common_zeros(coefficients),
                      "the top coefficients of P in (x, y) have no common zero: deg P_p = d + k at every center")
     return report
 
@@ -280,7 +279,7 @@ def base_points_check(web: SymWeb) -> CheckReport:
     the common zero set of the a_i, Sing(W), which the report lists."""
     report = CheckReport("base-points")
     _base_identity(report, web)
-    _note_points(report, "base point", *base_points(web), "base locus: empty")
+    _note_points(report, "base point", singular_set(web), "base locus: empty")
     return report
 
 
@@ -295,21 +294,14 @@ def _base_identity(report: CheckReport, web: SymWeb) -> None:
                f"c = {c}" if c is not None else "not a constant multiple of the form")
 
 
-def _note_points(report: CheckReport, label: str, rational: list[AffinePoint], numeric: list, empty: str) -> None:
+def _note_points(report: CheckReport, label: str, zs: ZeroSet, empty: str) -> None:
     """One note per point of a finite zero set, or the note `empty`."""
-    for pt in rational:
+    for pt in zs.rational:
         report.note(f"{label} {pt} [exact]")
-    for q in numeric:
+    for q in zs.numeric:
         report.note(f"{label} ({q[0]:.6g}, {q[1]:.6g}) [numeric]")
-    if not rational and not numeric:
+    if zs.is_empty():
         report.note(empty)
-
-
-def base_points(web: SymWeb):
-    """The base locus itself (rational and numeric points): Sing(W), by the
-    identity of `base_points_check`."""
-    sing = singular_set(web)
-    return sing.points, sing.numeric_points
 
 
 # ---------------------------------------------------------------------------
@@ -589,9 +581,8 @@ def _foliation_polar_singularities(web: SymWeb) -> CheckReport:
         report.add("E ≡ 0: deg_(x,y) P(a, b; x, y) = 1", degree == 1, f"degree {degree}: every polar is a line or 0")
     else:
         report.note("E ≢ 0: a point off V(A, B) is singular on at most one polar")
-    zs = common_zeros([A, B] + [f.derivative(v) for f in (A, B) for v in ("x", "y")])
     where = "generic Sing(P_p) = V(A, B, A_x, A_y, B_x, B_y) ⊆ Sing(W)"
-    _note_points(report, f"{where}:", [AffinePoint(*q) for q in zs.rational], zs.numeric,
+    _note_points(report, f"{where}:", common_zeros([A, B] + [f.derivative(v) for f in (A, B) for v in ("x", "y")]),
                  f"{where}: empty, the generic polar is smooth")
     return report
 

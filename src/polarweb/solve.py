@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from itertools import chain, count, islice
+from typing import NamedTuple
 
 from .errors import InfiniteZeroSetError, InternalInvariantError, PolynomialError
 from .mpoly import (
@@ -146,15 +147,44 @@ class Group:
         return len(self.w) - 1
 
 
+class AffinePoint(NamedTuple):
+    a: Fraction
+    b: Fraction
+
+    @staticmethod
+    def of(a, b) -> "AffinePoint":
+        return AffinePoint(Fraction(a), Fraction(b))
+
+    def as_dict(self) -> dict[str, Fraction]:
+        return {"x": self.a, "y": self.b}
+
+    def __str__(self):
+        return f"({self.a}, {self.b})"
+
+
 @dataclass
 class ZeroSet:
-    """Common zeros of a polynomial family in two variables: the rational
+    """Common zeros of the nonzero generators in two variables: the rational
     points, and the others as approximations (`point_order`), where a
-    rational coordinate is exact, with the exact groups they come from."""
+    rational coordinate is exact, with the exact groups they come from, and
+    the exact eliminants, each computed once, on first use (`eliminant`);
+    None when a generator is a constant."""
 
-    rational: list[tuple[Fraction, Fraction]] = field(default_factory=list)
+    generators: list[MPoly]
+    rational: list[AffinePoint] = field(default_factory=list)
     numeric: list[tuple[complex, complex]] = field(default_factory=list)
     groups: list[Group] = field(default_factory=list)
+
+    @cached_property
+    def elim_x(self) -> MPoly | None:
+        return None if any(g.is_constant() for g in self.generators) else eliminant(self.generators, "y")
+
+    @cached_property
+    def elim_y(self) -> MPoly | None:
+        return None if any(g.is_constant() for g in self.generators) else eliminant(self.generators, "x")
+
+    def is_empty(self) -> bool:
+        return not self.rational and not self.numeric
 
 
 def _combinations(polys: list[MPoly]):
@@ -346,24 +376,23 @@ def point_order(q: tuple[complex, complex]) -> tuple:
     return tuple(round(v, 9) for z in q for v in (z.real, z.imag))
 
 
-def _points(groups, lam: int, pair: list[MPoly]) -> ZeroSet:
+def _points(groups, lam: int, polys: list[MPoly]) -> ZeroSet:
     """The zeros of the groups of `_shape`, with x = t + lam*y.  A rational
     root t gives a rational point; the irrational roots of each part form
-    one `Group`.  Every common zero is a zero of the coprime pair, so when a
-    group is formed, the rational roots of the pair's eliminants in x and,
-    when lam != 0, in y are every rational value that y and x can take; when
-    lam = 0, x = t is irrational."""
-    zs, roots = ZeroSet(), None
+    one `Group`.  When a group is formed, the rational roots of the zero
+    set's eliminants in y and, when lam != 0, in x are every rational value
+    that y and x can take; when lam = 0, x = t is irrational."""
+    zs, roots = ZeroSet(polys), None
     for part, num, den in groups:
         rational, numeric = univariate_root_split(_from_int_coeffs("x", part), "x")
         w = part
         for t, _ in rational:
             y = -_horner(num, t) / _horner(den, t)
-            zs.rational.append((t + lam * y, y))
+            zs.rational.append(AffinePoint(t + lam * y, y))
             w = _int_exact_quo(w, [-t.numerator, t.denominator])
         if numeric:
-            roots = roots or tuple([c for c, _ in rational_split(_int_coeffs(eliminant(pair, e), v))[0]]
-                                   if lam or v == "y" else [] for e, v in (("x", "y"), ("y", "x")))
+            roots = roots or ([c for c, _ in rational_split(_int_coeffs(zs.elim_y, "y"))[0]],
+                              [c for c, _ in rational_split(_int_coeffs(zs.elim_x, "x"))[0]] if lam else [])
             zs.groups.append(Group(w, *_same_scale_rem(num, den, w), lam, [t for t, _ in numeric], roots))
     zs.rational.sort()
     zs.numeric = sorted((q for g in zs.groups for q in g.points), key=point_order)
@@ -396,13 +425,13 @@ def common_zeros(polys: list[MPoly]) -> ZeroSet:
     if not polys:
         raise InfiniteZeroSetError("all generators are zero")
     if any(p.is_constant() for p in polys):
-        return ZeroSet()
+        return ZeroSet(polys)
     f, g, others = _coprime_pair(polys)
     if f.is_constant() or g.is_constant():
-        return ZeroSet()
+        return ZeroSet(polys)
     m, n = f.total_degree(), g.total_degree()
     for lam in proper_shears([f, g], islice(_small_integers(), math.comb(m * n, 2) + m + n + 1)):
         groups = _shape(shear(f, lam), shear(g, lam), [shear(h, lam) for h in others])
         if groups is not None:
-            return _points(groups, lam, [f, g])
+            return _points(groups, lam, polys)
     raise InternalInvariantError("no shear separates the zeros of two coprime generators")

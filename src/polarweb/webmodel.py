@@ -25,29 +25,13 @@ from .mpoly import (
     gcd_fold,
     squarefree_part,
 )
-from .solve import Group, common_zeros, eliminant, univariate_root_split
+from .solve import AffinePoint, ZeroSet, common_zeros, univariate_root_split
 from .zpoly import _distinct_binary_roots
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
 DX = MPoly.variable("dx")
 DY = MPoly.variable("dy")
-
-
-@dataclass(frozen=True)
-class AffinePoint:
-    a: Fraction
-    b: Fraction
-
-    @staticmethod
-    def of(a, b) -> "AffinePoint":
-        return AffinePoint(Fraction(a), Fraction(b))
-
-    def as_dict(self) -> dict[str, Fraction]:
-        return {"x": self.a, "y": self.b}
-
-    def __str__(self):
-        return f"({self.a}, {self.b})"
 
 
 @dataclass(frozen=True)
@@ -121,48 +105,23 @@ class PlaneCurve:
         return str(self.defining)
 
 
-@dataclass
-class SingularSet:
-    """Zero set of the web coefficients, the irrational points also as exact
-    groups (`solve.Group`), with its exact eliminants, computed on first use
-    (`solve.eliminant`); None when a generator is a constant."""
-
-    points: list[AffinePoint]
-    numeric_points: list[tuple[complex, complex]]
-    groups: list[Group]
-    generators: list[MPoly]
-
-    @cached_property
-    def elim_x(self) -> MPoly | None:
-        return None if any(g.is_constant() for g in self.generators) else eliminant(self.generators, "y")
-
-    @cached_property
-    def elim_y(self) -> MPoly | None:
-        return None if any(g.is_constant() for g in self.generators) else eliminant(self.generators, "x")
-
-    def is_empty(self) -> bool:
-        return not self.points and not self.numeric_points
-
-    def contains(self, p: AffinePoint) -> bool:
-        return all(g.evaluate(p.as_dict()) == 0 for g in self.generators)
-
-
 class SymWeb:
     """A k-web given by a symmetric form, homogeneous of degree k in (dx, dy).
 
-    The coefficient polynomials must be coprime (codimension-2 singular set);
-    a web that fails generic square-freeness (zero discriminant) is accepted
-    but flagged, since superposition of overlapping webs produces it.
+    A factor that every coefficient polynomial shares is divided out, so the
+    singular set is finite; a web that fails generic square-freeness (zero
+    discriminant) is accepted but flagged, since superposition of
+    overlapping webs produces it.
     """
 
-    def __init__(self, form: MPoly, saturate: bool = False):
+    def __init__(self, form: MPoly):
         if form.is_zero():
             raise WebValidationError("zero symmetric form")
         extra = set(form.variables) - {"x", "y", "dx", "dy"}
         if extra:
             raise WebValidationError(f"form involves unexpected variables {sorted(extra)}")
         try:
-            k = binary_form_degree(form, "dx", "dy")
+            k = binary_form_degree(form)
         except PolynomialError as e:
             raise WebValidationError(str(e))
         if k < 1:
@@ -171,11 +130,9 @@ class SymWeb:
         g = gcd_fold([c for c in coeffs if not c.is_zero()])
         if g.is_constant():
             g = None
-        elif saturate:
+        else:
             # g divides every coefficient, so it divides the form
             form = exact_div(form, g)
-        else:
-            raise WebValidationError(shared_factor_message(g))
         self._set_form(form, k, g)
 
     def _set_form(self, form: MPoly, k: int, common_factor: MPoly | None = None) -> None:
@@ -184,7 +141,6 @@ class SymWeb:
         # the factor of the coefficients that saturation divided out
         self.common_factor = common_factor
         self._degree: int | None = None
-        self._discriminant: MPoly | None = None
 
     @classmethod
     def _trusted(cls, form: MPoly, k: int) -> "SymWeb":
@@ -199,13 +155,11 @@ class SymWeb:
         """a_i(x, y) with form = sum a_i dx^(k-i) dy^i, ascending in dy."""
         return _dxdy_coefficients(self.form, self.k)
 
-    @property
+    @cached_property
     def discriminant_form(self) -> MPoly:
-        if self._discriminant is None:
-            self._discriminant = discriminant_binary(self.form)
-        return self._discriminant
+        return discriminant_binary(self.form)
 
-    @property
+    @cached_property
     def generically_squarefree(self) -> bool:
         """Whether W has no repeated factor over Q(x, y), decided by
         witnesses without `discriminant_form`.
@@ -227,10 +181,6 @@ class SymWeb:
         return any(_distinct_binary_roots([a.evaluate({"x": i, "y": j}) for a in coeffs])
                    for i, j in _small_grid(size))
 
-
-
-def shared_factor_message(g: MPoly) -> str:
-    return f"coefficients share the factor {g}; the singular set is a curve"
 
 
 def _dxdy_coefficients(form: MPoly, k: int) -> list[MPoly]:
@@ -272,11 +222,9 @@ def web_degree(web: SymWeb) -> int:
     return web._degree
 
 
-def singular_set(web: SymWeb) -> SingularSet:
+def singular_set(web: SymWeb) -> ZeroSet:
     """Common zeros of the coefficients a_i(x, y); finite for a valid web."""
-    gens = [c for c in web.coefficients() if not c.is_zero()]
-    zs = common_zeros(gens)
-    return SingularSet([AffinePoint(a, b) for a, b in zs.rational], zs.numeric, zs.groups, gens)
+    return common_zeros(web.coefficients())
 
 
 def discriminant_curve(web: SymWeb) -> PlaneCurve:

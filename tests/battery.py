@@ -140,7 +140,7 @@ def dichotomy_mismatches(fol: FoliationData, seed: int, centers: int) -> list[tu
     from polarweb.webmodel import singular_set
 
     sing = singular_set(fol.as_web)
-    out = [m for q in sing.points for m in rational_dichotomy_mismatches(fol, q, seed, centers)]
+    out = [m for q in sing.rational for m in rational_dichotomy_mismatches(fol, q, seed, centers)]
     for cls in classify_irrational(fol, sing.groups):
         q = cls.point
         mult = tangent_cone_dichotomy_numeric(CheckReport("qr-dichotomy"), cls)

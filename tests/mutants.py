@@ -302,6 +302,12 @@ MUTANTS = [
      "shift = _balance_shift(coeffs) if len(coeffs) > 1 else 0",
      "shift = 0",
      "tests/test_numerics.py::TestRoots::test_tiny_or_huge_roots_are_balanced[tiny]"),
+    # the eliminant in x taken afresh on every read: the zero set of
+    # x^2 - 2, y reads it as its group forms, and twice more after
+    ("solve.py",
+     "@cached_property\n    def elim_x",
+     "@property\n    def elim_x",
+     "tests/test_webmodel.py::TestSingularSet::test_the_eliminants_are_computed_on_first_use"),
 ]
 
 

@@ -83,6 +83,9 @@ EXTRA = [
     # common factor in x and y in each pair, so no pairwise resultant is nonzero
     ("type: web\nform: (x + y)*(x - y)*dx^2 + (x - y)*(x + 2*y + 1)*dx*dy + (x + y)*(x + 2*y + 1)*dy^2\n",
      ["singular"]),
+    # a foliation given as a 1-form, which the parser reads as a 1-web and
+    # the check converts to a vector field
+    ("type: foliation\nform: (x^2 + y^2 - 3)*dy - (x*y - 1)*dx\n", ["check", "--theorem", "qr-dichotomy"]),
     # a foliation whose generic polar is singular
     ("type: foliation\nA: x^2 - y^2\nB: x*y\n", ["check", "--theorem", "equising", "--samples", "2"]),
 ]

@@ -241,17 +241,39 @@ class TestInputFiles:
                             if obj.saturated else [])
 
     def test_foliation_as_form(self):
-        obj, warnings = parse_input_text("type: foliation\nform: x*dy - y*dx\n")
-        assert isinstance(obj, FoliationData) and not warnings
+        # a form is read as a 1-web, which the foliation checks convert
+        web, warnings = parse_input_text("type: foliation\nform: x*dy - y*dx\n")
+        assert isinstance(web, SymWeb) and web.k == 1 and not warnings
+        obj = _as_foliation(web)
         # the radial field, up to the canonical-sign normalization of the form
         assert obj.A * y - obj.B * x == 0 and not obj.A.is_zero()
 
     def test_foliation_as_form_with_a_common_factor(self):
-        obj, warnings = parse_input_text("type: foliation\nform: x^2*dy - x*y*dx\n")
+        web, warnings = parse_input_text("type: foliation\nform: x^2*dy - x*y*dx\n")
+        obj = _as_foliation(web)
         assert isinstance(obj, FoliationData) and not obj.saturated
         assert obj.A * y - obj.B * x == 0 and obj.A.total_degree() == 1
         # the form is saturated once, before the vector field is built
         assert len(warnings) == 1 and warnings[0].startswith("form coefficients were not coprime")
+
+    def test_a_foliation_reads_the_same_in_every_spelling(self, tmp_path):
+        # A d/dx + B d/dy is the form A*dy - B*dx, as a foliation or a 1-web;
+        # a parsed form is made canonical and A, B are kept as given, so B is
+        # written 1 - x*y, which gives the form its canonical sign (with
+        # x*y - 1 the polar family's constant c would be 1 here and -1 there)
+        texts = ["type: foliation\nA: x^2 + y^2 - 3\nB: 1 - x*y\n",
+                 "type: foliation\nform: (x^2 + y^2 - 3)*dy - (1 - x*y)*dx\n",
+                 "type: web\nform: (x^2 + y^2 - 3)*dy - (1 - x*y)*dx\n"]
+        for argv in (["singular"], ["check", "--theorem", "qr-dichotomy"]):
+            bodies = []
+            for i, text in enumerate(texts):
+                path = tmp_path / f"{i}.txt"
+                path.write_text(text)
+                code, out = run_command([argv[0], "--in", str(path), *argv[1:], "--json"])
+                doc = json.loads(out)
+                assert code == 0, out
+                bodies.append((doc["output"], doc["report"]))
+            assert bodies[0] == bodies[1] == bodies[2]
 
     def test_curve(self):
         obj, _ = parse_input_text("type: curve\nf: y^2 - x^3\n")
@@ -305,8 +327,12 @@ def inputs(tmp_path):
     # (0, +-sqrt 2) and (+-sqrt 2, 0) not
     fol9 = tmp_path / "fol9.txt"
     fol9.write_text("type: foliation\nA: x^3 - 2*x\nB: y^3 - 2*y\n")
+    # the radial 1-web times the lines of slope 1: decomposable, with the
+    # whole plane as its polar at the origin
+    lines = tmp_path / "lines.txt"
+    lines.write_text("type: web\nform: (x*dy - y*dx)*(dy - dx)\n")
     return {"web": str(web), "fol": str(fol), "curve": str(curve), "web3": str(web3), "germ": str(germ),
-            "fol2": str(fol2), "web2": str(web2), "fol9": str(fol9)}
+            "fol2": str(fol2), "web2": str(web2), "fol9": str(fol9), "lines": str(lines)}
 
 
 def _body(text: str) -> str:
@@ -690,6 +716,10 @@ class TestGoldenReports:
              ["check", "--in", "{web}", "--theorem", "polar-equality", "--seed", "7", "--samples", "3", "--json"]),
             ("check-k2",
              ["check", "--in", "{web}", "--theorem", "k2", "--seed", "7", "--samples", "3", "--json"]),
+            ("check-irreducible-web",
+             ["check", "--in", "{web}", "--theorem", "irreducible", "--seed", "7", "--json"]),
+            ("check-irreducible-decomposable",
+             ["check", "--in", "{lines}", "--theorem", "irreducible", "--seed", "7", "--json"]),
         ],
     )
     def test_matches_golden(self, inputs, name, argv):

@@ -214,7 +214,7 @@ class TestClassification:
         sympy = pytest.importorskip("sympy")
         fol = FoliationData(X - Y**2, Y + X**2)
         sing = singular_set(fol.as_web)
-        ours = [((complex(q.a), complex(q.b)), classify_singularity(fol, q)) for q in sing.points]
+        ours = [((complex(q.a), complex(q.b)), classify_singularity(fol, q)) for q in sing.rational]
         ours += [(c.point, c) for c in classify_irrational(fol, sing.groups)]
         assert [c.quasi_radial for _, c in ours] == [True, False, False, False]
         x, y = sympy.symbols("x y")
@@ -297,7 +297,7 @@ class TestClassification:
         assert expected == (k, radial) == sympy_class(sympy, fol, pair[1])
         sing = singular_set(fol.as_web)
         classes = classify_irrational(fol, sing.groups)
-        assert len(classes) == len(sing.numeric_points)
+        assert len(classes) == len(sing.numeric)
         for q in pair:
             cls = min(classes, key=lambda cl: distance(cl.point, q))
             assert distance(cls.point, q) < 1e-6

@@ -36,7 +36,6 @@ from polarweb.polarops import (
     _independent_mod_p,
     _integer_rank,
     _one_component_mod_p,
-    base_points,
     base_points_check,
     branches_check,
     curve_component_count,
@@ -332,16 +331,15 @@ class TestPolarFamily:
 
 class TestBasePoints:
     def test_circle_pencil(self):
-        rational, numeric = base_points(w_circles)
-        assert rational == [P0] and not numeric
+        zs = singular_set(w_circles)
+        assert zs.rational == [P0] and not zs.numeric
 
     def test_product_empty(self):
-        rational, numeric = base_points(w_product)
-        assert not rational and not numeric
+        zs = singular_set(w_product)
+        assert not zs.rational and not zs.numeric
 
     def test_radial(self):
-        rational, _ = base_points(w_radial)
-        assert rational == [P0]
+        assert singular_set(w_radial).rational == [P0]
 
     @pytest.mark.parametrize("entry", BATTERY, ids=lambda e: e.name)
     def test_contained_in_singular_set(self, entry):

@@ -1,7 +1,7 @@
 """Univariate root splitting: the roots it reports, checked against planted
 factors and against sympy; the zero sets of `common_zeros` against sympy and
 on the cases its shear and subresultants must decide exactly, its fallback to
-combinations of the generators, and the lazy eliminants of a `SingularSet`
+combinations of the generators, and the lazy eliminants of a `ZeroSet`
 against the gcd of every candidate."""
 
 from fractions import Fraction
@@ -10,14 +10,13 @@ from math import isqrt, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polarweb import AffinePoint, MPoly
+from polarweb import MPoly
 from polarweb import solve, zpoly
 from polarweb.errors import InternalInvariantError
 from polarweb.errors import InfiniteZeroSetError, NumericAbortError
 from battery import divisibility_multiplicity, vanishes_numerically
 from polarweb.mpoly import poly_gcd, resultant, shear
 from polarweb.parsing import parse_polynomial
-from polarweb.webmodel import SingularSet
 from polarweb.solve import (
     _coprime_combinations,
     common_zeros,
@@ -359,7 +358,7 @@ def eager_eliminant(polys: list[MPoly], elim_var: str) -> MPoly:
 
 
 class TestLazyEliminant:
-    """The lazy eliminants of a `SingularSet` equal the eager gcd of all the
+    """The lazy eliminants of a `ZeroSet` equal the eager gcd of all the
     candidates, on 2-6 random generators with finitely many common zeros,
     some of them free of x or of y; with `planted`, each generator is
     u*(x - x0) + v*(y - y0), so (x0, y0) is a common zero.  Every rational
@@ -384,11 +383,10 @@ class TestLazyEliminant:
             zs = common_zeros(gens)
         except InfiniteZeroSetError:
             return
-        sing = SingularSet([AffinePoint(*q) for q in zs.rational], zs.numeric, zs.groups, gens)
-        assert sing.elim_x == eager_eliminant(gens, "y")
-        assert sing.elim_y == eager_eliminant(gens, "x")
+        assert zs.elim_x == eager_eliminant(gens, "y")
+        assert zs.elim_y == eager_eliminant(gens, "x")
         for a, b in zs.rational + ([(x0, y0)] if planted else []):
-            assert sing.elim_x.evaluate({"x": a}) == 0 and sing.elim_y.evaluate({"y": b}) == 0
+            assert zs.elim_x.evaluate({"x": a}) == 0 and zs.elim_y.evaluate({"y": b}) == 0
 
 
 class TestOneRationalCoordinate:

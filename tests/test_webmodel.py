@@ -40,10 +40,9 @@ class TestValidation:
             SymWeb(DX + X)
 
     def test_non_primitive_rejected_then_saturated(self):
-        with pytest.raises(WebValidationError):
-            SymWeb(X * DX * DY)
-        web = SymWeb(X * DX * DY, saturate=True)
-        assert web.form == (DX * DY).canonical()
+        # the factor x that every coefficient shares is divided out
+        web = SymWeb(X * DX * DY)
+        assert web.form == (DX * DY).canonical() and web.common_factor == X
 
     def test_k_inferred(self):
         assert w_product.k == 2 and w_radial.k == 1 and w_sqrt.k == 2
@@ -277,23 +276,48 @@ class TestWebDegree:
 class TestSingularSet:
     def test_circle_pencil_origin(self):
         s = singular_set(w_circles)
-        assert s.points == [AffinePoint.of(0, 0)] and not s.numeric_points
+        assert s.rational == [AffinePoint.of(0, 0)] and not s.numeric
 
     def test_product_empty(self):
         assert singular_set(w_product).is_empty()
 
     def test_radial_center(self):
-        assert singular_set(w_radial).points == [AffinePoint.of(0, 0)]
+        assert singular_set(w_radial).rational == [AffinePoint.of(0, 0)]
 
     def test_the_eliminants_are_computed_on_first_use(self, monkeypatch):
-        from polarweb import webmodel
+        # a zero set with no group takes no eliminant until one is read; one
+        # with a group takes both as the group forms, and never again
+        from polarweb import solve
 
-        calls, real = [], webmodel.eliminant
-        monkeypatch.setattr(webmodel, "eliminant", lambda gens, v: calls.append(v) or real(gens, v))
+        calls, real = [], solve.eliminant
+        monkeypatch.setattr(solve, "eliminant", lambda gens, v: calls.append(v) or real(gens, v))
+        s = singular_set(w_circles)
+        assert calls == []
+        assert (s.elim_x, s.elim_x, s.elim_y) == (X, X, Y) and calls == ["y", "x"]
+        calls.clear()
         s = singular_set(FoliationData(X**2 - 2, Y).as_web)
-        assert len(s.numeric_points) == 2 and calls == []
-        assert (s.elim_x, s.elim_x, s.elim_y) == (X**2 - 2, X**2 - 2, Y) and calls == ["y", "x"]
+        assert len(s.numeric) == 2 and calls == ["x", "y"]
+        assert (s.elim_x, s.elim_x, s.elim_y) == (X**2 - 2, X**2 - 2, Y) and calls == ["x", "y"]
         assert singular_set(w_product).elim_x is None
+
+    @pytest.mark.parametrize("a, b", [("x^2 + y^2 - 3", "x*y - 1"), ("x^2 - 2", "y")])
+    def test_singular_takes_each_eliminant_once(self, monkeypatch, tmp_path, a, b):
+        # the eliminants the command prints are the ones the zero set read
+        # the rational coordinates of its group from; every binding is spied
+        import sys
+
+        from polarweb import solve
+        from polarweb.cli import run_command
+
+        calls, real = [], solve.eliminant
+        for name, module in list(sys.modules.items()):
+            if name.startswith("polarweb") and getattr(module, "eliminant", None) is real:
+                monkeypatch.setattr(module, "eliminant", lambda gens, v: calls.append((v, len(gens))) or real(gens, v))
+        path = tmp_path / "foliation.txt"
+        path.write_text(f"type: foliation\nA: {a}\nB: {b}\n")
+        code, text = run_command(["singular", "--in", str(path)])
+        assert code == 0 and "[numeric]" in text and "eliminant in x" in text and "eliminant in y" in text
+        assert calls == [("x", 2), ("y", 2)]
 
     def test_contained_in_discriminant_for_k2(self):
         for e in BATTERY:
@@ -301,9 +325,9 @@ class TestSingularSet:
                 continue
             disc = e.web.discriminant_form
             s = singular_set(e.web)
-            for p in s.points:
+            for p in s.rational:
                 assert disc.is_zero() or disc.evaluate(p.as_dict()) == 0
-            for q in s.numeric_points:
+            for q in s.numeric:
                 assert disc.is_zero() or vanishes_numerically(disc, {"x": q[0], "y": q[1]})
 
 
@@ -398,7 +422,7 @@ class TestRootResidualTolerance:
         from polarweb import numerics
 
         web = FoliationData(X**2 - 2, Y).as_web
-        assert len(singular_set(web).numeric_points) == 2
+        assert len(singular_set(web).numeric) == 2
         monkeypatch.setattr(numerics, "RESIDUAL_TOL", 0.0)
         with pytest.raises(NumericAbortError):
             singular_set(web)
