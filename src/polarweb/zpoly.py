@@ -15,7 +15,8 @@ digit of a Python int, and a product of two is below 2^60.  Nothing here
 depends on the prime's size: a minor nonzero mod any prime is nonzero over Z,
 so rank_p <= rank_Q, and coprime images mod any prime prove a constant gcd.
 The p-adic lifting of rational roots takes instead the first prime at which
-its polynomial keeps its degree and stays square-free.
+its polynomial keeps its degree and stays square-free, and Ben-Or's test the
+small prime its caller gives, where a scan of the residues finds the roots.
 The bridges from `MPoly` live in `mpoly`.
 """
 
@@ -328,8 +329,19 @@ def _irreducible_mod_p(f: list[int], p: int) -> bool:
     """Whether f, ascending over F_p with a nonzero top and degree n >= 1,
     is irreducible, by Ben-Or's test (M. Ben-Or, FOCS 1981): a reducible f
     has a factor of degree i <= n // 2, which divides x^(p^i) - x, the
-    product of the monic irreducibles of degree dividing i."""
+    product of the monic irreducibles of degree dividing i.
+
+    Step i = 1 scans the p residues, as gcd(x^p - x, f) = 1 exactly when f
+    has no root; that decides n <= 3 (a linear f is irreducible).  Steps
+    2 <= i <= n // 2 take a gcd with x^(p^i) - x, squared up from x^p."""
     n = len(f) - 1
+    if n < 2:
+        return True
+    for r in range(p):
+        if not _horner(f, r) % p:
+            return False
+    if n < 4:
+        return True
     inv = pow(f[-1], -1, p)
     monic = [c * inv % p for c in f]
 
@@ -340,12 +352,14 @@ def _irreducible_mod_p(f: list[int], p: int) -> bool:
         return [a % p for a in r]
 
     h = [0, 1]
-    for _ in range(n // 2):
+    for i in range(n // 2):
         base = h
         for bit in bin(p)[3:]:
             h = reduced(_mul(h, h))
             if bit == "1":
                 h = reduced(_mul(h, base))
+        if not i:
+            continue
         g = _trim([c % p for c in _sub(h, [0, 1])])
         if not g or not _coprime_mod_p(list(monic), g, p):
             return False

@@ -308,6 +308,29 @@ MUTANTS = [
      "@cached_property\n    def elim_x",
      "@property\n    def elim_x",
      "tests/test_webmodel.py::TestSingularSet::test_the_eliminants_are_computed_on_first_use"),
+    # the scan for roots of Ben-Or's step i = 1 skips the residue 0: t(t^2 + 2)
+    # has no other root mod 5
+    ("zpoly.py",
+     "    for r in range(p):\n        if not _horner(f, r) % p:",
+     "    for r in range(1, p):\n        if not _horner(f, r) % p:",
+     "tests/test_zpoly.py::TestIrreducibleModP::test_small_cases[cubic-with-root-0]"),
+    # the scan skips the residue p - 1: (t + 1)(t^2 + 2) has no other root
+    # mod 5
+    ("zpoly.py",
+     "    for r in range(p):\n        if not _horner(f, r) % p:",
+     "    for r in range(p - 1):\n        if not _horner(f, r) % p:",
+     "tests/test_zpoly.py::TestIrreducibleModP::test_small_cases[cubic-with-root-q-minus-1]"),
+    # Ben-Or's test ended after the scan for every degree: a product of
+    # irreducibles of degrees 2 and 3 has no root
+    ("zpoly.py",
+     "    if n < 4:\n        return True\n",
+     "    if True:\n        return True\n",
+     "tests/test_zpoly.py::TestIrreducibleModP::test_small_cases[quintic-of-quadratic-and-cubic]"),
+    # the same mutant, caught by two quadratic factors mod 7
+    ("zpoly.py",
+     "    if n < 4:\n        return True\n",
+     "    if True:\n        return True\n",
+     "tests/test_zpoly.py::TestIrreducibleModP::test_small_cases[quartic-of-two-quadratics]"),
 ]
 
 

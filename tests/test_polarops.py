@@ -87,9 +87,13 @@ def web_of(k, coefficients) -> SymWeb:
     form = sum((MPoly.constant(c) * X**i * Y**j * DX ** (k - n) * DY**n
                 for n, terms in enumerate(coefficients) for (i, j), c in terms.items()), MPoly.zero())
     try:
-        return SymWeb(form)
+        web = SymWeb(form)
     except WebValidationError:
-        assume(False)  # a zero form or coefficients with a common factor: no web
+        assume(False)  # a zero form: no web
+    # SymWeb divides out a common factor of the coefficients, which the
+    # sympy oracles built from `coefficients` would keep: x^2 dy^2 is dy^2
+    assume(web.common_factor is None)
+    return web
 
 
 def check_fails(tmp_path, text, theorem):
@@ -1475,6 +1479,17 @@ class TestOneComponentAt:
         trials = _count_calls(monkeypatch, "_irreducible_mod_p")
         assert f.total_degree() == 3 and not polarops._one_component_at(f, p)
         assert trials == []
+
+    def test_a_cubic_or_quadratic_image_takes_no_gcd(self, monkeypatch):
+        # Ben-Or's step i = 1 is a scan of the residues, which decides degree <= 3
+        f = polar_curve(FoliationData(*(parse_polynomial(t) for t in DENSE_FOLIATIONS[2])).as_web, P0).raw
+        gcds = _count_calls(monkeypatch, "_coprime_mod_p")
+        trials = _count_calls(monkeypatch, "_irreducible_mod_p")
+        assert f.total_degree() == 3 and polarops._one_component_at(f, P0)
+        assert gcds == [] and trials
+        del trials[:]
+        assert not polarops._one_component_at((X - Y) * (X + Y - 1), P0)
+        assert gcds == [] and len(trials) == len(polarops._TRIALS) == 28
 
     @given(curves_through_the_origin())
     @settings(max_examples=150, deadline=None)

@@ -278,8 +278,12 @@ class TestIrreducibleModP:
         ([2, 0, 1], 5, True),  # t^2 + 2: -2 is no square mod 5
         ([1, 0, 1], 5, False),  # t^2 + 1 = (t - 2)(t + 2)
         ([2, 0, 3, 0, 1], 7, False),  # (t^2 + 1)(t^2 + 2): no root mod 7, two quadratic factors
-        ([3, 5], 7, True),
-    ], ids=["quadratic-irreducible", "quadratic-split", "quartic-of-two-quadratics", "linear"])
+        ([3, 5], 7, True),  # a root, and still irreducible
+        ([0, 2, 0, 1], 5, False),  # t(t^2 + 2): its only root is 0
+        ([2, 2, 1, 1], 5, False),  # (t + 1)(t^2 + 2): its only root is 4 = q - 1
+        ([2, 2, 1, 3, 0, 1], 5, False),  # (t^2 + 2)(t^3 + t + 1): no root, caught at step i = 2
+    ], ids=["quadratic-irreducible", "quadratic-split", "quartic-of-two-quadratics", "linear",
+            "cubic-with-root-0", "cubic-with-root-q-minus-1", "quintic-of-quadratic-and-cubic"])
     def test_small_cases(self, f, q, irreducible):
         assert zpoly._irreducible_mod_p(f, q) is irreducible
 
