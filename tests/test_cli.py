@@ -720,6 +720,10 @@ class TestGoldenReports:
              ["check", "--in", "{web}", "--theorem", "irreducible", "--seed", "7", "--json"]),
             ("check-irreducible-decomposable",
              ["check", "--in", "{lines}", "--theorem", "irreducible", "--seed", "7", "--json"]),
+            ("check-equising",
+             ["check", "--in", "{fol2}", "--theorem", "equising", "--seed", "7", "--samples", "3", "--json"]),
+            ("check-genus-constant",
+             ["check", "--in", "{fol2}", "--theorem", "genus-constant", "--seed", "7", "--samples", "3", "--json"]),
         ],
     )
     def test_matches_golden(self, inputs, name, argv):
