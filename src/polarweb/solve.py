@@ -49,7 +49,6 @@ from .zpoly import (
     _digit_width,
     _horner,
     _int_exact_quo,
-    _int_gcd,
     _int_prem,
     _mul,
     _pack,
@@ -327,14 +326,14 @@ def _shape(F: MPoly, G: MPoly, others: list[MPoly]) -> list[tuple[list[int], lis
         raise InternalInvariantError("coprime generators have a zero resultant")
     if len(R) == 1:
         return []
-    rest = _int_exact_quo(R, _int_gcd(R, _derivative(R)))
+    rest = _int_exact_quo(R, _common_factor(R, _derivative(R)))
     rest = [c // math.gcd(*rest) for c in rest]
     groups = []
     for j in sorted(chain)[1:]:
         if len(rest) == 1:
             break
         s = [_unpack(v, width) for v in reversed(chain[j])]
-        g = _int_gcd(rest, s[0])
+        g = _common_factor(rest, s[0])
         part = _int_exact_quo(rest, g)
         if len(part) > 1:
             if j > 1 and not _separated(part, s, j):

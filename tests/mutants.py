@@ -331,6 +331,12 @@ MUTANTS = [
      "    if n < 4:\n        return True\n",
      "    if True:\n        return True\n",
      "tests/test_zpoly.py::TestIrreducibleModP::test_small_cases[quartic-of-two-quadratics]"),
+    # the square-free part of the eliminant by the full PRS again: on a
+    # dense degree-6 foliation R has degree 36, and gcd(R, R') is 1
+    ("solve.py",
+     "    rest = _int_exact_quo(R, _common_factor(R, _derivative(R)))",
+     "    from .zpoly import _int_gcd\n    rest = _int_exact_quo(R, _int_gcd(R, _derivative(R)))",
+     "tests/test_solve.py::TestShapeLemma::test_the_coprime_gcds_run_no_prs"),
 ]
 
 

@@ -449,6 +449,17 @@ class TestOneRationalCoordinate:
         assert all(p[not on_x] == complex(c) for p in zs.numeric)
 
 
+# a dense degree-6 foliation with 36 irrational zeros
+# (`perfbench/gen.foliation_text(random.Random(1), 6)`)
+DENSE_6 = (
+    "-3*x^6 - 3*x^5*y - x^4*y^2 - 3*x^3*y^3 + 2*x^2*y^4 - 2*x*y^5 + 3*y^6 - x^5 + x^4*y + 3*x^3*y^2"
+    " - 3*x^2*y^3 + 2*x*y^4 + y^5 + x^4 - 3*x^3*y + x^2*y^2 - 3*x*y^3 - 2*y^4 + x^3 + 3*x^2*y + x*y^2"
+    " + y^3 + x^2 - 3*x*y - y^2 - 3*x + 2*y - 2",
+    "-2*x^6 - 3*x^5*y + 3*x^4*y^2 + 2*x^3*y^3 + x^2*y^4 - 3*x*y^5 - y^6 + x^5 - 2*x^4*y + 3*x^3*y^2"
+    " - 2*x^2*y^3 - x*y^4 - 2*y^5 + 2*x^4 + x^3*y + x^2*y^2 - 2*x*y^3 + 2*y^4 - 3*x^3 + 3*x^2*y + x*y^2"
+    " - 2*y^3 + 3*x^2 + x*y - 3*y^2 + 2*x + 3*y - 3",
+)
+
 class TestShapeLemma:
     """Zero sets read from one eliminant m(t), t = x - lam*y, with y a
     rational function of t on each part of m; every case is decided with
@@ -509,9 +520,8 @@ class TestShapeLemma:
         assert chains == [1] and tested == []
 
     def test_no_prs_wider_than_the_packed_pair(self, monkeypatch):
-        # the work count of a zero set on a dense degree-6 foliation with
-        # irrational zeros (`perfbench/gen.foliation_text(random.Random(1),
-        # 6)`): no PRS, in zpoly or in `_shape`, takes an operand wider than
+        # the work count of a zero set on the dense degree-6 foliation
+        # `DENSE_6`: no PRS, in zpoly or in `_shape`, takes an operand wider than
         # `_shape`'s packed Sylvester pair (350 bits, a (6, 6) pair).  A
         # characteristic polynomial per coordinate would run a 35 x 26 packed
         # PRS on operands of 1,916 bits, for seconds
@@ -527,17 +537,23 @@ class TestShapeLemma:
 
         spy(zpoly)
         spy(solve)
-        A = parse_polynomial(
-            "-3*x^6 - 3*x^5*y - x^4*y^2 - 3*x^3*y^3 + 2*x^2*y^4 - 2*x*y^5 + 3*y^6 - x^5 + x^4*y + 3*x^3*y^2"
-            " - 3*x^2*y^3 + 2*x*y^4 + y^5 + x^4 - 3*x^3*y + x^2*y^2 - 3*x*y^3 - 2*y^4 + x^3 + 3*x^2*y + x*y^2"
-            " + y^3 + x^2 - 3*x*y - y^2 - 3*x + 2*y - 2")
-        B = parse_polynomial(
-            "-2*x^6 - 3*x^5*y + 3*x^4*y^2 + 2*x^3*y^3 + x^2*y^4 - 3*x*y^5 - y^6 + x^5 - 2*x^4*y + 3*x^3*y^2"
-            " - 2*x^2*y^3 - x*y^4 - 2*y^5 + 2*x^4 + x^3*y + x^2*y^2 - 2*x*y^3 + 2*y^4 - 3*x^3 + 3*x^2*y + x*y^2"
-            " - 2*y^3 + 3*x^2 + x*y - 3*y^2 + 2*x + 3*y - 3")
-        zs = common_zeros([A, B])
+        zs = common_zeros(list(map(parse_polynomial, DENSE_6)))
         assert len(zs.rational) + len(zs.numeric) == 36 and zs.groups
         assert widths["solve"] and max(widths["zpoly"], default=0) <= max(widths["solve"])
+
+    def test_the_coprime_gcds_run_no_prs(self, monkeypatch):
+        # the work count of the same zero set: `_subresultants` runs twice,
+        # for `_shape`'s packed pair and for a resultant of the generators,
+        # both on the coefficients of degree-6 polynomials.  The square-free part
+        # of R (degree 36) and the split of its parts by s_(j,j) are gcds of
+        # 1 here, which one coprime image mod p proves with no PRS on R
+        sizes = []
+        for module in (zpoly, solve):
+            monkeypatch.setattr(module, "_subresultants",
+                                lambda a, b, real=module._subresultants: sizes.append((len(a), len(b))) or real(a, b))
+        zs = common_zeros(list(map(parse_polynomial, DENSE_6)))
+        assert len(zs.rational) + len(zs.numeric) == 36
+        assert sizes == [(7, 7), (7, 7)]
 
     def test_both_generators_singular_at_a_zero(self, monkeypatch):
         # the foliation of TestOneRationalCoordinate: A and B are both
