@@ -23,7 +23,6 @@ from .errors import (
     WebValidationError,
 )
 from .foliation import (
-    FoliationData,
     class_of_curve,
     classify_singularity,
     inflexion_divisor,
@@ -170,17 +169,12 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 def _as_web(obj) -> SymWeb:
     if isinstance(obj, SymWeb):
         return obj
-    if isinstance(obj, FoliationData):
-        return obj.as_web
     raise ParseError("this subcommand needs a web or foliation input")
 
 
-def _as_foliation(obj) -> FoliationData:
-    if isinstance(obj, FoliationData):
-        return obj
+def _as_foliation(obj) -> SymWeb:
     if isinstance(obj, SymWeb) and obj.k == 1:
-        coeffs = obj.coefficients()
-        return FoliationData(coeffs[1], -coeffs[0])
+        return obj
     raise ParseError("this subcommand needs a foliation (k = 1) input")
 
 

@@ -1,9 +1,10 @@
 """Foliation-specific analysis of polar curves.
 
 A foliation is the k = 1 web of a vector field A d/dx + B d/dy with coprime
-polynomial components.  This module computes the inflexion divisor, classifies
-singular points as quasi-radial or not through the first nonzero jet pair,
-proves the tangent-cone dichotomy of the polar at every singular point, the
+polynomial components, a `SymWeb` whose (A, B) is `SymWeb.field`.  This
+module computes the inflexion divisor, classifies singular points as
+quasi-radial or not through the first nonzero jet pair, proves the
+tangent-cone dichotomy of the polar at every singular point, the
 inflexion-at-center equivalence and the containment of every polar's singular
 points in the inflexion divisor by exact identities in the center of the
 polar family, and bounds the number of quasi-radial singularities by the
@@ -15,10 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInvariantError, PolynomialError, WebValidationError
+from .errors import InternalInvariantError, PolynomialError
 from .mpoly import (
     MPoly,
-    _rekey,
     exact_div,
     format_mpoly,
     jet_decompose,
@@ -39,64 +39,31 @@ X = MPoly.variable("x")
 Y = MPoly.variable("y")
 
 
-@dataclass
-class FoliationData:
-    """Vector field X = A d/dx + B d/dy with gcd(A, B) = 1."""
-
-    A: MPoly
-    B: MPoly
-    as_web: SymWeb
-    saturated: bool = False
-
-    def __init__(self, A: MPoly, B: MPoly):
-        if A.is_zero() and B.is_zero():
-            raise WebValidationError("zero vector field")
-        extra = (set(A.variables) | set(B.variables)) - {"x", "y"}
-        if extra:
-            raise WebValidationError(f"vector field involves {sorted(extra)}")
-        # the one gcd of the input; a zero component saturates the other
-        g = poly_gcd(A, B)
-        self.saturated = not g.is_constant()
-        if self.saturated:
-            A, B = exact_div(A, g), exact_div(B, g)
-        # A and B are coprime now, so the form needs no second gcd.  Its terms
-        # are those of A*dy - B*dx over (dx, dy, x, y), in that order.
-        terms = {(0, 1) + e: a for e, a in _rekey(A, ("x", "y")).items()}
-        terms.update({(1, 0) + e: -b for e, b in _rekey(B, ("x", "y")).items()})
-        form = MPoly._make(("dx", "dy", "x", "y"), terms)
-        self.A, self.B, self.as_web = A, B, SymWeb._trusted(form, 1)
-
-
 # ---------------------------------------------------------------------------
 # inflexion divisor
 # ---------------------------------------------------------------------------
 
 
-def inflexion_polynomial(fol: FoliationData) -> MPoly:
-    """B^2 A_y + A B A_x - A^2 B_x - A B B_y, not yet reduced."""
-    return inflexion_of_field(fol.A, fol.B)
-
-
-def inflexion_divisor(fol: FoliationData) -> PlaneCurve | None:
+def inflexion_divisor(web: SymWeb) -> PlaneCurve | None:
     """The curve of inflexion points of the leaves; None when it vanishes
     identically (every leaf is a line)."""
-    e = inflexion_polynomial(fol)
+    e = inflexion_of_field(*web.field)
     if e.is_zero():
         return None
     return PlaneCurve(e)
 
 
-def polar_sing_in_inflexion_check(fol: FoliationData) -> CheckReport:
+def polar_sing_in_inflexion_check(web: SymWeb) -> CheckReport:
     """Singular points of every polar lie on the inflexion divisor.
 
     One exact identity proves it at every center, so the check takes no
     sample: by `linear_identity`, q is singular on P_p only if
     M'(q)·(a, b, 1)^T = 0 for some center, so det M'(q) = -E(q) = 0."""
     report = CheckReport("sing-in-inflexion")
-    if inflexion_vanishes(fol.A, fol.B):
+    if inflexion_vanishes(*web.field):
         report.add("inflexion divisor", True, "identically zero: all leaves are lines; check skipped")
         return report
-    linear_identity(report, fol.as_web, fol.A, fol.B)
+    linear_identity(report, web)
     return report
 
 
@@ -118,14 +85,15 @@ class SingularityClass:
         return f"{kind} (first jet order {self.first_jet_order})"
 
 
-def classify_singularity(fol: FoliationData, q: AffinePoint) -> SingularityClass:
+def classify_singularity(web: SymWeb, q: AffinePoint) -> SingularityClass:
     """Quasi-radial iff the first nonzero jet pair is a multiple of the radial
     field: y*A_k - x*B_k = 0, i.e. A_k = x*P and B_k = y*P."""
     point = q.as_dict()
-    if fol.A.evaluate(point) != 0 or fol.B.evaluate(point) != 0:
+    A, B = web.field
+    if A.evaluate(point) != 0 or B.evaluate(point) != 0:
         raise PolynomialError(f"{q} is not a singular point of the foliation")
-    ja = jet_decompose(fol.A, ("x", "y"), (q.a, q.b))
-    jb = jet_decompose(fol.B, ("x", "y"), (q.a, q.b))
+    ja = jet_decompose(A, ("x", "y"), (q.a, q.b))
+    jb = jet_decompose(B, ("x", "y"), (q.a, q.b))
     k = min(ja.keys() | jb.keys())
     ak = ja.get(k, MPoly.zero())
     bk = jb.get(k, MPoly.zero())
@@ -145,15 +113,15 @@ def _next_order(jet: dict, k: int) -> dict:
             else jet[(0, k - 1)].derivative("y") * Fraction(1, k) for i in range(k + 1)}
 
 
-def classify_irrational(fol: FoliationData, groups: list[Group]) -> list[SingularityClass]:
+def classify_irrational(web: SymWeb, groups: list[Group]) -> list[SingularityClass]:
     """The exact classes of the irrational singular points, by `point_order`.
     Each group is split by gcds (dynamic evaluation: Della Dora, Dicrescenzo
     and Duval, EUROCAL '85) for k = 1, 2, ...: the Taylor coefficients of A
     and B of order k vanish at the points of order above k, and among those
     of order k, the coefficients of y*A_k - x*B_k at the quasi-radial ones."""
-    out = []
+    out, (A, B) = [], web.field
     for group in groups:
-        ja, jb, k = {(0, 0): fol.A}, {(0, 0): fol.B}, 0
+        ja, jb, k = {(0, 0): A}, {(0, 0): B}, 0
         while group.points:
             k += 1
             ja, jb = _next_order(ja, k), _next_order(jb, k)
@@ -184,7 +152,7 @@ def _dichotomy_note(report: CheckReport, where: str, cls: SingularityClass, tail
     return mult
 
 
-def tangent_cone_dichotomy(report: CheckReport, fol: FoliationData, q: AffinePoint) -> tuple[int, MPoly]:
+def tangent_cone_dichotomy(report: CheckReport, web: SymWeb, q: AffinePoint) -> tuple[int, MPoly]:
     """The tangent-cone dichotomy at a rational singular point q, for every
     center p off finitely many lines through q at once.
 
@@ -206,7 +174,7 @@ def tangent_cone_dichotomy(report: CheckReport, fol: FoliationData, q: AffinePoi
 
     Notes the case at q (s, t written x, y); returns the multiplicity of pq
     in the cone off the excluded centers, and Q or T."""
-    cls = classify_singularity(fol, q)
+    cls = classify_singularity(web, q)
     form = cls.radial_cofactor if cls.quasi_radial else cls.criterion
     return _dichotomy_note(report, str(q), cls, f" = {format_mpoly(form)}"), form
 
@@ -245,7 +213,7 @@ def _at_center(f: MPoly) -> MPoly:
     return f.substitute({"x": A_VAR, "y": B_VAR})
 
 
-def inflexion_lemma_check(fol: FoliationData) -> CheckReport:
+def inflexion_lemma_check(web: SymWeb) -> CheckReport:
     """p is an inflexion point of its own polar P_p iff p lies on E(F).
 
     One exact identity proves it at every regular p.  Let P(a, b; x, y) be
@@ -256,11 +224,11 @@ def inflexion_lemma_check(fol: FoliationData) -> CheckReport:
     web's form, so p is a smooth point of P_p and inflects exactly where that
     form vanishes, that is, on E(F)."""
     report = CheckReport("inflexion-lemma")
-    e = inflexion_polynomial(fol)
+    e = inflexion_of_field(*web.field)
     if e.is_zero():
         report.add("inflexion divisor", True, "identically zero (all leaves lines); check skipped")
         return report
-    P = polar_family(fol.as_web).parametric
+    P = polar_family(web).parametric
     px, py = P.derivative("x"), P.derivative("y")
     pxx, pxy, pyy = (_at_center(f) for f in (px.derivative("x"), px.derivative("y"), py.derivative("y")))
     u, v = -_at_center(py), _at_center(px)
@@ -352,15 +320,15 @@ def class_of_curve(curve: PlaneCurve) -> int:
 # ---------------------------------------------------------------------------
 
 
-def count_quasi_radial(fol: FoliationData) -> tuple[int, list[str]]:
+def count_quasi_radial(web: SymWeb) -> tuple[int, list[str]]:
     """(#quasi-radial singular points, descriptions)."""
-    sing = singular_set(fol.as_web)
-    classes = [(str(q), classify_singularity(fol, q)) for q in sing.rational]
-    classes += [(f"({c.point[0]:.5g},{c.point[1]:.5g})", c) for c in classify_irrational(fol, sing.groups)]
+    sing = singular_set(web)
+    classes = [(str(q), classify_singularity(web, q)) for q in sing.rational]
+    classes += [(f"({c.point[0]:.5g},{c.point[1]:.5g})", c) for c in classify_irrational(web, sing.groups)]
     return sum(c.quasi_radial for _, c in classes), [f"{w}: {c}" for w, c in classes]
 
 
-def quasi_radial_bound_check(fol: FoliationData) -> CheckReport:
+def quasi_radial_bound_check(web: SymWeb) -> CheckReport:
     """#Sing_QR <= class(P_p) - 1 for the generic center p, by one exact
     witness on the walk of `_full_polars`, which raises when it finds none.
 
@@ -374,13 +342,13 @@ def quasi_radial_bound_check(fol: FoliationData) -> CheckReport:
     tangents of the P_t.  So class(P_0) <= c, and one center with
     #QR <= class - 1 proves the bound; any other center is special."""
     report = CheckReport("qr-bound")
-    if inflexion_vanishes(fol.A, fol.B):
+    if inflexion_vanishes(*web.field):
         report.add("inflexion divisor", True, "identically zero; bound check skipped (degenerate)")
         return report
-    qr, descriptions = count_quasi_radial(fol)
+    qr, descriptions = count_quasi_radial(web)
     report.notes.extend(descriptions)
     # E ≢ 0, so d >= 1 and each polar of the walk is reduced of degree >= 2
-    for p, curve, _ in _full_polars(report, fol.as_web, "qr-bound", f"class >= #QR + 1 = {qr + 1}"):
+    for p, curve, _ in _full_polars(report, web, "qr-bound", f"class >= #QR + 1 = {qr + 1}"):
         cls = class_of_curve(curve)
         if qr <= cls - 1:
             report.add(f"#Sing_QR <= class(P_p) - 1 at p={p}", True, f"#QR = {qr}, class = {cls}")
@@ -388,15 +356,15 @@ def quasi_radial_bound_check(fol: FoliationData) -> CheckReport:
         report.note(f"special center {p}: class {cls} < #QR + 1")
 
 
-def tangent_cone_dichotomy_check(fol: FoliationData) -> CheckReport:
+def tangent_cone_dichotomy_check(web: SymWeb) -> CheckReport:
     """`tangent_cone_dichotomy` at every affine singular point; no sample."""
     report = CheckReport("qr-dichotomy")
-    linear_identity(report, fol.as_web, fol.A, fol.B)
-    sing = singular_set(fol.as_web)
+    linear_identity(report, web)
+    sing = singular_set(web)
     if sing.is_empty():
         report.note("the foliation has no affine singular points")
     for q in sing.rational:
-        tangent_cone_dichotomy(report, fol, q)
-    for cls in classify_irrational(fol, sing.groups):
+        tangent_cone_dichotomy(report, web, q)
+    for cls in classify_irrational(web, sing.groups):
         tangent_cone_dichotomy_numeric(report, cls)
     return report

@@ -31,7 +31,7 @@ from .polarops import RadialProduct, curve_component_count, polar_curve
 from .reports import CheckReport
 from .sampling import GenericSampler, sample_centers
 from .solve import AffinePoint, Group, common_zeros, rational_split, split
-from .webmodel import PlaneCurve, singular_set
+from .webmodel import PlaneCurve, SymWeb, singular_set
 from .zpoly import _common_factor, _int_prem, _mul, _sub
 
 X = MPoly.variable("x")
@@ -503,10 +503,10 @@ def genus_of_curve(curve: PlaneCurve, include_infinity: bool = True) -> int:
 # ---------------------------------------------------------------------------
 
 
-def equisingularity_check(fol, seed: int = 0, samples: int = 10) -> CheckReport:
+def equisingularity_check(web: SymWeb, seed: int = 0, samples: int = 10) -> CheckReport:
     """Constancy of the embedded-topology fingerprints of the generic polar
-    at each of its singular points, across seeded generic centers."""
-    web = fol.as_web
+    of a foliation's 1-web at each of its singular points, across seeded
+    generic centers."""
     report = CheckReport("equisingularity", seed=seed, samples_requested=samples)
     report.note(
         "equisingularity proxy: (m, mu, r, delta, multiplicity sequence, tangent cone pattern)"
@@ -549,9 +549,9 @@ def equisingularity_check(fol, seed: int = 0, samples: int = 10) -> CheckReport:
     return report
 
 
-def genus_constancy_check(fol, seed: int = 0, samples: int = 5) -> CheckReport:
-    """Genus of the generic polar is the same for every generic center."""
-    web = fol.as_web
+def genus_constancy_check(web: SymWeb, seed: int = 0, samples: int = 5) -> CheckReport:
+    """Genus of the generic polar of a foliation's 1-web is the same for
+    every generic center."""
     report = CheckReport("genus-constancy", seed=seed, samples_requested=samples)
 
     def admissible(p):

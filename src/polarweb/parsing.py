@@ -40,7 +40,6 @@ import sys
 from fractions import Fraction
 
 from .errors import ParseError, WebValidationError
-from .foliation import FoliationData
 from .mpoly import MPoly, _add_into, _as_rational, _mul_terms, _nonzero
 from .webmodel import AffinePoint, PlaneCurve, SymWeb
 
@@ -258,7 +257,7 @@ def parse_point(text: str) -> AffinePoint:
     return AffinePoint(frac(parts[0]), frac(parts[1]))
 
 
-def parse_input_text(text: str) -> tuple[SymWeb | FoliationData | PlaneCurve, list[str]]:
+def parse_input_text(text: str) -> tuple[SymWeb | PlaneCurve, list[str]]:
     """Parse a web/foliation/curve description; returns (object, warnings)."""
     fields: dict[str, tuple[str, int]] = {}
     declared: str | None = None
@@ -317,12 +316,11 @@ def parse_input_text(text: str) -> tuple[SymWeb | FoliationData | PlaneCurve, li
             extra = set(poly.variables) - {"x", "y"}
             if extra:
                 raise ParseError(f"vector field involves {sorted(extra)}", line=lineno)
-        fol = FoliationData(A, B)
-        if fol.saturated:
-            warnings.append(
-                f"gcd(A, B) was not constant; saturated to A={fol.A}, B={fol.B}"
-            )
-        return fol, warnings
+        web = SymWeb.of_field(A, B)
+        if web.common_factor is not None:
+            A, B = web.field
+            warnings.append(f"gcd(A, B) was not constant; saturated to A={A}, B={B}")
+        return web, warnings
     value, lineno = fields["form"]
     poly = parse_polynomial(value, lineno)
     try:
@@ -339,6 +337,6 @@ def parse_input_text(text: str) -> tuple[SymWeb | FoliationData | PlaneCurve, li
     return web, warnings
 
 
-def parse_input(path: str) -> tuple[SymWeb | FoliationData | PlaneCurve, list[str]]:
+def parse_input(path: str) -> tuple[SymWeb | PlaneCurve, list[str]]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_input_text(fh.read())

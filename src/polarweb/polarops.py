@@ -542,7 +542,7 @@ def inflexion_vanishes(A: MPoly, B: MPoly) -> bool:
     return inflexion_of_field(A, B).is_zero()
 
 
-def linear_identity(report: CheckReport, web: SymWeb, A: MPoly, B: MPoly) -> None:
+def linear_identity(report: CheckReport, web: SymWeb) -> None:
     """Assert that the polar family of the 1-web A*dy - B*dx is linear in
     the center, P = c·(aB - bA + Ay - Bx) with c a nonzero rational.
 
@@ -550,6 +550,7 @@ def linear_identity(report: CheckReport, web: SymWeb, A: MPoly, B: MPoly) -> Non
     the coefficients of P, P_x and P_y in (a, b, 1).  Adding x·column 1 +
     y·column 2 to column 3 gives M' = [[B, -A, 0], [B_x, -A_x, -B],
     [B_y, -A_y, A]], and det M' = -E for every A and B."""
+    A, B = web.field
     c = _proportionality(A * (Y - B_VAR) - B * (X - A_VAR), polar_family(web).parametric)
     report.add("P = c·(aB - bA + Ay - Bx)", c is not None,
                f"c = {c}" if c is not None else "the polar family is not linear in the center")
@@ -572,10 +573,9 @@ def _foliation_polar_singularities(web: SymWeb) -> CheckReport:
     c·(x - x0, y - y0).  So deg_(x,y) P = 1, which the check asserts
     (`polar_top`), and as P_p(p) = 0 every polar is a line through p or
     zero: Z is empty.  The notes list Z."""
-    b, a = web.coefficients()  # the form is A*dy - B*dx
-    A, B = a, -b
+    A, B = web.field
     report = CheckReport("polar-singular-locus")
-    linear_identity(report, web, A, B)
+    linear_identity(report, web)
     if inflexion_vanishes(A, B):
         degree, _ = polar_top(web)
         report.add("E ≡ 0: deg_(x,y) P(a, b; x, y) = 1", degree == 1, f"degree {degree}: every polar is a line or 0")

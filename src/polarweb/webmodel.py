@@ -23,6 +23,7 @@ from .mpoly import (
     binary_form_degree,
     exact_div,
     gcd_fold,
+    poly_gcd,
     squarefree_part,
 )
 from .solve import AffinePoint, ZeroSet, common_zeros, univariate_root_split
@@ -143,17 +144,53 @@ class SymWeb:
         self._degree: int | None = None
 
     @classmethod
-    def _trusted(cls, form: MPoly, k: int) -> "SymWeb":
+    def _trusted(cls, form: MPoly, k: int, common_factor: MPoly | None = None) -> "SymWeb":
         """The web of a form already known to be valid; nothing is checked."""
         web = object.__new__(cls)
-        web._set_form(form, k)
+        web._set_form(form, k, common_factor)
         return web
+
+    @classmethod
+    def of_field(cls, A: MPoly, B: MPoly) -> "SymWeb":
+        """The foliation of the vector field A d/dx + B d/dy: the 1-web of
+        A*dy - B*dx, with gcd(A, B) divided out as its `common_factor`."""
+        if A.is_zero() and B.is_zero():
+            raise WebValidationError("zero vector field")
+        extra = (set(A.variables) | set(B.variables)) - {"x", "y"}
+        if extra:
+            raise WebValidationError(f"vector field involves {sorted(extra)}")
+        # the one gcd of the input; a zero component saturates the other
+        g = poly_gcd(A, B)
+        if g.is_constant():
+            g = None
+        else:
+            A, B = exact_div(A, g), exact_div(B, g)
+        # A and B are coprime now, so the form needs no second gcd.  Its terms
+        # are those of A*dy - B*dx over (dx, dy, x, y), in that order.
+        terms = {(0, 1) + e: a for e, a in _rekey(A, ("x", "y")).items()}
+        terms.update({(1, 0) + e: -b for e, b in _rekey(B, ("x", "y")).items()})
+        return cls._trusted(MPoly._make(("dx", "dy", "x", "y"), terms), 1, g)
 
     # -- structure -----------------------------------------------------------
 
     def coefficients(self) -> list[MPoly]:
         """a_i(x, y) with form = sum a_i dx^(k-i) dy^i, ascending in dy."""
         return _dxdy_coefficients(self.form, self.k)
+
+    @cached_property
+    def field(self) -> tuple[MPoly, MPoly]:
+        """(A, B) of a 1-web's vector field A d/dx + B d/dy, its form being
+        A*dy - B*dx: (a_1, -a_0) of the canonical form, whatever the input's
+        spelling, by one pass over the form's terms."""
+        if self.k != 1:
+            raise WebValidationError(f"a vector field is a 1-web, not a {self.k}-web")
+        A, B = {}, {}
+        for (u, _, i, j), c in _rekey(self.form, ("dx", "dy", "x", "y")).items():
+            if u:
+                B[i, j] = -c
+            else:
+                A[i, j] = c
+        return MPoly._make(("x", "y"), A), MPoly._make(("x", "y"), B)
 
     @cached_property
     def discriminant_form(self) -> MPoly:

@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from math import comb, prod
 
-from polarweb import AffinePoint, FoliationData, MPoly, SymWeb, polar_curve, web_degree
+from polarweb import AffinePoint, MPoly, SymWeb, polar_curve, web_degree
 
 X = MPoly.variable("x")
 Y = MPoly.variable("y")
@@ -61,13 +61,13 @@ def divisibility_multiplicity(f: MPoly, g: MPoly) -> int:
     return m
 
 
-def cone_multiplicity(fol: FoliationData, q: AffinePoint, p: AffinePoint) -> int:
+def cone_multiplicity(fol: SymWeb, q: AffinePoint, p: AffinePoint) -> int:
     """Multiplicity of the line pq in the tangent cone of the polar P_p at a
     rational singular point q, from the jets of P_p at q, one center at a
     time: the reference that the dichotomy's identity is checked against."""
     from polarweb.mpoly import jet_decompose
 
-    jets = jet_decompose(polar_curve(fol.as_web, p).raw, ("x", "y"), (q.a, q.b))
+    jets = jet_decompose(polar_curve(fol, p).raw, ("x", "y"), (q.a, q.b))
     line = MPoly.constant(p.b - q.b) * X - MPoly.constant(p.a - q.a) * Y
     return divisibility_multiplicity(jets[min(jets)], line)
 
@@ -92,13 +92,13 @@ def _float_clean(terms: dict, tol: float = 1e-8) -> dict:
     return {e: c / norm for e, c in terms.items() if abs(c) > tol * norm}
 
 
-def numeric_cone_multiplicity(fol: FoliationData, q: tuple[complex, complex], p: AffinePoint,
+def numeric_cone_multiplicity(fol: SymWeb, q: tuple[complex, complex], p: AffinePoint,
                               tol: float = 1e-6) -> int:
     """The same multiplicity at an irrational q, in floats: the order at
     tau = 0 of C(v + tau*w), C the cone of P_p at q, v = p - q and w a unit
     vector off v, counted as the Taylor coefficients below tol relative to
     the cone."""
-    terms = _float_clean(_float_shift(polar_curve(fol.as_web, p).raw, q))
+    terms = _float_clean(_float_shift(polar_curve(fol, p).raw, q))
     order = min(i + j for i, j in terms)
     v = (complex(p.a) - q[0], complex(p.b) - q[1])
     along_x = abs(v[1]) >= abs(v[0])  # w = (1, 0), else (0, 1)
@@ -113,7 +113,7 @@ def numeric_cone_multiplicity(fol: FoliationData, q: tuple[complex, complex], p:
     return next(m for m, t in enumerate(taylor) if abs(t) > tol * scale)
 
 
-def rational_dichotomy_mismatches(fol: FoliationData, q: AffinePoint, seed: int, centers: int) -> list[tuple]:
+def rational_dichotomy_mismatches(fol: SymWeb, q: AffinePoint, seed: int, centers: int) -> list[tuple]:
     """(q, p, multiplicity the dichotomy claims, multiplicity of the cone)
     for each of `centers` seeded centers p off the lines that the dichotomy
     excludes at the rational singular point q where the two differ; p is
@@ -130,7 +130,7 @@ def rational_dichotomy_mismatches(fol: FoliationData, q: AffinePoint, seed: int,
     return out + [(q, None, mult, None)] * (len(admitted) < centers)
 
 
-def dichotomy_mismatches(fol: FoliationData, seed: int, centers: int) -> list[tuple]:
+def dichotomy_mismatches(fol: SymWeb, seed: int, centers: int) -> list[tuple]:
     """`rational_dichotomy_mismatches` at every affine singular point; at an
     irrational one, classified exactly on its group, the first `centers`
     seeded centers against the cone in floats."""
@@ -139,7 +139,7 @@ def dichotomy_mismatches(fol: FoliationData, seed: int, centers: int) -> list[tu
     from polarweb.sampling import GenericSampler
     from polarweb.webmodel import singular_set
 
-    sing = singular_set(fol.as_web)
+    sing = singular_set(fol)
     out = [m for q in sing.rational for m in rational_dichotomy_mismatches(fol, q, seed, centers)]
     for cls in classify_irrational(fol, sing.groups):
         q = cls.point
@@ -154,11 +154,11 @@ def dichotomy_mismatches(fol: FoliationData, seed: int, centers: int) -> list[tu
 class Entry:
     name: str
     web: SymWeb
-    foliation: FoliationData | None
+    foliation: SymWeb | None  # the web itself when k = 1
     is_radial_pencil: bool = False
 
 
-def random_foliation(seed: int, max_degree: int = 3) -> FoliationData:
+def random_foliation(seed: int, max_degree: int = 3) -> SymWeb:
     """Seeded random vector field with small integer coefficients."""
     rng = random.Random(seed)
     monos = [
@@ -180,9 +180,9 @@ def random_foliation(seed: int, max_degree: int = 3) -> FoliationData:
         A, B = poly(), poly()
         if A.is_zero() or B.is_zero():
             continue
-        fol = FoliationData(A, B)
+        fol = SymWeb.of_field(A, B)
         try:
-            d = web_degree(fol.as_web)
+            d = web_degree(fol)
         except Exception:
             continue
         if d >= 1:
@@ -197,33 +197,28 @@ def build_battery() -> list[Entry]:
     sup1 = SymWeb(w_radial.form * DX)
     sup2 = SymWeb(w_circles.form * w_sqrt.form)
     sup3 = SymWeb(DX * DY * w_radial.form)
-    fol_squares = FoliationData(X**2, Y**2)
-    fol_hamiltonian = FoliationData(2 * Y, 3 * X**2)
-    fol_qr = FoliationData(X - Y**2, Y + X**2)
-    fol_saddle = FoliationData(X, -Y + X**2)
+    fol_squares = SymWeb.of_field(X**2, Y**2)
+    fol_hamiltonian = SymWeb.of_field(2 * Y, 3 * X**2)
+    fol_qr = SymWeb.of_field(X - Y**2, Y + X**2)
+    fol_saddle = SymWeb.of_field(X, -Y + X**2)
     fol_rand1 = random_foliation(101, max_degree=2)
     fol_rand2 = random_foliation(202, max_degree=3)
     entries = [
         Entry("product dx*dy", w_product, None),
-        Entry("radial pencil", w_radial, _as_fol(w_radial), is_radial_pencil=True),
-        Entry("circle pencil x*dx+y*dy", w_circles, _as_fol(w_circles)),
+        Entry("radial pencil", w_radial, w_radial, is_radial_pencil=True),
+        Entry("circle pencil x*dx+y*dy", w_circles, w_circles),
         Entry("sqrt web dy^2-x*dx^2", w_sqrt, None),
         Entry("radial x vertical", sup1, None),
         Entry("circles x sqrt (k=3)", sup2, None),
         Entry("triple product (k=3)", sup3, None),
-        Entry("A=x^2 B=y^2", fol_squares.as_web, fol_squares),
-        Entry("A=2y B=3x^2", fol_hamiltonian.as_web, fol_hamiltonian),
-        Entry("quasi-radial perturbation", fol_qr.as_web, fol_qr),
-        Entry("saddle perturbation", fol_saddle.as_web, fol_saddle),
-        Entry("random foliation #1", fol_rand1.as_web, fol_rand1),
-        Entry("random foliation #2", fol_rand2.as_web, fol_rand2),
+        Entry("A=x^2 B=y^2", fol_squares, fol_squares),
+        Entry("A=2y B=3x^2", fol_hamiltonian, fol_hamiltonian),
+        Entry("quasi-radial perturbation", fol_qr, fol_qr),
+        Entry("saddle perturbation", fol_saddle, fol_saddle),
+        Entry("random foliation #1", fol_rand1, fol_rand1),
+        Entry("random foliation #2", fol_rand2, fol_rand2),
     ]
     return entries
-
-
-def _as_fol(web: SymWeb) -> FoliationData:
-    coeffs = web.coefficients()
-    return FoliationData(coeffs[1], -coeffs[0])
 
 
 BATTERY = build_battery()

@@ -140,12 +140,12 @@ MUTANTS = [
      "if True:",
      "tests/test_cli.py::TestFuzz::test_the_argv_reader_agrees_with_argparse"),
     # the foliation form with dx and dy swapped: A*dx - B*dy
-    ("foliation.py",
+    ("webmodel.py",
      "terms = {(0, 1) + e: a for e, a in _rekey(A, (\"x\", \"y\")).items()}\n"
      "        terms.update({(1, 0) + e:",
      "terms = {(1, 0) + e: a for e, a in _rekey(A, (\"x\", \"y\")).items()}\n"
      "        terms.update({(0, 1) + e:",
-     "tests/test_foliation.py::TestFoliationData::test_form_is_a_dy_minus_b_dx"),
+     "tests/test_foliation.py::TestOfField::test_form_is_a_dy_minus_b_dx"),
     # every shear taken as separating: on the sqrt 2 grid, lam = 1 puts two
     # zeros on one t, and their y would be read as the mean of the two
     ("solve.py",

@@ -14,7 +14,6 @@ from battery import BATTERY, FOLIATIONS, DX, DY, X, Y, dichotomy_mismatches, non
 from polarweb import (
     AffinePoint,
     CurveGerm,
-    FoliationData,
     MPoly,
     PlaneCurve,
     RadialProduct,
@@ -183,9 +182,9 @@ def test_criterion_08_irreducibility():
 def test_criterion_09_inflexion_divisor():
     """E(F) formulas on three fixed foliations; Sing(P_p) ⊆ E(F) by one identity."""
     one = MPoly.constant(1)
-    e1 = inflexion_divisor(FoliationData(one, X**2))
-    e2 = inflexion_divisor(FoliationData(one, Y))
-    e3 = inflexion_divisor(FoliationData(X, Y))
+    e1 = inflexion_divisor(SymWeb.of_field(one, X**2))
+    e2 = inflexion_divisor(SymWeb.of_field(one, Y))
+    e3 = inflexion_divisor(SymWeb.of_field(X, Y))
     ok = e1.defining == X.canonical() and e2.defining == Y.canonical() and e3 is None
     for entry in FOLIATIONS:
         report = polar_sing_in_inflexion_check(entry.foliation)

@@ -10,12 +10,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from battery import to_sympy
-from polarweb import FoliationData, MPoly, PlaneCurve, SymWeb
+from polarweb import MPoly, PlaneCurve, SymWeb
 from polarweb.cli import CHECKS, _as_foliation, _as_web, run_command
 from polarweb.errors import ParseError
+from polarweb.mpoly import poly_gcd
 from polarweb.parsing import VARIABLES, parse_input_text, parse_point, parse_polynomial
 
 HERE = Path(__file__).parent
@@ -225,45 +226,46 @@ class TestInputFiles:
         assert isinstance(obj, SymWeb) and obj.k == 2 and not warnings
 
     def test_foliation_vector_field_saturated(self):
+        # x times the radial field, read back from the canonical form
+        # y*dx - x*dy
         obj, warnings = parse_input_text("type: foliation\nA: x^2\nB: x*y\n")
-        assert isinstance(obj, FoliationData)
-        assert obj.A == x and obj.B == y
-        assert any("saturated" in w for w in warnings)
+        assert isinstance(obj, SymWeb) and obj.k == 1 and obj.common_factor == x
+        assert obj.field == (-x, -y)
+        assert warnings == ["gcd(A, B) was not constant; saturated to A=-x, B=-y"]
 
     @pytest.mark.parametrize("a,b,expect_a,expect_b", [
         ("0", "x^3", 0, 1), ("x^2", "0", 1, 0), ("0", "-2*x*y + 2*y", 0, -2), ("0", "3", 0, 3)])
     def test_foliation_with_a_zero_component(self, a, b, expect_a, expect_b):
-        # a zero component is saturated like any other common factor
+        # a zero component is saturated like any other common factor, to the
+        # web of the constant field (expect_a, expect_b), whose canonical form
+        # dy or dx reads back as (1, 0) or (0, -1)
         obj, warnings = parse_input_text(f"type: foliation\nA: {a}\nB: {b}\n")
-        assert (obj.A, obj.B) == (MPoly.constant(expect_a), MPoly.constant(expect_b))
-        assert obj.saturated == (b != "3")
-        assert warnings == ([f"gcd(A, B) was not constant; saturated to A={expect_a}, B={expect_b}"]
-                            if obj.saturated else [])
+        assert obj.form == SymWeb.of_field(MPoly.constant(expect_a), MPoly.constant(expect_b)).form
+        assert obj.field == ((1, 0) if expect_a else (0, -1))
+        assert (obj.common_factor is not None) == (b != "3")
+        assert warnings == ([f"gcd(A, B) was not constant; saturated to A={obj.field[0]}, B={obj.field[1]}"]
+                            if obj.common_factor is not None else [])
 
     def test_foliation_as_form(self):
-        # a form is read as a 1-web, which the foliation checks convert
+        # a form is read as a 1-web, which the foliation checks take as it is
         web, warnings = parse_input_text("type: foliation\nform: x*dy - y*dx\n")
         assert isinstance(web, SymWeb) and web.k == 1 and not warnings
-        obj = _as_foliation(web)
-        # the radial field, up to the canonical-sign normalization of the form
-        assert obj.A * y - obj.B * x == 0 and not obj.A.is_zero()
+        # the radial field, in the orientation of the canonical form y*dx - x*dy
+        assert _as_foliation(web) is web and web.field == (-x, -y)
 
     def test_foliation_as_form_with_a_common_factor(self):
         web, warnings = parse_input_text("type: foliation\nform: x^2*dy - x*y*dx\n")
-        obj = _as_foliation(web)
-        assert isinstance(obj, FoliationData) and not obj.saturated
-        assert obj.A * y - obj.B * x == 0 and obj.A.total_degree() == 1
-        # the form is saturated once, before the vector field is built
+        assert _as_foliation(web) is web and web.field == (-x, -y)
+        # the form is saturated once, and its field is read from the result
         assert len(warnings) == 1 and warnings[0].startswith("form coefficients were not coprime")
 
     def test_a_foliation_reads_the_same_in_every_spelling(self, tmp_path):
         # A d/dx + B d/dy is the form A*dy - B*dx, as a foliation or a 1-web;
-        # a parsed form is made canonical and A, B are kept as given, so B is
-        # written 1 - x*y, which gives the form its canonical sign (with
-        # x*y - 1 the polar family's constant c would be 1 here and -1 there)
-        texts = ["type: foliation\nA: x^2 + y^2 - 3\nB: 1 - x*y\n",
-                 "type: foliation\nform: (x^2 + y^2 - 3)*dy - (1 - x*y)*dx\n",
-                 "type: web\nform: (x^2 + y^2 - 3)*dy - (1 - x*y)*dx\n"]
+        # every spelling reads (A, B) back from the canonical form, so the
+        # polar family's constant c is the same in each
+        texts = ["type: foliation\nA: x^2 + y^2 - 3\nB: x*y - 1\n",
+                 "type: foliation\nform: (x^2 + y^2 - 3)*dy - (x*y - 1)*dx\n",
+                 "type: web\nform: (x^2 + y^2 - 3)*dy - (x*y - 1)*dx\n"]
         for argv in (["singular"], ["check", "--theorem", "qr-dichotomy"]):
             bodies = []
             for i, text in enumerate(texts):
@@ -274,6 +276,31 @@ class TestInputFiles:
                 assert code == 0, out
                 bodies.append((doc["output"], doc["report"]))
             assert bodies[0] == bodies[1] == bodies[2]
+
+    QUADRATIC_MONOMIALS = [(i, j) for i in range(3) for j in range(3 - i)]
+
+    @given(st.lists(st.integers(-3, 3), min_size=12, max_size=12),
+           st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]))
+    @settings(max_examples=30, deadline=None)
+    def test_a_scaled_field_reads_as_its_form(self, tmp_path_factory, drawn, scale):
+        # coprime (A, B) of degree <= 2: the A/B spelling of (lam·A, lam·B)
+        # and the form spelling of (A, B) are one foliation, and every
+        # foliation report prints the same body for both
+        A, B = (sum((c * x**i * y**j for (i, j), c in zip(self.QUADRATIC_MONOMIALS, cs)), MPoly.zero())
+                for cs in (drawn[:6], drawn[6:]))
+        assume(not (A.is_zero() and B.is_zero()) and poly_gcd(A, B).is_constant())
+        spellings = [f"type: foliation\nA: {scale * A}\nB: {scale * B}\n",
+                     f"type: foliation\nform: ({A})*dy - ({B})*dx\n"]
+        paths = [tmp_path_factory.mktemp("spelling") / "fol.txt" for _ in spellings]
+        for path, text in zip(paths, spellings):
+            path.write_text(text)
+        for argv in (["singular"], ["inflexion"], *(["check", "--theorem", t] for t in
+                                                    ("inflexion-lemma", "sing-in-E", "qr-dichotomy", "qr-bound"))):
+            bodies = []
+            for path in paths:
+                code, out = run_command([argv[0], "--in", str(path), *argv[1:]])
+                bodies.append((code, _body(out).replace(str(path), "IN")))
+            assert bodies[0] == bodies[1], argv
 
     def test_curve(self):
         obj, _ = parse_input_text("type: curve\nf: y^2 - x^3\n")
@@ -563,7 +590,7 @@ class TestExitCodes:
 
 class TestFrontEndWork:
     """Deterministic work counts of reading an input: one trusted MPoly
-    construction per parsed polynomial, one gcd per `A:`/`B:` foliation input."""
+    construction per parsed polynomial, one gcd per foliation input."""
 
     TEN_TERMS = "3*x^3 - 2*x^2*y + x*y^2 - 5*y^3 + 4*x^2 - x*y + 7*y^2 - 6*x + 2*y - 9"
 
@@ -577,16 +604,18 @@ class TestFrontEndWork:
             assert len(calls) == 1 and len(f.terms) >= 10
 
     @pytest.fixture()
-    def gcd_calls(self, monkeypatch):
+    def work(self, monkeypatch):
+        """The gcds that reading an input takes, and the `SymWeb.__init__`
+        and `MPoly.__mul__` calls made outside them."""
         from polarweb import mpoly
 
-        calls = []
+        work = {"gcds": [], "inits": 0, "muls": 0}
         depth = [0]
         original = mpoly.poly_gcd
 
         def counting(f, g):
             if not depth[0]:
-                calls.append((f, g))
+                work["gcds"].append((f, g))
             depth[0] += 1
             try:
                 return original(f, g)
@@ -598,23 +627,32 @@ class TestFrontEndWork:
         for name, module in list(sys.modules.items()):
             if name.startswith("polarweb.") and getattr(module, "poly_gcd", None) is original:
                 monkeypatch.setattr(module, "poly_gcd", counting)
-        return calls
+        for owner, attr, key in ((SymWeb, "__init__", "inits"), (MPoly, "__mul__", "muls"),
+                                 (MPoly, "__rmul__", "muls")):
+            def outside_gcds(*args, method=getattr(owner, attr), key=key):
+                work[key] += not depth[0]
+                return method(*args)
+            monkeypatch.setattr(owner, attr, outside_gcds)
+        return work
 
-    @pytest.mark.parametrize("text, gcds", [
-        ("type: foliation\nA: x^2 + y - 1\nB: x*y + 2\n", 1),
-        ("type: foliation\nA: x^2 - x\nB: x*y\n", 1),
-        # a form is checked as a web first, then as a vector field
-        ("type: foliation\nform: (x^2 + y - 1)*dy - (x*y + 2)*dx\n", 2),
-        ("type: web\nform: (x^2 + y - 1)*dy - (x*y + 2)*dx\n", 2),
+    @pytest.mark.parametrize("text, inits", [
+        ("type: foliation\nA: x^2 + y - 1\nB: x*y + 2\n", 0),
+        ("type: foliation\nA: x^2 - x\nB: x*y\n", 0),
+        # a form is checked as a web once, and the foliation checks take it
+        ("type: foliation\nform: (x^2 + y - 1)*dy - (x*y + 2)*dx\n", 1),
+        ("type: web\nform: (x^2 + y - 1)*dy - (x*y + 2)*dx\n", 1),
     ])
-    def test_one_gcd_per_foliation_input(self, gcd_calls, text, gcds):
-        fol = _as_foliation(parse_input_text(text)[0])
-        assert len(gcd_calls) == gcds
-        assert fol.as_web.form == (fol.A * dy - fol.B * dx).canonical()
+    def test_one_gcd_per_foliation_input(self, work, text, inits):
+        web = _as_foliation(parse_input_text(text)[0])
+        A, B = web.field
+        # an A/B input builds its form term by term, with no product and no
+        # validating construction
+        assert (len(work["gcds"]), work["inits"], work["muls"]) == (1, inits, 0)
+        assert web.form == A * dy - B * dx
 
-    def test_a_saturated_form_takes_its_gcds_once(self, gcd_calls):
+    def test_a_saturated_form_takes_its_gcds_once(self, work):
         web, warnings = parse_input_text("type: web\nform: (x^2 - y)*(x*dy^2 + y*dx*dy - dx^2)\n")
-        assert len(gcd_calls) == 2
+        assert len(work["gcds"]) == 2
         assert web.form == (x * dy**2 + y * dx * dy - dx**2).canonical()
         assert warnings == ["form coefficients were not coprime; saturated "
                             "(coefficients share the factor x^2 - y; the singular set is a curve)"]

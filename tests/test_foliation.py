@@ -21,9 +21,9 @@ from battery import (
 )
 from polarweb import (
     AffinePoint,
-    FoliationData,
     MPoly,
     PlaneCurve,
+    SymWeb,
     class_of_curve,
     classify_singularity,
     inflexion_divisor,
@@ -39,15 +39,14 @@ from polarweb.foliation import (
     classify_irrational,
     count_quasi_radial,
     inflexion_lemma_check,
-    inflexion_polynomial,
     polar_sing_in_inflexion_check,
     quasi_radial_bound_check,
     tangent_cone_dichotomy,
 )
-from polarweb.mpoly import gcd_fold, jet_decompose, proper_shears, resultant, shear
+from polarweb.mpoly import exact_div, gcd_fold, jet_decompose, proper_shears, resultant, shear
 from polarweb.reports import CheckReport
 from polarweb.sampling import GenericSampler
-from polarweb.polarops import A_VAR, B_VAR, RadialProduct
+from polarweb.polarops import A_VAR, B_VAR, RadialProduct, inflexion_of_field
 from polarweb.webmodel import singular_set
 
 one = MPoly.constant(1)
@@ -63,59 +62,65 @@ def subs(f: MPoly, assignments) -> MPoly:
     return f.substitute(use) if use else f
 
 
-class TestFoliationData:
+class TestOfField:
     def test_saturation(self):
-        fol = FoliationData(X**2, X * Y)
-        assert fol.saturated
-        assert fol.A == X and fol.B == Y
+        # x^2 d/dx + xy d/dy is x times the radial field, whose form x*dy - y*dx
+        # has a negative leading coefficient: the field reads back as -(x, y)
+        fol = SymWeb.of_field(X**2, X * Y)
+        assert fol.common_factor == X
+        assert fol.field == (-X, -Y)
 
     def test_zero_field_rejected(self):
         with pytest.raises(WebValidationError):
-            FoliationData(MPoly.zero(), MPoly.zero())
+            SymWeb.of_field(MPoly.zero(), MPoly.zero())
 
     def test_degree(self):
-        assert web_degree(FoliationData(X**2, Y**2).as_web) == 2
-        assert web_degree(FoliationData(2 * Y, 3 * X**2).as_web) == 2
+        assert web_degree(SymWeb.of_field(X**2, Y**2)) == 2
+        assert web_degree(SymWeb.of_field(2 * Y, 3 * X**2)) == 2
 
     @pytest.mark.parametrize("A, B", [
-        *[pytest.param(e.foliation.A, e.foliation.B, id=e.name) for e in BATTERY if e.foliation is not None],
+        *[pytest.param(*e.foliation.field, id=e.name) for e in BATTERY if e.foliation is not None],
         pytest.param((X**2 - Y) * (3 * X + Y**2 - 1), (X**2 - Y) * (2 * X * Y - 5), id="saturated"),
         pytest.param(MPoly.constant(1), MPoly.zero(), id="A=1 B=0"),
         pytest.param(MPoly.zero(), 2 * X, id="A=0 B=2x"),
     ])
     def test_form_is_a_dy_minus_b_dx(self, A, B):
-        fol = FoliationData(A, B)
-        want = (fol.A * DY - fol.B * DX).canonical()
+        fol = SymWeb.of_field(A, B)
+        if fol.common_factor is not None:
+            A, B = exact_div(A, fol.common_factor), exact_div(B, fol.common_factor)
+        want = (A * DY - B * DX).canonical()
         # the same terms in the operators' order
-        assert list(fol.as_web.form.terms.items()) == list(want.terms.items())
-        assert fol.as_web.form.variables == want.variables
+        assert list(fol.form.terms.items()) == list(want.terms.items())
+        assert fol.form.variables == want.variables
+        # the field read back is the canonical form's
+        assert fol.field[0] * DY - fol.field[1] * DX == fol.form
 
 
 class TestInflexionDivisor:
     def test_cubic_graph_field(self):
-        e = inflexion_divisor(FoliationData(one, X**2))
+        e = inflexion_divisor(SymWeb.of_field(one, X**2))
         assert e.defining == X.canonical()
 
     def test_linear_field(self):
-        e = inflexion_divisor(FoliationData(one, Y))
+        e = inflexion_divisor(SymWeb.of_field(one, Y))
         assert e.defining == Y.canonical()
 
     def test_radial_identically_zero(self):
-        assert inflexion_divisor(FoliationData(X, Y)) is None
+        assert inflexion_divisor(SymWeb.of_field(X, Y)) is None
 
     def test_constant_divisor_is_empty_curve(self):
-        e = inflexion_divisor(FoliationData(one, X))
+        e = inflexion_divisor(SymWeb.of_field(one, X))
         assert e.is_empty
 
     def test_shear_invariance(self):
         # computing E in sheared coordinates and shearing back gives the same curve
-        fol = FoliationData(X**2, Y**2)
+        fol = SymWeb.of_field(X**2, Y**2)
         e = inflexion_divisor(fol)
         lam = Fraction(2)
         # shear phi(x, y) = (x + lam*y, y); the field transforms with dphi^{-1}
-        As = subs(fol.A, {"x": X + MPoly.constant(lam) * Y})
-        Bs = subs(fol.B, {"x": X + MPoly.constant(lam) * Y})
-        fol_sheared = FoliationData(As - MPoly.constant(lam) * Bs, Bs)
+        As = subs(X**2, {"x": X + MPoly.constant(lam) * Y})
+        Bs = subs(Y**2, {"x": X + MPoly.constant(lam) * Y})
+        fol_sheared = SymWeb.of_field(As - MPoly.constant(lam) * Bs, Bs)
         e_sheared = inflexion_divisor(fol_sheared)
         pulled = subs(e_sheared.defining, {"x": X - MPoly.constant(lam) * Y})
         assert PlaneCurve(pulled).defining == e.defining
@@ -129,10 +134,12 @@ class TestSingInInflexion:
         assert report.samples_used == 0 and len(report.assertions) == 1
 
     def test_smooth_polar_vacuous(self):
-        fol = FoliationData(one, X**2)
+        # d/dx + x^2 d/dy reads back as (-1, -x^2), the field of the
+        # canonical form x^2*dx - dy
+        fol = SymWeb.of_field(one, X**2)
         report = polar_sing_in_inflexion_check(fol)
         assert report.passed
-        assert [(a.name, a.detail) for a in report.assertions] == [(LINEAR_IDENTITY, "c = 1")]
+        assert [(a.name, a.detail) for a in report.assertions] == [(LINEAR_IDENTITY, "c = -1")]
 
     @given(cubic_coefficients, cubic_coefficients)
     @settings(max_examples=20, deadline=None)
@@ -156,16 +163,16 @@ class TestSingInInflexion:
         assert [row[2] + x * row[0] + y * row[1] for row in M] == [R.zero, -B, A]
         assert det3([[B, -A, R.zero], [B.diff(x), -A.diff(x), -B], [B.diff(y), -A.diff(y), A]]) == -E
 
-        fol = FoliationData(*(sum((c * X**i * Y**j for (i, j), c in zip(CUBIC_MONOMIALS, cs)), MPoly.zero())
+        fol = SymWeb.of_field(*(sum((c * X**i * Y**j for (i, j), c in zip(CUBIC_MONOMIALS, cs)), MPoly.zero())
                               for cs in (ca, cb)))
         report = polar_sing_in_inflexion_check(fol)
         identity = [t for t in report.assertions if t.name == LINEAR_IDENTITY]
         assert report.passed
-        assert len(identity) == (0 if inflexion_polynomial(fol).is_zero() else 1)
+        assert len(identity) == (0 if inflexion_of_field(*fol.field).is_zero() else 1)
 
     def test_a_broken_family_fails(self, monkeypatch, tmp_path):
         break_family(monkeypatch)
-        report = polar_sing_in_inflexion_check(FoliationData(X**2, Y**2))
+        report = polar_sing_in_inflexion_check(SymWeb.of_field(X**2, Y**2))
         assert [(t.name, t.passed) for t in report.assertions] == [(LINEAR_IDENTITY, False)]
         assert not report.passed
         path = tmp_path / "fol.txt"
@@ -176,25 +183,26 @@ class TestSingInInflexion:
 
 class TestClassification:
     def test_radial_point(self):
-        cls = classify_singularity(FoliationData(X, Y), AffinePoint.of(0, 0))
-        assert cls.quasi_radial and cls.radial_cofactor == 1
+        # the radial field reads back as -(x, y), the field of y*dx - x*dy
+        cls = classify_singularity(SymWeb.of_field(X, Y), AffinePoint.of(0, 0))
+        assert cls.quasi_radial and cls.radial_cofactor == -1
 
     def test_saddle_not_quasi_radial(self):
-        cls = classify_singularity(FoliationData(X, -Y), AffinePoint.of(0, 0))
+        cls = classify_singularity(SymWeb.of_field(X, -Y), AffinePoint.of(0, 0))
         assert not cls.quasi_radial
 
     def test_squares_not_quasi_radial(self):
-        cls = classify_singularity(FoliationData(X**2, Y**2), AffinePoint.of(0, 0))
+        cls = classify_singularity(SymWeb.of_field(X**2, Y**2), AffinePoint.of(0, 0))
         assert not cls.quasi_radial and cls.first_jet_order == 2
 
     def test_nonsingular_point_rejected(self):
         with pytest.raises(PolynomialError):
-            classify_singularity(FoliationData(X, Y), AffinePoint.of(1, 1))
+            classify_singularity(SymWeb.of_field(X, Y), AffinePoint.of(1, 1))
 
     def test_scaling_invariance(self):
-        c1 = classify_singularity(FoliationData(X - Y**2, Y + X**2), AffinePoint.of(0, 0))
+        c1 = classify_singularity(SymWeb.of_field(X - Y**2, Y + X**2), AffinePoint.of(0, 0))
         c2 = classify_singularity(
-            FoliationData(7 * (X - Y**2), 7 * (Y + X**2)), AffinePoint.of(0, 0)
+            SymWeb.of_field(7 * (X - Y**2), 7 * (Y + X**2)), AffinePoint.of(0, 0)
         )
         assert c1.quasi_radial == c2.quasi_radial == True
 
@@ -204,7 +212,7 @@ class TestClassification:
         u, v = X + Y, X - Y
         Anew = subs(A, {"x": u, "y": v}) + subs(B, {"x": u, "y": v})
         Bnew = subs(A, {"x": u, "y": v}) - subs(B, {"x": u, "y": v})
-        cls = classify_singularity(FoliationData(Anew, Bnew), AffinePoint.of(0, 0))
+        cls = classify_singularity(SymWeb.of_field(Anew, Bnew), AffinePoint.of(0, 0))
         assert not cls.quasi_radial
 
     def test_numeric_matches_exact(self):
@@ -212,13 +220,13 @@ class TestClassification:
         # points (w, -w^2) with w^2 + w + 1 = 0 are one group, classified on
         # it; every class against sympy's jets at sympy's solutions
         sympy = pytest.importorskip("sympy")
-        fol = FoliationData(X - Y**2, Y + X**2)
-        sing = singular_set(fol.as_web)
+        fol = SymWeb.of_field(X - Y**2, Y + X**2)
+        sing = singular_set(fol)
         ours = [((complex(q.a), complex(q.b)), classify_singularity(fol, q)) for q in sing.rational]
         ours += [(c.point, c) for c in classify_irrational(fol, sing.groups)]
         assert [c.quasi_radial for _, c in ours] == [True, False, False, False]
         x, y = sympy.symbols("x y")
-        solutions = sympy.solve([to_sympy(sympy, fol.A), to_sympy(sympy, fol.B)], [x, y])
+        solutions = sympy.solve([to_sympy(sympy, f) for f in fol.field], [x, y])
         assert len(solutions) == len(ours)
         for q in solutions:
             point, cls = min(ours, key=lambda o: distance(o[0], q))
@@ -229,16 +237,16 @@ class TestClassification:
         # at (+-sqrt 2, 0): A_1 = +-2 sqrt(2) u with B_1 = v is not a multiple
         # of (u, v); with B_1 = +-2 sqrt(2) v it is
         for B, radial in ((Y, False), (2 * X * Y, True)):
-            fol = FoliationData(X**2 - 2, B)
-            classes = classify_irrational(fol, singular_set(fol.as_web).groups)
+            fol = SymWeb.of_field(X**2 - 2, B)
+            classes = classify_irrational(fol, singular_set(fol).groups)
             assert [(c.first_jet_order, c.quasi_radial) for c in classes] == [(1, radial)] * 2
 
     def test_one_group_splits_into_both_classes(self):
         # one group of four points (+-sqrt 2, 0), (+-sqrt 3, 0): at x = +-sqrt 2,
         # A_1 = -+2 sqrt(2) u and B_1 = -+2 sqrt(2) v; at x = +-sqrt 3,
         # A_1 = +-2 sqrt(3) u and B_1 = -+2 sqrt(3) v
-        fol = FoliationData((X**2 - 2) * (X**2 - 3), -2 * X * Y)
-        sing = singular_set(fol.as_web)
+        fol = SymWeb.of_field((X**2 - 2) * (X**2 - 3), -2 * X * Y)
+        sing = singular_set(fol)
         assert [len(group.w) - 1 for group in sing.groups] == [4]
         classes = classify_irrational(fol, sing.groups)
         roots = [-(3**0.5), -(2**0.5), 2**0.5, 3**0.5]
@@ -251,8 +259,8 @@ class TestClassification:
     ], ids=["quasi-radial", "not quasi-radial"])
     def test_a_group_of_jet_order_2(self, A, B, radial):
         # at (+-sqrt 2, 0): A_2 = 8u^2 with B_2 = 8uv, or with 2 sqrt(2) uv + v^2
-        fol = FoliationData(A, B)
-        classes = classify_irrational(fol, singular_set(fol.as_web).groups)
+        fol = SymWeb.of_field(A, B)
+        classes = classify_irrational(fol, singular_set(fol).groups)
         pair = [c for c in classes if distance(c.point, (2**0.5, 0)) < 1e-12 or distance(c.point, (-(2**0.5), 0)) < 1e-12]
         assert [(c.first_jet_order, c.quasi_radial) for c in pair] == [(2, radial)] * 2
         assert all(c.first_jet_order == 1 and not c.quasi_radial for c in classes if c not in pair)
@@ -287,15 +295,15 @@ class TestClassification:
             A, B = s1 * m * cofactor, (2 * xr * line + s2 * m) * cofactor
         else:
             A, B = form(k), form(k)
-        fol = FoliationData(A + data.draw(small) * line ** (k + 1), B + data.draw(small) * m * line**k)
-        assume(not fol.saturated)
+        fol = SymWeb.of_field(A + data.draw(small) * line ** (k + 1), B + data.draw(small) * m * line**k)
+        assume(fol.common_factor is None)
         e = sympy.sqrt(c)
         pair = [tuple(sympy.Rational(r.numerator, r.denominator) + sympy.Rational(s.numerator, s.denominator) * sign * e
                       for r, s in ((r1, s1), (r2, s2))) for sign in (1, -1)]
         expected = sympy_class(sympy, fol, pair[0])
         assume(radial or not expected[1])
         assert expected == (k, radial) == sympy_class(sympy, fol, pair[1])
-        sing = singular_set(fol.as_web)
+        sing = singular_set(fol)
         classes = classify_irrational(fol, sing.groups)
         assert len(classes) == len(sing.numeric)
         for q in pair:
@@ -309,13 +317,13 @@ def distance(p: tuple[complex, complex], q) -> float:
     return max(abs(complex(a) - complex(b)) for a, b in zip(p, q))
 
 
-def sympy_class(sympy, fol: FoliationData, q) -> tuple[int, bool]:
+def sympy_class(sympy, fol: SymWeb, q) -> tuple[int, bool]:
     """(first jet order, quasi-radial) at a singular point q given exactly in
     sympy, from the Taylor expansion of A and B at q in sympy's arithmetic:
     in Q(sqrt c), an expanded value is 0 only when it is."""
     x, y, u, v = sympy.symbols("x y u v")
     shifted = [sympy.Poly(sympy.expand(to_sympy(sympy, f).subs({x: q[0] + u, y: q[1] + v}, simultaneous=True)), u, v)
-               for f in (fol.A, fol.B)]
+               for f in fol.field]
     for k in range(1, max(p.total_degree() for p in shifted) + 1):
         ak, bk = (sympy.expand(sum((c * u**i * v**j for (i, j), c in p.terms() if i + j == k), sympy.S.Zero))
                   for p in shifted)
@@ -324,10 +332,10 @@ def sympy_class(sympy, fol: FoliationData, q) -> tuple[int, bool]:
     raise AssertionError(f"A and B vanish to every order at {q}")
 
 
-def planted_foliation(q: AffinePoint, ak: MPoly, bk: MPoly, a_next: MPoly, b_next: MPoly) -> FoliationData:
+def planted_foliation(q: AffinePoint, ak: MPoly, bk: MPoly, a_next: MPoly, b_next: MPoly) -> SymWeb:
     """A = A_k + A_(k+1), B = B_k + B_(k+1) in coordinates centered at q."""
     to_q = {"x": X - q.a, "y": Y - q.b}
-    return FoliationData((ak + a_next).substitute(to_q), (bk + b_next).substitute(to_q))
+    return SymWeb.of_field((ak + a_next).substitute(to_q), (bk + b_next).substitute(to_q))
 
 
 def binary_form(coefficients: list[int]) -> MPoly:
@@ -341,19 +349,19 @@ class TestDichotomy:
     tangent cone of P_p at q, against the cone itself (`cone_multiplicity`)."""
 
     def test_radial_spec_example(self):
-        fol = FoliationData(X, Y)
+        fol = SymWeb.of_field(X, Y)
         report = CheckReport("qr-dichotomy")
-        assert tangent_cone_dichotomy(report, fol, ORIGIN) == (1, one)
-        jets = jet_decompose(polar_curve(fol.as_web, AffinePoint.of(1, 2)).raw, ("x", "y"), (0, 0))
+        assert tangent_cone_dichotomy(report, fol, ORIGIN) == (1, -one)
+        jets = jet_decompose(polar_curve(fol, AffinePoint.of(1, 2)).raw, ("x", "y"), (0, 0))
         assert jets[min(jets)].canonical() == (X * 2 - Y).canonical()
         assert cone_multiplicity(fol, ORIGIN, AffinePoint.of(1, 2)) == 1
         assert report.notes == ["singular point (0, 0): quasi-radial (first jet order 1): line pq is a simple "
-                                "tangent of P_p at q for p ≠ q off Q(p - q) = 0, Q = A_1/x = B_1/y = 1"]
+                                "tangent of P_p at q for p ≠ q off Q(p - q) = 0, Q = A_1/x = B_1/y = -1"]
 
     @pytest.mark.parametrize(
         "fol",
-        [FoliationData(X, Y), FoliationData(X, -Y), FoliationData(X**2, Y**2),
-         FoliationData(X - Y**2, Y + X**2)],
+        [SymWeb.of_field(X, Y), SymWeb.of_field(X, -Y), SymWeb.of_field(X**2, Y**2),
+         SymWeb.of_field(X - Y**2, Y + X**2)],
         ids=["radial", "saddle", "squares", "qr-perturbed"],
     )
     def test_rational_points(self, fol):
@@ -382,24 +390,25 @@ class TestDichotomy:
             ak, bk = form(k), form(k)
             assume(not (Y * ak - X * bk).is_zero())
         fol = planted_foliation(q, ak, bk, form(k + 1), form(k + 1))
-        assume(not fol.saturated)
+        assume(fol.common_factor is None)
         cls = classify_singularity(fol, q)
         assert (cls.quasi_radial, cls.first_jet_order) == (radial, k)
         assert rational_dichotomy_mismatches(fol, q, seed=data.draw(small), centers=3) == []
 
     def test_an_excluded_line_is_tangent_more_often(self):
-        # at the origin Q = x, so centers on the line x = 0 are excluded:
-        # there the cone is x^2 and the line pq is a double tangent
+        # at the origin Q = -x in the canonical orientation, so centers on
+        # the line x = 0 are excluded: there the cone is x^2 and the line pq
+        # is a double tangent
         fol = planted_foliation(ORIGIN, X**2, X * Y, Y**3, X**3)
         mult, form = tangent_cone_dichotomy(CheckReport("qr-dichotomy"), fol, ORIGIN)
-        assert (mult, form) == (1, X)
+        assert (mult, form) == (1, -X)
         assert cone_multiplicity(fol, ORIGIN, AffinePoint.of(0, 5)) == 2
         assert cone_multiplicity(fol, ORIGIN, AffinePoint.of(1, 5)) == 1
 
     def test_planted_points_of_both_kinds(self):
         # x^3 - 2x, y^3 - 2y: the origin and (+-sqrt 2, +-sqrt 2) are
         # quasi-radial, (0, +-sqrt 2) and (+-sqrt 2, 0) are not
-        fol = FoliationData(X**3 - 2 * X, Y**3 - 2 * Y)
+        fol = SymWeb.of_field(X**3 - 2 * X, Y**3 - 2 * Y)
         report = _dichotomy_all_singularities(fol)
         assert report.passed and report.samples_requested == report.samples_used == 0
         kinds = sorted((n.endswith("[numeric]"), "not quasi-radial" in n) for n in report.notes)
@@ -441,17 +450,17 @@ class TestInflexionPoint:
 
 class TestInflexionLemma:
     def test_spec_example_on_divisor(self):
-        fol = FoliationData(one, X**2)
-        curve = polar_curve(fol.as_web, AffinePoint.of(0, 0))
+        fol = SymWeb.of_field(one, X**2)
+        curve = polar_curve(fol, AffinePoint.of(0, 0))
         assert is_inflexion_point(curve, AffinePoint.of(0, 0))
 
     def test_spec_example_off_divisor(self):
-        fol = FoliationData(one, X**2)
+        fol = SymWeb.of_field(one, X**2)
         p = AffinePoint.of(1, 1)
-        assert not is_inflexion_point(polar_curve(fol.as_web, p), p)
+        assert not is_inflexion_point(polar_curve(fol, p), p)
 
     def test_degenerate_all_lines(self):
-        report = inflexion_lemma_check(FoliationData(X, Y))
+        report = inflexion_lemma_check(SymWeb.of_field(X, Y))
         assert report.passed  # skipped with reason
 
     @pytest.mark.parametrize("entry", FOLIATIONS, ids=lambda e: e.name)
@@ -465,21 +474,22 @@ class TestInflexionLemma:
     def test_sampled_centers_inflect_exactly_on_E(self, entry):
         # the oracle of the deleted sampling loop: at seeded regular centers
         # and at the small integer points, P_p inflects at p iff E(p) = 0
-        fol, e = entry.foliation, inflexion_polynomial(entry.foliation)
+        fol, e = entry.foliation, inflexion_of_field(*entry.foliation.field)
         sampler = GenericSampler(4)
         centers = [sampler.center() for _ in range(6)] + [AffinePoint.of(i, j) for i in range(-2, 3)
                                                         for j in range(-2, 3)]
         for p in centers:
-            if fol.A.evaluate(p.as_dict()) == 0 and fol.B.evaluate(p.as_dict()) == 0:
+            if all(f.evaluate(p.as_dict()) == 0 for f in fol.field):
                 continue
-            assert is_inflexion_point(polar_curve(fol.as_web, p), p) == (e.evaluate(p.as_dict()) == 0), p
+            assert is_inflexion_point(polar_curve(fol, p), p) == (e.evaluate(p.as_dict()) == 0), p
 
     def test_a_planted_center_on_E_inflects(self):
-        # E = -2x for d/dx + x^2 d/dy: (0, 5) is on E, (1, 5) is not
-        fol = FoliationData(one, X**2)
-        assert inflexion_polynomial(fol) == -2 * X
-        assert is_inflexion_point(polar_curve(fol.as_web, AffinePoint.of(0, 5)), AffinePoint.of(0, 5))
-        assert not is_inflexion_point(polar_curve(fol.as_web, AffinePoint.of(1, 5)), AffinePoint.of(1, 5))
+        # E = 2x for d/dx + x^2 d/dy, read back as (-1, -x^2): (0, 5) is on
+        # E, (1, 5) is not
+        fol = SymWeb.of_field(one, X**2)
+        assert inflexion_of_field(*fol.field) == 2 * X
+        assert is_inflexion_point(polar_curve(fol, AffinePoint.of(0, 5)), AffinePoint.of(0, 5))
+        assert not is_inflexion_point(polar_curve(fol, AffinePoint.of(1, 5)), AffinePoint.of(1, 5))
 
     @given(cubic_coefficients, cubic_coefficients)
     @settings(max_examples=30, deadline=None)
@@ -499,20 +509,19 @@ class TestInflexionLemma:
         E = B**2 * A.diff(y) + A * B * A.diff(x) - A**2 * B.diff(x) - A * B * B.diff(y)
         assert hess == 2 * at(E)
 
-        fol = FoliationData(*(sum((c * X**i * Y**j for (i, j), c in zip(CUBIC_MONOMIALS, cs)), MPoly.zero())
+        fol = SymWeb.of_field(*(sum((c * X**i * Y**j for (i, j), c in zip(CUBIC_MONOMIALS, cs)), MPoly.zero())
                               for cs in (ca, cb)))
         report = inflexion_lemma_check(fol)
         identity = [t for t in report.assertions if t.name == IDENTITY]
         assert report.passed
-        assert len(identity) == (0 if inflexion_polynomial(fol).is_zero() else 1)
+        assert len(identity) == (0 if inflexion_of_field(*fol.field).is_zero() else 1)
 
     def test_a_wrong_divisor_fails(self, monkeypatch, tmp_path):
-        def without_last_term(fol):
-            A, B = fol.A, fol.B
+        def without_last_term(A, B):
             return B * B * A.derivative("y") + A * B * A.derivative("x") - A * A * B.derivative("x")
 
-        monkeypatch.setattr(foliation, "inflexion_polynomial", without_last_term)
-        report = inflexion_lemma_check(FoliationData(X**2, Y**2))
+        monkeypatch.setattr(foliation, "inflexion_of_field", without_last_term)
+        report = inflexion_lemma_check(SymWeb.of_field(X**2, Y**2))
         assert [(t.passed, t.detail) for t in report.assertions if t.name == IDENTITY] == [
             (False, "not a constant multiple of E")
         ]
@@ -532,7 +541,7 @@ class TestInflexionLemma:
             assert code == 0, text
             first = json.loads(text)["report"]["assertions"][0]
             seen.add((first["name"], first["detail"], first["mode"]))
-        assert seen == {(IDENTITY, "c = 2", "exact")}
+        assert seen == {(IDENTITY, "c = -2", "exact")}
 
 
 def dense_class(curve: PlaneCurve) -> int:
@@ -681,13 +690,13 @@ class TestClassOfCurve:
         assert class_of_curve(PlaneCurve(moved)) == class_of_curve(curve)
 
 
-def sampled_classes(fol: FoliationData, seed: int, samples: int) -> list[int]:
+def sampled_classes(fol: SymWeb, seed: int, samples: int) -> list[int]:
     """The oracle of the deleted sampled `qr-bound` loop: the class of the
     polar at up to `samples` seeded centers whose polar is square-free of
     degree d + 1."""
-    sampler, classes, n = GenericSampler(seed), [], web_degree(fol.as_web) + 1
+    sampler, classes, n = GenericSampler(seed), [], web_degree(fol) + 1
     for _ in range(50 * samples):
-        curve = polar_curve(fol.as_web, sampler.center())
+        curve = polar_curve(fol, sampler.center())
         if isinstance(curve, RadialProduct) or curve.raw.total_degree() < n or curve.raw != curve.defining:
             continue
         classes.append(class_of_curve(curve))
@@ -704,7 +713,7 @@ class TestQuasiRadialBound:
         report = quasi_radial_bound_check(entry.foliation)
         assert report.passed, report.render_text()
         assert report.seed is None and report.samples_requested == report.samples_used == 0
-        if inflexion_polynomial(entry.foliation).is_zero():
+        if inflexion_of_field(*entry.foliation.field).is_zero():
             return
         [witness] = report.assertions
         cls = int(witness.detail.rsplit("class = ", 1)[1])
@@ -712,32 +721,32 @@ class TestQuasiRadialBound:
         assert len(classes) == 5 and min(classes) >= cls, (classes, cls)
 
     def test_degenerate_skipped(self):
-        report = quasi_radial_bound_check(FoliationData(X, Y))
+        report = quasi_radial_bound_check(SymWeb.of_field(X, Y))
         assert report.passed
 
     def test_qr_count_perturbed_radial(self):
-        count, _ = count_quasi_radial(FoliationData(X - Y**2, Y + X**2))
+        count, _ = count_quasi_radial(SymWeb.of_field(X - Y**2, Y + X**2))
         assert count >= 1
 
     def test_the_circle_pencil_passes_its_center(self):
         # P_(0,0) = -(x^2 + y^2), two lines over C of class 0 < #QR + 1 = 1
-        report = quasi_radial_bound_check(FoliationData(-Y, X))
+        report = quasi_radial_bound_check(SymWeb.of_field(-Y, X))
         assert [(a.name, a.detail) for a in report.assertions] == [
             ("#Sing_QR <= class(P_p) - 1 at p=(0, 1)", "#QR = 0, class = 2")]
         assert report.notes[-1] == "special center (0, 0): class 0 < #QR + 1"
 
     def test_a_polar_that_is_not_square_free_is_passed(self):
-        # P_(0,0) = -(x - y)^2 and E = -(x - y)^2: the class refuses it, the
-        # walk passes it
-        fol = FoliationData(-Y, X - 2 * Y)
-        assert inflexion_polynomial(fol) == -(X - Y) ** 2
+        # P_(0,0) = (x - y)^2 and E = (x - y)^2, the field read back as
+        # (y, 2y - x): the class refuses it, the walk passes it
+        fol = SymWeb.of_field(-Y, X - 2 * Y)
+        assert inflexion_of_field(*fol.field) == (X - Y) ** 2
         report = quasi_radial_bound_check(fol)
         assert report.passed and [a.name for a in report.assertions] == ["#Sing_QR <= class(P_p) - 1 at p=(0, 1)"]
         assert report.notes[-1] == "special center (0, 0): the polar is not square-free"
 
     def test_the_bound_is_tight(self):
         # five quasi-radial points; P_(0,0) = xy(x^2 - y^2) has class 0
-        report = quasi_radial_bound_check(FoliationData(X**3 - 2 * X, Y**3 - 2 * Y))
+        report = quasi_radial_bound_check(SymWeb.of_field(X**3 - 2 * X, Y**3 - 2 * Y))
         assert [(a.name, a.detail) for a in report.assertions] == [
             ("#Sing_QR <= class(P_p) - 1 at p=(0, 1)", "#QR = 5, class = 6")]
         assert report.notes[-1] == "special center (0, 0): class 0 < #QR + 1"
@@ -746,14 +755,14 @@ class TestQuasiRadialBound:
         # a walk that finds no witness proves nothing: exit 3, not a FAIL
         monkeypatch.setattr(foliation, "class_of_curve", lambda curve: 0)
         with pytest.raises(DegenerateSampleError, match=r"^qr-bound: no center of the 4 x 4 grid "):
-            quasi_radial_bound_check(FoliationData(-Y, X))
+            quasi_radial_bound_check(SymWeb.of_field(-Y, X))
         path = tmp_path / "circles.txt"
         path.write_text("type: foliation\nA: -y\nB: x\n")
         code, text = run_command(["check", "--in", str(path), "--theorem", "qr-bound"])
         assert code == 3 and text.startswith("numeric abort: qr-bound: no center of the 4 x 4 grid"), text
 
     def test_numeric_points_certify_the_classification(self):
-        report = quasi_radial_bound_check(FoliationData(X**3 - 2 * X, Y**3 - 2 * Y))
+        report = quasi_radial_bound_check(SymWeb.of_field(X**3 - 2 * X, Y**3 - 2 * Y))
         assert report.passed and report.mode == "exact"
         assert report.certificates == {}
-        assert quasi_radial_bound_check(FoliationData(X, -Y + X**2)).certificates == {}
+        assert quasi_radial_bound_check(SymWeb.of_field(X, -Y + X**2)).certificates == {}

@@ -13,6 +13,7 @@ from polarweb import (
     CurveGerm,
     MPoly,
     PlaneCurve,
+    SymWeb,
     fingerprint,
     genus_of_curve,
     intersection_multiplicity,
@@ -817,9 +818,7 @@ class TestEquisingularity:
 
     def test_irrational_singular_points_are_exact(self):
         # every generic polar is singular at the conjugate points (+-sqrt 2, 0)
-        from polarweb import FoliationData
-
-        fol = FoliationData((X**2 - 2) ** 2 + Y**2, (X**2 - 2) * Y + Y**2)
+        fol = SymWeb.of_field((X**2 - 2) ** 2 + Y**2, (X**2 - 2) * Y + Y**2)
         for report in (equisingularity_check(fol, seed=1, samples=3), genus_constancy_check(fol, seed=1, samples=3)):
             assert report.passed, report.render_text()
             assert report.mode == "exact" and report.to_dict()["certificates"] == {}

@@ -451,7 +451,7 @@ class TestWorkCount:
                                   "--samples", "4", "--seed", "1"])
         assert code == 0, text
         assert len(calls) <= 2
-        web = parse_input(str(path))[0].as_web
+        web = parse_input(str(path))[0]
         sampler = GenericSampler(1)
         centers = [sampler.center() for _ in range(4)]
         assert str(centers[0]) == "(-66/73, 95/9)"
@@ -1228,7 +1228,7 @@ class TestIntegerCoefficients:
         path = tmp_path / "input.txt"
         for entry in BATTERY:
             fol = entry.foliation
-            path.write_text(f"type: foliation\nA: {fol.A}\nB: {fol.B}\n" if fol is not None
+            path.write_text("type: foliation\nA: {}\nB: {}\n".format(*fol.field) if fol is not None
                             else f"type: web\nform: {entry.web.form}\n")
             for theorem, (coerce, _) in CHECKS.items():
                 if coerce is _as_foliation and fol is None:

@@ -13,7 +13,6 @@ from hypothesis import assume, given, settings, strategies as st
 from battery import BATTERY, DX, DY, X, Y, break_family, nonzero_int, to_sympy, vanishes_numerically
 from polarweb import (
     AffinePoint,
-    FoliationData,
     MPoly,
     PlaneCurve,
     RadialProduct,
@@ -572,7 +571,7 @@ class TestSingularLocus:
         assert report.samples_used == 0
         assert [(a.name, a.passed) for a in report.assertions] == [(LINEAR_IDENTITY, True)]
         assert report.notes[-1].endswith(": empty, the generic polar is smooth")
-        report = generic_polar_singularities_check(FoliationData(X**2, Y**2).as_web)
+        report = generic_polar_singularities_check(SymWeb.of_field(X**2, Y**2))
         assert report.passed and report.notes[-1].endswith(": (0, 0) [exact]")
 
     @pytest.mark.parametrize("A, B", [(X, Y), (MPoly.constant(2), MPoly.constant(-3)), (X - 2, Y + 3)],
@@ -580,7 +579,7 @@ class TestSingularLocus:
     def test_foliation_of_lines_is_an_identity(self, A, B):
         # E ≡ 0: the leaves are a pencil, every polar is a line through its
         # center or zero, and Z is empty; no sample
-        report = generic_polar_singularities_check(FoliationData(A, B).as_web)
+        report = generic_polar_singularities_check(SymWeb.of_field(A, B))
         assert report.passed and report.samples_requested == report.samples_used == 0
         assert [a.name for a in report.assertions] == [LINEAR_IDENTITY, "E ≡ 0: deg_(x,y) P(a, b; x, y) = 1"]
         assert report.notes == ["generic Sing(P_p) = V(A, B, A_x, A_y, B_x, B_y) ⊆ Sing(W): empty, "
@@ -623,16 +622,16 @@ class TestSingularLocus:
             base = (X - r, Y - s) if planted else (X, Y)
             fields.append(sum((c * base[0] ** i * base[1] ** j for (i, j), c in zip(monomials, cs)), MPoly.zero()))
         assume(not fields[0].is_zero() or not fields[1].is_zero())
-        fol = FoliationData(*fields)
-        assume(not fol.saturated and not polarops.inflexion_of_field(fol.A, fol.B).is_zero())
-        report = generic_polar_singularities_check(fol.as_web)
+        fol = SymWeb.of_field(*fields)
+        assume(fol.common_factor is None and not polarops.inflexion_of_field(*fol.field).is_zero())
+        report = generic_polar_singularities_check(fol)
         assert report.passed and [a.name for a in report.assertions] == [LINEAR_IDENTITY]
         listed = [n.rsplit(": ", 1)[1] for n in report.notes if n.endswith("]")]
         assume(len(listed) <= 1)
         if planted:
             assert listed == ["(1/2, -1/3) [exact]"]
         # sympy: the singular points of the polar at one center
-        A, B = (to_sympy(sympy, f) for f in (fol.A, fol.B))
+        A, B = (to_sympy(sympy, f) for f in fol.field)
         a, b = sympy.Rational(3, 7), sympy.Rational(-5, 11)
         P = sympy.expand(A * (y - b) - B * (x - a))
         G = sympy.groebner([P, P.diff(x), P.diff(y)], x, y, order="grevlex")
@@ -750,7 +749,7 @@ class TestInflexionVanishes:
 
     @pytest.mark.parametrize("entry", [e for e in BATTERY if e.foliation is not None], ids=lambda e: e.name)
     def test_battery(self, entry):
-        A, B = entry.foliation.A, entry.foliation.B
+        A, B = entry.foliation.field
         assert polarops.inflexion_vanishes(A, B) == polarops.inflexion_of_field(A, B).is_zero()
 
     @given(st.lists(st.integers(-2, 2), min_size=2 * len(CUBIC_MONOMIALS), max_size=2 * len(CUBIC_MONOMIALS)),
@@ -1326,7 +1325,7 @@ class TestIrreducibilityWork:
         # the kernel mod p of the raw polar at (0, 0) proves it square-free
         # with one component: no gcd for its square-free part, no shear and
         # no rank over Q
-        web = FoliationData(*(parse_polynomial(t) for t in DENSE_FOLIATIONS[d])).as_web
+        web = SymWeb.of_field(*(parse_polynomial(t) for t in DENSE_FOLIATIONS[d]))
         calls = {name: _count_calls(monkeypatch, name) for name in ("squarefree_part", "shear", "_integer_rank")}
         report = generic_polar_irreducible(web)
         assert report.passed, report.render_text()
@@ -1337,7 +1336,7 @@ class TestIrreducibilityWork:
     def test_a_witness_proved_on_a_line_takes_no_gao_kernel(self, d, monkeypatch):
         # one irreducible image of the polar at (0, 0) on a line mod a small
         # prime proves it: no row of the Gao-Ruppert matrix is eliminated
-        web = FoliationData(*(parse_polynomial(t) for t in DENSE_FOLIATIONS[d])).as_web
+        web = SymWeb.of_field(*(parse_polynomial(t) for t in DENSE_FOLIATIONS[d]))
         calls = _count_calls(monkeypatch, "_independent_mod_p")
         report = generic_polar_irreducible(web)
         assert report.passed, report.render_text()
@@ -1397,7 +1396,7 @@ class TestOneComponentModP:
     square-free with one component over C."""
 
     def test_a_dense_cubic_polar(self):
-        f = polar_curve(FoliationData(*(parse_polynomial(t) for t in DENSE_FOLIATIONS[2])).as_web,
+        f = polar_curve(SymWeb.of_field(*(parse_polynomial(t) for t in DENSE_FOLIATIONS[2])),
                         AffinePoint.of(0, 0)).raw
         # every monomial of degree 1 to 3: the polar passes through its center
         assert f.total_degree() == 3 and len(f.terms) == 9
@@ -1457,7 +1456,7 @@ class TestOneComponentAt:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_a_dense_foliation_polar_at_its_center(self, d):
-        f = polar_curve(FoliationData(*(parse_polynomial(t) for t in DENSE_FOLIATIONS[d])).as_web, P0).raw
+        f = polar_curve(SymWeb.of_field(*(parse_polynomial(t) for t in DENSE_FOLIATIONS[d])), P0).raw
         assert f.total_degree() == d + 1
         assert polarops._one_component_at(f, P0)
 
@@ -1482,7 +1481,7 @@ class TestOneComponentAt:
 
     def test_a_cubic_or_quadratic_image_takes_no_gcd(self, monkeypatch):
         # Ben-Or's step i = 1 is a scan of the residues, which decides degree <= 3
-        f = polar_curve(FoliationData(*(parse_polynomial(t) for t in DENSE_FOLIATIONS[2])).as_web, P0).raw
+        f = polar_curve(SymWeb.of_field(*(parse_polynomial(t) for t in DENSE_FOLIATIONS[2])), P0).raw
         gcds = _count_calls(monkeypatch, "_coprime_mod_p")
         trials = _count_calls(monkeypatch, "_irreducible_mod_p")
         assert f.total_degree() == 3 and polarops._one_component_at(f, P0)

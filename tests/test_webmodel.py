@@ -10,7 +10,6 @@ from hypothesis import assume, given, settings, strategies as st
 from battery import BATTERY, DX, DY, X, Y, vanishes_numerically
 from polarweb import (
     AffinePoint,
-    FoliationData,
     MPoly,
     SymWeb,
     discriminant_curve,
@@ -295,7 +294,7 @@ class TestSingularSet:
         assert calls == []
         assert (s.elim_x, s.elim_x, s.elim_y) == (X, X, Y) and calls == ["y", "x"]
         calls.clear()
-        s = singular_set(FoliationData(X**2 - 2, Y).as_web)
+        s = singular_set(SymWeb.of_field(X**2 - 2, Y))
         assert len(s.numeric) == 2 and calls == ["x", "y"]
         assert (s.elim_x, s.elim_x, s.elim_y) == (X**2 - 2, X**2 - 2, Y) and calls == ["x", "y"]
         assert singular_set(w_product).elim_x is None
@@ -421,7 +420,7 @@ class TestRootResidualTolerance:
         # residual bound of 0
         from polarweb import numerics
 
-        web = FoliationData(X**2 - 2, Y).as_web
+        web = SymWeb.of_field(X**2 - 2, Y)
         assert len(singular_set(web).numeric) == 2
         monkeypatch.setattr(numerics, "RESIDUAL_TOL", 0.0)
         with pytest.raises(NumericAbortError):
